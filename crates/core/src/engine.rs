@@ -23,7 +23,7 @@
 //! acks carry the prompting notifier (`via`), and `can-deliver` requires
 //! one ack per pair rather than one per group.
 
-use crate::history::{History, HistoryDelta, MergeStats, MsgRef, NO_WATERMARK};
+use crate::history::{flag, History, HistoryDelta, MergeStats, MsgRef, NO_WATERMARK};
 use crate::packet::{NotifPair, Packet};
 use flexcast_telemetry::Telemetry;
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Watermarks};
@@ -101,8 +101,19 @@ struct PendingEntry {
 pub struct FlexCastGroup {
     g: GroupId,
     n: u16,
+    /// The history DAG. Its per-vertex [`flag`] bits also hold this
+    /// engine's per-message sets: delivered ([`flag::DELIVERED`]), the
+    /// incrementally maintained `open-dependencies` (Alg. 3 line 9,
+    /// [`flag::OPEN`]) and the `can-deliver` memo ([`flag::CLEAN`]).
+    ///
+    /// The memo marks vertices proven to have no open dependency among
+    /// their ancestors: a blocking-predecessor walk cuts at clean (and
+    /// delivered) vertices and marks everything it cleared, so repeated
+    /// checks cost O(new history), not O(history). It is invalidated
+    /// transitively when an edge from an unclean source vertex arrives.
     hst: History,
-    delivered: BTreeSet<MsgId>,
+    /// Number of vertices flagged [`flag::OPEN`].
+    open_count: usize,
     /// One FIFO queue per ancestor (`queues` in Alg. 1): index = lca rank.
     queues: Vec<VecDeque<MsgId>>,
     pending: BTreeMap<MsgId, PendingEntry>,
@@ -112,16 +123,6 @@ pub struct FlexCastGroup {
     /// Groups this group has itself notified, per message (the local
     /// slice of `m.notifList`); prevents duplicate notifs.
     my_notifs: BTreeMap<MsgId, DestSet>,
-    /// Vertices addressed to this group and not yet delivered — the
-    /// incrementally maintained `open-dependencies` set (Alg. 3 line 9).
-    open_deps: BTreeSet<MsgId>,
-    /// Vertices proven to have no open dependency among their ancestors.
-    /// Memoizes `can-deliver` condition 2: a blocking-predecessor walk
-    /// cuts at clean (and delivered) vertices and marks everything it
-    /// cleared, so repeated checks cost O(new history), not O(history).
-    /// Invalidated transitively when an edge from an unclean source
-    /// vertex arrives.
-    clean: BTreeSet<MsgId>,
     /// Negative memo for condition 2: `m → o` means the last walk found
     /// open dependency `o` above `m`; while `o` is still open there is no
     /// point re-walking. Cleared when `o` delivers.
@@ -174,13 +175,11 @@ impl FlexCastGroup {
             g,
             n,
             hst: History::new(),
-            delivered: BTreeSet::new(),
+            open_count: 0,
             queues: (0..g.rank()).map(|_| VecDeque::new()).collect(),
             pending: BTreeMap::new(),
             pend_notif: Vec::new(),
             my_notifs: BTreeMap::new(),
-            open_deps: BTreeSet::new(),
-            clean: BTreeSet::new(),
             blocked_by: BTreeMap::new(),
             client_backlog: VecDeque::new(),
             vert_cursor: vec![0; n as usize],
@@ -245,7 +244,7 @@ impl FlexCastGroup {
 
     /// True if `id` has been delivered at this group.
     pub fn has_delivered(&self, id: MsgId) -> bool {
-        self.delivered.contains(&id)
+        self.hst.is_delivered(id)
     }
 
     /// Publishes this engine's counters into a telemetry registry under
@@ -278,6 +277,11 @@ impl FlexCastGroup {
         );
         tel.counter_set(&format!("{prefix}.delivered"), self.delivered_count);
         tel.gauge_set(&format!("{prefix}.backlog"), self.backlog() as f64);
+        tel.gauge_set(&format!("{prefix}.pending"), self.pending.len() as f64);
+        tel.gauge_set(
+            &format!("{prefix}.seen_residual"),
+            self.hst.seen_residual_len() as f64,
+        );
         tel.gauge_set(&format!("{prefix}.history_verts"), self.hst.len() as f64);
         tel.gauge_set(
             &format!("{prefix}.history_edges"),
@@ -313,7 +317,7 @@ impl FlexCastGroup {
                             missing.push(format!("({x} via {n})"));
                         }
                     }
-                    let blocker = self.hst.blocking_predecessor(head, self.g, &self.delivered);
+                    let blocker = self.hst.blocking_predecessor(head, self.g);
                     let _ = writeln!(
                         out,
                         "  head {head} dst={:?} missing=[{}] blocker={blocker:?} qlen={}",
@@ -375,7 +379,7 @@ impl FlexCastGroup {
     /// Delivers deferred client messages while the group is current
     /// (no open dependencies).
     fn drain_client_backlog(&mut self, out: &mut Vec<Output>) {
-        while self.open_deps.is_empty() {
+        while self.open_count == 0 {
             let Some(m) = self.client_backlog.pop_front() else {
                 return;
             };
@@ -415,7 +419,16 @@ impl FlexCastGroup {
                 hist,
             } => {
                 self.update_hst(&hist);
-                if !self.delivered.contains(&mref.id) {
+                // An ack can trail the delivery it answers, even past the
+                // flush that pruned the message: seen but no longer
+                // retained, and only delivered messages are pruned here.
+                // Either way there is nothing left to wait for.
+                let settled = if self.hst.contains(mref.id) {
+                    self.hst.is_delivered(mref.id)
+                } else {
+                    self.hst.has_seen(mref.id)
+                };
+                if !settled {
                     let entry = self.pending.entry(mref.id).or_default();
                     entry.acks.insert((from, via));
                     entry.required.extend(notif_pairs);
@@ -425,12 +438,13 @@ impl FlexCastGroup {
             }
             Packet::Notif { mref, hist } => {
                 self.update_hst(&hist);
-                if self.open_deps.is_empty() {
+                if self.open_count == 0 {
                     // Not a destination: acknowledge straight away so the
                     // destinations above learn our dependencies.
                     self.send_descendants(mref, None, from, out);
                 } else {
-                    self.pend_notif.push((mref, from, self.open_deps.clone()));
+                    let open = self.hst.flagged(flag::OPEN).collect();
+                    self.pend_notif.push((mref, from, open));
                 }
             }
             Packet::Advert { .. } => unreachable!("handled above"),
@@ -544,35 +558,22 @@ impl FlexCastGroup {
         self.post_merge_since(pre_verts, pre_edges);
     }
 
-    /// Open-dependency and clean-set maintenance for the history entries
+    /// Open-dependency and clean-memo maintenance for the history entries
     /// inserted after the given log positions.
     fn post_merge_since(&mut self, pre_verts: usize, pre_edges: usize) {
-        for v in self.hst.verts_since(pre_verts) {
-            if v.dst.contains(self.g) && !self.delivered.contains(&v.id) {
-                self.open_deps.insert(v.id);
-            }
-        }
-        // Clean-set invalidation: a new edge whose source is neither clean
-        // nor delivered may put an open dependency above its target.
-        let mut purge: Vec<MsgId> = Vec::new();
-        for e in self.hst.edges_since(pre_edges) {
-            if !self.clean.contains(&e.before) && !self.delivered.contains(&e.before) {
-                purge.push(e.after);
-            }
-        }
+        // A vertex new to the history cannot have been delivered here.
+        self.open_count += self.hst.flag_addressed_since(pre_verts, self.g, flag::OPEN);
+        // Memo invalidation: a new edge whose source is neither clean nor
+        // delivered may put an open dependency above its target.
+        let purge: Vec<MsgId> = self
+            .hst
+            .edges_since(pre_edges)
+            .iter()
+            .filter(|e| !self.hst.has_flag(e.before, flag::CLEAN | flag::DELIVERED))
+            .map(|e| e.after)
+            .collect();
         for b in purge {
-            self.purge_clean(b);
-        }
-    }
-
-    /// Removes `v` and its clean descendants from the clean set.
-    fn purge_clean(&mut self, v: MsgId) {
-        if !self.clean.remove(&v) {
-            return;
-        }
-        let succs: Vec<MsgId> = self.hst.succs_of(v).collect();
-        for s in succs {
-            self.purge_clean(s);
+            self.hst.clear_flag_downstream(b, flag::CLEAN);
         }
     }
 
@@ -580,67 +581,45 @@ impl FlexCastGroup {
     /// dependency (undelivered message addressed to this group) precedes
     /// `m` transitively.
     fn cond2_blocked(&mut self, m: MsgId) -> bool {
-        // The diagnostic escape hatch is an env lookup; resolve it once —
-        // the per-call `env::var` took a global lock on the deliver path.
-        // Read-once semantics: set FLEX_NO_MEMO before the process starts
-        // (it is a launch-time diagnostic, nothing toggles it in-process).
-        static NO_MEMO: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *NO_MEMO.get_or_init(|| std::env::var("FLEX_NO_MEMO").is_ok()) {
-            // Diagnostic mode: exact walk, no delivered-cut, no memos.
-            let mut stack: Vec<MsgId> = self.hst.preds_of(m).collect();
-            let mut seen: BTreeSet<MsgId> = stack.iter().copied().collect();
-            while let Some(v) = stack.pop() {
-                if self.open_deps.contains(&v) {
-                    return true;
-                }
-                for p in self.hst.preds_of(v) {
-                    if seen.insert(p) {
-                        stack.push(p);
-                    }
-                }
-            }
-            return false;
-        }
-        if self.open_deps.is_empty() {
+        let blocked = self.cond2_blocked_memo(m);
+        debug_assert_eq!(
+            blocked,
+            self.hst.blocking_predecessor(m, self.g).is_some(),
+            "condition-2 memo disagrees with the plain walk for {m}"
+        );
+        blocked
+    }
+
+    fn cond2_blocked_memo(&mut self, m: MsgId) -> bool {
+        if self.open_count == 0 {
             self.blocked_by.remove(&m);
             return false;
         }
         // Negative memo: the previously found blocker is still open.
-        if let Some(o) = self.blocked_by.get(&m) {
-            if self.open_deps.contains(o) {
+        if let Some(&o) = self.blocked_by.get(&m) {
+            if self.hst.has_flag(o, flag::OPEN) {
                 return true;
             }
             self.blocked_by.remove(&m);
         }
-        let mut stack: Vec<MsgId> = self.hst.preds_of(m).collect();
-        let mut seen: BTreeSet<MsgId> = stack.iter().copied().collect();
-        let mut visited: Vec<MsgId> = Vec::new();
-        while let Some(v) = stack.pop() {
-            if self.delivered.contains(&v) || self.clean.contains(&v) {
-                continue;
-            }
-            if self.open_deps.contains(&v) {
-                self.blocked_by.insert(m, v);
-                return true;
-            }
-            visited.push(v);
-            for p in self.hst.preds_of(v) {
-                if seen.insert(p) {
-                    stack.push(p);
-                }
-            }
+        let blocker =
+            self.hst
+                .find_pred_flagged(m, flag::DELIVERED | flag::CLEAN, flag::OPEN, flag::CLEAN);
+        if let Some(o) = blocker {
+            self.blocked_by.insert(m, o);
         }
-        self.clean.extend(visited);
-        false
+        blocker.is_some()
     }
 
     /// `a-deliver` (Alg. 3 line 20).
     fn a_deliver(&mut self, m: Message, out: &mut Vec<Output>) {
-        debug_assert!(!self.delivered.contains(&m.id), "integrity: deliver once");
+        debug_assert!(!self.hst.is_delivered(m.id), "integrity: deliver once");
         let mref = MsgRef::of(&m);
         self.hst.record_delivery(mref, self.g);
-        self.delivered.insert(m.id);
-        self.open_deps.remove(&m.id);
+        debug_assert!(self.hst.is_delivered(m.id), "delivered after its own GC");
+        if self.hst.clear_flag(m.id, flag::OPEN) {
+            self.open_count -= 1;
+        }
         self.blocked_by.remove(&m.id);
         self.delivered_count += 1;
         out.push(Output::Deliver(m.clone()));
@@ -881,19 +860,19 @@ impl FlexCastGroup {
         true
     }
 
-    /// Flush garbage collection: prunes everything that precedes `fence`
-    /// and rotates the two-epoch tombstone sets.
+    /// Flush garbage collection: prunes everything that precedes `fence`.
+    /// The pruned vertices take their flag bits with them.
     fn prune(&mut self, fence: MsgId) {
         let pruned = self
             .hst
             .prune_before(fence, &mut self.vert_cursor, &mut self.edge_cursor);
         for id in &pruned {
-            self.delivered.remove(id);
             self.pending.remove(id);
             self.my_notifs.remove(id);
-            self.clean.remove(id);
             self.blocked_by.remove(id);
         }
+        // Nothing the flush's delivery waited on was still open.
+        debug_assert_eq!(self.hst.flagged(flag::OPEN).count(), self.open_count);
     }
 
     /// Serializes the engine's complete state to bytes (§4.4 state
@@ -1599,6 +1578,46 @@ mod tests {
         for e in &engines {
             assert!(e.has_delivered(m.id));
         }
+    }
+
+    /// Regression: an ack that arrives after its message was delivered
+    /// *and* garbage-collected used to open a `pending` entry that
+    /// nothing ever removed (the delivered set forgets pruned ids).
+    #[test]
+    fn late_ack_after_gc_leaves_no_pending_entry() {
+        let n = 3u16;
+        let mut engines: Vec<FlexCastGroup> =
+            (0..n).map(|g| FlexCastGroup::new(GroupId(g), n)).collect();
+        let mut log = Vec::new();
+        let m = msg(1, &[0, 1, 2]);
+        let mut out = Vec::new();
+        engines[0].on_client(m.clone(), &mut out);
+        route(&mut engines, A, out, &mut log);
+        let late_ack = Packet::Ack {
+            mref: MsgRef::of(&m),
+            via: B,
+            notif_pairs: vec![(A, B)],
+            hist: HistoryDelta::empty(),
+        };
+
+        // Delivered, not yet pruned: nothing to book.
+        let c = &mut engines[2];
+        let mut out = Vec::new();
+        c.on_packet(B, late_ack.clone(), &mut out);
+        assert!(out.is_empty() && c.pending.is_empty());
+
+        let flush = FlexCastGroup::flush_message(MsgId::new(ClientId(0), 100), n);
+        let mut out = Vec::new();
+        engines[0].on_client(flush, &mut out);
+        route(&mut engines, A, out, &mut log);
+
+        // Delivered and pruned: still nothing to book, and no output.
+        let c = &mut engines[2];
+        assert!(!c.has_delivered(m.id) && c.history().has_seen(m.id));
+        let mut out = Vec::new();
+        c.on_packet(B, late_ack, &mut out);
+        assert!(out.is_empty());
+        assert!(c.pending.is_empty(), "late ack leaked {:?}", c.pending);
     }
 
     /// Snapshot/restore: a restored engine is interchangeable with the

@@ -9,6 +9,7 @@
 //! histories of ancestor groups turns the structure into a DAG whose paths
 //! encode (transitive) delivery dependencies.
 
+use crate::slots::SlotTable;
 use flexcast_types::{DestSet, GroupId, Message, MsgId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -127,6 +128,21 @@ impl MergeStats {
     }
 }
 
+/// Per-vertex flag bits, stored beside each retained vertex in the
+/// history's slot table. They travel with the vertex through log
+/// compaction and vanish when it is pruned, so state keyed by "a vertex
+/// this history retains" needs no id-keyed set of its own.
+pub(crate) mod flag {
+    /// Delivered by the owning group (set by `record_delivery`).
+    pub const DELIVERED: u8 = 1 << 0;
+    /// Engine: addressed to the owning group and not yet delivered — the
+    /// incrementally maintained `open-dependencies` set (Alg. 3 line 9).
+    pub const OPEN: u8 = 1 << 1;
+    /// Engine: proven to have no open dependency among its ancestors
+    /// (the `can-deliver` condition-2 memo).
+    pub const CLEAN: u8 = 1 << 2;
+}
+
 /// Sentinel for "no sequence seen yet from this client" in the dense
 /// per-client watermark. Chosen so `NO_WATERMARK.wrapping_add(1) == 0`,
 /// the first sequence a client issues.
@@ -135,22 +151,23 @@ pub(crate) const NO_WATERMARK: u32 = u32::MAX;
 /// A group's history DAG (`hst` in Algorithm 1).
 ///
 /// Deterministic by construction: all internal collections are ordered
-/// (`BTreeMap`/`BTreeSet`), so iteration order — and therefore the bytes of
-/// every [`HistoryDelta`] — is identical across runs and replicas. That
-/// determinism is what lets the engine run unchanged under state machine
-/// replication.
+/// (insertion logs, `BTreeMap`/`BTreeSet`), so iteration order — and
+/// therefore the bytes of every [`HistoryDelta`] — is identical across
+/// runs and replicas. That determinism is what lets the engine run
+/// unchanged under state machine replication.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct History {
-    verts: BTreeMap<MsgId, DestSet>,
+    /// The retained vertices, each identified by its slot in the vertex
+    /// insertion log, with one byte of [`flag`] bits apiece.
+    verts: SlotTable,
     preds: BTreeMap<MsgId, BTreeSet<MsgId>>,
     succs: BTreeMap<MsgId, BTreeSet<MsgId>>,
     last_delivered: Option<MsgId>,
-    /// Append-only insertion logs backing `diff-hst`: a descendant's
-    /// cursor into these logs identifies exactly the history it has not
-    /// been sent yet (§4.3's "last message of the local history sent to
-    /// each descendant"), making diffs O(new entries) instead of
-    /// O(full history).
-    vert_log: Vec<MsgRef>,
+    /// Append-only insertion log backing `diff-hst` (the vertex log is
+    /// the slot table itself): a descendant's cursor into these logs
+    /// identifies exactly the history it has not been sent yet (§4.3's
+    /// "last message of the local history sent to each descendant"),
+    /// making diffs O(new entries) instead of O(full history).
     edge_log: Vec<TaggedEdge>,
     /// Number of retained vertices addressed to each group (indexed by
     /// group rank, grown on demand), for O(1) `contains_msg_to`
@@ -210,7 +227,7 @@ impl History {
 
     /// True if the history holds no vertices.
     pub fn is_empty(&self) -> bool {
-        self.verts.is_empty()
+        self.verts.len() == 0
     }
 
     /// Number of edges currently retained.
@@ -225,17 +242,132 @@ impl History {
 
     /// True if the history contains a vertex for `id`.
     pub fn contains(&self, id: MsgId) -> bool {
-        self.verts.contains_key(&id)
+        self.verts.slot_of(id).is_some()
     }
 
     /// Destinations of a vertex, if present.
     pub fn dst_of(&self, id: MsgId) -> Option<DestSet> {
-        self.verts.get(&id).copied()
+        self.verts.slot_of(id).map(|s| self.verts.get(s).dst)
     }
 
-    /// Iterates all vertices.
+    /// Iterates all vertices, in insertion order.
     pub fn verts(&self) -> impl Iterator<Item = MsgRef> + '_ {
-        self.verts.iter().map(|(&id, &dst)| MsgRef { id, dst })
+        self.verts.log().iter().copied()
+    }
+
+    /// True if `id` is retained and was delivered by the owning group
+    /// (through [`History::record_delivery`]).
+    pub fn is_delivered(&self, id: MsgId) -> bool {
+        self.has_flag(id, flag::DELIVERED)
+    }
+
+    /// True if `id` is retained and has any of the [`flag`] `bits` set.
+    #[inline]
+    pub(crate) fn has_flag(&self, id: MsgId, bits: u8) -> bool {
+        self.verts
+            .slot_of(id)
+            .is_some_and(|s| self.verts.flags(s) & bits != 0)
+    }
+
+    /// Sets [`flag`] `bits` on `id`; true if `id` is retained and any of
+    /// them was clear before.
+    pub(crate) fn set_flag(&mut self, id: MsgId, bits: u8) -> bool {
+        self.verts
+            .slot_of(id)
+            .is_some_and(|s| self.verts.set_flags(s, bits))
+    }
+
+    /// Clears [`flag`] `bits` on `id`; true if `id` is retained and any of
+    /// them was set before.
+    pub(crate) fn clear_flag(&mut self, id: MsgId, bits: u8) -> bool {
+        self.verts
+            .slot_of(id)
+            .is_some_and(|s| self.verts.clear_flags(s, bits))
+    }
+
+    /// Sets [`flag`] `bits` on every vertex inserted at or after log
+    /// position `from` that is addressed to `g`; returns how many.
+    pub(crate) fn flag_addressed_since(&mut self, from: usize, g: GroupId, bits: u8) -> usize {
+        let mut n = 0;
+        for slot in from.min(self.verts.len())..self.verts.len() {
+            let slot = slot as u32;
+            if self.verts.get(slot).dst.contains(g) {
+                self.verts.set_flags(slot, bits);
+                n += 1;
+            }
+        }
+        n
+    }
+
+    /// Retained vertices with any of the [`flag`] `bits` set, in
+    /// insertion order.
+    pub(crate) fn flagged(&self, bits: u8) -> impl Iterator<Item = MsgId> + '_ {
+        self.verts
+            .log()
+            .iter()
+            .enumerate()
+            .filter(move |&(s, _)| self.verts.flags(s as u32) & bits != 0)
+            .map(|(_, v)| v.id)
+    }
+
+    /// Clears `bit` on `v` and, transitively, on every successor that
+    /// carries it (stopping where it is already clear).
+    pub(crate) fn clear_flag_downstream(&mut self, v: MsgId, bit: u8) {
+        let mut stack = vec![v];
+        while let Some(v) = stack.pop() {
+            if self.clear_flag(v, bit) {
+                stack.extend(self.succs_of(v));
+            }
+        }
+    }
+
+    /// Memoizing backward search from `m` (the engine's `can-deliver`
+    /// condition 2): walks the strict past of `m`, not expanding vertices
+    /// that carry any `cut` bit, and returns the first vertex found with
+    /// a `hit` bit. When there is none, every vertex the walk expanded
+    /// gets the `memo` bit — pass it in `cut` and the next search stops
+    /// there. Visit order is that of [`History::blocking_predecessor`].
+    pub(crate) fn find_pred_flagged(
+        &mut self,
+        m: MsgId,
+        cut: u8,
+        hit: u8,
+        memo: u8,
+    ) -> Option<MsgId> {
+        self.verts.begin_walk();
+        let mut stack = Vec::new();
+        let mut expanded = Vec::new();
+        self.push_unvisited_preds(m, &mut stack);
+        while let Some(s) = stack.pop() {
+            let f = self.verts.flags(s);
+            if f & cut != 0 {
+                continue;
+            }
+            let v = self.verts.get(s).id;
+            if f & hit != 0 {
+                return Some(v);
+            }
+            expanded.push(s);
+            self.push_unvisited_preds(v, &mut stack);
+        }
+        for s in expanded {
+            self.verts.set_flags(s, memo);
+        }
+        None
+    }
+
+    /// Pushes the slots of `v`'s direct predecessors that the current
+    /// walk has not visited yet, marking them visited.
+    fn push_unvisited_preds(&mut self, v: MsgId, stack: &mut Vec<u32>) {
+        for &p in self.preds.get(&v).into_iter().flatten() {
+            // Edge endpoints are always retained vertices; a predecessor
+            // without a slot can only come from a corrupt snapshot.
+            if let Some(s) = self.verts.slot_of(p) {
+                if self.verts.visit(s) {
+                    stack.push(s);
+                }
+            }
+        }
     }
 
     /// Iterates all edges as `(before, after)` pairs.
@@ -344,8 +476,7 @@ impl History {
             return false;
         }
         self.note_seen(v.id);
-        self.verts.insert(v.id, v.dst);
-        self.vert_log.push(v);
+        self.verts.push(v);
         self.admitted += 1;
         for g in v.dst.iter() {
             if g.index() >= self.addressed.len() {
@@ -382,7 +513,7 @@ impl History {
         {
             return;
         }
-        if !self.verts.contains_key(&before) || !self.verts.contains_key(&after) {
+        if !self.contains(before) || !self.contains(after) {
             return;
         }
         let e = TaggedEdge {
@@ -422,7 +553,7 @@ impl History {
         // A delta always ships its vertices with (or before) its edges,
         // so a missing endpoint means the vertex was pruned here — and
         // tombstones make that permanent, so dropping is final.
-        if !self.verts.contains_key(&e.before) || !self.verts.contains_key(&e.after) {
+        if !self.contains(e.before) || !self.contains(e.after) {
             return false;
         }
         self.link(e);
@@ -431,7 +562,7 @@ impl History {
 
     /// Length of the vertex insertion log (a `diff-hst` cursor bound).
     pub fn vert_log_len(&self) -> usize {
-        self.vert_log.len()
+        self.verts.len()
     }
 
     /// Length of the edge insertion log (a `diff-hst` cursor bound).
@@ -441,7 +572,7 @@ impl History {
 
     /// Vertices inserted at or after log position `from`.
     pub fn verts_since(&self, from: usize) -> &[MsgRef] {
-        &self.vert_log[from.min(self.vert_log.len())..]
+        &self.verts.log()[from.min(self.verts.len())..]
     }
 
     /// Edges inserted at or after log position `from`.
@@ -466,6 +597,14 @@ impl History {
             .enumerate()
             .filter(|&(_, &w)| w != NO_WATERMARK)
             .map(|(c, &w)| (flexcast_types::ClientId(c as u32), w))
+    }
+
+    /// Number of seen ids held individually because they lie beyond their
+    /// client's contiguous prefix. An entry leaves only when the prefix
+    /// reaches it, so a client whose seqs arrive with permanent gaps
+    /// grows this set without bound (diagnostics).
+    pub fn seen_residual_len(&self) -> usize {
+        self.seen_residual.len()
     }
 
     /// The per-creator chain-edge watermark: for each creator whose
@@ -503,9 +642,11 @@ impl History {
     /// Records a local delivery (`hst-add`, Alg. 3 line 4): inserts the
     /// vertex and chains it after the previous local delivery. `creator`
     /// is the delivering group — it stamps the provenance of the chain
-    /// edge this delivery creates.
+    /// edge this delivery creates. The vertex is flagged delivered
+    /// ([`History::is_delivered`]) for as long as it is retained.
     pub fn record_delivery(&mut self, v: MsgRef, creator: GroupId) {
         self.insert_vert(v);
+        self.set_flag(v.id, flag::DELIVERED);
         if let Some(last) = self.last_delivered {
             self.create_edge(creator, last, v.id);
         }
@@ -564,8 +705,10 @@ impl History {
     }
 
     /// Finds a predecessor of `m` (transitively) that is addressed to `g`
-    /// and not yet in `delivered` — the blocking condition of
-    /// `can-deliver` (Alg. 3 line 52). Walks backwards from `m`.
+    /// and not yet delivered here — the blocking condition of
+    /// `can-deliver` (Alg. 3 line 52). Walks backwards from `m`. This is
+    /// the plain, memo-free statement of the condition: the engine's
+    /// memoized walk is checked against it in debug builds.
     ///
     /// The walk stops at vertices already delivered at `g`: by the
     /// protocol's complete-dependency-information guarantee (the paper's
@@ -573,22 +716,15 @@ impl History {
     /// that message delivered, so a delivered vertex's past cannot hold a
     /// blocker. This keeps the walk proportional to the *in-flight*
     /// history rather than everything since the last flush.
-    pub fn blocking_predecessor(
-        &self,
-        m: MsgId,
-        g: GroupId,
-        delivered: &BTreeSet<MsgId>,
-    ) -> Option<MsgId> {
+    pub fn blocking_predecessor(&self, m: MsgId, g: GroupId) -> Option<MsgId> {
         let mut stack: Vec<MsgId> = self.preds_of(m).collect();
         let mut seen: BTreeSet<MsgId> = stack.iter().copied().collect();
         while let Some(v) = stack.pop() {
-            if delivered.contains(&v) {
+            if self.is_delivered(v) {
                 continue; // resolved past: cannot block, do not expand
             }
-            if let Some(dst) = self.verts.get(&v) {
-                if dst.contains(g) {
-                    return Some(v);
-                }
+            if self.dst_of(v).is_some_and(|dst| dst.contains(g)) {
+                return Some(v);
             }
             for p in self.preds_of(v) {
                 if seen.insert(p) {
@@ -599,19 +735,19 @@ impl History {
         None
     }
 
-    /// All vertices addressed to `g` that are not in `delivered`
+    /// All vertices addressed to `g` that are not delivered here
     /// (`open-dependencies`, Alg. 3 line 9).
-    pub fn open_dependencies(&self, g: GroupId, delivered: &BTreeSet<MsgId>) -> BTreeSet<MsgId> {
-        self.verts
-            .iter()
-            .filter(|(id, dst)| dst.contains(g) && !delivered.contains(id))
-            .map(|(&id, _)| id)
+    pub fn open_dependencies(&self, g: GroupId) -> BTreeSet<MsgId> {
+        self.verts()
+            .filter(|v| v.dst.contains(g) && !self.is_delivered(v.id))
+            .map(|v| v.id)
             .collect()
     }
 
     /// Removes every vertex from which `fence` is reachable (the strict
-    /// past of `fence`), keeping `fence` itself. Returns the pruned ids.
-    /// This is the flush-based garbage collection of §4.3.
+    /// past of `fence`), keeping `fence` itself. Returns the pruned ids
+    /// in insertion order. This is the flush-based garbage collection of
+    /// §4.3.
     ///
     /// `vert_cursors`/`edge_cursors` are per-descendant `diff-hst` cursors
     /// into the insertion logs; compaction remaps them so each cursor
@@ -622,30 +758,31 @@ impl History {
         vert_cursors: &mut [usize],
         edge_cursors: &mut [usize],
     ) -> Vec<MsgId> {
-        if !self.verts.contains_key(&fence) {
+        if !self.contains(fence) {
             return Vec::new();
         }
-        // Backward closure from the fence.
-        let mut doomed = BTreeSet::new();
-        let mut stack: Vec<MsgId> = self.preds_of(fence).collect();
-        while let Some(v) = stack.pop() {
-            if doomed.insert(v) {
-                stack.extend(self.preds_of(v));
+        // Mark the fence's backward closure: a visited slot is doomed.
+        self.verts.begin_walk();
+        let mut stack = Vec::new();
+        let mut doomed = 0usize;
+        self.push_unvisited_preds(fence, &mut stack);
+        while let Some(s) = stack.pop() {
+            doomed += 1;
+            self.push_unvisited_preds(self.verts.get(s).id, &mut stack);
+        }
+        if doomed == 0 {
+            return Vec::new();
+        }
+        let mut pruned = Vec::with_capacity(doomed);
+        for slot in 0..self.verts.len() as u32 {
+            if !self.verts.visited(slot) {
+                continue;
             }
-        }
-        if doomed.is_empty() {
-            return Vec::new();
-        }
-        // Membership below is probed once per retained log entry; a
-        // sorted slice's binary search beats walking the tree each time.
-        let doomed_sorted: Vec<MsgId> = doomed.iter().copied().collect();
-        let is_doomed = |id: &MsgId| doomed_sorted.binary_search(id).is_ok();
-        for &v in &doomed {
-            if let Some(dst) = self.verts.remove(&v) {
-                for g in dst.iter() {
-                    if let Some(c) = self.addressed.get_mut(g.index()) {
-                        *c -= 1;
-                    }
+            let MsgRef { id: v, dst } = *self.verts.get(slot);
+            pruned.push(v);
+            for g in dst.iter() {
+                if let Some(c) = self.addressed.get_mut(g.index()) {
+                    *c -= 1;
                 }
             }
             if let Some(ps) = self.preds.remove(&v) {
@@ -665,41 +802,34 @@ impl History {
         }
 
         // Compact the logs and remap cursors: a new cursor counts the
-        // retained entries among the old prefix it covered.
-        let vert_retained: Vec<bool> = self.vert_log.iter().map(|v| !is_doomed(&v.id)).collect();
-        let mut vert_prefix = vec![0usize; vert_retained.len() + 1];
-        for (i, &keep) in vert_retained.iter().enumerate() {
-            vert_prefix[i + 1] = vert_prefix[i] + keep as usize;
-        }
-        for c in vert_cursors.iter_mut() {
-            *c = vert_prefix[(*c).min(vert_retained.len())];
-        }
-        let mut keep_it = vert_retained.iter().copied();
-        self.vert_log.retain(|_| keep_it.next().unwrap_or(true));
-
-        let edge_retained: Vec<bool> = self
-            .edge_log
-            .iter()
-            .map(|e| !is_doomed(&e.before) && !is_doomed(&e.after))
-            .collect();
-        let mut edge_prefix = vec![0usize; edge_retained.len() + 1];
-        for (i, &keep) in edge_retained.iter().enumerate() {
-            edge_prefix[i + 1] = edge_prefix[i] + keep as usize;
-        }
+        // retained entries among the old prefix it covered. Edges first —
+        // their endpoints are looked up through the old slots and marks.
+        let verts = &self.verts;
+        let is_doomed = |id: MsgId| verts.slot_of(id).is_some_and(|s| verts.visited(s));
+        let mut edge_prefix = Vec::with_capacity(self.edge_log.len() + 1);
+        let mut kept = 0usize;
+        self.edge_log.retain(|e| {
+            edge_prefix.push(kept);
+            let keep = !is_doomed(e.before) && !is_doomed(e.after);
+            kept += keep as usize;
+            keep
+        });
+        edge_prefix.push(kept);
         for c in edge_cursors.iter_mut() {
-            *c = edge_prefix[(*c).min(edge_retained.len())];
+            *c = edge_prefix[(*c).min(edge_prefix.len() - 1)];
         }
-        let mut keep_it = edge_retained.iter().copied();
-        self.edge_log.retain(|_| keep_it.next().unwrap_or(true));
-
-        doomed.into_iter().collect()
+        let vert_prefix = self.verts.remove_visited();
+        for c in vert_cursors.iter_mut() {
+            *c = vert_prefix[(*c).min(vert_prefix.len() - 1)];
+        }
+        pruned
     }
 
     /// Checks that the history is acyclic (test/diagnostic helper; the
     /// protocol maintains acyclicity as an invariant).
     pub fn is_acyclic(&self) -> bool {
         // Kahn's algorithm over the retained graph.
-        let mut indegree: BTreeMap<MsgId, usize> = self.verts.keys().map(|&id| (id, 0)).collect();
+        let mut indegree: BTreeMap<MsgId, usize> = self.verts().map(|v| (v.id, 0)).collect();
         for (_, after) in self.edges() {
             *indegree
                 .get_mut(&after)
@@ -836,34 +966,28 @@ mod tests {
         h.insert_vert(vref(3, &[5]));
         h.create_edge(OWNER, id(1), id(2));
         h.create_edge(OWNER, id(2), id(3));
-        let delivered = BTreeSet::new();
-        assert_eq!(
-            h.blocking_predecessor(id(3), GroupId(5), &delivered),
-            Some(id(1))
-        );
-        let delivered: BTreeSet<MsgId> = [id(1)].into();
-        assert_eq!(h.blocking_predecessor(id(3), GroupId(5), &delivered), None);
+        assert_eq!(h.blocking_predecessor(id(3), GroupId(5)), Some(id(1)));
+        h.set_flag(id(1), flag::DELIVERED);
+        assert_eq!(h.blocking_predecessor(id(3), GroupId(5)), None);
     }
 
     #[test]
     fn blocking_predecessor_ignores_self() {
         let mut h = History::new();
         h.insert_vert(vref(1, &[2]));
-        let delivered = BTreeSet::new();
         // m itself is undelivered and addressed to g, but only *strict*
         // predecessors can block it.
-        assert_eq!(h.blocking_predecessor(id(1), GroupId(2), &delivered), None);
+        assert_eq!(h.blocking_predecessor(id(1), GroupId(2)), None);
     }
 
     #[test]
     fn open_dependencies_filters_by_group_and_delivery() {
         let mut h = History::new();
-        h.insert_vert(vref(1, &[3]));
+        h.record_delivery(vref(1, &[3]), GroupId(3));
         h.insert_vert(vref(2, &[3]));
         h.insert_vert(vref(3, &[4]));
-        let delivered: BTreeSet<MsgId> = [id(1)].into();
-        let open = h.open_dependencies(GroupId(3), &delivered);
-        assert_eq!(open, [id(2)].into());
+        assert!(h.is_delivered(id(1)) && !h.is_delivered(id(2)));
+        assert_eq!(h.open_dependencies(GroupId(3)), [id(2)].into());
     }
 
     #[test]
@@ -1066,5 +1190,269 @@ mod tests {
         assert_eq!(st.entries_in(), 4);
         assert_eq!(st.entries_dup(), 2);
         assert!((st.dup_ratio() - 0.5).abs() < 1e-12);
+    }
+
+    // -- model-based property test ------------------------------------
+
+    /// The naive history the slot table replaced: id-keyed ordered sets,
+    /// linear scans, no index. Flags are a per-id byte.
+    #[derive(Default)]
+    struct Model {
+        verts: Vec<(MsgRef, u8)>,
+        edges: BTreeSet<(MsgId, MsgId)>,
+        edge_log: Vec<TaggedEdge>,
+        seen: BTreeSet<MsgId>,
+        edges_seen: BTreeSet<(GroupId, u32)>,
+        next_edge_idx: u32,
+        last_delivered: Option<MsgId>,
+    }
+
+    impl Model {
+        fn pos(&self, id: MsgId) -> Option<usize> {
+            self.verts.iter().position(|(v, _)| v.id == id)
+        }
+
+        fn insert_vert(&mut self, v: MsgRef) -> bool {
+            let new = self.seen.insert(v.id);
+            if new {
+                self.verts.push((v, 0));
+            }
+            new
+        }
+
+        fn link(&mut self, e: TaggedEdge) -> bool {
+            let fresh = e.before != e.after
+                && !self.edges.contains(&(e.before, e.after))
+                && self.pos(e.before).is_some()
+                && self.pos(e.after).is_some();
+            if fresh {
+                self.edges.insert((e.before, e.after));
+                self.edge_log.push(e);
+            }
+            fresh
+        }
+
+        fn create_edge(&mut self, creator: GroupId, before: MsgId, after: MsgId) {
+            let e = TaggedEdge {
+                creator,
+                idx: self.next_edge_idx,
+                before,
+                after,
+            };
+            if self.link(e) {
+                self.next_edge_idx += 1;
+                self.edges_seen.insert((creator, e.idx));
+            }
+        }
+
+        fn merge(&mut self, d: &HistoryDelta) {
+            for v in &d.verts {
+                self.insert_vert(*v);
+            }
+            for &e in &d.edges {
+                if self.edges_seen.insert((e.creator, e.idx)) {
+                    self.link(e);
+                }
+            }
+        }
+
+        fn record_delivery(&mut self, v: MsgRef, creator: GroupId) {
+            self.insert_vert(v);
+            if let Some(p) = self.pos(v.id) {
+                self.verts[p].1 |= flag::DELIVERED;
+            }
+            if let Some(last) = self.last_delivered {
+                self.create_edge(creator, last, v.id);
+            }
+            self.last_delivered = Some(v.id);
+        }
+
+        fn prune_before(&mut self, fence: MsgId, vc: &mut [usize], ec: &mut [usize]) -> Vec<MsgId> {
+            if self.pos(fence).is_none() {
+                return Vec::new();
+            }
+            let mut doomed = BTreeSet::new();
+            let mut frontier = vec![fence];
+            while let Some(v) = frontier.pop() {
+                for &(b, a) in &self.edges {
+                    if a == v && doomed.insert(b) {
+                        frontier.push(b);
+                    }
+                }
+            }
+            let keep_v: Vec<bool> = self
+                .verts
+                .iter()
+                .map(|(v, _)| !doomed.contains(&v.id))
+                .collect();
+            let keep_e: Vec<bool> = self
+                .edge_log
+                .iter()
+                .map(|e| !doomed.contains(&e.before) && !doomed.contains(&e.after))
+                .collect();
+            for c in vc.iter_mut() {
+                *c = keep_v.iter().take(*c).filter(|&&k| k).count();
+            }
+            for c in ec.iter_mut() {
+                *c = keep_e.iter().take(*c).filter(|&&k| k).count();
+            }
+            let pruned = self
+                .verts
+                .iter()
+                .filter(|(v, _)| doomed.contains(&v.id))
+                .map(|(v, _)| v.id)
+                .collect();
+            self.verts.retain(|(v, _)| !doomed.contains(&v.id));
+            self.edge_log
+                .retain(|e| !doomed.contains(&e.before) && !doomed.contains(&e.after));
+            self.edges
+                .retain(|(b, a)| !doomed.contains(b) && !doomed.contains(a));
+            pruned
+        }
+    }
+
+    /// Seqs a client uses: dense runs, gaps, and values far enough apart
+    /// to leave any dense window.
+    const SEQS: [u32; 12] = [
+        0,
+        1,
+        2,
+        3,
+        7,
+        64,
+        65,
+        300,
+        5_000,
+        5_001,
+        1 << 20,
+        u32::MAX - 1,
+    ];
+
+    fn pool(word: u64) -> MsgId {
+        let client = ClientId((word % 3) as u32);
+        MsgId::new(client, SEQS[(word / 3 % SEQS.len() as u64) as usize])
+    }
+
+    fn pool_ref(word: u64) -> MsgRef {
+        let id = pool(word);
+        let a = (word >> 20) % 4;
+        let b = (word >> 24) % 4;
+        MsgRef {
+            id,
+            dst: DestSet::try_from_ranks([a as u16, b as u16]).unwrap(),
+        }
+    }
+
+    fn assert_matches_model(h: &History, m: &Model) {
+        assert_eq!(h.len(), m.verts.len());
+        let log: Vec<MsgRef> = m.verts.iter().map(|(v, _)| *v).collect();
+        assert_eq!(h.verts_since(0), &log[..]);
+        assert_eq!(h.verts_since(log.len() / 2), &log[log.len() / 2..]);
+        assert_eq!(h.edges_since(0), &m.edge_log[..]);
+        assert_eq!(h.edge_count(), m.edges.len());
+        assert_eq!(h.last_delivered(), m.last_delivered);
+        let edges: BTreeSet<(MsgId, MsgId)> = h.edges().collect();
+        assert_eq!(edges, m.edges);
+        for word in 0..(3 * SEQS.len() as u64) {
+            let id = pool(word);
+            let held = m.pos(id).map(|p| m.verts[p]);
+            assert_eq!(h.contains(id), held.is_some(), "{id}");
+            assert_eq!(h.dst_of(id), held.map(|(v, _)| v.dst), "{id}");
+            assert_eq!(h.has_seen(id), m.seen.contains(&id), "{id}");
+            for bit in [flag::DELIVERED, flag::OPEN, flag::CLEAN] {
+                let want = held.is_some_and(|(_, f)| f & bit != 0);
+                assert_eq!(h.has_flag(id, bit), want, "{id} bit {bit}");
+            }
+        }
+        for bit in [flag::DELIVERED, flag::OPEN, flag::CLEAN] {
+            let want: Vec<MsgId> = m
+                .verts
+                .iter()
+                .filter(|(_, f)| f & bit != 0)
+                .map(|(v, _)| v.id)
+                .collect();
+            assert_eq!(h.flagged(bit).collect::<Vec<_>>(), want);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn history_matches_the_naive_model(
+            ops in proptest::collection::vec(proptest::prelude::any::<u64>(), 1..160),
+        ) {
+            let mut h = History::new();
+            let mut m = Model::default();
+            let mut vc = [0usize; 3];
+            let mut ec = [0usize; 3];
+            for w in ops {
+                let (x, y) = (w >> 8, w >> 36);
+                match w % 16 {
+                    0..=3 => {
+                        assert_eq!(h.insert_vert(pool_ref(x)), m.insert_vert(pool_ref(x)));
+                    }
+                    4..=6 => {
+                        h.create_edge(OWNER, pool(x), pool(y));
+                        m.create_edge(OWNER, pool(x), pool(y));
+                    }
+                    7 | 8 => {
+                        h.record_delivery(pool_ref(x), OWNER);
+                        m.record_delivery(pool_ref(x), OWNER);
+                    }
+                    9..=11 => {
+                        let d = HistoryDelta {
+                            verts: vec![pool_ref(x), pool_ref(y)],
+                            edges: vec![
+                                te((w % 2) as u16, (y % 6) as u32, pool(x), pool(y)),
+                                te(2, (x % 6) as u32, pool(y), pool(x / 7)),
+                            ],
+                        };
+                        h.merge(&d);
+                        m.merge(&d);
+                    }
+                    12 | 13 => {
+                        let bit = if y % 2 == 0 { flag::OPEN } else { flag::CLEAN };
+                        let p = m.pos(pool(x));
+                        if y % 3 == 0 {
+                            let was = p.is_some_and(|p| m.verts[p].1 & bit != 0);
+                            assert_eq!(h.clear_flag(pool(x), bit), was);
+                            if let Some(p) = p {
+                                m.verts[p].1 &= !bit;
+                            }
+                        } else {
+                            let newly = p.is_some_and(|p| m.verts[p].1 & bit == 0);
+                            assert_eq!(h.set_flag(pool(x), bit), newly);
+                            if let Some(p) = p {
+                                m.verts[p].1 |= bit;
+                            }
+                        }
+                    }
+                    14 => {
+                        // A descendant catches up (`diff-hst` moves its
+                        // cursors to the log ends).
+                        let d = (x % 3) as usize;
+                        vc[d] = h.vert_log_len();
+                        ec[d] = h.edge_log_len();
+                    }
+                    _ => {
+                        let (mut mvc, mut mec) = (vc, ec);
+                        let pruned = h.prune_before(pool(x), &mut vc, &mut ec);
+                        assert_eq!(pruned, m.prune_before(pool(x), &mut mvc, &mut mec));
+                        assert_eq!((vc, ec), (mvc, mec), "cursors remapped");
+                    }
+                }
+                assert_matches_model(&h, &m);
+            }
+            // The serialized form is canonical state only: it round-trips
+            // to an equal history with a rebuilt index.
+            let bytes = flexcast_wire::to_bytes(&h).unwrap();
+            let back: History = flexcast_wire::from_bytes(&bytes).unwrap();
+            assert_matches_model(&back, &m);
+            assert_eq!(flexcast_wire::to_bytes(&back).unwrap(), bytes);
+        }
     }
 }

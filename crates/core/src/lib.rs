@@ -69,6 +69,7 @@
 pub mod engine;
 pub mod history;
 pub mod packet;
+mod slots;
 
 pub use engine::{FlexCastGroup, Output, SuppressionStats, FLUSH_PAYLOAD};
 pub use history::{History, HistoryDelta, MergeStats, MsgRef, TaggedEdge};

@@ -1,0 +1,319 @@
+//! The vertex slot table behind [`crate::History`].
+//!
+//! A retained vertex *is* its position in the vertex insertion log: slot
+//! `i` is the `i`-th retained vertex in insertion order, so the table
+//! doubles as the `diff-hst` log (a descendant's cursor is a slot
+//! number) and as the key space for per-vertex state. Beside each vertex
+//! sit one byte of flag bits (owned by the history and the engine — see
+//! [`crate::history::flag`]) and an epoch-stamped visit mark that graph
+//! walks use in place of a per-walk `BTreeSet`.
+//!
+//! Ids find their slot through a dense per-client window: client `c`'s
+//! retained seqs `base..base + len` map to `slots[seq - base]` (the same
+//! flat-vector idiom as the history's seen watermark). Closed-loop
+//! clients issue consecutive seqs and garbage collection drops the old
+//! ones, so the window stays short; it is rebuilt from the log whenever
+//! the log is compacted. A seq that would stretch a window far beyond
+//! the number of vertices it holds goes to an ordered spill map instead,
+//! so index memory is `O(retained vertices)` whatever ids arrive.
+//!
+//! Only the log and the flags are canonical state. The index and the
+//! visit marks are derived, never serialized, and rebuilt on load.
+
+use crate::history::MsgRef;
+use flexcast_types::MsgId;
+use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::collections::{BTreeMap, VecDeque};
+
+/// "No vertex at this seq" inside a client window.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A window may span this many seqs plus [`WINDOW_PER_LIVE`] per vertex
+/// it already holds; anything farther out goes to the spill map.
+const WINDOW_SLACK: u64 = 64;
+const WINDOW_PER_LIVE: u64 = 8;
+
+/// One client's dense `seq → slot` window.
+#[derive(Clone, Debug, Default)]
+struct ClientWindow {
+    /// Seq of `slots[0]`.
+    base: u32,
+    /// Entries of `slots` that hold a vertex.
+    live: u32,
+    slots: VecDeque<u32>,
+}
+
+/// Slot-addressed vertex store: insertion log, per-slot flags, visit
+/// marks, and the id → slot index.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SlotTable {
+    log: Vec<MsgRef>,
+    flags: Vec<u8>,
+    /// `mark[slot] == epoch` ⇔ the current walk has visited `slot`.
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Indexed by client id (dense from 0, grown on demand).
+    index: Vec<ClientWindow>,
+    /// Ids outside their client's window.
+    far: BTreeMap<MsgId, u32>,
+}
+
+impl SlotTable {
+    /// Number of retained vertices (= the next slot).
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.log.len()
+    }
+
+    /// The retained vertices in slot (insertion) order.
+    #[inline]
+    pub(crate) fn log(&self) -> &[MsgRef] {
+        &self.log
+    }
+
+    /// The vertex in `slot`.
+    #[inline]
+    pub(crate) fn get(&self, slot: u32) -> &MsgRef {
+        &self.log[slot as usize]
+    }
+
+    /// The slot holding `id`, if retained.
+    #[inline]
+    pub(crate) fn slot_of(&self, id: MsgId) -> Option<u32> {
+        if let Some(w) = self.index.get(id.sender.0 as usize) {
+            // A seq below `base` wraps to a huge offset and misses.
+            let off = id.seq.wrapping_sub(w.base) as usize;
+            if let Some(&slot) = w.slots.get(off) {
+                if slot != NO_SLOT {
+                    return Some(slot);
+                }
+            }
+        }
+        if self.far.is_empty() {
+            None
+        } else {
+            self.far.get(&id).copied()
+        }
+    }
+
+    /// Appends a vertex (the caller has checked it is not retained) and
+    /// returns its slot, with all flags clear.
+    pub(crate) fn push(&mut self, v: MsgRef) -> u32 {
+        let slot = u32::try_from(self.log.len()).expect("fewer than 2^32 retained vertices");
+        self.log.push(v);
+        self.flags.push(0);
+        self.mark.push(0);
+        self.index_insert(v.id, slot);
+        slot
+    }
+
+    fn index_insert(&mut self, id: MsgId, slot: u32) {
+        let ci = id.sender.0 as usize;
+        if ci >= self.index.len() {
+            self.index.resize_with(ci + 1, ClientWindow::default);
+        }
+        let w = &mut self.index[ci];
+        if w.slots.is_empty() {
+            w.base = id.seq;
+        }
+        let lo = u64::from(w.base.min(id.seq));
+        let hi = (u64::from(w.base) + w.slots.len() as u64).max(u64::from(id.seq) + 1);
+        if hi - lo > WINDOW_SLACK + WINDOW_PER_LIVE * u64::from(w.live) {
+            self.far.insert(id, slot);
+            return;
+        }
+        for _ in id.seq..w.base {
+            w.slots.push_front(NO_SLOT);
+        }
+        w.base = w.base.min(id.seq);
+        let off = (id.seq - w.base) as usize;
+        if off >= w.slots.len() {
+            w.slots.resize(off + 1, NO_SLOT);
+        }
+        w.slots[off] = slot;
+        w.live += 1;
+    }
+
+    /// The flag byte of `slot`.
+    #[inline]
+    pub(crate) fn flags(&self, slot: u32) -> u8 {
+        self.flags[slot as usize]
+    }
+
+    /// Sets `bits` on `slot`; true if any of them was clear before.
+    #[inline]
+    pub(crate) fn set_flags(&mut self, slot: u32, bits: u8) -> bool {
+        let f = &mut self.flags[slot as usize];
+        let newly = *f & bits != bits;
+        *f |= bits;
+        newly
+    }
+
+    /// Clears `bits` on `slot`; true if any of them was set before.
+    #[inline]
+    pub(crate) fn clear_flags(&mut self, slot: u32, bits: u8) -> bool {
+        let f = &mut self.flags[slot as usize];
+        let was = *f & bits != 0;
+        *f &= !bits;
+        was
+    }
+
+    /// Starts a new graph walk: every slot becomes unvisited.
+    pub(crate) fn begin_walk(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.mark.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Marks `slot` visited in the current walk; true on the first visit.
+    #[inline]
+    pub(crate) fn visit(&mut self, slot: u32) -> bool {
+        let m = &mut self.mark[slot as usize];
+        let first = *m != self.epoch;
+        *m = self.epoch;
+        first
+    }
+
+    /// True if the current walk has visited `slot`.
+    #[inline]
+    pub(crate) fn visited(&self, slot: u32) -> bool {
+        self.mark[slot as usize] == self.epoch
+    }
+
+    /// Removes every slot the current walk visited, compacting log and
+    /// flags and rebuilding the index in one sweep, and ends the walk.
+    /// Returns the old → new prefix table: entry `i` is the number of
+    /// retained slots among the old slots `0..i` (so it remaps cursors).
+    pub(crate) fn remove_visited(&mut self) -> Vec<usize> {
+        for w in &mut self.index {
+            w.slots.clear();
+            w.live = 0;
+        }
+        self.far.clear();
+        let n = self.log.len();
+        let mut prefix = Vec::with_capacity(n + 1);
+        let mut kept = 0usize;
+        for old in 0..n {
+            prefix.push(kept);
+            if self.mark[old] == self.epoch {
+                continue;
+            }
+            let v = self.log[old];
+            self.log[kept] = v;
+            self.flags[kept] = self.flags[old];
+            self.index_insert(v.id, kept as u32);
+            kept += 1;
+        }
+        prefix.push(kept);
+        self.log.truncate(kept);
+        self.flags.truncate(kept);
+        self.mark.truncate(kept);
+        // Marks were not moved with their slots; a fresh epoch voids them.
+        self.begin_walk();
+        prefix
+    }
+}
+
+impl Serialize for SlotTable {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        (&self.log, &self.flags).serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for SlotTable {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let (log, flags) = <(Vec<MsgRef>, Vec<u8>)>::deserialize(deserializer)?;
+        if flags.len() != log.len() {
+            return Err(serde::de::Error::custom(
+                "slot table: one flag byte per vertex",
+            ));
+        }
+        let mut t = SlotTable {
+            mark: vec![0; log.len()],
+            flags,
+            ..SlotTable::default()
+        };
+        for (slot, v) in log.iter().enumerate() {
+            if t.slot_of(v.id).is_some() {
+                return Err(serde::de::Error::custom("slot table: duplicate vertex id"));
+            }
+            t.index_insert(v.id, slot as u32);
+        }
+        t.log = log;
+        Ok(t)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flexcast_types::{ClientId, DestSet};
+
+    fn vref(client: u32, seq: u32) -> MsgRef {
+        MsgRef {
+            id: MsgId::new(ClientId(client), seq),
+            dst: DestSet::try_from_ranks([0u16]).unwrap(),
+        }
+    }
+
+    #[test]
+    fn far_apart_seqs_spill_instead_of_stretching_the_window() {
+        let mut t = SlotTable::default();
+        let seqs = [5u32, 4_000_000_000, 6, 0, 70, 1_000];
+        for (slot, &s) in seqs.iter().enumerate() {
+            assert_eq!(t.push(vref(2, s)), slot as u32);
+        }
+        for (slot, &s) in seqs.iter().enumerate() {
+            assert_eq!(t.slot_of(vref(2, s).id), Some(slot as u32), "seq {s}");
+        }
+        assert_eq!(t.slot_of(vref(2, 7).id), None);
+        assert_eq!(t.slot_of(vref(1, 5).id), None);
+        assert!(
+            t.index[2].slots.len() as u64 <= WINDOW_SLACK + WINDOW_PER_LIVE * seqs.len() as u64,
+            "window bounded by what it holds"
+        );
+        assert_eq!(t.far.len(), 2, "the two outliers spilled");
+    }
+
+    #[test]
+    fn remove_visited_compacts_and_reindexes() {
+        let mut t = SlotTable::default();
+        for s in 0..6 {
+            t.push(vref(0, s));
+        }
+        t.set_flags(4, 0b10);
+        t.begin_walk();
+        assert!(t.visit(0));
+        assert!(!t.visit(0));
+        assert!(t.visit(3));
+        let prefix = t.remove_visited();
+        assert_eq!(prefix, vec![0, 0, 1, 2, 2, 3, 4]);
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.slot_of(vref(0, 0).id), None);
+        assert_eq!(t.slot_of(vref(0, 4).id), Some(2));
+        assert_eq!(t.flags(2), 0b10, "flags travel with their vertex");
+        assert!((0..4).all(|s| !t.visited(s)), "the walk is over");
+    }
+
+    #[test]
+    fn serde_roundtrip_rebuilds_the_index() {
+        let mut t = SlotTable::default();
+        for &(c, s) in &[(0, 3), (1, 9), (0, 900_000), (0, 4)] {
+            t.push(vref(c, s));
+        }
+        t.set_flags(1, 0b101);
+        let bytes = flexcast_wire::to_bytes(&t).unwrap();
+        let back: SlotTable = flexcast_wire::from_bytes(&bytes).unwrap();
+        assert_eq!(back.log(), t.log());
+        for slot in 0..4u32 {
+            assert_eq!(back.flags(slot), t.flags(slot));
+            assert_eq!(back.slot_of(t.get(slot).id), Some(slot));
+        }
+        assert_eq!(flexcast_wire::to_bytes(&back).unwrap(), bytes);
+        // A length mismatch from a peer is an error, not a panic.
+        let bad = flexcast_wire::to_bytes(&(t.log().to_vec(), vec![0u8; 3])).unwrap();
+        assert!(flexcast_wire::from_bytes::<SlotTable>(&bad).is_err());
+    }
+}

@@ -4,6 +4,11 @@
 //!
 //! This exercises the protocol without the simulator or harness in the
 //! loop, so failures shrink to small engine-input sequences.
+//!
+//! Every engine input doubles as a snapshot check: the engine's state
+//! must survive `snapshot → restore → snapshot` byte for byte, and a twin
+//! restored from an earlier snapshot must emit the same outputs and
+//! reach the same state for the rest of the schedule.
 
 use flexcast_core::{FlexCastGroup, Output, Packet};
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload};
@@ -15,6 +20,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// next client message) and delivers its head.
 struct ChaosNet {
     engines: Vec<FlexCastGroup>,
+    /// Per engine, a copy restored from one of its snapshots and fed the
+    /// same inputs since; re-seeded from a fresh snapshot every few inputs
+    /// so restores happen at many points of the schedule.
+    twins: Vec<FlexCastGroup>,
+    inputs: Vec<usize>,
     links: BTreeMap<(u16, u16), VecDeque<Packet>>,
     log: Vec<(GroupId, MsgId)>,
 }
@@ -23,6 +33,8 @@ impl ChaosNet {
     fn new(n: u16) -> Self {
         ChaosNet {
             engines: (0..n).map(|g| FlexCastGroup::new(GroupId(g), n)).collect(),
+            twins: (0..n).map(|g| FlexCastGroup::new(GroupId(g), n)).collect(),
+            inputs: vec![0; n as usize],
             links: BTreeMap::new(),
             log: Vec::new(),
         }
@@ -41,10 +53,41 @@ impl ChaosNet {
         }
     }
 
+    /// Applies one input to engine `g` and to its twin, checking the
+    /// snapshot properties around it.
+    fn feed(
+        &mut self,
+        g: GroupId,
+        input: impl Fn(&mut FlexCastGroup, &mut Vec<Output>),
+    ) -> Vec<Output> {
+        let gi = g.index();
+        let snap = self.engines[gi].snapshot().expect("snapshot encodes");
+        let restored = FlexCastGroup::restore(&snap).expect("snapshot decodes");
+        assert_eq!(
+            restored.snapshot().expect("snapshot encodes"),
+            snap,
+            "snapshot → restore → snapshot is byte-stable at {g}"
+        );
+        if self.inputs[gi].is_multiple_of(5) {
+            self.twins[gi] = restored;
+        }
+        self.inputs[gi] += 1;
+        let mut out = Vec::new();
+        input(&mut self.engines[gi], &mut out);
+        let mut twin_out = Vec::new();
+        input(&mut self.twins[gi], &mut twin_out);
+        assert_eq!(out, twin_out, "restored engine diverged at {g}");
+        assert_eq!(
+            self.twins[gi].snapshot().expect("snapshot encodes"),
+            self.engines[gi].snapshot().expect("snapshot encodes"),
+            "restored engine's state diverged at {g}"
+        );
+        out
+    }
+
     fn inject(&mut self, m: Message) {
         let lca = m.lca();
-        let mut out = Vec::new();
-        self.engines[lca.index()].on_client(m, &mut out);
+        let out = self.feed(lca, |e, out| e.on_client(m.clone(), out));
         self.absorb(lca, out);
     }
 
@@ -65,8 +108,9 @@ impl ChaosNet {
             .get_mut(&(from, to))
             .and_then(VecDeque::pop_front)
             .expect("non-empty link");
-        let mut out = Vec::new();
-        self.engines[to as usize].on_packet(GroupId(from), pkt, &mut out);
+        let out = self.feed(GroupId(to), |e, out| {
+            e.on_packet(GroupId(from), pkt.clone(), out)
+        });
         self.absorb(GroupId(to), out);
         true
     }
