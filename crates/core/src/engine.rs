@@ -887,8 +887,14 @@ impl FlexCastGroup {
     }
 
     /// Reconstructs an engine from a [`FlexCastGroup::snapshot`].
+    /// The bytes may come from a peer: anything a later walk or merge
+    /// would index with is checked here and reported as an error.
     pub fn restore(bytes: &[u8]) -> flexcast_types::Result<FlexCastGroup> {
-        flexcast_wire::from_bytes(bytes)
+        let g: FlexCastGroup = flexcast_wire::from_bytes(bytes)?;
+        g.hst
+            .check_restored()
+            .map_err(|what| flexcast_types::Error::Decode(what.into()))?;
+        Ok(g)
     }
 
     /// Builds the flush message used for garbage collection; multicast it
@@ -1620,15 +1626,11 @@ mod tests {
         assert!(c.pending.is_empty(), "late ack leaked {:?}", c.pending);
     }
 
-    /// Snapshot/restore: a restored engine is interchangeable with the
-    /// original — same observable state, identical outputs on the same
-    /// subsequent inputs.
-    #[test]
-    fn snapshot_restore_roundtrips_mid_protocol() {
+    /// C of three groups left mid-protocol — `m1` delivered, `m2` queued
+    /// and blocked waiting for B's ack — with `m2` and A's packet to B.
+    fn mid_protocol() -> (FlexCastGroup, Message, Packet) {
         let mut a = FlexCastGroup::new(A, 3);
         let mut c = FlexCastGroup::new(C, 3);
-        // Leave C mid-protocol: one message delivered, a second queued and
-        // blocked waiting for B's ack.
         let m1 = msg(1, &[0, 2]);
         let m2 = msg(2, &[0, 1, 2]);
         let mut out_a = Vec::new();
@@ -1642,6 +1644,15 @@ mod tests {
         c.on_packet(A, m1_to_c, &mut Vec::new());
         c.on_packet(A, m2_to_c, &mut Vec::new());
         assert_eq!(c.backlog(), 1, "m2 parked awaiting B's ack");
+        (c, m2, m2_to_b)
+    }
+
+    /// Snapshot/restore: a restored engine is interchangeable with the
+    /// original — same observable state, identical outputs on the same
+    /// subsequent inputs.
+    #[test]
+    fn snapshot_restore_roundtrips_mid_protocol() {
+        let (mut c, m2, m2_to_b) = mid_protocol();
 
         let bytes = c.snapshot().expect("snapshot encodes");
         let mut c2 = FlexCastGroup::restore(&bytes).expect("snapshot decodes");
@@ -1662,6 +1673,40 @@ mod tests {
         c2.on_packet(B, ack_to_c, &mut out_c2);
         assert_eq!(out_c, out_c2, "restored engine emits identical outputs");
         assert_eq!(deliveries(&out_c2), vec![m2.id]);
+    }
+
+    /// The error `restore` gives for `c`'s snapshot.
+    fn restore_error(c: &FlexCastGroup) -> String {
+        let bytes = c.snapshot().expect("snapshot encodes");
+        FlexCastGroup::restore(&bytes)
+            .expect_err("corrupt snapshot")
+            .to_string()
+    }
+
+    #[test]
+    fn restore_rejects_successors_that_do_not_mirror_the_predecessor_links() {
+        let what = "successors do not mirror the predecessor links";
+        // m1 → m2 is linked; m2 → m1 is not.
+        let (mut c, m2, _) = mid_protocol();
+        let (succs, _) = c.hst.succs_and_edge_log_mut();
+        succs.entry(m2.id).or_default().insert(msg(1, &[0]).id);
+        assert!(restore_error(&c).contains(what), "successor without link");
+        // And the other way round: the link's successor entry is gone.
+        let (mut c, ..) = mid_protocol();
+        assert_eq!(c.hst.edge_count(), 1);
+        c.hst.succs_and_edge_log_mut().0.clear();
+        assert!(restore_error(&c).contains(what), "link without successor");
+    }
+
+    #[test]
+    fn restore_rejects_an_edge_log_entry_with_an_endpoint_not_retained() {
+        let (mut c, m2, _) = mid_protocol();
+        let (_, edge_log) = c.hst.succs_and_edge_log_mut();
+        let mut e = edge_log[0];
+        e.before = m2.id;
+        e.after = msg(7, &[0]).id;
+        edge_log.push(e);
+        assert!(restore_error(&c).contains("edge log names a vertex that is not retained"));
     }
 
     #[test]

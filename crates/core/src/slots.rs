@@ -5,8 +5,10 @@
 //! doubles as the `diff-hst` log (a descendant's cursor is a slot
 //! number) and as the key space for per-vertex state. Beside each vertex
 //! sit one byte of flag bits (owned by the history and the engine — see
-//! [`crate::history::flag`]) and an epoch-stamped visit mark that graph
-//! walks use in place of a per-walk `BTreeSet`.
+//! [`crate::history::flag`]), the slots of its direct predecessors (the
+//! DAG's backward adjacency, in the order the edges were linked) and an
+//! epoch-stamped visit mark that graph walks use in place of a per-walk
+//! `BTreeSet`.
 //!
 //! Ids find their slot through a dense per-client window: client `c`'s
 //! retained seqs `base..base + len` map to `slots[seq - base]` (the same
@@ -17,8 +19,9 @@
 //! the number of vertices it holds goes to an ordered spill map instead,
 //! so index memory is `O(retained vertices)` whatever ids arrive.
 //!
-//! Only the log and the flags are canonical state. The index and the
-//! visit marks are derived, never serialized, and rebuilt on load.
+//! The log, the flags and the predecessor lists are canonical state. The
+//! index and the visit marks are derived, never serialized, and rebuilt
+//! on load.
 
 use crate::history::MsgRef;
 use flexcast_types::MsgId;
@@ -43,12 +46,15 @@ struct ClientWindow {
     slots: VecDeque<u32>,
 }
 
-/// Slot-addressed vertex store: insertion log, per-slot flags, visit
-/// marks, and the id → slot index.
+/// Slot-addressed vertex store: insertion log, per-slot flags and
+/// predecessor lists, visit marks, and the id → slot index.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SlotTable {
     log: Vec<MsgRef>,
     flags: Vec<u8>,
+    /// `preds[slot]`: the slots of its direct predecessors, in link order
+    /// (no self-link, no duplicate).
+    preds: Vec<Vec<u32>>,
     /// `mark[slot] == epoch` ⇔ the current walk has visited `slot`.
     mark: Vec<u32>,
     epoch: u32,
@@ -102,6 +108,7 @@ impl SlotTable {
         let slot = u32::try_from(self.log.len()).expect("fewer than 2^32 retained vertices");
         self.log.push(v);
         self.flags.push(0);
+        self.preds.push(Vec::new());
         self.mark.push(0);
         self.index_insert(v.id, slot);
         slot
@@ -110,6 +117,12 @@ impl SlotTable {
     fn index_insert(&mut self, id: MsgId, slot: u32) {
         let ci = id.sender.0 as usize;
         if ci >= self.index.len() {
+            // Client ids are dense from 0; one far beyond the vertices
+            // held (a peer's bytes can name any) spills like a far seq.
+            if ci as u64 > WINDOW_SLACK + WINDOW_PER_LIVE * self.log.len() as u64 {
+                self.far.insert(id, slot);
+                return;
+            }
             self.index.resize_with(ci + 1, ClientWindow::default);
         }
         let w = &mut self.index[ci];
@@ -158,6 +171,24 @@ impl SlotTable {
         was
     }
 
+    /// The direct predecessors of `slot`, in link order.
+    #[inline]
+    pub(crate) fn preds(&self, slot: u32) -> &[u32] {
+        &self.preds[slot as usize]
+    }
+
+    /// Records `before` as a direct predecessor of `after` (the caller
+    /// has checked it is neither `after` itself nor already listed).
+    #[inline]
+    pub(crate) fn link(&mut self, before: u32, after: u32) {
+        self.preds[after as usize].push(before);
+    }
+
+    /// Number of links (edges of the DAG).
+    pub(crate) fn link_count(&self) -> usize {
+        self.preds.iter().map(Vec::len).sum()
+    }
+
     /// Starts a new graph walk: every slot becomes unvisited.
     pub(crate) fn begin_walk(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
@@ -167,13 +198,17 @@ impl SlotTable {
         }
     }
 
-    /// Marks `slot` visited in the current walk; true on the first visit.
+    /// Pushes the direct predecessors of `slot` that the current walk has
+    /// not visited yet, marking them visited.
     #[inline]
-    pub(crate) fn visit(&mut self, slot: u32) -> bool {
-        let m = &mut self.mark[slot as usize];
-        let first = *m != self.epoch;
-        *m = self.epoch;
-        first
+    pub(crate) fn push_unvisited_preds(&mut self, slot: u32, stack: &mut Vec<u32>) {
+        for &p in &self.preds[slot as usize] {
+            let m = &mut self.mark[p as usize];
+            if *m != self.epoch {
+                *m = self.epoch;
+                stack.push(p);
+            }
+        }
     }
 
     /// True if the current walk has visited `slot`.
@@ -182,10 +217,12 @@ impl SlotTable {
         self.mark[slot as usize] == self.epoch
     }
 
-    /// Removes every slot the current walk visited, compacting log and
-    /// flags and rebuilding the index in one sweep, and ends the walk.
-    /// Returns the old → new prefix table: entry `i` is the number of
-    /// retained slots among the old slots `0..i` (so it remaps cursors).
+    /// Removes every slot the current walk visited, compacting log, flags
+    /// and predecessor lists and rebuilding the index in one sweep, and
+    /// ends the walk. Survivors forget removed predecessors; their other
+    /// links are renumbered. Returns the old → new prefix table: entry
+    /// `i` is the number of retained slots among the old slots `0..i` (so
+    /// it remaps cursors).
     pub(crate) fn remove_visited(&mut self) -> Vec<usize> {
         for w in &mut self.index {
             w.slots.clear();
@@ -203,12 +240,24 @@ impl SlotTable {
             let v = self.log[old];
             self.log[kept] = v;
             self.flags[kept] = self.flags[old];
+            self.preds.swap(kept, old);
             self.index_insert(v.id, kept as u32);
             kept += 1;
         }
         prefix.push(kept);
+        // A link can point either way along the log, so the lists are
+        // renumbered only once the whole prefix table exists.
+        let (mark, epoch) = (&self.mark, self.epoch);
+        for ps in &mut self.preds[..kept] {
+            ps.retain_mut(|p| {
+                let old = *p as usize;
+                *p = prefix[old] as u32;
+                mark[old] != epoch
+            });
+        }
         self.log.truncate(kept);
         self.flags.truncate(kept);
+        self.preds.truncate(kept);
         self.mark.truncate(kept);
         // Marks were not moved with their slots; a fresh epoch voids them.
         self.begin_walk();
@@ -218,30 +267,55 @@ impl SlotTable {
 
 impl Serialize for SlotTable {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (&self.log, &self.flags).serialize(serializer)
+        (&self.log, &self.flags, &self.preds).serialize(serializer)
     }
 }
 
 impl<'de> Deserialize<'de> for SlotTable {
+    /// Rebuilds the index and checks everything a walk later indexes
+    /// with: a peer's snapshot must not be able to cause a panic.
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let (log, flags) = <(Vec<MsgRef>, Vec<u8>)>::deserialize(deserializer)?;
+        let (log, flags, preds) =
+            <(Vec<MsgRef>, Vec<u8>, Vec<Vec<u32>>)>::deserialize(deserializer)?;
+        let err = |what| Err(serde::de::Error::custom(what));
         if flags.len() != log.len() {
-            return Err(serde::de::Error::custom(
-                "slot table: one flag byte per vertex",
-            ));
+            return err("slot table: one flag byte per vertex");
+        }
+        if preds.len() != log.len() {
+            return err("slot table: one predecessor list per vertex");
         }
         let mut t = SlotTable {
             mark: vec![0; log.len()],
+            log,
             flags,
             ..SlotTable::default()
         };
-        for (slot, v) in log.iter().enumerate() {
-            if t.slot_of(v.id).is_some() {
-                return Err(serde::de::Error::custom("slot table: duplicate vertex id"));
+        for slot in 0..t.log.len() {
+            let id = t.log[slot].id;
+            if t.slot_of(id).is_some() {
+                return err("slot table: duplicate vertex id");
             }
-            t.index_insert(v.id, slot as u32);
+            t.index_insert(id, slot as u32);
         }
-        t.log = log;
+        for (slot, ps) in preds.iter().enumerate() {
+            // One walk per list: a mark seen twice is a duplicate link.
+            t.begin_walk();
+            t.mark[slot] = t.epoch;
+            for &p in ps {
+                let Some(m) = t.mark.get_mut(p as usize) else {
+                    return err("slot table: predecessor slot out of range");
+                };
+                if *m == t.epoch {
+                    return err(if p as usize == slot {
+                        "slot table: vertex linked to itself"
+                    } else {
+                        "slot table: duplicate link"
+                    });
+                }
+                *m = t.epoch;
+            }
+        }
+        t.preds = preds;
         Ok(t)
     }
 }
@@ -284,16 +358,32 @@ mod tests {
             t.push(vref(0, s));
         }
         t.set_flags(4, 0b10);
+        // 0 → 3 → 5, and 4 hears from 3 (doomed) and 5 (survivor).
+        t.link(0, 3);
+        t.link(3, 5);
+        t.link(3, 4);
+        t.link(5, 4);
         t.begin_walk();
-        assert!(t.visit(0));
-        assert!(!t.visit(0));
-        assert!(t.visit(3));
+        let mut stack = Vec::new();
+        t.push_unvisited_preds(5, &mut stack);
+        assert_eq!(stack, vec![3]);
+        t.push_unvisited_preds(3, &mut stack);
+        t.push_unvisited_preds(4, &mut stack);
+        assert_eq!(stack, vec![3, 0, 5], "3 is not pushed twice");
+        // A fresh walk marks only the strict past of 5: slots 3 and 0.
+        t.begin_walk();
+        stack.clear();
+        t.push_unvisited_preds(5, &mut stack);
+        t.push_unvisited_preds(3, &mut stack);
         let prefix = t.remove_visited();
         assert_eq!(prefix, vec![0, 0, 1, 2, 2, 3, 4]);
         assert_eq!(t.len(), 4);
         assert_eq!(t.slot_of(vref(0, 0).id), None);
         assert_eq!(t.slot_of(vref(0, 4).id), Some(2));
         assert_eq!(t.flags(2), 0b10, "flags travel with their vertex");
+        assert_eq!(t.preds(2), [3], "4 forgot 3 and still names 5, renumbered");
+        assert!(t.preds(3).is_empty(), "5 forgot 3");
+        assert_eq!(t.link_count(), 1);
         assert!((0..4).all(|s| !t.visited(s)), "the walk is over");
     }
 
@@ -304,16 +394,79 @@ mod tests {
             t.push(vref(c, s));
         }
         t.set_flags(1, 0b101);
+        t.link(3, 1);
+        t.link(0, 1);
         let bytes = flexcast_wire::to_bytes(&t).unwrap();
         let back: SlotTable = flexcast_wire::from_bytes(&bytes).unwrap();
         assert_eq!(back.log(), t.log());
         for slot in 0..4u32 {
             assert_eq!(back.flags(slot), t.flags(slot));
+            assert_eq!(back.preds(slot), t.preds(slot));
             assert_eq!(back.slot_of(t.get(slot).id), Some(slot));
         }
         assert_eq!(flexcast_wire::to_bytes(&back).unwrap(), bytes);
-        // A length mismatch from a peer is an error, not a panic.
-        let bad = flexcast_wire::to_bytes(&(t.log().to_vec(), vec![0u8; 3])).unwrap();
-        assert!(flexcast_wire::from_bytes::<SlotTable>(&bad).is_err());
+    }
+
+    /// Decodes a table from hand-built parts.
+    fn decode(log: &[MsgRef], flags: &[u8], preds: &[&[u32]]) -> flexcast_types::Result<SlotTable> {
+        flexcast_wire::from_bytes(&flexcast_wire::to_bytes(&(log, flags, preds)).unwrap())
+    }
+
+    /// The error text of a table that must not decode.
+    fn rejected(log: &[MsgRef], flags: &[u8], preds: &[&[u32]]) -> String {
+        decode(log, flags, preds)
+            .expect_err("malformed table")
+            .to_string()
+    }
+
+    #[test]
+    fn deserialize_rejects_a_flag_vector_of_the_wrong_length() {
+        let log = [vref(0, 0), vref(0, 1)];
+        assert!(rejected(&log, &[0; 3], &[&[], &[]]).contains("one flag byte per vertex"));
+    }
+
+    #[test]
+    fn deserialize_rejects_a_duplicate_vertex_id() {
+        let log = [vref(0, 0), vref(0, 0)];
+        assert!(rejected(&log, &[0; 2], &[&[], &[]]).contains("duplicate vertex id"));
+    }
+
+    #[test]
+    fn deserialize_rejects_a_list_count_other_than_the_log_length() {
+        let log = [vref(0, 0), vref(0, 1)];
+        assert!(rejected(&log, &[0; 2], &[&[]]).contains("one predecessor list per vertex"));
+        assert!(rejected(&log, &[0; 2], &[&[], &[], &[]]).contains("one predecessor list"));
+    }
+
+    #[test]
+    fn deserialize_rejects_a_predecessor_slot_out_of_range() {
+        let log = [vref(0, 0), vref(0, 1)];
+        assert!(rejected(&log, &[0; 2], &[&[], &[2]]).contains("out of range"));
+        assert!(rejected(&log, &[0; 2], &[&[u32::MAX], &[]]).contains("out of range"));
+    }
+
+    #[test]
+    fn deserialize_rejects_a_self_link() {
+        let log = [vref(0, 0), vref(0, 1)];
+        assert!(rejected(&log, &[0; 2], &[&[], &[0, 1]]).contains("linked to itself"));
+    }
+
+    #[test]
+    fn deserialize_rejects_a_duplicate_link() {
+        let log = [vref(0, 0), vref(0, 1), vref(0, 2)];
+        assert!(rejected(&log, &[0; 3], &[&[], &[], &[0, 1, 0]]).contains("duplicate link"));
+        // The same predecessor under two different vertices is no duplicate.
+        assert!(decode(&log, &[0; 3], &[&[], &[0], &[0]]).is_ok());
+    }
+
+    #[test]
+    fn a_client_id_far_beyond_the_table_spills() {
+        let mut t = SlotTable::default();
+        t.push(vref(u32::MAX, 7));
+        t.push(vref(3, 7));
+        assert_eq!(t.slot_of(vref(u32::MAX, 7).id), Some(0));
+        assert_eq!(t.slot_of(vref(3, 7).id), Some(1));
+        assert_eq!(t.index.len(), 4, "no window vector stretched to the far id");
+        assert_eq!(t.far.len(), 1);
     }
 }
