@@ -1684,29 +1684,41 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_successors_that_do_not_mirror_the_predecessor_links() {
-        let what = "successors do not mirror the predecessor links";
-        // m1 → m2 is linked; m2 → m1 is not.
-        let (mut c, m2, _) = mid_protocol();
-        let (succs, _) = c.hst.succs_and_edge_log_mut();
-        succs.entry(m2.id).or_default().insert(msg(1, &[0]).id);
-        assert!(restore_error(&c).contains(what), "successor without link");
-        // And the other way round: the link's successor entry is gone.
-        let (mut c, ..) = mid_protocol();
-        assert_eq!(c.hst.edge_count(), 1);
-        c.hst.succs_and_edge_log_mut().0.clear();
-        assert!(restore_error(&c).contains(what), "link without successor");
-    }
-
-    #[test]
     fn restore_rejects_an_edge_log_entry_with_an_endpoint_not_retained() {
         let (mut c, m2, _) = mid_protocol();
-        let (_, edge_log) = c.hst.succs_and_edge_log_mut();
+        let edge_log = c.hst.edge_log_mut();
         let mut e = edge_log[0];
         e.before = m2.id;
         e.after = msg(7, &[0]).id;
         edge_log.push(e);
         assert!(restore_error(&c).contains("edge log names a vertex that is not retained"));
+    }
+
+    #[test]
+    fn restore_rejects_an_edge_log_entry_that_is_not_a_link() {
+        // m1 → m2 is linked; m2 → m1 joins two retained vertices but is not.
+        let (mut c, ..) = mid_protocol();
+        let edge_log = c.hst.edge_log_mut();
+        let mut e = edge_log[0];
+        (e.before, e.after) = (e.after, e.before);
+        edge_log.push(e);
+        assert!(restore_error(&c).contains("edge log entry is not the next link"));
+    }
+
+    #[test]
+    fn restore_rejects_an_edge_log_entry_listed_twice() {
+        let (mut c, ..) = mid_protocol();
+        let edge_log = c.hst.edge_log_mut();
+        edge_log.push(edge_log[0]);
+        assert!(restore_error(&c).contains("edge log entry is not the next link"));
+    }
+
+    #[test]
+    fn restore_rejects_a_link_without_an_edge_log_entry() {
+        let (mut c, ..) = mid_protocol();
+        assert_eq!(c.hst.edge_count(), 1);
+        c.hst.edge_log_mut().clear();
+        assert!(restore_error(&c).contains("a link has no edge log entry"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::slots::SlotTable;
 use flexcast_types::{DestSet, GroupId, Message, MsgId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A history vertex: a message's identity and destinations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -158,11 +158,9 @@ pub(crate) const NO_WATERMARK: u32 = u32::MAX;
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct History {
     /// The retained vertices, each identified by its slot in the vertex
-    /// insertion log, with one byte of [`flag`] bits and the list of its
-    /// direct predecessors (as slots) apiece.
+    /// insertion log, with one byte of [`flag`] bits and the lists of its
+    /// direct predecessors and successors (as slots) apiece.
     verts: SlotTable,
-    /// Forward adjacency, the mirror of the table's predecessor lists.
-    succs: BTreeMap<MsgId, BTreeSet<MsgId>>,
     last_delivered: Option<MsgId>,
     /// Append-only insertion log backing `diff-hst` (the vertex log is
     /// the slot table itself): a descendant's cursor into these logs
@@ -314,10 +312,10 @@ impl History {
     /// Clears `bit` on `v` and, transitively, on every successor that
     /// carries it (stopping where it is already clear).
     pub(crate) fn clear_flag_downstream(&mut self, v: MsgId, bit: u8) {
-        let mut stack = vec![v];
-        while let Some(v) = stack.pop() {
-            if self.clear_flag(v, bit) {
-                stack.extend(self.succs_of(v));
+        let mut stack: Vec<u32> = self.verts.slot_of(v).into_iter().collect();
+        while let Some(s) = stack.pop() {
+            if self.verts.clear_flags(s, bit) {
+                stack.extend_from_slice(self.verts.succs(s));
             }
         }
     }
@@ -374,9 +372,14 @@ impl History {
         ps.iter().map(move |&p| t.get(p).id)
     }
 
-    /// Direct successors of `id`.
+    /// Direct successors of `id`, in the order their edges were linked —
+    /// except that a serde round-trip, which rebuilds the lists from the
+    /// predecessor lists, leaves them in slot order (the same set; nothing
+    /// may depend on the order).
     pub fn succs_of(&self, id: MsgId) -> impl Iterator<Item = MsgId> + '_ {
-        self.succs.get(&id).into_iter().flatten().copied()
+        let t = &self.verts;
+        let ss = t.slot_of(id).map_or(&[][..], |s| t.succs(s));
+        ss.iter().map(move |&s| t.get(s).id)
     }
 
     /// True if `id` was ever admitted into this history — whether still
@@ -494,7 +497,6 @@ impl History {
     /// slots, as [`History::linkable`] returned them.
     fn link(&mut self, e: TaggedEdge, before: u32, after: u32) {
         self.verts.link(before, after);
-        self.succs.entry(e.before).or_default().insert(e.after);
         self.edge_log.push(e);
         self.admitted += 1;
     }
@@ -670,17 +672,20 @@ impl History {
         if from == to {
             return true;
         }
+        let t = &self.verts;
+        let (Some(from), Some(to)) = (t.slot_of(from), t.slot_of(to)) else {
+            return false;
+        };
+        // `&self`: the walk keeps its own visit marks.
+        let mut seen = vec![false; t.len()];
         let mut stack = vec![from];
-        let mut seen = BTreeSet::new();
-        while let Some(v) = stack.pop() {
-            if let Some(nexts) = self.succs.get(&v) {
-                for &n in nexts {
-                    if n == to {
-                        return true;
-                    }
-                    if seen.insert(n) {
-                        stack.push(n);
-                    }
+        while let Some(s) = stack.pop() {
+            for &n in t.succs(s) {
+                if n == to {
+                    return true;
+                }
+                if !std::mem::replace(&mut seen[n as usize], true) {
+                    stack.push(n);
                 }
             }
         }
@@ -776,21 +781,6 @@ impl History {
                     *c -= 1;
                 }
             }
-            // The doomed set is closed under predecessors: every
-            // successor set naming `v` belongs to a doomed vertex and goes
-            // whole, and no survivor has a doomed successor. Survivors
-            // forget doomed predecessors in the table's sweep below.
-            //
-            // So taking `v` out of its predecessors' successor sets first
-            // is redundant. It is the parent's unlink, left in place for
-            // this slice only (DESIGN.md §7, staging): without it the
-            // slice is faster than the benchmark driver can resolve.
-            for &p in self.verts.preds(slot) {
-                if let Some(ss) = self.succs.get_mut(&self.verts.get(p).id) {
-                    ss.remove(&v);
-                }
-            }
-            self.succs.remove(&v);
         }
 
         // Compact the logs and remap cursors: a new cursor counts the
@@ -818,61 +808,56 @@ impl History {
     }
 
     /// Checks what deserialization cannot see from one field alone, for a
-    /// history restored from a peer's snapshot: `succs` is the exact
-    /// mirror of the table's predecessor lists, and every edge-log entry
-    /// joins two retained vertices.
+    /// history restored from a peer's snapshot: the edge log holds exactly
+    /// the table's links (`diff-hst` ships the log, the walks follow the
+    /// links). An edge is logged where it is linked and compaction keeps
+    /// the order of both, so the entries naming one `after` are that
+    /// vertex's predecessor list, in order: one counter per slot, one pass.
     pub(crate) fn check_restored(&self) -> Result<(), &'static str> {
-        let mut mirror: BTreeMap<MsgId, BTreeSet<MsgId>> = BTreeMap::new();
-        for (before, after) in self.edges() {
-            mirror.entry(before).or_default().insert(after);
+        let t = &self.verts;
+        let mut matched = vec![0u32; t.len()];
+        for e in &self.edge_log {
+            let (Some(b), Some(a)) = (t.slot_of(e.before), t.slot_of(e.after)) else {
+                return Err("history: edge log names a vertex that is not retained");
+            };
+            let n = &mut matched[a as usize];
+            if t.preds(a).get(*n as usize) != Some(&b) {
+                return Err("history: edge log entry is not the next link of its vertex");
+            }
+            *n += 1;
         }
-        if mirror != self.succs {
-            return Err("history: successors do not mirror the predecessor links");
-        }
-        let retained = |e: &TaggedEdge| self.contains(e.before) && self.contains(e.after);
-        if !self.edge_log.iter().all(retained) {
-            return Err("history: edge log names a vertex that is not retained");
+        if self.edge_log.len() != t.link_count() {
+            return Err("history: a link has no edge log entry");
         }
         Ok(())
     }
 
-    /// Forward adjacency and edge log, for tests that corrupt a snapshot.
+    /// The edge log, for tests that corrupt a snapshot.
     #[cfg(test)]
-    pub(crate) fn succs_and_edge_log_mut(
-        &mut self,
-    ) -> (&mut BTreeMap<MsgId, BTreeSet<MsgId>>, &mut Vec<TaggedEdge>) {
-        (&mut self.succs, &mut self.edge_log)
+    pub(crate) fn edge_log_mut(&mut self) -> &mut Vec<TaggedEdge> {
+        &mut self.edge_log
     }
 
     /// Checks that the history is acyclic (test/diagnostic helper; the
     /// protocol maintains acyclicity as an invariant).
     pub fn is_acyclic(&self) -> bool {
         // Kahn's algorithm over the retained graph.
-        let mut indegree: BTreeMap<MsgId, usize> = self.verts().map(|v| (v.id, 0)).collect();
-        for (_, after) in self.edges() {
-            *indegree
-                .get_mut(&after)
-                .expect("edge endpoints are vertices") += 1;
-        }
-        let mut ready: Vec<MsgId> = indegree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&id, _)| id)
-            .collect();
+        let t = &self.verts;
+        let slots = 0..t.len() as u32;
+        let mut indegree: Vec<u32> = slots.clone().map(|s| t.preds(s).len() as u32).collect();
+        let mut ready: Vec<u32> = slots.filter(|&s| indegree[s as usize] == 0).collect();
         let mut seen = 0usize;
         while let Some(v) = ready.pop() {
             seen += 1;
-            if let Some(ss) = self.succs.get(&v) {
-                for &s in ss {
-                    let d = indegree.get_mut(&s).expect("vertex");
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(s);
-                    }
+            for &s in t.succs(v) {
+                let d = &mut indegree[s as usize];
+                *d -= 1;
+                if *d == 0 {
+                    ready.push(s);
                 }
             }
         }
-        seen == self.verts.len()
+        seen == t.len()
     }
 }
 
@@ -1333,6 +1318,38 @@ mod tests {
             edges.filter(|&&(_, a)| a == id).map(|&(b, _)| b).collect()
         }
 
+        fn succs_of(&self, id: MsgId) -> BTreeSet<MsgId> {
+            let edges = self.edges.iter();
+            edges.filter(|&&(b, _)| b == id).map(|&(_, a)| a).collect()
+        }
+
+        /// Everything a path of at least one edge leads to from `from`.
+        fn reachable(&self, from: MsgId) -> BTreeSet<MsgId> {
+            let mut seen = self.succs_of(from);
+            let mut frontier: Vec<MsgId> = seen.iter().copied().collect();
+            while let Some(v) = frontier.pop() {
+                for s in self.succs_of(v) {
+                    if seen.insert(s) {
+                        frontier.push(s);
+                    }
+                }
+            }
+            seen
+        }
+
+        /// Clears `bit` on `v` and on the successors reached through
+        /// vertices that carried it, stopping where it is already clear.
+        fn clear_flag_downstream(&mut self, v: MsgId, bit: u8) {
+            let mut frontier = vec![v];
+            while let Some(v) = frontier.pop() {
+                let Some(p) = self.pos(v) else { continue };
+                if self.verts[p].1 & bit != 0 {
+                    self.verts[p].1 &= !bit;
+                    frontier.extend(self.succs_of(v));
+                }
+            }
+        }
+
         /// Every answer `blocking_predecessor(m, g)` may give: the
         /// undelivered vertices addressed to `g` in the strict past of
         /// `m`, not looking behind delivered ones.
@@ -1441,13 +1458,32 @@ mod tests {
         assert_eq!(h.verts_since(log.len() / 2), &log[log.len() / 2..]);
         assert_eq!(h.edges_since(0), &m.edge_log[..]);
         assert_eq!(h.edge_count(), m.edges.len());
+        assert_eq!(h.edges_since(0).len(), h.edge_count(), "log ≠ links");
         assert_eq!(h.last_delivered(), m.last_delivered);
         let edges: BTreeSet<(MsgId, MsgId)> = h.edges().collect();
         assert_eq!(edges, m.edges);
         assert_eq!(h.edges().count(), m.edges.len(), "an edge listed twice");
         assert_eq!(h.check_restored(), Ok(()));
-        for word in 0..(3 * SEQS.len() as u64) {
-            let id = pool(word);
+        let pool_ids = || (0..3 * SEQS.len() as u64).map(pool);
+        let mut acyclic = true;
+        for id in pool_ids() {
+            let succs: Vec<MsgId> = h.succs_of(id).collect();
+            let succ_set: BTreeSet<MsgId> = succs.iter().copied().collect();
+            assert_eq!(
+                succ_set.len(),
+                succs.len(),
+                "{id}: a successor listed twice"
+            );
+            assert_eq!(succ_set, m.succs_of(id), "{id}");
+            let reachable = m.reachable(id);
+            acyclic &= !reachable.contains(&id);
+            for to in pool_ids() {
+                let want = to == id || reachable.contains(&to);
+                assert_eq!(h.reaches(id, to), want, "{id} →* {to}");
+            }
+        }
+        assert_eq!(h.is_acyclic(), acyclic);
+        for id in pool_ids() {
             let held = m.pos(id).map(|p| m.verts[p]);
             assert_eq!(h.contains(id), held.is_some(), "{id}");
             assert_eq!(h.dst_of(id), held.map(|(v, _)| v.dst), "{id}");
@@ -1525,7 +1561,10 @@ mod tests {
                     12 | 13 => {
                         let bit = if y % 2 == 0 { flag::OPEN } else { flag::CLEAN };
                         let p = m.pos(pool(x));
-                        if y % 3 == 0 {
+                        if y % 5 == 0 {
+                            h.clear_flag_downstream(pool(x), bit);
+                            m.clear_flag_downstream(pool(x), bit);
+                        } else if y % 3 == 0 {
                             let was = p.is_some_and(|p| m.verts[p].1 & bit != 0);
                             assert_eq!(h.clear_flag(pool(x), bit), was);
                             if let Some(p) = p {

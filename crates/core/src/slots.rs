@@ -5,10 +5,10 @@
 //! doubles as the `diff-hst` log (a descendant's cursor is a slot
 //! number) and as the key space for per-vertex state. Beside each vertex
 //! sit one byte of flag bits (owned by the history and the engine — see
-//! [`crate::history::flag`]), the slots of its direct predecessors (the
-//! DAG's backward adjacency, in the order the edges were linked) and an
-//! epoch-stamped visit mark that graph walks use in place of a per-walk
-//! `BTreeSet`.
+//! [`crate::history::flag`]), the slots of its direct predecessors and of
+//! its direct successors (the DAG's adjacency both ways, in the order the
+//! edges were linked) and an epoch-stamped visit mark that graph walks use
+//! in place of a per-walk `BTreeSet`.
 //!
 //! Ids find their slot through a dense per-client window: client `c`'s
 //! retained seqs `base..base + len` map to `slots[seq - base]` (the same
@@ -20,8 +20,8 @@
 //! so index memory is `O(retained vertices)` whatever ids arrive.
 //!
 //! The log, the flags and the predecessor lists are canonical state. The
-//! index and the visit marks are derived, never serialized, and rebuilt
-//! on load.
+//! successor lists (their mirror), the index and the visit marks are
+//! derived, never serialized, and rebuilt on load.
 
 use crate::history::MsgRef;
 use flexcast_types::MsgId;
@@ -47,7 +47,7 @@ struct ClientWindow {
 }
 
 /// Slot-addressed vertex store: insertion log, per-slot flags and
-/// predecessor lists, visit marks, and the id → slot index.
+/// adjacency lists, visit marks, and the id → slot index.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SlotTable {
     log: Vec<MsgRef>,
@@ -55,6 +55,8 @@ pub(crate) struct SlotTable {
     /// `preds[slot]`: the slots of its direct predecessors, in link order
     /// (no self-link, no duplicate).
     preds: Vec<Vec<u32>>,
+    /// `succs[slot]`: its direct successors, likewise — `preds` mirrored.
+    succs: Vec<Vec<u32>>,
     /// `mark[slot] == epoch` ⇔ the current walk has visited `slot`.
     mark: Vec<u32>,
     epoch: u32,
@@ -109,6 +111,7 @@ impl SlotTable {
         self.log.push(v);
         self.flags.push(0);
         self.preds.push(Vec::new());
+        self.succs.push(Vec::new());
         self.mark.push(0);
         self.index_insert(v.id, slot);
         slot
@@ -177,11 +180,19 @@ impl SlotTable {
         &self.preds[slot as usize]
     }
 
-    /// Records `before` as a direct predecessor of `after` (the caller
-    /// has checked it is neither `after` itself nor already listed).
+    /// The direct successors of `slot`, in link order (slot order in a
+    /// table as loaded).
+    #[inline]
+    pub(crate) fn succs(&self, slot: u32) -> &[u32] {
+        &self.succs[slot as usize]
+    }
+
+    /// Links `before → after` (the caller has checked the two are
+    /// distinct and not linked yet).
     #[inline]
     pub(crate) fn link(&mut self, before: u32, after: u32) {
         self.preds[after as usize].push(before);
+        self.succs[before as usize].push(after);
     }
 
     /// Number of links (edges of the DAG).
@@ -218,8 +229,8 @@ impl SlotTable {
     }
 
     /// Removes every slot the current walk visited, compacting log, flags
-    /// and predecessor lists and rebuilding the index in one sweep, and
-    /// ends the walk. Survivors forget removed predecessors; their other
+    /// and adjacency lists and rebuilding the index in one sweep, and
+    /// ends the walk. Survivors forget removed neighbours; their other
     /// links are renumbered. Returns the old → new prefix table: entry
     /// `i` is the number of retained slots among the old slots `0..i` (so
     /// it remaps cursors).
@@ -241,6 +252,7 @@ impl SlotTable {
             self.log[kept] = v;
             self.flags[kept] = self.flags[old];
             self.preds.swap(kept, old);
+            self.succs.swap(kept, old);
             self.index_insert(v.id, kept as u32);
             kept += 1;
         }
@@ -248,16 +260,17 @@ impl SlotTable {
         // A link can point either way along the log, so the lists are
         // renumbered only once the whole prefix table exists.
         let (mark, epoch) = (&self.mark, self.epoch);
-        for ps in &mut self.preds[..kept] {
-            ps.retain_mut(|p| {
-                let old = *p as usize;
-                *p = prefix[old] as u32;
+        for list in self.preds[..kept].iter_mut().chain(&mut self.succs[..kept]) {
+            list.retain_mut(|s| {
+                let old = *s as usize;
+                *s = prefix[old] as u32;
                 mark[old] != epoch
             });
         }
         self.log.truncate(kept);
         self.flags.truncate(kept);
         self.preds.truncate(kept);
+        self.succs.truncate(kept);
         self.mark.truncate(kept);
         // Marks were not moved with their slots; a fresh epoch voids them.
         self.begin_walk();
@@ -272,8 +285,8 @@ impl Serialize for SlotTable {
 }
 
 impl<'de> Deserialize<'de> for SlotTable {
-    /// Rebuilds the index and checks everything a walk later indexes
-    /// with: a peer's snapshot must not be able to cause a panic.
+    /// Rebuilds the derived state and checks everything a walk later
+    /// indexes with: a peer's snapshot must not be able to cause a panic.
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let (log, flags, preds) =
             <(Vec<MsgRef>, Vec<u8>, Vec<Vec<u32>>)>::deserialize(deserializer)?;
@@ -286,6 +299,7 @@ impl<'de> Deserialize<'de> for SlotTable {
         }
         let mut t = SlotTable {
             mark: vec![0; log.len()],
+            succs: vec![Vec::new(); log.len()],
             log,
             flags,
             ..SlotTable::default()
@@ -313,6 +327,7 @@ impl<'de> Deserialize<'de> for SlotTable {
                     });
                 }
                 *m = t.epoch;
+                t.succs[p as usize].push(slot as u32);
             }
         }
         t.preds = preds;
@@ -385,6 +400,74 @@ mod tests {
         assert!(t.preds(3).is_empty(), "5 forgot 3");
         assert_eq!(t.link_count(), 1);
         assert!((0..4).all(|s| !t.visited(s)), "the walk is over");
+    }
+
+    /// Successor links pointing both ways along the log survive a sweep
+    /// that shifts their endpoints by different amounts, and loading
+    /// derives the same successor sets from the predecessor lists.
+    #[test]
+    fn successor_lists_are_renumbered_by_the_sweep_and_rebuilt_on_load() {
+        let mut t = SlotTable::default();
+        for s in 0..7 {
+            t.push(vref(0, s));
+        }
+        // Doomed: 1 → 4 → 6 (the fence), and 1 → 2. Survivors: 0 → 5 and
+        // 0 → 3 → 5 → 2 point up and down the log, 6 → 0 points down.
+        for (b, a) in [
+            (1, 4),
+            (4, 6),
+            (1, 2),
+            (0, 5),
+            (0, 3),
+            (3, 5),
+            (5, 2),
+            (6, 0),
+        ] {
+            t.link(b, a);
+        }
+        assert_eq!(t.succs(1), [4, 2]);
+        assert_eq!(t.succs(0), [5, 3], "link order");
+        t.begin_walk();
+        let mut stack = Vec::new();
+        t.push_unvisited_preds(6, &mut stack);
+        t.push_unvisited_preds(4, &mut stack);
+        assert_eq!(stack, vec![4, 1]);
+        // Old slots 0, 2, 3, 5, 6 become 0, 1, 2, 3, 4.
+        assert_eq!(t.remove_visited(), vec![0, 1, 1, 2, 3, 3, 4, 5]);
+        let succs: Vec<&[u32]> = (0..5).map(|s| t.succs(s)).collect();
+        assert_eq!(succs, [&[3, 2][..], &[], &[3], &[1], &[0]]);
+        let preds: Vec<&[u32]> = (0..5).map(|s| t.preds(s)).collect();
+        assert_eq!(preds, [&[4][..], &[3], &[0], &[0, 2], &[]]);
+
+        let bytes = flexcast_wire::to_bytes(&t).unwrap();
+        let back: SlotTable = flexcast_wire::from_bytes(&bytes).unwrap();
+        assert_eq!(back.succs(0), [2, 3], "slot order after a load");
+        for slot in 0..5 {
+            let mut want = t.succs(slot).to_vec();
+            want.sort_unstable();
+            assert_eq!(back.succs(slot), want, "slot {slot}");
+            assert_eq!(back.preds(slot), t.preds(slot));
+        }
+    }
+
+    /// A visited set that is not closed under predecessors (prune's
+    /// always is): a survivor then forgets a removed successor too.
+    #[test]
+    fn a_survivor_forgets_a_removed_successor() {
+        let mut t = SlotTable::default();
+        for s in 0..4 {
+            t.push(vref(0, s));
+        }
+        for (b, a) in [(0, 1), (0, 2), (2, 1), (1, 3)] {
+            t.link(b, a);
+        }
+        // Visits 1 alone.
+        t.begin_walk();
+        t.push_unvisited_preds(3, &mut Vec::new());
+        t.remove_visited();
+        assert_eq!(t.succs(0), [1], "0 forgot old 1 and names old 2");
+        assert!(t.succs(1).is_empty() && t.preds(2).is_empty());
+        assert_eq!(t.link_count(), 1);
     }
 
     #[test]

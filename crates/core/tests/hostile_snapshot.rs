@@ -1,18 +1,20 @@
 //! Hostile bytes at the state-transfer seam: whatever a peer sends as a
 //! snapshot, `FlexCastGroup::restore` answers `Ok` or `Err` — it never
 //! panics and never allocates more than a small multiple of the bytes it
-//! was handed.
+//! was handed — and a history it accepts agrees with itself: successors
+//! mirror predecessors and the edge log names exactly the links.
 //!
 //! The inputs are mutations of one valid snapshot, so most of them get
 //! deep into decoding before something is wrong: single-bit flips (a slot
 //! number, a length, a client id changes), truncations, splices of random
 //! bytes, and fields widened to the top of their range.
 
-use flexcast_core::{FlexCastGroup, Output, Packet};
+use flexcast_core::{FlexCastGroup, History, Output, Packet};
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 
 thread_local! {
     /// Bytes this thread currently holds, and the most it held since the
@@ -77,8 +79,7 @@ fn send_to(out: &[Output], to: GroupId) -> Packet {
 
 /// The engine unit tests' mid-protocol fixture: C of three groups with
 /// `m1` delivered and `m2` queued behind B's ack, so the snapshot holds
-/// vertices, a link, its mirror, an edge-log entry, a queue and a pending
-/// entry.
+/// vertices, a link, its edge-log entry, a queue and a pending entry.
 fn mid_protocol_snapshot() -> Vec<u8> {
     let (a_id, c_id) = (GroupId(0), GroupId(2));
     let mut a = FlexCastGroup::new(a_id, 3);
@@ -97,24 +98,51 @@ fn mid_protocol_snapshot() -> Vec<u8> {
 /// What `restore` may hold at its peak for `len` input bytes. A decoded
 /// value is larger than its encoding by a bounded factor — a vertex is
 /// four bytes on the wire and 72 in memory, an empty predecessor list one
-/// byte and 24, and a growing `Vec` doubles; the valid fixture peaks at
-/// 37 × its length — and the fixed part covers the error string and the
-/// index's first windows.
+/// byte and 24 (and the successor list derived beside it another 24), and
+/// a growing `Vec` doubles; the valid fixture peaks at 21 × its length
+/// — and the fixed part covers the error string and the index's first
+/// windows.
 fn allowance(len: usize) -> usize {
     2048 + 64 * len
 }
 
+/// What `restore` must guarantee about a history it accepts, whatever
+/// the bytes were: `succs_of` is the exact mirror of `preds_of`, and the
+/// edge log holds each of those links once and nothing else.
+fn assert_self_consistent(h: &History) {
+    let (mut backward, mut forward) = (BTreeSet::new(), BTreeSet::new());
+    for v in h.verts() {
+        for p in h.preds_of(v.id) {
+            assert!(backward.insert((p, v.id)), "{p} → {} listed twice", v.id);
+        }
+        for s in h.succs_of(v.id) {
+            assert!(forward.insert((v.id, s)), "{} → {s} listed twice", v.id);
+        }
+    }
+    assert_eq!(forward, backward, "successors mirror predecessors");
+    let log = h.edges_since(0);
+    let logged: BTreeSet<(MsgId, MsgId)> = log.iter().map(|e| (e.before, e.after)).collect();
+    assert_eq!(logged.len(), log.len(), "an edge logged twice");
+    assert_eq!(logged, backward, "the edge log names exactly the links");
+}
+
 /// Restores from `bytes` (a panic fails the test), checks the peak
-/// against the allowance, and returns the retained-vertex count of an
-/// accepted snapshot with the peak.
+/// against the allowance and an accepted history against itself, and
+/// returns the retained-vertex count of an accepted snapshot with the
+/// peak.
 fn restore_is_contained(bytes: &[u8]) -> (Option<usize>, usize) {
-    let (res, peak) = peak_during(|| FlexCastGroup::restore(bytes).map(|g| g.history().len()));
+    let (res, peak) = peak_during(|| FlexCastGroup::restore(bytes));
     assert!(
         peak <= allowance(bytes.len()),
-        "{peak} bytes held for {} bytes of input ({res:?})",
-        bytes.len()
+        "{peak} bytes held for {} bytes of input ({:?})",
+        bytes.len(),
+        res.as_ref().map(|g| g.history().len())
     );
-    (res.ok(), peak)
+    let verts = res.ok().map(|g| {
+        assert_self_consistent(g.history());
+        g.history().len()
+    });
+    (verts, peak)
 }
 
 #[test]

@@ -14,9 +14,12 @@
 #
 # Per workload × end-to-end metric it prints both medians, both quartile
 # distances as % of the *parent's* median (the driver's spread rule wants
-# the change side within the metric's bound), wins/ties over the pairs,
-# and — for the columns that are a pure function of the seed on the
-# simulated workloads — IDENTICAL or DIFFERS.
+# the change side within the metric's bound) and as % of each side's *own*
+# median (`flexbench compare`'s definition, flexbench/src/stats.rs::spread),
+# wins/ties over the pairs, for higher-is-better metrics whether every
+# change run is above every parent run (`c>p`: a gain that wide resolves
+# whatever the spread), and — for the columns that are a pure function of
+# the seed on the simulated workloads — IDENTICAL or DIFFERS.
 set -euo pipefail
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
@@ -93,7 +96,8 @@ def iqr(xs):
 
 
 print(f"{'workload':13}{'metric':25}{'parent':>12}{'change':>12}{'ratio':>7}"
-      f"{'p.iqr%':>8}{'c.iqr%':>8}{'bound%':>7}  wins/ties  same-seed columns")
+      f"{'p.iqr%':>8}{'c.iqr%':>8}{'p.own%':>8}{'c.own%':>8}{'bound%':>7}"
+      f"  wins/ties  c>p  same-seed columns")
 for w in workloads:
     runs = [(load(w, "parent", i), load(w, "change", i)) for i in range(1, pairs + 1)]
     done = [(p, c) for p, c in runs if p and c]
@@ -111,12 +115,14 @@ for w in workloads:
         wins = sum(better(p, c) for p, c in zip(ps, cs))
         ties = sum(p == c for p, c in zip(ps, cs))
         pct = lambda x: 100 * x / abs(pm) if pm else float("nan")
+        own = lambda xs, med: 100 * iqr(xs) / abs(med) if med else float("nan")
+        above = ("yes" if min(cs) > max(ps) else "no") if m["better"] == "higher" else "-"
         if name in exact and w != "tcp3":
             cols = "IDENTICAL" if ties == len(done) else f"DIFFERS ({len(done) - ties} pairs)"
         else:
             cols = "-"
         flag = " >bound" if pct(iqr(cs)) > 100 * m["bound"] else ""
         print(f"{'':13}{name:25}{pm:12.6g}{cm:12.6g}{cm / pm if pm else float('nan'):7.3f}"
-              f"{pct(iqr(ps)):8.1f}{pct(iqr(cs)):8.1f}{100 * m['bound']:7.0f}"
-              f"  {wins:>2}/{ties:<2}      {cols}{flag}")
+              f"{pct(iqr(ps)):8.1f}{pct(iqr(cs)):8.1f}{own(ps, pm):8.1f}{own(cs, cm):8.1f}"
+              f"{100 * m['bound']:7.0f}  {wins:>2}/{ties:<2}      {above:4} {cols}{flag}")
 EOF
