@@ -61,7 +61,7 @@ fn bench_decode(c: &mut Criterion) {
 
 fn bench_size_only(c: &mut Criterion) {
     let p = packet(128);
-    c.bench_function("wire_encoded_size_packet_128", |b| {
+    c.bench_function("wire_encoded_len_packet_128", |b| {
         b.iter(|| black_box(flexcast_wire::encoded_len(black_box(&p)).unwrap()));
     });
 }

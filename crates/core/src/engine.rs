@@ -143,13 +143,16 @@ pub struct FlexCastGroup {
     /// group advertising, the engine behaves exactly as before the
     /// delta-suppression protocol existed).
     advert_stride: u32,
-    /// Per-ancestor `admitted_entries` value at the last advertisement
-    /// (the stride trigger), indexed by rank.
-    advert_mark: Vec<u64>,
-    /// Per-ancestor copy of the watermarks last advertised to it, so
-    /// advertisements ship only changed entries.
-    advert_sent_clients: Vec<BTreeMap<ClientId, u32>>,
-    advert_sent_edges: Vec<BTreeMap<GroupId, u32>>,
+    /// `admitted_entries` at the last advertisement round (the stride
+    /// trigger). One value, not one per ancestor: every round tests and
+    /// marks all ancestors together.
+    advert_mark: u64,
+    /// The watermarks last advertised, so advertisements ship only
+    /// changed entries. Shared by all ancestors: each round sends every
+    /// ancestor the same client entries, and the edge entries of creators
+    /// ranked at or below it.
+    advert_sent_clients: BTreeMap<ClientId, u32>,
+    advert_sent_edges: BTreeMap<GroupId, u32>,
     /// Per-descendant view of the watermarks it advertised to us
     /// (max-merged — advertisements are monotone), indexed by rank. The
     /// inner vectors are dense (`advertised_clients[d][client]`,
@@ -186,9 +189,9 @@ impl FlexCastGroup {
             edge_cursor: vec![0; n as usize],
             delivered_count: 0,
             advert_stride: 0,
-            advert_mark: vec![0; n as usize],
-            advert_sent_clients: vec![BTreeMap::new(); n as usize],
-            advert_sent_edges: vec![BTreeMap::new(); n as usize],
+            advert_mark: 0,
+            advert_sent_clients: BTreeMap::new(),
+            advert_sent_edges: BTreeMap::new(),
             advertised_clients: vec![Vec::new(); n as usize],
             advertised_edges: vec![Vec::new(); n as usize],
             sup: SuppressionStats::default(),
@@ -198,7 +201,7 @@ impl FlexCastGroup {
     /// Enables protocol-level delta suppression: the engine piggybacks a
     /// watermark advertisement ([`Packet::Advert`]) to every ancestor it
     /// receives from whenever its history has grown by at least `stride`
-    /// entries since the last advertisement on that link, and filters
+    /// entries since the last advertisement round, and filters
     /// outgoing `diff-hst` deltas against the watermarks its descendants
     /// advertise back. `0` (the default) disables advertising; received
     /// advertisements are always honored.
@@ -484,52 +487,46 @@ impl FlexCastGroup {
 
     /// Emits watermark advertisements to every ancestor, once this
     /// group's history has grown by at least `advert_stride` entries
-    /// since the last advertisement on that link. Every ancestor is a
-    /// potential sender in the complete C-DAG, and covering a link
-    /// *before* its first packet matters most — the first `diff-hst` on
-    /// a never-used link would otherwise ship the entire retained log.
-    /// Advertisements are incremental: only watermark entries that
-    /// changed since the previous advertisement to that neighbor are
-    /// shipped (the engine's channels are reliable FIFO, re-established
-    /// under faults by the replication layer, so increments compose
-    /// losslessly).
+    /// since the last round. Every ancestor is a potential sender in the
+    /// complete C-DAG, and covering a link *before* its first packet
+    /// matters most — the first `diff-hst` on a never-used link would
+    /// otherwise ship the entire retained log. Advertisements are
+    /// incremental: only watermark entries that changed since the
+    /// previous round are shipped (the engine's channels are reliable
+    /// FIFO, re-established under faults by the replication layer, so
+    /// increments compose losslessly).
     fn maybe_advertise(&mut self, out: &mut Vec<Output>) {
         if self.advert_stride == 0 || self.g.rank() == 0 {
             return;
         }
         let total = self.hst.admitted_entries();
+        if total < self.advert_mark + self.advert_stride as u64 {
+            return;
+        }
+        self.advert_mark = total;
+        let clients: Vec<_> = self
+            .hst
+            .client_watermarks()
+            .filter(|(c, w)| self.advert_sent_clients.get(c) != Some(w))
+            .collect();
+        // An ancestor's log only holds edges created by ranks at or below
+        // its own (packets flow strictly downward), so prefixes of
+        // higher-ranked creators could never match its diff filter — dead
+        // advert bytes; no ancestor is sent this group's or a descendant's.
+        let edges: Vec<_> = self
+            .hst
+            .edge_prefixes()
+            .filter(|(g, w)| *g < self.g && self.advert_sent_edges.get(g) != Some(w))
+            .collect();
+        self.advert_sent_clients.extend(clients.iter().copied());
+        self.advert_sent_edges.extend(edges.iter().copied());
         for u in (0..self.g.rank()).map(GroupId) {
-            let ui = u.index();
-            if total < self.advert_mark[ui] + self.advert_stride as u64 {
-                continue;
-            }
-            self.advert_mark[ui] = total;
-            let mut wm = Watermarks::default();
-            for (c, w) in self.hst.client_watermarks() {
-                if self.advert_sent_clients[ui].get(&c) != Some(&w) {
-                    wm.clients.push((c, w));
-                }
-            }
-            for (g, w) in self.hst.edge_prefixes() {
-                // An ancestor's log only holds edges created by ranks at
-                // or below its own (packets flow strictly downward), so
-                // prefixes of higher-ranked creators could never match
-                // its diff filter — dead advert bytes; skip them.
-                if g > u {
-                    continue;
-                }
-                if self.advert_sent_edges[ui].get(&g) != Some(&w) {
-                    wm.edges.push((g, w));
-                }
-            }
+            let wm = Watermarks {
+                clients: clients.clone(),
+                edges: edges.iter().copied().filter(|&(g, _)| g <= u).collect(),
+            };
             if wm.is_empty() {
                 continue;
-            }
-            for &(c, w) in &wm.clients {
-                self.advert_sent_clients[ui].insert(c, w);
-            }
-            for &(g, w) in &wm.edges {
-                self.advert_sent_edges[ui].insert(g, w);
             }
             self.sup.adverts_sent += 1;
             out.push(Output::Send {
@@ -912,6 +909,7 @@ impl FlexCastGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::TaggedEdge;
     use flexcast_types::{ClientId, Payload};
 
     const A: GroupId = GroupId(0);
@@ -1747,6 +1745,85 @@ mod tests {
         // The edge carries its provenance: created by A, its first edge.
         let e = &h2.edges[0];
         assert_eq!((e.creator, e.idx), (A, 0));
+    }
+
+    /// One advertisement round serves every ancestor from one copy of
+    /// the last-advertised watermarks: all of them get the same client
+    /// entries, and the edge entries of creators ranked at or below them
+    /// — never this group's own or a repeat of an unchanged entry.
+    #[test]
+    fn adverts_share_client_entries_and_filter_edges_by_rank() {
+        let mut d = FlexCastGroup::new(GroupId(3), 4);
+        d.set_advert_stride(1);
+        let other = |seq| MsgRef {
+            id: MsgId::new(ClientId(4), seq),
+            dst: DestSet::try_from_ranks([0, 1, 2]).unwrap(),
+        };
+        let edge = |creator, idx, before: &MsgRef, after: MsgId| TaggedEdge {
+            creator: GroupId(creator),
+            idx,
+            before: before.id,
+            after,
+        };
+        let mut round = |m: Message, mut verts: Vec<MsgRef>, edges: Vec<TaggedEdge>| {
+            verts.push(MsgRef {
+                id: m.id,
+                dst: m.dst,
+            });
+            let pkt = Packet::Msg {
+                msg: m,
+                notif_pairs: vec![],
+                hist: HistoryDelta { verts, edges },
+            };
+            let mut out = Vec::new();
+            d.on_packet(A, pkt, &mut out);
+            let adverts: Vec<_> = sends(&out)
+                .into_iter()
+                .filter_map(|(to, p)| match p {
+                    Packet::Advert { wm } => Some((to, wm)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                adverts.iter().map(|(to, _)| *to).collect::<Vec<_>>(),
+                vec![A, B, C],
+                "one advert per ancestor"
+            );
+            adverts.into_iter().map(|(_, wm)| wm).collect::<Vec<_>>()
+        };
+
+        // Round 1: one chain edge from each ancestor; D delivers m0 and
+        // so logs an edge of its own, which no ancestor could use.
+        let m0 = msg(0, &[0, 3]);
+        let wms = round(
+            m0.clone(),
+            vec![other(0), other(1), other(2)],
+            vec![
+                edge(0, 0, &other(0), m0.id),
+                edge(1, 0, &other(1), m0.id),
+                edge(2, 0, &other(2), m0.id),
+            ],
+        );
+        let clients = vec![(ClientId(4), 2), (ClientId(9), 0)];
+        let edges = [(A, 0), (B, 0), (C, 0)];
+        for (u, wm) in wms.iter().enumerate() {
+            assert_eq!(wm.clients, clients, "to rank {u}");
+            assert_eq!(wm.edges, edges[..=u], "to rank {u}");
+        }
+
+        // Round 2: only B's prefix and the two clients moved.
+        let m1 = msg(1, &[0, 3]);
+        let wms = round(
+            m1.clone(),
+            vec![other(3)],
+            vec![edge(1, 1, &other(3), m1.id)],
+        );
+        let clients = vec![(ClientId(4), 3), (ClientId(9), 1)];
+        for (u, wm) in wms.iter().enumerate() {
+            assert_eq!(wm.clients, clients, "to rank {u}");
+            let expect: &[(GroupId, u32)] = if u == 0 { &[] } else { &[(B, 1)] };
+            assert_eq!(wm.edges, expect, "to rank {u}");
+        }
     }
 
     /// The delta-suppression worked example (DESIGN.md §8): three groups,

@@ -1,8 +1,7 @@
 //! Inter-group packets (the three message kinds of Algorithm 2).
 
-use crate::history::{HistoryDelta, MsgRef, TaggedEdge};
-use flexcast_types::{GroupId, Message, MsgId, Watermarks};
-use flexcast_wire::size_u128;
+use crate::history::{HistoryDelta, MsgRef};
+use flexcast_types::{GroupId, Message, Watermarks};
 use serde::{Deserialize, Serialize};
 
 /// A `(notifier, notified)` pair: `notifier` sent a notif about a message
@@ -73,112 +72,7 @@ pub enum Packet {
     },
 }
 
-/// Varint size of an unsigned value under the workspace wire format.
-#[inline]
-fn vs(v: u64) -> usize {
-    size_u128(v as u128)
-}
-
-/// Encoded size of a [`MsgId`]: two varints (sender, seq).
-#[inline]
-fn msg_id_size(id: MsgId) -> usize {
-    vs(id.sender.0 as u64) + vs(id.seq as u64)
-}
-
-/// Encoded size of a [`MsgRef`]: the id followed by the destination
-/// set's fixed-arity tuple of words (tuples carry no framing).
-#[inline]
-fn msg_ref_size(r: &MsgRef) -> usize {
-    let mut n = msg_id_size(r.id);
-    for w in r.dst.words() {
-        n += vs(w);
-    }
-    n
-}
-
-/// Encoded size of a [`TaggedEdge`]: creator, idx, and both endpoints.
-#[inline]
-fn edge_size(e: &TaggedEdge) -> usize {
-    vs(e.creator.0 as u64) + vs(e.idx as u64) + msg_id_size(e.before) + msg_id_size(e.after)
-}
-
-/// Encoded size of a [`HistoryDelta`]: two length-prefixed sequences.
-fn delta_size(h: &HistoryDelta) -> usize {
-    let mut n = vs(h.verts.len() as u64) + vs(h.edges.len() as u64);
-    for v in &h.verts {
-        n += msg_ref_size(v);
-    }
-    for e in &h.edges {
-        n += edge_size(e);
-    }
-    n
-}
-
-/// Encoded size of a notif-pair list: length prefix plus two varints per
-/// pair (tuples are concatenated fields).
-fn notif_pairs_size(ps: &[NotifPair]) -> usize {
-    let mut n = vs(ps.len() as u64);
-    for (a, b) in ps {
-        n += vs(a.0 as u64) + vs(b.0 as u64);
-    }
-    n
-}
-
 impl Packet {
-    /// Exact encoded size in bytes under the workspace wire format,
-    /// without serializing.
-    ///
-    /// Mirrors `flexcast_wire`'s encoding rules (LEB128 varints for
-    /// integers, length-prefixed sequences and bytes, variant-index
-    /// prefix for enums, no framing for tuples/structs) with straight
-    /// field walks. Traffic accounting calls this once per send *and*
-    /// once per receive, and every packet drags a [`HistoryDelta`] —
-    /// the generic `encoded_len` serde walk was a measurable slice of
-    /// large-world runs. `packets_roundtrip_on_the_wire` and the
-    /// randomized `encoded_size_matches_encoded_len` test pin this
-    /// function to the real codec.
-    pub fn encoded_size(&self) -> usize {
-        match self {
-            Packet::Msg {
-                msg,
-                notif_pairs,
-                hist,
-            } => {
-                let payload = msg.payload.as_slice();
-                vs(0)
-                    + msg_id_size(msg.id)
-                    + msg.dst.words().map(vs).sum::<usize>()
-                    + vs(payload.len() as u64)
-                    + payload.len()
-                    + notif_pairs_size(notif_pairs)
-                    + delta_size(hist)
-            }
-            Packet::Ack {
-                mref,
-                via,
-                notif_pairs,
-                hist,
-            } => {
-                vs(1)
-                    + msg_ref_size(mref)
-                    + vs(via.0 as u64)
-                    + notif_pairs_size(notif_pairs)
-                    + delta_size(hist)
-            }
-            Packet::Notif { mref, hist } => vs(2) + msg_ref_size(mref) + delta_size(hist),
-            Packet::Advert { wm } => {
-                let mut n = vs(3) + vs(wm.clients.len() as u64) + vs(wm.edges.len() as u64);
-                for &(c, w) in &wm.clients {
-                    n += vs(c.0 as u64) + vs(w as u64);
-                }
-                for &(g, w) in &wm.edges {
-                    n += vs(g.0 as u64) + vs(w as u64);
-                }
-                n
-            }
-        }
-    }
-
     /// The history delta carried by this packet, if any (advertisements
     /// carry none).
     pub fn hist(&self) -> Option<&HistoryDelta> {

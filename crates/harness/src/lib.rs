@@ -34,4 +34,4 @@ pub mod replicated;
 pub use checker::{CheckReport, DeliveryEvent};
 pub use experiment::{run, run_on, ExperimentConfig, ExperimentResult, NodeStats, ProtocolKind};
 pub use netmsg::NetMsg;
-pub use replicated::{ElectionMode, ReplicatedConfig, ReplicatedResult};
+pub use replicated::{ReplicatedConfig, ReplicatedResult};

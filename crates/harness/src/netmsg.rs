@@ -69,25 +69,11 @@ pub enum NetMsg {
 }
 
 impl NetMsg {
-    /// Exact encoded size in bytes under the workspace wire format.
-    ///
-    /// The two FlexCast variants use [`FlexPacket::encoded_size`]'s
-    /// direct field walk: they carry history deltas and are charged at
-    /// every send and receive, so the generic serde walk was a
-    /// measurable slice of large-world runs. Every other variant is
-    /// rare or small and takes the generic path. The variant indices
-    /// (`Flex` = 1, `GroupMsg` = 6) are pinned against the real codec
-    /// by `wire_size_matches_encoded_len_on_random_packets`.
+    /// Exact encoded size in bytes under the workspace wire format:
+    /// [`flexcast_wire::encoded_len`], the codec's own walk over a
+    /// counting sink.
     pub fn wire_size(&self) -> usize {
-        match self {
-            NetMsg::Flex(pkt) => flexcast_wire::size_u128(1) + pkt.encoded_size(),
-            NetMsg::GroupMsg { seq, pkt } => {
-                flexcast_wire::size_u128(6)
-                    + flexcast_wire::size_u128(*seq as u128)
-                    + pkt.encoded_size()
-            }
-            _ => flexcast_wire::encoded_len(self).expect("net messages always encode"),
-        }
+        flexcast_wire::encoded_len(self).expect("net messages always encode")
     }
 
     /// True for messages that carry an application payload (the paper's
@@ -136,13 +122,13 @@ mod tests {
         assert!(NetMsg::Reply { id: msg().id }.wire_size() < 16);
     }
 
-    /// Pins the hand-rolled size walk (and the hard-coded `Flex` /
-    /// `GroupMsg` variant indices) to the real codec across randomized
-    /// packets: any drift between `encoded_size` and the serializer is a
-    /// traffic-accounting bug.
+    /// Every variant, randomized: the counting sink agrees with the
+    /// writing sink, decoding loses nothing the encoder wrote, and
+    /// `wire_size` — what traffic accounting charges — is that length.
     #[test]
-    fn wire_size_matches_encoded_len_on_random_packets() {
+    fn wire_size_is_the_encoded_length_of_every_variant() {
         use flexcast_core::history::{HistoryDelta, MsgRef, TaggedEdge};
+        use flexcast_smr::Ballot;
         use flexcast_types::Watermarks;
 
         // Tiny deterministic LCG: the test needs variety, not quality.
@@ -157,6 +143,8 @@ mod tests {
             let id = MsgId::new(ClientId(next() as u32), next() as u32);
             let dst =
                 DestSet::from_iter((0..1 + next() % 6).map(|_| GroupId((next() % 512) as u16)));
+            let msg =
+                Message::new(id, dst, Payload(vec![7u8; (next() % 300) as usize].into())).unwrap();
             let mut hist = HistoryDelta::empty();
             for _ in 0..next() % 40 {
                 hist.verts.push(MsgRef {
@@ -182,8 +170,7 @@ mod tests {
                 .collect();
             let pkt = match round % 4 {
                 0 => FlexPacket::Msg {
-                    msg: Message::new(id, dst, Payload(vec![7u8; (next() % 300) as usize].into()))
-                        .unwrap(),
+                    msg: msg.clone(),
                     notif_pairs,
                     hist,
                 },
@@ -208,17 +195,122 @@ mod tests {
                     },
                 },
             };
+            let ballot = Ballot {
+                round: next(),
+                owner: next() as u32,
+            };
+            let cmd = match round % 3 {
+                0 => ReplCmd::Client(msg.clone()),
+                1 => ReplCmd::Peer {
+                    peer: GroupId((next() % 512) as u16),
+                    seq: next(),
+                    pkt: pkt.clone(),
+                },
+                _ => ReplCmd::Noop {
+                    proposer: next() as u32,
+                },
+            };
+            let paxos = match round % 6 {
+                0 => PaxosMsg::Prepare { ballot },
+                1 => PaxosMsg::Promise {
+                    ballot,
+                    accepted: vec![(next(), ballot, cmd.clone()); (next() % 3) as usize],
+                },
+                2 => PaxosMsg::Accept {
+                    ballot,
+                    slot: next(),
+                    cmd,
+                },
+                3 => PaxosMsg::Accepted {
+                    ballot,
+                    slot: next(),
+                },
+                4 => PaxosMsg::Learn { slot: next(), cmd },
+                _ => PaxosMsg::LearnReq { from_slot: next() },
+            };
+            let (skeen, ble) = if round % 2 == 0 {
+                (
+                    SkeenPacket::Msg(msg.clone()),
+                    BleMsg::HeartbeatRequest { round: next() },
+                )
+            } else {
+                (
+                    SkeenPacket::Ts { id, ts: next() },
+                    BleMsg::HeartbeatReply {
+                        round: next(),
+                        ballot,
+                        candidate: next() % 2 == 0,
+                    },
+                )
+            };
             for m in [
+                NetMsg::Client {
+                    msg: msg.clone(),
+                    reply_to: next() as usize,
+                },
                 NetMsg::Flex(pkt.clone()),
+                NetMsg::Skeen(skeen),
+                NetMsg::Hier(HierPacket(msg.clone())),
+                NetMsg::Reply { id },
+                NetMsg::Repl(paxos),
                 NetMsg::GroupMsg { seq: next(), pkt },
+                NetMsg::Ble(ble),
+                NetMsg::SnapReq { have: next() },
+                NetMsg::Snapshot {
+                    through: next(),
+                    state: vec![round as u8; (next() % 300) as usize],
+                },
             ] {
+                let bytes = flexcast_wire::to_bytes(&m).expect("encodes");
                 assert_eq!(
-                    m.wire_size(),
                     flexcast_wire::encoded_len(&m).expect("encodes"),
-                    "fast size diverged from the codec at round {round}"
+                    bytes.len(),
+                    "counting sink diverged from the writing sink at round {round}: {m:?}"
+                );
+                assert_eq!(m.wire_size(), bytes.len(), "round {round}: {m:?}");
+                let back: NetMsg = flexcast_wire::from_bytes(&bytes).expect("decodes");
+                assert_eq!(
+                    flexcast_wire::to_bytes(&back).expect("re-encodes"),
+                    bytes,
+                    "round {round}: {m:?}"
                 );
             }
         }
+    }
+
+    /// `Message` decodes through `Message::new`: a zeroed destination
+    /// word is a decode error, not a message whose first `lca()` panics.
+    #[test]
+    fn decoding_rejects_a_message_with_no_destinations() {
+        let m = Message::new(
+            MsgId::new(ClientId(1), 2),
+            DestSet::from_iter([GroupId(0)]),
+            Payload::empty(),
+        )
+        .unwrap();
+        // Two one-byte id varints, then the first destination word.
+        let mut bare = flexcast_wire::to_bytes(&m).unwrap();
+        assert_eq!(bare[2], 1, "the word holding group 0");
+        bare[2] = 0;
+        assert!(flexcast_wire::from_bytes::<Message>(&bare).is_err());
+
+        // Both enums put a one-byte variant index in front of the message.
+        let mut client = flexcast_wire::to_bytes(&NetMsg::Client {
+            msg: m.clone(),
+            reply_to: 0,
+        })
+        .unwrap();
+        client[3] = 0;
+        assert!(flexcast_wire::from_bytes::<NetMsg>(&client).is_err());
+
+        let mut pkt = flexcast_wire::to_bytes(&FlexPacket::Msg {
+            msg: m,
+            notif_pairs: vec![],
+            hist: flexcast_core::HistoryDelta::empty(),
+        })
+        .unwrap();
+        pkt[3] = 0;
+        assert!(flexcast_wire::from_bytes::<FlexPacket>(&pkt).is_err());
     }
 
     #[test]

@@ -316,8 +316,8 @@ pub fn replica_of(pid: ProcessId, rf: u32) -> u32 {
 ///
 /// Responsibilities beyond feeding the [`ReplicatedGroup`]: routing
 /// replication traffic to sibling pids, fanning leader-emitted packets out
-/// to every replica of the destination group, answering clients, failure
-/// detection with staggered election timeouts, and the periodic
+/// to every replica of the destination group, answering clients, pumping
+/// the ballot-leader-election oracle, and the periodic
 /// repair/retransmission ticks that give the system liveness under faults.
 pub struct ReplicatedActor {
     node: GroupId,
@@ -335,11 +335,7 @@ pub struct ReplicatedActor {
     stop_at: SimTime,
     retransmit_every: u64,
     ticks: u64,
-    last_leader_seen: SimTime,
-    /// How leaders are elected; [`ElectionMode::Ble`] runs `ble` below,
-    /// [`ElectionMode::StaggeredTimeout`] the legacy suspicion logic.
-    election: ElectionMode,
-    /// The ballot-leader-election oracle (pumped only in BLE mode).
+    /// The ballot-leader-election oracle.
     ble: BallotLeaderElection,
     /// BLE round at which the previous `Leader` event fired here (feeds
     /// the `smr.election_rounds` histogram).
@@ -367,7 +363,7 @@ pub struct ReplicatedActor {
 
 impl ReplicatedActor {
     /// Creates replica `replica` of the group at `node`, taking timers,
-    /// election mode, heartbeat/catch-up tuning, and the telemetry handle
+    /// heartbeat/catch-up tuning, and the telemetry handle
     /// from `cfg` (committed commands are counted live; a disabled handle
     /// makes the replica uninstrumented).
     pub fn new(node: GroupId, replica: u32, cfg: &ReplicatedConfig) -> Self {
@@ -392,8 +388,6 @@ impl ReplicatedActor {
             stop_at: cfg.stop_at,
             retransmit_every: cfg.retransmit_every.max(1),
             ticks: 0,
-            last_leader_seen: SimTime::ZERO,
-            election: cfg.election,
             ble: BallotLeaderElection::new(replica, cfg.rf, cfg.hb_delay, cfg.hb_increment),
             last_leader_round: 0,
             catch_up_lag: cfg.catch_up_lag.max(1),
@@ -627,12 +621,6 @@ impl ReplicatedActor {
         }
     }
 
-    /// Staggered failure-detection threshold: lower replica ids take over
-    /// first, avoiding dueling candidates.
-    fn suspicion_threshold(&self) -> SimTime {
-        SimTime::from_ms(self.tick.as_ms() * (4.0 + 3.0 * self.replica as f64))
-    }
-
     /// Per-tick snapshot catch-up bookkeeping: compact the local log to a
     /// bounded window behind the apply cursor, and — when this replica's
     /// commit lag exceeds the window — ask every sibling for a snapshot.
@@ -670,19 +658,17 @@ impl ReplicatedActor {
         let mut keep = applied.iter().map(|&a| !a);
         self.inbox.retain(|_| keep.next().unwrap_or(true));
 
-        if self.election == ElectionMode::Ble {
-            let mut ble_out = Vec::new();
-            self.ble.on_tick(&mut ble_out);
-            self.pump_ble(ble_out, ctx);
-            if self.ble.leader().is_some() {
-                // Rounds spent *with* a known leader are not part of any
-                // election; keeping the cursor fresh makes the
-                // `smr.election_rounds` histogram measure leaderless gaps
-                // only. For a majority-connected replica that is the
-                // failover time; for a cut-off replica it includes the
-                // partition span (it stays leaderless until the heal).
-                self.last_leader_round = self.ble.hb_round();
-            }
+        let mut ble_out = Vec::new();
+        self.ble.on_tick(&mut ble_out);
+        self.pump_ble(ble_out, ctx);
+        if self.ble.leader().is_some() {
+            // Rounds spent *with* a known leader are not part of any
+            // election; keeping the cursor fresh makes the
+            // `smr.election_rounds` histogram measure leaderless gaps
+            // only. For a majority-connected replica that is the
+            // failover time; for a cut-off replica it includes the
+            // partition span (it stays leaderless until the heal).
+            self.last_leader_round = self.ble.hb_round();
         }
         self.tick_catch_up(ctx);
 
@@ -718,7 +704,7 @@ impl ReplicatedActor {
                 }
             }
         } else {
-            // Followers: request gap-fills, and elect on a silent leader.
+            // Followers: request gap-fills.
             self.rg.tick_repair(&mut fx);
             let repairs = fx.len();
             self.emit(fx, ctx);
@@ -731,15 +717,6 @@ impl ReplicatedActor {
                     0,
                     &[("msgs", repairs as f64)],
                 );
-            }
-            if self.election == ElectionMode::StaggeredTimeout
-                && ctx.now().since(self.last_leader_seen) > self.suspicion_threshold()
-            {
-                self.last_leader_seen = ctx.now();
-                self.election_started.get_or_insert(ctx.now());
-                let mut fx = Vec::new();
-                self.rg.start_election(&mut fx);
-                self.emit(fx, ctx);
             }
         }
         self.check_transition(ctx);
@@ -774,21 +751,8 @@ impl Actor<NetMsg> for ReplicatedActor {
         if self.rg.is_leader() {
             self.check_transition(ctx);
         }
-        // First boot under the legacy election: replica 0 of each group
-        // runs the initial election. (BLE needs no special casing — its
-        // seeded ballots elect replica 0 in the first completed round.)
-        // On recovery (the simulator re-runs on_start after a crash heals)
-        // this block is skipped and the suspicion logic takes over.
-        if self.election == ElectionMode::StaggeredTimeout
-            && ctx.now() == SimTime::ZERO
-            && self.replica == 0
-        {
-            self.election_started = Some(ctx.now());
-            let mut fx = Vec::new();
-            self.rg.start_election(&mut fx);
-            self.emit(fx, ctx);
-            self.check_transition(ctx);
-        }
+        // First boot needs no election here: BLE's seeded ballots elect
+        // replica 0 in the first completed heartbeat round.
         if ctx.now() + self.tick < self.stop_at {
             ctx.set_timer(self.tick, 0);
         }
@@ -821,7 +785,6 @@ impl Actor<NetMsg> for ReplicatedActor {
                 self.intake(ReplCmd::Peer { peer, seq, pkt }, ctx);
             }
             NetMsg::Repl(pm) => {
-                self.last_leader_seen = ctx.now();
                 let mut fx = Vec::new();
                 self.rg
                     .on_replication(replica_of(from, self.rf), pm, &mut fx);
@@ -1242,21 +1205,6 @@ impl Actor<NetMsg> for ReplNode {
     }
 }
 
-/// How replicas elect a leader after failures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ElectionMode {
-    /// Heartbeat-round ballot leader election ([`BallotLeaderElection`]):
-    /// elects exactly one stable leader whenever some replica can reach a
-    /// quorum round-trip, even under asymmetric link cuts. The default.
-    Ble,
-    /// The legacy staggered-timeout election: each follower stands for
-    /// election after a silence proportional to its replica id. Lower ids
-    /// win races in the common case, but asymmetric partitions can
-    /// livelock it with dueling candidates — kept selectable precisely so
-    /// tests can pin that contrast against [`ElectionMode::Ble`].
-    StaggeredTimeout,
-}
-
 /// Configuration of a replicated-group experiment.
 #[derive(Clone, Debug)]
 pub struct ReplicatedConfig {
@@ -1300,8 +1248,6 @@ pub struct ReplicatedConfig {
     /// Number of flushes the flusher issues (ignored without
     /// [`ReplicatedConfig::flush_period`]).
     pub n_flushes: u32,
-    /// How replicas elect a leader ([`ElectionMode::Ble`] by default).
-    pub election: ElectionMode,
     /// Heartbeat-round length for ballot leader election, in maintenance
     /// ticks. Shorter rounds fail over faster; longer rounds tolerate more
     /// jitter without false suspicion. Sweepable via `fault_sweep`.
@@ -1344,7 +1290,6 @@ impl ReplicatedConfig {
             advert_stride: None,
             flush_period: None,
             n_flushes: 0,
-            election: ElectionMode::Ble,
             hb_delay: 4,
             hb_increment: 2,
             catch_up_lag: 64,

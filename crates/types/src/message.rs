@@ -205,7 +205,7 @@ impl Watermarks {
 /// assert_eq!(m.lca(), GroupId(1));
 /// assert!(m.is_global());
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Serialize)]
 pub struct Message {
     /// Globally unique identifier.
     pub id: MsgId,
@@ -213,6 +213,23 @@ pub struct Message {
     pub dst: DestSet,
     /// Opaque application payload.
     pub payload: Payload,
+}
+
+/// Decoding goes through [`Message::new`]: bytes off a socket must not
+/// yield a message whose [`Message::lca`] panics.
+impl<'de> Deserialize<'de> for Message {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Unchecked {
+            id: MsgId,
+            dst: DestSet,
+            payload: Payload,
+        }
+        let Unchecked { id, dst, payload } = Unchecked::deserialize(deserializer)?;
+        Message::new(id, dst, payload).map_err(serde::de::Error::custom)
+    }
 }
 
 impl Message {
@@ -229,8 +246,9 @@ impl Message {
     ///
     /// # Panics
     ///
-    /// Never panics for messages built through [`Message::new`], which
-    /// rejects empty destination sets.
+    /// Never panics for messages built through [`Message::new`] — which
+    /// decoding also goes through — since it rejects empty destination
+    /// sets.
     #[inline]
     pub fn lca(&self) -> GroupId {
         self.dst

@@ -25,8 +25,7 @@ mod ser;
 mod varint;
 
 pub use de::{from_bytes, Deserializer};
-pub use ser::{encoded_len, to_bytes, Serializer};
-pub use varint::size_u128;
+pub use ser::{encoded_len, to_bytes};
 
 use flexcast_types::Error;
 

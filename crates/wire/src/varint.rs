@@ -17,16 +17,13 @@ pub fn write_u128(out: &mut Vec<u8>, mut v: u128) {
 }
 
 /// Number of bytes the LEB128 encoding of `v` occupies — what
-/// `write_u128` would append. Public so size accounting (e.g.
-/// `Packet::encoded_size` walks) can mirror the codec without
-/// serializing.
+/// `write_u128` would append. Not exported: the counting sink in `ser`
+/// is its only caller, so no other crate can mirror the format.
 #[inline]
 pub fn size_u128(v: u128) -> usize {
-    if v == 0 {
-        1
-    } else {
-        (128 - v.leading_zeros() as usize).div_ceil(7)
-    }
+    // One byte per started group of 7 bits below the top set bit
+    // (`| 1`: zero still takes a byte).
+    (127 - (v | 1).leading_zeros() as usize) / 7 + 1
 }
 
 /// Reads an LEB128 varint from `buf` starting at `*pos`, advancing `*pos`.
