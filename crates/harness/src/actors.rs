@@ -23,8 +23,13 @@ pub fn client_pid(n_servers: usize, c: ClientId) -> usize {
     n_servers + c.0 as usize
 }
 
+/// An encoded size as [`Ctx::send_sized`] carries it.
+fn carried(bytes: usize) -> u32 {
+    u32::try_from(bytes).expect("a simulated message encodes to under 4 GiB")
+}
+
 /// Per-server traffic statistics (Figure 8 and the overhead metric §5.8).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Messages received, of any kind.
     pub received_msgs: u64,
@@ -165,19 +170,24 @@ impl ServerActor {
         self.send_counted(client_pid(self.n_servers, id.sender), reply, ctx);
     }
 
+    /// Sends `msg` charged to the traffic stats. The size computed here
+    /// travels with the message ([`Ctx::send_sized`]), so the receiving
+    /// server charges `received_bytes` without sizing it again.
     fn send_counted(&mut self, to: usize, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
+        let bytes = msg.wire_size();
         self.stats.sent_msgs += 1;
-        self.stats.sent_bytes += msg.wire_size() as u64;
-        ctx.send(to, msg);
+        self.stats.sent_bytes += bytes as u64;
+        ctx.send_sized(to, msg, carried(bytes));
     }
 
     /// Like [`ServerActor::send_counted`] but routed as control-plane
     /// traffic ([`Ctx::send_control`]): counted in the traffic stats, but
     /// not occupying the receiver's serial service slot.
     fn send_control_counted(&mut self, to: usize, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
+        let bytes = msg.wire_size();
         self.stats.sent_msgs += 1;
-        self.stats.sent_bytes += msg.wire_size() as u64;
-        ctx.send_control(to, msg);
+        self.stats.sent_bytes += bytes as u64;
+        ctx.send_control_sized(to, msg, carried(bytes));
     }
 
     fn handle_flex_outputs(&mut self, outs: &mut Vec<FlexOutput>, ctx: &mut Ctx<'_, NetMsg>) {
@@ -247,7 +257,17 @@ impl ServerActor {
     /// Processes an incoming simulator message.
     pub fn on_message(&mut self, from: usize, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
         self.stats.received_msgs += 1;
-        self.stats.received_bytes += msg.wire_size() as u64;
+        // Server → server messages arrive with the size their sender
+        // charged; only messages nobody sized (client → server) are
+        // walked here, so every message is sized exactly once.
+        let bytes = match ctx.incoming_bytes() {
+            Some(carried) => {
+                debug_assert_eq!(carried as usize, msg.wire_size(), "carried size of {msg:?}");
+                carried as u64
+            }
+            None => msg.wire_size() as u64,
+        };
+        self.stats.received_bytes += bytes;
         if msg.is_payload() {
             self.stats.received_payloads += 1;
         }

@@ -33,11 +33,13 @@ pub trait Actor<M> {
 }
 
 /// One buffered side effect: a point-to-point send, a fan-out, or a
-/// control-plane send (no service occupancy).
+/// control-plane send (no service occupancy). The point-to-point kinds
+/// carry the encoded size their sender attached, if any (see
+/// [`Ctx::send_sized`]).
 enum SendOp<M> {
-    One(ProcessId, M),
+    One(ProcessId, M, Option<u32>),
     Many(Vec<ProcessId>, M),
-    Control(ProcessId, M),
+    Control(ProcessId, M, Option<u32>),
 }
 
 /// Side-effect collector passed to actor callbacks.
@@ -49,6 +51,8 @@ enum SendOp<M> {
 pub struct Ctx<'a, M> {
     now: SimTime,
     me: ProcessId,
+    /// What [`Ctx::incoming_bytes`] answers during this callback.
+    incoming_bytes: Option<u32>,
     sends: &'a mut Vec<SendOp<M>>,
     timers: &'a mut Vec<(SimTime, u64)>,
     observations: &'a mut Vec<Observation>,
@@ -69,7 +73,25 @@ impl<M> Ctx<'_, M> {
 
     /// Sends `msg` to `to`; it will arrive after the link delay.
     pub fn send(&mut self, to: ProcessId, msg: M) {
-        self.sends.push(SendOp::One(to, msg));
+        self.sends.push(SendOp::One(to, msg, None));
+    }
+
+    /// [`Ctx::send`] for a sender that has already computed the encoded
+    /// size of `msg`: `bytes` rides with the message (on both deliveries,
+    /// if a duplication fault fires) and the receiver reads it back from
+    /// [`Ctx::incoming_bytes`] instead of sizing the message a second
+    /// time. The world never interprets the number.
+    pub fn send_sized(&mut self, to: ProcessId, msg: M, bytes: u32) {
+        self.sends.push(SendOp::One(to, msg, Some(bytes)));
+    }
+
+    /// The size the sender attached to the message being delivered
+    /// ([`Ctx::send_sized`] / [`Ctx::send_control_sized`]). `None` when
+    /// the sender attached none ([`Ctx::send`], [`Ctx::send_many`],
+    /// [`Ctx::send_control`], [`World::inject`]) and in `on_start` and
+    /// `on_timer`, which deliver no message.
+    pub fn incoming_bytes(&self) -> Option<u32> {
+        self.incoming_bytes
     }
 
     /// Fans `msg` out to every process in `targets`, in order. Equivalent
@@ -89,7 +111,13 @@ impl<M> Ctx<'_, M> {
     /// the request path — charging them a full service slot would let one
     /// in-flight WAN control message head-of-line block the receiver.
     pub fn send_control(&mut self, to: ProcessId, msg: M) {
-        self.sends.push(SendOp::Control(to, msg));
+        self.sends.push(SendOp::Control(to, msg, None));
+    }
+
+    /// [`Ctx::send_control`] carrying the sender-computed encoded size,
+    /// as [`Ctx::send_sized`] does for data-plane sends.
+    pub fn send_control_sized(&mut self, to: ProcessId, msg: M, bytes: u32) {
+        self.sends.push(SendOp::Control(to, msg, Some(bytes)));
     }
 
     /// Schedules [`Actor::on_timer`] with `token` after `delay`.
@@ -129,6 +157,8 @@ enum Event<M> {
         from: ProcessId,
         to: ProcessId,
         msg: M,
+        /// The sender-attached encoded size ([`Ctx::send_sized`]).
+        bytes: Option<u32>,
     },
     Timer {
         pid: ProcessId,
@@ -593,7 +623,7 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     /// as a client that is not itself simulated). Subject to partitions and
     /// link faults like any other send.
     pub fn inject(&mut self, from: ProcessId, to: ProcessId, msg: M) {
-        self.route_send(from, to, msg);
+        self.route_send(from, to, msg, None, false);
     }
 
     /// Applies partitions and link faults to one send — sampling the fate
@@ -625,25 +655,37 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
         }
     }
 
-    /// Routes one owned send, scheduling zero, one, or two delivery events.
-    fn route_send(&mut self, from: ProcessId, to: ProcessId, msg: M) {
-        self.route_send_inner(from, to, msg, false)
+    /// Applies one buffered send of `from`'s callback.
+    fn apply_send(&mut self, from: ProcessId, op: SendOp<M>) {
+        match op {
+            SendOp::One(to, msg, bytes) => self.route_send(from, to, msg, bytes, false),
+            SendOp::Many(targets, msg) => self.route_fanout(from, &targets, msg),
+            SendOp::Control(to, msg, bytes) => self.route_send(from, to, msg, bytes, true),
+        }
     }
 
-    fn route_send_inner(&mut self, from: ProcessId, to: ProcessId, msg: M, control: bool) {
+    /// Routes one owned send, scheduling zero, one, or two delivery
+    /// events; both copies of a duplicated delivery carry `bytes`.
+    fn route_send(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        msg: M,
+        bytes: Option<u32>,
+        control: bool,
+    ) {
+        let deliver = |msg| Event::Deliver {
+            from,
+            to,
+            msg,
+            bytes,
+        };
         match self.plan_send(from, to, control) {
             SendFate::Dropped => {}
-            SendFate::Deliver { at } => self.push(at, Event::Deliver { from, to, msg }),
+            SendFate::Deliver { at } => self.push(at, deliver(msg)),
             SendFate::DeliverDup { dup_at, at } => {
-                self.push(
-                    dup_at,
-                    Event::Deliver {
-                        from,
-                        to,
-                        msg: msg.clone(),
-                    },
-                );
-                self.push(at, Event::Deliver { from, to, msg });
+                self.push(dup_at, deliver(msg.clone()));
+                self.push(at, deliver(msg));
             }
         }
     }
@@ -669,6 +711,12 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
         let mut msg = Some(msg);
         for (i, fate) in fates.drain(..).enumerate() {
             let to = targets[i];
+            let deliver = |msg| Event::Deliver {
+                from,
+                to,
+                msg,
+                bytes: None,
+            };
             match fate {
                 SendFate::Dropped => {}
                 SendFate::Deliver { at } => {
@@ -677,24 +725,17 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
                     } else {
                         msg.as_ref().expect("taken only at the last").clone()
                     };
-                    self.push(at, Event::Deliver { from, to, msg: m });
+                    self.push(at, deliver(m));
                 }
                 SendFate::DeliverDup { dup_at, at } => {
                     let m = msg.as_ref().expect("taken only at the last");
-                    self.push(
-                        dup_at,
-                        Event::Deliver {
-                            from,
-                            to,
-                            msg: m.clone(),
-                        },
-                    );
+                    self.push(dup_at, deliver(m.clone()));
                     let m = if Some(i) == last_delivering {
                         msg.take().expect("each target handled once")
                     } else {
                         msg.as_ref().expect("taken only at the last").clone()
                     };
-                    self.push(at, Event::Deliver { from, to, msg: m });
+                    self.push(at, deliver(m));
                 }
             }
         }
@@ -756,19 +797,24 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
         match ev {
             Event::Start { pid } => {
                 if !self.down[pid] {
-                    self.invoke(pid, |actor, ctx| actor.on_start(ctx));
+                    self.invoke(pid, None, |actor, ctx| actor.on_start(ctx));
                 }
             }
-            Event::Deliver { from, to, msg } => {
+            Event::Deliver {
+                from,
+                to,
+                msg,
+                bytes,
+            } => {
                 if self.down[to] {
                     self.dropped_messages += 1;
                 } else {
-                    self.invoke(to, |actor, ctx| actor.on_message(from, msg, ctx));
+                    self.invoke(to, bytes, |actor, ctx| actor.on_message(from, msg, ctx));
                 }
             }
             Event::Timer { pid, token } => {
                 if !self.down[pid] {
-                    self.invoke(pid, |actor, ctx| actor.on_timer(token, ctx));
+                    self.invoke(pid, None, |actor, ctx| actor.on_timer(token, ctx));
                 }
             }
         }
@@ -776,8 +822,14 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     }
 
     /// Runs one actor callback with the reusable scratch buffers, then
-    /// applies the buffered sends and timers.
-    fn invoke(&mut self, pid: ProcessId, f: impl FnOnce(&mut A, &mut Ctx<'_, M>)) {
+    /// applies the buffered sends and timers. `incoming_bytes` is the
+    /// size carried by the message being delivered, if any.
+    fn invoke(
+        &mut self,
+        pid: ProcessId,
+        incoming_bytes: Option<u32>,
+        f: impl FnOnce(&mut A, &mut Ctx<'_, M>),
+    ) {
         let mut sends = std::mem::take(&mut self.scratch_sends);
         let mut timers = std::mem::take(&mut self.scratch_timers);
         debug_assert!(sends.is_empty() && timers.is_empty());
@@ -785,6 +837,7 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
             let mut ctx = Ctx {
                 now: self.now,
                 me: pid,
+                incoming_bytes,
                 sends: &mut sends,
                 timers: &mut timers,
                 observations: &mut self.observations,
@@ -794,11 +847,7 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
             f(&mut self.actors[pid], &mut ctx);
         }
         for op in sends.drain(..) {
-            match op {
-                SendOp::One(to, msg) => self.route_send(pid, to, msg),
-                SendOp::Many(targets, msg) => self.route_fanout(pid, &targets, msg),
-                SendOp::Control(to, msg) => self.route_send_inner(pid, to, msg, true),
-            }
+            self.apply_send(pid, op);
         }
         for (at, token) in timers.drain(..) {
             self.push(at, Event::Timer { pid, token });
@@ -937,7 +986,11 @@ struct Job<M> {
 enum JobKind<M> {
     Start,
     Timer(u64),
-    Deliver { from: ProcessId, msg: M },
+    Deliver {
+        from: ProcessId,
+        msg: M,
+        bytes: Option<u32>,
+    },
 }
 
 /// A finished callback: every side effect buffered, none applied.
@@ -999,6 +1052,7 @@ fn worker_loop<M: Clone, A: Actor<M>>(
             let mut ctx = Ctx {
                 now: job.at,
                 me: job.pid,
+                incoming_bytes: None,
                 sends: &mut sends,
                 timers: &mut timers,
                 observations: &mut observations,
@@ -1009,7 +1063,10 @@ fn worker_loop<M: Clone, A: Actor<M>>(
             match job.kind {
                 JobKind::Start => actor.on_start(&mut ctx),
                 JobKind::Timer(token) => actor.on_timer(token, &mut ctx),
-                JobKind::Deliver { from, msg } => actor.on_message(from, msg, &mut ctx),
+                JobKind::Deliver { from, msg, bytes } => {
+                    ctx.incoming_bytes = bytes;
+                    actor.on_message(from, msg, &mut ctx)
+                }
             }
         }
         let done = Done {
@@ -1116,7 +1173,9 @@ impl<M: Clone + Send, A: Actor<M> + Send> World<M, A> {
                         let kind = match ev {
                             Event::Start { .. } => JobKind::Start,
                             Event::Timer { token, .. } => JobKind::Timer(token),
-                            Event::Deliver { from, msg, .. } => JobKind::Deliver { from, msg },
+                            Event::Deliver {
+                                from, msg, bytes, ..
+                            } => JobKind::Deliver { from, msg, bytes },
                         };
                         let job = Job {
                             at,
@@ -1198,11 +1257,7 @@ impl<M: Clone + Send, A: Actor<M> + Send> World<M, A> {
             self.dropped_messages += 1;
         }
         for op in d.sends {
-            match op {
-                SendOp::One(to, msg) => self.route_send(d.pid, to, msg),
-                SendOp::Many(targets, msg) => self.route_fanout(d.pid, &targets, msg),
-                SendOp::Control(to, msg) => self.route_send_inner(d.pid, to, msg, true),
-            }
+            self.apply_send(d.pid, op);
         }
         for (t, token) in d.timers {
             self.push(t, Event::Timer { pid: d.pid, token });
@@ -1510,6 +1565,102 @@ mod tests {
             ShardExecution::Auto,
         ] {
             assert_eq!(run(2, exec), seq, "{exec:?} diverged from sequential");
+        }
+    }
+
+    /// Records what [`Ctx::incoming_bytes`] answered in every callback.
+    /// Process 0 sends one message of each kind on start; `Kind::Timer`
+    /// and `Kind::Start` tag the callbacks that deliver no message.
+    #[derive(Default)]
+    struct SizeProbe {
+        seen: Vec<(Kind, Option<u32>)>,
+    }
+
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Kind {
+        Sized,
+        ControlSized,
+        Plain,
+        Control,
+        Many,
+        Injected,
+        Timer,
+        Start,
+    }
+
+    impl Actor<Kind> for SizeProbe {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Kind>) {
+            self.seen.push((Kind::Start, ctx.incoming_bytes()));
+            if ctx.me() == 0 {
+                ctx.send_sized(1, Kind::Sized, 1450);
+                ctx.send_control_sized(1, Kind::ControlSized, 7);
+                ctx.send(1, Kind::Plain);
+                ctx.send_control(1, Kind::Control);
+                ctx.send_many(vec![1], Kind::Many);
+                ctx.set_timer(SimTime::from_ms(1.0), 0);
+            }
+        }
+        fn on_message(&mut self, _: ProcessId, kind: Kind, ctx: &mut Ctx<'_, Kind>) {
+            self.seen.push((kind, ctx.incoming_bytes()));
+        }
+        fn on_timer(&mut self, _: u64, ctx: &mut Ctx<'_, Kind>) {
+            self.seen.push((Kind::Timer, ctx.incoming_bytes()));
+        }
+    }
+
+    /// A sized send reaches the receiver as `Some(bytes)` — on both
+    /// deliveries when the link duplicates — under the sequential loop,
+    /// the inline shard merge and worker threads alike; every other way
+    /// into a callback reads `None`.
+    #[test]
+    fn sized_sends_carry_their_size_to_the_receiver() {
+        let run = |shards: usize, exec: ShardExecution, dup: bool| {
+            let mut m = LatencyMatrix::zero(2);
+            m.set_rtt(0, 1, 100.0);
+            let link = LinkModel::new(m, vec![GroupId(0), GroupId(1)], 0.0);
+            let mut w = World::new(vec![SizeProbe::default(), SizeProbe::default()], link, 7);
+            if dup {
+                w.set_link_fault(
+                    0,
+                    1,
+                    LinkFault {
+                        dup: 1.0,
+                        ..LinkFault::NONE
+                    },
+                );
+            }
+            if shards > 1 {
+                w.set_shards(shards);
+            }
+            w.set_shard_execution(exec);
+            w.inject(0, 1, Kind::Injected);
+            w.run_to_quiescence(1_000);
+            (w.actor(0).seen.clone(), w.actor(1).seen.clone())
+        };
+        let expected = |kind| match kind {
+            Kind::Sized => Some(1450),
+            Kind::ControlSized => Some(7),
+            _ => None,
+        };
+        for dup in [false, true] {
+            let seq = run(1, ShardExecution::Auto, dup);
+            assert_eq!(seq.0, [(Kind::Start, None), (Kind::Timer, None)]);
+            let copies = if dup { 2 } else { 1 };
+            for kind in [
+                Kind::Sized,
+                Kind::ControlSized,
+                Kind::Plain,
+                Kind::Control,
+                Kind::Many,
+                Kind::Injected,
+            ] {
+                let got: Vec<_> = seq.1.iter().filter(|(k, _)| *k == kind).collect();
+                assert_eq!(got.len(), copies, "{kind:?}, dup {dup}");
+                assert!(got.iter().all(|(_, b)| *b == expected(kind)), "{got:?}");
+            }
+            for exec in [ShardExecution::Inline, ShardExecution::Threads] {
+                assert_eq!(run(2, exec, dup), seq, "{exec:?}, dup {dup}");
+            }
         }
     }
 

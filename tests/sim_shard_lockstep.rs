@@ -13,13 +13,19 @@
 use flexcast_chaos::{
     run_adversary, run_schedule, scenarios, FaultEvent, FaultSchedule, ScheduleAdversary,
 };
+use flexcast_gtpcc::{Generator, WorkloadConfig};
+use flexcast_harness::actors::{
+    ClientActor, EntryPolicy, FlushActor, Node, ServerActor, ServerStats,
+};
 use flexcast_harness::replicated::{
     build_world, collect, replica_pid, ReplicatedConfig, ReplicatedResult,
 };
-use flexcast_harness::DeliveryEvent;
-use flexcast_overlay::LatencyMatrix;
-use flexcast_sim::{Actor, Ctx, LinkFault, LinkModel, Observation, ProcessId, SimTime, World};
-use flexcast_types::{GroupId, MsgId};
+use flexcast_harness::{DeliveryEvent, NetMsg};
+use flexcast_overlay::{CDagOrder, LatencyMatrix};
+use flexcast_sim::{
+    Actor, Ctx, LinkFault, LinkModel, Observation, ProcessId, ShardExecution, SimTime, World,
+};
+use flexcast_types::{ClientId, GroupId, MsgId};
 use proptest::prelude::*;
 
 const MAX_EVENTS: u64 = 50_000_000;
@@ -303,6 +309,119 @@ fn run_schedule_matches_run_adversary_at_every_shard_count() {
             None => base = Some(fp),
             Some(b) => assert_eq!(&fp, b, "run_schedule diverged at {shards} shards"),
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Carried message sizes (a send is sized once, by its sender)
+// ---------------------------------------------------------------------------
+
+/// A [`Node`] that also adds up the encoded size of every client message
+/// it is handed — the one kind of traffic no server sizes at send.
+struct Tap {
+    node: Node,
+    client_bytes: u64,
+}
+
+impl Actor<NetMsg> for Tap {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
+        self.node.on_start(ctx);
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
+        if matches!(msg, NetMsg::Client { .. }) {
+            self.client_bytes += msg.wire_size() as u64;
+        }
+        self.node.on_message(from, msg, ctx);
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg>) {
+        self.node.on_timer(token, ctx);
+    }
+}
+
+/// Runs a fault-free 4-server FlexCast world (suppression on, periodic
+/// flushes) and returns every server's traffic stats, the bytes of the
+/// replies they sent, and the client bytes they were handed.
+fn flexcast_traffic(shards: usize, exec: ShardExecution) -> (Vec<ServerStats>, u64, u64) {
+    const SERVERS: usize = 4;
+    const CLIENTS: usize = 8;
+    let m = matrix(SERVERS);
+    let order = CDagOrder::identity(SERVERS);
+    let entry = EntryPolicy::Flex(order.clone());
+    let stop = SimTime::from_ms(600.0);
+    let mut nodes = Vec::new();
+    let mut sites = Vec::new();
+    for node in (0..SERVERS as u16).map(GroupId) {
+        let server = ServerActor::flexcast(node, SERVERS, order.clone(), Some(4));
+        nodes.push(Node::Server(server));
+        sites.push(node);
+    }
+    for c in 0..CLIENTS {
+        let home = GroupId((c % SERVERS) as u16);
+        let generator = Generator::new(WorkloadConfig::full(0.5), &m, 40 + c as u64);
+        let id = ClientId(c as u32);
+        let client = ClientActor::new(id, home, SERVERS, generator, entry.clone(), stop);
+        nodes.push(Node::Client(client));
+        sites.push(home);
+    }
+    let flusher = FlushActor::new(
+        ClientId(CLIENTS as u32),
+        SERVERS,
+        entry,
+        SimTime::from_ms(150.0),
+        stop,
+    );
+    nodes.push(Node::Flusher(flusher));
+    sites.push(GroupId(0));
+
+    let taps = nodes
+        .into_iter()
+        .map(|node| Tap {
+            node,
+            client_bytes: 0,
+        })
+        .collect();
+    let mut world = World::new(taps, LinkModel::new(m, sites, 2.0), 9);
+    world.set_shards(shards);
+    world.set_shard_execution(exec);
+    world.run_to_quiescence(MAX_EVENTS);
+
+    let mut stats = Vec::new();
+    let (mut reply_bytes, mut client_bytes) = (0, 0);
+    for pid in 0..SERVERS {
+        let tap = world.actor(pid);
+        let Node::Server(server) = &tap.node else {
+            panic!("servers come first");
+        };
+        stats.push(server.stats.clone());
+        client_bytes += tap.client_bytes;
+        reply_bytes += server
+            .deliveries
+            .iter()
+            .map(|d| NetMsg::Reply { id: d.id }.wire_size() as u64)
+            .sum::<u64>();
+    }
+    (stats, reply_bytes, client_bytes)
+}
+
+/// Every byte a server charges on receive was charged once on send:
+/// what the servers received is what they sent each other (their sends
+/// minus the replies, which go to clients) plus what clients sent them.
+/// A server reads the size its peer attached and sizes only client
+/// messages itself; debug builds also assert each carried size against
+/// the message. And the numbers do not depend on how shards execute.
+#[test]
+fn received_bytes_are_the_bytes_senders_charged_in_every_execution_mode() {
+    let seq = flexcast_traffic(1, ShardExecution::Auto);
+    let (stats, reply_bytes, client_bytes) = &seq;
+    let received: u64 = stats.iter().map(|s| s.received_bytes).sum();
+    let sent: u64 = stats.iter().map(|s| s.sent_bytes).sum();
+    assert!(stats.iter().all(|s| s.delivered > 10), "{stats:?}");
+    assert!(sent - reply_bytes > *client_bytes, "servers forwarded");
+    assert_eq!(received, sent - reply_bytes + client_bytes);
+    for exec in [ShardExecution::Inline, ShardExecution::Threads] {
+        assert_eq!(flexcast_traffic(2, exec), seq, "{exec:?}");
     }
 }
 
