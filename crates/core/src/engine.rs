@@ -26,7 +26,7 @@
 use crate::history::{flag, History, HistoryDelta, MergeStats, MsgRef, NO_WATERMARK};
 use crate::packet::{NotifPair, Packet};
 use flexcast_telemetry::Telemetry;
-use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Watermarks};
+use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Watermarks, MAX_GROUPS};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -72,6 +72,37 @@ impl SuppressionStats {
     /// Total entries suppressed from outgoing deltas.
     pub fn suppressed_entries(&self) -> u64 {
         self.suppressed_verts + self.suppressed_edges
+    }
+}
+
+/// What the engine refused at its input boundary since it was created or
+/// restored: input naming a group outside `0..n`, which the per-group
+/// tables cannot index. Packets and client messages come from decoded
+/// bytes, so a peer can send any rank a [`DestSet`] can hold.
+///
+/// A diagnostic, not protocol state: it takes no bytes in a snapshot and
+/// restores as zero, so refusing input leaves
+/// [`FlexCastGroup::snapshot`] byte-for-byte unchanged.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RejectStats {
+    /// Client messages and packets dropped whole: their own destination
+    /// set (`msg.dst` / `mref.dst`) names a group `≥ n`, or a `msg`
+    /// packet claims an lca at or above this group.
+    pub packets: u64,
+    /// Delta vertices left out of the history for a destination `≥ n`
+    /// (the rest of their packet is processed).
+    pub verts: u64,
+}
+
+impl Serialize for RejectStats {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        ().serialize(s)
+    }
+}
+
+impl<'de> Deserialize<'de> for RejectStats {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        <()>::deserialize(d).map(|()| RejectStats::default())
     }
 }
 
@@ -164,6 +195,8 @@ pub struct FlexCastGroup {
     advertised_edges: Vec<Vec<u32>>,
     /// Advertisement / suppression counters.
     sup: SuppressionStats,
+    /// Refused-input counters (not part of a snapshot).
+    rejected: RejectStats,
 }
 
 impl FlexCastGroup {
@@ -195,6 +228,7 @@ impl FlexCastGroup {
             advertised_clients: vec![Vec::new(); n as usize],
             advertised_edges: vec![Vec::new(); n as usize],
             sup: SuppressionStats::default(),
+            rejected: RejectStats::default(),
         }
     }
 
@@ -217,6 +251,11 @@ impl FlexCastGroup {
     /// Advertisement/suppression counters for this engine.
     pub fn suppression_stats(&self) -> SuppressionStats {
         self.sup
+    }
+
+    /// Input refused for naming a group outside the overlay.
+    pub fn reject_stats(&self) -> RejectStats {
+        self.rejected
     }
 
     /// Merge-path duplicate counters of the underlying history
@@ -278,6 +317,8 @@ impl FlexCastGroup {
             &format!("{prefix}.sup.suppressed_edges"),
             s.suppressed_edges,
         );
+        tel.counter_set(&format!("{prefix}.rejected_packets"), self.rejected.packets);
+        tel.counter_set(&format!("{prefix}.rejected_verts"), self.rejected.verts);
         tel.counter_set(&format!("{prefix}.delivered"), self.delivered_count);
         tel.gauge_set(&format!("{prefix}.backlog"), self.backlog() as f64);
         tel.gauge_set(&format!("{prefix}.pending"), self.pending.len() as f64);
@@ -364,11 +405,18 @@ impl FlexCastGroup {
     /// global past. With an empty backlog this is exactly the paper's
     /// immediate delivery.
     ///
+    /// A message addressed to a group outside the overlay is dropped and
+    /// counted in [`FlexCastGroup::reject_stats`].
+    ///
     /// # Panics
     ///
     /// Panics if this group is not the message's lca — routing to the lca
     /// is the client library's responsibility.
     pub fn on_client(&mut self, m: Message, out: &mut Vec<Output>) {
+        if !self.in_overlay(m.dst) {
+            self.rejected.packets += 1;
+            return;
+        }
         assert_eq!(
             self.g,
             m.lca(),
@@ -390,9 +438,32 @@ impl FlexCastGroup {
         }
     }
 
+    /// True if `dst` names only groups of this overlay — the ranks the
+    /// per-group tables (`queues`, the `diff-hst` cursors, the advertised
+    /// watermarks) can be indexed with.
+    fn in_overlay(&self, dst: DestSet) -> bool {
+        dst.is_subset(DestSet::all(self.n as usize))
+    }
+
     /// Handles a packet from another group (Algorithm 2, plus the
     /// upstream advertisement flow of the delta-suppression protocol).
+    ///
+    /// The packet is decoded peer input. One whose own destination set
+    /// names a group outside the overlay, or a `msg` whose lca is not an
+    /// ancestor of this group (there is no queue for it), is dropped
+    /// before it touches any state and counted in
+    /// [`FlexCastGroup::reject_stats`]; the vertices of its history delta
+    /// are checked where the history admits them (`update_hst`).
     pub fn on_packet(&mut self, from: GroupId, pkt: Packet, out: &mut Vec<Output>) {
+        let acceptable = match &pkt {
+            Packet::Msg { msg, .. } => self.in_overlay(msg.dst) && msg.lca() < self.g,
+            Packet::Ack { mref, .. } | Packet::Notif { mref, .. } => self.in_overlay(mref.dst),
+            Packet::Advert { .. } => true,
+        };
+        if !acceptable {
+            self.rejected.packets += 1;
+            return;
+        }
         // Advertisements are the one packet kind that flows against the
         // C-DAG edges: a descendant telling this group what it has seen.
         if let Packet::Advert { wm } = pkt {
@@ -407,7 +478,6 @@ impl FlexCastGroup {
                 hist,
             } => {
                 self.update_hst(&hist);
-                debug_assert_ne!(self.g, msg.lca(), "lca receives msgs from clients only");
                 let entry = self.pending.entry(msg.id).or_default();
                 entry.required.extend(notif_pairs);
                 entry.msg = Some(msg.clone());
@@ -547,11 +617,13 @@ impl FlexCastGroup {
     /// delta. A group receives the same vertex from up to `n − 1`
     /// different ancestors, so at large group counts almost every delta
     /// entry is a duplicate; the log cursors make those duplicates cost
-    /// one watermark probe each and nothing afterwards.
+    /// one watermark probe each and nothing afterwards. The same holds
+    /// for the overlay-bound check on a vertex's destinations: the
+    /// history runs it only on a vertex it is about to insert.
     fn update_hst(&mut self, delta: &HistoryDelta) {
         let pre_verts = self.hst.vert_log_len();
         let pre_edges = self.hst.edge_log_len();
-        self.hst.merge(delta);
+        self.rejected.verts += self.hst.merge_within(delta, DestSet::all(self.n as usize));
         self.post_merge_since(pre_verts, pre_edges);
     }
 
@@ -888,6 +960,12 @@ impl FlexCastGroup {
     /// would index with is checked here and reported as an error.
     pub fn restore(bytes: &[u8]) -> flexcast_types::Result<FlexCastGroup> {
         let g: FlexCastGroup = flexcast_wire::from_bytes(bytes)?;
+        if g.n as usize > MAX_GROUPS || g.g.rank() >= g.n {
+            return Err(flexcast_types::Error::Decode(format!(
+                "group {} of {} is not a rank of a supported overlay",
+                g.g, g.n
+            )));
+        }
         g.hst
             .check_restored()
             .map_err(|what| flexcast_types::Error::Decode(what.into()))?;
@@ -1717,6 +1795,124 @@ mod tests {
         assert_eq!(c.hst.edge_count(), 1);
         c.hst.edge_log_mut().clear();
         assert!(restore_error(&c).contains("a link has no edge log entry"));
+    }
+
+    /// A message reference for client 7 (the fixtures use client 9).
+    fn stray(seq: u32, ranks: &[u16]) -> MsgRef {
+        MsgRef {
+            id: MsgId::new(ClientId(7), seq),
+            dst: DestSet::try_from_ranks(ranks.iter().copied()).unwrap(),
+        }
+    }
+
+    /// Bytes off a socket decode to any rank a `DestSet` can hold. Input
+    /// whose own destinations name group 300 of a 3-group overlay — which
+    /// would index `vert_cursor[300]` on the next forward — and a `msg`
+    /// with no queue to wait in are dropped at the boundary: no output,
+    /// the snapshot byte for byte what it was, one count each.
+    #[test]
+    fn input_naming_a_group_outside_the_overlay_is_dropped_without_a_trace() {
+        let (mut c, ..) = mid_protocol();
+        let before = c.snapshot().expect("snapshot encodes");
+        let wild = stray(0, &[0, 2, 300]);
+        let wild_msg = Message::new(wild.id, wild.dst, Payload::empty()).unwrap();
+        let packets = [
+            Packet::Msg {
+                msg: wild_msg.clone(),
+                notif_pairs: vec![],
+                hist: HistoryDelta::empty(),
+            },
+            Packet::Ack {
+                mref: wild,
+                via: B,
+                notif_pairs: vec![],
+                hist: HistoryDelta::empty(),
+            },
+            Packet::Notif {
+                mref: wild,
+                hist: HistoryDelta::empty(),
+            },
+            // In range, but C is its lca: only a client sends C that.
+            Packet::Msg {
+                msg: msg(8, &[2]),
+                notif_pairs: vec![],
+                hist: HistoryDelta::empty(),
+            },
+            // Nothing wrong with the ack (a late one for `m1`, delivered
+            // here long ago); its delta brings one vertex addressed out
+            // of range.
+            Packet::Ack {
+                mref: MsgRef::of(&msg(1, &[0, 2])),
+                via: A,
+                notif_pairs: vec![],
+                hist: HistoryDelta {
+                    verts: vec![stray(1, &[2, 300])],
+                    edges: vec![],
+                },
+            },
+        ];
+        let mut out = Vec::new();
+        for pkt in packets {
+            c.on_packet(A, pkt, &mut out);
+        }
+        assert_eq!(out, vec![], "nothing delivered, nothing sent");
+        assert_eq!(c.snapshot().expect("snapshot encodes"), before);
+        assert_eq!(c.reject_stats().packets, 4);
+        assert_eq!(c.reject_stats().verts, 1);
+
+        let mut a = FlexCastGroup::new(A, 3);
+        let fresh = a.snapshot().expect("snapshot encodes");
+        a.on_client(wild_msg, &mut out);
+        assert_eq!(out, vec![]);
+        assert_eq!(a.reject_stats().packets, 1);
+        assert_eq!(a.snapshot().expect("snapshot encodes"), fresh);
+    }
+
+    /// A refused delta vertex takes nothing else of its packet with it:
+    /// the history ends up as if the sender had left the vertex (and the
+    /// edge hanging off it) out.
+    #[test]
+    fn a_refused_delta_vertex_leaves_the_rest_of_its_delta_in_force() {
+        let (good, bad) = (stray(1, &[1, 2]), stray(2, &[2, 300]));
+        let edge = |idx, before: MsgRef, after: MsgRef| TaggedEdge {
+            creator: B,
+            idx,
+            before: before.id,
+            after: after.id,
+        };
+        let notif = |verts, edges| Packet::Notif {
+            mref: stray(3, &[0, 1]),
+            hist: HistoryDelta { verts, edges },
+        };
+        let (mut with, m2, _) = mid_protocol();
+        let mut without = with.clone();
+        let (mut out_with, mut out_without) = (Vec::new(), Vec::new());
+        with.on_packet(
+            B,
+            notif(
+                vec![good, bad],
+                vec![edge(0, MsgRef::of(&m2), good), edge(1, good, bad)],
+            ),
+            &mut out_with,
+        );
+        without.on_packet(
+            B,
+            notif(vec![good], vec![edge(0, MsgRef::of(&m2), good)]),
+            &mut out_without,
+        );
+        assert_eq!(with.reject_stats().verts, 1);
+        assert_eq!(out_with, out_without);
+        let h = with.history();
+        assert!(h.contains(good.id) && !h.contains(bad.id));
+        assert!(!h.has_seen(bad.id), "not tombstoned either");
+        assert_eq!(
+            h.verts().collect::<Vec<_>>(),
+            without.history().verts().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            h.edges().collect::<Vec<_>>(),
+            without.history().edges().collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! encode (transitive) delivery dependencies.
 
 use crate::slots::SlotTable;
-use flexcast_types::{DestSet, GroupId, Message, MsgId};
+use flexcast_types::{DestSet, GroupId, Message, MsgId, MAX_GROUPS};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -97,7 +97,9 @@ impl HistoryDelta {
 /// what protocol-level delta suppression can save.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct MergeStats {
-    /// Delta vertices received by `merge`.
+    /// Delta vertices received by `merge` (a vertex the engine's merge
+    /// refuses for a destination outside its overlay is counted in the
+    /// engine's `RejectStats` instead).
     pub verts_in: u64,
     /// Delta vertices rejected as already seen (or tombstoned).
     pub verts_dup: u64,
@@ -470,6 +472,12 @@ impl History {
         if self.has_seen(v.id) {
             return false;
         }
+        self.admit_vert(v);
+        true
+    }
+
+    /// Inserts a vertex this history has never seen.
+    fn admit_vert(&mut self, v: MsgRef) {
         self.note_seen(v.id);
         self.verts.push(v);
         self.admitted += 1;
@@ -479,7 +487,6 @@ impl History {
             }
             self.addressed[g.index()] += 1;
         }
-        true
     }
 
     /// The slots of `before` and `after` if `before → after` can be
@@ -644,10 +651,27 @@ impl History {
     /// `apply_edge` drops edges whose endpoints are missing. Duplicate
     /// counts accumulate in [`History::merge_stats`].
     pub fn merge(&mut self, delta: &HistoryDelta) {
+        self.merge_within(delta, DestSet::all(MAX_GROUPS));
+    }
+
+    /// [`History::merge`] for an overlay whose groups are `groups`: a
+    /// vertex addressed outside them is left out — not inserted, not
+    /// marked seen, not counted in [`History::merge_stats`] — and the
+    /// number of such vertices is returned. An edge naming one then finds
+    /// no endpoint and is dropped like an edge into pruned history. The
+    /// check runs only on a vertex about to be inserted, so a duplicate
+    /// (most delta entries in a large world) never pays for it.
+    pub(crate) fn merge_within(&mut self, delta: &HistoryDelta, groups: DestSet) -> u64 {
+        let mut refused = 0;
         for v in &delta.verts {
-            self.merge_stats.verts_in += 1;
-            if !self.insert_vert(*v) {
+            if self.has_seen(v.id) {
+                self.merge_stats.verts_in += 1;
                 self.merge_stats.verts_dup += 1;
+            } else if v.dst.is_subset(groups) {
+                self.merge_stats.verts_in += 1;
+                self.admit_vert(*v);
+            } else {
+                refused += 1;
             }
         }
         for &e in &delta.edges {
@@ -656,6 +680,7 @@ impl History {
                 self.merge_stats.edges_dup += 1;
             }
         }
+        refused
     }
 
     /// True if the history has any vertex addressed to `g`

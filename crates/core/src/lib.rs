@@ -71,6 +71,6 @@ pub mod history;
 pub mod packet;
 mod slots;
 
-pub use engine::{FlexCastGroup, Output, SuppressionStats, FLUSH_PAYLOAD};
+pub use engine::{FlexCastGroup, Output, RejectStats, SuppressionStats, FLUSH_PAYLOAD};
 pub use history::{History, HistoryDelta, MergeStats, MsgRef, TaggedEdge};
 pub use packet::Packet;

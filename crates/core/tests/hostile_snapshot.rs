@@ -99,9 +99,10 @@ fn mid_protocol_snapshot() -> Vec<u8> {
 /// value is larger than its encoding by a bounded factor — a vertex is
 /// four bytes on the wire and 72 in memory, an empty predecessor list one
 /// byte and 24 (and the successor list derived beside it another 24), and
-/// a growing `Vec` doubles; the valid fixture peaks at 21 × its length
-/// — and the fixed part covers the error string and the index's first
-/// windows.
+/// a growing `Vec` doubles; the valid fixture peaks at 23 × its length
+/// (3 344 bytes held for 144 — the compact destination-set encoding
+/// shrinks a snapshot, not what it decodes to) — and the fixed part
+/// covers the error string and the index's first windows.
 fn allowance(len: usize) -> usize {
     2048 + 64 * len
 }
@@ -150,6 +151,24 @@ fn the_fixture_restores_within_the_allowance() {
     let (verts, peak) = restore_is_contained(&mid_protocol_snapshot());
     assert_eq!(verts, Some(2), "the unmutated snapshot is valid");
     assert!(peak > 0, "the counting allocator is installed");
+}
+
+/// A destination set's word count is the one length this workspace's own
+/// `Deserialize` code reads. Whatever it claims, the words land in the
+/// set's fixed array: `u32::MAX` words in front of two bytes, and nine
+/// words that are all there, both fail holding no more than their error
+/// message.
+#[test]
+fn a_hostile_dest_set_length_allocates_only_its_error() {
+    let claims: [&[u8]; 2] = [
+        &[0xff, 0xff, 0xff, 0xff, 0x0f, 1, 1],
+        &[9, 1, 1, 1, 1, 1, 1, 1, 1, 1],
+    ];
+    for bytes in claims {
+        let (res, peak) = peak_during(|| flexcast_wire::from_bytes::<DestSet>(bytes));
+        assert!(res.is_err(), "{bytes:?} decoded to {res:?}");
+        assert!(peak <= 256, "{peak} bytes held for {bytes:?}");
+    }
 }
 
 proptest! {

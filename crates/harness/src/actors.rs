@@ -8,7 +8,7 @@ use flexcast_gtpcc::Generator;
 use flexcast_overlay::{CDagOrder, Tree};
 use flexcast_sim::{Actor, Ctx, SimTime};
 use flexcast_telemetry::SpanId;
-use flexcast_types::{ClientId, GroupId, Message, MsgId};
+use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId};
 
 /// The deterministic tracing span id of a transaction: packed from the
 /// issuing client and its per-client sequence number, so replays of the
@@ -370,17 +370,32 @@ pub enum EntryPolicy {
 impl EntryPolicy {
     /// The server nodes that must receive the client's copy of `m`
     /// (`m.dst` in node space).
-    pub fn entries(&self, m: &Message) -> Vec<GroupId> {
+    pub fn entries(&self, m: &Message) -> DestSet {
         match self {
             EntryPolicy::Flex(order) => {
                 let lca_rank = order
                     .to_ranks(m.dst)
                     .lowest()
                     .expect("non-empty destinations");
-                vec![order.node_at(lca_rank)]
+                DestSet::singleton(order.node_at(lca_rank))
             }
-            EntryPolicy::SkeenAll => m.dst.iter().collect(),
-            EntryPolicy::Hier(tree) => vec![tree.lca(m.dst)],
+            EntryPolicy::SkeenAll => m.dst,
+            EntryPolicy::Hier(tree) => DestSet::singleton(tree.lca(m.dst)),
+        }
+    }
+
+    /// Sends the client's copy of `msg` to its entry servers, in
+    /// ascending node order. One entry — always, for FlexCast and the
+    /// tree — is a plain send; several fan out ([`Ctx::send_many`]),
+    /// which schedules exactly what one send per entry would.
+    fn multicast(&self, msg: Message, reply_to: usize, ctx: &mut Ctx<'_, NetMsg>) {
+        let entries = self.entries(&msg);
+        let msg = NetMsg::Client { msg, reply_to };
+        if entries.len() == 1 {
+            let only = entries.lowest().expect("one entry");
+            ctx.send(only.index(), msg);
+        } else {
+            ctx.send_many(entries.iter().map(GroupId::index).collect(), msg);
         }
     }
 }
@@ -423,7 +438,7 @@ pub struct ClientActor {
     pub completed: u64,
     /// Destination sets of every message this client multicast (node
     /// space), for the property checker.
-    pub issued: Vec<(MsgId, flexcast_types::DestSet)>,
+    pub issued: Vec<(MsgId, DestSet)>,
 }
 
 impl ClientActor {
@@ -476,14 +491,8 @@ impl ClientActor {
             ctx.me() as u32,
             ctx.now().as_nanos(),
         );
-        let targets: Vec<usize> = self.entry.entries(&m).iter().map(|n| n.index()).collect();
-        ctx.send_many(
-            targets,
-            NetMsg::Client {
-                msg: m,
-                reply_to: client_pid(self.n_servers, self.client_id),
-            },
-        );
+        self.entry
+            .multicast(m, client_pid(self.n_servers, self.client_id), ctx);
     }
 
     /// Handles a reply from a destination server.
@@ -537,7 +546,7 @@ pub struct FlushActor {
     stop_at: SimTime,
     seq: u32,
     /// Destination sets of issued flushes, for the checker registry.
-    pub issued: Vec<(MsgId, flexcast_types::DestSet)>,
+    pub issued: Vec<(MsgId, DestSet)>,
 }
 
 impl FlushActor {
@@ -565,14 +574,8 @@ impl FlushActor {
         self.seq += 1;
         let m = FlexCastGroup::flush_message(id, self.n_servers as u16);
         self.issued.push((id, m.dst));
-        let targets: Vec<usize> = self.entry.entries(&m).iter().map(|n| n.index()).collect();
-        ctx.send_many(
-            targets,
-            NetMsg::Client {
-                msg: m,
-                reply_to: client_pid(self.n_servers, self.client_id),
-            },
-        );
+        self.entry
+            .multicast(m, client_pid(self.n_servers, self.client_id), ctx);
         if ctx.now() + self.period < self.stop_at {
             ctx.set_timer(self.period, 0);
         }

@@ -278,8 +278,8 @@ mod tests {
         }
     }
 
-    /// `Message` decodes through `Message::new`: a zeroed destination
-    /// word is a decode error, not a message whose first `lca()` panics.
+    /// `Message` decodes through `Message::new`: an empty destination
+    /// set is a decode error, not a message whose first `lca()` panics.
     #[test]
     fn decoding_rejects_a_message_with_no_destinations() {
         let m = Message::new(
@@ -288,29 +288,32 @@ mod tests {
             Payload::empty(),
         )
         .unwrap();
-        // Two one-byte id varints, then the first destination word.
-        let mut bare = flexcast_wire::to_bytes(&m).unwrap();
-        assert_eq!(bare[2], 1, "the word holding group 0");
-        bare[2] = 0;
+        // Replaces the destination set at `at` — one word, holding group
+        // 0 — by the empty set's encoding, a bare zero word count.
+        fn emptied(mut bytes: Vec<u8>, at: usize) -> Vec<u8> {
+            assert_eq!(bytes[at..at + 2], [1, 1], "{{g0}} is one word of value 1");
+            bytes.splice(at..at + 2, [0]);
+            bytes
+        }
+        // Two one-byte id varints come before the set.
+        let bare = emptied(flexcast_wire::to_bytes(&m).unwrap(), 2);
         assert!(flexcast_wire::from_bytes::<Message>(&bare).is_err());
 
         // Both enums put a one-byte variant index in front of the message.
-        let mut client = flexcast_wire::to_bytes(&NetMsg::Client {
+        let client = flexcast_wire::to_bytes(&NetMsg::Client {
             msg: m.clone(),
             reply_to: 0,
         })
         .unwrap();
-        client[3] = 0;
-        assert!(flexcast_wire::from_bytes::<NetMsg>(&client).is_err());
+        assert!(flexcast_wire::from_bytes::<NetMsg>(&emptied(client, 3)).is_err());
 
-        let mut pkt = flexcast_wire::to_bytes(&FlexPacket::Msg {
+        let pkt = flexcast_wire::to_bytes(&FlexPacket::Msg {
             msg: m,
             notif_pairs: vec![],
             hist: flexcast_core::HistoryDelta::empty(),
         })
         .unwrap();
-        pkt[3] = 0;
-        assert!(flexcast_wire::from_bytes::<FlexPacket>(&pkt).is_err());
+        assert!(flexcast_wire::from_bytes::<FlexPacket>(&emptied(pkt, 3)).is_err());
     }
 
     #[test]

@@ -1,0 +1,134 @@
+//! The bytes of one value of every [`NetMsg`] variant, pinned.
+//!
+//! `wire_bytes_per_op` and Figure 8's bytes-per-message are sums of these
+//! encodings, and nothing else in the suite notices when the format
+//! changes: every round-trip test encodes and decodes with the same
+//! code. A format change now shows up here as a reviewed diff of a hex
+//! string. (`crates/wire/tests/format_vectors.rs` pins `DestSet`, the
+//! part of the format this workspace writes by hand.)
+
+use flexcast_baselines::{HierPacket, SkeenPacket};
+use flexcast_core::history::{HistoryDelta, MsgRef, TaggedEdge};
+use flexcast_core::Packet;
+use flexcast_harness::replicated::ReplCmd;
+use flexcast_harness::NetMsg;
+use flexcast_smr::{Ballot, BleMsg, PaxosMsg};
+use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload, Watermarks};
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex digits"))
+        .collect()
+}
+
+fn id(seq: u32) -> MsgId {
+    MsgId::new(ClientId(1), seq)
+}
+
+fn dst(ranks: &[u16]) -> DestSet {
+    DestSet::try_from_ranks(ranks.iter().copied()).expect("ranks in range")
+}
+
+/// `m1.2 → {g0, g3}`, payload `ab cd`.
+fn message() -> Message {
+    Message::new(id(2), dst(&[0, 3]), Payload(vec![0xab, 0xcd].into())).expect("has destinations")
+}
+
+/// An ack for [`message`] whose delta holds one vertex in the second
+/// destination word and one edge.
+fn ack() -> Packet {
+    Packet::Ack {
+        mref: MsgRef::of(&message()),
+        via: GroupId(1),
+        notif_pairs: vec![(GroupId(0), GroupId(2))],
+        hist: HistoryDelta {
+            verts: vec![MsgRef {
+                id: id(3),
+                dst: dst(&[1, 70]),
+            }],
+            edges: vec![TaggedEdge {
+                creator: GroupId(1),
+                idx: 4,
+                before: id(2),
+                after: id(3),
+            }],
+        },
+    }
+}
+
+#[test]
+fn net_msg_vectors() {
+    let ballot = Ballot { round: 5, owner: 2 };
+    let vectors = [
+        (
+            NetMsg::Client {
+                msg: message(),
+                reply_to: 14,
+            },
+            "00 0102 0109 02abcd 0e",
+        ),
+        (
+            NetMsg::Flex(ack()),
+            "01 01 0102 0109 01 01 0002 01 0103 020240 01 01 04 0102 0103",
+        ),
+        (
+            NetMsg::Skeen(SkeenPacket::Ts { id: id(2), ts: 300 }),
+            "02 01 0102 ac02",
+        ),
+        (NetMsg::Hier(HierPacket(message())), "03 0102 0109 02abcd"),
+        (NetMsg::Reply { id: id(2) }, "04 0102"),
+        (
+            NetMsg::Repl(PaxosMsg::Accept {
+                ballot,
+                slot: 9,
+                cmd: ReplCmd::Client(message()),
+            }),
+            "05 02 0502 09 00 0102 0109 02abcd",
+        ),
+        (
+            NetMsg::GroupMsg {
+                seq: 6,
+                pkt: Packet::Advert {
+                    wm: Watermarks {
+                        clients: vec![(ClientId(1), 3)],
+                        edges: vec![(GroupId(1), 4)],
+                    },
+                },
+            },
+            "06 06 03 01 0103 01 0104",
+        ),
+        (
+            NetMsg::Ble(BleMsg::HeartbeatReply {
+                round: 7,
+                ballot,
+                candidate: true,
+            }),
+            "07 01 07 0502 01",
+        ),
+        (NetMsg::SnapReq { have: 128 }, "08 8001"),
+        (
+            NetMsg::Snapshot {
+                through: 9,
+                state: vec![1, 2, 3],
+            },
+            "09 09 03 010203",
+        ),
+    ];
+    for (msg, want) in vectors {
+        let want: String = want.split_whitespace().collect();
+        let bytes = flexcast_wire::to_bytes(&msg).expect("encodes");
+        assert_eq!(hex(&bytes), want, "{msg:?}");
+        assert_eq!(msg.wire_size(), bytes.len(), "{msg:?}");
+        let back: NetMsg = flexcast_wire::from_bytes(&unhex(&want)).expect("decodes");
+        assert_eq!(
+            flexcast_wire::to_bytes(&back).expect("re-encodes"),
+            bytes,
+            "{msg:?}"
+        );
+    }
+}

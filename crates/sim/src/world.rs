@@ -1048,11 +1048,15 @@ fn worker_loop<M: Clone, A: Actor<M>>(
         let idx = actors
             .binary_search_by_key(&job.pid, |e| e.0)
             .expect("job routed to the owning worker");
+        let incoming_bytes = match &job.kind {
+            JobKind::Deliver { bytes, .. } => *bytes,
+            JobKind::Start | JobKind::Timer(_) => None,
+        };
         {
             let mut ctx = Ctx {
                 now: job.at,
                 me: job.pid,
-                incoming_bytes: None,
+                incoming_bytes,
                 sends: &mut sends,
                 timers: &mut timers,
                 observations: &mut observations,
@@ -1063,10 +1067,7 @@ fn worker_loop<M: Clone, A: Actor<M>>(
             match job.kind {
                 JobKind::Start => actor.on_start(&mut ctx),
                 JobKind::Timer(token) => actor.on_timer(token, &mut ctx),
-                JobKind::Deliver { from, msg, bytes } => {
-                    ctx.incoming_bytes = bytes;
-                    actor.on_message(from, msg, &mut ctx)
-                }
+                JobKind::Deliver { from, msg, .. } => actor.on_message(from, msg, &mut ctx),
             }
         }
         let done = Done {

@@ -13,7 +13,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper's deployments use 12 groups (one per AWS region); 512 covers
 /// the scale sweeps' largest synthetic world while keeping a destination
-/// set a flat 64 bytes — still `Copy`, still branch-free set algebra.
+/// set a flat 64 bytes in memory — still `Copy`, still branch-free set
+/// algebra. On the wire a set costs only its significant words (see the
+/// `Serialize` impl), so the headroom is free for small worlds.
 pub const MAX_GROUPS: usize = 512;
 
 /// Bitset backing width, in 64-bit words.
@@ -41,16 +43,24 @@ const WORDS: usize = MAX_GROUPS / 64;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DestSet([u64; WORDS]);
 
-// Wire format: a fixed 8-tuple of words, least-significant first (the
-// vendored serde predates const-generic array impls, so spelled out).
+// Wire format: the significant words only, as a length-prefixed sequence.
+// `n = 8 − (trailing zero words)` goes first, then words `0..n`, least
+// significant first, each encoded as the format encodes a `u64` — so in
+// `flexcast-wire` the empty set is 1 byte and a set over 12 groups 2 or 3,
+// where a fixed 8-word form costs 8 or 9 (seven of them zero). The
+// encoding is canonical: the last word sent is never zero, and the
+// decoder rejects a sequence whose last word is, so decoding then
+// encoding reproduces the input bytes and an all-zero set has exactly one
+// spelling (the one `Message`'s empty-destination check looks for).
 impl Serialize for DestSet {
     fn serialize<S: serde::Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeTuple;
-        let mut t = s.serialize_tuple(WORDS)?;
-        for w in &self.0 {
-            t.serialize_element(w)?;
+        use serde::ser::SerializeSeq;
+        let n = WORDS - self.0.iter().rev().take_while(|&&w| w == 0).count();
+        let mut seq = s.serialize_seq(Some(n))?;
+        for w in &self.0[..n] {
+            seq.serialize_element(w)?;
         }
-        t.end()
+        seq.end()
     }
 }
 
@@ -60,23 +70,38 @@ impl<'de> Deserialize<'de> for DestSet {
         impl<'de> serde::de::Visitor<'de> for WordsVisitor {
             type Value = DestSet;
             fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                write!(f, "{WORDS} destination-set words")
+                write!(
+                    f,
+                    "at most {WORDS} destination-set words, the last non-zero"
+                )
             }
             fn visit_seq<A: serde::de::SeqAccess<'de>>(
                 self,
                 mut seq: A,
             ) -> std::result::Result<DestSet, A::Error> {
                 use serde::de::Error as _;
+                // The words land in the fixed array, so a hostile length
+                // prefix allocates nothing whatever it claims.
                 let mut words = [0u64; WORDS];
-                for w in words.iter_mut() {
-                    *w = seq
-                        .next_element()?
-                        .ok_or_else(|| A::Error::custom("truncated destination set"))?;
+                let mut n = 0;
+                while let Some(w) = seq.next_element::<u64>()? {
+                    if n == WORDS {
+                        return Err(A::Error::custom(format_args!(
+                            "destination set longer than {WORDS} words"
+                        )));
+                    }
+                    words[n] = w;
+                    n += 1;
+                }
+                if n > 0 && words[n - 1] == 0 {
+                    return Err(A::Error::custom(
+                        "destination set ends in a zero word (not canonical)",
+                    ));
                 }
                 Ok(DestSet(words))
             }
         }
-        d.deserialize_tuple(WORDS, WordsVisitor)
+        d.deserialize_seq(WordsVisitor)
     }
 }
 
@@ -165,14 +190,6 @@ impl DestSet {
     #[inline]
     pub fn is_empty(self) -> bool {
         self.0 == [0; WORDS]
-    }
-
-    /// The raw bitmap words in ascending rank order — exactly the tuple
-    /// the wire encoding ships, so size accounting can walk them without
-    /// serializing.
-    #[inline]
-    pub fn words(self) -> impl Iterator<Item = u64> {
-        self.0.into_iter()
     }
 
     /// True for a *global* message (two or more destination groups).

@@ -15,6 +15,16 @@
 //! * structs and tuples are field concatenations (the schema is known by
 //!   both sides, as with all FlexCast peers).
 //!
+//! One type in the workspace spells its own encoding instead of deriving
+//! it: a destination set (`flexcast_types::DestSet`, 8 words in memory)
+//! travels as a sequence of its *significant* words — a word count, then
+//! that many varints, the last of them non-zero — so the empty set is one
+//! byte and a set over the paper's 12 groups two or three. The decoder
+//! refuses more than 8 words and a zero last word, which keeps the
+//! encoding canonical. `tests/format_vectors.rs` pins those bytes;
+//! `crates/harness/tests/wire_vectors.rs` pins one value of every message
+//! kind the simulator sizes.
+//!
 //! Entry points: [`to_bytes`], [`from_bytes`], and [`encoded_len`].
 
 #![forbid(unsafe_code)]

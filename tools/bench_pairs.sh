@@ -19,7 +19,8 @@
 # wins/ties over the pairs, for higher-is-better metrics whether every
 # change run is above every parent run (`c>p`: a gain that wide resolves
 # whatever the spread), and — for the columns that are a pure function of
-# the seed on the simulated workloads — IDENTICAL or DIFFERS.
+# the seed on the simulated workloads — IDENTICAL, or DIFFERS with the
+# direction count (`lower 10/10`) and one `parent -> change` line per seed.
 set -euo pipefail
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
@@ -74,10 +75,10 @@ for w in $workloads; do
     done
 done
 
-python3 - "$out" "$pairs" $workloads <<'EOF'
+python3 - "$out" "$pairs" "$seed" $workloads <<'EOF'
 import json, statistics, sys
 
-out, pairs, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+out, pairs, seed, workloads = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
 bench = json.load(open("BENCHMARK.json"))
 # Pure functions of the seed wherever the clock is simulated (flexbench/src/spec.rs).
 exact = {"model_ops_per_s", "model_lat_p50_ms", "model_lat_global_p90_ms", "wire_bytes_per_op"}
@@ -99,8 +100,9 @@ print(f"{'workload':13}{'metric':25}{'parent':>12}{'change':>12}{'ratio':>7}"
       f"{'p.iqr%':>8}{'c.iqr%':>8}{'p.own%':>8}{'c.own%':>8}{'bound%':>7}"
       f"  wins/ties  c>p  same-seed columns")
 for w in workloads:
-    runs = [(load(w, "parent", i), load(w, "change", i)) for i in range(1, pairs + 1)]
-    done = [(p, c) for p, c in runs if p and c]
+    runs = [(seed + i - 1, load(w, "parent", i), load(w, "change", i)) for i in range(1, pairs + 1)]
+    seeds = [s for s, p, c in runs if p and c]
+    done = [(p, c) for _, p, c in runs if p and c]
     failed = sum(r["failed"] for pc in done for r in pc)
     bad = sum(not r["correct"] for pc in done for r in pc)
     print(f"{w}: {len(done)}/{pairs} pairs complete, failed ops {failed}, incorrect runs {bad}")
@@ -117,12 +119,21 @@ for w in workloads:
         pct = lambda x: 100 * x / abs(pm) if pm else float("nan")
         own = lambda xs, med: 100 * iqr(xs) / abs(med) if med else float("nan")
         above = ("yes" if min(cs) > max(ps) else "no") if m["better"] == "higher" else "-"
+        per_seed = []
         if name in exact and w != "tcp3":
-            cols = "IDENTICAL" if ties == len(done) else f"DIFFERS ({len(done) - ties} pairs)"
+            if ties == len(done):
+                cols = "IDENTICAL"
+            else:
+                moved = {"lower": sum(c < p for p, c in zip(ps, cs)),
+                         "higher": sum(c > p for p, c in zip(ps, cs))}
+                cols = "DIFFERS: " + ", ".join(f"{d} {k}/{len(done)}" for d, k in moved.items() if k)
+                per_seed = [f"{'':38}seed {s}: {p:.6g} -> {c:.6g}" for s, p, c in zip(seeds, ps, cs)]
         else:
             cols = "-"
         flag = " >bound" if pct(iqr(cs)) > 100 * m["bound"] else ""
         print(f"{'':13}{name:25}{pm:12.6g}{cm:12.6g}{cm / pm if pm else float('nan'):7.3f}"
               f"{pct(iqr(ps)):8.1f}{pct(iqr(cs)):8.1f}{own(ps, pm):8.1f}{own(cs, cm):8.1f}"
               f"{100 * m['bound']:7.0f}  {wins:>2}/{ties:<2}      {above:4} {cols}{flag}")
+        for line in per_seed:
+            print(line)
 EOF
