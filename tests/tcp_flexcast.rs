@@ -43,6 +43,7 @@ impl GroupNode {
                 }
             }
         }
+        self.net.flush().unwrap();
     }
 
     fn pump(&mut self, timeout: Duration) {
