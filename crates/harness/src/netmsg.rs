@@ -199,16 +199,21 @@ mod tests {
                 round: next(),
                 owner: next() as u32,
             };
-            let cmd = match round % 3 {
+            let mut single = |i: u32| match i % 3 {
                 0 => ReplCmd::Client(msg.clone()),
                 1 => ReplCmd::Peer {
                     peer: GroupId((next() % 512) as u16),
                     seq: next(),
-                    pkt: pkt.clone(),
+                    pkt: pkt.clone().into(),
                 },
                 _ => ReplCmd::Noop {
                     proposer: next() as u32,
                 },
+            };
+            // Rounds 3 and 4 of every 5 carry a batch of 0..=4 inputs.
+            let cmd = match round % 5 {
+                i @ 0..=2 => single(i),
+                i => ReplCmd::Batch((0..(round + i) % 5).map(&mut single).collect()),
             };
             let paxos = match round % 6 {
                 0 => PaxosMsg::Prepare { ballot },

@@ -31,6 +31,16 @@
 //!   so anything lost to a crash, drop, or partition is eventually
 //!   re-delivered once connectivity returns.
 //!
+//! # One open slot, one copy per packet
+//!
+//! A leader keeps at most one Paxos slot open. Inputs that arrive while
+//! it is open wait in a queue and are proposed together, as one
+//! [`ReplCmd::Batch`] slot, as soon as it commits — so a slot's six
+//! `Accept`/`Accepted`/`Learn` messages are paid once per round, not
+//! once per input. A command holds its packet behind an [`Arc`], so the
+//! copies in the Paxos log, the outbox, snapshots and effects are all
+//! one allocation.
+//!
 //! Only the current leader emits engine effects; after a failover the new
 //! leader may re-emit, and every re-emission is absorbed by the dedup
 //! layer above. Replica delivery logs are replicated state, so any
@@ -57,10 +67,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A command proposed to (and committed by) a group's Paxos log, and —
 /// re-used as the effect payload — an action the leader emits.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize)]
 pub enum ReplCmd {
     /// Input: a client multicast (destinations in node space). As a
     /// leader-emitted effect: the engine delivered this message.
@@ -74,8 +85,8 @@ pub enum ReplCmd {
         peer: GroupId,
         /// Position on the directed group link, starting at 0.
         seq: u64,
-        /// The FlexCast packet.
-        pkt: Packet,
+        /// The FlexCast packet, shared by every copy of the command.
+        pkt: Arc<Packet>,
     },
     /// No-op, proposed once at leadership take-over so the log is never
     /// empty and Learn-based heartbeats have something to re-send.
@@ -83,6 +94,56 @@ pub enum ReplCmd {
         /// The replica that proposed it (debugging only).
         proposer: u32,
     },
+    /// Inputs the leader queued while a slot was open, committed in one
+    /// slot and applied in order. Never nested: the decoder refuses a
+    /// batch inside a batch, so no input can make decoding recurse.
+    Batch(Vec<ReplCmd>),
+}
+
+/// Decodes like the derived impl would, except that a `Batch` element is
+/// decoded as a [`ReplCmd`] without the `Batch` variant: a nested batch
+/// is an invalid variant index, refused after one level.
+impl<'de> Deserialize<'de> for ReplCmd {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        enum Single {
+            Client(Message),
+            Peer {
+                peer: GroupId,
+                seq: u64,
+                pkt: Arc<Packet>,
+            },
+            Noop {
+                proposer: u32,
+            },
+        }
+        #[derive(Deserialize)]
+        enum Wire {
+            Client(Message),
+            Peer {
+                peer: GroupId,
+                seq: u64,
+                pkt: Arc<Packet>,
+            },
+            Noop {
+                proposer: u32,
+            },
+            Batch(Vec<Single>),
+        }
+        fn single(s: Single) -> ReplCmd {
+            match s {
+                Single::Client(m) => ReplCmd::Client(m),
+                Single::Peer { peer, seq, pkt } => ReplCmd::Peer { peer, seq, pkt },
+                Single::Noop { proposer } => ReplCmd::Noop { proposer },
+            }
+        }
+        Ok(match Wire::deserialize(deserializer)? {
+            Wire::Client(m) => ReplCmd::Client(m),
+            Wire::Peer { peer, seq, pkt } => ReplCmd::Peer { peer, seq, pkt },
+            Wire::Noop { proposer } => ReplCmd::Noop { proposer },
+            Wire::Batch(cmds) => ReplCmd::Batch(cmds.into_iter().map(single).collect()),
+        })
+    }
 }
 
 /// A serialized [`ReplEngine`]: what one replica ships to a lagging
@@ -99,11 +160,11 @@ pub struct ReplSnapshot {
     /// Next expected sequence number per inbound group link.
     pub next_in: BTreeMap<GroupId, u64>,
     /// Out-of-order inbound packets held until their turn.
-    pub held: BTreeMap<(GroupId, u64), Packet>,
+    pub held: BTreeMap<(GroupId, u64), Arc<Packet>>,
     /// Next sequence number per outbound group link.
     pub next_out: BTreeMap<GroupId, u64>,
     /// The replicated outbox of inter-group sends.
-    pub outbox: Vec<(GroupId, u64, Packet)>,
+    pub outbox: Vec<(GroupId, u64, Arc<Packet>)>,
     /// Delivery log in commit order.
     pub log: Vec<MsgId>,
 }
@@ -120,12 +181,12 @@ pub struct ReplEngine {
     /// Next expected sequence number per inbound group link.
     next_in: BTreeMap<GroupId, u64>,
     /// Out-of-order inbound packets held until their turn.
-    held: BTreeMap<(GroupId, u64), Packet>,
+    held: BTreeMap<(GroupId, u64), Arc<Packet>>,
     /// Next sequence number per outbound group link.
     next_out: BTreeMap<GroupId, u64>,
     /// Every inter-group send ever emitted, in emission order. Replicated
     /// state: any leader can retransmit the whole channel history.
-    outbox: Vec<(GroupId, u64, Packet)>,
+    outbox: Vec<(GroupId, u64, Arc<Packet>)>,
     /// Delivery log in commit order (identical across replicas).
     log: Vec<MsgId>,
 }
@@ -166,7 +227,7 @@ impl ReplEngine {
     }
 
     /// The replicated outbox of inter-group sends.
-    pub fn outbox(&self) -> &[(GroupId, u64, Packet)] {
+    pub fn outbox(&self) -> &[(GroupId, u64, Arc<Packet>)] {
         &self.outbox
     }
 
@@ -175,9 +236,10 @@ impl ReplEngine {
         self.applied_clients.contains(&id)
     }
 
-    /// True if the inbound packet at `(peer, seq)` was already applied.
+    /// True if the inbound packet at `(peer, seq)` is already in the
+    /// state machine: applied, or held until the gap before it closes.
     pub fn is_peer_applied(&self, peer: GroupId, seq: u64) -> bool {
-        seq < self.next_in.get(&peer).copied().unwrap_or(0)
+        seq < self.next_in.get(&peer).copied().unwrap_or(0) || self.held.contains_key(&(peer, seq))
     }
 
     /// The group serving as the FlexCast entry point for destinations
@@ -234,7 +296,8 @@ impl ReplEngine {
                     let seq = self.next_out.entry(node).or_insert(0);
                     let s = *seq;
                     *seq += 1;
-                    self.outbox.push((node, s, pkt.clone()));
+                    let pkt = Arc::new(pkt);
+                    self.outbox.push((node, s, Arc::clone(&pkt)));
                     out.push(GroupEffect::Engine(ReplCmd::Peer {
                         peer: node,
                         seq: s,
@@ -245,10 +308,11 @@ impl ReplEngine {
         }
     }
 
-    fn apply_pkt(&mut self, peer: GroupId, pkt: Packet, out: &mut Vec<GroupEffect<ReplCmd>>) {
+    fn apply_pkt(&mut self, peer: GroupId, pkt: Arc<Packet>, out: &mut Vec<GroupEffect<ReplCmd>>) {
         let from_rank = self.order.rank_of(peer);
         let mut outputs = Vec::new();
-        self.engine.on_packet(from_rank, pkt, &mut outputs);
+        self.engine
+            .on_packet(from_rank, Arc::unwrap_or_clone(pkt), &mut outputs);
         self.absorb(outputs, out);
     }
 }
@@ -258,6 +322,11 @@ impl ReplEngine {
 pub fn apply_cmd(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<GroupEffect<ReplCmd>>) {
     match cmd {
         ReplCmd::Noop { .. } => {}
+        ReplCmd::Batch(cmds) => {
+            for cmd in cmds {
+                apply_cmd(e, cmd, out);
+            }
+        }
         ReplCmd::Client(m) => {
             if !e.applied_clients.insert(m.id) {
                 return; // duplicate proposal (client retry / dual leader)
@@ -330,6 +399,12 @@ pub struct ReplicatedActor {
     order: CDagOrder,
     /// Inputs seen on the network and not yet observed applied.
     inbox: Vec<ReplCmd>,
+    /// Leader only: inputs waiting for the open slot to commit, proposed
+    /// together as the next slot. Cleared on every leadership flip (the
+    /// inbox still holds them).
+    queued: Vec<ReplCmd>,
+    /// Inputs re-submitted by the tick or at takeover, not fresh intake.
+    reproposals: u64,
     was_leader: bool,
     tick: SimTime,
     stop_at: SimTime,
@@ -383,6 +458,8 @@ impl ReplicatedActor {
             rg,
             order: cfg.order.clone(),
             inbox: Vec::new(),
+            queued: Vec::new(),
+            reproposals: 0,
             was_leader: false,
             tick: cfg.tick,
             stop_at: cfg.stop_at,
@@ -401,14 +478,15 @@ impl ReplicatedActor {
     }
 
     /// Publishes this replica's replication and engine counters under the
-    /// `g{group}.r{replica}.` prefix (slots applied, elections, merge and
-    /// suppression stats, ...).
+    /// `g{group}.r{replica}.` prefix (slots applied, elections,
+    /// re-proposals, merge and suppression stats, ...).
     pub fn export_metrics(&self, tel: &Telemetry) {
         if !tel.is_enabled() {
             return;
         }
         let prefix = format!("g{}.r{}", self.node.0, self.replica);
         self.rg.export_metrics(tel, &prefix);
+        tel.counter_set(&format!("{prefix}.reproposals"), self.reproposals);
         self.rg.engine().engine().export_metrics(tel, &prefix);
     }
 
@@ -433,15 +511,18 @@ impl ReplicatedActor {
             ReplCmd::Client(m) => self.rg.engine().is_client_applied(m.id),
             ReplCmd::Peer { peer, seq, .. } => self.rg.engine().is_peer_applied(*peer, *seq),
             ReplCmd::Noop { .. } => true,
+            ReplCmd::Batch(cmds) => cmds.iter().all(|c| self.is_applied(c)),
         }
     }
 
     /// Sends an inter-group packet to every replica of the destination
     /// group (any live one suffices to get it into that group's log).
-    /// The fan-out clones the packet only for links that will actually
-    /// deliver it ([`Ctx::send_many`]).
-    fn send_group(&self, to: GroupId, seq: u64, pkt: Packet, ctx: &mut Ctx<'_, NetMsg>) {
+    /// The packet leaves its `Arc` once per emission; the fan-out clones
+    /// it only for links that will actually deliver it
+    /// ([`Ctx::send_many`]).
+    fn send_group(&self, to: GroupId, seq: u64, pkt: Arc<Packet>, ctx: &mut Ctx<'_, NetMsg>) {
         let targets: Vec<ProcessId> = (0..self.rf).map(|r| replica_pid(to, r, self.rf)).collect();
+        let pkt = Arc::unwrap_or_clone(pkt);
         ctx.send_many(targets, NetMsg::GroupMsg { seq, pkt });
     }
 
@@ -535,21 +616,24 @@ impl ReplicatedActor {
                 GroupEffect::Engine(ReplCmd::Peer { peer, seq, pkt }) => {
                     self.send_group(peer, seq, pkt, ctx);
                 }
-                GroupEffect::Engine(ReplCmd::Noop { .. }) => {}
+                // `absorb` emits deliveries and sends only.
+                GroupEffect::Engine(ReplCmd::Noop { .. } | ReplCmd::Batch(_)) => {}
             }
         }
     }
 
     /// After any interaction with the replication layer: if this replica
     /// just became leader, seed the log with a no-op and propose every
-    /// pending input it has been holding as a follower. Leadership flips
-    /// are published to the observation plane right here — the one place
-    /// the actor already detects them — so reactive adversaries
+    /// pending input it has been holding as a follower. Either flip clears
+    /// the batching queue (the inbox still holds every input). Leadership
+    /// flips are published to the observation plane right here — the one
+    /// place the actor already detects them — so reactive adversaries
     /// (`flexcast-chaos::run_adversary`) can target the *current* leader
     /// without reaching into actor internals.
     fn check_transition(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
         if self.rg.is_leader() && !self.was_leader {
             self.was_leader = true;
+            self.queued.clear();
             // Close the election span opened when this replica last stood
             // for election (if it won without standing — e.g. a restart
             // re-claim — there is nothing to close).
@@ -583,6 +667,7 @@ impl ReplicatedActor {
                 .filter(|c| !self.is_applied(c))
                 .cloned()
                 .collect();
+            self.reproposals += pending.len() as u64;
             for cmd in pending {
                 self.rg.submit(cmd, &mut fx);
             }
@@ -597,6 +682,7 @@ impl ReplicatedActor {
                 });
             }
             self.was_leader = false;
+            self.queued.clear();
         }
     }
 
@@ -612,13 +698,30 @@ impl ReplicatedActor {
                     .or_insert_with(|| ctx.now());
             }
         }
-        self.inbox.push(cmd.clone());
         if self.rg.is_leader() {
-            let mut fx = Vec::new();
-            self.rg.submit(cmd, &mut fx);
-            self.emit(fx, ctx);
-            self.check_transition(ctx);
+            self.queued.push(cmd.clone());
         }
+        self.inbox.push(cmd);
+        self.propose_queued(ctx);
+    }
+
+    /// Leader: once no slot is open, proposes the queue as the next slot —
+    /// one input as itself, several as one [`ReplCmd::Batch`]. Runs after
+    /// intake, after every replication message (a commit closes the round)
+    /// and at each tick.
+    fn propose_queued(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
+        if self.queued.is_empty() || !self.rg.is_leader() || self.rg.has_open_slots() {
+            return;
+        }
+        let inputs = self.queued.len() as u64;
+        let cmd = match inputs {
+            1 => self.queued.pop().expect("one queued input"),
+            _ => ReplCmd::Batch(std::mem::take(&mut self.queued)),
+        };
+        let mut fx = Vec::new();
+        self.rg.submit_carrying(cmd, inputs, &mut fx);
+        self.emit(fx, ctx);
+        self.check_transition(ctx);
     }
 
     /// Per-tick snapshot catch-up bookkeeping: compact the local log to a
@@ -674,11 +777,21 @@ impl ReplicatedActor {
 
         let mut fx = Vec::new();
         if self.rg.is_leader() {
-            // Re-propose anything still pending (duplicates are absorbed
-            // at apply), re-drive stuck slots, heartbeat the newest commit.
-            for cmd in self.inbox.clone() {
-                self.rg.submit(cmd, &mut fx);
+            // With no slot open nothing unapplied can still be in flight:
+            // an inbox input that is not queued was lost with a slot or a
+            // leader, so it rides the next slot.
+            if !self.rg.has_open_slots() {
+                let lost: Vec<ReplCmd> = self
+                    .inbox
+                    .iter()
+                    .filter(|c| !self.is_applied(c) && !self.queued.contains(c))
+                    .cloned()
+                    .collect();
+                self.reproposals += lost.len() as u64;
+                self.queued.extend(lost);
             }
+            self.propose_queued(ctx);
+            // Re-drive stuck slots, heartbeat the newest commit.
             self.rg.tick_repair(&mut fx);
             self.emit(fx, ctx);
             // Periodically retransmit a bounded, rotating window of the
@@ -782,6 +895,7 @@ impl Actor<NetMsg> for ReplicatedActor {
             }
             NetMsg::GroupMsg { seq, pkt } => {
                 let peer = group_of(from, self.rf);
+                let pkt = Arc::new(pkt);
                 self.intake(ReplCmd::Peer { peer, seq, pkt }, ctx);
             }
             NetMsg::Repl(pm) => {
@@ -790,6 +904,7 @@ impl Actor<NetMsg> for ReplicatedActor {
                     .on_replication(replica_of(from, self.rf), pm, &mut fx);
                 self.emit(fx, ctx);
                 self.check_transition(ctx);
+                self.propose_queued(ctx);
             }
             NetMsg::Ble(bm) => {
                 let mut ble_out = Vec::new();
@@ -809,10 +924,15 @@ impl Actor<NetMsg> for ReplicatedActor {
                 if through <= self.rg.applied_slots() {
                     return; // stale or duplicate transfer
                 }
-                let snap: ReplSnapshot =
-                    flexcast_wire::from_bytes(&state).expect("snapshots always decode");
-                let engine = ReplEngine::from_snapshot(snap, self.order.clone())
-                    .expect("snapshot engines always restore");
+                // Bytes that do not decode, or an engine that does not
+                // restore, are refused: the replica keeps its state and
+                // keeps asking while its lag persists.
+                let restored = flexcast_wire::from_bytes::<ReplSnapshot>(&state)
+                    .and_then(|snap| ReplEngine::from_snapshot(snap, self.order.clone()));
+                let Ok(engine) = restored else {
+                    ctx.telemetry().counter_add("smr.snapshot_refused", 1);
+                    return;
+                };
                 if self.rg.install_snapshot(engine, through) {
                     self.snapshot_installs += 1;
                     ctx.telemetry()
@@ -1630,5 +1750,166 @@ mod tests {
         assert_eq!(group_of(7, 3), GroupId(2));
         assert_eq!(replica_of(7, 3), 1);
         assert_eq!(client_pid(4, 3, ClientId(2)), 14);
+    }
+
+    fn replica(world: &World<NetMsg, ReplNode>, pid: ProcessId) -> &ReplicatedActor {
+        match world.actor(pid) {
+            ReplNode::Replica(r) => r,
+            _ => panic!("pid {pid} is not a replica"),
+        }
+    }
+
+    /// `name` summed over every replica's exported counters.
+    fn counter(world: &World<NetMsg, ReplNode>, name: &str) -> u64 {
+        let tel = Telemetry::enabled();
+        for pid in 0..world.len() {
+            if let ReplNode::Replica(r) = world.actor(pid) {
+                r.export_metrics(&tel);
+            }
+        }
+        let snap = tel.snapshot();
+        let suffix = format!(".{name}");
+        snap.counters
+            .iter()
+            .filter(|(k, _)| k.ends_with(&suffix))
+            .map(|(_, v)| v)
+            .sum()
+    }
+
+    /// With one round open at the leader, ten more client inputs queue up
+    /// and commit as one batch slot; every replica applies the same order.
+    #[test]
+    fn inputs_arriving_during_an_open_round_commit_as_one_batch() {
+        let mut cfg = ReplicatedConfig::small(2, 3, 5);
+        cfg.msgs_per_client = 0; // the test injects every multicast
+        let mut world = build_world(&cfg, &matrix(2));
+        world.run_until(SimTime::from_ms(1_000.0));
+        let leader = replica_pid(GroupId(0), 0, 3);
+        assert!(replica(&world, leader).is_leader());
+        assert!(!replica(&world, leader).replication().has_open_slots());
+        let slots = |w: &World<NetMsg, ReplNode>| (counter(w, "proposals"), counter(w, "inputs"));
+        let before = slots(&world);
+
+        let client = client_pid(2, 3, ClientId(0));
+        let inject = |world: &mut World<NetMsg, ReplNode>, seq: u32| {
+            let msg = Message::new(
+                MsgId::new(ClientId(0), seq),
+                DestSet::from_iter([GroupId(0)]),
+                vec![seq as u8].into(),
+            )
+            .expect("one destination");
+            for r in 0..3 {
+                world.inject(
+                    client,
+                    replica_pid(GroupId(0), r, 3),
+                    NetMsg::Client {
+                        msg: msg.clone(),
+                        reply_to: client,
+                    },
+                );
+            }
+        };
+        // Hold the first round open: the leader's Accepts take 30 ms.
+        for r in 1..3 {
+            let spike = flexcast_sim::LinkFault::spike_ms(30.0);
+            world.set_link_fault(leader, replica_pid(GroupId(0), r, 3), spike);
+        }
+        inject(&mut world, 0);
+        world.run_until(SimTime::from_ms(1_005.0));
+        assert!(replica(&world, leader).replication().has_open_slots());
+        for seq in 1..=10 {
+            inject(&mut world, seq);
+        }
+        world.run_until(SimTime::from_ms(1_010.0));
+        assert!(replica(&world, leader).replication().has_open_slots());
+        world.clear_link_faults();
+        world.run_to_quiescence(20_000_000);
+
+        let want: Vec<MsgId> = (0..=10).map(|s| MsgId::new(ClientId(0), s)).collect();
+        for r in 0..3 {
+            let log = replica(&world, replica_pid(GroupId(0), r, 3))
+                .state()
+                .delivery_log();
+            assert_eq!(log, &want[..], "replica {r}");
+        }
+        let after = slots(&world);
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (2, 11),
+            "one slot for the first input, one batch for the other ten"
+        );
+        assert_eq!(counter(&world, "reproposals"), 0);
+    }
+
+    /// Fault-free, the tick never re-proposes: once the first leaders are
+    /// in, every input reaches its slot through the batching queue, and
+    /// slots carry more than one input on average.
+    #[test]
+    fn fault_free_leaders_batch_and_never_repropose() {
+        let mut cfg = ReplicatedConfig::small(3, 3, 9);
+        cfg.n_clients = 12;
+        let m = matrix(3);
+        let mut world = build_world(&cfg, &m);
+        let all_led = |w: &World<NetMsg, ReplNode>| {
+            (0..3).all(|g| (0..3).any(|r| replica(w, replica_pid(GroupId(g), r, 3)).is_leader()))
+        };
+        while !all_led(&world) {
+            assert!(world.step(), "elections finish before the run does");
+        }
+        let at_election = counter(&world, "reproposals");
+        world.run_to_quiescence(20_000_000);
+        let r = collect(&cfg, &world);
+        r.check.assert_ok();
+        assert_eq!(r.availability, 1.0);
+        assert_eq!(counter(&world, "reproposals"), at_election);
+        let (slots, inputs) = (counter(&world, "proposals"), counter(&world, "inputs"));
+        assert!(slots < inputs, "{slots} slots carried {inputs} inputs");
+    }
+
+    /// A snapshot that does not decode, and one whose engine bytes do not
+    /// restore, are both refused and counted; the replica is unchanged.
+    #[test]
+    fn malformed_snapshots_are_refused() {
+        let mut cfg = ReplicatedConfig::small(3, 3, 7);
+        cfg.telemetry = Telemetry::enabled();
+        let mut world = build_world(&cfg, &matrix(3));
+        world.run_to_quiescence(20_000_000);
+        let (victim, sibling) = (replica_pid(GroupId(0), 1, 3), replica_pid(GroupId(0), 2, 3));
+        let state = |w: &World<NetMsg, ReplNode>| {
+            let r = replica(w, victim);
+            let bytes = flexcast_wire::to_bytes(&r.state().to_snapshot()).expect("encodes");
+            (r.replication().applied_slots(), r.snapshot_installs, bytes)
+        };
+        let before = state(&world);
+
+        let mut bad_engine = replica(&world, sibling).state().to_snapshot();
+        bad_engine.engine = vec![0xde, 0xad, 0xbe, 0xef];
+        for state in [
+            vec![0xde, 0xad, 0xbe, 0xef],
+            flexcast_wire::to_bytes(&bad_engine).expect("encodes"),
+        ] {
+            let through = 1_000_000;
+            world.inject(sibling, victim, NetMsg::Snapshot { through, state });
+        }
+        world.run_to_quiescence(1_000);
+
+        assert_eq!(state(&world), before);
+        let refused = cfg.telemetry.snapshot().counters["smr.snapshot_refused"];
+        assert_eq!(refused, 2);
+    }
+
+    /// A batch inside a batch is an invalid variant, so a million nesting
+    /// levels fail at the second, without recursing.
+    #[test]
+    fn nested_batches_do_not_decode() {
+        let mut bytes = [3u8, 1].repeat(1_000_000);
+        bytes.extend([2, 0]); // Noop { proposer: 0 } at the bottom
+        let err = flexcast_wire::from_bytes::<ReplCmd>(&bytes).expect_err("nesting refused");
+        assert!(matches!(err, flexcast_types::Error::Decode(_)), "{err:?}");
+        let flat = flexcast_wire::from_bytes::<ReplCmd>(&bytes[bytes.len() - 4..]);
+        assert_eq!(
+            flat.expect("one level decodes"),
+            ReplCmd::Batch(vec![ReplCmd::Noop { proposer: 0 }])
+        );
     }
 }

@@ -91,6 +91,26 @@ fn net_msg_vectors() {
             "05 02 0502 09 00 0102 0109 02abcd",
         ),
         (
+            // A batch: variant 3, the input count, then each input as it
+            // would encode on its own — the `Arc` around a packet adds
+            // nothing.
+            NetMsg::Repl(PaxosMsg::Accept {
+                ballot,
+                slot: 9,
+                cmd: ReplCmd::Batch(vec![
+                    ReplCmd::Client(message()),
+                    ReplCmd::Peer {
+                        peer: GroupId(1),
+                        seq: 6,
+                        pkt: ack().into(),
+                    },
+                ]),
+            }),
+            "05 02 0502 09 03 02 \
+             00 0102 0109 02abcd \
+             01 01 06 01 0102 0109 01 01 0002 01 0103 020240 01 01 04 0102 0103",
+        ),
+        (
             NetMsg::GroupMsg {
                 seq: 6,
                 pkt: Packet::Advert {

@@ -31,6 +31,7 @@ pub struct ReplicatedGroup<E, I> {
     apply: fn(&mut E, I, &mut Vec<GroupEffect<I>>),
     emitted_up_to: u64,
     proposals: u64,
+    inputs: u64,
     elections: u64,
     telemetry: Telemetry,
 }
@@ -70,6 +71,7 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
             apply,
             emitted_up_to: 0,
             proposals: 0,
+            inputs: 0,
             elections: 0,
             telemetry: Telemetry::disabled(),
         }
@@ -87,13 +89,21 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
         self.emitted_up_to
     }
 
+    /// True while some slot below the next one to assign is unapplied
+    /// here — on a leader, a proposal still in flight.
+    pub fn has_open_slots(&self) -> bool {
+        self.replica.apply_cursor() < self.replica.next_slot()
+    }
+
     /// Publishes this replica's replication counters under `{prefix}.`:
-    /// proposals submitted, elections started, and slots applied.
+    /// proposals submitted (one slot each), the inputs they carried,
+    /// elections started, and slots applied.
     pub fn export_metrics(&self, tel: &Telemetry, prefix: &str) {
         if !tel.is_enabled() {
             return;
         }
         tel.counter_set(&format!("{prefix}.proposals"), self.proposals);
+        tel.counter_set(&format!("{prefix}.inputs"), self.inputs);
         tel.counter_set(&format!("{prefix}.elections"), self.elections);
         tel.counter_set(&format!("{prefix}.applied_slots"), self.emitted_up_to);
         tel.gauge_set(
@@ -172,7 +182,15 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
 
     /// Proposes an input to the group (leader path; followers buffer).
     pub fn submit(&mut self, input: I, out: &mut Vec<GroupEffect<I>>) {
+        self.submit_carrying(input, 1, out);
+    }
+
+    /// [`ReplicatedGroup::submit`] for an input that carries `inputs`
+    /// engine commands in one slot (a batch), so the exported `inputs`
+    /// counter tells commands from slots.
+    pub fn submit_carrying(&mut self, input: I, inputs: u64, out: &mut Vec<GroupEffect<I>>) {
         self.proposals += 1;
+        self.inputs += inputs;
         let mut paxos_out = Vec::new();
         self.replica.propose(input, &mut paxos_out);
         self.drain(paxos_out, out);

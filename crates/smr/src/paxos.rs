@@ -199,6 +199,12 @@ impl<C: Clone + PartialEq> Replica<C> {
         self.apply_at
     }
 
+    /// Next slot this replica assigns when it leads (everything below was
+    /// proposed, or skipped by a snapshot).
+    pub fn next_slot(&self) -> u64 {
+        self.next_slot
+    }
+
     /// The compacted-prefix marker: slots below it were pruned by
     /// [`Replica::compact_to`] (or skipped by
     /// [`Replica::install_snapshot`]) and can only be recovered via state

@@ -16,6 +16,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Part 1: bare Paxos — no two replicas ever commit different commands to
@@ -349,8 +350,11 @@ proptest! {
 // each paired apply must produce the same deliveries.
 // ---------------------------------------------------------------------------
 
+/// An emitted inter-group send: destination, link sequence number, packet.
+type GroupSend = (GroupId, u64, Arc<Packet>);
+
 /// Splits apply effects into delivered ids and emitted inter-group sends.
-fn split_fx(fx: Vec<GroupEffect<ReplCmd>>) -> (Vec<MsgId>, Vec<(GroupId, u64, Packet)>) {
+fn split_fx(fx: Vec<GroupEffect<ReplCmd>>) -> (Vec<MsgId>, Vec<GroupSend>) {
     let mut dels = Vec::new();
     let mut sends = Vec::new();
     for e in fx {
@@ -358,7 +362,7 @@ fn split_fx(fx: Vec<GroupEffect<ReplCmd>>) -> (Vec<MsgId>, Vec<(GroupId, u64, Pa
             match cmd {
                 ReplCmd::Client(m) => dels.push(m.id),
                 ReplCmd::Peer { peer, seq, pkt } => sends.push((peer, seq, pkt)),
-                ReplCmd::Noop { .. } => {}
+                ReplCmd::Noop { .. } | ReplCmd::Batch(_) => {}
             }
         }
     }
@@ -429,7 +433,7 @@ proptest! {
                 // or send anything.
                 prop_assert!(dels_b.is_empty(), "advert caused a delivery");
                 for (peer, seq, pkt) in sends_b {
-                    prop_assert!(matches!(pkt, Packet::Advert { .. }));
+                    prop_assert!(matches!(*pkt, Packet::Advert { .. }));
                     pending.push((
                         peer.index(),
                         None,
@@ -452,7 +456,7 @@ proptest! {
             // B-only advertisements on upstream links.
             let mut protocol_b = Vec::new();
             for (peer, seq, pkt) in sends_b {
-                if matches!(pkt, Packet::Advert { .. }) {
+                if matches!(*pkt, Packet::Advert { .. }) {
                     pending.push((
                         peer.index(),
                         None,
