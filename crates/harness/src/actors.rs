@@ -43,6 +43,9 @@ pub struct ServerStats {
     pub sent_msgs: u64,
     /// Total bytes sent.
     pub sent_bytes: u64,
+    /// Inputs refused at intake because they name a node outside the
+    /// overlay: a client destination, or a packet's sending process.
+    pub refused_inputs: u64,
 }
 
 impl ServerStats {
@@ -282,8 +285,12 @@ impl ServerActor {
                     );
                     // Translate the client's node-space destinations into
                     // the engine's rank space.
-                    let ranked = Message::new(m.id, order.to_ranks(m.dst), m.payload)
-                        .expect("non-empty destinations");
+                    let Some(ranks) = order.try_to_ranks(m.dst) else {
+                        self.stats.refused_inputs += 1;
+                        return;
+                    };
+                    let ranked =
+                        Message::new(m.id, ranks, m.payload).expect("non-empty destinations");
                     let mut outs = std::mem::take(&mut self.flex_outs);
                     engine.on_client(ranked, &mut outs);
                     self.handle_flex_outputs(&mut outs, ctx);
@@ -305,7 +312,11 @@ impl ServerActor {
                 let EngineKind::Flex { engine, order } = &mut self.engine else {
                     panic!("flex packet at a non-flex server");
                 };
-                let from_rank = order.rank_of(GroupId(from as u16));
+                let from_node = u16::try_from(from).ok().map(GroupId);
+                let Some(from_rank) = from_node.and_then(|n| order.try_rank_of(n)) else {
+                    self.stats.refused_inputs += 1;
+                    return;
+                };
                 // Merge-phase span: delta of history entries admitted by
                 // this packet, computed only when tracing is on.
                 let before = tel_on.then(|| engine.merge_stats().entries_in());
@@ -625,5 +636,73 @@ impl Actor<NetMsg> for Node {
         if let Node::Flusher(f) = self {
             f.on_timer(ctx);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiment::{run_world_on, ExperimentConfig, ProtocolKind};
+    use flexcast_core::{HistoryDelta, MsgRef, Packet};
+    use flexcast_overlay::regions;
+    use flexcast_sim::World;
+    use flexcast_types::Payload;
+
+    const SERVERS: usize = 12;
+
+    /// A short FlexCast run on the 12-region deployment, run to its end.
+    fn quiesced_world() -> World<NetMsg, Node> {
+        let order = CDagOrder::identity(SERVERS);
+        let mut cfg = ExperimentConfig::latency(ProtocolKind::FlexCast(order), 0.9);
+        cfg.n_clients = 4;
+        cfg.duration = SimTime::from_secs(1);
+        run_world_on(&cfg, &regions::aws12())
+    }
+
+    /// Every server's engine snapshot and refusal count.
+    fn state(world: &World<NetMsg, Node>) -> Vec<(Vec<u8>, u64)> {
+        (0..SERVERS)
+            .map(|pid| match world.actor(pid) {
+                Node::Server(s) => {
+                    let engine = s.flex_engine().expect("a FlexCast server");
+                    (engine.snapshot().expect("encodes"), s.stats.refused_inputs)
+                }
+                _ => panic!("pid {pid} is not a server"),
+            })
+            .collect()
+    }
+
+    /// Injects `msg` from a client's pid into server 0: no engine may
+    /// change, and server 0 counts one refusal.
+    fn assert_refused(msg: NetMsg) {
+        let mut world = quiesced_world();
+        let before = state(&world);
+        world.inject(client_pid(SERVERS, ClientId(0)), 0, msg);
+        world.run_to_quiescence(1_000);
+        let after = state(&world);
+        for (pid, (b, a)) in before.iter().zip(&after).enumerate() {
+            assert_eq!(a.0, b.0, "server {pid}'s engine changed");
+        }
+        assert_eq!(after[0].1, before[0].1 + 1, "the refusal is counted");
+    }
+
+    #[test]
+    fn a_client_destination_outside_the_overlay_is_refused() {
+        let dst = DestSet::from_iter([GroupId(0), GroupId(SERVERS as u16)]);
+        let msg = Message::new(MsgId::new(ClientId(0), 999), dst, Payload::empty()).unwrap();
+        let reply_to = client_pid(SERVERS, ClientId(0));
+        assert_refused(NetMsg::Client { msg, reply_to });
+    }
+
+    /// Only servers send FlexCast packets; one from any other process
+    /// names no rank.
+    #[test]
+    fn a_flex_packet_from_outside_the_overlay_is_refused() {
+        let mref = MsgRef {
+            id: MsgId::new(ClientId(0), 999),
+            dst: DestSet::from_iter([GroupId(0), GroupId(1)]),
+        };
+        let hist = HistoryDelta::empty();
+        assert_refused(NetMsg::Flex(Packet::Notif { mref, hist }));
     }
 }

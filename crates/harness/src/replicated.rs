@@ -405,6 +405,9 @@ pub struct ReplicatedActor {
     queued: Vec<ReplCmd>,
     /// Inputs re-submitted by the tick or at takeover, not fresh intake.
     reproposals: u64,
+    /// Inputs refused at intake because they name a node outside the
+    /// overlay: a client destination, or a group message's sender.
+    refused_inputs: u64,
     was_leader: bool,
     tick: SimTime,
     stop_at: SimTime,
@@ -460,6 +463,7 @@ impl ReplicatedActor {
             inbox: Vec::new(),
             queued: Vec::new(),
             reproposals: 0,
+            refused_inputs: 0,
             was_leader: false,
             tick: cfg.tick,
             stop_at: cfg.stop_at,
@@ -487,6 +491,7 @@ impl ReplicatedActor {
         let prefix = format!("g{}.r{}", self.node.0, self.replica);
         self.rg.export_metrics(tel, &prefix);
         tel.counter_set(&format!("{prefix}.reproposals"), self.reproposals);
+        tel.counter_set(&format!("{prefix}.refused_inputs"), self.refused_inputs);
         self.rg.engine().engine().export_metrics(tel, &prefix);
     }
 
@@ -873,6 +878,15 @@ impl Actor<NetMsg> for ReplicatedActor {
 
     fn on_message(&mut self, from: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
         match msg {
+            // An input naming a node outside the overlay is refused here,
+            // before it is proposed: committed, it would make every
+            // replica fail to apply it.
+            NetMsg::Client { msg: m, .. } if self.order.try_to_ranks(m.dst).is_none() => {
+                self.refused_inputs += 1;
+            }
+            NetMsg::GroupMsg { .. } if from >= self.n_groups * self.rf as usize => {
+                self.refused_inputs += 1;
+            }
             NetMsg::Client { msg: m, .. } => {
                 // Re-ack path: if this destination already delivered `m`,
                 // the original Reply may have been lost — the leader
@@ -1896,6 +1910,59 @@ mod tests {
         assert_eq!(state(&world), before);
         let refused = cfg.telemetry.snapshot().counters["smr.snapshot_refused"];
         assert_eq!(refused, 2);
+    }
+
+    /// Injects `msg` from a client's pid into every replica of group 0 of
+    /// a quiesced world: nothing is proposed, no replica's state changes,
+    /// and each replica counts one refusal.
+    fn assert_refused(msg: NetMsg) {
+        let cfg = ReplicatedConfig::small(3, 3, 7);
+        let mut world = build_world(&cfg, &matrix(3));
+        world.run_to_quiescence(20_000_000);
+        let replicas: Vec<ProcessId> = (0..3).map(|r| replica_pid(GroupId(0), r, 3)).collect();
+        let state = |w: &World<NetMsg, ReplNode>| {
+            let snapshot = |&pid: &ProcessId| {
+                let r = replica(w, pid);
+                let bytes = flexcast_wire::to_bytes(&r.state().to_snapshot()).expect("encodes");
+                (r.replication().applied_slots(), bytes)
+            };
+            let snapshots: Vec<_> = replicas.iter().map(snapshot).collect();
+            (
+                snapshots,
+                counter(w, "proposals"),
+                counter(w, "refused_inputs"),
+            )
+        };
+        let before = state(&world);
+        for &pid in &replicas {
+            world.inject(client_pid(3, 3, ClientId(0)), pid, msg.clone());
+        }
+        world.run_to_quiescence(1_000);
+        let after = state(&world);
+        assert_eq!(after.0, before.0, "a replica's state changed");
+        assert_eq!(after.1, before.1, "the input was proposed");
+        assert_eq!(after.2, before.2 + 3, "each replica counts the refusal");
+    }
+
+    #[test]
+    fn a_client_destination_outside_the_overlay_is_refused_at_intake() {
+        let dst = DestSet::from_iter([GroupId(0), GroupId(5)]);
+        let msg = Message::new(MsgId::new(ClientId(0), 999), dst, vec![1].into()).unwrap();
+        let reply_to = client_pid(3, 3, ClientId(0));
+        assert_refused(NetMsg::Client { msg, reply_to });
+    }
+
+    /// A client's pid maps to no group; committed, its packet would be a
+    /// poison pill every replica panics on applying.
+    #[test]
+    fn a_group_message_from_outside_the_overlay_is_refused_at_intake() {
+        let mref = flexcast_core::MsgRef {
+            id: MsgId::new(ClientId(0), 999),
+            dst: DestSet::from_iter([GroupId(0), GroupId(1)]),
+        };
+        let hist = flexcast_core::HistoryDelta::empty();
+        let pkt = Packet::Notif { mref, hist };
+        assert_refused(NetMsg::GroupMsg { seq: 0, pkt });
     }
 
     /// A batch inside a batch is an invalid variant, so a million nesting

@@ -4,8 +4,9 @@
 //! encodings, and nothing else in the suite notices when the format
 //! changes: every round-trip test encodes and decodes with the same
 //! code. A format change now shows up here as a reviewed diff of a hex
-//! string. (`crates/wire/tests/format_vectors.rs` pins `DestSet`, the
-//! part of the format this workspace writes by hand.)
+//! string. (`crates/wire/tests/format_vectors.rs` pins `DestSet`; the
+//! other part of the format this workspace writes by hand, a history
+//! delta's edge runs, is pinned here by the `Flex` vectors.)
 
 use flexcast_baselines::{HierPacket, SkeenPacket};
 use flexcast_core::history::{HistoryDelta, MsgRef, TaggedEdge};
@@ -39,6 +40,15 @@ fn message() -> Message {
     Message::new(id(2), dst(&[0, 3]), Payload(vec![0xab, 0xcd].into())).expect("has destinations")
 }
 
+fn edge(creator: u16, idx: u32, before: u32, after: u32) -> TaggedEdge {
+    TaggedEdge {
+        creator: GroupId(creator),
+        idx,
+        before: id(before),
+        after: id(after),
+    }
+}
+
 /// An ack for [`message`] whose delta holds one vertex in the second
 /// destination word and one edge.
 fn ack() -> Packet {
@@ -51,12 +61,7 @@ fn ack() -> Packet {
                 id: id(3),
                 dst: dst(&[1, 70]),
             }],
-            edges: vec![TaggedEdge {
-                creator: GroupId(1),
-                idx: 4,
-                before: id(2),
-                after: id(3),
-            }],
+            edges: vec![edge(1, 4, 2, 3)],
         },
     }
 }
@@ -74,7 +79,26 @@ fn net_msg_vectors() {
         ),
         (
             NetMsg::Flex(ack()),
-            "01 01 0102 0109 01 01 0002 01 0103 020240 01 01 04 0102 0103",
+            "01 01 0102 0109 01 01 0002 01 0103 020240 01 01 04 0102 01 0103",
+        ),
+        (
+            // Two edge runs: `g1`'s chain #4–#6 through `m1.2 … m1.5` —
+            // creator, first index, first `before`, then three `after`s —
+            // and a lone `g2` edge: 26 bytes. Edge by edge, as four
+            // `(creator, idx, before, after)` tuples, it was 32.
+            NetMsg::Flex(Packet::Notif {
+                mref: MsgRef::of(&message()),
+                hist: HistoryDelta {
+                    verts: vec![],
+                    edges: vec![
+                        edge(1, 4, 2, 3),
+                        edge(1, 5, 3, 4),
+                        edge(1, 6, 4, 5),
+                        edge(2, 0, 3, 5),
+                    ],
+                },
+            }),
+            "01 02 0102 0109 00 02 01 04 0102 03 0103 0104 0105 02 00 0103 01 0105",
         ),
         (
             NetMsg::Skeen(SkeenPacket::Ts { id: id(2), ts: 300 }),
@@ -108,7 +132,7 @@ fn net_msg_vectors() {
             }),
             "05 02 0502 09 03 02 \
              00 0102 0109 02abcd \
-             01 01 06 01 0102 0109 01 01 0002 01 0103 020240 01 01 04 0102 0103",
+             01 01 06 01 0102 0109 01 01 0002 01 0103 020240 01 01 04 0102 01 0103",
         ),
         (
             NetMsg::GroupMsg {

@@ -95,8 +95,19 @@ impl CDagOrder {
     }
 
     /// Rank held by physical node `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not in the overlay; [`CDagOrder::try_rank_of`]
+    /// is the checked form for ids that arrive from outside.
     pub fn rank_of(&self, node: GroupId) -> GroupId {
         GroupId(self.rank_of[node.index()])
+    }
+
+    /// Rank held by physical node `node`, or `None` if the overlay has no
+    /// such node.
+    pub fn try_rank_of(&self, node: GroupId) -> Option<GroupId> {
+        self.rank_of.get(node.index()).map(|&r| GroupId(r))
     }
 
     /// Rank→node list (the Figure 4 reading order of the overlay).
@@ -107,6 +118,12 @@ impl CDagOrder {
     /// Translates a destination set from node space into rank space.
     pub fn to_ranks(&self, nodes: DestSet) -> DestSet {
         nodes.iter().map(|n| self.rank_of(n)).collect()
+    }
+
+    /// [`CDagOrder::to_ranks`], or `None` if any node in `nodes` is not in
+    /// the overlay.
+    pub fn try_to_ranks(&self, nodes: DestSet) -> Option<DestSet> {
+        nodes.iter().map(|n| self.try_rank_of(n)).collect()
     }
 
     /// Translates a destination set from rank space back into node space.
@@ -171,6 +188,20 @@ mod tests {
         let ranks = o.to_ranks(nodes);
         assert_eq!(ranks, DestSet::from_iter([GroupId(1), GroupId(0)]));
         assert_eq!(o.to_nodes(ranks), nodes);
+        assert_eq!(o.try_to_ranks(nodes), Some(ranks));
+    }
+
+    #[test]
+    fn checked_translation_refuses_nodes_outside_the_overlay() {
+        let o = CDagOrder::from_order(vec![GroupId(2), GroupId(0), GroupId(1)]).unwrap();
+        assert_eq!(o.try_rank_of(GroupId(2)), Some(GroupId(0)));
+        assert_eq!(o.try_rank_of(GroupId(3)), None);
+        assert_eq!(o.try_rank_of(GroupId(511)), None);
+        assert_eq!(
+            o.try_to_ranks(DestSet::from_iter([GroupId(0), GroupId(3)])),
+            None
+        );
+        assert_eq!(o.try_to_ranks(DestSet::EMPTY), Some(DestSet::EMPTY));
     }
 
     proptest! {

@@ -15,15 +15,19 @@
 //! * structs and tuples are field concatenations (the schema is known by
 //!   both sides, as with all FlexCast peers).
 //!
-//! One type in the workspace spells its own encoding instead of deriving
-//! it: a destination set (`flexcast_types::DestSet`, 8 words in memory)
-//! travels as a sequence of its *significant* words — a word count, then
-//! that many varints, the last of them non-zero — so the empty set is one
-//! byte and a set over the paper's 12 groups two or three. The decoder
-//! refuses more than 8 words and a zero last word, which keeps the
-//! encoding canonical. `tests/format_vectors.rs` pins those bytes;
-//! `crates/harness/tests/wire_vectors.rs` pins one value of every message
-//! kind the simulator sizes.
+//! Two types in the workspace spell their own encoding instead of
+//! deriving it. A destination set (`flexcast_types::DestSet`, 8 words in
+//! memory) travels as a sequence of its *significant* words — a word
+//! count, then that many varints, the last of them non-zero — so the
+//! empty set is one byte and a set over the paper's 12 groups two or
+//! three. The decoder refuses more than 8 words and a zero last word,
+//! which keeps the encoding canonical. A history delta
+//! (`flexcast_core::HistoryDelta`) writes its edges as maximal chains,
+//! one `(creator, first idx, first before, afters)` run per chain, and its
+//! decoder refuses an empty run, an index past `u32::MAX` and a run that
+//! continues the one before it. `tests/format_vectors.rs` pins the
+//! destination-set bytes; `crates/harness/tests/wire_vectors.rs` pins one
+//! value of every message kind the simulator sizes.
 //!
 //! Entry points: [`to_bytes`], [`from_bytes`], and [`encoded_len`].
 
