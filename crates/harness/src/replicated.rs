@@ -189,6 +189,8 @@ pub struct ReplEngine {
     outbox: Vec<(GroupId, u64, Arc<Packet>)>,
     /// Delivery log in commit order (identical across replicas).
     log: Vec<MsgId>,
+    /// See [`ReplEngine::refused_cmds`]; not in [`ReplSnapshot`].
+    refused_cmds: u64,
 }
 
 impl ReplEngine {
@@ -213,6 +215,7 @@ impl ReplEngine {
             next_out: BTreeMap::new(),
             outbox: Vec::new(),
             log: Vec::new(),
+            refused_cmds: 0,
         }
     }
 
@@ -234,6 +237,12 @@ impl ReplEngine {
     /// True if the client message was already consumed.
     pub fn is_client_applied(&self, id: MsgId) -> bool {
         self.applied_clients.contains(&id)
+    }
+
+    /// Committed commands [`apply_cmd`] skipped for naming a group outside
+    /// the overlay; like the engine's `RejectStats`, not snapshot state.
+    pub fn refused_cmds(&self) -> u64 {
+        self.refused_cmds
     }
 
     /// True if the inbound packet at `(peer, seq)` is already in the
@@ -281,6 +290,7 @@ impl ReplEngine {
             next_out: snap.next_out,
             outbox: snap.outbox,
             log: snap.log,
+            refused_cmds: 0,
         })
     }
 
@@ -308,17 +318,19 @@ impl ReplEngine {
         }
     }
 
-    fn apply_pkt(&mut self, peer: GroupId, pkt: Arc<Packet>, out: &mut Vec<GroupEffect<ReplCmd>>) {
-        let from_rank = self.order.rank_of(peer);
+    fn apply_pkt(&mut self, from: GroupId, pkt: Arc<Packet>, out: &mut Vec<GroupEffect<ReplCmd>>) {
         let mut outputs = Vec::new();
         self.engine
-            .on_packet(from_rank, Arc::unwrap_or_clone(pkt), &mut outputs);
+            .on_packet(from, Arc::unwrap_or_clone(pkt), &mut outputs);
         self.absorb(outputs, out);
     }
 }
 
 /// The `apply` function handed to [`ReplicatedGroup`]: how one committed
 /// command mutates the state machine and which effects the leader emits.
+///
+/// A command naming a group outside the overlay can still commit (intake
+/// guards run only on the proposer); every replica skips it alike.
 pub fn apply_cmd(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<GroupEffect<ReplCmd>>) {
     match cmd {
         ReplCmd::Noop { .. } => {}
@@ -328,16 +340,24 @@ pub fn apply_cmd(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<GroupEffect<Rep
             }
         }
         ReplCmd::Client(m) => {
+            let Some(dst) = e.order.try_to_ranks(m.dst) else {
+                e.refused_cmds += 1;
+                return;
+            };
             if !e.applied_clients.insert(m.id) {
                 return; // duplicate proposal (client retry / dual leader)
             }
-            let ranked = Message::new(m.id, e.order.to_ranks(m.dst), m.payload)
-                .expect("client messages have destinations");
+            let ranked =
+                Message::new(m.id, dst, m.payload).expect("client messages have destinations");
             let mut outputs = Vec::new();
             e.engine.on_client(ranked, &mut outputs);
             e.absorb(outputs, out);
         }
         ReplCmd::Peer { peer, seq, pkt } => {
+            let Some(from_rank) = e.order.try_rank_of(peer) else {
+                e.refused_cmds += 1;
+                return;
+            };
             let next = e.next_in.entry(peer).or_insert(0);
             if seq < *next {
                 return; // duplicate (retransmission)
@@ -349,7 +369,7 @@ pub fn apply_cmd(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<GroupEffect<Rep
             let mut cur = pkt;
             loop {
                 *e.next_in.get_mut(&peer).expect("entry created above") += 1;
-                e.apply_pkt(peer, cur, out);
+                e.apply_pkt(from_rank, cur, out);
                 let want = e.next_in[&peer];
                 match e.held.remove(&(peer, want)) {
                     Some(p) => cur = p,
@@ -492,6 +512,10 @@ impl ReplicatedActor {
         self.rg.export_metrics(tel, &prefix);
         tel.counter_set(&format!("{prefix}.reproposals"), self.reproposals);
         tel.counter_set(&format!("{prefix}.refused_inputs"), self.refused_inputs);
+        tel.counter_set(
+            &format!("{prefix}.refused_cmds"),
+            self.rg.engine().refused_cmds(),
+        );
         self.rg.engine().engine().export_metrics(tel, &prefix);
     }
 
@@ -1963,6 +1987,44 @@ mod tests {
         let hist = flexcast_core::HistoryDelta::empty();
         let pkt = Packet::Notif { mref, hist };
         assert_refused(NetMsg::GroupMsg { seq: 0, pkt });
+    }
+
+    /// Intake guards run only where a command is proposed, so a hostile
+    /// sibling leader can still commit one naming a group outside the
+    /// overlay. Applying it — alone or inside a batch, in order or ahead
+    /// of its turn on the link — changes nothing and emits nothing.
+    #[test]
+    fn a_committed_command_outside_the_overlay_is_skipped_by_every_replica() {
+        let order = CDagOrder::from_order((0..3).map(GroupId).collect()).expect("permutation");
+        let mut e = ReplEngine::new(GroupId(0), order, None);
+        let peer = |seq| ReplCmd::Peer {
+            peer: GroupId(300),
+            seq,
+            pkt: Arc::new(Packet::Notif {
+                mref: flexcast_core::MsgRef {
+                    id: MsgId::new(ClientId(0), 998),
+                    dst: DestSet::from_iter([GroupId(0), GroupId(1)]),
+                },
+                hist: flexcast_core::HistoryDelta::empty(),
+            }),
+        };
+        let dst = DestSet::from_iter([GroupId(0), GroupId(5)]);
+        let client = ReplCmd::Client(
+            Message::new(MsgId::new(ClientId(0), 999), dst, vec![1].into()).unwrap(),
+        );
+        let snapshot = |e: &ReplEngine| flexcast_wire::to_bytes(&e.to_snapshot()).expect("encodes");
+        let before = snapshot(&e);
+        for cmd in [
+            peer(0),
+            client.clone(),
+            ReplCmd::Batch(vec![peer(1), client]),
+        ] {
+            let mut out = Vec::new();
+            apply_cmd(&mut e, cmd, &mut out);
+            assert!(out.is_empty(), "an effect was emitted");
+            assert_eq!(snapshot(&e), before, "the state machine changed");
+        }
+        assert_eq!(e.refused_cmds(), 4);
     }
 
     /// A batch inside a batch is an invalid variant, so a million nesting

@@ -41,15 +41,6 @@ impl SimStats {
         }
     }
 
-    /// Messages sent per wall-clock second.
-    pub fn msgs_per_sec(&self, wall_secs: f64) -> f64 {
-        if wall_secs > 0.0 {
-            self.sent_messages as f64 / wall_secs
-        } else {
-            0.0
-        }
-    }
-
     /// Publishes the counter block into a telemetry registry under the
     /// `sim.` prefix. Uses absolute sets, so re-exporting after further
     /// progress overwrites rather than double-counts.
@@ -267,7 +258,6 @@ mod tests {
             events_by_shard: vec![1_000],
         };
         assert_eq!(s.events_per_sec(0.5), 2_000.0);
-        assert_eq!(s.msgs_per_sec(0.5), 1_000.0);
         assert_eq!(s.events_per_sec(0.0), 0.0, "zero wall time is guarded");
     }
 

@@ -376,18 +376,6 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     /// `set_shards(1)` is exactly the classic sequential loop.
     pub fn set_shards(&mut self, n: usize) {
         let map = ShardMap::from_link(&self.link, n);
-        self.install_shard_map(map);
-    }
-
-    /// Installs an explicit process→shard assignment (see
-    /// [`ShardMap::from_assignment`]) — the hook for tests and
-    /// experiments cutting along non-geographic lines.
-    pub fn set_shard_assignment(&mut self, shard_of: Vec<usize>) {
-        let map = ShardMap::from_assignment(&self.link, shard_of);
-        self.install_shard_map(map);
-    }
-
-    fn install_shard_map(&mut self, map: ShardMap) {
         let entries: Vec<Reverse<HeapEntry<M>>> = self
             .queues
             .iter_mut()
@@ -406,11 +394,6 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
         }
     }
 
-    /// Number of shards the event queue is partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.count()
-    }
-
     /// Sets the worker-thread policy for multi-shard runs. Purely an
     /// execution-strategy choice: the committed event sequence — traces,
     /// RNG draws, stats, observations, telemetry — is bit-identical
@@ -420,16 +403,6 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     /// the host.
     pub fn set_shard_execution(&mut self, exec: ShardExecution) {
         self.exec = exec;
-    }
-
-    /// The shard owning process `pid`.
-    pub fn shard_of(&self, pid: ProcessId) -> usize {
-        self.shards.shard_of(pid)
-    }
-
-    /// The installed shard map.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
     }
 
     /// Current simulated time.
@@ -782,7 +755,8 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     /// interleave steps with world mutation (observing adversaries) need
     /// the one-event-at-a-time contract. Batch runs go through
     /// [`World::run_until`] / [`World::run_to_quiescence`], which engage
-    /// the parallel executor when `shard_count() > 1`.
+    /// the parallel executor when [`World::set_shards`] installed more
+    /// than one shard.
     pub fn step(&mut self) -> bool {
         let Some(shard) = self.min_shard() else {
             return false;

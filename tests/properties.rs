@@ -72,13 +72,16 @@ proptest! {
         locality in 0.5f64..1.0,
         jitter in 0.0f64..15.0,
     ) {
-        let cfg = base_config(ProtocolKind::FlexCast(order), seed, locality, jitter);
-        let r = run_on(&cfg, &regions::aws12());
-        prop_assert!(r.check.all_ok(), "{:?}", r.check);
-        prop_assert!(r.completed > 0);
-        // Genuineness: zero payload overhead everywhere.
-        for n in &r.per_node {
-            prop_assert!(n.overhead.abs() < 1e-9);
+        // Jitter 0 runs every case on exact link delays as well.
+        for jitter in [jitter, 0.0] {
+            let cfg = base_config(ProtocolKind::FlexCast(order.clone()), seed, locality, jitter);
+            let r = run_on(&cfg, &regions::aws12());
+            prop_assert!(r.check.all_ok(), "{:?}", r.check);
+            prop_assert!(r.completed > 0);
+            // Genuineness: zero payload overhead everywhere.
+            for n in &r.per_node {
+                prop_assert!(n.overhead.abs() < 1e-9);
+            }
         }
     }
 
@@ -88,10 +91,12 @@ proptest! {
         seed in 0u64..1_000,
         jitter in 0.0f64..15.0,
     ) {
-        let cfg = base_config(ProtocolKind::Hierarchical(tree), seed, 0.9, jitter);
-        let r = run_on(&cfg, &regions::aws12());
-        prop_assert!(r.check.all_ok(), "{:?}", r.check);
-        prop_assert!(r.completed > 0);
+        for jitter in [jitter, 0.0] {
+            let cfg = base_config(ProtocolKind::Hierarchical(tree.clone()), seed, 0.9, jitter);
+            let r = run_on(&cfg, &regions::aws12());
+            prop_assert!(r.check.all_ok(), "{:?}", r.check);
+            prop_assert!(r.completed > 0);
+        }
     }
 
     #[test]
@@ -100,12 +105,14 @@ proptest! {
         locality in 0.5f64..1.0,
         jitter in 0.0f64..15.0,
     ) {
-        let cfg = base_config(ProtocolKind::Distributed, seed, locality, jitter);
-        let r = run_on(&cfg, &regions::aws12());
-        prop_assert!(r.check.all_ok(), "{:?}", r.check);
-        prop_assert!(r.completed > 0);
-        for n in &r.per_node {
-            prop_assert!(n.overhead.abs() < 1e-9, "Skeen is genuine");
+        for jitter in [jitter, 0.0] {
+            let cfg = base_config(ProtocolKind::Distributed, seed, locality, jitter);
+            let r = run_on(&cfg, &regions::aws12());
+            prop_assert!(r.check.all_ok(), "{:?}", r.check);
+            prop_assert!(r.completed > 0);
+            for n in &r.per_node {
+                prop_assert!(n.overhead.abs() < 1e-9, "Skeen is genuine");
+            }
         }
     }
 
@@ -114,10 +121,13 @@ proptest! {
         seed in 0u64..1_000,
         flush_ms in 100.0f64..800.0,
     ) {
-        let mut cfg = base_config(ProtocolKind::FlexCast(presets::o1()), seed, 0.9, 5.0);
-        cfg.flush_period = Some(SimTime::from_ms(flush_ms));
-        let r = run_on(&cfg, &regions::aws12());
-        prop_assert!(r.check.all_ok(), "{:?}", r.check);
+        // `None` is GC off: histories only grow, nothing is ever pruned.
+        for flush_period in [Some(SimTime::from_ms(flush_ms)), None] {
+            let mut cfg = base_config(ProtocolKind::FlexCast(presets::o1()), seed, 0.9, 5.0);
+            cfg.flush_period = flush_period;
+            let r = run_on(&cfg, &regions::aws12());
+            prop_assert!(r.check.all_ok(), "{:?}", r.check);
+        }
     }
 
     #[test]
