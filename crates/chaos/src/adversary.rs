@@ -1,33 +1,24 @@
-//! The reactive adversary API: trigger → action fault injection driven by
-//! the simulator's observation plane.
+//! The reactive adversary API: fault injection driven by the simulator's
+//! observation plane.
 //!
 //! A [`FaultSchedule`] can only say *when* to inject a fault. An
 //! [`Adversary`] can say *under which execution state*: the driver
 //! ([`crate::run_adversary`]) feeds it every [`Observation`] actors
-//! publish (leadership transitions, delivery milestones, quiescence) and
-//! the adversary answers through a [`FaultCtx`] — immediate or delayed
-//! fault actions scheduled on the simulated clock. The sharpest scenario
-//! this unlocks is the leader hunter
-//! ([`crate::scenarios::leader_hunter`]): crash whoever leads *now*, a
-//! fixed delay after each failover, which no pre-scripted timeline can
-//! express because the identity of the leader is itself an outcome of the
-//! faults.
+//! publish (leadership transitions, application probes) and the adversary
+//! answers through a [`FaultCtx`] — immediate or delayed fault events
+//! scheduled on the simulated clock. The sharpest scenario this unlocks
+//! is the leader hunter ([`crate::scenarios::leader_hunter`]): crash
+//! whoever leads *now*, a fixed delay after each failover, which no
+//! pre-scripted timeline can express because the identity of the leader
+//! is itself an outcome of the faults.
 //!
 //! Determinism is preserved end to end: observations are published in
 //! deterministic event order, dispatched at simulated-time boundaries,
 //! and actions fire in `(time, scheduling order)` — so one `(world seed,
 //! adversary)` pair always produces one execution.
-//!
-//! Two layers are provided:
-//!
-//! * the [`Adversary`] trait, for arbitrary stateful adversaries, and
-//! * the declarative [`Rule`]/[`Trigger`]/[`Action`] builder
-//!   ([`RuleBook`]) covering the common trigger→action cases without a
-//!   hand-written state machine.
 
 use crate::schedule::{FaultEvent, FaultSchedule};
-use flexcast_sim::{LinkFault, Observation, ProcessId, SimTime};
-use flexcast_types::GroupId;
+use flexcast_sim::{Observation, ProcessId, SimTime};
 
 /// An error from validating or applying a chaos action.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,27 +45,17 @@ impl std::fmt::Display for ChaosError {
 
 impl std::error::Error for ChaosError {}
 
-/// One scheduled adversary effect: a fault to apply, or a wake-up to
-/// dispatch back to the adversary as [`Observation::TimeReached`].
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum AdvAction {
-    /// Apply the fault event to the world.
-    Fault(FaultEvent),
-    /// Dispatch `TimeReached { token }` to the adversary.
-    Wake(u64),
-}
-
 /// The action collector handed to every [`Adversary`] callback.
 ///
-/// Actions carry an *absolute* simulated fire time; the convenience
-/// methods express it relative to [`FaultCtx::now`], the time of the
-/// observation being handled. Actions scheduled in the past are clamped
+/// Fault events carry an *absolute* simulated fire time;
+/// [`FaultCtx::apply`] and [`FaultCtx::after_ms`] express it relative to
+/// [`FaultCtx::now`], the time of the observation being handled. Actions scheduled in the past are clamped
 /// to fire immediately. The driver pops actions in `(time, insertion
 /// order)` — the same tie-break a [`FaultSchedule`] uses — so reactive
 /// runs stay deterministic.
 pub struct FaultCtx {
     now: SimTime,
-    pub(crate) queued: Vec<(SimTime, AdvAction)>,
+    pub(crate) queued: Vec<(SimTime, FaultEvent)>,
 }
 
 impl FaultCtx {
@@ -92,9 +73,9 @@ impl FaultCtx {
 
     /// Schedules `ev` at the absolute simulated time `t` (clamped to
     /// "now" if `t` is already past). The fundamental scheduling step —
-    /// everything else is sugar over it.
+    /// the other two are sugar over it.
     pub fn at(&mut self, t: SimTime, ev: FaultEvent) {
-        self.queued.push((t.max(self.now), AdvAction::Fault(ev)));
+        self.queued.push((t.max(self.now), ev));
     }
 
     /// Applies `ev` immediately (at the current simulated time).
@@ -106,88 +87,6 @@ impl FaultCtx {
     pub fn after_ms(&mut self, ms: f64, ev: FaultEvent) {
         self.at(self.now + SimTime::from_ms(ms), ev);
     }
-
-    /// Requests an [`Observation::TimeReached`] with `token` at the
-    /// absolute simulated time `t` — the hook for adversaries that need
-    /// timed triggers of their own.
-    pub fn wake_at(&mut self, t: SimTime, token: u64) {
-        self.queued.push((t.max(self.now), AdvAction::Wake(token)));
-    }
-
-    /// Requests an [`Observation::TimeReached`] `ms` milliseconds from now.
-    pub fn wake_after_ms(&mut self, ms: f64, token: u64) {
-        self.wake_at(self.now + SimTime::from_ms(ms), token);
-    }
-
-    // -- the fault vocabulary, as direct verbs ---------------------------
-
-    /// Crashes `pid` now.
-    pub fn crash(&mut self, pid: ProcessId) {
-        self.apply(FaultEvent::Crash(pid));
-    }
-
-    /// Crashes `pid` `delay_ms` from now and recovers it `down_ms` later.
-    pub fn crash_for(&mut self, pid: ProcessId, delay_ms: f64, down_ms: f64) {
-        self.after_ms(delay_ms, FaultEvent::Crash(pid));
-        self.after_ms(delay_ms + down_ms, FaultEvent::Recover(pid));
-    }
-
-    /// Recovers `pid` now.
-    pub fn recover(&mut self, pid: ProcessId) {
-        self.apply(FaultEvent::Recover(pid));
-    }
-
-    /// Symmetric partition between `a` and `b`, healed `duration_ms`
-    /// from now.
-    pub fn partition_for(&mut self, a: &[ProcessId], b: &[ProcessId], duration_ms: f64) {
-        self.apply(FaultEvent::PartitionStart {
-            a: a.to_vec(),
-            b: b.to_vec(),
-        });
-        self.after_ms(
-            duration_ms,
-            FaultEvent::PartitionEnd {
-                a: a.to_vec(),
-                b: b.to_vec(),
-            },
-        );
-    }
-
-    /// Installs `fault` on the directed link for `duration_ms`.
-    pub fn link_fault_for(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        fault: LinkFault,
-        duration_ms: f64,
-    ) {
-        self.apply(FaultEvent::SetLinkFault { from, to, fault });
-        self.after_ms(duration_ms, FaultEvent::ClearLinkFault { from, to });
-    }
-
-    /// Latency spike of `extra_ms` on every link touching `pids`, ended
-    /// `duration_ms` from now.
-    pub fn spike_for(&mut self, pids: &[ProcessId], extra_ms: f64, duration_ms: f64) {
-        self.apply(FaultEvent::SpikeStart {
-            pids: pids.to_vec(),
-            extra: SimTime::from_ms(extra_ms),
-        });
-        self.after_ms(
-            duration_ms,
-            FaultEvent::SpikeEnd {
-                pids: pids.to_vec(),
-            },
-        );
-    }
-
-    /// Schedules a whole [`FaultSchedule`] with its event times taken
-    /// *relative to now* — the composition hook that lets a reactive
-    /// trigger fire any script the timed DSL can build.
-    pub fn run_schedule(&mut self, schedule: &FaultSchedule) {
-        for (t, ev) in schedule.sorted_events() {
-            self.at(self.now + t, ev.clone());
-        }
-    }
 }
 
 /// A reactive fault injector: observes execution state, answers with
@@ -198,301 +97,20 @@ impl FaultCtx {
 /// chaotic runs exactly reproducible from `(world seed, adversary)`.
 pub trait Adversary {
     /// Called once before the first simulation step; the place to
-    /// schedule unconditional faults or request wake-ups.
+    /// schedule unconditional faults.
     fn on_start(&mut self, _ctx: &mut FaultCtx) {}
 
     /// Called for every observation the world publishes, in deterministic
-    /// event order, plus the driver-synthesized
-    /// [`Observation::TimeReached`] and [`Observation::Quiescent`].
+    /// event order.
     fn on_observation(&mut self, obs: &Observation, ctx: &mut FaultCtx);
 
     /// Whether this adversary reacts to observations at all. The driver
     /// skips probe publishing and observation dispatch entirely when this
     /// returns `false`, so purely pre-scheduled adversaries — notably the
     /// [`ScheduleAdversary`] behind `run_schedule` — add zero overhead
-    /// over the pre-redesign timed driver. Driver wake-ups
-    /// ([`FaultCtx::wake_at`] → [`Observation::TimeReached`]) still
-    /// arrive; they are actions, not probes.
+    /// over the pre-redesign timed driver.
     fn wants_observations(&self) -> bool {
         true
-    }
-}
-
-/// What state transition arms a [`Rule`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum Trigger {
-    /// Any replica assumed leadership of `group` (`None`: of any group).
-    LeaderElected(Option<GroupId>),
-    /// A replica of `group` (`None`: of any group) was demoted.
-    LeaderLost(Option<GroupId>),
-    /// A server of `node` (`None`: any node) reached `count` deliveries.
-    /// Level-triggered: it matches *every* milestone at or past the
-    /// threshold (the count only grows), so cap the rule with
-    /// [`Rule::at_most`] — typically `at_most(1)` — to fire on the first
-    /// crossing only.
-    DeliveryCountReached {
-        /// The delivering node to watch, or `None` for any.
-        node: Option<GroupId>,
-        /// The delivery count that arms the rule.
-        count: u64,
-    },
-    /// Simulated time reached `ms` milliseconds. One-shot by
-    /// construction: the rule book registers a single wake-up per timed
-    /// rule, so such a rule fires at most once regardless of
-    /// [`Rule::at_most`]. For recurring timed faults, build a
-    /// [`FaultSchedule`] (see [`FaultSchedule::repeat`]) and fire it via
-    /// [`Action::Schedule`].
-    TimeMs(f64),
-    /// The world went idle with no faults pending.
-    Quiescent,
-    /// An application [`Observation::Custom`] with this tag.
-    Custom(u64),
-}
-
-impl Trigger {
-    /// True if `obs` arms this trigger. `TimeMs` never matches here — it
-    /// is implemented through driver wake-ups keyed by rule index.
-    fn matches(&self, obs: &Observation) -> bool {
-        match (self, obs) {
-            (Trigger::LeaderElected(want), Observation::LeaderElected { group, .. }) => {
-                want.is_none() || *want == Some(*group)
-            }
-            (Trigger::LeaderLost(want), Observation::LeaderLost { group, .. }) => {
-                want.is_none() || *want == Some(*group)
-            }
-            (
-                Trigger::DeliveryCountReached { node: want, count },
-                Observation::DeliveryCount { node, count: c, .. },
-            ) => (want.is_none() || *want == Some(*node)) && c >= count,
-            (Trigger::Quiescent, Observation::Quiescent { .. }) => true,
-            (Trigger::Custom(tag), Observation::Custom { tag: t, .. }) => tag == t,
-            _ => false,
-        }
-    }
-}
-
-/// Whom an [`Action`] targets.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Target {
-    /// A fixed process id.
-    Pid(ProcessId),
-    /// The process the triggering observation is about (e.g. the replica
-    /// that just won the election). Rules whose trigger carries no pid
-    /// ([`Trigger::TimeMs`], [`Trigger::Quiescent`]) skip the firing.
-    Observed,
-}
-
-impl Target {
-    fn resolve(&self, observed: Option<ProcessId>) -> Option<ProcessId> {
-        match self {
-            Target::Pid(p) => Some(*p),
-            Target::Observed => observed,
-        }
-    }
-}
-
-/// What a fired [`Rule`] does.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Action {
-    /// Crash the target (it stays down).
-    Crash(Target),
-    /// Crash the target and recover it `down_ms` later.
-    CrashFor {
-        /// Whom to crash.
-        target: Target,
-        /// Downtime before recovery.
-        down_ms: f64,
-    },
-    /// Recover the target.
-    Recover(Target),
-    /// Isolate the target from every other process for `duration_ms`
-    /// (a total partition of one node, then heal).
-    IsolateFor {
-        /// Whom to isolate.
-        target: Target,
-        /// Everyone else (the other side of the cut).
-        others: Vec<ProcessId>,
-        /// How long the isolation lasts.
-        duration_ms: f64,
-    },
-    /// Fire a whole schedule, times relative to the firing instant.
-    Schedule(FaultSchedule),
-}
-
-/// One trigger → action rule, built fluently:
-///
-/// ```
-/// use flexcast_chaos::{Action, Rule, Target, Trigger};
-/// use flexcast_types::GroupId;
-///
-/// // After each failover of group 0, kill the new leader 250 ms later —
-/// // at most twice.
-/// let r = Rule::when(Trigger::LeaderElected(Some(GroupId(0))))
-///     .after_ms(250.0)
-///     .then(Action::CrashFor { target: Target::Observed, down_ms: 1_000.0 })
-///     .at_most(2);
-/// assert_eq!(r.fired(), 0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct Rule {
-    trigger: Trigger,
-    delay_ms: f64,
-    action: Option<Action>,
-    max_fires: u32,
-    fired: u32,
-}
-
-impl Rule {
-    /// Starts a rule armed by `trigger`.
-    pub fn when(trigger: Trigger) -> Self {
-        Rule {
-            trigger,
-            delay_ms: 0.0,
-            action: None,
-            max_fires: u32::MAX,
-            fired: 0,
-        }
-    }
-
-    /// Delays the action `ms` milliseconds past the trigger.
-    pub fn after_ms(mut self, ms: f64) -> Self {
-        self.delay_ms = ms;
-        self
-    }
-
-    /// Sets the action the rule fires.
-    pub fn then(mut self, action: Action) -> Self {
-        self.action = Some(action);
-        self
-    }
-
-    /// Caps the number of firings (default: unlimited).
-    pub fn at_most(mut self, n: u32) -> Self {
-        self.max_fires = n;
-        self
-    }
-
-    /// How many times the rule has fired so far.
-    pub fn fired(&self) -> u32 {
-        self.fired
-    }
-
-    /// Fires the rule for `observed` (the triggering observation's pid,
-    /// if any), scheduling its action into `ctx`.
-    fn fire(&mut self, observed: Option<ProcessId>, ctx: &mut FaultCtx) {
-        let Some(action) = &self.action else { return };
-        // Resolve the target before burning a firing: a pid-less
-        // observation must not consume an `Observed`-targeted rule.
-        match action {
-            Action::Crash(t) => {
-                let Some(pid) = t.resolve(observed) else {
-                    return;
-                };
-                self.fired += 1;
-                ctx.after_ms(self.delay_ms, FaultEvent::Crash(pid));
-            }
-            Action::CrashFor { target, down_ms } => {
-                let Some(pid) = target.resolve(observed) else {
-                    return;
-                };
-                self.fired += 1;
-                ctx.crash_for(pid, self.delay_ms, *down_ms);
-            }
-            Action::Recover(t) => {
-                let Some(pid) = t.resolve(observed) else {
-                    return;
-                };
-                self.fired += 1;
-                ctx.after_ms(self.delay_ms, FaultEvent::Recover(pid));
-            }
-            Action::IsolateFor {
-                target,
-                others,
-                duration_ms,
-            } => {
-                let Some(pid) = target.resolve(observed) else {
-                    return;
-                };
-                self.fired += 1;
-                let start = ctx.now() + SimTime::from_ms(self.delay_ms);
-                ctx.at(
-                    start,
-                    FaultEvent::PartitionStart {
-                        a: vec![pid],
-                        b: others.clone(),
-                    },
-                );
-                ctx.at(
-                    start + SimTime::from_ms(*duration_ms),
-                    FaultEvent::PartitionEnd {
-                        a: vec![pid],
-                        b: others.clone(),
-                    },
-                );
-            }
-            Action::Schedule(s) => {
-                self.fired += 1;
-                let base = ctx.now() + SimTime::from_ms(self.delay_ms);
-                for (t, ev) in s.sorted_events() {
-                    ctx.at(base + t, ev.clone());
-                }
-            }
-        }
-    }
-}
-
-/// A declarative adversary: a list of [`Rule`]s evaluated against every
-/// observation. Rules fire independently; each stops at its own
-/// [`Rule::at_most`] cap.
-#[derive(Clone, Debug, Default)]
-pub struct RuleBook {
-    rules: Vec<Rule>,
-}
-
-impl RuleBook {
-    /// An empty rule book (an adversary that never acts).
-    pub fn new() -> Self {
-        RuleBook::default()
-    }
-
-    /// Adds a rule, chainably.
-    pub fn rule(mut self, rule: Rule) -> Self {
-        self.rules.push(rule);
-        self
-    }
-
-    /// Read access to the rules (e.g. to inspect [`Rule::fired`] counts
-    /// after a run).
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-}
-
-impl Adversary for RuleBook {
-    fn on_start(&mut self, ctx: &mut FaultCtx) {
-        // Timed triggers become driver wake-ups keyed by rule index.
-        for (i, r) in self.rules.iter().enumerate() {
-            if let Trigger::TimeMs(ms) = r.trigger {
-                ctx.wake_at(SimTime::from_ms(ms), i as u64);
-            }
-        }
-    }
-
-    fn on_observation(&mut self, obs: &Observation, ctx: &mut FaultCtx) {
-        if let Observation::TimeReached { token, .. } = obs {
-            let i = *token as usize;
-            if let Some(r) = self.rules.get_mut(i) {
-                if matches!(r.trigger, Trigger::TimeMs(_)) && r.fired < r.max_fires {
-                    r.fire(None, ctx);
-                }
-            }
-            return;
-        }
-        for r in &mut self.rules {
-            if r.fired < r.max_fires && r.trigger.matches(obs) {
-                r.fire(obs.pid(), ctx);
-            }
-        }
     }
 }
 
@@ -541,143 +159,6 @@ mod tests {
         assert_eq!(ctx.queued[0].0, SimTime::from_ms(100.0), "clamped");
         assert_eq!(ctx.queued[1].0, SimTime::from_ms(110.0));
         assert_eq!(ctx.queued[2].0, SimTime::from_ms(100.0));
-    }
-
-    #[test]
-    fn crash_for_pairs_crash_and_recover() {
-        let mut ctx = FaultCtx::new(SimTime::ZERO);
-        ctx.crash_for(3, 200.0, 1_000.0);
-        assert_eq!(
-            ctx.queued,
-            vec![
-                (
-                    SimTime::from_ms(200.0),
-                    AdvAction::Fault(FaultEvent::Crash(3))
-                ),
-                (
-                    SimTime::from_ms(1_200.0),
-                    AdvAction::Fault(FaultEvent::Recover(3))
-                ),
-            ]
-        );
-    }
-
-    #[test]
-    fn run_schedule_rebases_relative_to_now() {
-        let s = FaultSchedule::new().crash_at(5.0, 1).recover_at(15.0, 1);
-        let mut ctx = FaultCtx::new(SimTime::from_ms(100.0));
-        ctx.run_schedule(&s);
-        assert_eq!(ctx.queued[0].0, SimTime::from_ms(105.0));
-        assert_eq!(ctx.queued[1].0, SimTime::from_ms(115.0));
-    }
-
-    #[test]
-    fn triggers_match_their_observations() {
-        let elected = Observation::LeaderElected {
-            group: GroupId(1),
-            replica: 0,
-            pid: 3,
-            at: SimTime::ZERO,
-        };
-        assert!(Trigger::LeaderElected(None).matches(&elected));
-        assert!(Trigger::LeaderElected(Some(GroupId(1))).matches(&elected));
-        assert!(!Trigger::LeaderElected(Some(GroupId(2))).matches(&elected));
-        assert!(!Trigger::LeaderLost(None).matches(&elected));
-
-        let milestone = Observation::DeliveryCount {
-            node: GroupId(0),
-            pid: 0,
-            count: 10,
-            at: SimTime::ZERO,
-        };
-        assert!(Trigger::DeliveryCountReached {
-            node: None,
-            count: 10
-        }
-        .matches(&milestone));
-        assert!(!Trigger::DeliveryCountReached {
-            node: None,
-            count: 11
-        }
-        .matches(&milestone));
-        assert!(Trigger::Quiescent.matches(&Observation::Quiescent { at: SimTime::ZERO }));
-        assert!(Trigger::Custom(7).matches(&Observation::Custom {
-            pid: 0,
-            tag: 7,
-            value: 0,
-            at: SimTime::ZERO
-        }));
-    }
-
-    #[test]
-    fn rules_cap_firings_and_resolve_observed_targets() {
-        let mut book = RuleBook::new().rule(
-            Rule::when(Trigger::LeaderElected(None))
-                .after_ms(50.0)
-                .then(Action::Crash(Target::Observed))
-                .at_most(1),
-        );
-        let obs = Observation::LeaderElected {
-            group: GroupId(0),
-            replica: 1,
-            pid: 4,
-            at: SimTime::ZERO,
-        };
-        let mut ctx = FaultCtx::new(SimTime::ZERO);
-        book.on_observation(&obs, &mut ctx);
-        book.on_observation(&obs, &mut ctx);
-        assert_eq!(
-            ctx.queued,
-            vec![(
-                SimTime::from_ms(50.0),
-                AdvAction::Fault(FaultEvent::Crash(4))
-            )],
-            "second firing capped by at_most(1)"
-        );
-        assert_eq!(book.rules()[0].fired(), 1);
-    }
-
-    #[test]
-    fn observed_target_skips_pidless_observations_without_burning_a_fire() {
-        let mut book = RuleBook::new().rule(
-            Rule::when(Trigger::Quiescent)
-                .then(Action::Crash(Target::Observed))
-                .at_most(1),
-        );
-        let mut ctx = FaultCtx::new(SimTime::ZERO);
-        book.on_observation(&Observation::Quiescent { at: SimTime::ZERO }, &mut ctx);
-        assert!(ctx.queued.is_empty(), "no pid to resolve");
-        assert_eq!(book.rules()[0].fired(), 0, "firing not consumed");
-    }
-
-    #[test]
-    fn timed_rules_register_wakes_and_fire_on_their_token() {
-        let mut book = RuleBook::new().rule(
-            Rule::when(Trigger::TimeMs(400.0))
-                .then(Action::Crash(Target::Pid(2)))
-                .at_most(1),
-        );
-        let mut ctx = FaultCtx::new(SimTime::ZERO);
-        book.on_start(&mut ctx);
-        assert_eq!(
-            ctx.queued,
-            vec![(SimTime::from_ms(400.0), AdvAction::Wake(0))]
-        );
-        let mut ctx = FaultCtx::new(SimTime::from_ms(400.0));
-        book.on_observation(
-            &Observation::TimeReached {
-                token: 0,
-                at: SimTime::from_ms(400.0),
-            },
-            &mut ctx,
-        );
-        assert_eq!(
-            ctx.queued,
-            vec![(
-                SimTime::from_ms(400.0),
-                AdvAction::Fault(FaultEvent::Crash(2))
-            )]
-        );
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! The chaos drivers: interleave simulation with fault application.
 //!
 //! [`run_adversary`] is the primary driver: it steps the world one event
-//! at a time, drains published [`Observation`]s at each simulated-time
-//! boundary, dispatches them to an [`Adversary`], and fires the actions
-//! the adversary scheduled — in `(time, scheduling order)`, exactly like
-//! a [`FaultSchedule`] fires its events. [`run_schedule`] survives as the
+//! at a time, drains published [`Observation`]s after each step,
+//! dispatches them to an [`Adversary`], and fires the faults the
+//! adversary scheduled — in `(time, scheduling order)`, exactly like a
+//! [`FaultSchedule`] fires its events. [`run_schedule`] survives as the
 //! compatibility surface: it wraps the schedule in a
 //! [`ScheduleAdversary`] (a trivial time-triggered adversary) and runs it
 //! on the same driver, which is why pre-redesign callers and golden
 //! traces replay unchanged.
 
-use crate::adversary::{AdvAction, Adversary, ChaosError, FaultCtx, ScheduleAdversary};
+use crate::adversary::{Adversary, ChaosError, FaultCtx, ScheduleAdversary};
 use crate::schedule::{FaultEvent, FaultSchedule};
 use flexcast_sim::{Actor, LinkFault, Observation, ProcessId, SimTime, World};
 use std::cmp::Reverse;
@@ -121,12 +121,12 @@ fn for_links_touching<M: Clone, A: Actor<M>>(
     }
 }
 
-/// One pending adversary effect, ordered by `(fire time, scheduling
+/// One pending adversary fault, ordered by `(fire time, scheduling
 /// order)` — the same tie-break as [`FaultSchedule::sorted_events`].
 struct Pending {
     at: SimTime,
     seq: u64,
-    act: AdvAction,
+    ev: FaultEvent,
 }
 
 impl PartialEq for Pending {
@@ -174,31 +174,28 @@ impl AdversaryRun {
     }
 }
 
-/// Runs `world` under a reactive `adversary` until quiescence (bounded by
-/// `max_events`).
+/// Runs `world` under a reactive `adversary` until neither the world nor
+/// the adversary has anything left to do (bounded by `max_events`).
 ///
-/// The loop alternates three moves, always picking the earliest in
-/// simulated time (adversary actions win ties only against *later*
-/// events; world events at the same instant are processed first, matching
-/// the timed driver's semantics):
+/// The loop alternates two moves, always picking the earliest in
+/// simulated time (a world event at the same instant as an adversary
+/// fault runs first, matching the timed driver's semantics):
 ///
 /// 1. **Step** the next world event, then drain and dispatch every
 ///    observation it published.
-/// 2. **Fire** the earliest pending adversary action (fault application
-///    or [`Observation::TimeReached`] wake-up).
-/// 3. On **quiescence** (no events, no pending actions) dispatch
-///    [`Observation::Quiescent`] once; if the adversary schedules nothing
-///    in response, the run is over.
+/// 2. **Fire** the earliest pending adversary fault.
+///
+/// The run ends when both the event queue and the fault queue are empty.
 ///
 /// Identical `(world, adversary)` pairs — same actors, same seed, same
 /// adversary state — produce identical executions: observations arrive in
-/// deterministic event order and actions fire in `(time, scheduling
+/// deterministic event order and faults fire in `(time, scheduling
 /// order)`.
 ///
 /// # Panics
 ///
 /// Panics if the world fails to quiesce within `max_events` (a livelock),
-/// if the adversary fires more than `max_events` actions, or if an action
+/// if the adversary fires more than `max_events` faults, or if a fault
 /// references a process id outside the world (see [`try_apply_event`]).
 pub fn run_adversary<M, A, Adv>(
     world: &mut World<M, A>,
@@ -212,7 +209,7 @@ where
 {
     // Purely pre-scheduled adversaries (the `run_schedule` compat path)
     // opt out of the observation plane: probes stay off and the world
-    // free-runs between actions via `run_until` — which both skips the
+    // free-runs between faults via `run_until` — which both skips the
     // per-event drain/dispatch round-trip and lets multi-shard worlds
     // engage the parallel executor. Observing adversaries must see every
     // event boundary, so they stay on the sequential step loop.
@@ -225,144 +222,73 @@ where
     let mut fired: Vec<(SimTime, FaultEvent)> = Vec::new();
     let mut obs_buf: Vec<Observation> = Vec::new();
     let mut n = 0u64;
-    let mut actions_applied = 0u64;
-    // `Quiescent` is dispatched once per quiescence *episode*: the flag
-    // resets only when a world event actually runs again. Without it, an
-    // adversary that answers quiescence with a no-op action (recovering
-    // an already-up process, say) would be re-notified forever.
-    let mut quiescent_notified = false;
 
-    fn enqueue(pending: &mut BinaryHeap<Reverse<Pending>>, pseq: &mut u64, ctx: FaultCtx) {
-        for (at, act) in ctx.queued {
-            pending.push(Reverse(Pending {
-                at,
-                seq: *pseq,
-                act,
-            }));
-            *pseq += 1;
+    let mut enqueue = |pending: &mut BinaryHeap<Reverse<Pending>>, ctx: FaultCtx| {
+        for (at, ev) in ctx.queued {
+            pending.push(Reverse(Pending { at, seq: pseq, ev }));
+            pseq += 1;
         }
-    }
-
-    fn dispatch<Adv: Adversary + ?Sized>(
-        adversary: &mut Adv,
-        obs: &Observation,
-        now: SimTime,
-        pending: &mut BinaryHeap<Reverse<Pending>>,
-        pseq: &mut u64,
-    ) {
-        let mut ctx = FaultCtx::new(now);
-        adversary.on_observation(obs, &mut ctx);
-        enqueue(pending, pseq, ctx);
-    }
+    };
+    let mut fire = |world: &mut World<M, A>, p: Pending| {
+        if let Err(e) = try_apply_event(world, &p.ev) {
+            panic!("adversary scheduled an invalid fault {:?}: {e}", p.ev);
+        }
+        fired.push((p.at, p.ev));
+        assert!(
+            fired.len() as u64 <= max_events,
+            "adversary fired {} faults without the world quiescing",
+            fired.len()
+        );
+    };
 
     let mut ctx = FaultCtx::new(world.now());
     adversary.on_start(&mut ctx);
-    enqueue(&mut pending, &mut pseq, ctx);
+    enqueue(&mut pending, ctx);
 
     if !observing {
-        // Batched driver: free-run to each action time (events scheduled
+        // Batched driver: free-run to each fault time (events scheduled
         // at or before it run first — the same tie-break as the stepping
-        // loop below), fire the action, repeat; finish with a plain run
+        // loop below), fire the fault, repeat; finish with a plain run
         // to quiescence. Equivalent to stepping because nothing observes
-        // intermediate events.
-        loop {
-            let Some(Reverse(head)) = pending.peek() else {
-                n += world.run_to_quiescence(max_events - n);
-                break;
-            };
-            let at = head.at;
-            n += world.run_until(at);
+        // intermediate events, and nothing is scheduled after `on_start`.
+        while let Some(Reverse(p)) = pending.pop() {
+            n += world.run_until(p.at);
             assert!(
                 n < max_events,
                 "simulation did not quiesce after {max_events} events"
             );
-            let Reverse(p) = pending.pop().expect("peeked above");
-            actions_applied += 1;
-            assert!(
-                actions_applied <= max_events,
-                "adversary fired {actions_applied} actions without the world quiescing"
-            );
-            match p.act {
-                AdvAction::Fault(ev) => {
-                    if let Err(e) = try_apply_event(world, &ev) {
-                        panic!("adversary scheduled an invalid fault {ev:?}: {e}");
-                    }
-                    fired.push((p.at, ev));
-                }
-                AdvAction::Wake(token) => {
-                    let obs = Observation::TimeReached { token, at: p.at };
-                    dispatch(adversary, &obs, p.at, &mut pending, &mut pseq);
-                }
-            }
+            fire(world, p);
         }
-        return AdversaryRun {
-            processed_events: n,
-            actions: fired,
-        };
-    }
-
-    loop {
-        let next_act = pending.peek().map(|Reverse(p)| p.at);
-        let next_ev = world.next_event_time();
-        let act_first = match (next_act, next_ev) {
+        n += world.run_to_quiescence(max_events - n);
+    } else {
+        loop {
+            let next_act = pending.peek().map(|Reverse(p)| p.at);
+            let next_ev = world.next_event_time();
             // A world event at the same instant is processed before the
-            // action — `run_schedule` ran events up to and including the
+            // fault — `run_schedule` ran events up to and including the
             // fault time before applying the fault, and equivalence
             // demands the same here.
-            (Some(ta), Some(te)) => ta < te,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if act_first {
-            let Reverse(p) = pending.pop().expect("act_first implies a pending action");
-            // No world event is scheduled at or before `p.at`, so this
-            // only advances the clock (idle gaps included).
-            world.run_until(p.at);
-            actions_applied += 1;
-            assert!(
-                actions_applied <= max_events,
-                "adversary fired {actions_applied} actions without the world quiescing"
-            );
-            match p.act {
-                AdvAction::Fault(ev) => {
-                    if let Err(e) = try_apply_event(world, &ev) {
-                        panic!("adversary scheduled an invalid fault {ev:?}: {e}");
-                    }
-                    fired.push((p.at, ev));
-                }
-                AdvAction::Wake(token) => {
-                    let obs = Observation::TimeReached { token, at: p.at };
-                    dispatch(adversary, &obs, p.at, &mut pending, &mut pseq);
-                }
-            }
-        } else if next_ev.is_some() {
-            world.step();
-            n += 1;
-            quiescent_notified = false;
-            assert!(
-                n < max_events,
-                "simulation did not quiesce after {max_events} events"
-            );
-            if observing {
+            if next_act.is_some_and(|ta| next_ev.is_none_or(|te| ta < te)) {
+                let Reverse(p) = pending.pop().expect("peeked above");
+                // No world event is scheduled at or before `p.at`, so this
+                // only advances the clock (idle gaps included).
+                world.run_until(p.at);
+                fire(world, p);
+            } else if next_ev.is_some() {
+                world.step();
+                n += 1;
+                assert!(
+                    n < max_events,
+                    "simulation did not quiesce after {max_events} events"
+                );
                 world.drain_observations(&mut obs_buf);
-                if !obs_buf.is_empty() {
-                    let now = world.now();
-                    for obs in obs_buf.drain(..) {
-                        dispatch(adversary, &obs, now, &mut pending, &mut pseq);
-                    }
+                let now = world.now();
+                for obs in obs_buf.drain(..) {
+                    let mut ctx = FaultCtx::new(now);
+                    adversary.on_observation(&obs, &mut ctx);
+                    enqueue(&mut pending, ctx);
                 }
-            }
-        } else {
-            // Nothing queued on either side: the world is quiescent. Give
-            // an observing adversary one chance to react *per episode*;
-            // if it schedules nothing — or only actions that never wake
-            // the world back up — the run is complete.
-            if observing && !quiescent_notified {
-                quiescent_notified = true;
-                let obs = Observation::Quiescent { at: world.now() };
-                dispatch(adversary, &obs, world.now(), &mut pending, &mut pseq);
-            }
-            if pending.is_empty() {
+            } else {
                 break;
             }
         }
@@ -401,7 +327,6 @@ pub fn run_schedule<M: Clone + Send, A: Actor<M> + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{Action, Rule, RuleBook, Target, Trigger};
     use flexcast_overlay::LatencyMatrix;
     use flexcast_sim::{Ctx, LinkModel};
     use flexcast_types::GroupId;
@@ -631,7 +556,7 @@ mod tests {
                 if let Observation::Custom { value: 3, .. } = obs {
                     if !self.fired {
                         self.fired = true;
-                        ctx.crash(1);
+                        ctx.apply(FaultEvent::Crash(1));
                     }
                 }
             }
@@ -650,77 +575,28 @@ mod tests {
     }
 
     #[test]
-    fn timed_rulebook_matches_the_equivalent_schedule() {
-        let s = FaultSchedule::new().crash_at(30.0, 1).recover_at(50.0, 1);
-        let mut w1 = world();
-        run_schedule(&mut w1, &s, 100_000);
-
-        let mut w2 = world();
-        let mut book = RuleBook::new()
-            .rule(
-                Rule::when(Trigger::TimeMs(30.0))
-                    .then(Action::Crash(Target::Pid(1)))
-                    .at_most(1),
-            )
-            .rule(
-                Rule::when(Trigger::TimeMs(50.0))
-                    .then(Action::Recover(Target::Pid(1)))
-                    .at_most(1),
-            );
-        run_adversary(&mut w2, &mut book, 100_000);
-        assert_eq!(w1.actor(0).got, w2.actor(0).got);
-        assert_eq!(w1.actor(1).got, w2.actor(1).got);
-        assert_eq!(w1.processed_events(), w2.processed_events());
-        assert!(book.rules().iter().all(|r| r.fired() == 1));
-    }
-
-    #[test]
-    fn quiescent_is_dispatched_once_per_episode() {
-        // An adversary that answers every Quiescent with an action that
-        // wakes nothing up (recovering an already-up process) must not be
-        // re-notified forever: one notification per quiescence episode,
-        // then the run ends.
-        struct NoopHealer {
-            notified: u32,
-        }
-        impl Adversary for NoopHealer {
-            fn on_observation(&mut self, obs: &Observation, ctx: &mut FaultCtx) {
-                if let Observation::Quiescent { .. } = obs {
-                    self.notified += 1;
-                    ctx.recover(1); // pid 1 is already up: no event results
-                }
-            }
-        }
-        let mut w = world();
-        let mut adv = NoopHealer { notified: 0 };
-        let run = run_adversary(&mut w, &mut adv, 100_000);
-        assert_eq!(adv.notified, 1, "one Quiescent per episode");
-        assert_eq!(run.actions.len(), 1, "the no-op recover fired once");
-    }
-
-    #[test]
     fn fired_action_trace_replays_as_a_schedule() {
         // Run a reactive adversary, then replay its fired-action trace as
-        // a plain schedule on a fresh world: identical execution.
-        struct OnQuiet {
+        // a plain schedule on a fresh world: identical execution. The
+        // pinger's second pong crashes the ponger 25 ms later; it comes
+        // back 20 ms after that.
+        struct SecondPong {
             done: bool,
         }
-        impl Adversary for OnQuiet {
-            fn on_start(&mut self, ctx: &mut FaultCtx) {
-                ctx.after_ms(25.0, FaultEvent::Crash(1));
-            }
+        impl Adversary for SecondPong {
             fn on_observation(&mut self, obs: &Observation, ctx: &mut FaultCtx) {
-                if let Observation::Quiescent { .. } = obs {
+                if let Observation::Custom { value: 2, .. } = obs {
                     if !self.done {
                         self.done = true;
-                        ctx.apply(FaultEvent::Recover(1));
+                        ctx.after_ms(25.0, FaultEvent::Crash(1));
+                        ctx.after_ms(45.0, FaultEvent::Recover(1));
                     }
                 }
             }
         }
         let mut w1 = world();
-        let run = run_adversary(&mut w1, &mut OnQuiet { done: false }, 100_000);
-        assert_eq!(run.actions.len(), 2, "crash + quiescence-recover");
+        let run = run_adversary(&mut w1, &mut SecondPong { done: false }, 100_000);
+        assert_eq!(run.actions.len(), 2, "crash + recover");
 
         let mut w2 = world();
         run_schedule(&mut w2, &run.to_schedule(), 100_000);

@@ -12,11 +12,10 @@
 //!   symmetric or asymmetric partition, install a probabilistic
 //!   [`LinkFault`](flexcast_sim::LinkFault) (drop/duplicate/reorder), or
 //!   spike the latency of every link touching a set of processes.
-//! * [`FaultSchedule`] — a declarative, composable script of timed events
-//!   built through a small builder DSL ([`FaultSchedule::crash_at`],
+//! * [`FaultSchedule`] — a declarative script of timed events built
+//!   through a small builder DSL ([`FaultSchedule::crash_at`],
 //!   [`FaultSchedule::partition_between`], ...) and composed with
-//!   [`FaultSchedule::merge`], [`FaultSchedule::offset_by`], and
-//!   [`FaultSchedule::repeat`].
+//!   [`FaultSchedule::merge`].
 //! * [`run_schedule`] — the timed driver (a thin compatibility wrapper
 //!   over [`run_adversary`] since the reactive redesign).
 //!
@@ -24,12 +23,10 @@
 //! published through the simulator's observation plane
 //! ([`flexcast_sim::Observation`], DESIGN.md §9):
 //!
-//! * [`Adversary`] — the trigger→action core: the driver feeds it every
-//!   observation (leadership transitions, delivery milestones,
-//!   quiescence) and it answers with immediate or delayed fault actions
-//!   through a [`FaultCtx`].
-//! * [`Trigger`]/[`Action`]/[`Rule`]/[`RuleBook`] — a declarative rule
-//!   builder for the common cases, no hand-written state machine needed.
+//! * [`Adversary`] — the one way to write an adversary: the driver feeds
+//!   it every observation (leadership transitions, application probes)
+//!   and it answers with immediate or delayed fault events through a
+//!   [`FaultCtx`].
 //! * [`run_adversary`] — the reactive driver: interleaves simulation,
 //!   observation dispatch, and fault application; returns the
 //!   fired-action trace ([`AdversaryRun`]) that replays the run as a
@@ -58,8 +55,6 @@ pub mod driver;
 pub mod scenarios;
 pub mod schedule;
 
-pub use adversary::{
-    Action, Adversary, ChaosError, FaultCtx, Rule, RuleBook, ScheduleAdversary, Target, Trigger,
-};
+pub use adversary::{Adversary, ChaosError, FaultCtx, ScheduleAdversary};
 pub use driver::{apply_event, run_adversary, run_schedule, try_apply_event, AdversaryRun};
 pub use schedule::{FaultEvent, FaultSchedule};

@@ -223,39 +223,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Shifts every event `ms` milliseconds later — the relative-time
-    /// counterpart to [`FaultSchedule::merge`]'s absolute times: build a
-    /// scenario starting at zero, then place it anywhere on the timeline.
-    ///
-    /// ```
-    /// use flexcast_chaos::{scenarios, FaultSchedule};
-    ///
-    /// // The same crash/recover drill, once at 100 ms and again at 2 s.
-    /// let drill = || scenarios::crash_recover(0, 0.0, 50.0);
-    /// let s = drill().offset_by(100.0).merge(drill().offset_by(2_000.0));
-    /// assert_eq!(s.len(), 4);
-    /// ```
-    pub fn offset_by(mut self, ms: f64) -> Self {
-        let delta = SimTime::from_ms(ms);
-        for (t, _) in &mut self.events {
-            *t += delta;
-        }
-        self
-    }
-
-    /// Lays down `n` copies of this schedule, `period_ms` apart: copy `i`
-    /// is offset by `i · period_ms`. `repeat(1, _)` is the identity;
-    /// `repeat(0, _)` empties the schedule. Combined with
-    /// [`FaultSchedule::offset_by`], rolling scenarios compose without
-    /// hand-computing absolute times.
-    pub fn repeat(self, n: u32, period_ms: f64) -> Self {
-        let mut out = FaultSchedule::new();
-        for i in 0..n {
-            out = out.merge(self.clone().offset_by(period_ms * i as f64));
-        }
-        out
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -330,56 +297,5 @@ mod tests {
     #[should_panic(expected = "end after it starts")]
     fn inverted_window_rejected() {
         let _ = FaultSchedule::new().partition_between(20.0, 10.0, &[0], &[1]);
-    }
-
-    #[test]
-    fn offset_by_shifts_every_event() {
-        let s = FaultSchedule::new()
-            .crash_at(10.0, 0)
-            .recover_at(20.0, 0)
-            .offset_by(500.0);
-        let evs = s.sorted_events();
-        assert_eq!(evs[0].0, SimTime::from_ms(510.0));
-        assert_eq!(evs[1].0, SimTime::from_ms(520.0));
-        assert_eq!(s.horizon(), SimTime::from_ms(520.0));
-    }
-
-    #[test]
-    fn repeat_tiles_the_schedule_periodically() {
-        let s = FaultSchedule::new()
-            .crash_at(0.0, 1)
-            .recover_at(30.0, 1)
-            .repeat(3, 100.0);
-        assert_eq!(s.len(), 6);
-        let evs = s.sorted_events();
-        assert_eq!(evs[0], (SimTime::ZERO, &FaultEvent::Crash(1)));
-        assert_eq!(evs[2], (SimTime::from_ms(100.0), &FaultEvent::Crash(1)));
-        assert_eq!(evs[4], (SimTime::from_ms(200.0), &FaultEvent::Crash(1)));
-        assert_eq!(s.horizon(), SimTime::from_ms(230.0));
-    }
-
-    #[test]
-    fn repeat_edge_counts() {
-        let s = FaultSchedule::new().crash_at(5.0, 0);
-        assert_eq!(s.clone().repeat(1, 99.0).sorted_events(), s.sorted_events());
-        assert!(s.repeat(0, 99.0).is_empty());
-    }
-
-    #[test]
-    fn combinators_compose_into_rolling_scenarios() {
-        // A rolling restart built from combinators alone: one
-        // crash/recover cell, repeated per process, each copy offset to
-        // its own start — equivalent to `scenarios::rolling_restart`.
-        let cell = |pid| {
-            FaultSchedule::new()
-                .crash_at(0.0, pid)
-                .recover_at(20.0, pid)
-        };
-        let rolled = cell(4)
-            .merge(cell(5).offset_by(50.0))
-            .merge(cell(6).offset_by(100.0))
-            .offset_by(100.0);
-        let reference = crate::scenarios::rolling_restart(&[4, 5, 6], 100.0, 20.0, 50.0);
-        assert_eq!(rolled.sorted_events(), reference.sorted_events());
     }
 }

@@ -77,8 +77,9 @@ impl SuppressionStats {
 
 /// What the engine refused at its input boundary since it was created or
 /// restored: input naming a group outside `0..n`, which the per-group
-/// tables cannot index. Packets and client messages come from decoded
-/// bytes, so a peer can send any rank a [`DestSet`] can hold.
+/// tables cannot index, and messages this group is not placed to order.
+/// Packets and client messages come from decoded bytes, so a peer can
+/// send any rank a [`DestSet`] can hold.
 ///
 /// A diagnostic, not protocol state: it takes no bytes in a snapshot and
 /// restores as zero, so refusing input leaves
@@ -86,8 +87,9 @@ impl SuppressionStats {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RejectStats {
     /// Client messages and packets dropped whole: their own destination
-    /// set (`msg.dst` / `mref.dst`) names a group `≥ n`, or a `msg`
-    /// packet claims an lca at or above this group.
+    /// set (`msg.dst` / `mref.dst`) names a group `≥ n`, a client message
+    /// has another group as its lca, or a `msg` packet claims an lca at
+    /// or above this group.
     pub packets: u64,
     /// Delta vertices left out of the history for a destination `≥ n`
     /// (the rest of their packet is processed).
@@ -405,23 +407,14 @@ impl FlexCastGroup {
     /// global past. With an empty backlog this is exactly the paper's
     /// immediate delivery.
     ///
-    /// A message addressed to a group outside the overlay is dropped and
-    /// counted in [`FlexCastGroup::reject_stats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if this group is not the message's lca — routing to the lca
-    /// is the client library's responsibility.
+    /// A message addressed to a group outside the overlay, or one whose
+    /// lca is another group (routing to the lca is the client's job), is
+    /// dropped and counted in [`FlexCastGroup::reject_stats`].
     pub fn on_client(&mut self, m: Message, out: &mut Vec<Output>) {
-        if !self.in_overlay(m.dst) {
+        if !self.in_overlay(m.dst) || m.lca() != self.g {
             self.rejected.packets += 1;
             return;
         }
-        assert_eq!(
-            self.g,
-            m.lca(),
-            "client messages must be sent to the message's lca"
-        );
         self.client_backlog.push_back(m);
         self.drain_client_backlog(out);
         self.maybe_advertise(out);
@@ -1063,11 +1056,17 @@ mod tests {
         assert_eq!(a.delivered_count(), 1);
     }
 
+    /// A client message at a group that is not its lca is refused and
+    /// counted, leaving the group as it was.
     #[test]
-    #[should_panic(expected = "lca")]
     fn client_must_target_lca() {
         let mut b = FlexCastGroup::new(B, 3);
-        b.on_client(msg(0, &[0, 1]), &mut Vec::new());
+        let fresh = b.snapshot().expect("snapshot encodes");
+        let mut out = Vec::new();
+        b.on_client(msg(0, &[0, 1]), &mut out);
+        assert_eq!(out, vec![]);
+        assert_eq!(b.reject_stats().packets, 1);
+        assert_eq!(b.snapshot().expect("snapshot encodes"), fresh);
     }
 
     #[test]

@@ -43,8 +43,10 @@ pub struct ServerStats {
     pub sent_msgs: u64,
     /// Total bytes sent.
     pub sent_bytes: u64,
-    /// Inputs refused at intake because they name a node outside the
-    /// overlay: a client destination, or a packet's sending process.
+    /// Inputs refused at intake: a client message the engine does not
+    /// serve (a destination outside the overlay, or another group's lca),
+    /// a packet from a process outside the overlay, or a message kind
+    /// this server does not handle.
     pub refused_inputs: u64,
 }
 
@@ -161,14 +163,6 @@ impl ServerActor {
         ctx.telemetry().counter_add("server.delivered", 1);
         ctx.telemetry()
             .instant("server", "deliver", self.node.0 as u32, now.as_nanos());
-        // Milestone probe for reactive adversaries: the running delivery
-        // count, published only when an observation driver is attached.
-        ctx.observe(flexcast_sim::Observation::DeliveryCount {
-            node: self.node,
-            pid: ctx.me(),
-            count: self.stats.delivered,
-            at: now,
-        });
         let reply = NetMsg::Reply { id };
         self.send_counted(client_pid(self.n_servers, id.sender), reply, ctx);
     }
@@ -291,8 +285,14 @@ impl ServerActor {
                     };
                     let ranked =
                         Message::new(m.id, ranks, m.payload).expect("non-empty destinations");
+                    // The engine drops a message it is not the lca of; its
+                    // reject count is the verdict.
+                    let rejected = engine.reject_stats().packets;
                     let mut outs = std::mem::take(&mut self.flex_outs);
                     engine.on_client(ranked, &mut outs);
+                    if engine.reject_stats().packets != rejected {
+                        self.stats.refused_inputs += 1;
+                    }
                     self.handle_flex_outputs(&mut outs, ctx);
                     self.flex_outs = outs;
                 }
@@ -310,7 +310,8 @@ impl ServerActor {
             NetMsg::Flex(pkt) => {
                 let tel_on = ctx.telemetry().is_enabled();
                 let EngineKind::Flex { engine, order } = &mut self.engine else {
-                    panic!("flex packet at a non-flex server");
+                    self.stats.refused_inputs += 1;
+                    return;
                 };
                 let from_node = u16::try_from(from).ok().map(GroupId);
                 let Some(from_rank) = from_node.and_then(|n| order.try_rank_of(n)) else {
@@ -340,7 +341,8 @@ impl ServerActor {
             }
             NetMsg::Skeen(pkt) => {
                 let EngineKind::Skeen(engine) = &mut self.engine else {
-                    panic!("skeen packet at a non-skeen server");
+                    self.stats.refused_inputs += 1;
+                    return;
                 };
                 let mut outs = Vec::new();
                 engine.on_packet(GroupId(from as u16), pkt, &mut outs);
@@ -348,20 +350,21 @@ impl ServerActor {
             }
             NetMsg::Hier(pkt) => {
                 let EngineKind::Hier(engine) = &mut self.engine else {
-                    panic!("hier packet at a non-hier server");
+                    self.stats.refused_inputs += 1;
+                    return;
                 };
                 let mut outs = Vec::new();
                 engine.on_packet(GroupId(from as u16), pkt, &mut outs);
                 self.handle_hier_outputs(outs, ctx);
             }
-            NetMsg::Reply { .. } => panic!("servers do not receive replies"),
-            NetMsg::Repl(_)
+            // Replies are for clients, replication traffic for replicated
+            // worlds.
+            NetMsg::Reply { .. }
+            | NetMsg::Repl(_)
             | NetMsg::GroupMsg { .. }
             | NetMsg::Ble(_)
             | NetMsg::SnapReq { .. }
-            | NetMsg::Snapshot { .. } => {
-                panic!("replication traffic belongs to replicated worlds")
-            }
+            | NetMsg::Snapshot { .. } => self.stats.refused_inputs += 1,
         }
     }
 }
@@ -646,6 +649,7 @@ mod tests {
     use flexcast_core::{HistoryDelta, MsgRef, Packet};
     use flexcast_overlay::regions;
     use flexcast_sim::World;
+    use flexcast_smr::{BleMsg, PaxosMsg};
     use flexcast_types::Payload;
 
     const SERVERS: usize = 12;
@@ -672,26 +676,39 @@ mod tests {
             .collect()
     }
 
-    /// Injects `msg` from a client's pid into server 0: no engine may
-    /// change, and server 0 counts one refusal.
-    fn assert_refused(msg: NetMsg) {
+    /// Injects each of `inputs` from a client's pid into server 0: no
+    /// engine may change, and server 0 counts one refusal per input.
+    fn assert_refused(inputs: &[NetMsg]) {
         let mut world = quiesced_world();
         let before = state(&world);
-        world.inject(client_pid(SERVERS, ClientId(0)), 0, msg);
+        for msg in inputs {
+            world.inject(client_pid(SERVERS, ClientId(0)), 0, msg.clone());
+        }
         world.run_to_quiescence(1_000);
         let after = state(&world);
         for (pid, (b, a)) in before.iter().zip(&after).enumerate() {
             assert_eq!(a.0, b.0, "server {pid}'s engine changed");
         }
-        assert_eq!(after[0].1, before[0].1 + 1, "the refusal is counted");
+        let refusals = inputs.len() as u64;
+        assert_eq!(
+            after[0].1,
+            before[0].1 + refusals,
+            "each refusal is counted"
+        );
     }
 
+    /// A client message naming a node outside the overlay is refused, and
+    /// so is one sent to a server that is not its lca: the engine's
+    /// verdict, counted by the server.
     #[test]
     fn a_client_destination_outside_the_overlay_is_refused() {
-        let dst = DestSet::from_iter([GroupId(0), GroupId(SERVERS as u16)]);
-        let msg = Message::new(MsgId::new(ClientId(0), 999), dst, Payload::empty()).unwrap();
-        let reply_to = client_pid(SERVERS, ClientId(0));
-        assert_refused(NetMsg::Client { msg, reply_to });
+        let client = |seq, dst: [u16; 2]| {
+            let dst = DestSet::from_iter(dst.map(GroupId));
+            let msg = Message::new(MsgId::new(ClientId(0), seq), dst, Payload::empty()).unwrap();
+            let reply_to = client_pid(SERVERS, ClientId(0));
+            NetMsg::Client { msg, reply_to }
+        };
+        assert_refused(&[client(999, [0, SERVERS as u16]), client(998, [1, 2])]);
     }
 
     /// Only servers send FlexCast packets; one from any other process
@@ -703,6 +720,33 @@ mod tests {
             dst: DestSet::from_iter([GroupId(0), GroupId(1)]),
         };
         let hist = HistoryDelta::empty();
-        assert_refused(NetMsg::Flex(Packet::Notif { mref, hist }));
+        assert_refused(&[NetMsg::Flex(Packet::Notif { mref, hist })]);
+    }
+
+    /// Replies are for clients, replication traffic for replicated worlds,
+    /// and another protocol's packets for its own servers.
+    #[test]
+    fn message_kinds_a_server_does_not_handle_are_refused() {
+        let id = MsgId::new(ClientId(0), 999);
+        let dst = DestSet::from_iter([GroupId(0), GroupId(1)]);
+        let msg = Message::new(id, dst, Payload::empty()).unwrap();
+        let mref = MsgRef::of(&msg);
+        let hist = HistoryDelta::empty();
+        assert_refused(&[
+            NetMsg::Reply { id },
+            NetMsg::Repl(PaxosMsg::LearnReq { from_slot: 0 }),
+            NetMsg::GroupMsg {
+                seq: 0,
+                pkt: Packet::Notif { mref, hist },
+            },
+            NetMsg::Ble(BleMsg::HeartbeatRequest { round: 1 }),
+            NetMsg::SnapReq { have: 0 },
+            NetMsg::Snapshot {
+                through: 1,
+                state: vec![],
+            },
+            NetMsg::Skeen(flexcast_baselines::SkeenPacket::Ts { id, ts: 1 }),
+            NetMsg::Hier(flexcast_baselines::HierPacket(msg)),
+        ]);
     }
 }

@@ -240,7 +240,8 @@ impl ReplEngine {
     }
 
     /// Committed commands [`apply_cmd`] skipped for naming a group outside
-    /// the overlay; like the engine's `RejectStats`, not snapshot state.
+    /// the overlay, or for a client message whose lca is another group;
+    /// like the engine's `RejectStats`, not snapshot state.
     pub fn refused_cmds(&self) -> u64 {
         self.refused_cmds
     }
@@ -329,8 +330,9 @@ impl ReplEngine {
 /// The `apply` function handed to [`ReplicatedGroup`]: how one committed
 /// command mutates the state machine and which effects the leader emits.
 ///
-/// A command naming a group outside the overlay can still commit (intake
-/// guards run only on the proposer); every replica skips it alike.
+/// A command naming a group outside the overlay, or a client message
+/// whose lca is another group, can still commit (intake guards run only
+/// on the proposer); every replica skips it alike.
 pub fn apply_cmd(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<GroupEffect<ReplCmd>>) {
     match cmd {
         ReplCmd::Noop { .. } => {}
@@ -344,13 +346,21 @@ pub fn apply_cmd(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<GroupEffect<Rep
                 e.refused_cmds += 1;
                 return;
             };
-            if !e.applied_clients.insert(m.id) {
+            if e.applied_clients.contains(&m.id) {
                 return; // duplicate proposal (client retry / dual leader)
             }
             let ranked =
                 Message::new(m.id, dst, m.payload).expect("client messages have destinations");
+            // The engine drops a message whose lca is another group; its
+            // reject count is the verdict.
+            let rejected = e.engine.reject_stats().packets;
             let mut outputs = Vec::new();
             e.engine.on_client(ranked, &mut outputs);
+            if e.engine.reject_stats().packets != rejected {
+                e.refused_cmds += 1;
+                return;
+            }
+            e.applied_clients.insert(m.id);
             e.absorb(outputs, out);
         }
         ReplCmd::Peer { peer, seq, pkt } => {
@@ -425,8 +435,9 @@ pub struct ReplicatedActor {
     queued: Vec<ReplCmd>,
     /// Inputs re-submitted by the tick or at takeover, not fresh intake.
     reproposals: u64,
-    /// Inputs refused at intake because they name a node outside the
-    /// overlay: a client destination, or a group message's sender.
+    /// Inputs refused at intake: a client destination or a group
+    /// message's sender outside the overlay, or a message kind replicas
+    /// do not handle.
     refused_inputs: u64,
     was_leader: bool,
     tick: SimTime,
@@ -991,7 +1002,11 @@ impl Actor<NetMsg> for ReplicatedActor {
                     }
                 }
             }
-            other => panic!("replica received unexpected message {other:?}"),
+            // Replies are for clients, bare protocol packets for
+            // unreplicated worlds.
+            NetMsg::Reply { .. } | NetMsg::Flex(_) | NetMsg::Skeen(_) | NetMsg::Hier(_) => {
+                self.refused_inputs += 1;
+            }
         }
     }
 
@@ -1936,10 +1951,10 @@ mod tests {
         assert_eq!(refused, 2);
     }
 
-    /// Injects `msg` from a client's pid into every replica of group 0 of
-    /// a quiesced world: nothing is proposed, no replica's state changes,
-    /// and each replica counts one refusal.
-    fn assert_refused(msg: NetMsg) {
+    /// Injects each of `inputs` from a client's pid into every replica of
+    /// group 0 of a quiesced world: nothing is proposed, no replica's
+    /// state changes, and each replica counts one refusal per input.
+    fn assert_refused(inputs: &[NetMsg]) {
         let cfg = ReplicatedConfig::small(3, 3, 7);
         let mut world = build_world(&cfg, &matrix(3));
         world.run_to_quiescence(20_000_000);
@@ -1958,14 +1973,21 @@ mod tests {
             )
         };
         let before = state(&world);
-        for &pid in &replicas {
-            world.inject(client_pid(3, 3, ClientId(0)), pid, msg.clone());
+        for msg in inputs {
+            for &pid in &replicas {
+                world.inject(client_pid(3, 3, ClientId(0)), pid, msg.clone());
+            }
         }
         world.run_to_quiescence(1_000);
         let after = state(&world);
         assert_eq!(after.0, before.0, "a replica's state changed");
-        assert_eq!(after.1, before.1, "the input was proposed");
-        assert_eq!(after.2, before.2 + 3, "each replica counts the refusal");
+        assert_eq!(after.1, before.1, "an input was proposed");
+        let refusals = 3 * inputs.len() as u64;
+        assert_eq!(
+            after.2,
+            before.2 + refusals,
+            "each replica counts each refusal"
+        );
     }
 
     #[test]
@@ -1973,7 +1995,7 @@ mod tests {
         let dst = DestSet::from_iter([GroupId(0), GroupId(5)]);
         let msg = Message::new(MsgId::new(ClientId(0), 999), dst, vec![1].into()).unwrap();
         let reply_to = client_pid(3, 3, ClientId(0));
-        assert_refused(NetMsg::Client { msg, reply_to });
+        assert_refused(&[NetMsg::Client { msg, reply_to }]);
     }
 
     /// A client's pid maps to no group; committed, its packet would be a
@@ -1986,13 +2008,31 @@ mod tests {
         };
         let hist = flexcast_core::HistoryDelta::empty();
         let pkt = Packet::Notif { mref, hist };
-        assert_refused(NetMsg::GroupMsg { seq: 0, pkt });
+        assert_refused(&[NetMsg::GroupMsg { seq: 0, pkt }]);
+    }
+
+    /// Replies are for clients, and bare protocol packets for unreplicated
+    /// worlds; a replica counts them and changes nothing.
+    #[test]
+    fn message_kinds_a_replica_does_not_handle_are_refused() {
+        let id = MsgId::new(ClientId(0), 999);
+        let dst = DestSet::from_iter([GroupId(0), GroupId(1)]);
+        let msg = Message::new(id, dst, vec![1].into()).unwrap();
+        let mref = flexcast_core::MsgRef::of(&msg);
+        let hist = flexcast_core::HistoryDelta::empty();
+        assert_refused(&[
+            NetMsg::Reply { id },
+            NetMsg::Flex(Packet::Notif { mref, hist }),
+            NetMsg::Skeen(flexcast_baselines::SkeenPacket::Ts { id, ts: 1 }),
+            NetMsg::Hier(flexcast_baselines::HierPacket(msg)),
+        ]);
     }
 
     /// Intake guards run only where a command is proposed, so a hostile
     /// sibling leader can still commit one naming a group outside the
-    /// overlay. Applying it — alone or inside a batch, in order or ahead
-    /// of its turn on the link — changes nothing and emits nothing.
+    /// overlay, or a client message whose lca is another group. Applying
+    /// it — alone or inside a batch, in order or ahead of its turn on the
+    /// link — changes nothing and emits nothing.
     #[test]
     fn a_committed_command_outside_the_overlay_is_skipped_by_every_replica() {
         let order = CDagOrder::from_order((0..3).map(GroupId).collect()).expect("permutation");
@@ -2008,23 +2048,28 @@ mod tests {
                 hist: flexcast_core::HistoryDelta::empty(),
             }),
         };
-        let dst = DestSet::from_iter([GroupId(0), GroupId(5)]);
-        let client = ReplCmd::Client(
-            Message::new(MsgId::new(ClientId(0), 999), dst, vec![1].into()).unwrap(),
-        );
+        let client = |seq, dst: [u16; 2]| {
+            let dst = DestSet::from_iter(dst.map(GroupId));
+            ReplCmd::Client(
+                Message::new(MsgId::new(ClientId(0), seq), dst, vec![1].into()).unwrap(),
+            )
+        };
+        // Outside the overlay, and inside it with group 1 as the lca.
+        let (outside, elsewhere) = (client(999, [0, 5]), client(997, [1, 2]));
         let snapshot = |e: &ReplEngine| flexcast_wire::to_bytes(&e.to_snapshot()).expect("encodes");
         let before = snapshot(&e);
         for cmd in [
             peer(0),
-            client.clone(),
-            ReplCmd::Batch(vec![peer(1), client]),
+            outside.clone(),
+            elsewhere.clone(),
+            ReplCmd::Batch(vec![peer(1), outside, elsewhere]),
         ] {
             let mut out = Vec::new();
             apply_cmd(&mut e, cmd, &mut out);
             assert!(out.is_empty(), "an effect was emitted");
             assert_eq!(snapshot(&e), before, "the state machine changed");
         }
-        assert_eq!(e.refused_cmds(), 4);
+        assert_eq!(e.refused_cmds(), 6);
     }
 
     /// A batch inside a batch is an invalid variant, so a million nesting

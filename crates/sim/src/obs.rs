@@ -5,7 +5,7 @@
 //! fires at 150 ms whether or not the leader it meant to kill is still
 //! the leader. Observations close that gap: actors publish typed state
 //! transitions through [`Ctx::observe`](crate::Ctx::observe) (leadership
-//! changes, delivery milestones, domain-specific markers), the world
+//! changes, domain-specific markers), the world
 //! buffers them, and a reactive driver (`flexcast-chaos::run_adversary`)
 //! drains and dispatches them at simulated-time boundaries. An adversary
 //! can then express "kill the *current* leader 200 ms after each
@@ -22,9 +22,7 @@ use crate::time::SimTime;
 use crate::world::ProcessId;
 use flexcast_types::GroupId;
 
-/// One typed fact about execution state, published by an actor (or, for
-/// the driver-level variants [`Observation::Quiescent`] and
-/// [`Observation::TimeReached`], synthesized by the adversary driver).
+/// One typed fact about execution state, published by an actor.
 ///
 /// Every variant carries `at`, the simulated time at which the fact became
 /// true — the time of the callback that published it.
@@ -56,33 +54,6 @@ pub enum Observation {
         /// When leadership was lost.
         at: SimTime,
     },
-    /// A server's running application-delivery count, published at each
-    /// delivery — a milestone stream an adversary can threshold on.
-    DeliveryCount {
-        /// The delivering node (group).
-        node: GroupId,
-        /// Simulator pid of the publishing server.
-        pid: ProcessId,
-        /// Deliveries so far at this server, including this one.
-        count: u64,
-        /// When the delivery happened.
-        at: SimTime,
-    },
-    /// A wake-up requested by the adversary itself (`FaultCtx::wake_at`)
-    /// came due. Synthesized by the driver, never by actors.
-    TimeReached {
-        /// The token the adversary registered the wake-up under.
-        token: u64,
-        /// The requested wake-up time.
-        at: SimTime,
-    },
-    /// The event queue drained with no faults pending. Synthesized by the
-    /// driver exactly once per quiescence episode; an adversary may react
-    /// by scheduling more faults, which resumes the run.
-    Quiescent {
-        /// The time the world went idle.
-        at: SimTime,
-    },
     /// An application-defined marker for probes the built-in vocabulary
     /// does not cover. `tag` namespaces the probe; `value` is its payload.
     Custom {
@@ -103,23 +74,7 @@ impl Observation {
         match *self {
             Observation::LeaderElected { at, .. }
             | Observation::LeaderLost { at, .. }
-            | Observation::DeliveryCount { at, .. }
-            | Observation::TimeReached { at, .. }
-            | Observation::Quiescent { at }
             | Observation::Custom { at, .. } => at,
-        }
-    }
-
-    /// The simulator pid the observation is about, when it concerns one
-    /// process ([`Observation::Quiescent`] and
-    /// [`Observation::TimeReached`] concern the whole world).
-    pub fn pid(&self) -> Option<ProcessId> {
-        match *self {
-            Observation::LeaderElected { pid, .. }
-            | Observation::LeaderLost { pid, .. }
-            | Observation::DeliveryCount { pid, .. }
-            | Observation::Custom { pid, .. } => Some(pid),
-            Observation::TimeReached { .. } | Observation::Quiescent { .. } => None,
         }
     }
 }
@@ -144,12 +99,6 @@ mod tests {
                 pid: 5,
                 at: t,
             },
-            Observation::DeliveryCount {
-                node: GroupId(0),
-                pid: 5,
-                count: 9,
-                at: t,
-            },
             Observation::Custom {
                 pid: 5,
                 tag: 1,
@@ -159,10 +108,6 @@ mod tests {
         ];
         for o in obs {
             assert_eq!(o.at(), t);
-            assert_eq!(o.pid(), Some(5));
         }
-        assert_eq!(Observation::Quiescent { at: t }.pid(), None);
-        assert_eq!(Observation::TimeReached { token: 7, at: t }.at(), t);
-        assert_eq!(Observation::TimeReached { token: 7, at: t }.pid(), None);
     }
 }

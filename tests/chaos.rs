@@ -675,7 +675,9 @@ proptest! {
     /// pre-redesign timed driver event-for-event: same delivered traces,
     /// same replica logs, same `processed_events`, same drop counts —
     /// across random crash/recover timings, partitions, link faults, and
-    /// spikes.
+    /// spikes. It does so on both of its loops: the batched one
+    /// `ScheduleAdversary` runs, and the stepping one every observing
+    /// adversary runs (`Recording` observes).
     #[test]
     fn schedule_adversary_matches_reference_driver(
         seed in 0u64..1_000,
@@ -700,12 +702,23 @@ proptest! {
         let run = run_adversary(&mut w_adv, &mut adv, MAX_EVENTS);
         let r_adv = collect(&cfg, &w_adv);
 
-        prop_assert_eq!(run.processed_events, ref_events);
-        prop_assert_eq!(r_adv.events, r_ref.events);
-        prop_assert_eq!(r_adv.dropped, r_ref.dropped);
-        prop_assert_eq!(r_adv.completed, r_ref.completed);
-        prop_assert_eq!(trace_ids(&r_adv), trace_ids(&r_ref));
-        prop_assert_eq!(r_adv.replica_logs, r_ref.replica_logs);
-        prop_assert_eq!(run.actions.len(), schedule.len());
+        let mut w_obs = build_world(&cfg, &m);
+        let mut rec = Recording {
+            inner: ScheduleAdversary::new(schedule.clone()),
+            seen: Vec::new(),
+        };
+        let run_obs = run_adversary(&mut w_obs, &mut rec, MAX_EVENTS);
+        let r_obs = collect(&cfg, &w_obs);
+
+        for (run, r) in [(&run, &r_adv), (&run_obs, &r_obs)] {
+            prop_assert_eq!(run.processed_events, ref_events);
+            prop_assert_eq!(r.events, r_ref.events);
+            prop_assert_eq!(r.dropped, r_ref.dropped);
+            prop_assert_eq!(r.completed, r_ref.completed);
+            prop_assert_eq!(trace_ids(r), trace_ids(&r_ref));
+            prop_assert_eq!(&r.replica_logs, &r_ref.replica_logs);
+            prop_assert_eq!(run.actions.len(), schedule.len());
+        }
+        prop_assert_eq!(&run_obs.actions, &run.actions);
     }
 }
