@@ -88,8 +88,8 @@ impl SuppressionStats {
 pub struct RejectStats {
     /// Client messages and packets dropped whole: their own destination
     /// set (`msg.dst` / `mref.dst`) names a group `≥ n`, a client message
-    /// has another group as its lca, or a `msg` packet claims an lca at
-    /// or above this group.
+    /// has another group as its lca, a `msg` packet claims an lca at
+    /// or above this group, or a packet travels against its C-DAG edge.
     pub packets: u64,
     /// Delta vertices left out of the history for a destination `≥ n`
     /// (the rest of their packet is processed).
@@ -255,7 +255,7 @@ impl FlexCastGroup {
         self.sup
     }
 
-    /// Input refused for naming a group outside the overlay.
+    /// Input refused at the boundary ([`RejectStats`]).
     pub fn reject_stats(&self) -> RejectStats {
         self.rejected
     }
@@ -289,6 +289,13 @@ impl FlexCastGroup {
     /// True if `id` has been delivered at this group.
     pub fn has_delivered(&self, id: MsgId) -> bool {
         self.hst.is_delivered(id)
+    }
+
+    /// True if [`FlexCastGroup::on_client`] would drop client message `id`
+    /// as already taken: it waits in the client backlog, or the history
+    /// has seen it (delivered, or pruned since).
+    pub fn has_taken(&self, id: MsgId) -> bool {
+        self.hst.has_seen(id) || self.client_backlog.iter().any(|m| m.id == id)
     }
 
     /// Publishes this engine's counters into a telemetry registry under
@@ -409,10 +416,15 @@ impl FlexCastGroup {
     ///
     /// A message addressed to a group outside the overlay, or one whose
     /// lca is another group (routing to the lca is the client's job), is
-    /// dropped and counted in [`FlexCastGroup::reject_stats`].
+    /// dropped and counted in [`FlexCastGroup::reject_stats`]. A copy of
+    /// one already taken ([`FlexCastGroup::has_taken`]) is dropped
+    /// uncounted: client retries are expected input.
     pub fn on_client(&mut self, m: Message, out: &mut Vec<Output>) {
         if !self.in_overlay(m.dst) || m.lca() != self.g {
             self.rejected.packets += 1;
+            return;
+        }
+        if self.has_taken(m.id) {
             return;
         }
         self.client_backlog.push_back(m);
@@ -441,29 +453,31 @@ impl FlexCastGroup {
     /// Handles a packet from another group (Algorithm 2, plus the
     /// upstream advertisement flow of the delta-suppression protocol).
     ///
-    /// The packet is decoded peer input. One whose own destination set
-    /// names a group outside the overlay, or a `msg` whose lca is not an
-    /// ancestor of this group (there is no queue for it), is dropped
-    /// before it touches any state and counted in
-    /// [`FlexCastGroup::reject_stats`]; the vertices of its history delta
-    /// are checked where the history admits them (`update_hst`).
+    /// The packet is decoded peer input. One that travels against its
+    /// C-DAG edge, whose own destination set names a group outside the
+    /// overlay, or a `msg` whose lca is not an ancestor of this group
+    /// (there is no queue for it), is dropped before it touches any state
+    /// and counted in [`FlexCastGroup::reject_stats`]; the vertices of its
+    /// history delta are checked where the history admits them
+    /// (`update_hst`).
     pub fn on_packet(&mut self, from: GroupId, pkt: Packet, out: &mut Vec<Output>) {
+        // C-DAG edges point to higher ranks. Advertisements are the one
+        // packet kind that flows against them: a descendant telling this
+        // group what it has seen.
         let acceptable = match &pkt {
+            Packet::Advert { .. } => from > self.g,
+            _ if from >= self.g => false,
             Packet::Msg { msg, .. } => self.in_overlay(msg.dst) && msg.lca() < self.g,
             Packet::Ack { mref, .. } | Packet::Notif { mref, .. } => self.in_overlay(mref.dst),
-            Packet::Advert { .. } => true,
         };
         if !acceptable {
             self.rejected.packets += 1;
             return;
         }
-        // Advertisements are the one packet kind that flows against the
-        // C-DAG edges: a descendant telling this group what it has seen.
         if let Packet::Advert { wm } = pkt {
             self.on_advert(from, wm);
             return;
         }
-        debug_assert!(from < self.g, "C-DAG edges point to higher ranks only");
         match pkt {
             Packet::Msg {
                 msg,
@@ -523,7 +537,6 @@ impl FlexCastGroup {
     /// stale or reordered advertisement can only be a no-op, never a
     /// regression).
     fn on_advert(&mut self, from: GroupId, wm: Watermarks) {
-        debug_assert!(from > self.g, "adverts flow upstream from descendants");
         self.sup.adverts_received += 1;
         let di = from.index();
         for (c, w) in wm.clients {
@@ -1806,15 +1819,17 @@ mod tests {
 
     /// Bytes off a socket decode to any rank a `DestSet` can hold. Input
     /// whose own destinations name group 300 of a 3-group overlay — which
-    /// would index `vert_cursor[300]` on the next forward — and a `msg`
-    /// with no queue to wait in are dropped at the boundary: no output,
-    /// the snapshot byte for byte what it was, one count each.
+    /// would index `vert_cursor[300]` on the next forward — a `msg` with
+    /// no queue to wait in, and a packet that travels against its C-DAG
+    /// edge are dropped at the boundary: no output, the snapshot byte for
+    /// byte what it was, one count each.
     #[test]
-    fn input_naming_a_group_outside_the_overlay_is_dropped_without_a_trace() {
+    fn input_outside_the_overlay_or_against_a_c_dag_edge_is_dropped_without_a_trace() {
         let (mut c, ..) = mid_protocol();
         let before = c.snapshot().expect("snapshot encodes");
         let wild = stray(0, &[0, 2, 300]);
         let wild_msg = Message::new(wild.id, wild.dst, Payload::empty()).unwrap();
+        let m1 = MsgRef::of(&msg(1, &[0, 2]));
         let packets = [
             Packet::Msg {
                 msg: wild_msg.clone(),
@@ -1841,7 +1856,7 @@ mod tests {
             // here long ago); its delta brings one vertex addressed out
             // of range.
             Packet::Ack {
-                mref: MsgRef::of(&msg(1, &[0, 2])),
+                mref: m1,
                 via: A,
                 notif_pairs: vec![],
                 hist: HistoryDelta {
@@ -1854,17 +1869,72 @@ mod tests {
         for pkt in packets {
             c.on_packet(A, pkt, &mut out);
         }
+        // A `msg` from C itself, and an advert from an ancestor.
+        let from_self = Packet::Msg {
+            msg: msg(9, &[0, 2]),
+            notif_pairs: vec![],
+            hist: HistoryDelta::empty(),
+        };
+        c.on_packet(C, from_self, &mut out);
+        let wm = Watermarks {
+            clients: vec![(ClientId(9), 5)],
+            edges: vec![],
+        };
+        c.on_packet(B, Packet::Advert { wm }, &mut out);
         assert_eq!(out, vec![], "nothing delivered, nothing sent");
         assert_eq!(c.snapshot().expect("snapshot encodes"), before);
-        assert_eq!(c.reject_stats().packets, 4);
+        assert_eq!(c.reject_stats().packets, 6);
         assert_eq!(c.reject_stats().verts, 1);
+        assert_eq!(c.suppression_stats().adverts_received, 0);
 
         let mut a = FlexCastGroup::new(A, 3);
         let fresh = a.snapshot().expect("snapshot encodes");
         a.on_client(wild_msg, &mut out);
+        // An ack from a descendant.
+        let ack = Packet::Ack {
+            mref: m1,
+            via: B,
+            notif_pairs: vec![],
+            hist: HistoryDelta::empty(),
+        };
+        a.on_packet(B, ack, &mut out);
         assert_eq!(out, vec![]);
-        assert_eq!(a.reject_stats().packets, 1);
+        assert_eq!(a.reject_stats().packets, 2);
         assert_eq!(a.snapshot().expect("snapshot encodes"), fresh);
+    }
+
+    /// A client message the group has already taken is dropped, whether
+    /// it was delivered (its id is in the history) or still waits in the
+    /// client backlog behind an open dependency (its id is in no history
+    /// yet). Either way it is delivered once, and a retry is no refusal.
+    #[test]
+    fn a_client_message_the_group_already_took_is_delivered_once() {
+        let mut a = FlexCastGroup::new(A, 3);
+        let m = msg(1, &[0, 2]);
+        let mut out = Vec::new();
+        a.on_client(m.clone(), &mut out);
+        assert_eq!(deliveries(&out), vec![m.id]);
+        let mut dup = Vec::new();
+        a.on_client(m, &mut dup);
+        assert_eq!(dup, vec![], "the delivered copy's duplicate");
+        assert_eq!((a.delivered_count(), a.reject_stats().packets), (1, 0));
+
+        // C waits for B's ack on m2, so a message C is the lca of waits too.
+        let (mut c, m2, m2_to_b) = mid_protocol();
+        let local = msg(10, &[2]);
+        for _ in 0..2 {
+            let mut out = Vec::new();
+            c.on_client(local.clone(), &mut out);
+            assert_eq!(out, vec![], "backlogged, then dropped");
+        }
+        let mut b = FlexCastGroup::new(B, 3);
+        let mut out_b = Vec::new();
+        b.on_packet(A, m2_to_b, &mut out_b);
+        let ack_to_c = sends(&out_b).into_iter().find(|(t, _)| *t == C).unwrap().1;
+        let mut out = Vec::new();
+        c.on_packet(B, ack_to_c, &mut out);
+        assert_eq!(deliveries(&out), vec![m2.id, local.id]);
+        assert_eq!(c.reject_stats().packets, 0);
     }
 
     /// A refused delta vertex takes nothing else of its packet with it:

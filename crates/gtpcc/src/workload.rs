@@ -32,15 +32,6 @@ pub struct WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// Configuration used by the paper's latency experiments.
-    pub fn global_only(locality: f64) -> Self {
-        WorkloadConfig {
-            locality,
-            mode: WorkloadMode::GlobalOnly,
-            max_warehouses: 3,
-        }
-    }
-
     /// Configuration used by the paper's throughput experiment.
     pub fn full(locality: f64) -> Self {
         WorkloadConfig {
@@ -80,11 +71,6 @@ impl Generator {
             nearest,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Number of warehouses.
-    pub fn warehouse_count(&self) -> usize {
-        self.nearest.len()
     }
 
     /// Draws the transaction profile according to the configured mode.

@@ -453,6 +453,8 @@ pub struct ClientActor {
     /// Destination sets of every message this client multicast (node
     /// space), for the property checker.
     pub issued: Vec<(MsgId, DestSet)>,
+    /// Inputs refused: anything but a `Reply`.
+    pub refused_inputs: u64,
 }
 
 impl ClientActor {
@@ -477,6 +479,7 @@ impl ClientActor {
             samples: Vec::new(),
             completed: 0,
             issued: Vec::new(),
+            refused_inputs: 0,
         }
     }
 
@@ -512,7 +515,8 @@ impl ClientActor {
     /// Handles a reply from a destination server.
     pub fn on_message(&mut self, _from: usize, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
         let NetMsg::Reply { id } = msg else {
-            panic!("clients only receive replies");
+            self.refused_inputs += 1;
+            return;
         };
         let Some(out) = &mut self.outstanding else {
             return; // stale reply after cutoff — ignore
@@ -711,6 +715,28 @@ mod tests {
         assert_refused(&[client(999, [0, SERVERS as u16]), client(998, [1, 2])]);
     }
 
+    /// A client message whose sender names no client is delivered at both
+    /// destinations; the world drops and counts each reply to the pid it
+    /// does not host.
+    #[test]
+    fn a_reply_to_a_client_the_world_does_not_host_is_dropped() {
+        let mut world = quiesced_world();
+        let dropped = world.dropped_messages();
+        let dst = DestSet::from_iter([GroupId(0), GroupId(1)]);
+        let msg = Message::new(MsgId::new(ClientId(999), 0), dst, Payload::empty()).unwrap();
+        let reply_to = client_pid(SERVERS, ClientId(0));
+        let id = msg.id;
+        world.inject(reply_to, 0, NetMsg::Client { msg, reply_to });
+        world.run_to_quiescence(1_000_000);
+        for pid in [0, 1] {
+            let Node::Server(s) = world.actor(pid) else {
+                panic!("pid {pid} is not a server");
+            };
+            assert_eq!(s.deliveries.last().map(|d| d.id), Some(id), "server {pid}");
+        }
+        assert_eq!(world.dropped_messages(), dropped + 2);
+    }
+
     /// Only servers send FlexCast packets; one from any other process
     /// names no rank.
     #[test]
@@ -724,7 +750,8 @@ mod tests {
     }
 
     /// Replies are for clients, replication traffic for replicated worlds,
-    /// and another protocol's packets for its own servers.
+    /// and another protocol's packets for its own servers. A client takes
+    /// replies only.
     #[test]
     fn message_kinds_a_server_does_not_handle_are_refused() {
         let id = MsgId::new(ClientId(0), 999);
@@ -732,13 +759,23 @@ mod tests {
         let msg = Message::new(id, dst, Payload::empty()).unwrap();
         let mref = MsgRef::of(&msg);
         let hist = HistoryDelta::empty();
+        let notif = Packet::Notif { mref, hist };
+
+        let mut world = quiesced_world();
+        let client = client_pid(SERVERS, ClientId(0));
+        let state = |w: &World<NetMsg, Node>| match w.actor(client) {
+            Node::Client(c) => (c.completed, c.samples.len(), c.refused_inputs),
+            _ => panic!("pid {client} is not a client"),
+        };
+        let before = state(&world);
+        world.inject(0, client, NetMsg::Flex(notif.clone()));
+        world.run_to_quiescence(1_000);
+        assert_eq!(state(&world), (before.0, before.1, before.2 + 1));
+
         assert_refused(&[
             NetMsg::Reply { id },
             NetMsg::Repl(PaxosMsg::LearnReq { from_slot: 0 }),
-            NetMsg::GroupMsg {
-                seq: 0,
-                pkt: Packet::Notif { mref, hist },
-            },
+            NetMsg::GroupMsg { seq: 0, pkt: notif },
             NetMsg::Ble(BleMsg::HeartbeatRequest { round: 1 }),
             NetMsg::SnapReq { have: 0 },
             NetMsg::Snapshot {

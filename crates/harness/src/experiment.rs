@@ -201,12 +201,6 @@ impl ExperimentResult {
         self.latency_by_rank.get(k - 1)?.p90_p95_p99()
     }
 
-    /// The full p50/p90/p95/p99/p999 latency set for destination rank `k`
-    /// (1-based). `None` if no samples.
-    pub fn rank_percentiles(&self, k: usize) -> Option<Percentiles> {
-        self.latency_by_rank.get(k - 1)?.percentiles()
-    }
-
     /// Transaction completion latency percentiles (the sample of each
     /// transaction's *last* destination response). `None` if no samples.
     pub fn completion_percentiles(&self) -> Option<Percentiles> {

@@ -49,14 +49,15 @@ pub enum NetMsg {
     },
     /// Intra-group ballot-leader-election heartbeat traffic.
     Ble(BleMsg),
-    /// A lagging replica asking a sibling for a state snapshot. Re-sent
-    /// every maintenance tick while the lag persists, so losing any one
-    /// request (or its reply) only delays the transfer.
+    /// A request for a state snapshot that no actor sends any more: a
+    /// lagging replica asks with `LearnReq`, which a peer answers below
+    /// its compaction marker with a [`NetMsg::Snapshot`]. Kept for the
+    /// wire format; replicas count one as a refused input.
     SnapReq {
         /// The requester's apply cursor: a useful snapshot covers more.
         have: u64,
     },
-    /// A sibling's snapshot reply: the serialized replicated state machine
+    /// A sibling's snapshot: the serialized replicated state machine
     /// through slot `through`. Receivers discard stale or duplicate
     /// transfers (`through` at or below their own cursor), which makes the
     /// exchange loss/dup/reorder-safe.

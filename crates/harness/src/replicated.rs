@@ -15,9 +15,10 @@
 //! layer rebuilds both guarantees end to end:
 //!
 //! * **Exactly-once input**: every group input (client message or peer
-//!   packet) is proposed as a Paxos command; the [`ReplEngine`] state
-//!   machine deduplicates at apply time (client messages by id, peer
-//!   packets by per-link sequence number), so client retries, leader
+//!   packet) is proposed as a Paxos command and deduplicated at apply
+//!   time — client messages by id in the engine itself
+//!   ([`FlexCastGroup::has_taken`]), peer packets by per-link sequence
+//!   number in the [`ReplEngine`] — so client retries, leader
 //!   re-emissions, and outbox retransmissions are all safe.
 //! * **FIFO per group link**: every inter-group packet carries a sequence
 //!   number assigned deterministically at apply time by the *sending*
@@ -27,19 +28,22 @@
 //!   assume.
 //! * **Reliability**: actors retry on timers — clients re-send unacked
 //!   multicasts, leaders re-drive stuck Paxos slots and periodically
-//!   retransmit the replicated outbox, and followers request gap-fills —
-//!   so anything lost to a crash, drop, or partition is eventually
+//!   retransmit the replicated outbox, and replicas request gap-fills
+//!   (answered with a snapshot below the peer's compaction marker) — so
+//!   anything lost to a crash, drop, or partition is eventually
 //!   re-delivered once connectivity returns.
 //!
-//! # One open slot, one copy per packet
+//! # One inbox, one proposal rule, one copy per packet
 //!
-//! A leader keeps at most one Paxos slot open. Inputs that arrive while
-//! it is open wait in a queue and are proposed together, as one
-//! [`ReplCmd::Batch`] slot, as soon as it commits — so a slot's six
-//! `Accept`/`Accepted`/`Learn` messages are paid once per round, not
-//! once per input. A command holds its packet behind an [`Arc`], so the
-//! copies in the Paxos log, the outbox, snapshots and effects are all
-//! one allocation.
+//! A replica keeps every input it took from the network in one inbox
+//! until it sees the input applied. Whenever it leads and no Paxos slot
+//! is open, it proposes every unapplied inbox input as the next slot —
+//! one input as itself, several as one [`ReplCmd::Batch`] — so a slot's
+//! six `Accept`/`Accepted`/`Learn` messages are paid once per round, not
+//! once per input, and the inputs a new leader inherits ride one slot
+//! after its takeover `Noop`. A command holds its packet behind an
+//! [`Arc`], so the copies in the Paxos log, the outbox, snapshots and
+//! effects are all one allocation.
 //!
 //! Only the current leader emits engine effects; after a failover the new
 //! leader may re-emit, and every re-emission is absorbed by the dedup
@@ -66,7 +70,7 @@ use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A command proposed to (and committed by) a group's Paxos log, and —
@@ -94,7 +98,7 @@ pub enum ReplCmd {
         /// The replica that proposed it (debugging only).
         proposer: u32,
     },
-    /// Inputs the leader queued while a slot was open, committed in one
+    /// Inputs the leader held while a slot was open, committed in one
     /// slot and applied in order. Never nested: the decoder refuses a
     /// batch inside a batch, so no input can make decoding recurse.
     Batch(Vec<ReplCmd>),
@@ -155,8 +159,6 @@ impl<'de> Deserialize<'de> for ReplCmd {
 pub struct ReplSnapshot {
     /// [`FlexCastGroup::snapshot`] of the wrapped engine.
     pub engine: Vec<u8>,
-    /// Client messages already consumed by the engine.
-    pub applied_clients: BTreeSet<MsgId>,
     /// Next expected sequence number per inbound group link.
     pub next_in: BTreeMap<GroupId, u64>,
     /// Out-of-order inbound packets held until their turn.
@@ -176,8 +178,6 @@ pub struct ReplSnapshot {
 pub struct ReplEngine {
     engine: FlexCastGroup,
     order: CDagOrder,
-    /// Client messages already consumed by the engine.
-    applied_clients: BTreeSet<MsgId>,
     /// Next expected sequence number per inbound group link.
     next_in: BTreeMap<GroupId, u64>,
     /// Out-of-order inbound packets held until their turn.
@@ -209,7 +209,6 @@ impl ReplEngine {
         ReplEngine {
             engine,
             order,
-            applied_clients: BTreeSet::new(),
             next_in: BTreeMap::new(),
             held: BTreeMap::new(),
             next_out: BTreeMap::new(),
@@ -234,11 +233,6 @@ impl ReplEngine {
         &self.outbox
     }
 
-    /// True if the client message was already consumed.
-    pub fn is_client_applied(&self, id: MsgId) -> bool {
-        self.applied_clients.contains(&id)
-    }
-
     /// Committed commands [`apply_cmd`] skipped for naming a group outside
     /// the overlay, or for a client message whose lca is another group;
     /// like the engine's `RejectStats`, not snapshot state.
@@ -246,10 +240,19 @@ impl ReplEngine {
         self.refused_cmds
     }
 
-    /// True if the inbound packet at `(peer, seq)` is already in the
-    /// state machine: applied, or held until the gap before it closes.
-    pub fn is_peer_applied(&self, peer: GroupId, seq: u64) -> bool {
-        seq < self.next_in.get(&peer).copied().unwrap_or(0) || self.held.contains_key(&(peer, seq))
+    /// True if `cmd` is already in the state machine: a client message
+    /// the engine took, an inbound packet applied or held until the gap
+    /// before it closes, a no-op, or a batch of these.
+    pub fn has_applied(&self, cmd: &ReplCmd) -> bool {
+        match cmd {
+            ReplCmd::Client(m) => self.engine.has_taken(m.id),
+            ReplCmd::Peer { peer, seq, .. } => {
+                *seq < self.next_in.get(peer).copied().unwrap_or(0)
+                    || self.held.contains_key(&(*peer, *seq))
+            }
+            ReplCmd::Noop { .. } => true,
+            ReplCmd::Batch(cmds) => cmds.iter().all(|c| self.has_applied(c)),
+        }
     }
 
     /// The group serving as the FlexCast entry point for destinations
@@ -270,7 +273,6 @@ impl ReplEngine {
     pub fn to_snapshot(&self) -> ReplSnapshot {
         ReplSnapshot {
             engine: self.engine.snapshot().expect("engines always serialize"),
-            applied_clients: self.applied_clients.clone(),
             next_in: self.next_in.clone(),
             held: self.held.clone(),
             next_out: self.next_out.clone(),
@@ -285,7 +287,6 @@ impl ReplEngine {
         Ok(ReplEngine {
             engine: FlexCastGroup::restore(&snap.engine)?,
             order,
-            applied_clients: snap.applied_clients,
             next_in: snap.next_in,
             held: snap.held,
             next_out: snap.next_out,
@@ -346,21 +347,17 @@ pub fn apply_cmd(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<GroupEffect<Rep
                 e.refused_cmds += 1;
                 return;
             };
-            if e.applied_clients.contains(&m.id) {
-                return; // duplicate proposal (client retry / dual leader)
-            }
             let ranked =
                 Message::new(m.id, dst, m.payload).expect("client messages have destinations");
-            // The engine drops a message whose lca is another group; its
-            // reject count is the verdict.
+            // The engine drops a copy it already took (a client retry or
+            // a dual leader's proposal), and drops and counts a message
+            // whose lca is another group; that count is the verdict.
             let rejected = e.engine.reject_stats().packets;
             let mut outputs = Vec::new();
             e.engine.on_client(ranked, &mut outputs);
             if e.engine.reject_stats().packets != rejected {
                 e.refused_cmds += 1;
-                return;
             }
-            e.applied_clients.insert(m.id);
             e.absorb(outputs, out);
         }
         ReplCmd::Peer { peer, seq, pkt } => {
@@ -427,13 +424,11 @@ pub struct ReplicatedActor {
     /// The (static, per-run) C-DAG order — kept so a received snapshot can
     /// be restored without shipping the order over the wire.
     order: CDagOrder,
-    /// Inputs seen on the network and not yet observed applied.
+    /// Inputs seen on the network and not yet observed applied: the only
+    /// buffer of unproposed input ([`ReplicatedActor::propose_inbox`]).
     inbox: Vec<ReplCmd>,
-    /// Leader only: inputs waiting for the open slot to commit, proposed
-    /// together as the next slot. Cleared on every leadership flip (the
-    /// inbox still holds them).
-    queued: Vec<ReplCmd>,
-    /// Inputs re-submitted by the tick or at takeover, not fresh intake.
+    /// Unapplied inbox inputs held at each takeover: the only inputs an
+    /// old leader may have proposed already.
     reproposals: u64,
     /// Inputs refused at intake: a client destination or a group
     /// message's sender outside the overlay, or a message kind replicas
@@ -449,7 +444,7 @@ pub struct ReplicatedActor {
     /// BLE round at which the previous `Leader` event fired here (feeds
     /// the `smr.election_rounds` histogram).
     last_leader_round: u64,
-    /// Snapshot catch-up threshold and compaction distance, in slots.
+    /// Compaction distance, in slots ([`ReplicatedConfig::catch_up_lag`]).
     catch_up_lag: u64,
     /// When this replica first noticed its current excessive lag (opens
     /// the `catch_up` async span; closed and cleared at install).
@@ -492,7 +487,6 @@ impl ReplicatedActor {
             rg,
             order: cfg.order.clone(),
             inbox: Vec::new(),
-            queued: Vec::new(),
             reproposals: 0,
             refused_inputs: 0,
             was_leader: false,
@@ -546,13 +540,10 @@ impl ReplicatedActor {
         self.rg.is_leader()
     }
 
-    fn is_applied(&self, cmd: &ReplCmd) -> bool {
-        match cmd {
-            ReplCmd::Client(m) => self.rg.engine().is_client_applied(m.id),
-            ReplCmd::Peer { peer, seq, .. } => self.rg.engine().is_peer_applied(*peer, *seq),
-            ReplCmd::Noop { .. } => true,
-            ReplCmd::Batch(cmds) => cmds.iter().all(|c| self.is_applied(c)),
-        }
+    /// Drops the inbox inputs the group has applied since they arrived.
+    fn prune_inbox(&mut self) {
+        let state = self.rg.engine();
+        self.inbox.retain(|c| !state.has_applied(c));
     }
 
     /// Sends an inter-group packet to every replica of the destination
@@ -663,17 +654,15 @@ impl ReplicatedActor {
     }
 
     /// After any interaction with the replication layer: if this replica
-    /// just became leader, seed the log with a no-op and propose every
-    /// pending input it has been holding as a follower. Either flip clears
-    /// the batching queue (the inbox still holds every input). Leadership
-    /// flips are published to the observation plane right here — the one
-    /// place the actor already detects them — so reactive adversaries
+    /// just became leader, seed the log with a no-op, then propose the
+    /// inputs it has been holding as a follower. Leadership flips are
+    /// published to the observation plane right here — the one place the
+    /// actor already detects them — so reactive adversaries
     /// (`flexcast-chaos::run_adversary`) can target the *current* leader
     /// without reaching into actor internals.
     fn check_transition(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
         if self.rg.is_leader() && !self.was_leader {
             self.was_leader = true;
-            self.queued.clear();
             // Close the election span opened when this replica last stood
             // for election (if it won without standing — e.g. a restart
             // re-claim — there is nothing to close).
@@ -694,6 +683,8 @@ impl ReplicatedActor {
                 pid: ctx.me(),
                 at: ctx.now(),
             });
+            self.prune_inbox();
+            self.reproposals += self.inbox.len() as u64;
             let mut fx = Vec::new();
             self.rg.submit(
                 ReplCmd::Noop {
@@ -701,17 +692,8 @@ impl ReplicatedActor {
                 },
                 &mut fx,
             );
-            let pending: Vec<ReplCmd> = self
-                .inbox
-                .iter()
-                .filter(|c| !self.is_applied(c))
-                .cloned()
-                .collect();
-            self.reproposals += pending.len() as u64;
-            for cmd in pending {
-                self.rg.submit(cmd, &mut fx);
-            }
             self.emit(fx, ctx);
+            self.propose_inbox(ctx);
         } else if !self.rg.is_leader() {
             if self.was_leader {
                 ctx.observe(Observation::LeaderLost {
@@ -722,13 +704,12 @@ impl ReplicatedActor {
                 });
             }
             self.was_leader = false;
-            self.queued.clear();
         }
     }
 
     /// Takes one input from the network into the group.
     fn intake(&mut self, cmd: ReplCmd, ctx: &mut Ctx<'_, NetMsg>) {
-        if self.is_applied(&cmd) || self.inbox.contains(&cmd) {
+        if self.rg.engine().has_applied(&cmd) || self.inbox.contains(&cmd) {
             return;
         }
         if ctx.telemetry().is_enabled() {
@@ -738,68 +719,57 @@ impl ReplicatedActor {
                     .or_insert_with(|| ctx.now());
             }
         }
-        if self.rg.is_leader() {
-            self.queued.push(cmd.clone());
-        }
         self.inbox.push(cmd);
-        self.propose_queued(ctx);
+        self.propose_inbox(ctx);
     }
 
-    /// Leader: once no slot is open, proposes the queue as the next slot —
-    /// one input as itself, several as one [`ReplCmd::Batch`]. Runs after
-    /// intake, after every replication message (a commit closes the round)
-    /// and at each tick.
-    fn propose_queued(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        if self.queued.is_empty() || !self.rg.is_leader() || self.rg.has_open_slots() {
+    /// The one proposal rule: whenever this replica leads and no slot is
+    /// open — so nothing unapplied is in flight — it proposes every
+    /// unapplied inbox input as the next slot, one as itself, several as
+    /// one [`ReplCmd::Batch`]. Runs after intake, after every replication
+    /// message (a commit closes the round), at each tick and right after
+    /// a takeover's `Noop`.
+    fn propose_inbox(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
+        if !self.rg.is_leader() || self.rg.has_open_slots() {
             return;
         }
-        let inputs = self.queued.len() as u64;
-        let cmd = match inputs {
-            1 => self.queued.pop().expect("one queued input"),
-            _ => ReplCmd::Batch(std::mem::take(&mut self.queued)),
+        self.prune_inbox();
+        let cmd = match self.inbox.as_slice() {
+            [] => return,
+            [one] => one.clone(),
+            all => ReplCmd::Batch(all.to_vec()),
         };
         let mut fx = Vec::new();
-        self.rg.submit_carrying(cmd, inputs, &mut fx);
+        self.rg
+            .submit_carrying(cmd, self.inbox.len() as u64, &mut fx);
         self.emit(fx, ctx);
-        self.check_transition(ctx);
     }
 
-    /// Per-tick snapshot catch-up bookkeeping: compact the local log to a
-    /// bounded window behind the apply cursor, and — when this replica's
-    /// commit lag exceeds the window — ask every sibling for a snapshot.
-    /// The request repeats each tick while the lag persists, so lost
-    /// requests or replies only delay the transfer.
+    /// Per-tick catch-up bookkeeping: compact the local log to
+    /// `catch_up_lag` slots behind the apply cursor, and open the
+    /// `catch_up` span when this replica's commit lag exceeds that
+    /// distance. The catch-up itself is the repair tick's `LearnReq`,
+    /// which a peer answers below its compaction marker with a snapshot.
     fn tick_catch_up(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
         let applied = self.rg.applied_slots();
         if applied > self.catch_up_lag {
             self.rg.compact_to(applied - self.catch_up_lag);
         }
-        if self.rg.commit_lag() > self.catch_up_lag {
-            if self.catch_up_started.is_none() {
-                self.catch_up_started = Some(ctx.now());
-                ctx.telemetry().async_begin(
-                    "smr",
-                    "catch_up",
-                    flexcast_telemetry::SpanId::from_parts(self.node.0 as u32, self.replica),
-                    self.node.0 as u32,
-                    ctx.now().as_nanos(),
-                );
-            }
-            for r in (0..self.rf).filter(|&r| r != self.replica) {
-                ctx.send(
-                    replica_pid(self.node, r, self.rf),
-                    NetMsg::SnapReq { have: applied },
-                );
-            }
+        if self.rg.commit_lag() > self.catch_up_lag && self.catch_up_started.is_none() {
+            self.catch_up_started = Some(ctx.now());
+            ctx.telemetry().async_begin(
+                "smr",
+                "catch_up",
+                flexcast_telemetry::SpanId::from_parts(self.node.0 as u32, self.replica),
+                self.node.0 as u32,
+                ctx.now().as_nanos(),
+            );
         }
     }
 
     fn on_tick(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
         self.ticks += 1;
-        // Drop inputs the group has since applied.
-        let applied: Vec<bool> = self.inbox.iter().map(|c| self.is_applied(c)).collect();
-        let mut keep = applied.iter().map(|&a| !a);
-        self.inbox.retain(|_| keep.next().unwrap_or(true));
+        self.prune_inbox();
 
         let mut ble_out = Vec::new();
         self.ble.on_tick(&mut ble_out);
@@ -817,20 +787,7 @@ impl ReplicatedActor {
 
         let mut fx = Vec::new();
         if self.rg.is_leader() {
-            // With no slot open nothing unapplied can still be in flight:
-            // an inbox input that is not queued was lost with a slot or a
-            // leader, so it rides the next slot.
-            if !self.rg.has_open_slots() {
-                let lost: Vec<ReplCmd> = self
-                    .inbox
-                    .iter()
-                    .filter(|c| !self.is_applied(c) && !self.queued.contains(c))
-                    .cloned()
-                    .collect();
-                self.reproposals += lost.len() as u64;
-                self.queued.extend(lost);
-            }
-            self.propose_queued(ctx);
+            self.propose_inbox(ctx);
             // Re-drive stuck slots, heartbeat the newest commit.
             self.rg.tick_repair(&mut fx);
             self.emit(fx, ctx);
@@ -953,7 +910,7 @@ impl Actor<NetMsg> for ReplicatedActor {
                     .on_replication(replica_of(from, self.rf), pm, &mut fx);
                 self.emit(fx, ctx);
                 self.check_transition(ctx);
-                self.propose_queued(ctx);
+                self.propose_inbox(ctx);
             }
             NetMsg::Ble(bm) => {
                 let mut ble_out = Vec::new();
@@ -961,21 +918,13 @@ impl Actor<NetMsg> for ReplicatedActor {
                     .on_message(replica_of(from, self.rf), bm, &mut ble_out);
                 self.pump_ble(ble_out, ctx);
             }
-            NetMsg::SnapReq { have } => {
-                // Serve whenever strictly ahead: the requester keeps asking
-                // until its lag closes, and installs only transfers that
-                // advance its cursor, so over-serving is merely traffic.
-                if self.rg.applied_slots() > have {
-                    self.send_snapshot(replica_of(from, self.rf), ctx);
-                }
-            }
             NetMsg::Snapshot { through, state } => {
                 if through <= self.rg.applied_slots() {
                     return; // stale or duplicate transfer
                 }
                 // Bytes that do not decode, or an engine that does not
-                // restore, are refused: the replica keeps its state and
-                // keeps asking while its lag persists.
+                // restore, are refused: the replica keeps its state, and
+                // its gap keeps it asking.
                 let restored = flexcast_wire::from_bytes::<ReplSnapshot>(&state)
                     .and_then(|snap| ReplEngine::from_snapshot(snap, self.order.clone()));
                 let Ok(engine) = restored else {
@@ -1003,10 +952,12 @@ impl Actor<NetMsg> for ReplicatedActor {
                 }
             }
             // Replies are for clients, bare protocol packets for
-            // unreplicated worlds.
-            NetMsg::Reply { .. } | NetMsg::Flex(_) | NetMsg::Skeen(_) | NetMsg::Hier(_) => {
-                self.refused_inputs += 1;
-            }
+            // unreplicated worlds; snapshots are asked for by `LearnReq`.
+            NetMsg::Reply { .. }
+            | NetMsg::Flex(_)
+            | NetMsg::Skeen(_)
+            | NetMsg::Hier(_)
+            | NetMsg::SnapReq { .. } => self.refused_inputs += 1,
         }
     }
 
@@ -1073,6 +1024,8 @@ pub struct ReplClientActor {
     pub first_ack_ms: Vec<f64>,
     /// Fully acknowledged multicasts.
     pub completed: u64,
+    /// Inputs refused: anything but a `Reply`.
+    pub refused_inputs: u64,
 }
 
 impl ReplClientActor {
@@ -1106,6 +1059,7 @@ impl ReplClientActor {
             completion_ms: Vec::new(),
             first_ack_ms: Vec::new(),
             completed: 0,
+            refused_inputs: 0,
         }
     }
 
@@ -1175,7 +1129,8 @@ impl Actor<NetMsg> for ReplClientActor {
 
     fn on_message(&mut self, from: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
         let NetMsg::Reply { id } = msg else {
-            panic!("clients only receive replies");
+            self.refused_inputs += 1;
+            return;
         };
         let Some(out) = &mut self.outstanding else {
             return; // late duplicate for a finished multicast
@@ -1247,6 +1202,8 @@ pub struct ReplFlushActor {
     pub issued: Vec<(MsgId, DestSet)>,
     /// Flushes acked by every group.
     pub completed: u64,
+    /// Inputs refused: anything but a `Reply`.
+    pub refused_inputs: u64,
 }
 
 impl ReplFlushActor {
@@ -1270,6 +1227,7 @@ impl ReplFlushActor {
             outstanding: None,
             issued: Vec::new(),
             completed: 0,
+            refused_inputs: 0,
         }
     }
 
@@ -1299,7 +1257,8 @@ impl Actor<NetMsg> for ReplFlushActor {
 
     fn on_message(&mut self, from: ProcessId, msg: NetMsg, _ctx: &mut Ctx<'_, NetMsg>) {
         let NetMsg::Reply { id } = msg else {
-            panic!("flushers only receive replies");
+            self.refused_inputs += 1;
+            return;
         };
         let Some((out_id, acked)) = &mut self.outstanding else {
             return; // late duplicate for a completed flush
@@ -1428,10 +1387,10 @@ pub struct ReplicatedConfig {
     /// How many ticks a BLE round grows by when replies arrive late
     /// (adaptive timeout; capped at 8× [`ReplicatedConfig::hb_delay`]).
     pub hb_increment: u64,
-    /// Snapshot catch-up threshold, in Paxos slots: a replica whose
-    /// commit lag exceeds this requests a sibling snapshot instead of
-    /// replaying the log, and every replica compacts its log to this many
-    /// slots behind its apply cursor.
+    /// Compaction distance, in Paxos slots: every replica compacts its log
+    /// to this many slots behind its apply cursor, so a replica further
+    /// behind than that catches up by snapshot — a peer answers its
+    /// `LearnReq` below the compaction marker with one — not by replay.
     pub catch_up_lag: u64,
     /// Telemetry handle, disabled by default. Clones share one registry
     /// and tracer; [`collect`] snapshots it into the result.
@@ -1814,8 +1773,17 @@ mod tests {
 
     /// `name` summed over every replica's exported counters.
     fn counter(world: &World<NetMsg, ReplNode>, name: &str) -> u64 {
+        counter_of(world, 0..world.len(), name)
+    }
+
+    /// `name` summed over the exported counters of the replicas in `pids`.
+    fn counter_of(
+        world: &World<NetMsg, ReplNode>,
+        pids: impl IntoIterator<Item = ProcessId>,
+        name: &str,
+    ) -> u64 {
         let tel = Telemetry::enabled();
-        for pid in 0..world.len() {
+        for pid in pids {
             if let ReplNode::Replica(r) = world.actor(pid) {
                 r.export_metrics(&tel);
             }
@@ -1894,20 +1862,42 @@ mod tests {
         assert_eq!(counter(&world, "reproposals"), 0);
     }
 
-    /// Fault-free, the tick never re-proposes: once the first leaders are
-    /// in, every input reaches its slot through the batching queue, and
-    /// slots carry more than one input on average.
+    /// Fault-free, inputs are proposed twice only at takeover: a group's
+    /// first leader proposes its `Noop`, then one batch carrying every
+    /// input it inherited. Nothing is re-proposed after the first
+    /// elections, and slots carry more than one input on average.
     #[test]
     fn fault_free_leaders_batch_and_never_repropose() {
         let mut cfg = ReplicatedConfig::small(3, 3, 9);
         cfg.n_clients = 12;
         let m = matrix(3);
         let mut world = build_world(&cfg, &m);
-        let all_led = |w: &World<NetMsg, ReplNode>| {
-            (0..3).all(|g| (0..3).any(|r| replica(w, replica_pid(GroupId(g), r, 3)).is_leader()))
-        };
-        while !all_led(&world) {
-            assert!(world.step(), "elections finish before the run does");
+        // Per group, once its first leader has proposed two slots: the
+        // slots and inputs it proposed, and the inputs it inherited.
+        let mut first: Vec<Option<(u64, u64, u64)>> = vec![None; 3];
+        while first.contains(&None) {
+            assert!(world.step(), "every first leader proposes twice");
+            for (g, seen) in first.iter_mut().enumerate().filter(|(_, s)| s.is_none()) {
+                let mut pids = (0..3).map(|r| replica_pid(GroupId(g as u16), r, 3));
+                let Some(pid) =
+                    pids.find(|&pid| replica(&world, pid).replication().replica().next_slot() >= 2)
+                else {
+                    continue;
+                };
+                let count = |name| counter_of(&world, [pid], name);
+                let inherited = replica(&world, pid).reproposals;
+                *seen = Some((count("proposals"), count("inputs"), inherited));
+            }
+        }
+        for (g, seen) in first.into_iter().enumerate() {
+            let (slots, inputs, inherited) = seen.expect("recorded above");
+            assert_eq!(slots, 2, "group {g}: a Noop and one batch");
+            assert!(
+                inputs > inherited,
+                "group {g}: {inputs} inputs, {inherited} inherited"
+            );
+            // The last rank is no multicast's lca, so it inherits nothing.
+            assert!(g == 2 || inherited > 1, "group {g} inherited {inherited}");
         }
         let at_election = counter(&world, "reproposals");
         world.run_to_quiescence(20_000_000);
@@ -2011,8 +2001,10 @@ mod tests {
         assert_refused(&[NetMsg::GroupMsg { seq: 0, pkt }]);
     }
 
-    /// Replies are for clients, and bare protocol packets for unreplicated
-    /// worlds; a replica counts them and changes nothing.
+    /// Replies are for clients, bare protocol packets for unreplicated
+    /// worlds, and snapshots are asked for by `LearnReq`; a replica
+    /// counts them and changes nothing. Clients and the flusher take
+    /// replies only.
     #[test]
     fn message_kinds_a_replica_does_not_handle_are_refused() {
         let id = MsgId::new(ClientId(0), 999);
@@ -2020,12 +2012,72 @@ mod tests {
         let msg = Message::new(id, dst, vec![1].into()).unwrap();
         let mref = flexcast_core::MsgRef::of(&msg);
         let hist = flexcast_core::HistoryDelta::empty();
+        let notif = Packet::Notif { mref, hist };
         assert_refused(&[
             NetMsg::Reply { id },
-            NetMsg::Flex(Packet::Notif { mref, hist }),
+            NetMsg::Flex(notif.clone()),
             NetMsg::Skeen(flexcast_baselines::SkeenPacket::Ts { id, ts: 1 }),
             NetMsg::Hier(flexcast_baselines::HierPacket(msg)),
+            NetMsg::SnapReq { have: 0 },
         ]);
+
+        let mut cfg = ReplicatedConfig::small(3, 3, 7);
+        cfg.flush_period = Some(SimTime::from_ms(600.0));
+        cfg.n_flushes = 1;
+        let mut world = build_world(&cfg, &matrix(3));
+        world.run_to_quiescence(20_000_000);
+        let (client, flusher) = (client_pid(3, 3, ClientId(0)), world.len() - 1);
+        let leader = replica_pid(GroupId(0), 0, 3);
+        let state = |w: &World<NetMsg, ReplNode>| match (w.actor(client), w.actor(flusher)) {
+            (ReplNode::Client(c), ReplNode::Flusher(f)) => (
+                (c.completed, c.issued.len(), c.completion_ms.len()),
+                (f.completed, f.issued.len()),
+                (c.refused_inputs, f.refused_inputs),
+            ),
+            _ => panic!("a client and the flusher"),
+        };
+        let before = state(&world);
+        for pid in [client, flusher] {
+            let pkt = notif.clone();
+            world.inject(leader, pid, NetMsg::GroupMsg { seq: 0, pkt });
+        }
+        world.run_to_quiescence(1_000);
+        let after = state(&world);
+        assert_eq!((after.0, after.1), (before.0, before.1));
+        assert_eq!(after.2, (before.2 .0 + 1, before.2 .1 + 1));
+    }
+
+    /// A client message whose sender names no client is delivered at
+    /// both destinations; the world drops and counts each leader's reply
+    /// to the pid it does not host.
+    #[test]
+    fn a_reply_to_a_client_the_world_does_not_host_is_dropped() {
+        let cfg = ReplicatedConfig::small(3, 3, 7);
+        let mut world = build_world(&cfg, &matrix(3));
+        world.run_to_quiescence(20_000_000);
+        let dropped = world.dropped_messages();
+        let dst = DestSet::from_iter([GroupId(0), GroupId(1)]);
+        let msg = Message::new(MsgId::new(ClientId(999), 0), dst, vec![1].into()).unwrap();
+        let reply_to = client_pid(3, 3, ClientId(0));
+        for r in 0..3 {
+            let to = replica_pid(GroupId(0), r, 3);
+            world.inject(
+                reply_to,
+                to,
+                NetMsg::Client {
+                    msg: msg.clone(),
+                    reply_to,
+                },
+            );
+        }
+        world.run_to_quiescence(1_000_000);
+        for g in [0, 1] {
+            let log = replica(&world, replica_pid(GroupId(g), 0, 3))
+                .state()
+                .delivery_log();
+            assert_eq!(log.last(), Some(&msg.id), "group {g}");
+        }
+        assert_eq!(world.dropped_messages(), dropped + 2);
     }
 
     /// Intake guards run only where a command is proposed, so a hostile

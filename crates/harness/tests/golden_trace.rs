@@ -258,4 +258,9 @@ const GOLDEN_FAULT_FREE: (u64, u64, u64) = (1519, 239, 6087929938598119994);
 /// groups deliver. Re-recorded again when leaders began batching inputs
 /// into one open slot at a time: fewer Paxos messages move the event
 /// count and the fault sampling, and the digest again stays put.
-const GOLDEN_LINK_FAULTS: (u64, u64, u64, u64) = (35105, 12, 17, 10328533749801288588);
+/// Re-recorded when a new leader began proposing the inputs it inherits
+/// as one batch after its takeover `Noop` commits, instead of one slot
+/// each beside it: those inputs commit a round later, and this time the
+/// delivered order moves with them (`(35105, 12, 17, 10328533749801288588)`
+/// before).
+const GOLDEN_LINK_FAULTS: (u64, u64, u64, u64) = (35025, 12, 16, 1190306985904263308);

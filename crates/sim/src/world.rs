@@ -125,13 +125,6 @@ impl<M> Ctx<'_, M> {
         self.timers.push((self.now + delay, token));
     }
 
-    /// True when an observation driver enabled probes
-    /// ([`World::enable_probes`]); actors may use this to skip even
-    /// constructing an [`Observation`] on undriven runs.
-    pub fn probes_enabled(&self) -> bool {
-        self.probes
-    }
-
     /// Publishes a typed observation to the world's observation buffer
     /// (see [`crate::obs`]). A no-op unless probes are enabled, so
     /// undriven runs pay nothing. Publishing is pure data flow: it draws
@@ -601,11 +594,13 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
 
     /// Applies partitions and link faults to one send — sampling the fate
     /// *before* the caller-visible payload handling, so dropped messages
-    /// are never cloned — and returns the scheduled arrival time(s).
+    /// are never cloned — and returns the scheduled arrival time(s). A
+    /// send to a pid this world does not host is dropped.
     #[inline]
     fn plan_send(&mut self, from: ProcessId, to: ProcessId, control: bool) -> SendFate {
         self.sent_messages += 1;
-        if self.links.is_blocked(from, to) {
+        // Worker threads borrow `actors`; `link` always covers every pid.
+        if to >= self.link.len() || self.links.is_blocked(from, to) {
             self.dropped_messages += 1;
             return SendFate::Dropped;
         }

@@ -161,7 +161,8 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
         self.replica.compacted_to()
     }
 
-    /// How many committed-but-unapplied slots this replica knows about.
+    /// How many committed-but-unapplied slots this replica knows about
+    /// (diagnostics; see [`Replica::commit_lag`]).
     pub fn commit_lag(&self) -> u64 {
         self.replica.commit_lag()
     }
@@ -180,7 +181,9 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
         true
     }
 
-    /// Proposes an input to the group (leader path; followers buffer).
+    /// Proposes an input to the group. Only a leader proposes: elsewhere
+    /// this does nothing, and the caller keeps the input until some
+    /// replica leads.
     pub fn submit(&mut self, input: I, out: &mut Vec<GroupEffect<I>>) {
         self.submit_carrying(input, 1, out);
     }
@@ -189,6 +192,9 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
     /// engine commands in one slot (a batch), so the exported `inputs`
     /// counter tells commands from slots.
     pub fn submit_carrying(&mut self, input: I, inputs: u64, out: &mut Vec<GroupEffect<I>>) {
+        if !self.replica.is_leader() {
+            return;
+        }
         self.proposals += 1;
         self.inputs += inputs;
         let mut paxos_out = Vec::new();
@@ -306,21 +312,6 @@ mod tests {
         for g in &gs {
             assert_eq!(g.engine().applied, vec![5, 7]);
             assert_eq!(g.engine().total, 12);
-        }
-    }
-
-    #[test]
-    fn follower_inputs_buffer_until_leadership() {
-        let mut gs = replicated_counter(3);
-        let mut out = Vec::new();
-        gs[1].submit(9, &mut out);
-        assert!(out.is_empty(), "no leader yet");
-        let mut out = Vec::new();
-        gs[1].start_election(&mut out);
-        let emitted = route(&mut gs, 1, out);
-        assert_eq!(emitted, vec![9], "buffered input replicated after win");
-        for g in &gs {
-            assert_eq!(g.engine().applied, vec![9]);
         }
     }
 

@@ -13,8 +13,9 @@
 //!   leader oracle that elects exactly one stable leader whenever some
 //!   replica is quorum-connected, feeding [`Replica::handle_leader`].
 //! * [`ReplicatedGroup`] — glues a quorum of replicas to any deterministic
-//!   group engine (e.g. `flexcast_core::FlexCastGroup`): inputs are
-//!   proposed as commands, and each replica applies the committed command
+//!   group engine (e.g. `flexcast_core::FlexCastGroup`): the leader
+//!   proposes inputs as commands (elsewhere nothing is proposed, and the
+//!   host keeps the input), and each replica applies the committed command
 //!   sequence to its local engine copy, keeping all replicas in lockstep.
 //!
 //! Safety holds under arbitrary message loss, duplication, and reordering;

@@ -149,8 +149,6 @@ pub struct Replica<C> {
     /// Compacted-prefix marker: slots below this have been pruned from
     /// `committed`/`accepted` and are only recoverable via state snapshot.
     compacted_to: u64,
-    /// Commands waiting for a leader (buffered on followers/candidates).
-    backlog: Vec<C>,
 }
 
 impl<C: Clone + PartialEq> Replica<C> {
@@ -170,7 +168,6 @@ impl<C: Clone + PartialEq> Replica<C> {
             next_slot: 0,
             apply_at: 0,
             compacted_to: 0,
-            backlog: Vec::new(),
         }
     }
 
@@ -187,11 +184,6 @@ impl<C: Clone + PartialEq> Replica<C> {
     /// The highest ballot this replica has promised.
     pub fn promised(&self) -> Ballot {
         self.promised
-    }
-
-    /// Number of committed slots not yet taken by the application.
-    pub fn committed_backlog(&self) -> usize {
-        self.committed.range(self.apply_at..).count()
     }
 
     /// Next slot to hand to the application (everything below is applied).
@@ -216,8 +208,9 @@ impl<C: Clone + PartialEq> Replica<C> {
     /// How far the committed log this replica *knows about* runs ahead of
     /// what it has applied: `(highest committed slot + 1) − apply cursor`.
     /// A rejoining replica learns the head via the leader's `Learn`
-    /// heartbeat, so a large lag is the trigger for snapshot catch-up
-    /// instead of slot-by-slot replay.
+    /// heartbeat. A diagnostic only: catching up is
+    /// [`Replica::request_missing`]'s job, whose `LearnReq` a peer answers
+    /// below its compaction marker with [`SmrOutput::SnapshotNeeded`].
     pub fn commit_lag(&self) -> u64 {
         self.committed
             .keys()
@@ -312,29 +305,28 @@ impl<C: Clone + PartialEq> Replica<C> {
         self.maybe_win(out);
     }
 
-    /// Proposes a command. Leaders replicate immediately; others buffer
-    /// until a leader emerges locally (the wrapper forwards to the leader
-    /// in practice).
+    /// Proposes a command at the next slot. Only a leader proposes: on any
+    /// other replica this does nothing, and the caller keeps the command
+    /// until some replica leads.
     pub fn propose(&mut self, cmd: C, out: &mut Vec<SmrOutput<C>>) {
-        if self.role == Role::Leader {
-            let slot = self.next_slot;
-            self.next_slot += 1;
-            self.accept_locally(self.my_ballot, slot, cmd.clone());
-            self.tally.entry(slot).or_default().insert(self.id);
-            for p in self.peers().collect::<Vec<_>>() {
-                out.push(SmrOutput::Send {
-                    to: p,
-                    msg: PaxosMsg::Accept {
-                        ballot: self.my_ballot,
-                        slot,
-                        cmd: cmd.clone(),
-                    },
-                });
-            }
-            self.maybe_commit(slot, out);
-        } else {
-            self.backlog.push(cmd);
+        if self.role != Role::Leader {
+            return;
         }
+        let slot = self.next_slot;
+        self.next_slot += 1;
+        self.accept_locally(self.my_ballot, slot, cmd.clone());
+        self.tally.entry(slot).or_default().insert(self.id);
+        for p in self.peers().collect::<Vec<_>>() {
+            out.push(SmrOutput::Send {
+                to: p,
+                msg: PaxosMsg::Accept {
+                    ballot: self.my_ballot,
+                    slot,
+                    cmd: cmd.clone(),
+                },
+            });
+        }
+        self.maybe_commit(slot, out);
     }
 
     fn accept_locally(&mut self, ballot: Ballot, slot: u64, cmd: C) {
@@ -371,10 +363,6 @@ impl<C: Clone + PartialEq> Replica<C> {
                 });
             }
             self.maybe_commit(slot, out);
-        }
-        // Flush commands buffered while leaderless.
-        for cmd in std::mem::take(&mut self.backlog) {
-            self.propose(cmd, out);
         }
     }
 
@@ -781,30 +769,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn follower_buffers_until_leadership() {
-        let mut r = Replica::<Cmd>::new(0, 3);
-        let mut out = Vec::new();
-        r.propose(5, &mut out);
-        assert!(out.is_empty(), "no leader, no traffic");
-        // Election with a quorum of promises makes it flush the backlog.
-        r.start_election(&mut out);
-        let promise = PaxosMsg::Promise {
-            ballot: r.promised(),
-            accepted: vec![],
-        };
-        let mut out2 = Vec::new();
-        r.on_message(1, promise, &mut out2);
-        assert!(r.is_leader());
-        assert!(out2.iter().any(|o| matches!(
-            o,
-            SmrOutput::Send {
-                msg: PaxosMsg::Accept { cmd: 5, .. },
-                ..
-            }
-        )));
     }
 
     #[test]

@@ -518,7 +518,7 @@ fn rejoined_replica_catches_up_by_snapshot_not_replay() {
     assert!(bytes.count >= 1 && bytes.min > 0);
 
     // Post-recovery replica snapshot round-trips bit-for-bit: engine,
-    // dedup set, channel cursors, held packets, outbox, delivery log.
+    // channel cursors, held packets, outbox, delivery log.
     let snap = v.state().to_snapshot();
     let wire = flexcast_wire::to_bytes(&snap).expect("snapshot encodes");
     let decoded: ReplSnapshot = flexcast_wire::from_bytes(&wire).expect("snapshot decodes");

@@ -126,8 +126,10 @@ proptest! {
                 net.crashed.clear();
             }
 
-            // Propose through arbitrary replicas (followers buffer and
-            // flush on later leadership — also a safety hazard to cover).
+            // Propose through arbitrary replicas: a follower proposes
+            // nothing, and a stale leader that missed its demotion (a
+            // dropped `Prepare`) proposes into slots a rival may also
+            // fill — the safety hazard to cover.
             for _ in 0..driver.random_range(1..6u32) {
                 let via = driver.random_range(0..n);
                 let mut outs = Vec::new();
