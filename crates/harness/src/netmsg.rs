@@ -216,7 +216,7 @@ mod tests {
                 i @ 0..=2 => single(i),
                 i => ReplCmd::Batch((0..(round + i) % 5).map(&mut single).collect()),
             };
-            let paxos = match round % 6 {
+            let paxos = match round % 7 {
                 0 => PaxosMsg::Prepare { ballot },
                 1 => PaxosMsg::Promise {
                     ballot,
@@ -232,7 +232,11 @@ mod tests {
                     slot: next(),
                 },
                 4 => PaxosMsg::Learn { slot: next(), cmd },
-                _ => PaxosMsg::LearnReq { from_slot: next() },
+                5 => PaxosMsg::LearnReq { from_slot: next() },
+                _ => PaxosMsg::Decide {
+                    slot: next(),
+                    ballot,
+                },
             };
             let (skeen, ble) = if round % 2 == 0 {
                 (

@@ -39,7 +39,7 @@
 //! until it sees the input applied. Whenever it leads and no Paxos slot
 //! is open, it proposes every unapplied inbox input as the next slot —
 //! one input as itself, several as one [`ReplCmd::Batch`] — so a slot's
-//! six `Accept`/`Accepted`/`Learn` messages are paid once per round, not
+//! six `Accept`/`Accepted`/`Decide` messages are paid once per round, not
 //! once per input, and the inputs a new leader inherits ride one slot
 //! after its takeover `Noop`. A command holds its packet behind an
 //! [`Arc`], so the copies in the Paxos log, the outbox, snapshots and
@@ -93,7 +93,7 @@ pub enum ReplCmd {
         pkt: Arc<Packet>,
     },
     /// No-op, proposed once at leadership take-over so the log is never
-    /// empty and Learn-based heartbeats have something to re-send.
+    /// empty and the leader's `Decide` heartbeat has a commit to name.
     Noop {
         /// The replica that proposed it (debugging only).
         proposer: u32,

@@ -135,6 +135,12 @@ fn net_msg_vectors() {
              01 01 06 01 0102 0109 01 01 0002 01 0103 020240 01 01 04 0102 01 0103",
         ),
         (
+            // A commit notice: variant 6, the slot, then the ballot. No
+            // command, whatever its size.
+            NetMsg::Repl(PaxosMsg::Decide { slot: 9, ballot }),
+            "05 06 09 0502",
+        ),
+        (
             NetMsg::GroupMsg {
                 seq: 6,
                 pkt: Packet::Advert {

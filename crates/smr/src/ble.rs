@@ -250,12 +250,11 @@ impl BallotLeaderElection {
             .max();
         match top {
             Some(top) => {
-                if self.leader.is_some_and(|cur| top < cur) {
+                if let Some(cur) = self.leader.take_if(|cur| top < *cur) {
                     // The leader we followed vanished from the candidate
                     // set (unreachable, or it lost its own quorum).
                     // Overbid past it: our next completed round elects a
                     // *connected* candidate at a strictly higher ballot.
-                    let cur = self.leader.take().expect("checked is_some");
                     self.current_ballot.round = self.current_ballot.round.max(cur.round) + 1;
                 } else if self.leader != Some(top) {
                     self.leader = Some(top);

@@ -210,7 +210,8 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
     }
 
     /// Periodic repair: leaders re-drive stuck slots and heartbeat the
-    /// newest commit; followers request gap-fills for lost `Learn`s. All
+    /// newest commit as a `Decide`; replicas that know of a commit whose
+    /// command they lack ask for it with `LearnReq`. All
     /// resulting traffic is idempotent — drive this from a timer whenever
     /// the group runs over a lossy or partitionable network.
     pub fn tick_repair(&mut self, out: &mut Vec<GroupEffect<I>>) {

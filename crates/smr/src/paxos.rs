@@ -11,8 +11,13 @@
 //!   highest-ballot value reported — the invariant that makes leader
 //!   changes safe.
 //! * **Phase 2** (replication): the leader assigns commands to slots and
-//!   sends `Accept`; acceptors log and reply `Accepted`; a quorum commits
-//!   the slot and the leader broadcasts `Learn` so followers apply it.
+//!   sends `Accept`; acceptors log and reply `Accepted`; a quorum of
+//!   votes under the leader's ballot commits the slot.
+//! * **Commit notice**: the leader tells followers `Decide(slot, ballot)`,
+//!   not the command. A follower commits the command it itself accepted
+//!   under that ballot, so each command crosses the wire once per
+//!   follower. A follower that never got the `Accept` asks for the
+//!   command with `LearnReq`, and only that answer, `Learn`, carries it.
 //!
 //! Commands apply in slot order; [`Replica::take_committed`] hands the
 //! application a gap-free committed prefix.
@@ -37,21 +42,30 @@ impl Ballot {
 }
 
 /// Messages exchanged between replicas of one group.
+///
+/// Variants are only ever appended: the wire format writes the variant
+/// index, so a new variant leaves every existing encoding unchanged.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub enum PaxosMsg<C> {
-    /// Phase-1a: candidate asks for promises.
+    /// Phase 1a, candidate → every peer: asks for promises. Sent when a
+    /// replica stands for election.
     Prepare {
         /// The candidate's ballot.
         ballot: Ballot,
     },
-    /// Phase-1b: acceptor promises and reports accepted entries.
+    /// Phase 1b, acceptor → candidate: promises to ignore lower ballots
+    /// and reports what it accepted. Sent for a `Prepare` above every
+    /// ballot promised so far.
     Promise {
         /// The ballot being promised.
         ballot: Ballot,
         /// Every `(slot, accepted ballot, command)` the acceptor holds.
         accepted: Vec<(u64, Ballot, C)>,
     },
-    /// Phase-2a: leader proposes `cmd` at `slot`.
+    /// Phase 2a, leader → every peer: proposes `cmd` at `slot`. Sent for
+    /// each new slot, for each slot a new leader re-proposes, by the
+    /// repair tick for slots still uncommitted, and after the repair
+    /// tick's `Decide` to re-assert the leader's ballot.
     Accept {
         /// The leader's ballot.
         ballot: Ballot,
@@ -60,29 +74,55 @@ pub enum PaxosMsg<C> {
         /// The command.
         cmd: C,
     },
-    /// Phase-2b: acceptor accepted the proposal.
+    /// Phase 2b, acceptor → leader: the proposal is logged. Sent for
+    /// every `Accept` at or above the acceptor's promise.
     Accepted {
         /// The ballot accepted under.
         ballot: Ballot,
         /// Log position.
         slot: u64,
     },
-    /// Commit notification from the leader to followers.
+    /// Command-carrying commit, replica → the replica that asked: sent
+    /// only in answer to a `LearnReq`, one per committed slot at or above
+    /// its `from_slot`.
     Learn {
         /// Log position.
         slot: u64,
         /// The committed command.
         cmd: C,
     },
-    /// Gap-fill request: the sender is missing commits at or above
-    /// `from_slot` and asks the receiver to re-send its `Learn`s. Used by
-    /// the repair path after message loss (partitions, crashed leaders).
-    /// A receiver that already compacted past `from_slot` answers the
-    /// compacted prefix with [`SmrOutput::SnapshotNeeded`] instead of
-    /// replaying history it no longer holds.
+    /// Gap-fill request, lagging replica → the replica it believes leads
+    /// (every peer if that is itself): it knows of commits at or above
+    /// `from_slot` whose commands it lacks, and asks for them as `Learn`s.
+    /// Sent by the repair tick after message loss (partitions, crashed
+    /// leaders). A receiver that already compacted past `from_slot`
+    /// answers the compacted prefix with [`SmrOutput::SnapshotNeeded`]
+    /// instead of replaying history it no longer holds.
     LearnReq {
         /// First slot the requester is missing.
         from_slot: u64,
+    },
+    /// Commit notice, leader → every peer: the command accepted at `slot`
+    /// under `ballot` is committed. Sent when a slot commits, and by the
+    /// repair tick for the newest commit, as a heartbeat.
+    ///
+    /// A receiver commits the command it accepted at `slot` under exactly
+    /// `ballot`. Until such an `Accept` arrives, it keeps the notice: the
+    /// slot counts as a known commit, so the repair tick asks for the
+    /// command with `LearnReq`.
+    ///
+    /// This is safe because a `(ballot, slot)` pair names at most one
+    /// command. A ballot has one owner, and the owner proposes each slot
+    /// at most once per ballot: every `Accept` it sends for the slot
+    /// under that ballot carries the same command (the repair tick
+    /// re-asserts a commit only where that holds). A leader sends
+    /// `Decide` only after a quorum accepted that very pair, because its
+    /// quorum tally holds votes for its current ballot alone.
+    Decide {
+        /// Log position.
+        slot: u64,
+        /// The ballot the committed command was accepted under.
+        ballot: Ballot,
     },
 }
 
@@ -142,6 +182,10 @@ pub struct Replica<C> {
     tally: BTreeMap<u64, BTreeSet<u32>>,
     /// Committed commands: slot → command.
     committed: BTreeMap<u64, C>,
+    /// Commit notices whose command this replica does not hold under the
+    /// named ballot: slot → ballot. An entry leaves when its slot commits
+    /// or a snapshot skips it, so none lies below the apply cursor.
+    decided: BTreeMap<u64, Ballot>,
     /// Next slot a leader assigns.
     next_slot: u64,
     /// Next slot to hand to the application.
@@ -165,6 +209,7 @@ impl<C: Clone + PartialEq> Replica<C> {
             election_values: BTreeMap::new(),
             tally: BTreeMap::new(),
             committed: BTreeMap::new(),
+            decided: BTreeMap::new(),
             next_slot: 0,
             apply_at: 0,
             compacted_to: 0,
@@ -206,16 +251,21 @@ impl<C: Clone + PartialEq> Replica<C> {
     }
 
     /// How far the committed log this replica *knows about* runs ahead of
-    /// what it has applied: `(highest committed slot + 1) − apply cursor`.
-    /// A rejoining replica learns the head via the leader's `Learn`
-    /// heartbeat. A diagnostic only: catching up is
+    /// what it has applied: `(highest known commit + 1) − apply cursor`.
+    /// A slot is a known commit once committed here, or once a `Decide`
+    /// named it, command or not. A rejoining replica learns the head via
+    /// the leader's `Decide` heartbeat. A diagnostic only: catching up is
     /// [`Replica::request_missing`]'s job, whose `LearnReq` a peer answers
     /// below its compaction marker with [`SmrOutput::SnapshotNeeded`].
     pub fn commit_lag(&self) -> u64 {
-        self.committed
-            .keys()
-            .next_back()
-            .map_or(0, |&max| (max + 1).saturating_sub(self.apply_at))
+        self.known_head()
+            .map_or(0, |max| (max + 1).saturating_sub(self.apply_at))
+    }
+
+    /// The highest known commit: committed here, or named by a `Decide`.
+    fn known_head(&self) -> Option<u64> {
+        let committed = self.committed.keys().next_back();
+        committed.max(self.decided.keys().next_back()).copied()
     }
 
     /// Prunes the log below `slot` (clamped to the apply cursor: only
@@ -251,6 +301,7 @@ impl<C: Clone + PartialEq> Replica<C> {
         self.committed = self.committed.split_off(&through);
         self.accepted = self.accepted.split_off(&through);
         self.tally = self.tally.split_off(&through);
+        self.decided = self.decided.split_off(&through);
         true
     }
 
@@ -293,6 +344,10 @@ impl<C: Clone + PartialEq> Replica<C> {
         self.role = Role::Candidate {
             promises: BTreeSet::from([self.id]),
         };
+        // Votes count toward a quorum only under the ballot they were cast
+        // for: at five replicas, votes left from an earlier ballot of ours
+        // could otherwise complete a quorum that never accepted one pair.
+        self.tally.clear();
         self.election_values = self.accepted.iter().map(|(&s, v)| (s, v.clone())).collect();
         for p in self.peers().collect::<Vec<_>>() {
             out.push(SmrOutput::Send {
@@ -376,25 +431,28 @@ impl<C: Clone + PartialEq> Replica<C> {
         if votes.len() < self.quorum() {
             return;
         }
-        let (_, cmd) = self
-            .accepted
-            .get(&slot)
-            .expect("leader accepted first")
-            .clone();
-        self.committed.insert(slot, cmd.clone());
-        self.tally.remove(&slot);
-        out.push(SmrOutput::Committed {
-            slot,
-            cmd: cmd.clone(),
-        });
+        // The leader votes only after accepting, so a quorum implies an
+        // entry; without one there is nothing to commit.
+        let Some((ballot, cmd)) = self.accepted.get(&slot).cloned() else {
+            return;
+        };
+        self.commit(slot, cmd, out);
         for p in self.peers().collect::<Vec<_>>() {
             out.push(SmrOutput::Send {
                 to: p,
-                msg: PaxosMsg::Learn {
-                    slot,
-                    cmd: cmd.clone(),
-                },
+                msg: PaxosMsg::Decide { slot, ballot },
             });
+        }
+    }
+
+    /// Records `slot` as committed with `cmd`, unless it already is. The
+    /// slot leaves the quorum tally and the pending notices either way.
+    fn commit(&mut self, slot: u64, cmd: C, out: &mut Vec<SmrOutput<C>>) {
+        self.tally.remove(&slot);
+        self.decided.remove(&slot);
+        if let std::collections::btree_map::Entry::Vacant(e) = self.committed.entry(slot) {
+            e.insert(cmd.clone());
+            out.push(SmrOutput::Committed { slot, cmd });
         }
     }
 
@@ -442,6 +500,12 @@ impl<C: Clone + PartialEq> Replica<C> {
                 if slot < self.compacted_to {
                     return; // decided and compacted away: nothing to log
                 }
+                // A notice that came first names this very pair, so this
+                // is the committed command, whether or not the ballot is
+                // still one this replica accepts.
+                if self.decided.get(&slot) == Some(&ballot) {
+                    self.commit(slot, cmd.clone(), out);
+                }
                 if ballot >= self.promised {
                     self.promised = ballot;
                     if ballot.owner != self.id {
@@ -455,8 +519,8 @@ impl<C: Clone + PartialEq> Replica<C> {
                 }
             }
             PaxosMsg::Accepted { ballot, slot } => {
-                if slot < self.compacted_to {
-                    return; // late vote for a slot compacted after commit
+                if slot < self.compacted_to || self.committed.contains_key(&slot) {
+                    return; // late vote, or a reply to a heartbeat `Accept`
                 }
                 if self.role == Role::Leader && ballot == self.my_ballot {
                     self.tally.entry(slot).or_default().insert(from);
@@ -467,10 +531,7 @@ impl<C: Clone + PartialEq> Replica<C> {
                 if slot < self.apply_at {
                     return; // already applied (or covered by a snapshot)
                 }
-                if let std::collections::btree_map::Entry::Vacant(e) = self.committed.entry(slot) {
-                    e.insert(cmd.clone());
-                    out.push(SmrOutput::Committed { slot, cmd });
-                }
+                self.commit(slot, cmd, out);
             }
             PaxosMsg::LearnReq { from_slot } => {
                 // The compacted prefix cannot be replayed slot-by-slot:
@@ -494,15 +555,33 @@ impl<C: Clone + PartialEq> Replica<C> {
                     });
                 }
             }
+            PaxosMsg::Decide { slot, ballot } => {
+                if slot < self.apply_at || self.committed.contains_key(&slot) {
+                    return; // already known
+                }
+                match self.accepted.get(&slot) {
+                    Some((b, cmd)) if *b == ballot => {
+                        let cmd = cmd.clone();
+                        self.commit(slot, cmd, out);
+                    }
+                    // The command is missing, or held under another
+                    // ballot: wait for the matching `Accept`, or ask.
+                    _ => {
+                        self.decided.insert(slot, ballot);
+                    }
+                }
+            }
         }
     }
 
     /// Leader repair tick: re-sends `Accept` for every accepted-but-
     /// uncommitted slot (recovering phase-2 traffic lost to drops or
-    /// partitions) and `Learn` for the newest committed slot (which doubles
-    /// as a liveness heartbeat for follower failure detectors). All
-    /// messages are idempotent; drive this from a periodic timer. No-op on
-    /// non-leaders.
+    /// partitions), and heartbeats the newest committed slot as a `Decide`
+    /// under this leader's ballot followed by the matching `Accept`. A
+    /// follower that missed the commit completes it from the pair, and a
+    /// deposed leader that rejoins after a partition sees the ballot and
+    /// steps down. All messages are idempotent; drive this from a periodic
+    /// timer. No-op on non-leaders.
     pub fn repair(&mut self, out: &mut Vec<SmrOutput<C>>) {
         if self.role != Role::Leader {
             return;
@@ -526,40 +605,53 @@ impl<C: Clone + PartialEq> Replica<C> {
                 });
             }
         }
-        if let Some((&slot, cmd)) = self.committed.iter().next_back() {
-            let cmd = cmd.clone();
-            for p in self.peers().collect::<Vec<_>>() {
-                out.push(SmrOutput::Send {
-                    to: p,
-                    msg: PaxosMsg::Learn {
-                        slot,
-                        cmd: cmd.clone(),
-                    },
-                });
-                // The Accept re-asserts this leader's ballot: a deposed
-                // leader that rejoins after a partition sees it and steps
-                // down, where a Learn alone would leave it stale.
-                out.push(SmrOutput::Send {
-                    to: p,
-                    msg: PaxosMsg::Accept {
-                        ballot: self.my_ballot,
-                        slot,
-                        cmd: cmd.clone(),
-                    },
-                });
-            }
+        let Some((&slot, cmd)) = self.committed.iter().next_back() else {
+            return;
+        };
+        // The heartbeat proposes the commit under this ballot, so it must
+        // keep one command per (ballot, slot): the slot lies below every
+        // fresh proposal, and this ballot holds no other command there. A
+        // leader that proposed otherwise is stale (it learned the commit
+        // by `LearnReq`) and stays silent until it is deposed.
+        let clash = slot >= self.next_slot
+            || self
+                .accepted
+                .get(&slot)
+                .is_some_and(|(b, mine)| *b == self.my_ballot && mine != cmd);
+        if clash {
+            return;
+        }
+        let cmd = cmd.clone();
+        for p in self.peers().collect::<Vec<_>>() {
+            out.push(SmrOutput::Send {
+                to: p,
+                msg: PaxosMsg::Decide {
+                    slot,
+                    ballot: self.my_ballot,
+                },
+            });
+            out.push(SmrOutput::Send {
+                to: p,
+                msg: PaxosMsg::Accept {
+                    ballot: self.my_ballot,
+                    slot,
+                    cmd: cmd.clone(),
+                },
+            });
         }
     }
 
-    /// Follower repair tick: if the committed log has a gap below its
-    /// highest committed slot (a `Learn` was lost), asks the likely leader
-    /// — the owner of the highest promised ballot, or every peer when that
-    /// is this replica itself — to re-send the missing commits.
+    /// Follower repair tick: if a known commit lies at the apply cursor or
+    /// above while the command at the cursor is missing (an `Accept` was
+    /// lost, or a rejoining replica heard the leader's `Decide` heartbeat
+    /// far ahead), asks the likely leader — the owner of the highest
+    /// promised ballot, or every peer when that is this replica itself —
+    /// to re-send the missing commits as `Learn`s.
     pub fn request_missing(&mut self, out: &mut Vec<SmrOutput<C>>) {
         if self.committed.contains_key(&self.apply_at) {
             return; // the application cursor is not blocked on a gap
         }
-        let Some(&max) = self.committed.keys().next_back() else {
+        let Some(max) = self.known_head() else {
             return;
         };
         if max < self.apply_at {
@@ -598,6 +690,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::VecDeque;
 
     type Cmd = u32;
 
@@ -849,19 +942,25 @@ mod tests {
         net.run(&mut rs);
         let mut hb = Vec::new();
         rs[0].repair(&mut hb);
-        let learns = hb
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o,
-                    SmrOutput::Send {
-                        msg: PaxosMsg::Learn { cmd: 9, .. },
-                        ..
-                    }
-                )
-            })
-            .count();
-        assert_eq!(learns, 2, "one Learn heartbeat per peer");
+        let ballot = rs[0].promised();
+        let count = |want: &PaxosMsg<Cmd>| {
+            hb.iter()
+                .filter(|o| matches!(o, SmrOutput::Send { msg, .. } if msg == want))
+                .count()
+        };
+        let decide = PaxosMsg::Decide { slot: 0, ballot };
+        let accept = PaxosMsg::Accept {
+            ballot,
+            slot: 0,
+            cmd: 9,
+        };
+        assert_eq!(count(&decide), 2, "one Decide heartbeat per peer");
+        assert_eq!(count(&accept), 2, "one ballot-asserting Accept per peer");
+        assert_eq!(hb.len(), 4, "{hb:?}");
+        // The followers' votes for the committed slot leave no tally.
+        net.push_outputs(0, hb);
+        net.run(&mut rs);
+        assert!(rs[0].tally.is_empty(), "{:?}", rs[0].tally);
         // Followers never repair-broadcast.
         let mut f = Vec::new();
         rs[1].repair(&mut f);
@@ -984,7 +1083,7 @@ mod tests {
     fn install_snapshot_fast_forwards_and_dedups() {
         let mut r = Replica::<Cmd>::new(2, 3);
         let mut sink = Vec::new();
-        // A rejoiner hears the leader's Learn heartbeat far ahead.
+        // A rejoiner catches a commit far ahead.
         r.on_message(0, PaxosMsg::Learn { slot: 9, cmd: 10 }, &mut sink);
         assert_eq!(r.commit_lag(), 10);
         assert!(r.install_snapshot(8));
@@ -1030,5 +1129,211 @@ mod tests {
         assert!(out2.is_empty());
         assert_eq!(r.promised(), before);
         assert_eq!(r.take_committed(), Vec::<Cmd>::new());
+    }
+
+    /// Delivers `outs`, sent by `from`, and every message they cause, in
+    /// FIFO order. A message `link` refuses is not delivered; it is
+    /// returned as `(from, to, msg)`.
+    fn flood(
+        rs: &mut [Replica<Cmd>],
+        from: u32,
+        outs: Vec<SmrOutput<Cmd>>,
+        link: impl Fn(u32, u32, &PaxosMsg<Cmd>) -> bool,
+    ) -> Vec<(u32, u32, PaxosMsg<Cmd>)> {
+        let mut queue: VecDeque<_> = outs.into_iter().map(|o| (from, o)).collect();
+        let mut refused = Vec::new();
+        while let Some((from, o)) = queue.pop_front() {
+            let SmrOutput::Send { to, msg } = o else {
+                continue;
+            };
+            if !link(from, to, &msg) {
+                refused.push((from, to, msg));
+                continue;
+            }
+            let mut next = Vec::new();
+            rs[to as usize].on_message(from, msg, &mut next);
+            queue.extend(next.into_iter().map(|o| (to, o)));
+        }
+        refused
+    }
+
+    /// A link filter that passes messages among `set` only.
+    fn among(set: &[u32]) -> impl Fn(u32, u32, &PaxosMsg<Cmd>) -> bool + '_ {
+        move |from, to, _| set.contains(&from) && set.contains(&to)
+    }
+
+    /// Leader 0 proposes `5` at slot 0 and replica 2's vote commits it;
+    /// every message to replica 1 is held back. Returns them, in the
+    /// order sent: the `Accept`, then the `Decide`.
+    fn commit_without_replica_1(rs: &mut [Replica<Cmd>]) -> Vec<PaxosMsg<Cmd>> {
+        let mut net = Net::new(10, 0.0, 0.0);
+        elect(0, rs, &mut net);
+        let mut outs = Vec::new();
+        rs[0].propose(5, &mut outs);
+        let held = flood(rs, 0, outs, |_, to, _| to != 1);
+        assert_eq!(rs[0].take_committed(), vec![5]);
+        held.into_iter().map(|(_, _, msg)| msg).collect()
+    }
+
+    #[test]
+    fn a_decide_before_its_accept_commits_when_the_accept_arrives() {
+        let mut rs = cluster(3);
+        let held = commit_without_replica_1(&mut rs);
+        let [accept @ PaxosMsg::Accept { .. }, decide @ PaxosMsg::Decide { .. }] = &held[..] else {
+            panic!("expected an Accept and a Decide, got {held:?}");
+        };
+        // Reordered: the notice comes first and waits for its command.
+        let mut out = Vec::new();
+        rs[1].on_message(0, decide.clone(), &mut out);
+        assert_eq!(rs[1].take_committed(), Vec::<Cmd>::new());
+        rs[1].on_message(0, accept.clone(), &mut out);
+        assert!(out.contains(&SmrOutput::Committed { slot: 0, cmd: 5 }));
+        assert_eq!(rs[1].take_committed(), vec![5]);
+        assert_eq!(rs[1].commit_lag(), 0);
+    }
+
+    #[test]
+    fn a_follower_that_missed_the_accept_asks_for_the_command() {
+        let mut rs = cluster(3);
+        let held = commit_without_replica_1(&mut rs);
+        let decide = held
+            .into_iter()
+            .find(|m| matches!(m, PaxosMsg::Decide { .. }));
+        let mut sink = Vec::new();
+        rs[1].on_message(0, decide.expect("a Decide"), &mut sink);
+        // The notice counts as a known commit...
+        assert_eq!(rs[1].commit_lag(), 1);
+        assert_eq!(rs[1].take_committed(), Vec::<Cmd>::new());
+        // ...so the repair tick asks the leader for the command...
+        let mut req = Vec::new();
+        rs[1].request_missing(&mut req);
+        let want = SmrOutput::Send {
+            to: 0,
+            msg: PaxosMsg::LearnReq { from_slot: 0 },
+        };
+        assert_eq!(req, vec![want]);
+        // ...and the answer carries it.
+        let mut reply = Vec::new();
+        rs[0].on_message(1, PaxosMsg::LearnReq { from_slot: 0 }, &mut reply);
+        let want = SmrOutput::Send {
+            to: 1,
+            msg: PaxosMsg::Learn { slot: 0, cmd: 5 },
+        };
+        assert_eq!(reply, vec![want.clone()]);
+        let SmrOutput::Send { msg, .. } = want else {
+            unreachable!()
+        };
+        rs[1].on_message(0, msg, &mut sink);
+        assert_eq!(rs[1].take_committed(), vec![5]);
+        assert_eq!(rs[1].commit_lag(), 0);
+    }
+
+    #[test]
+    fn a_decide_never_commits_a_command_accepted_under_another_ballot() {
+        let old = Ballot { round: 1, owner: 0 };
+        let new = Ballot { round: 2, owner: 2 };
+        let mut r = Replica::<Cmd>::new(1, 3);
+        let mut out = Vec::new();
+        r.on_message(
+            0,
+            PaxosMsg::Accept {
+                ballot: old,
+                slot: 0,
+                cmd: 7,
+            },
+            &mut out,
+        );
+        out.clear();
+        r.on_message(
+            2,
+            PaxosMsg::Decide {
+                slot: 0,
+                ballot: new,
+            },
+            &mut out,
+        );
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(r.take_committed(), Vec::<Cmd>::new());
+        assert_eq!(r.commit_lag(), 1, "the slot is a known commit");
+        // The new ballot's own command completes the notice.
+        r.on_message(
+            2,
+            PaxosMsg::Accept {
+                ballot: new,
+                slot: 0,
+                cmd: 8,
+            },
+            &mut out,
+        );
+        assert_eq!(r.take_committed(), vec![8]);
+    }
+
+    /// Five replicas A–E, one slot. At every step only the named replicas
+    /// hear each other.
+    #[test]
+    fn votes_from_an_older_ballot_never_complete_a_quorum() {
+        const A: u32 = 0;
+        const B: u32 = 1;
+        const C: u32 = 2;
+        const D: u32 = 3;
+        const E: u32 = 4;
+        let mut rs = cluster(5);
+        // 1. A leads b1, and its `1` at slot 0 reaches B only.
+        let mut out = Vec::new();
+        rs[A as usize].start_election(&mut out);
+        flood(&mut rs, A, out, among(&[A, B, C]));
+        let mut out = Vec::new();
+        rs[A as usize].propose(1, &mut out);
+        flood(&mut rs, A, out, among(&[A, B]));
+        // 2. C leads b2 with {C, D, E}, and its `2` reaches nobody.
+        let mut out = Vec::new();
+        rs[C as usize].start_election(&mut out);
+        flood(&mut rs, C, out, among(&[C, D, E]));
+        assert!(rs[C as usize].is_leader());
+        rs[C as usize].propose(2, &mut Vec::new());
+        // 3. A re-leads b3 with {A, D, E}, and its re-proposal reaches D:
+        //    A holds votes from A and D under b3, and B's under b1.
+        let mut out = Vec::new();
+        assert!(rs[A as usize].handle_leader(Ballot { round: 3, owner: A }, &mut out));
+        flood(&mut rs, A, out, |from, to, msg| match msg {
+            PaxosMsg::Prepare { .. } | PaxosMsg::Promise { .. } => among(&[A, D, E])(from, to, msg),
+            _ => among(&[A, D])(from, to, msg),
+        });
+        assert!(rs[A as usize].is_leader());
+        // 4. B leads b4 with {B, C, E}. C reports `2` under b2, the
+        //    highest ballot any promise holds, so B commits `2`.
+        let mut out = Vec::new();
+        assert!(rs[B as usize].handle_leader(Ballot { round: 4, owner: B }, &mut out));
+        flood(&mut rs, B, out, among(&[B, C, E]));
+        let a = rs[A as usize].take_committed();
+        let b = rs[B as usize].take_committed();
+        assert_eq!(b, vec![2]);
+        let k = a.len().min(b.len());
+        assert_eq!(a[..k], b[..k], "A committed {a:?}, B committed {b:?}");
+    }
+
+    /// A leader still in office after a rival committed the slot it
+    /// proposed (it learned the rival's command by `LearnReq`) must not
+    /// heartbeat that slot: its ballot names its own command there, which
+    /// a follower holding that command would commit.
+    #[test]
+    fn a_stale_leader_never_heartbeats_a_slot_its_ballot_proposed_otherwise() {
+        let mut rs = cluster(3);
+        let mut net = Net::new(11, 0.0, 0.0);
+        elect(0, &mut rs, &mut net);
+        let mut outs = Vec::new();
+        rs[0].propose(7, &mut outs);
+        // Replica 1 accepts `7`; its vote never reaches the leader.
+        flood(&mut rs, 0, outs, |from, to, _| (from, to) == (0, 1));
+        // A rival's `8` committed at slot 0 reaches the leader as a Learn.
+        rs[0].on_message(2, PaxosMsg::Learn { slot: 0, cmd: 8 }, &mut Vec::new());
+        let mut hb = Vec::new();
+        rs[0].repair(&mut hb);
+        assert!(hb.is_empty(), "{hb:?}");
+        // A commit it learned beyond its next slot is no heartbeat either:
+        // it may yet propose there.
+        rs[0].on_message(2, PaxosMsg::Learn { slot: 5, cmd: 9 }, &mut Vec::new());
+        rs[0].repair(&mut hb);
+        assert!(hb.is_empty(), "{hb:?}");
     }
 }

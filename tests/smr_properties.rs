@@ -96,8 +96,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// Chaos Paxos: random elections, proposals through whichever replica,
-    /// drops, duplicates, reordering, and a crash — and still no slot is
-    /// ever committed with two different commands anywhere.
+    /// repair ticks, drops, duplicates, reordering, and a crash — and still
+    /// no slot is ever committed with two different commands anywhere. Run
+    /// at three replicas and at five, where a quorum is three votes and
+    /// votes from two ballots could mix.
     #[test]
     fn paxos_never_commits_conflicting_commands(
         seed in 0u64..10_000,
@@ -105,62 +107,79 @@ proptest! {
         dup in 0.0f64..0.4,
         rounds in 1u32..5,
     ) {
-        let n: u32 = 3;
-        let mut rs: Vec<Replica<Cmd>> = (0..n).map(|i| Replica::new(i, n)).collect();
-        let mut net = Net::new(n as usize, seed, drop, dup);
-        let mut driver = StdRng::seed_from_u64(seed ^ 0xD00D);
-        let mut next_cmd: Cmd = 0;
+        for n in [3u32, 5] {
+            chaos_paxos(n, seed, drop, dup, rounds);
+        }
+    }
+}
 
-        for round in 0..rounds {
-            // A (possibly already-leading) replica campaigns.
-            let cand = driver.random_range(0..n);
-            let mut outs = Vec::new();
-            rs[cand as usize].start_election(&mut outs);
-            net.absorb(cand, outs);
-            net.run(&mut rs);
+fn chaos_paxos(n: u32, seed: u64, drop: f64, dup: f64, rounds: u32) {
+    let mut rs: Vec<Replica<Cmd>> = (0..n).map(|i| Replica::new(i, n)).collect();
+    let mut net = Net::new(n as usize, seed, drop, dup);
+    let mut driver = StdRng::seed_from_u64(seed ^ 0xD00D);
+    let mut next_cmd: Cmd = 0;
 
-            // Crash one replica mid-test, once; recover it a round later.
-            if round == 1 {
-                net.crashed.insert(driver.random_range(0..n));
-            } else if round == 2 {
-                net.crashed.clear();
-            }
+    for round in 0..rounds {
+        // A (possibly already-leading) replica campaigns.
+        let cand = driver.random_range(0..n);
+        let mut outs = Vec::new();
+        rs[cand as usize].start_election(&mut outs);
+        net.absorb(cand, outs);
+        net.run(&mut rs);
 
-            // Propose through arbitrary replicas: a follower proposes
-            // nothing, and a stale leader that missed its demotion (a
-            // dropped `Prepare`) proposes into slots a rival may also
-            // fill — the safety hazard to cover.
-            for _ in 0..driver.random_range(1..6u32) {
-                let via = driver.random_range(0..n);
-                let mut outs = Vec::new();
-                rs[via as usize].propose(next_cmd, &mut outs);
-                next_cmd += 1;
-                net.absorb(via, outs);
-            }
-            net.run(&mut rs);
+        // Crash one replica mid-test, once; recover it a round later.
+        if round == 1 {
+            net.crashed.insert(driver.random_range(0..n));
+        } else if round == 2 {
+            net.crashed.clear();
         }
 
-        // Agreement across replicas: any slot committed by two replicas
-        // carries the same command.
-        for a in 0..n as usize {
-            for b in (a + 1)..n as usize {
-                for (slot, cmd) in &net.committed[a] {
-                    if let Some(other) = net.committed[b].get(slot) {
-                        prop_assert_eq!(
-                            cmd, other,
-                            "slot {} diverged between replicas {} and {}", slot, a, b
-                        );
-                    }
+        // Propose through arbitrary replicas: a follower proposes
+        // nothing, and a stale leader that missed its demotion (a
+        // dropped `Prepare`) proposes into slots a rival may also
+        // fill — the safety hazard to cover.
+        for _ in 0..driver.random_range(1..6u32) {
+            let via = driver.random_range(0..n);
+            let mut outs = Vec::new();
+            rs[via as usize].propose(next_cmd, &mut outs);
+            next_cmd += 1;
+            net.absorb(via, outs);
+        }
+        net.run(&mut rs);
+
+        // One repair tick everywhere: leaders re-drive stuck slots and
+        // heartbeat their newest commit as a `Decide`, and replicas that
+        // hold a notice without its command ask for it.
+        for r in 0..n {
+            let mut outs = Vec::new();
+            rs[r as usize].repair(&mut outs);
+            rs[r as usize].request_missing(&mut outs);
+            net.absorb(r, outs);
+        }
+        net.run(&mut rs);
+    }
+
+    // Agreement across replicas: any slot committed by two replicas
+    // carries the same command.
+    for a in 0..n as usize {
+        for b in (a + 1)..n as usize {
+            for (slot, cmd) in &net.committed[a] {
+                if let Some(other) = net.committed[b].get(slot) {
+                    prop_assert_eq!(
+                        cmd,
+                        other,
+                        "n={n}: slot {slot} diverged between replicas {a} and {b}"
+                    );
                 }
             }
         }
-        // The applied prefixes are compatible, too.
-        let logs: Vec<Vec<Cmd>> = rs.iter_mut().map(|r| r.take_committed()).collect();
-        for a in &logs {
-            for b in &logs {
-                let k = a.len().min(b.len());
-                prop_assert_eq!(&a[..k], &b[..k]);
-            }
+    }
+    // The applied prefixes are compatible, too.
+    let logs: Vec<Vec<Cmd>> = rs.iter_mut().map(|r| r.take_committed()).collect();
+    for a in &logs {
+        for b in &logs {
+            let k = a.len().min(b.len());
+            prop_assert_eq!(&a[..k], &b[..k], "n={n}");
         }
     }
 }
