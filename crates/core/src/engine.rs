@@ -87,12 +87,13 @@ impl SuppressionStats {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RejectStats {
     /// Client messages and packets dropped whole: their own destination
-    /// set (`msg.dst` / `mref.dst`) names a group `≥ n`, a client message
-    /// has another group as its lca, a `msg` packet claims an lca at
-    /// or above this group, or a packet travels against its C-DAG edge.
+    /// set (`msg.dst` / `mref.dst`) is empty or names a group `≥ n`, a
+    /// client message has another group as its lca, a `msg` packet claims
+    /// an lca at or above this group, or a packet travels against its
+    /// C-DAG edge.
     pub packets: u64,
-    /// Delta vertices left out of the history for a destination `≥ n`
-    /// (the rest of their packet is processed).
+    /// Delta vertices left out of the history for a destination `≥ n` or
+    /// for having none (the rest of their packet is processed).
     pub verts: u64,
 }
 
@@ -443,11 +444,12 @@ impl FlexCastGroup {
         }
     }
 
-    /// True if `dst` names only groups of this overlay — the ranks the
-    /// per-group tables (`queues`, the `diff-hst` cursors, the advertised
-    /// watermarks) can be indexed with.
+    /// True if `dst` names at least one group and only groups of this
+    /// overlay — the ranks the per-group tables (`queues`, the `diff-hst`
+    /// cursors, the advertised watermarks) can be indexed with. No honest
+    /// message has no destination (`Message::new` refuses one).
     fn in_overlay(&self, dst: DestSet) -> bool {
-        dst.is_subset(DestSet::all(self.n as usize))
+        !dst.is_empty() && dst.is_subset(DestSet::all(self.n as usize))
     }
 
     /// Handles a packet from another group (Algorithm 2, plus the
@@ -474,11 +476,12 @@ impl FlexCastGroup {
             self.rejected.packets += 1;
             return;
         }
-        if let Packet::Advert { wm } = pkt {
-            self.on_advert(from, wm);
-            return;
-        }
         match pkt {
+            Packet::Advert { wm } => {
+                // The history is as it was: no advertisement of ours is due.
+                self.on_advert(from, wm);
+                return;
+            }
             Packet::Msg {
                 msg,
                 notif_pairs,
@@ -527,7 +530,6 @@ impl FlexCastGroup {
                     self.pend_notif.push((mref, from, open));
                 }
             }
-            Packet::Advert { .. } => unreachable!("handled above"),
         }
         self.maybe_advertise(out);
     }
@@ -885,6 +887,11 @@ impl FlexCastGroup {
             for &lca in &live {
                 if let Some(&head) = self.queues[lca].front() {
                     if self.can_deliver(head) {
+                        // Cannot fire: `on_packet` queues an id only after
+                        // storing its message in the id's pending entry,
+                        // and the entry leaves `pending` only as the id
+                        // leaves its queue (`a_deliver`) or in a flush,
+                        // which prunes delivered vertices only.
                         let m = self.pending[&head]
                             .msg
                             .clone()
@@ -980,12 +987,19 @@ impl FlexCastGroup {
 
     /// Builds the flush message used for garbage collection; multicast it
     /// like any application message (its lca is rank 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_groups` is 0 or above [`MAX_GROUPS`]: no overlay has
+    /// that many groups ([`FlexCastGroup::new`] needs a rank below `n`).
     pub fn flush_message(id: MsgId, n_groups: u16) -> Message {
         Message::new(
             id,
             DestSet::all(n_groups as usize),
             FLUSH_PAYLOAD.to_vec().into(),
         )
+        // Cannot fire for an overlay: all of its `n_groups ≥ 1` groups
+        // are a non-empty set.
         .expect("flush has destinations")
     }
 }
@@ -1901,6 +1915,65 @@ mod tests {
         assert_eq!(out, vec![]);
         assert_eq!(a.reject_stats().packets, 2);
         assert_eq!(a.snapshot().expect("snapshot encodes"), fresh);
+    }
+
+    /// No honest group sends a vertex or a packet with no destination. A
+    /// delta vertex with none would get no edges, so no flush's backward
+    /// closure would reach it: admitted, it stayed in the history — and
+    /// in every delta to a descendant — for good. Both are refused and
+    /// counted; the ack they arrive with, and the flush after, do all
+    /// they otherwise would.
+    #[test]
+    fn input_with_no_destination_is_refused_and_leaves_no_vertex_behind() {
+        let n = 3u16;
+        let mut engines: Vec<FlexCastGroup> =
+            (0..n).map(|g| FlexCastGroup::new(GroupId(g), n)).collect();
+        let mut log = Vec::new();
+        let m = msg(1, &[0, 1, 2]);
+        let mut out = Vec::new();
+        engines[0].on_client(m.clone(), &mut out);
+        route(&mut engines, A, out, &mut log);
+
+        let nowhere = stray(1, &[]);
+        let c = &mut engines[2];
+        let mut out = Vec::new();
+        // A late ack for `m` whose delta carries the vertex...
+        let ack = Packet::Ack {
+            mref: MsgRef::of(&m),
+            via: B,
+            notif_pairs: vec![],
+            hist: HistoryDelta {
+                verts: vec![nowhere],
+                edges: vec![],
+            },
+        };
+        c.on_packet(B, ack, &mut out);
+        // ...and packets about a message addressed nowhere.
+        let ack = Packet::Ack {
+            mref: nowhere,
+            via: B,
+            notif_pairs: vec![],
+            hist: HistoryDelta::empty(),
+        };
+        let notif = Packet::Notif {
+            mref: nowhere,
+            hist: HistoryDelta::empty(),
+        };
+        c.on_packet(B, ack, &mut out);
+        c.on_packet(A, notif, &mut out);
+        assert_eq!(out, vec![]);
+        let rejected = c.reject_stats();
+        assert_eq!((rejected.packets, rejected.verts), (2, 1));
+        assert!(!c.history().has_seen(nowhere.id));
+
+        let flush = FlexCastGroup::flush_message(MsgId::new(ClientId(0), 100), n);
+        let mut out = Vec::new();
+        engines[0].on_client(flush.clone(), &mut out);
+        route(&mut engines, A, out, &mut log);
+        let c = &engines[2];
+        assert!(c.has_delivered(flush.id));
+        assert!(!c.history().contains(nowhere.id), "retained past the flush");
+        assert!(c.history().len() <= 2, "history pruned to the fence");
     }
 
     /// A client message the group has already taken is dropped, whether

@@ -862,26 +862,31 @@ impl History {
     /// Merges a received delta (`update-hst`, Alg. 3 line 1). Vertices
     /// this history has garbage-collected cannot re-enter through a slow
     /// ancestor: the seen watermark rejects them in `insert_vert`, and
-    /// `apply_edge` drops edges whose endpoints are missing. Duplicate
-    /// counts accumulate in [`History::merge_stats`].
+    /// `apply_edge` drops edges whose endpoints are missing. A vertex
+    /// addressed to no group is left out. Duplicate counts accumulate in
+    /// [`History::merge_stats`].
     pub fn merge(&mut self, delta: &HistoryDelta) {
         self.merge_within(delta, DestSet::all(MAX_GROUPS));
     }
 
     /// [`History::merge`] for an overlay whose groups are `groups`: a
-    /// vertex addressed outside them is left out — not inserted, not
-    /// marked seen, not counted in [`History::merge_stats`] — and the
-    /// number of such vertices is returned. An edge naming one then finds
-    /// no endpoint and is dropped like an edge into pruned history. The
-    /// check runs only on a vertex about to be inserted, so a duplicate
-    /// (most delta entries in a large world) never pays for it.
+    /// vertex addressed outside them, or to no group at all, is left out
+    /// — not inserted, not marked seen, not counted in
+    /// [`History::merge_stats`] — and the number of such vertices is
+    /// returned. An edge naming one then finds no endpoint and is dropped
+    /// like an edge into pruned history. (A vertex with no destination
+    /// gets no edges from any honest group, so no flush's backward closure
+    /// would ever reach it: admitted, it would be retained and relayed to
+    /// every descendant forever.) The check runs only on a vertex about to
+    /// be inserted, so a duplicate (most delta entries in a large world)
+    /// never pays for it.
     pub(crate) fn merge_within(&mut self, delta: &HistoryDelta, groups: DestSet) -> u64 {
         let mut refused = 0;
         for v in &delta.verts {
             if self.has_seen(v.id) {
                 self.merge_stats.verts_in += 1;
                 self.merge_stats.verts_dup += 1;
-            } else if v.dst.is_subset(groups) {
+            } else if !v.dst.is_empty() && v.dst.is_subset(groups) {
                 self.merge_stats.verts_in += 1;
                 self.admit_vert(*v);
             } else {

@@ -1,6 +1,8 @@
 //! Hostile bytes at the history-delta codec. A delta's edges travel as
 //! chains (`HistoryDelta`'s wire form): a count of runs, each
-//! `(creator, first idx, first before, afters)`. Whatever a peer sends,
+//! `(creator, first idx, first before, afters)`; its vertices' destination
+//! sets as one header each, a word count or a singleton `9 + rank`
+//! (`DestSet`'s wire form). Whatever a peer sends,
 //! decoding answers `Err` or a value that re-encodes to exactly the bytes
 //! it came from, never panics, and never holds memory in proportion to a
 //! length the bytes merely claim.
@@ -167,11 +169,14 @@ fn three_run_packet() -> Packet {
     }
 }
 
-#[test]
-fn every_flip_and_truncation_of_a_three_run_packet_is_contained() {
-    let good = flexcast_wire::to_bytes(&three_run_packet()).expect("encodes");
+/// Decodes every truncation of `pkt`'s bytes, every single-bit flip, and
+/// every byte in turn replaced by each of `replacements`, all through
+/// [`decode_contained`]. Flipped ids, indices and ranks are values too:
+/// many mutations decode, each to the one packet those bytes spell.
+fn every_mutation_is_contained(pkt: Packet, replacements: &[&[u8]]) {
+    let good = flexcast_wire::to_bytes(&pkt).expect("encodes");
     let back: Packet = decode_contained(&good).expect("the unmutated packet decodes");
-    assert_eq!(back, three_run_packet());
+    assert_eq!(back, pkt);
     let mut accepted = 0;
     for at in 0..good.len() {
         assert!(
@@ -183,8 +188,70 @@ fn every_flip_and_truncation_of_a_three_run_packet_is_contained() {
             bytes[at] ^= 1 << bit;
             accepted += decode_contained::<Packet>(&bytes).is_some() as usize;
         }
+        for with in replacements {
+            let mut bytes = good.clone();
+            bytes.splice(at..=at, with.iter().copied());
+            accepted += decode_contained::<Packet>(&bytes).is_some() as usize;
+        }
     }
-    // Flipped ids, indices and ranks are values too: many flips decode,
-    // each to the one packet those bytes spell.
     assert!(accepted > 0);
+}
+
+#[test]
+fn every_flip_and_truncation_of_a_three_run_packet_is_contained() {
+    every_mutation_is_contained(three_run_packet(), &[]);
+}
+
+/// An ack whose destination sets take both forms: the ack's own and one
+/// vertex's as words, and singletons at both ends of the rank range —
+/// `{g1}` is the one-byte header 10, `{g511}` the last header, 520.
+fn mixed_form_packet() -> Packet {
+    let two = DestSet::from_iter([GroupId(0), GroupId(2)]);
+    let one = |r| DestSet::singleton(GroupId(r));
+    Packet::Ack {
+        mref: MsgRef {
+            id: id(9),
+            dst: two,
+        },
+        via: GroupId(2),
+        notif_pairs: vec![],
+        hist: HistoryDelta {
+            verts: vec![
+                MsgRef {
+                    id: id(10),
+                    dst: one(1),
+                },
+                MsgRef {
+                    id: id(11),
+                    dst: two,
+                },
+                MsgRef {
+                    id: id(12),
+                    dst: one(511),
+                },
+            ],
+            edges: vec![te(1, 3, 10, 11), te(1, 4, 11, 12)],
+        },
+    }
+}
+
+/// Every single-bit flip and truncation of [`mixed_form_packet`], and
+/// every byte in turn replaced by a header at a form boundary — the last
+/// word count (8), the first and last singletons (9, 520), one past them
+/// (521), the two-byte threshold (127, 128) — or widened to the largest
+/// `u32` varint.
+#[test]
+fn every_mutation_of_a_mixed_form_packet_is_contained() {
+    every_mutation_is_contained(
+        mixed_form_packet(),
+        &[
+            &[0x08],
+            &[0x09],
+            &[0x7f],
+            &[0x80, 0x01],
+            &[0x88, 0x04],
+            &[0x89, 0x04],
+            &[0xff, 0xff, 0xff, 0xff, 0x0f],
+        ],
+    );
 }

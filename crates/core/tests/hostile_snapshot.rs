@@ -111,11 +111,11 @@ fn the_fixture_restores_within_the_allowance() {
     assert!(peak > 0, "the counting allocator is installed");
 }
 
-/// A destination set's word count is the one length this workspace's own
+/// A destination set's header is the one length this workspace's own
 /// `Deserialize` code reads. Whatever it claims, the words land in the
-/// set's fixed array: `u32::MAX` words in front of two bytes, and nine
-/// words that are all there, both fail holding no more than their error
-/// message.
+/// set's fixed array: a header of `u32::MAX` in front of two bytes (out
+/// of range), and header 9 — `{g0}` — followed by nine stray words, both
+/// fail holding no more than their error message.
 #[test]
 fn a_hostile_dest_set_length_allocates_only_its_error() {
     let claims: [&[u8]; 2] = [

@@ -299,11 +299,12 @@ mod tests {
             Payload::empty(),
         )
         .unwrap();
-        // Replaces the destination set at `at` — one word, holding group
-        // 0 — by the empty set's encoding, a bare zero word count.
+        // Replaces the destination set at `at` — `{g0}`, the one-byte
+        // singleton header 9 — by the empty set's encoding, a bare zero
+        // word count.
         fn emptied(mut bytes: Vec<u8>, at: usize) -> Vec<u8> {
-            assert_eq!(bytes[at..at + 2], [1, 1], "{{g0}} is one word of value 1");
-            bytes.splice(at..at + 2, [0]);
+            assert_eq!(bytes[at], 9, "{{g0}} is the singleton header 9");
+            bytes[at] = 0;
             bytes
         }
         // Two one-byte id varints come before the set.

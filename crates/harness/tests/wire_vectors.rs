@@ -82,6 +82,30 @@ fn net_msg_vectors() {
             "01 01 0102 0109 01 01 0002 01 0103 020240 01 01 04 0102 01 0103",
         ),
         (
+            // 128 groups: `g120` acks `m1.7 → {g120, g127}` to `g127`, its
+            // delta holding its own local delivery `m1.8 → {g120}` and
+            // the edge `m1.7 → m1.8`. The one-member set is the
+            // singleton header 9 + 120 (`8101`); as a word count and two
+            // words it would be `02 00 808080808080808001`.
+            NetMsg::Flex(Packet::Ack {
+                mref: MsgRef {
+                    id: id(7),
+                    dst: dst(&[120, 127]),
+                },
+                via: GroupId(120),
+                notif_pairs: vec![],
+                hist: HistoryDelta {
+                    verts: vec![MsgRef {
+                        id: id(8),
+                        dst: dst(&[120]),
+                    }],
+                    edges: vec![edge(120, 0, 7, 8)],
+                },
+            }),
+            "01 01 0107 02 00 80808080808080808101 78 00 \
+             01 0108 8101 01 78 00 0107 01 0108",
+        ),
+        (
             // Two edge runs: `g1`'s chain #4–#6 through `m1.2 … m1.5` —
             // creator, first index, first `before`, then three `after`s —
             // and a lone `g2` edge: 26 bytes. Edge by edge, as four

@@ -14,8 +14,9 @@ use serde::{Deserialize, Serialize};
 /// The paper's deployments use 12 groups (one per AWS region); 512 covers
 /// the scale sweeps' largest synthetic world while keeping a destination
 /// set a flat 64 bytes in memory — still `Copy`, still branch-free set
-/// algebra. On the wire a set costs only its significant words (see the
-/// `Serialize` impl), so the headroom is free for small worlds.
+/// algebra. On the wire a set costs only its significant words, and a
+/// one-member set one header byte up to rank 118 and two above it (see
+/// the `Serialize` impl), so the headroom is free for small worlds.
 pub const MAX_GROUPS: usize = 512;
 
 /// Bitset backing width, in 64-bit words.
@@ -43,36 +44,88 @@ const WORDS: usize = MAX_GROUPS / 64;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DestSet([u64; WORDS]);
 
-// Wire format: the significant words only, as a length-prefixed sequence.
-// `n = 8 − (trailing zero words)` goes first, then words `0..n`, least
-// significant first, each encoded as the format encodes a `u64` — so in
-// `flexcast-wire` the empty set is 1 byte and a set over 12 groups 2 or 3,
-// where a fixed 8-word form costs 8 or 9 (seven of them zero). The
-// encoding is canonical: the last word sent is never zero, and the
-// decoder rejects a sequence whose last word is, so decoding then
-// encoding reproduces the input bytes and an all-zero set has exactly one
+/// Wire headers from here up name a one-member set: header `SINGLETON + r`
+/// is `{r}` (see the `Serialize` impl).
+const SINGLETON: u16 = WORDS as u16 + 1;
+
+/// The largest header a destination set can start with: `{MAX_GROUPS − 1}`.
+const MAX_HEADER: u16 = SINGLETON + MAX_GROUPS as u16 - 1;
+
+/// The rank of the one member of `words`, whose last word must be
+/// non-zero — `None` unless exactly one bit is set. One `w & (w − 1)`
+/// test on the top word and a zero check below it, not a popcount pass.
+#[inline]
+fn sole_member(words: &[u64]) -> Option<u16> {
+    let (&top, below) = words.split_last()?;
+    (top & (top - 1) == 0 && below.iter().all(|&w| w == 0))
+        .then(|| (below.len() * 64) as u16 + top.trailing_zeros() as u16)
+}
+
+// Wire format: one header varint, then the words if any. Header `n` in
+// `0..=8` is the *word form*: the significant words follow, `n = 8 −
+// (trailing zero words)` of them, least significant first, each encoded
+// as the format encodes a `u64` — so in `flexcast-wire` the empty set is
+// 1 byte and a larger set over 12 groups 2 or 3. Header `9 + r`
+// (`9..=520`) is the *singleton form* `{r}`, with no words after it: 1
+// byte for ranks up to 118, 2 up to 511. Most vertices a history delta
+// relays are local deliveries with one destination, so this form carries
+// most sets.
+//
+// The encoding is canonical: a set with exactly one member is always
+// sent in the singleton form, and otherwise the last word sent is never
+// zero. The decoder refuses a word form holding exactly one member, a
+// zero last word and a header above 520, so decoding then encoding
+// reproduces the input bytes and an all-zero set has exactly one
 // spelling (the one `Message`'s empty-destination check looks for).
+// Header and words travel as a tuple, not a length-prefixed sequence:
+// the wire decoder checks a sequence's length against the input left,
+// which a singleton header is not. Either way it is one `Serialize` walk,
+// which `flexcast-wire`'s `encoded_len` sizes and `to_bytes` writes.
 impl Serialize for DestSet {
     fn serialize<S: serde::Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeSeq;
+        use serde::ser::SerializeTuple;
         let n = WORDS - self.0.iter().rev().take_while(|&&w| w == 0).count();
-        let mut seq = s.serialize_seq(Some(n))?;
-        for w in &self.0[..n] {
-            seq.serialize_element(w)?;
+        let words = &self.0[..n];
+        // A set within ranks 0..64 — every set of a world of up to 64
+        // groups — takes straight-line code: either header sizes as the
+        // constant one byte it is, and the word needs no loop. Through
+        // the general path below such sets sized up to a quarter slower
+        // than a word-form-only encoder (DESIGN.md §7 "One destination,
+        // one byte").
+        if let [w] = *words {
+            if w & (w - 1) == 0 {
+                let mut t = s.serialize_tuple(1)?;
+                t.serialize_element(&(SINGLETON + w.trailing_zeros() as u16))?;
+                return t.end();
+            }
+            let mut t = s.serialize_tuple(2)?;
+            t.serialize_element(&1u16)?;
+            t.serialize_element(&w)?;
+            return t.end();
         }
-        seq.end()
+        if let Some(r) = sole_member(words) {
+            let mut t = s.serialize_tuple(1)?;
+            t.serialize_element(&(SINGLETON + r))?;
+            return t.end();
+        }
+        let mut t = s.serialize_tuple(1 + n)?;
+        t.serialize_element(&(n as u16))?;
+        for w in words {
+            t.serialize_element(w)?;
+        }
+        t.end()
     }
 }
 
 impl<'de> Deserialize<'de> for DestSet {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
-        struct WordsVisitor;
-        impl<'de> serde::de::Visitor<'de> for WordsVisitor {
+        struct SetVisitor;
+        impl<'de> serde::de::Visitor<'de> for SetVisitor {
             type Value = DestSet;
             fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 write!(
                     f,
-                    "at most {WORDS} destination-set words, the last non-zero"
+                    "a destination-set header of at most {MAX_HEADER}, then its words"
                 )
             }
             fn visit_seq<A: serde::de::SeqAccess<'de>>(
@@ -80,28 +133,40 @@ impl<'de> Deserialize<'de> for DestSet {
                 mut seq: A,
             ) -> std::result::Result<DestSet, A::Error> {
                 use serde::de::Error as _;
-                // The words land in the fixed array, so a hostile length
-                // prefix allocates nothing whatever it claims.
+                let missing = || A::Error::custom("destination set cut short");
+                let header: u16 = seq.next_element()?.ok_or_else(missing)?;
+                // The words land in the fixed array, so a hostile header
+                // allocates nothing whatever it claims.
                 let mut words = [0u64; WORDS];
-                let mut n = 0;
-                while let Some(w) = seq.next_element::<u64>()? {
-                    if n == WORDS {
+                if header >= SINGLETON {
+                    if header > MAX_HEADER {
                         return Err(A::Error::custom(format_args!(
-                            "destination set longer than {WORDS} words"
+                            "destination-set header {header} out of range (at most {MAX_HEADER})"
                         )));
                     }
-                    words[n] = w;
-                    n += 1;
+                    let r = (header - SINGLETON) as usize;
+                    words[r / 64] = 1 << (r % 64);
+                    return Ok(DestSet(words));
+                }
+                let n = header as usize;
+                for w in &mut words[..n] {
+                    *w = seq.next_element()?.ok_or_else(missing)?;
                 }
                 if n > 0 && words[n - 1] == 0 {
                     return Err(A::Error::custom(
                         "destination set ends in a zero word (not canonical)",
                     ));
                 }
+                if sole_member(&words[..n]).is_some() {
+                    return Err(A::Error::custom(
+                        "one-member destination set in word form (not canonical)",
+                    ));
+                }
                 Ok(DestSet(words))
             }
         }
-        d.deserialize_seq(WordsVisitor)
+        // The longest spelling: the header and all eight words.
+        d.deserialize_tuple(1 + WORDS, SetVisitor)
     }
 }
 

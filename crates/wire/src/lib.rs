@@ -17,11 +17,14 @@
 //!
 //! Two types in the workspace spell their own encoding instead of
 //! deriving it. A destination set (`flexcast_types::DestSet`, 8 words in
-//! memory) travels as a sequence of its *significant* words — a word
-//! count, then that many varints, the last of them non-zero — so the
-//! empty set is one byte and a set over the paper's 12 groups two or
-//! three. The decoder refuses more than 8 words and a zero last word,
-//! which keeps the encoding canonical. A history delta
+//! memory) travels as one header varint and then its *significant*
+//! words: header `n ≤ 8` is a word count, followed by that many varints,
+//! the last of them non-zero; header `9 + r` is the one-member set `{r}`
+//! and nothing follows. So the empty set is one byte, a one-member set
+//! one byte up to rank 118 and two above, and a larger set over the
+//! paper's 12 groups two or three. The decoder refuses a header above
+//! 520, a zero last word and a word form with exactly one member, which
+//! keeps the encoding canonical. A history delta
 //! (`flexcast_core::HistoryDelta`) writes its edges as maximal chains,
 //! one `(creator, first idx, first before, afters)` run per chain, and its
 //! decoder refuses an empty run, an index past `u32::MAX` and a run that

@@ -26,12 +26,18 @@ fn set(ranks: &[u16]) -> DestSet {
 }
 
 /// A word count, then that many significant words, least significant
-/// first, each an LEB128 varint; trailing zero words are not sent.
+/// first, each an LEB128 varint; trailing zero words are not sent. A set
+/// of one member `{r}` is the header `9 + r` alone: one byte up to rank
+/// 118, two from 119 up to 511 (header 520).
 #[test]
 fn dest_set_vectors() {
     let top_word = "80808080808080808001"; // 1 << 63
     let vectors = [
         (set(&[]), "00".to_string()),
+        (set(&[0]), "09".to_string()),
+        (set(&[118]), "7f".to_string()),
+        (set(&[119]), "8001".to_string()),
+        (set(&[511]), "8804".to_string()),
         (set(&[0, 5]), "0121".to_string()),
         (
             set(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]),
@@ -59,8 +65,14 @@ fn decode_error(bytes: &[u8]) -> String {
 /// writes, so re-encoding a decoded set reproduces its bytes.
 #[test]
 fn decoder_refuses_non_canonical_and_oversized_sets() {
-    // Nine words, all valid on their own.
-    assert!(decode_error(&unhex("09010101010101010101")).contains("longer than 8 words"));
+    // What was nine words is `{0}` (header 9) and nine stray bytes: no
+    // header spells more than eight words.
+    assert!(decode_error(&unhex("09010101010101010101")).contains("trailing bytes"));
+    // `{0}` and `{64}` in the word form, which the singleton form replaces.
+    assert!(decode_error(&unhex("0101")).contains("one-member"));
+    assert!(decode_error(&unhex("020001")).contains("one-member"));
+    // One past the last singleton header, `{511}` = 520.
+    assert!(decode_error(&unhex("8904")).contains("out of range"));
     // `{0}` followed by a zero word; and the empty set spelled as a word.
     assert!(decode_error(&unhex("020100")).contains("zero word"));
     assert!(decode_error(&unhex("0100")).contains("zero word"));
@@ -70,13 +82,13 @@ fn decoder_refuses_non_canonical_and_oversized_sets() {
     assert!(decode_error(&unhex("020180")).contains("end of input"));
 }
 
-/// A length prefix is a claim, not a budget: `u32::MAX` words in front of
-/// two bytes of input is refused on reading the prefix, before any word
-/// is — and a set's words land in a fixed array whatever the prefix says.
+/// A header is a claim, not a budget: `u32::MAX` in front of two bytes of
+/// input is refused on reading the header, before any word is — and a
+/// set's words land in a fixed array whatever the header says.
 #[test]
 fn hostile_length_prefix_is_refused_up_front() {
     let why = decode_error(&unhex("ffffffff0f0101"));
-    assert!(why.contains("exceeds remaining input"), "{why}");
+    assert!(why.contains("out of range"), "{why}");
 }
 
 proptest! {
@@ -97,7 +109,12 @@ proptest! {
             }
         }
         let bytes = to_bytes(&dst).unwrap();
-        prop_assert_eq!(bytes[0] as usize, words, "the prefix is the significant-word count");
+        if dst.len() == 1 {
+            let rank = dst.lowest().unwrap().rank();
+            prop_assert_eq!(from_bytes::<u16>(&bytes).unwrap(), 9 + rank, "a singleton is its header");
+        } else {
+            prop_assert_eq!(bytes[0] as usize, words, "the prefix is the significant-word count");
+        }
         prop_assert_eq!(encoded_len(&dst).unwrap(), bytes.len());
         let back: DestSet = from_bytes(&bytes).unwrap();
         prop_assert_eq!(back, dst);

@@ -127,3 +127,53 @@ fn three_destination_message_over_tcp() {
     }
     assert_eq!(c.delivered, vec![m.id]);
 }
+
+/// Local messages cross the sockets too, as vertices of the deltas that
+/// ride on global ones — each with a one-member destination set, the
+/// form the other two tests never put on the wire. A's and B's local
+/// deliveries reach C's history through A's `msg` and B's ack, and every
+/// group delivers in the order the protocol fixes.
+#[test]
+fn local_deliveries_travel_in_the_deltas_of_a_global_message() {
+    let n = 3u16;
+    let mut a = GroupNode::bind(GroupId(0), n);
+    let mut b = GroupNode::bind(GroupId(1), n);
+    let mut c = GroupNode::bind(GroupId(2), n);
+    let (addr_b, addr_c) = (b.net.local_addr(), c.net.local_addr());
+    a.net.connect(GroupId(1), addr_b).unwrap();
+    a.net.connect(GroupId(2), addr_c).unwrap();
+    b.net.connect(GroupId(2), addr_c).unwrap();
+
+    let (l1, l2, l3) = (msg(1, &[0]), msg(2, &[0]), msg(3, &[1]));
+    let m = msg(4, &[0, 1, 2]);
+    fn deliver_local(node: &mut GroupNode, local: &Message) {
+        let mut out = Vec::new();
+        node.engine.on_client(local.clone(), &mut out);
+        assert_eq!(out, vec![Output::Deliver(local.clone())], "sent nowhere");
+        node.dispatch(out);
+    }
+    deliver_local(&mut a, &l1);
+    deliver_local(&mut a, &l2);
+    deliver_local(&mut b, &l3);
+    let mut out = Vec::new();
+    a.engine.on_client(m.clone(), &mut out);
+    a.dispatch(out);
+
+    b.pump(Duration::from_millis(500));
+    for _ in 0..20 {
+        c.pump(Duration::from_millis(100));
+        if !c.delivered.is_empty() {
+            break;
+        }
+    }
+    assert_eq!(a.delivered, vec![l1.id, l2.id, m.id]);
+    assert_eq!(b.delivered, vec![l3.id, m.id]);
+    assert_eq!(c.delivered, vec![m.id]);
+    for local in [&l1, &l2, &l3] {
+        assert!(
+            c.engine.history().contains(local.id),
+            "{} reached C over TCP",
+            local.id
+        );
+    }
+}
