@@ -16,8 +16,13 @@ use flexcast_sim::{Actor, LinkFault, Observation, ProcessId, SimTime, World};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Validates every process id in `ev` against the world size, then
-/// applies the event. The checked core of [`apply_event`].
+/// Applies one fault event to the world, immediately, after validating
+/// every process id in it against the world size: an event naming a pid
+/// the world does not host is refused whole, with the world untouched.
+///
+/// Usually called through [`run_schedule`] or [`run_adversary`], which
+/// handle timing; exposed for tests and custom drivers that manage time
+/// themselves.
 pub fn try_apply_event<M: Clone, A: Actor<M>>(
     world: &mut World<M, A>,
     ev: &FaultEvent,
@@ -76,23 +81,6 @@ pub fn try_apply_event<M: Clone, A: Actor<M>>(
         }
     }
     Ok(())
-}
-
-/// Applies one fault event to the world, immediately.
-///
-/// Usually called through [`run_schedule`] or [`run_adversary`], which
-/// handle timing; exposed for tests and custom drivers that manage time
-/// themselves.
-///
-/// # Panics
-///
-/// Panics with a descriptive message if the event references a process id
-/// the world does not host (use [`try_apply_event`] to handle the
-/// [`ChaosError`] instead).
-pub fn apply_event<M: Clone, A: Actor<M>>(world: &mut World<M, A>, ev: &FaultEvent) {
-    if let Err(e) = try_apply_event(world, ev) {
-        panic!("invalid fault event {ev:?}: {e}");
-    }
 }
 
 /// Visits every directed link with an endpoint in `pids`, exactly once.
@@ -427,13 +415,14 @@ mod tests {
     #[test]
     fn spike_applies_and_clears_extra_delay() {
         let mut w = world();
-        apply_event(
+        try_apply_event(
             &mut w,
             &FaultEvent::SpikeStart {
                 pids: vec![1],
                 extra: SimTime::from_ms(7.0),
             },
-        );
+        )
+        .expect("pids in range");
         assert_eq!(
             w.link_fault(0, 1).unwrap().extra_delay,
             SimTime::from_ms(7.0)
@@ -442,7 +431,7 @@ mod tests {
             w.link_fault(1, 0).unwrap().extra_delay,
             SimTime::from_ms(7.0)
         );
-        apply_event(&mut w, &FaultEvent::SpikeEnd { pids: vec![1] });
+        try_apply_event(&mut w, &FaultEvent::SpikeEnd { pids: vec![1] }).expect("pids in range");
         assert_eq!(w.link_fault(0, 1), None, "empty fault entries cleared");
     }
 
@@ -506,13 +495,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn apply_event_panics_with_a_clear_message() {
-        let mut w = world();
-        apply_event(&mut w, &FaultEvent::Crash(9));
-    }
-
-    #[test]
     fn schedule_adversary_reproduces_the_pre_redesign_loop() {
         // `run_schedule` IS `run_adversary(ScheduleAdversary)` now, so
         // comparing those two would be tautological. Compare against the
@@ -528,7 +510,7 @@ mod tests {
         let mut ref_events = 0;
         for (t, ev) in s.sorted_events() {
             ref_events += w1.run_until(t);
-            apply_event(&mut w1, ev);
+            try_apply_event(&mut w1, ev).expect("pids in range");
         }
         ref_events += w1.run_to_quiescence(100_000);
 

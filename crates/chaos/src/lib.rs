@@ -56,5 +56,5 @@ pub mod scenarios;
 pub mod schedule;
 
 pub use adversary::{Adversary, ChaosError, FaultCtx, ScheduleAdversary};
-pub use driver::{apply_event, run_adversary, run_schedule, try_apply_event, AdversaryRun};
+pub use driver::{run_adversary, run_schedule, try_apply_event, AdversaryRun};
 pub use schedule::{FaultEvent, FaultSchedule};

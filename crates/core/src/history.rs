@@ -396,12 +396,13 @@ pub struct History {
     /// rejects it without walking the full vertex map. The watermark
     /// doubles as the garbage-collection tombstone: a pruned id stays
     /// seen forever, so a stale ancestor diff can never resurrect it.
-    /// Compactness comes from the closed-loop client property (a client's
-    /// messages complete strictly in sequence), with a small residual set
-    /// for out-of-prefix stragglers. Client ids are dense from 0, so the
-    /// watermark lives in a flat vector ([`NO_WATERMARK`] = nothing seen)
-    /// — this probe runs once per delta entry and is the single hottest
-    /// lookup in the whole simulator, so it must not pointer-chase.
+    /// Ids past a client's prefix wait in `seen_residual`, and a group that
+    /// never admits some seq of a client keeps every later one: the
+    /// residual grows with messages, not clients (DESIGN.md §3). Client
+    /// ids are dense from 0, so the watermark lives in a flat vector
+    /// ([`NO_WATERMARK`] = nothing seen) — this probe runs once per delta
+    /// entry and is the single hottest lookup in the whole simulator, so
+    /// it must not pointer-chase.
     seen_watermark: Vec<u32>,
     seen_residual: BTreeSet<MsgId>,
     /// Per-creator record of the chain-edge indices this history has
@@ -600,7 +601,7 @@ impl History {
 
     /// True if `id` was ever admitted into this history — whether still
     /// retained or pruned since. One indexed load of the per-client
-    /// watermark (plus, for out-of-prefix ids, the small residual set).
+    /// watermark (plus, for out-of-prefix ids, the residual set).
     #[inline]
     pub fn has_seen(&self, id: MsgId) -> bool {
         let wm = self
@@ -612,7 +613,7 @@ impl History {
     }
 
     /// Records `id` as seen, promoting contiguous per-client prefixes into
-    /// the watermark so the residual set stays small.
+    /// the watermark.
     fn note_seen(&mut self, id: MsgId) {
         let ci = id.sender.0 as usize;
         if ci >= self.seen_watermark.len() {
@@ -1333,6 +1334,24 @@ mod tests {
         h.merge(&delta);
         assert!(!h.contains(id(0)), "merge respects the tombstone");
         assert_eq!(h.edge_count(), 0, "edge to pruned vertex dropped");
+    }
+
+    /// The tombstone residual is not bounded by the client count: while
+    /// one seq of a client is missing, every later id of that client is
+    /// held individually. Seqs 1..=N with seq 0 never admitted leave N
+    /// entries; admitting seq 0 folds them all into the watermark.
+    #[test]
+    fn a_missing_seq_keeps_every_later_id_of_its_client_in_the_residual() {
+        const N: u32 = 200;
+        let mut h = History::new();
+        for seq in 1..=N {
+            assert!(h.insert_vert(vref(seq, &[0])));
+        }
+        assert!(!h.has_seen(id(0)));
+        assert_eq!(h.seen_residual_len(), N as usize);
+        assert!(h.insert_vert(vref(0, &[0])));
+        assert_eq!(h.seen_residual_len(), 0);
+        assert!(h.has_seen(id(N)));
     }
 
     #[test]

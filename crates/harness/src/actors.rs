@@ -2,6 +2,7 @@
 
 use crate::checker::DeliveryEvent;
 use crate::netmsg::NetMsg;
+use crate::node::{entry_node, NodeEngine};
 use flexcast_baselines::{hier, skeen, HierGroup, SkeenGroup};
 use flexcast_core::{FlexCastGroup, Output as FlexOutput};
 use flexcast_gtpcc::Generator;
@@ -45,8 +46,8 @@ pub struct ServerStats {
     pub sent_bytes: u64,
     /// Inputs refused at intake: a client message the engine does not
     /// serve (a destination outside the overlay, or another group's lca),
-    /// a packet from a process outside the overlay, or a message kind
-    /// this server does not handle.
+    /// a packet from a process outside the overlay or one the engine
+    /// refuses, or a message kind this server does not handle.
     pub refused_inputs: u64,
 }
 
@@ -68,10 +69,7 @@ impl ServerStats {
 // the hot path.
 #[allow(clippy::large_enum_variant)]
 enum EngineKind {
-    Flex {
-        engine: FlexCastGroup,
-        order: CDagOrder,
-    },
+    Flex(NodeEngine),
     Skeen(SkeenGroup),
     Hier(HierGroup),
 }
@@ -91,49 +89,39 @@ pub struct ServerActor {
 }
 
 impl ServerActor {
-    /// Creates a FlexCast server for `node`; the engine runs in rank space
-    /// as defined by `order`. `advert_stride` enables protocol-level
-    /// delta suppression (watermark advertisements upstream every so many
-    /// admitted history entries); `None` runs the plain protocol.
+    /// Creates a FlexCast server for `node`, placed in the C-DAG by
+    /// `order`. `advert_stride` enables protocol-level delta suppression
+    /// (watermark advertisements upstream every so many admitted history
+    /// entries); `None` runs the plain protocol.
     pub fn flexcast(
         node: GroupId,
         n_servers: usize,
         order: CDagOrder,
         advert_stride: Option<u32>,
     ) -> Self {
-        let rank = order.rank_of(node);
-        let mut engine = FlexCastGroup::new(rank, n_servers as u16);
-        if let Some(stride) = advert_stride {
-            engine.set_advert_stride(stride);
-        }
-        ServerActor {
-            node,
-            n_servers,
-            engine: EngineKind::Flex { engine, order },
-            stats: ServerStats::default(),
-            deliveries: Vec::new(),
-            flex_outs: Vec::new(),
-        }
+        let engine = NodeEngine::new(node, n_servers as u16, order, advert_stride);
+        Self::running(node, n_servers, EngineKind::Flex(engine))
     }
 
     /// Creates a Skeen server for `node`.
     pub fn skeen(node: GroupId, n_servers: usize) -> Self {
-        ServerActor {
-            node,
-            n_servers,
-            engine: EngineKind::Skeen(SkeenGroup::new(node)),
-            stats: ServerStats::default(),
-            deliveries: Vec::new(),
-            flex_outs: Vec::new(),
-        }
+        Self::running(node, n_servers, EngineKind::Skeen(SkeenGroup::new(node)))
     }
 
     /// Creates a hierarchical server for `node` on `tree`.
     pub fn hier(node: GroupId, n_servers: usize, tree: Tree) -> Self {
+        Self::running(
+            node,
+            n_servers,
+            EngineKind::Hier(HierGroup::new(node, tree)),
+        )
+    }
+
+    fn running(node: GroupId, n_servers: usize, engine: EngineKind) -> Self {
         ServerActor {
             node,
             n_servers,
-            engine: EngineKind::Hier(HierGroup::new(node, tree)),
+            engine,
             stats: ServerStats::default(),
             deliveries: Vec::new(),
             flex_outs: Vec::new(),
@@ -148,7 +136,7 @@ impl ServerActor {
     /// The FlexCast engine, if this server runs FlexCast (diagnostics).
     pub fn flex_engine(&self) -> Option<&FlexCastGroup> {
         match &self.engine {
-            EngineKind::Flex { engine, .. } => Some(engine),
+            EngineKind::Flex(flex) => Some(flex.engine()),
             _ => None,
         }
     }
@@ -189,15 +177,10 @@ impl ServerActor {
 
     fn handle_flex_outputs(&mut self, outs: &mut Vec<FlexOutput>, ctx: &mut Ctx<'_, NetMsg>) {
         let now = ctx.now();
-        // Split borrow: read the order before looping to map ranks.
         for o in outs.drain(..) {
             match o {
                 FlexOutput::Deliver(m) => self.deliver(m.id, now, ctx),
-                FlexOutput::Send { to, pkt } => {
-                    let node = match &self.engine {
-                        EngineKind::Flex { order, .. } => order.node_at(to),
-                        _ => unreachable!("flex outputs come from flex engines"),
-                    };
+                FlexOutput::Send { to: node, pkt } => {
                     // Watermark advertisements are tiny background
                     // messages a real deployment would piggyback on its
                     // upstream traffic (client replies, transport acks);
@@ -270,27 +253,15 @@ impl ServerActor {
         }
         match msg {
             NetMsg::Client { msg: m, .. } => match &mut self.engine {
-                EngineKind::Flex { engine, order } => {
+                EngineKind::Flex(flex) => {
                     ctx.telemetry().instant(
                         "flex",
                         "multicast",
                         self.node.0 as u32,
                         ctx.now().as_nanos(),
                     );
-                    // Translate the client's node-space destinations into
-                    // the engine's rank space.
-                    let Some(ranks) = order.try_to_ranks(m.dst) else {
-                        self.stats.refused_inputs += 1;
-                        return;
-                    };
-                    let ranked =
-                        Message::new(m.id, ranks, m.payload).expect("non-empty destinations");
-                    // The engine drops a message it is not the lca of; its
-                    // reject count is the verdict.
-                    let rejected = engine.reject_stats().packets;
                     let mut outs = std::mem::take(&mut self.flex_outs);
-                    engine.on_client(ranked, &mut outs);
-                    if engine.reject_stats().packets != rejected {
+                    if !flex.on_client(m, &mut outs) {
                         self.stats.refused_inputs += 1;
                     }
                     self.handle_flex_outputs(&mut outs, ctx);
@@ -309,21 +280,21 @@ impl ServerActor {
             },
             NetMsg::Flex(pkt) => {
                 let tel_on = ctx.telemetry().is_enabled();
-                let EngineKind::Flex { engine, order } = &mut self.engine else {
-                    self.stats.refused_inputs += 1;
-                    return;
-                };
-                let from_node = u16::try_from(from).ok().map(GroupId);
-                let Some(from_rank) = from_node.and_then(|n| order.try_rank_of(n)) else {
+                let EngineKind::Flex(flex) = &mut self.engine else {
                     self.stats.refused_inputs += 1;
                     return;
                 };
                 // Merge-phase span: delta of history entries admitted by
                 // this packet, computed only when tracing is on.
-                let before = tel_on.then(|| engine.merge_stats().entries_in());
+                let before = tel_on.then(|| flex.engine().merge_stats().entries_in());
                 let mut outs = std::mem::take(&mut self.flex_outs);
-                engine.on_packet(from_rank, pkt, &mut outs);
-                let merged = before.map(|b| engine.merge_stats().entries_in() - b);
+                // Servers sit at pids `0..n`, so a pid is its node's id.
+                let accepted = u16::try_from(from)
+                    .is_ok_and(|node| flex.on_packet(GroupId(node), pkt, &mut outs));
+                if !accepted {
+                    self.stats.refused_inputs += 1;
+                }
+                let merged = before.map(|b| flex.engine().merge_stats().entries_in() - b);
                 self.handle_flex_outputs(&mut outs, ctx);
                 self.flex_outs = outs;
                 if let Some(n) = merged {
@@ -383,33 +354,27 @@ pub enum EntryPolicy {
 
 impl EntryPolicy {
     /// The server nodes that must receive the client's copy of `m`
-    /// (`m.dst` in node space).
+    /// (`m.dst` in node space). FlexCast names none for destinations
+    /// outside the overlay.
     pub fn entries(&self, m: &Message) -> DestSet {
         match self {
-            EntryPolicy::Flex(order) => {
-                let lca_rank = order
-                    .to_ranks(m.dst)
-                    .lowest()
-                    .expect("non-empty destinations");
-                DestSet::singleton(order.node_at(lca_rank))
-            }
+            EntryPolicy::Flex(order) => entry_node(order, m.dst).into_iter().collect(),
             EntryPolicy::SkeenAll => m.dst,
             EntryPolicy::Hier(tree) => DestSet::singleton(tree.lca(m.dst)),
         }
     }
 
     /// Sends the client's copy of `msg` to its entry servers, in
-    /// ascending node order. One entry — always, for FlexCast and the
-    /// tree — is a plain send; several fan out ([`Ctx::send_many`]),
-    /// which schedules exactly what one send per entry would.
+    /// ascending node order. One entry — the tree's, and FlexCast's in
+    /// the overlay — is a plain send; several (or none) fan out
+    /// ([`Ctx::send_many`]), which schedules exactly what one send per
+    /// entry would.
     fn multicast(&self, msg: Message, reply_to: usize, ctx: &mut Ctx<'_, NetMsg>) {
         let entries = self.entries(&msg);
         let msg = NetMsg::Client { msg, reply_to };
-        if entries.len() == 1 {
-            let only = entries.lowest().expect("one entry");
-            ctx.send(only.index(), msg);
-        } else {
-            ctx.send_many(entries.iter().map(GroupId::index).collect(), msg);
+        match entries.lowest() {
+            Some(only) if entries.len() == 1 => ctx.send(only.index(), msg),
+            _ => ctx.send_many(entries.iter().map(GroupId::index).collect(), msg),
         }
     }
 }

@@ -226,13 +226,8 @@ pub fn run_on(cfg: &ExperimentConfig, matrix: &LatencyMatrix) -> ExperimentResul
     collect(cfg, world, n_servers)
 }
 
-/// Runs the experiment and returns the quiesced world itself, for
-/// diagnostics that need to inspect final actor state.
-pub fn run_world(cfg: &ExperimentConfig) -> World<NetMsg, Node> {
-    run_world_on(cfg, &regions::aws12())
-}
-
-/// [`run_world`] with an explicit matrix.
+/// Runs the experiment on `matrix` and returns the quiesced world itself,
+/// for diagnostics that need to inspect final actor state.
 pub fn run_world_on(cfg: &ExperimentConfig, matrix: &LatencyMatrix) -> World<NetMsg, Node> {
     let n_servers = matrix.len();
     assert!(cfg.n_clients > 0, "need at least one client");

@@ -29,6 +29,7 @@ pub mod actors;
 pub mod checker;
 pub mod experiment;
 pub mod netmsg;
+mod node;
 pub mod replicated;
 
 pub use checker::{CheckReport, DeliveryEvent};

@@ -4,9 +4,11 @@
 //! simulator's reliable FIFO links. This module finally connects
 //! `flexcast-smr` into the experiment DAG: each group becomes a quorum of
 //! Paxos replicas ([`ReplicatedActor`]) driving a shared
-//! [`ReplicatedGroup`]`<`[`ReplEngine`]`>`, so the group keeps multicasting
-//! through replica crashes, leader failovers, partitions, and lossy links
-//! injected by `flexcast-chaos`.
+//! [`ReplicatedGroup`]`<`[`ReplEngine`]`, `[`ReplCmd`]`, `[`ReplEffect`]`>`,
+//! so the group keeps multicasting through replica crashes, leader
+//! failovers, partitions, and lossy links injected by `flexcast-chaos`.
+//! Applying a [`ReplCmd`] (one input) emits [`ReplEffect`]s, and the
+//! FlexCast engine inside is the node engine an unreplicated server holds.
 //!
 //! # How the paper's channel assumptions are re-established
 //!
@@ -75,6 +77,8 @@
 
 use crate::checker::{self, CheckReport, DeliveryEvent};
 use crate::netmsg::NetMsg;
+pub use crate::node::entry_node;
+use crate::node::NodeEngine;
 use flexcast_core::{FlexCastGroup, Output, Packet};
 use flexcast_overlay::{CDagOrder, LatencyMatrix};
 use flexcast_sim::{Actor, Ctx, LinkModel, Observation, ProcessId, SimTime, Summary, World};
@@ -87,19 +91,16 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// A command proposed to (and committed by) a group's Paxos log, and —
-/// re-used as the effect payload — an action the leader emits.
+/// One input to a group: a command proposed to (and committed by) the
+/// group's Paxos log.
 #[derive(Clone, PartialEq, Debug, Serialize)]
 pub enum ReplCmd {
-    /// Input: a client multicast (destinations in node space). As a
-    /// leader-emitted effect: the engine delivered this message.
+    /// A client multicast (destinations in node space).
     Client(Message),
-    /// Input: packet `pkt` is the `seq`-th message on the directed group
-    /// link from `peer` to this group. As a leader-emitted effect: send
-    /// `pkt` as the `seq`-th message on the link *to* group `peer`.
+    /// Packet `pkt` is the `seq`-th message on the directed group link
+    /// from `peer` to this group.
     Peer {
-        /// The remote group on the link (sender for inputs, destination
-        /// for emitted effects).
+        /// The sending group.
         peer: GroupId,
         /// Position on the directed group link, starting at 0.
         seq: u64,
@@ -164,6 +165,23 @@ impl<'de> Deserialize<'de> for ReplCmd {
     }
 }
 
+/// What applying a command emits; only the leader acts on it.
+#[derive(Clone, PartialEq, Debug)]
+pub enum ReplEffect {
+    /// The engine delivered this message (destinations in node space).
+    Deliver(Message),
+    /// Send `pkt` as the `seq`-th message on the directed group link to
+    /// group `to`.
+    Send {
+        /// The receiving group.
+        to: GroupId,
+        /// Position on the directed group link, starting at 0.
+        seq: u64,
+        /// The FlexCast packet, shared with the outbox.
+        pkt: Arc<Packet>,
+    },
+}
+
 /// A serialized [`ReplEngine`]: what one replica ships to a lagging
 /// sibling during snapshot catch-up. The engine itself travels as its own
 /// [`FlexCastGroup::snapshot`] bytes; the C-DAG order is *not* part of the
@@ -173,36 +191,33 @@ impl<'de> Deserialize<'de> for ReplCmd {
 pub struct ReplSnapshot {
     /// [`FlexCastGroup::snapshot`] of the wrapped engine.
     pub engine: Vec<u8>,
+    /// The bookkeeping around the engine, as the state machine holds it.
+    pub links: ReplLinks,
+}
+
+/// The dedup and FIFO-reconstruction bookkeeping around a replicated
+/// engine (module docs), and its delivery log.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+pub struct ReplLinks {
     /// Next expected sequence number per inbound group link.
     pub next_in: BTreeMap<GroupId, u64>,
     /// Out-of-order inbound packets held until their turn.
     pub held: BTreeMap<(GroupId, u64), Arc<Packet>>,
     /// Next sequence number per outbound group link.
     pub next_out: BTreeMap<GroupId, u64>,
-    /// The replicated outbox of inter-group sends.
+    /// Every inter-group send ever emitted, in emission order. Replicated
+    /// state: any leader can retransmit the whole channel history.
     pub outbox: Vec<(GroupId, u64, Arc<Packet>)>,
-    /// Delivery log in commit order.
+    /// Delivery log in commit order (identical across replicas).
     pub log: Vec<MsgId>,
 }
 
-/// The replicated state machine: a FlexCast engine plus the dedup and
-/// FIFO-reconstruction bookkeeping described in the module docs. All
-/// fields evolve deterministically from the committed command sequence,
-/// so every replica holds an identical copy.
+/// The replicated state machine: a FlexCast engine plus its
+/// [`ReplLinks`]. All fields evolve deterministically from the committed
+/// command sequence, so every replica holds an identical copy.
 pub struct ReplEngine {
-    engine: FlexCastGroup,
-    order: CDagOrder,
-    /// Next expected sequence number per inbound group link.
-    next_in: BTreeMap<GroupId, u64>,
-    /// Out-of-order inbound packets held until their turn.
-    held: BTreeMap<(GroupId, u64), Arc<Packet>>,
-    /// Next sequence number per outbound group link.
-    next_out: BTreeMap<GroupId, u64>,
-    /// Every inter-group send ever emitted, in emission order. Replicated
-    /// state: any leader can retransmit the whole channel history.
-    outbox: Vec<(GroupId, u64, Arc<Packet>)>,
-    /// Delivery log in commit order (identical across replicas).
-    log: Vec<MsgId>,
+    node: NodeEngine,
+    links: ReplLinks,
     /// See [`ReplEngine::refused_cmds`]; not in [`ReplSnapshot`].
     refused_cmds: u64,
 }
@@ -214,42 +229,32 @@ impl ReplEngine {
     /// committed `Peer` commands), so a new leader after failover
     /// inherits it rather than resetting suppression coverage.
     pub fn new(node: GroupId, order: CDagOrder, advert_stride: Option<u32>) -> Self {
-        let rank = order.rank_of(node);
-        let n = order.len() as u16;
-        let mut engine = FlexCastGroup::new(rank, n);
-        if let Some(stride) = advert_stride {
-            engine.set_advert_stride(stride);
-        }
         ReplEngine {
-            engine,
-            order,
-            next_in: BTreeMap::new(),
-            held: BTreeMap::new(),
-            next_out: BTreeMap::new(),
-            outbox: Vec::new(),
-            log: Vec::new(),
+            node: NodeEngine::new(node, order.len() as u16, order, advert_stride),
+            links: ReplLinks::default(),
             refused_cmds: 0,
         }
     }
 
     /// The wrapped FlexCast engine.
     pub fn engine(&self) -> &FlexCastGroup {
-        &self.engine
+        self.node.engine()
     }
 
     /// The delivery log in commit order.
     pub fn delivery_log(&self) -> &[MsgId] {
-        &self.log
+        &self.links.log
     }
 
     /// The replicated outbox of inter-group sends.
     pub fn outbox(&self) -> &[(GroupId, u64, Arc<Packet>)] {
-        &self.outbox
+        &self.links.outbox
     }
 
     /// Committed commands [`apply_cmd`] skipped for naming a group outside
-    /// the overlay, or for a client message whose lca is another group;
-    /// like the engine's `RejectStats`, not snapshot state.
+    /// the overlay, and inputs the engine refused (a client message whose
+    /// lca is another group, a packet against its C-DAG edge); like the
+    /// engine's `RejectStats`, not snapshot state.
     pub fn refused_cmds(&self) -> u64 {
         self.refused_cmds
     }
@@ -259,10 +264,10 @@ impl ReplEngine {
     /// before it closes, a no-op, or a batch of these.
     pub fn has_applied(&self, cmd: &ReplCmd) -> bool {
         match cmd {
-            ReplCmd::Client(m) => self.engine.has_taken(m.id),
+            ReplCmd::Client(m) => self.engine().has_taken(m.id),
             ReplCmd::Peer { peer, seq, .. } => {
-                *seq < self.next_in.get(peer).copied().unwrap_or(0)
-                    || self.held.contains_key(&(*peer, *seq))
+                *seq < self.links.next_in.get(peer).copied().unwrap_or(0)
+                    || self.links.held.contains_key(&(*peer, *seq))
             }
             ReplCmd::Noop { .. } => true,
             ReplCmd::Batch(cmds) => cmds.iter().all(|c| self.has_applied(c)),
@@ -275,12 +280,8 @@ impl ReplEngine {
     /// bit-for-bit round-trip assertion leans on.
     pub fn to_snapshot(&self) -> ReplSnapshot {
         ReplSnapshot {
-            engine: self.engine.snapshot().expect("engines always serialize"),
-            next_in: self.next_in.clone(),
-            held: self.held.clone(),
-            next_out: self.next_out.clone(),
-            outbox: self.outbox.clone(),
-            log: self.log.clone(),
+            engine: self.engine().snapshot().expect("engines always serialize"),
+            links: self.links.clone(),
         }
     }
 
@@ -288,46 +289,31 @@ impl ReplEngine {
     /// is the receiver's own copy of the (static, per-run) C-DAG order.
     pub fn from_snapshot(snap: ReplSnapshot, order: CDagOrder) -> flexcast_types::Result<Self> {
         Ok(ReplEngine {
-            engine: FlexCastGroup::restore(&snap.engine)?,
-            order,
-            next_in: snap.next_in,
-            held: snap.held,
-            next_out: snap.next_out,
-            outbox: snap.outbox,
-            log: snap.log,
+            node: NodeEngine::restore(&snap.engine, order)?,
+            links: snap.links,
             refused_cmds: 0,
         })
     }
 
-    fn absorb(&mut self, outputs: Vec<Output>, out: &mut Vec<GroupEffect<ReplCmd>>) {
+    /// Logs the engine's deliveries and numbers its sends on their links
+    /// into the outbox, emitting both.
+    fn absorb(&mut self, outputs: Vec<Output>, out: &mut Vec<ReplEffect>) {
         for o in outputs {
             match o {
                 Output::Deliver(m) => {
-                    self.log.push(m.id);
-                    out.push(GroupEffect::Engine(ReplCmd::Client(m)));
+                    self.links.log.push(m.id);
+                    out.push(ReplEffect::Deliver(m));
                 }
                 Output::Send { to, pkt } => {
-                    let node = self.order.node_at(to);
-                    let seq = self.next_out.entry(node).or_insert(0);
-                    let s = *seq;
-                    *seq += 1;
+                    let next = self.links.next_out.entry(to).or_insert(0);
+                    let seq = *next;
+                    *next += 1;
                     let pkt = Arc::new(pkt);
-                    self.outbox.push((node, s, Arc::clone(&pkt)));
-                    out.push(GroupEffect::Engine(ReplCmd::Peer {
-                        peer: node,
-                        seq: s,
-                        pkt,
-                    }));
+                    self.links.outbox.push((to, seq, Arc::clone(&pkt)));
+                    out.push(ReplEffect::Send { to, seq, pkt });
                 }
             }
         }
-    }
-
-    fn apply_pkt(&mut self, from: GroupId, pkt: Arc<Packet>, out: &mut Vec<GroupEffect<ReplCmd>>) {
-        let mut outputs = Vec::new();
-        self.engine
-            .on_packet(from, Arc::unwrap_or_clone(pkt), &mut outputs);
-        self.absorb(outputs, out);
     }
 }
 
@@ -336,8 +322,10 @@ impl ReplEngine {
 ///
 /// A command naming a group outside the overlay, or a client message
 /// whose lca is another group, can still commit (intake guards run only
-/// on the proposer); every replica skips it alike.
-pub fn apply_cmd(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<GroupEffect<ReplCmd>>) {
+/// on the proposer); every replica skips it alike and counts it in
+/// [`ReplEngine::refused_cmds`].
+pub fn apply_cmd(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<ReplEffect>) {
+    let mut outputs = Vec::new();
     match cmd {
         ReplCmd::Noop { .. } => {}
         ReplCmd::Batch(cmds) => {
@@ -345,57 +333,37 @@ pub fn apply_cmd(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<GroupEffect<Rep
                 apply_cmd(e, cmd, out);
             }
         }
+        // The engine drops a copy it already took: a client retry, or a dual leader's proposal.
         ReplCmd::Client(m) => {
-            let Some(dst) = e.order.try_to_ranks(m.dst) else {
-                e.refused_cmds += 1;
-                return;
-            };
-            let Ok(ranked) = Message::new(m.id, dst, m.payload) else {
-                e.refused_cmds += 1;
-                return;
-            };
-            // The engine drops a copy it already took (a client retry or
-            // a dual leader's proposal), and drops and counts a message
-            // whose lca is another group; that count is the verdict.
-            let rejected = e.engine.reject_stats().packets;
-            let mut outputs = Vec::new();
-            e.engine.on_client(ranked, &mut outputs);
-            if e.engine.reject_stats().packets != rejected {
+            if !e.node.on_client(m, &mut outputs) {
                 e.refused_cmds += 1;
             }
-            e.absorb(outputs, out);
         }
+        // A sender outside the overlay is refused before it opens a link.
+        ReplCmd::Peer { peer, .. } if !e.node.in_overlay(peer) => e.refused_cmds += 1,
         ReplCmd::Peer { peer, seq, pkt } => {
-            let Some(from_rank) = e.order.try_rank_of(peer) else {
-                e.refused_cmds += 1;
-                return;
-            };
-            let next = *e.next_in.entry(peer).or_insert(0);
+            let next = *e.links.next_in.entry(peer).or_insert(0);
             if seq < next {
                 return; // duplicate (retransmission)
             }
             if seq > next {
-                e.held.insert((peer, seq), pkt);
+                e.links.held.insert((peer, seq), pkt);
                 return; // out of order: hold until the gap closes
             }
             // Apply it, then every held packet that follows it.
             let (mut at, mut cur) = (seq, Some(pkt));
             while let Some(pkt) = cur {
                 at += 1;
-                e.next_in.insert(peer, at);
-                e.apply_pkt(from_rank, pkt, out);
-                cur = e.held.remove(&(peer, at));
+                e.links.next_in.insert(peer, at);
+                let pkt = Arc::unwrap_or_clone(pkt);
+                if !e.node.on_packet(peer, pkt, &mut outputs) {
+                    e.refused_cmds += 1;
+                }
+                cur = e.links.held.remove(&(peer, at));
             }
         }
     }
-}
-
-/// The group serving as the FlexCast entry point for destinations `dst`:
-/// the node holding the lowest rank, the message's lca. `None` if `dst`
-/// is empty or names a node outside the overlay.
-pub fn entry_node(order: &CDagOrder, dst: DestSet) -> Option<GroupId> {
-    let lca_rank = order.try_to_ranks(dst)?.lowest()?;
-    Some(order.node_at(lca_rank))
+    e.absorb(outputs, out);
 }
 
 /// Simulator pid of replica `r` of the group at `node` (replicas are laid
@@ -431,8 +399,7 @@ pub struct ReplicatedActor {
     node: GroupId,
     replica: u32,
     rf: u32,
-    n_groups: usize,
-    rg: ReplicatedGroup<ReplEngine, ReplCmd>,
+    rg: ReplicatedGroup<ReplEngine, ReplCmd, ReplEffect>,
     /// The (static, per-run) C-DAG order — kept so a received snapshot can
     /// be restored without shipping the order over the wire.
     order: CDagOrder,
@@ -489,7 +456,6 @@ impl ReplicatedActor {
     /// from `cfg` (committed commands are counted live; a disabled handle
     /// makes the replica uninstrumented).
     pub fn new(node: GroupId, replica: u32, cfg: &ReplicatedConfig) -> Self {
-        let n_groups = cfg.order.len();
         let mut rg = ReplicatedGroup::new(
             replica,
             cfg.rf,
@@ -501,7 +467,6 @@ impl ReplicatedActor {
             node,
             replica,
             rf: cfg.rf,
-            n_groups,
             rg,
             order: cfg.order.clone(),
             inbox: Vec::new(),
@@ -552,7 +517,7 @@ impl ReplicatedActor {
 
     /// The replication layer itself (compaction marker, apply cursor,
     /// commit lag — catch-up diagnostics for tests and tools).
-    pub fn replication(&self) -> &ReplicatedGroup<ReplEngine, ReplCmd> {
+    pub fn replication(&self) -> &ReplicatedGroup<ReplEngine, ReplCmd, ReplEffect> {
         &self.rg
     }
 
@@ -662,7 +627,7 @@ impl ReplicatedActor {
     }
 
     /// Emits a batch of group effects into the network. Never proposes.
-    fn emit(&mut self, fx: Vec<GroupEffect<ReplCmd>>, ctx: &mut Ctx<'_, NetMsg>) {
+    fn emit(&mut self, fx: Vec<GroupEffect<ReplCmd, ReplEffect>>, ctx: &mut Ctx<'_, NetMsg>) {
         for e in fx {
             match e {
                 GroupEffect::Replication { to, msg } => {
@@ -673,7 +638,7 @@ impl ReplicatedActor {
                     // marker: replay cannot help it, a snapshot can.
                     self.send_snapshot(to, ctx);
                 }
-                GroupEffect::Engine(ReplCmd::Client(m)) => {
+                GroupEffect::Engine(ReplEffect::Deliver(m)) => {
                     self.delivery_events.push(DeliveryEvent {
                         node: self.node,
                         id: m.id,
@@ -699,15 +664,13 @@ impl ReplicatedActor {
                         ctx.now().as_nanos(),
                     );
                     ctx.send(
-                        client_pid(self.n_groups, self.rf, m.id.sender),
+                        client_pid(self.order.len(), self.rf, m.id.sender),
                         NetMsg::Reply { id: m.id },
                     );
                 }
-                GroupEffect::Engine(ReplCmd::Peer { peer, seq, pkt }) => {
-                    self.send_group(peer, seq, pkt, ctx);
+                GroupEffect::Engine(ReplEffect::Send { to, seq, pkt }) => {
+                    self.send_group(to, seq, pkt, ctx);
                 }
-                // `absorb` emits deliveries and sends only.
-                GroupEffect::Engine(ReplCmd::Noop { .. } | ReplCmd::Batch(_)) => {}
             }
         }
     }
@@ -950,16 +913,17 @@ impl Actor<NetMsg> for ReplicatedActor {
 
     fn on_message(&mut self, from: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
         match msg {
-            // An input naming a node outside the overlay is refused here,
-            // before it is proposed: committed, it would make every
-            // replica fail to apply it.
-            NetMsg::Client { msg: m, .. } if self.order.try_to_ranks(m.dst).is_none() => {
-                self.refused_inputs += 1;
-            }
-            NetMsg::GroupMsg { .. } if from >= self.n_groups * self.rf as usize => {
+            NetMsg::GroupMsg { .. } if from >= self.order.len() * self.rf as usize => {
                 self.refused_inputs += 1;
             }
             NetMsg::Client { msg: m, .. } => {
+                // An input naming a node outside the overlay is refused
+                // here, before it is proposed: committed, every replica
+                // would skip it.
+                let Some(entry) = entry_node(&self.order, m.dst) else {
+                    self.refused_inputs += 1;
+                    return;
+                };
                 // Re-ack path: if this destination already delivered `m`,
                 // the original Reply may have been lost — the leader
                 // re-sends it. Client retries fan out to every destination
@@ -967,7 +931,7 @@ impl Actor<NetMsg> for ReplicatedActor {
                 if self.rg.engine().engine().has_delivered(m.id) {
                     if self.rg.is_leader() {
                         ctx.send(
-                            client_pid(self.n_groups, self.rf, m.id.sender),
+                            client_pid(self.order.len(), self.rf, m.id.sender),
                             NetMsg::Reply { id: m.id },
                         );
                     }
@@ -975,7 +939,7 @@ impl Actor<NetMsg> for ReplicatedActor {
                 }
                 // Only the entry (lca) group orders client messages;
                 // other destinations learn of `m` through the overlay.
-                if entry_node(&self.order, m.dst) == Some(self.node) {
+                if entry == self.node {
                     self.intake(ReplCmd::Client(m), ctx);
                 }
             }
@@ -993,7 +957,7 @@ impl Actor<NetMsg> for ReplicatedActor {
             NetMsg::Repl(PaxosMsg::Forward { cmd }) => match cmd {
                 ReplCmd::Peer { peer, .. }
                     if group_of(from, self.rf) == self.node
-                        && self.order.try_rank_of(peer).is_some() =>
+                        && self.rg.engine().node.in_overlay(peer) =>
                 {
                     self.intake(cmd, ctx);
                 }
@@ -1321,10 +1285,10 @@ impl ReplFlushActor {
         send_msg_to_groups(self.order.len(), self.rf, self.id, m, targets, ctx);
     }
 
-    /// The flush entry point: the node holding rank 0 (a flush targets
-    /// every group, so its lca is the lowest rank).
-    fn entry(&self) -> GroupId {
-        self.order.node_at(GroupId(0))
+    /// The flush entry point: a flush targets every group, so its lca
+    /// is the node holding rank 0. `None` in an overlay with no groups.
+    fn entry(&self) -> Option<GroupId> {
+        entry_node(&self.order, DestSet::all(self.order.len()))
     }
 }
 
@@ -1369,7 +1333,7 @@ impl Actor<NetMsg> for ReplFlushActor {
                 let m = self.flush_msg(id);
                 self.issued.push((id, m.dst));
                 self.outstanding = Some((id, DestSet::new()));
-                self.send_to_groups(&m, &[self.entry()], ctx);
+                self.send_to_groups(&m, self.entry().as_slice(), ctx);
             }
             None => return, // all flushes issued and completed
         }
@@ -1584,15 +1548,16 @@ pub fn build_world(cfg: &ReplicatedConfig, matrix: &LatencyMatrix) -> World<NetM
     if let Some(period) = cfg.flush_period {
         // The flusher is client n_clients in the pid layout, co-located
         // with the flush entry group (the rank-0 node).
-        actors.push(ReplNode::Flusher(ReplFlushActor::new(
+        let flusher = ReplFlushActor::new(
             ClientId(cfg.n_clients as u32),
             cfg.rf,
             cfg.order.clone(),
             cfg.n_flushes,
             period,
             cfg.stop_at,
-        )));
-        sites.push(cfg.order.node_at(GroupId(0)));
+        );
+        sites.push(flusher.entry().unwrap_or(GroupId(0)));
+        actors.push(ReplNode::Flusher(flusher));
     }
 
     let link = LinkModel::new(matrix.clone(), sites, cfg.jitter_ms);

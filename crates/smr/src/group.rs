@@ -21,14 +21,14 @@ use flexcast_telemetry::Telemetry;
 
 /// One replica of a replicated group, generic over the engine.
 ///
-/// `I` is the engine input (command) type; `O` the engine output type.
-/// The engine itself is any `FnMut(I, &mut Vec<O>)`-shaped apply function
-/// captured in the `apply` closure at construction, which keeps this
-/// wrapper decoupled from concrete protocol crates.
-pub struct ReplicatedGroup<E, I> {
+/// `I` is the engine input (command) type; `O` the engine effect type.
+/// The engine itself is driven by the `apply` function supplied at
+/// construction, which keeps this wrapper decoupled from concrete
+/// protocol crates.
+pub struct ReplicatedGroup<E, I, O> {
     replica: Replica<I>,
     engine: E,
-    apply: fn(&mut E, I, &mut Vec<GroupEffect<I>>),
+    apply: fn(&mut E, I, &mut Vec<O>),
     emitted_up_to: u64,
     proposals: u64,
     inputs: u64,
@@ -36,9 +36,10 @@ pub struct ReplicatedGroup<E, I> {
     telemetry: Telemetry,
 }
 
-/// Outputs of a replicated group replica.
+/// Outputs of a replicated group replica: `I` is the command type the
+/// replicas agree on, `O` the engine's effect type.
 #[derive(Clone, Debug, PartialEq)]
-pub enum GroupEffect<I> {
+pub enum GroupEffect<I, O> {
     /// A Paxos message for a peer replica of the same group.
     Replication {
         /// Destination replica id.
@@ -49,7 +50,7 @@ pub enum GroupEffect<I> {
     /// An engine-level side effect (send to another group / deliver),
     /// emitted only by the leader. The payload is engine-specific and
     /// produced by the `apply` function.
-    Engine(I),
+    Engine(O),
     /// Peer `to` asked for slots below our compaction marker: only a state
     /// snapshot through slot `through` can catch it up. The host transfers
     /// the snapshot out of band (Paxos messages never carry engine state).
@@ -61,10 +62,10 @@ pub enum GroupEffect<I> {
     },
 }
 
-impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
+impl<E, I: Clone + PartialEq, O> ReplicatedGroup<E, I, O> {
     /// Creates replica `id` of `n` for `engine`, with `apply` defining how
     /// a committed command mutates the engine and what effects it emits.
-    pub fn new(id: u32, n: u32, engine: E, apply: fn(&mut E, I, &mut Vec<GroupEffect<I>>)) -> Self {
+    pub fn new(id: u32, n: u32, engine: E, apply: fn(&mut E, I, &mut Vec<O>)) -> Self {
         ReplicatedGroup {
             replica: Replica::new(id, n),
             engine,
@@ -127,19 +128,11 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
         self.replica.is_leader()
     }
 
-    /// Starts a leader election (drive from an election timeout).
-    pub fn start_election(&mut self, out: &mut Vec<GroupEffect<I>>) {
-        self.elections += 1;
-        let mut paxos_out = Vec::new();
-        self.replica.start_election(&mut paxos_out);
-        self.drain(paxos_out, out);
-    }
-
     /// Stands for the Paxos election with an externally chosen ballot —
     /// the handoff from ballot leader election ([`crate::ble`]). Returns
     /// true if a campaign actually started (the ballot was ours and newer
     /// than anything already promised).
-    pub fn handle_leader(&mut self, ballot: Ballot, out: &mut Vec<GroupEffect<I>>) -> bool {
+    pub fn handle_leader(&mut self, ballot: Ballot, out: &mut Vec<GroupEffect<I, O>>) -> bool {
         let mut paxos_out = Vec::new();
         let stood = self.replica.handle_leader(ballot, &mut paxos_out);
         if stood {
@@ -184,14 +177,14 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
     /// Proposes an input to the group. Only a leader proposes: elsewhere
     /// this does nothing, and the caller keeps the input until some
     /// replica leads.
-    pub fn submit(&mut self, input: I, out: &mut Vec<GroupEffect<I>>) {
+    pub fn submit(&mut self, input: I, out: &mut Vec<GroupEffect<I, O>>) {
         self.submit_carrying(input, 1, out);
     }
 
     /// [`ReplicatedGroup::submit`] for an input that carries `inputs`
     /// engine commands in one slot (a batch), so the exported `inputs`
     /// counter tells commands from slots.
-    pub fn submit_carrying(&mut self, input: I, inputs: u64, out: &mut Vec<GroupEffect<I>>) {
+    pub fn submit_carrying(&mut self, input: I, inputs: u64, out: &mut Vec<GroupEffect<I, O>>) {
         if !self.replica.is_leader() {
             return;
         }
@@ -203,7 +196,12 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
     }
 
     /// Handles a replication message from a peer replica.
-    pub fn on_replication(&mut self, from: u32, msg: PaxosMsg<I>, out: &mut Vec<GroupEffect<I>>) {
+    pub fn on_replication(
+        &mut self,
+        from: u32,
+        msg: PaxosMsg<I>,
+        out: &mut Vec<GroupEffect<I, O>>,
+    ) {
         let mut paxos_out = Vec::new();
         self.replica.on_message(from, msg, &mut paxos_out);
         self.drain(paxos_out, out);
@@ -214,14 +212,14 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
     /// command they lack ask for it with `LearnReq`. All
     /// resulting traffic is idempotent — drive this from a timer whenever
     /// the group runs over a lossy or partitionable network.
-    pub fn tick_repair(&mut self, out: &mut Vec<GroupEffect<I>>) {
+    pub fn tick_repair(&mut self, out: &mut Vec<GroupEffect<I, O>>) {
         let mut paxos_out = Vec::new();
         self.replica.repair(&mut paxos_out);
         self.replica.request_missing(&mut paxos_out);
         self.drain(paxos_out, out);
     }
 
-    fn drain(&mut self, paxos_out: Vec<SmrOutput<I>>, out: &mut Vec<GroupEffect<I>>) {
+    fn drain(&mut self, paxos_out: Vec<SmrOutput<I>>, out: &mut Vec<GroupEffect<I, O>>) {
         for o in paxos_out {
             match o {
                 SmrOutput::Send { to, msg } => out.push(GroupEffect::Replication { to, msg }),
@@ -240,7 +238,7 @@ impl<E, I: Clone + PartialEq> ReplicatedGroup<E, I> {
             let mut effects = Vec::new();
             (self.apply)(&mut self.engine, cmd, &mut effects);
             if leader {
-                out.extend(effects);
+                out.extend(effects.into_iter().map(GroupEffect::Engine));
             }
         }
     }
@@ -257,16 +255,16 @@ mod tests {
         applied: Vec<u32>,
     }
 
-    fn apply(engine: &mut Counter, input: u32, out: &mut Vec<GroupEffect<u32>>) {
+    fn apply(engine: &mut Counter, input: u32, out: &mut Vec<u32>) {
         engine.total += input;
         engine.applied.push(input);
-        out.push(GroupEffect::Engine(engine.total));
+        out.push(engine.total);
     }
 
     fn route(
-        groups: &mut [ReplicatedGroup<Counter, u32>],
+        groups: &mut [ReplicatedGroup<Counter, u32, u32>],
         from: u32,
-        effects: Vec<GroupEffect<u32>>,
+        effects: Vec<GroupEffect<u32, u32>>,
     ) -> Vec<u32> {
         let mut emitted = Vec::new();
         for e in effects {
@@ -285,17 +283,27 @@ mod tests {
         emitted
     }
 
-    fn replicated_counter(n: u32) -> Vec<ReplicatedGroup<Counter, u32>> {
+    fn replicated_counter(n: u32) -> Vec<ReplicatedGroup<Counter, u32, u32>> {
         (0..n)
             .map(|i| ReplicatedGroup::new(i, n, Counter::default(), apply))
             .collect()
+    }
+
+    /// Stands replica `g` for election with a ballot above any it
+    /// promised, as ballot leader election would hand it one.
+    fn elect(g: &mut ReplicatedGroup<Counter, u32, u32>, out: &mut Vec<GroupEffect<u32, u32>>) {
+        let ballot = Ballot {
+            round: g.replica().promised().round + 1,
+            owner: g.replica().id(),
+        };
+        assert!(g.handle_leader(ballot, out));
     }
 
     #[test]
     fn replicas_apply_identically_and_leader_emits() {
         let mut gs = replicated_counter(3);
         let mut out = Vec::new();
-        gs[0].start_election(&mut out);
+        elect(&mut gs[0], &mut out);
         let effects = route(&mut gs, 0, out);
         assert!(effects.is_empty());
         assert!(gs[0].is_leader());
@@ -320,7 +328,7 @@ mod tests {
     fn single_replica_group_works_degenerately() {
         let mut gs = replicated_counter(1);
         let mut out = Vec::new();
-        gs[0].start_election(&mut out);
+        elect(&mut gs[0], &mut out);
         let mut out2 = Vec::new();
         gs[0].submit(3, &mut out2);
         let emitted = route(&mut gs, 0, out2);

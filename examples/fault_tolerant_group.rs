@@ -6,53 +6,52 @@
 //! survives. This example replicates group B of a three-group deployment
 //! across three Paxos replicas, crashes the leader mid-stream, elects a
 //! new one, and shows that ordering is preserved and no input is lost.
+//! Elections are started by hand here; in the simulated deployment ballot
+//! leader election hands each winner its ballot.
 //!
 //! ```sh
 //! cargo run --example fault_tolerant_group
 //! ```
 
-use flexcast_core::{FlexCastGroup, Output, Packet};
-use flexcast_smr::{GroupEffect, ReplicatedGroup};
+use flexcast_core::{FlexCastGroup, Output};
+use flexcast_smr::{Ballot, GroupEffect, ReplicatedGroup};
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload};
 
-/// Commands fed to the replicated engine: the two kinds of input a
-/// FlexCast group consumes.
-#[derive(Clone, PartialEq, Debug)]
-enum Cmd {
-    Client(Message),
-    Peer(GroupId, Packet),
+/// Applies a committed client multicast to the engine (a group's other
+/// input, peer packets from its ancestors, would be a second command
+/// kind). The engine's outputs are the effects, which only the leader
+/// emits; a real deployment would send them to the overlay.
+fn apply(engine: &mut FlexCastGroup, m: Message, out: &mut Vec<Output>) {
+    engine.on_client(m, out);
 }
 
-/// Applies a committed command to the engine; outputs are wrapped as
-/// engine effects so only the leader emits them.
-fn apply(engine: &mut FlexCastGroup, cmd: Cmd, out: &mut Vec<GroupEffect<Cmd>>) {
-    let mut outputs = Vec::new();
-    match cmd {
-        Cmd::Client(m) => engine.on_client(m, &mut outputs),
-        Cmd::Peer(from, pkt) => engine.on_packet(from, pkt, &mut outputs),
-    }
-    for o in outputs {
-        // Re-encode engine outputs as commands so the effect type stays
-        // uniform; a real deployment would send these to the overlay.
-        match o {
-            Output::Deliver(m) => out.push(GroupEffect::Engine(Cmd::Client(m))),
-            Output::Send { to, pkt } => out.push(GroupEffect::Engine(Cmd::Peer(to, pkt))),
-        }
-    }
+type Group = ReplicatedGroup<FlexCastGroup, Message, Output>;
+
+/// Stands replica `r` for election with a ballot above any it promised.
+fn elect(replicas: &mut [Option<Group>], r: u32) -> Vec<GroupEffect<Message, Output>> {
+    let g = replicas[r as usize].as_mut().expect("a live replica");
+    let ballot = Ballot {
+        round: g.replica().promised().round + 1,
+        owner: r,
+    };
+    let mut out = Vec::new();
+    assert!(g.handle_leader(ballot, &mut out), "replica {r} stands");
+    out
 }
 
 /// Routes replication traffic between live replicas until quiescence,
 /// collecting leader-emitted engine effects.
 fn settle(
-    replicas: &mut [Option<ReplicatedGroup<FlexCastGroup, Cmd>>],
+    replicas: &mut [Option<Group>],
     from: u32,
-    effects: Vec<GroupEffect<Cmd>>,
-) -> Vec<Cmd> {
+    effects: Vec<GroupEffect<Message, Output>>,
+) -> Vec<Output> {
     let mut emitted = Vec::new();
-    let mut queue: Vec<(u32, GroupEffect<Cmd>)> = effects.into_iter().map(|e| (from, e)).collect();
+    let mut queue: Vec<(u32, GroupEffect<Message, Output>)> =
+        effects.into_iter().map(|e| (from, e)).collect();
     while let Some((src, effect)) = queue.pop() {
         match effect {
-            GroupEffect::Engine(cmd) => emitted.push(cmd),
+            GroupEffect::Engine(output) => emitted.push(output),
             GroupEffect::Replication { to, msg } => {
                 if let Some(r) = replicas[to as usize].as_mut() {
                     let mut next = Vec::new();
@@ -74,7 +73,7 @@ fn main() {
     let n_replicas = 3u32;
 
     // Three replicas of group B, each holding its own engine copy.
-    let mut replicas: Vec<Option<ReplicatedGroup<FlexCastGroup, Cmd>>> = (0..n_replicas)
+    let mut replicas: Vec<Option<Group>> = (0..n_replicas)
         .map(|i| {
             Some(ReplicatedGroup::new(
                 i,
@@ -86,8 +85,7 @@ fn main() {
         .collect();
 
     // Replica 0 becomes the initial leader.
-    let mut out = Vec::new();
-    replicas[0].as_mut().unwrap().start_election(&mut out);
+    let out = elect(&mut replicas, 0);
     settle(&mut replicas, 0, out);
     println!("replica 0 elected leader of group B");
 
@@ -104,10 +102,7 @@ fn main() {
     let m1 = msg(1, &[1, 2]);
     let m2 = msg(2, &[1, 2]);
     let mut out = Vec::new();
-    replicas[0]
-        .as_mut()
-        .unwrap()
-        .submit(Cmd::Client(m1.clone()), &mut out);
+    replicas[0].as_mut().unwrap().submit(m1.clone(), &mut out);
     let fx1 = settle(&mut replicas, 0, out);
     println!(
         "m1 committed; leader emitted {} effects (deliver + forward to C)",
@@ -119,17 +114,13 @@ fn main() {
     println!("leader (replica 0) crashed");
 
     // Replica 1 takes over; the group must keep working.
-    let mut out = Vec::new();
-    replicas[1].as_mut().unwrap().start_election(&mut out);
+    let out = elect(&mut replicas, 1);
     settle(&mut replicas, 1, out);
     assert!(replicas[1].as_ref().unwrap().is_leader());
     println!("replica 1 elected leader");
 
     let mut out = Vec::new();
-    replicas[1]
-        .as_mut()
-        .unwrap()
-        .submit(Cmd::Client(m2.clone()), &mut out);
+    replicas[1].as_mut().unwrap().submit(m2.clone(), &mut out);
     let fx2 = settle(&mut replicas, 1, out);
     println!("m2 committed under the new leader; {} effects", fx2.len());
 

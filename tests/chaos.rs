@@ -5,7 +5,7 @@
 //! seed.
 
 use flexcast_chaos::{
-    apply_event, run_adversary, run_schedule, scenarios, Adversary, FaultCtx, FaultSchedule,
+    run_adversary, run_schedule, scenarios, try_apply_event, Adversary, FaultCtx, FaultSchedule,
     ScheduleAdversary,
 };
 use flexcast_harness::replicated::{
@@ -626,7 +626,7 @@ fn reference_run_schedule<M: Clone + Send, A: flexcast_sim::Actor<M> + Send>(
     let mut n = 0;
     for (t, ev) in schedule.sorted_events() {
         n += world.run_until(t);
-        apply_event(world, ev);
+        try_apply_event(world, ev).expect("pids in range");
     }
     n + world.run_to_quiescence(max_events.saturating_sub(n))
 }

@@ -3,7 +3,7 @@
 //! (paper §4.4).
 
 use flexcast_core::{FlexCastGroup, Output, Packet};
-use flexcast_smr::{GroupEffect, PaxosMsg, ReplicatedGroup};
+use flexcast_smr::{Ballot, GroupEffect, PaxosMsg, ReplicatedGroup};
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload};
 
 #[derive(Clone, PartialEq, Debug)]
@@ -18,33 +18,43 @@ enum Fx {
     Send(GroupId, Packet),
 }
 
-fn apply(engine: &mut FlexCastGroup, cmd: Cmd, out: &mut Vec<GroupEffect<Cmd>>) {
+fn apply(engine: &mut FlexCastGroup, cmd: Cmd, out: &mut Vec<Fx>) {
     let mut outputs = Vec::new();
     match cmd {
         Cmd::Client(m) => engine.on_client(m, &mut outputs),
         Cmd::Peer(from, pkt) => engine.on_packet(from, pkt, &mut outputs),
     }
-    for o in outputs {
-        match o {
-            Output::Deliver(m) => out.push(GroupEffect::Engine(Cmd::Client(m))),
-            Output::Send { to, pkt } => out.push(GroupEffect::Engine(Cmd::Peer(to, pkt))),
-        }
-    }
+    out.extend(outputs.into_iter().map(|o| match o {
+        Output::Deliver(m) => Fx::Deliver(m.id),
+        Output::Send { to, pkt } => Fx::Send(to, pkt),
+    }));
 }
 
-type Cluster = Vec<Option<ReplicatedGroup<FlexCastGroup, Cmd>>>;
+type Cluster = Vec<Option<ReplicatedGroup<FlexCastGroup, Cmd, Fx>>>;
 
-fn settle(cluster: &mut Cluster, from: u32, effects: Vec<GroupEffect<Cmd>>) -> Vec<Fx> {
+/// Stands replica `r` for election with a ballot above any it promised,
+/// as ballot leader election would hand it one.
+fn elect(cluster: &mut Cluster, r: u32) -> Vec<GroupEffect<Cmd, Fx>> {
+    let g = cluster[r as usize].as_mut().expect("a live replica");
+    let ballot = Ballot {
+        round: g.replica().promised().round + 1,
+        owner: r,
+    };
+    let mut out = Vec::new();
+    assert!(g.handle_leader(ballot, &mut out));
+    out
+}
+
+fn settle(cluster: &mut Cluster, from: u32, effects: Vec<GroupEffect<Cmd, Fx>>) -> Vec<Fx> {
     let mut emitted = Vec::new();
     let mut queue: Vec<(u32, u32, PaxosMsg<Cmd>)> = Vec::new();
     let absorb = |src: u32,
-                  fx: Vec<GroupEffect<Cmd>>,
+                  fx: Vec<GroupEffect<Cmd, Fx>>,
                   queue: &mut Vec<(u32, u32, PaxosMsg<Cmd>)>,
                   emitted: &mut Vec<Fx>| {
         for e in fx {
             match e {
-                GroupEffect::Engine(Cmd::Client(m)) => emitted.push(Fx::Deliver(m.id)),
-                GroupEffect::Engine(Cmd::Peer(to, pkt)) => emitted.push(Fx::Send(to, pkt)),
+                GroupEffect::Engine(fx) => emitted.push(fx),
                 GroupEffect::Replication { to, msg } => queue.push((src, to, msg)),
                 GroupEffect::SnapshotNeeded { .. } => {
                     unreachable!("no compaction in these tests")
@@ -70,7 +80,7 @@ fn cluster_of(g: GroupId, n_groups: u16, replicas: u32) -> Cluster {
                 i,
                 replicas,
                 FlexCastGroup::new(g, n_groups),
-                apply as fn(&mut FlexCastGroup, Cmd, &mut Vec<GroupEffect<Cmd>>),
+                apply as fn(&mut FlexCastGroup, Cmd, &mut Vec<Fx>),
             ))
         })
         .collect()
@@ -89,8 +99,7 @@ fn msg(seq: u32, ranks: &[u16]) -> Message {
 fn replicated_lca_forwards_exactly_once() {
     // Group A (rank 0) replicated ×3 inside a 2-group overlay.
     let mut cluster = cluster_of(GroupId(0), 2, 3);
-    let mut out = Vec::new();
-    cluster[0].as_mut().unwrap().start_election(&mut out);
+    let out = elect(&mut cluster, 0);
     settle(&mut cluster, 0, out);
 
     let m = msg(1, &[0, 1]);
@@ -123,8 +132,7 @@ fn replicated_lca_forwards_exactly_once() {
 #[test]
 fn minority_crash_does_not_stop_the_group() {
     let mut cluster = cluster_of(GroupId(0), 2, 3);
-    let mut out = Vec::new();
-    cluster[0].as_mut().unwrap().start_election(&mut out);
+    let out = elect(&mut cluster, 0);
     settle(&mut cluster, 0, out);
 
     // One follower dies; commits still reach a quorum.
@@ -145,8 +153,7 @@ fn minority_crash_does_not_stop_the_group() {
 #[test]
 fn leader_crash_and_reelection_preserve_engine_state() {
     let mut cluster = cluster_of(GroupId(1), 3, 3);
-    let mut out = Vec::new();
-    cluster[0].as_mut().unwrap().start_election(&mut out);
+    let out = elect(&mut cluster, 0);
     settle(&mut cluster, 0, out);
 
     // Two inputs replicate under the first leader: a client message with
@@ -162,8 +169,7 @@ fn leader_crash_and_reelection_preserve_engine_state() {
 
     // New leader; a packet from group A (rank 0) arrives for a message
     // addressed to B and C.
-    let mut out = Vec::new();
-    cluster[1].as_mut().unwrap().start_election(&mut out);
+    let out = elect(&mut cluster, 1);
     settle(&mut cluster, 1, out);
     assert!(cluster[1].as_ref().unwrap().is_leader());
 

@@ -5,11 +5,11 @@
 //! networks under the same chaotic delivery schedule.
 
 use flexcast_core::{FlexCastGroup, Output, Packet};
-use flexcast_harness::replicated::{apply_cmd, entry_node, ReplCmd, ReplEngine};
+use flexcast_harness::replicated::{apply_cmd, entry_node, ReplCmd, ReplEffect, ReplEngine};
 use flexcast_overlay::CDagOrder;
 use flexcast_smr::{
-    BallotLeaderElection, BleMsg, BleOutput, GroupEffect, PaxosMsg, Replica, ReplicatedGroup,
-    SmrOutput,
+    Ballot, BallotLeaderElection, BleMsg, BleOutput, GroupEffect, PaxosMsg, Replica,
+    ReplicatedGroup, SmrOutput,
 };
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload};
 use proptest::prelude::*;
@@ -189,47 +189,49 @@ fn chaos_paxos(n: u32, seed: u64, drop: f64, dup: f64, rounds: u32) {
 // log stay in lockstep across a seeded crash/recover schedule.
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, PartialEq, Debug)]
-enum GCmd {
-    Client(Message),
-    Peer(GroupId, Packet),
-}
-
 /// A FlexCast engine with a shadow delivery log for lockstep assertions.
 struct LoggedEngine {
     engine: FlexCastGroup,
     log: Vec<MsgId>,
 }
 
-fn apply(e: &mut LoggedEngine, cmd: GCmd, out: &mut Vec<GroupEffect<GCmd>>) {
-    let mut outputs = Vec::new();
-    match cmd {
-        GCmd::Client(m) => e.engine.on_client(m, &mut outputs),
-        GCmd::Peer(from, pkt) => e.engine.on_packet(from, pkt, &mut outputs),
-    }
-    for o in outputs {
-        match o {
-            Output::Deliver(m) => {
-                e.log.push(m.id);
-                out.push(GroupEffect::Engine(GCmd::Client(m)));
-            }
-            Output::Send { to, pkt } => out.push(GroupEffect::Engine(GCmd::Peer(to, pkt))),
+/// Applies a client multicast; the engine's own outputs are the effects.
+fn apply(e: &mut LoggedEngine, m: Message, out: &mut Vec<Output>) {
+    let start = out.len();
+    e.engine.on_client(m, out);
+    for o in &out[start..] {
+        if let Output::Deliver(m) = o {
+            e.log.push(m.id);
         }
     }
 }
 
-type Cluster = Vec<ReplicatedGroup<LoggedEngine, GCmd>>;
+type Cluster = Vec<ReplicatedGroup<LoggedEngine, Message, Output>>;
+
+/// Stands `group` for election with a ballot above any it promised, as
+/// ballot leader election would hand it one.
+fn elect(
+    group: &mut ReplicatedGroup<LoggedEngine, Message, Output>,
+) -> Vec<GroupEffect<Message, Output>> {
+    let ballot = Ballot {
+        round: group.replica().promised().round + 1,
+        owner: group.replica().id(),
+    };
+    let mut fx = Vec::new();
+    assert!(group.handle_leader(ballot, &mut fx));
+    fx
+}
 
 /// Routes replication traffic with seeded random ordering, dropping
 /// messages to crashed replicas.
 struct GroupNet {
-    queue: Vec<(u32, u32, PaxosMsg<GCmd>)>,
+    queue: Vec<(u32, u32, PaxosMsg<Message>)>,
     rng: StdRng,
     crashed: BTreeSet<u32>,
 }
 
 impl GroupNet {
-    fn absorb(&mut self, from: u32, fx: Vec<GroupEffect<GCmd>>) {
+    fn absorb(&mut self, from: u32, fx: Vec<GroupEffect<Message, Output>>) {
         for e in fx {
             if let GroupEffect::Replication { to, msg } = e {
                 self.queue.push((from, to, msg));
@@ -301,8 +303,7 @@ proptest! {
 
         // Initial leader.
         let mut leader: u32 = driver.random_range(0..rf);
-        let mut fx = Vec::new();
-        cluster[leader as usize].start_election(&mut fx);
+        let fx = elect(&mut cluster[leader as usize]);
         net.absorb(leader, fx);
         net.run(&mut cluster);
 
@@ -315,15 +316,14 @@ proptest! {
                 if victim == leader {
                     // Fail over to a survivor.
                     leader = (0..rf).find(|r| !net.crashed.contains(r)).unwrap();
-                    let mut fx = Vec::new();
-                    cluster[leader as usize].start_election(&mut fx);
+                    let fx = elect(&mut cluster[leader as usize]);
                     net.absorb(leader, fx);
                     net.run(&mut cluster);
                 }
             }
             for _ in 0..per_batch {
                 let mut fx = Vec::new();
-                cluster[leader as usize].submit(GCmd::Client(msg(seq)), &mut fx);
+                cluster[leader as usize].submit(msg(seq), &mut fx);
                 seq += 1;
                 net.absorb(leader, fx);
             }
@@ -375,16 +375,13 @@ proptest! {
 type GroupSend = (GroupId, u64, Arc<Packet>);
 
 /// Splits apply effects into delivered ids and emitted inter-group sends.
-fn split_fx(fx: Vec<GroupEffect<ReplCmd>>) -> (Vec<MsgId>, Vec<GroupSend>) {
+fn split_fx(fx: Vec<ReplEffect>) -> (Vec<MsgId>, Vec<GroupSend>) {
     let mut dels = Vec::new();
     let mut sends = Vec::new();
     for e in fx {
-        if let GroupEffect::Engine(cmd) = e {
-            match cmd {
-                ReplCmd::Client(m) => dels.push(m.id),
-                ReplCmd::Peer { peer, seq, pkt } => sends.push((peer, seq, pkt)),
-                ReplCmd::Noop { .. } | ReplCmd::Batch(_) => {}
-            }
+        match e {
+            ReplEffect::Deliver(m) => dels.push(m.id),
+            ReplEffect::Send { to, seq, pkt } => sends.push((to, seq, pkt)),
         }
     }
     (dels, sends)
@@ -445,8 +442,8 @@ proptest! {
             apply_cmd(&mut net_b[dst], cmd_b, &mut fx_b);
             let (dels_b, sends_b) = split_fx(fx_b);
 
-            // An emitted effect names its *destination*; as the input the
-            // destination consumes, `peer` is the *sender* (this group).
+            // A send names its destination; as the input the destination
+            // consumes, `peer` is the sender (this group).
             let sender = GroupId(dst as u16);
 
             let Some(cmd_a) = cmd_a else {
