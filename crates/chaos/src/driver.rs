@@ -219,6 +219,8 @@ where
     };
     let mut fire = |world: &mut World<M, A>, p: Pending| {
         if let Err(e) = try_apply_event(world, &p.ev) {
+            // An adversary's bug (a pid outside the world), never decoded
+            // input; documented under `# Panics` above.
             panic!("adversary scheduled an invalid fault {:?}: {e}", p.ev);
         }
         fired.push((p.at, p.ev));
@@ -257,6 +259,7 @@ where
             // fault time before applying the fault, and equivalence
             // demands the same here.
             if next_act.is_some_and(|ta| next_ev.is_none_or(|te| ta < te)) {
+                // Cannot fire: `next_act` is `Some`, so the heap is not empty.
                 let Reverse(p) = pending.pop().expect("peeked above");
                 // No world event is scheduled at or before `p.at`, so this
                 // only advances the clock (idle gaps included).

@@ -1041,8 +1041,19 @@ mod tests {
             .collect()
     }
 
+    /// `pkt` through the wire and back: the same value, the size
+    /// `encoded_len` charges, and one spelling.
+    fn assert_round_trips(pkt: &Packet) {
+        let bytes = flexcast_wire::to_bytes(pkt).expect("packets encode");
+        assert_eq!(flexcast_wire::encoded_len(pkt).unwrap(), bytes.len());
+        let back: Packet = flexcast_wire::from_bytes(&bytes).expect("packets decode");
+        assert_eq!(&back, pkt);
+        assert_eq!(flexcast_wire::to_bytes(&back).unwrap(), bytes);
+    }
+
     /// Routes `out` from group `from` into the right engine, collecting
     /// transitively produced outputs. Delivery order per group recorded.
+    /// Every packet is checked to survive the wire first.
     fn route(
         engines: &mut [FlexCastGroup],
         from: GroupId,
@@ -1053,6 +1064,7 @@ mod tests {
             match o {
                 Output::Deliver(m) => log.push((from, m.id)),
                 Output::Send { to, pkt } => {
+                    assert_round_trips(&pkt);
                     let mut next = Vec::new();
                     engines[to.index()].on_packet(from, pkt, &mut next);
                     route(engines, to, next, log);
@@ -1599,6 +1611,56 @@ mod tests {
         let mut out = Vec::new();
         d.on_packet(g2, c_ack_via_b, &mut out);
         assert_eq!(deliveries(&out), vec![m0.id], "m2 before m0 at D");
+    }
+
+    /// Local deliveries between global messages, on four groups: the
+    /// deltas the run emits leave the locals out and carry them on their
+    /// chain edges, every one survives the wire (`route`), and every
+    /// group's history rebuilds each local with exactly its creator as
+    /// destination.
+    #[test]
+    fn locals_ride_on_their_chain_edges_through_a_four_group_run() {
+        let n = 4u16;
+        let mut engines: Vec<FlexCastGroup> =
+            (0..n).map(|g| FlexCastGroup::new(GroupId(g), n)).collect();
+        let mut log = Vec::new();
+        let mut left_out = 0;
+        let mut seq = 0;
+        for round in 0..6u16 {
+            for g in 0..n {
+                for _ in 0..=(round + g) % 3 {
+                    seq += 1;
+                    let local = msg(seq, &[g]);
+                    let mut out = Vec::new();
+                    engines[g as usize].on_client(local, &mut out);
+                    route(&mut engines, GroupId(g), out, &mut log);
+                }
+            }
+            seq += 1;
+            let global = msg(seq, &[round % 2, 2 + round % 2, 3]);
+            let lca = global.lca();
+            let mut out = Vec::new();
+            engines[lca.index()].on_client(global, &mut out);
+            left_out += out
+                .iter()
+                .filter_map(|o| match o {
+                    Output::Send { pkt, .. } => pkt.hist(),
+                    _ => None,
+                })
+                .map(HistoryDelta::left_out)
+                .sum::<usize>();
+            route(&mut engines, lca, out, &mut log);
+        }
+        assert!(left_out > 10, "only {left_out} locals left out");
+        for e in &engines {
+            for v in e.history().verts() {
+                if let Some(&(creator, _)) = log.iter().find(|&&(_, id)| id == v.id) {
+                    if v.dst.len() == 1 {
+                        assert_eq!(v.dst, DestSet::singleton(creator), "{v:?}");
+                    }
+                }
+            }
+        }
     }
 
     /// End-to-end sanity on four groups with randomized-ish interleaving

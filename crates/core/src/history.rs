@@ -10,7 +10,7 @@
 //! encode (transitive) delivery dependencies.
 
 use crate::slots::SlotTable;
-use flexcast_types::{DestSet, GroupId, Message, MsgId, MAX_GROUPS};
+use flexcast_types::{DestSet, GroupId, Message, MsgId, TaggedDestSet, MAX_GROUPS};
 use serde::de::{DeserializeSeed, Error as _, SeqAccess, Visitor};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -81,12 +81,33 @@ impl TaggedEdge {
 ///
 /// On the wire the edges travel as *chains*: a count of maximal runs of
 /// edges each of which continues the one before it (same creator, next
-/// index, `before` equal to the previous `after`), each run written `(creator, first idx, first before, afters)` with
-/// `afters` a counted sequence of ids. A run of `k` edges costs one header
-/// and `k` ids instead of `k` four-field edges. The encoding is canonical:
-/// the decoder refuses an empty run, a run whose indices pass `u32::MAX`,
-/// and a run whose first edge continues the previous run's last, so
-/// decoding then encoding reproduces the input bytes.
+/// index, `before` equal to the previous `after`), each run written
+/// `(creator, first idx, first before, afters)` with `afters` a counted
+/// sequence of ids. A run of `k` edges costs one header and `k` ids
+/// instead of `k` four-field edges.
+///
+/// A *local delivery* — a vertex `{id, {c}}` whose in-edge, `c`'s edge
+/// into `id`, is in the same delta — is not written at all: the edge
+/// already names both halves of it. Which vertices go is one rule,
+/// walked over the vertices in order with a cursor into the edges: a
+/// vertex `{id, {c}}` is left out when `c`'s edge into `id` lies among
+/// the 64 edges from the cursor on, ahead of any edge of `c` out of `id`;
+/// that edge is its in-edge, and the cursor moves past it. A written
+/// vertex carries, folded
+/// into its destination set's header ([`TaggedDestSet`]), how many
+/// vertices were left out just before it; a run holding in-edges is
+/// *marked* — an empty `afters` (code a plain run never uses), then its
+/// `afters`, then one bit per after, set on the in-edges, 63 to a varint.
+/// The decoder rebuilds each left-out vertex as `{after, {creator}}` of
+/// the next set bit, in order, at its place. A delta that leaves nothing
+/// out encodes as it would without the rule.
+///
+/// The encoding is canonical: the decoder refuses an empty run, a run
+/// whose indices pass `u32::MAX`, a run whose first edge continues the
+/// previous run's last, a marked run that marks nothing or sets a bit past
+/// its end, more left-out vertices than set bits, a rebuilt vertex whose
+/// creator no [`DestSet`] holds, and any choice of left-out vertices other
+/// than the rule's — so decoding then encoding reproduces the input bytes.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct HistoryDelta {
     /// New vertices.
@@ -112,17 +133,245 @@ impl HistoryDelta {
     }
 }
 
-impl Serialize for HistoryDelta {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        (&self.verts, Runs(&self.edges)).serialize(s)
+/// How many marks one varint of a marked run carries: 63 bits fill the
+/// nine bytes a varint spends on them.
+const MARK_BITS: usize = 63;
+
+/// How many edges from the cursor on a left-out vertex's in-edge may lie
+/// ([`HistoryDelta`]'s rule). It bounds the rule's walk at 64 steps a
+/// vertex. In the deltas `flexbench` ships at seed 1, every in-edge that
+/// is in its vertex's delta lies within 16 edges of the cursor on
+/// `scale128` and within 64 on `wan12`.
+const IN_EDGE_WINDOW: usize = 64;
+
+/// [`HistoryDelta`]'s rule as a walk: fed the vertices in order, it
+/// answers which are left out and names their in-edges. Encoder and
+/// decoder both walk it, so the decoder can refuse any other choice.
+#[derive(Clone, Copy)]
+struct InEdges<'a> {
+    edges: &'a [TaggedEdge],
+    cursor: usize,
+}
+
+impl<'a> InEdges<'a> {
+    fn new(edges: &'a [TaggedEdge]) -> Self {
+        InEdges { edges, cursor: 0 }
+    }
+
+    /// The index of `v`'s in-edge if the rule leaves `v` out, which moves
+    /// the cursor past it, and `None` if `v` is written.
+    #[inline]
+    fn take(&mut self, v: &MsgRef) -> Option<usize> {
+        let c = v.dst.sole()?;
+        let rest = &self.edges[self.cursor..];
+        let next = rest.first()?;
+        // Most in-edges are the next edge; only the others cost a walk.
+        let k = if next.after == v.id && next.creator == c {
+            0
+        } else {
+            let window = &rest[..rest.len().min(IN_EDGE_WINDOW)];
+            let k = window
+                .iter()
+                .position(|e| e.creator == c && (e.after == v.id || e.before == v.id))?;
+            if window[k].after != v.id {
+                return None;
+            }
+            k
+        };
+        self.cursor += k + 1;
+        Some(self.cursor - 1)
     }
 }
 
-/// A delta's edges as the counted sequence of their maximal runs.
-struct Runs<'a>(&'a [TaggedEdge]);
+/// One bit per entry, on the stack up to 512 entries.
+struct Bits {
+    inline: [u64; 8],
+    heap: Vec<u64>,
+}
+
+impl Bits {
+    fn new(len: usize) -> Self {
+        let words = len.div_ceil(64);
+        Bits {
+            inline: [0; 8],
+            heap: if words > 8 {
+                vec![0; words]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    #[inline]
+    fn words(&self) -> &[u64] {
+        if self.heap.is_empty() {
+            &self.inline
+        } else {
+            &self.heap
+        }
+    }
+
+    #[inline]
+    fn words_mut(&mut self) -> &mut [u64] {
+        if self.heap.is_empty() {
+            &mut self.inline
+        } else {
+            &mut self.heap
+        }
+    }
+
+    /// The first set bit at or after `from`.
+    fn next_set(&self, from: usize) -> Option<usize> {
+        let words = self.words();
+        let mut w = from / 64;
+        let mut word = words.get(w)? & (!0 << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *words.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
+
+    /// Bits `at..at + width` as the low bits of a word, `width ≤ 63`.
+    #[inline]
+    fn bits_at(&self, at: usize, width: usize) -> u64 {
+        let words = self.words();
+        let (w, b) = (at / 64, at % 64);
+        let mut x = words[w] >> b;
+        if b + width > 64 {
+            x |= words[w + 1] << (64 - b);
+        }
+        x & ((1 << width) - 1)
+    }
+}
+
+#[inline]
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// Which of a delta's vertices the rule leaves out and which edges are
+/// their in-edges, from one walk of [`InEdges`].
+struct Plan {
+    left_out: Bits,
+    in_edges: Bits,
+    count: usize,
+}
+
+impl Plan {
+    /// The plan, or `None` if the delta leaves nothing out.
+    fn of(delta: &HistoryDelta) -> Option<Plan> {
+        let mut left_out = Bits::new(delta.verts.len());
+        let mut in_edges = Bits::new(delta.edges.len());
+        let (lo, ie) = (left_out.words_mut(), in_edges.words_mut());
+        let mut rule = InEdges::new(&delta.edges);
+        let mut count = 0;
+        for (i, v) in delta.verts.iter().enumerate() {
+            let at = rule.cursor;
+            let Some(next) = rule.edges.get(at) else {
+                break;
+            };
+            // `InEdges::take`'s common case, the next edge, tested with
+            // one branch: the vertex's kind and its edge's fit are
+            // combined first.
+            let next_fits = (v.dst.sole() == Some(next.creator)) & (next.after == v.id);
+            let e = if next_fits {
+                rule.cursor = at + 1;
+                at
+            } else {
+                let Some(e) = rule.take(v) else {
+                    continue;
+                };
+                e
+            };
+            set_bit(lo, i);
+            set_bit(ie, e);
+            count += 1;
+        }
+        (count > 0).then_some(Plan {
+            left_out,
+            in_edges,
+            count,
+        })
+    }
+}
+
+#[cfg(test)]
+impl HistoryDelta {
+    /// How many vertices the wire form leaves out.
+    pub(crate) fn left_out(&self) -> usize {
+        Plan::of(self).map_or(0, |p| p.count)
+    }
+}
+
+impl Serialize for HistoryDelta {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        match Plan::of(self) {
+            None => (&self.verts, Runs(&self.edges, None)).serialize(s),
+            Some(plan) => {
+                let written = Written {
+                    delta: self,
+                    plan: &plan,
+                };
+                (written, Runs(&self.edges, Some(&plan.in_edges))).serialize(s)
+            }
+        }
+    }
+}
+
+/// The vertices a delta writes, each with the number left out just
+/// before it folded into its header.
+struct Written<'a> {
+    delta: &'a HistoryDelta,
+    plan: &'a Plan,
+}
+
+impl Serialize for Written<'_> {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::{Error as _, SerializeSeq};
+        let verts = &self.delta.verts;
+        let mut seq = s.serialize_seq(Some(verts.len() - self.plan.count))?;
+        // The written vertices are the zero bits: walked a word at a time,
+        // the left-out ones cost nothing here.
+        let mut last = 0;
+        for (w, &word) in self.plan.left_out.words().iter().enumerate() {
+            let mut zeros = !word;
+            while zeros != 0 {
+                let i = w * 64 + zeros.trailing_zeros() as usize;
+                let Some(v) = verts.get(i) else {
+                    return seq.end();
+                };
+                let gap = u32::try_from(i - last).map_err(|_| {
+                    S::Error::custom("history delta: 2³² vertices left out in a row")
+                })?;
+                let set = TaggedDestSet {
+                    set: &v.dst,
+                    tag: gap,
+                };
+                seq.serialize_element(&(&v.id, set))?;
+                last = i + 1;
+                zeros &= zeros - 1;
+            }
+        }
+        seq.end()
+    }
+}
+
+/// A delta's edges as the counted sequence of their maximal runs, and
+/// the in-edges to mark among them if the delta leaves vertices out.
+struct Runs<'a>(&'a [TaggedEdge], Option<&'a Bits>);
 
 /// One run's edges, written as their `after` ids alone.
 struct Afters<'a>(&'a [TaggedEdge]);
+
+/// A marked run's bits: edge `from + i` is an in-edge if bit `i % 63`
+/// of word `i / 63` is set. A word is written as a varint, so it costs a
+/// byte per seven bits up to its last set one.
+struct MarkBits<'a> {
+    from: usize,
+    to: usize,
+    in_edges: &'a Bits,
+}
 
 impl Serialize for Runs<'_> {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
@@ -144,6 +393,7 @@ impl Serialize for Runs<'_> {
         let runs = n_breaks + usize::from(!edges.is_empty());
         let mut seq = s.serialize_seq(Some(runs))?;
         let mut from = 0;
+        let mut next_mark = self.1.and_then(|b| b.next_set(0));
         for r in 0..runs {
             let to = match breaks.get(r) {
                 _ if r == n_breaks => edges.len(),
@@ -154,7 +404,18 @@ impl Serialize for Runs<'_> {
                 }
             };
             let (first, run) = (&edges[from], &edges[from..to]);
-            seq.serialize_element(&(first.creator, first.idx, first.before, Afters(run)))?;
+            match (self.1, next_mark) {
+                (Some(in_edges), Some(m)) if m < to => {
+                    let bits = MarkBits { from, to, in_edges };
+                    let no_afters: &[MsgId] = &[];
+                    let head = (first.creator, first.idx, first.before);
+                    seq.serialize_element(&(head, no_afters, Afters(run), bits))?;
+                    next_mark = in_edges.next_set(to);
+                }
+                _ => {
+                    seq.serialize_element(&(first.creator, first.idx, first.before, Afters(run)))?
+                }
+            }
             from = to;
         }
         seq.end()
@@ -180,6 +441,18 @@ impl Serialize for Afters<'_> {
     }
 }
 
+impl Serialize for MarkBits<'_> {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeTuple;
+        let mut t = s.serialize_tuple((self.to - self.from).div_ceil(MARK_BITS))?;
+        for at in (self.from..self.to).step_by(MARK_BITS) {
+            let width = (self.to - at).min(MARK_BITS);
+            t.serialize_element(&self.in_edges.bits_at(at, width))?;
+        }
+        t.end()
+    }
+}
+
 impl<'de> Deserialize<'de> for HistoryDelta {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         struct DeltaVisitor;
@@ -190,30 +463,101 @@ impl<'de> Deserialize<'de> for HistoryDelta {
             }
             fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<HistoryDelta, A::Error> {
                 let short = || A::Error::custom("history delta too short");
-                let verts = seq.next_element()?.ok_or_else(short)?;
-                let mut edges = Vec::new();
+                let mut written = Vec::new();
+                let mut gaps = Vec::new();
+                seq.next_element_seed(WrittenSeed {
+                    verts: &mut written,
+                    gaps: &mut gaps,
+                })?
+                .ok_or_else(short)?;
+                let mut edges = EdgesIn::default();
                 seq.next_element_seed(RunsSeed(&mut edges))?
                     .ok_or_else(short)?;
-                Ok(HistoryDelta { verts, edges })
+                let verts = rebuild(written, &gaps, &edges).map_err(A::Error::custom)?;
+                Ok(HistoryDelta {
+                    verts,
+                    edges: edges.edges,
+                })
             }
         }
         d.deserialize_tuple(2, DeltaVisitor)
     }
 }
 
+/// The written vertices in order, and `(i, k)` for each written vertex
+/// `i` that `k > 0` left-out vertices precede.
+struct WrittenSeed<'a> {
+    verts: &'a mut Vec<MsgRef>,
+    gaps: &'a mut Vec<(usize, u32)>,
+}
+
+impl<'de> DeserializeSeed<'de> for WrittenSeed<'_> {
+    type Value = ();
+    fn deserialize<D: serde::Deserializer<'de>>(self, d: D) -> Result<(), D::Error> {
+        d.deserialize_seq(self)
+    }
+}
+
+impl<'de> Visitor<'de> for WrittenSeed<'_> {
+    type Value = ();
+    fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("a sequence of vertices")
+    }
+    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<(), A::Error> {
+        // As serde sizes a `Vec`: from the claimed count, which the wire
+        // decoder holds to the input left, and at most 1 MiB.
+        let claimed = seq.size_hint().unwrap_or(0);
+        self.verts
+            .reserve_exact(claimed.min((1 << 20) / std::mem::size_of::<MsgRef>()));
+        while let Some((id, set)) = seq.next_element::<(MsgId, TaggedDestSet)>()? {
+            if set.tag > 0 {
+                self.gaps.push((self.verts.len(), set.tag));
+            }
+            self.verts.push(MsgRef { id, dst: set.set });
+        }
+        Ok(())
+    }
+}
+
+/// The edges a delta's runs decode to, with a bit per edge set on the
+/// in-edges its marked runs name.
+#[derive(Default)]
+struct EdgesIn {
+    edges: Vec<TaggedEdge>,
+    marked: Vec<u64>,
+    n_marked: usize,
+}
+
+impl EdgesIn {
+    fn is_marked(&self, i: usize) -> bool {
+        self.marked
+            .get(i / 64)
+            .is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+}
+
 /// Decodes the run sequence, expanding every run straight into the
 /// delta's edge vector: no per-run allocation, and nothing sized from a
 /// claimed length.
-struct RunsSeed<'a>(&'a mut Vec<TaggedEdge>);
+struct RunsSeed<'a>(&'a mut EdgesIn);
 
-/// Decodes one run's `(creator, first idx, first before, afters)`.
-struct RunSeed<'a>(&'a mut Vec<TaggedEdge>);
+/// Decodes one run's `(creator, first idx, first before, afters)`, or a
+/// marked run's `(creator, first idx, first before, [], afters, bits)`.
+struct RunSeed<'a>(&'a mut EdgesIn);
 
 /// Decodes one run's `afters`, each the next edge of the chain that
-/// `head` (with its `after` not yet known) starts.
+/// `head` (with its `after` not yet known) starts, and answers how many
+/// there were: zero only for a marked run's leading empty `afters`.
 struct AftersSeed<'a> {
     edges: &'a mut Vec<TaggedEdge>,
     head: (GroupId, u32, MsgId),
+}
+
+/// Decodes a marked run's bits for its `n` edges from `from` on.
+struct MarkBitsSeed<'a> {
+    edges: &'a mut EdgesIn,
+    from: usize,
+    n: usize,
 }
 
 impl<'de> DeserializeSeed<'de> for RunsSeed<'_> {
@@ -237,7 +581,7 @@ impl<'de> Visitor<'de> for RunsSeed<'_> {
 impl<'de> DeserializeSeed<'de> for RunSeed<'_> {
     type Value = ();
     fn deserialize<D: serde::Deserializer<'de>>(self, d: D) -> Result<(), D::Error> {
-        d.deserialize_tuple(4, self)
+        d.deserialize_tuple(6, self)
     }
 }
 
@@ -251,29 +595,51 @@ impl<'de> Visitor<'de> for RunSeed<'_> {
         let creator = seq.next_element()?.ok_or_else(short)?;
         let idx = seq.next_element()?.ok_or_else(short)?;
         let before = seq.next_element()?.ok_or_else(short)?;
-        let afters = AftersSeed {
-            edges: self.0,
-            head: (creator, idx, before),
+        let head = (creator, idx, before);
+        let edges = &mut self.0.edges;
+        if seq
+            .next_element_seed(AftersSeed { edges, head })?
+            .ok_or_else(short)?
+            > 0
+        {
+            return Ok(());
+        }
+        // An empty `afters`: the run is marked, and its `afters` follow.
+        let from = self.0.edges.len();
+        let edges = &mut self.0.edges;
+        let n = match seq.next_element_seed(AftersSeed { edges, head }) {
+            Ok(Some(n)) if n > 0 => n,
+            Ok(_) => return Err(A::Error::custom("history delta: empty edge run")),
+            Err(e) => {
+                return Err(A::Error::custom(format_args!(
+                    "history delta: empty edge run, and no marked run after it: {e}"
+                )))
+            }
         };
-        seq.next_element_seed(afters)?.ok_or_else(short)
+        let bits = MarkBitsSeed {
+            edges: &mut *self.0,
+            from,
+            n,
+        };
+        seq.next_element_seed(bits)?.ok_or_else(short)
     }
 }
 
 impl<'de> DeserializeSeed<'de> for AftersSeed<'_> {
-    type Value = ();
-    fn deserialize<D: serde::Deserializer<'de>>(self, d: D) -> Result<(), D::Error> {
+    type Value = usize;
+    fn deserialize<D: serde::Deserializer<'de>>(self, d: D) -> Result<usize, D::Error> {
         d.deserialize_seq(self)
     }
 }
 
 impl<'de> Visitor<'de> for AftersSeed<'_> {
-    type Value = ();
+    type Value = usize;
     fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("a non-empty sequence of the run's after ids")
+        f.write_str("a sequence of the run's after ids")
     }
-    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<(), A::Error> {
+    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<usize, A::Error> {
         let Some(after) = seq.next_element()? else {
-            return Err(A::Error::custom("history delta: empty edge run"));
+            return Ok(0);
         };
         let (creator, idx, before) = self.head;
         let mut e = TaggedEdge {
@@ -288,6 +654,7 @@ impl<'de> Visitor<'de> for AftersSeed<'_> {
             ));
         }
         self.edges.push(e);
+        let mut n = 1;
         while let Some(after) = seq.next_element()? {
             let Some(idx) = e.idx.checked_add(1) else {
                 return Err(A::Error::custom("history delta: edge run passes u32::MAX"));
@@ -299,9 +666,112 @@ impl<'de> Visitor<'de> for AftersSeed<'_> {
                 ..e
             };
             self.edges.push(e);
+            n += 1;
+        }
+        Ok(n)
+    }
+}
+
+impl<'de> DeserializeSeed<'de> for MarkBitsSeed<'_> {
+    type Value = ();
+    fn deserialize<D: serde::Deserializer<'de>>(self, d: D) -> Result<(), D::Error> {
+        d.deserialize_tuple(self.n.div_ceil(MARK_BITS), self)
+    }
+}
+
+impl<'de> Visitor<'de> for MarkBitsSeed<'_> {
+    type Value = ();
+    fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("a marked run's bits, 63 to a word")
+    }
+    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<(), A::Error> {
+        let EdgesIn {
+            edges,
+            marked,
+            n_marked,
+        } = self.edges;
+        marked.resize(edges.len().div_ceil(64), 0);
+        let before = *n_marked;
+        for at in (0..self.n).step_by(MARK_BITS) {
+            let mut bits: u64 = seq
+                .next_element()?
+                .ok_or_else(|| A::Error::custom("marked run's bits cut short"))?;
+            if bits >> (self.n - at).min(MARK_BITS) != 0 {
+                return Err(A::Error::custom(
+                    "history delta: a mark past its run's end (not canonical)",
+                ));
+            }
+            while bits != 0 {
+                let i = self.from + at + bits.trailing_zeros() as usize;
+                marked[i / 64] |= 1 << (i % 64);
+                *n_marked += 1;
+                bits &= bits - 1;
+            }
+        }
+        if *n_marked == before {
+            return Err(A::Error::custom(
+                "history delta: a marked run that marks nothing (not canonical)",
+            ));
         }
         Ok(())
     }
+}
+
+/// Puts a decoded delta's left-out vertices back between its written
+/// ones, and checks that the rule leaves out exactly those.
+fn rebuild(
+    written: Vec<MsgRef>,
+    gaps: &[(usize, u32)],
+    edges: &EdgesIn,
+) -> Result<Vec<MsgRef>, &'static str> {
+    const NOT_RULE: &str = "history delta: left-out vertices other than the rule's (not canonical)";
+    let placed: u64 = gaps.iter().map(|&(_, k)| u64::from(k)).sum();
+    if placed > edges.n_marked as u64 {
+        return Err("history delta: more left-out vertices than in-edges marked");
+    }
+    let mut rule = InEdges::new(&edges.edges);
+    if edges.n_marked == 0 {
+        // Nothing left out: the written vertices are the delta's.
+        if written.iter().any(|v| rule.take(v).is_some()) {
+            return Err(NOT_RULE);
+        }
+        return Ok(written);
+    }
+    let mut marks = (0..edges.edges.len()).filter(|&i| edges.is_marked(i));
+    let mut left_out = |out: &mut Vec<MsgRef>, rule: &mut InEdges<'_>| {
+        let i = marks.next().ok_or(NOT_RULE)?;
+        let e = edges.edges[i];
+        if e.creator.index() >= MAX_GROUPS {
+            return Err("history delta: an in-edge's creator no destination set holds");
+        }
+        let v = MsgRef {
+            id: e.after,
+            dst: DestSet::singleton(e.creator),
+        };
+        if rule.take(&v) != Some(i) {
+            return Err(NOT_RULE);
+        }
+        out.push(v);
+        Ok(())
+    };
+    let len = written.len() + edges.n_marked;
+    let mut verts = Vec::with_capacity(len);
+    let mut gaps = gaps.iter().peekable();
+    for (i, v) in written.into_iter().enumerate() {
+        if let Some(&(_, k)) = gaps.next_if(|g| g.0 == i) {
+            for _ in 0..k {
+                left_out(&mut verts, &mut rule)?;
+            }
+        }
+        if rule.take(&v).is_some() {
+            return Err(NOT_RULE);
+        }
+        verts.push(v);
+    }
+    while verts.len() < len {
+        left_out(&mut verts, &mut rule)?;
+    }
+    Ok(verts)
 }
 
 /// Counters over [`History::merge`]: how many delta entries arrived and
@@ -1859,6 +2329,192 @@ mod tests {
             let afters: usize = (1..=k).map(|j| size(&pool(ids[j]))).sum();
             let edge_bytes = size(&d) - size(&d.verts);
             proptest::prop_assert_eq!(edge_bytes, header + afters);
+        }
+    }
+
+    /// A delta shaped like the ones `diff-hst` relays, from `words`: four
+    /// creators deliver locals and globals, each delivery adding its
+    /// vertex and, from the creator's second delivery on, its chain edge.
+    /// Some words disturb the shape — an in-edge left outside the delta,
+    /// one moved behind later edges, a stray edge into an id the delta
+    /// does not hold, a local whose in-edge names another creator — so
+    /// the rule meets every case it has to refuse.
+    fn relayed_delta(words: &[u64]) -> HistoryDelta {
+        let mut d = HistoryDelta::default();
+        let mut last: [Option<MsgId>; 4] = [None; 4];
+        let mut idx = [0u32; 4];
+        let mut held: Option<TaggedEdge> = None;
+        for (seq, &w) in words.iter().enumerate() {
+            let c = (w % 4) as usize;
+            let id = MsgId::new(ClientId((w >> 2) as u32 % 3), seq as u32);
+            let dst = match (w >> 4) % 8 {
+                0 | 1 => DestSet::from_iter([GroupId(c as u16), GroupId(((c + 1) % 4) as u16)]),
+                _ => DestSet::singleton(GroupId(c as u16)),
+            };
+            d.verts.push(MsgRef { id, dst });
+            let creator = match (w >> 7) % 16 {
+                0 => (c + 1) % 4,
+                _ => c,
+            };
+            let edge = last[c].map(|before| te(creator as u16, idx[c], before, id));
+            if edge.is_some() {
+                idx[c] += 1;
+            }
+            last[c] = Some(id);
+            match ((w >> 11) % 16, edge) {
+                (0, _) | (_, None) => {}
+                (1, Some(e)) => held = held.or(Some(e)),
+                (2, Some(e)) => d
+                    .edges
+                    .push(te(e.creator.0, e.idx, e.before, pool(w >> 16))),
+                (_, Some(e)) => d.edges.push(e),
+            }
+            if (w >> 15) % 8 == 0 {
+                d.edges.extend(held.take());
+            }
+        }
+        d.edges.extend(held);
+        d
+    }
+
+    /// `d` through the wire: the same value, `encoded_len` the length
+    /// `to_bytes` writes, and re-encoding the decoded value the same bytes.
+    fn assert_round_trips(d: &HistoryDelta) {
+        let bytes = flexcast_wire::to_bytes(d).unwrap();
+        assert_eq!(flexcast_wire::encoded_len(d).unwrap(), bytes.len());
+        let back: HistoryDelta = flexcast_wire::from_bytes(&bytes).unwrap();
+        assert_eq!(&back, d);
+        assert_eq!(flexcast_wire::to_bytes(&back).unwrap(), bytes);
+    }
+
+    /// `k` locals of one creator chained edge to edge: `c`'s `k` edges and
+    /// `k` vertices `{l_j, {c}}`.
+    fn chained_locals(c: u16, k: usize) -> HistoryDelta {
+        let l = |j: usize| MsgId::new(ClientId(1), 100 + j as u32);
+        HistoryDelta {
+            verts: (1..=k)
+                .map(|j| MsgRef {
+                    id: l(j),
+                    dst: DestSet::singleton(GroupId(c)),
+                })
+                .collect(),
+            edges: (1..=k).map(|j| te(c, j as u32, l(j - 1), l(j))).collect(),
+        }
+    }
+
+    #[test]
+    fn empty_and_one_edge_deltas_round_trip() {
+        assert_round_trips(&HistoryDelta::empty());
+        assert_eq!(
+            flexcast_wire::to_bytes(&HistoryDelta::empty()).unwrap(),
+            [0, 0]
+        );
+        let one = HistoryDelta {
+            verts: vec![],
+            edges: vec![te(1, 0, id(1), id(2))],
+        };
+        assert_round_trips(&one);
+        // The edge's `after` as a lone local: the vertex rides on it.
+        let local = HistoryDelta {
+            verts: vec![vref(2, &[1])],
+            ..one.clone()
+        };
+        assert_round_trips(&local);
+        assert_eq!(local.left_out(), 1);
+    }
+
+    /// `k` chained locals cost their edges, one byte saying the run is
+    /// marked and the marks — and no byte of any vertex.
+    #[test]
+    fn chained_locals_cost_no_vertex_bytes() {
+        for k in [1, 2, 7, 62, 63, 64, 130] {
+            let d = chained_locals(3, k);
+            assert_eq!(d.left_out(), k);
+            assert_round_trips(&d);
+            let edges_alone = HistoryDelta {
+                verts: vec![],
+                edges: d.edges.clone(),
+            };
+            let marks: usize = (0..k)
+                .step_by(MARK_BITS)
+                .map(|at| size(&((1u64 << (k - at).min(MARK_BITS)) - 1)))
+                .sum();
+            assert_eq!(size(&d), size(&edges_alone) + 1 + marks, "k = {k}");
+        }
+    }
+
+    /// A creator's first delivery has no in-edge: it is written, and the
+    /// locals after it are not.
+    #[test]
+    fn a_first_delivery_stays_written() {
+        let mut d = chained_locals(2, 4);
+        let first = MsgRef {
+            id: d.edges[0].before,
+            dst: DestSet::singleton(GroupId(2)),
+        };
+        d.verts.insert(0, first);
+        assert_eq!(d.left_out(), 4);
+        assert_round_trips(&d);
+    }
+
+    /// An in-edge outside the delta, one that names another creator, and
+    /// one whose vertex has two destinations each keep the vertex written.
+    #[test]
+    fn a_vertex_without_its_in_edge_stays_written() {
+        let mut d = chained_locals(1, 3);
+        d.edges.remove(1);
+        assert_eq!(d.left_out(), 2);
+        assert_round_trips(&d);
+        let mut d = chained_locals(1, 3);
+        d.edges[1].creator = GroupId(2);
+        assert_eq!(d.left_out(), 2, "the middle local stays");
+        assert_round_trips(&d);
+        let mut d = chained_locals(1, 3);
+        d.verts[1].dst.insert(GroupId(0));
+        assert_eq!(d.left_out(), 2);
+        assert_round_trips(&d);
+    }
+
+    /// In-edges out of order: a local whose in-edge lies behind the
+    /// cursor stays written; the window ends 64 edges past the cursor;
+    /// and an edge out of the vertex ends the search.
+    #[test]
+    fn the_rule_walks_a_bounded_window_in_order() {
+        let mut d = chained_locals(1, 2);
+        d.verts.swap(0, 1);
+        assert_eq!(d.left_out(), 1, "l2 takes edge 1; l1's edge 0 is behind");
+        assert_round_trips(&d);
+        for (gap, left) in [(IN_EDGE_WINDOW - 1, 1), (IN_EDGE_WINDOW, 0)] {
+            let mut d = chained_locals(1, 1);
+            let strays = (0..gap).map(|j| te(2, j as u32 * 2, id(50), id(60 + j as u32)));
+            d.edges.splice(0..0, strays);
+            assert_eq!(d.left_out(), left, "in-edge {gap} edges past the cursor");
+            assert_round_trips(&d);
+        }
+        let mut d = chained_locals(1, 2);
+        d.edges.swap(0, 1);
+        assert_eq!(
+            d.left_out(),
+            1,
+            "l1's out-edge comes first, so only l2 goes"
+        );
+        assert_round_trips(&d);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Locals between globals, first deliveries, in-edges outside the
+        /// delta or out of order: every delta survives the trip, sizes to
+        /// its encoding, and has one spelling.
+        #[test]
+        fn relayed_deltas_round_trip(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..300),
+        ) {
+            assert_round_trips(&relayed_delta(&words));
         }
     }
 

@@ -2,10 +2,14 @@
 //! chains (`HistoryDelta`'s wire form): a count of runs, each
 //! `(creator, first idx, first before, afters)`; its vertices' destination
 //! sets as one header each, a word count or a singleton `9 + rank`
-//! (`DestSet`'s wire form). Whatever a peer sends,
-//! decoding answers `Err` or a value that re-encodes to exactly the bytes
-//! it came from, never panics, and never holds memory in proportion to a
-//! length the bytes merely claim.
+//! (`DestSet`'s wire form). A local delivery whose chain edge is in the
+//! delta is not written at all: the written vertex after it carries the
+//! number left out in its header (`h + 521 · tag`), and a run holding
+//! such in-edges is marked — an empty `afters`, its `afters`, then one bit
+//! per after, 63 to a varint. Whatever a peer sends, decoding answers
+//! `Err` or a value that re-encodes to exactly the bytes it came from,
+//! never panics, and never holds memory in proportion to a length or a
+//! count the bytes merely claim.
 
 mod common;
 
@@ -26,6 +30,10 @@ fn te(creator: u16, idx: u32, before: u32, after: u32) -> TaggedEdge {
         before: id(before),
         after: id(after),
     }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// `u32::MAX - 1` as an LEB128 varint.
@@ -254,4 +262,181 @@ fn every_mutation_of_a_mixed_form_packet_is_contained() {
             &[0xff, 0xff, 0xff, 0xff, 0x0f],
         ],
     );
+}
+
+/// An ack whose delta leaves three of its five vertices out. `g1`'s chain
+/// `m2 → m3 → m4 → m5 → m6` delivers the locals `m3`, `m5` and `m6` and
+/// the global `m4`; `m10` is a local of `g2` whose only edge in the delta
+/// leaves it, so it is written. On the wire: `m4` with one vertex left
+/// out before it, `m10` with one, one more after them; `g1`'s run marked
+/// on its first, third and fourth edge, `g2`'s lone edge plain.
+fn left_out_packet() -> Packet {
+    let one = |r| DestSet::singleton(GroupId(r));
+    let two = DestSet::from_iter([GroupId(0), GroupId(1)]);
+    Packet::Ack {
+        mref: MsgRef {
+            id: id(9),
+            dst: two,
+        },
+        via: GroupId(1),
+        notif_pairs: vec![],
+        hist: HistoryDelta {
+            verts: vec![
+                MsgRef {
+                    id: id(3),
+                    dst: one(1),
+                },
+                MsgRef {
+                    id: id(4),
+                    dst: two,
+                },
+                MsgRef {
+                    id: id(5),
+                    dst: one(1),
+                },
+                MsgRef {
+                    id: id(10),
+                    dst: one(2),
+                },
+                MsgRef {
+                    id: id(6),
+                    dst: one(1),
+                },
+            ],
+            edges: vec![
+                te(1, 4, 2, 3),
+                te(1, 5, 3, 4),
+                te(1, 6, 4, 5),
+                te(1, 7, 5, 6),
+                te(2, 0, 10, 11),
+            ],
+        },
+    }
+}
+
+#[test]
+fn the_left_out_packet_writes_two_vertices_and_marks_three_edges() {
+    let bytes = flexcast_wire::to_bytes(&left_out_packet()).unwrap();
+    let hist = hex(&bytes[bytes.len() - 33..]);
+    assert_eq!(
+        hist,
+        // Two written vertices: `m4` (header 1 + 521, word 3), `m10`
+        // (header 9 + 2 + 521); then two runs, `g1`'s marked `0b1101`.
+        "02 0104 8a04 03 010a 9404 02 01 04 0102 00 04 0103 0104 0105 0106 0d 02 00 010a 01 010b"
+            .split_whitespace()
+            .collect::<String>()
+    );
+    let back: Packet = decode_contained(&bytes).unwrap();
+    assert_eq!(back, left_out_packet());
+}
+
+/// Every truncation and bit flip of [`left_out_packet`], and every byte
+/// in turn replaced by a value at a boundary of the new form: the empty
+/// `afters` that marks a run, the last bare header (520) and the first
+/// tagged ones (521, 522), the last header of tag 1 and the first of tag
+/// 2 (1041, 1042), the largest 63-bit mark word and one past it, and the
+/// widest `u32`.
+#[test]
+fn every_mutation_of_a_left_out_packet_is_contained() {
+    every_mutation_is_contained(
+        left_out_packet(),
+        &[
+            &[0x00],
+            &[0x88, 0x04],
+            &[0x89, 0x04],
+            &[0x8a, 0x04],
+            &[0x91, 0x08],
+            &[0x92, 0x08],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
+            &[0xff, 0xff, 0xff, 0xff, 0x0f],
+        ],
+    );
+}
+
+/// No vertices written, then one `g1` run `m2 → m3` whose after is marked
+/// by `bits`: the delta `{m3, {g1}}` with its in-edge when `bits` is 1.
+fn marked_run(creator: &[u8], bits: &[u8]) -> Vec<u8> {
+    let mut b = vec![0, 1];
+    b.extend(creator);
+    b.extend([0, 1, 2, 0, 1, 1, 3]);
+    b.extend(bits);
+    b
+}
+
+#[test]
+fn a_marked_run_decodes_to_its_local() {
+    let d: HistoryDelta = decode_contained(&marked_run(&[1], &[1])).unwrap();
+    assert_eq!(
+        d.verts,
+        vec![MsgRef {
+            id: id(3),
+            dst: DestSet::singleton(GroupId(1))
+        }]
+    );
+    assert_eq!(d.edges, vec![te(1, 0, 2, 3)]);
+}
+
+#[test]
+fn a_written_vertex_the_rule_leaves_out_is_refused() {
+    // `{m3, {g1}}` written (header 9 + 1), and its in-edge plain: the
+    // encoder would have left it out.
+    let why = delta_error(&[1, 1, 3, 10, 1, 1, 0, 1, 2, 1, 1, 3]);
+    assert!(why.contains("not canonical"), "{why}");
+}
+
+#[test]
+fn a_marked_run_that_marks_nothing_is_refused() {
+    let why = delta_error(&marked_run(&[1], &[0]));
+    assert!(why.contains("marks nothing"), "{why}");
+}
+
+#[test]
+fn a_mark_past_its_run_is_refused() {
+    let why = delta_error(&marked_run(&[1], &[3]));
+    assert!(why.contains("past its run's end"), "{why}");
+}
+
+#[test]
+fn a_marked_run_with_no_afters_is_refused() {
+    let why = delta_error(&[0, 1, 1, 0, 1, 2, 0, 0]);
+    assert!(why.contains("empty edge run"), "{why}");
+}
+
+#[test]
+fn an_in_edge_whose_creator_no_set_holds_is_refused() {
+    // Creator 512, one past the last rank: `{m3, {g512}}` cannot exist.
+    let why = delta_error(&marked_run(&[0x80, 0x04], &[1]));
+    assert!(why.contains("no destination set holds"), "{why}");
+}
+
+#[test]
+fn more_left_out_vertices_than_marks_is_refused() {
+    // `m9 → {g0, g2}` says two vertices were left out before it (header
+    // 1 + 2 · 521 = 1043), and one edge is marked.
+    let mut bytes = vec![1, 1, 9, 0x93, 0x08, 5];
+    bytes.extend(&marked_run(&[1], &[1])[1..]);
+    let why = delta_error(&bytes);
+    assert!(why.contains("more left-out vertices than"), "{why}");
+    // And a count a header merely claims — tag `u32::MAX` — holds no
+    // more than its error.
+    let mut bytes = vec![1, 1, 9];
+    let mut header = u64::from(u32::MAX) * 521 + 1;
+    while header >= 0x80 {
+        bytes.push(header as u8 | 0x80);
+        header >>= 7;
+    }
+    bytes.extend([header as u8, 5, 0]);
+    let (res, peak) = peak_during(|| flexcast_wire::from_bytes::<HistoryDelta>(&bytes));
+    assert!(res.is_err());
+    assert!(peak <= 256, "{peak} bytes held for {bytes:02x?}");
+}
+
+#[test]
+fn a_mark_the_rule_would_not_choose_is_refused() {
+    // `g1`'s edge `m2 → m3` plain, then a second `g1` run `m7 → m3`
+    // marked: the rule gives `{m3, {g1}}` the first edge into it.
+    let bytes = [0, 2, 1, 0, 1, 2, 1, 1, 3, 1, 5, 1, 7, 0, 1, 1, 3, 1];
+    let why = delta_error(&bytes);
+    assert!(why.contains("not canonical"), "{why}");
 }

@@ -26,6 +26,8 @@ pub fn client_pid(n_servers: usize, c: ClientId) -> usize {
 
 /// An encoded size as [`Ctx::send_sized`] carries it.
 fn carried(bytes: usize) -> u32 {
+    // Cannot fire: `bytes` sizes a message the simulator holds in memory,
+    // and no run comes near 4 GiB for one message.
     u32::try_from(bytes).expect("a simulated message encodes to under 4 GiB")
 }
 
@@ -457,6 +459,8 @@ impl ClientActor {
         let txn = self.generator.next_txn(self.home);
         let id = MsgId::new(self.client_id, self.seq);
         self.seq += 1;
+        // Cannot fire: every generated transaction includes its home
+        // warehouse.
         let m =
             Message::new(id, txn.warehouses, txn.payload()).expect("transactions have warehouses");
         self.issued.push((id, m.dst));

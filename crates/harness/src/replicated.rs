@@ -280,6 +280,8 @@ impl ReplEngine {
     /// bit-for-bit round-trip assertion leans on.
     pub fn to_snapshot(&self) -> ReplSnapshot {
         ReplSnapshot {
+            // Cannot fire: the wire encoder fails only on a sequence of
+            // unknown length, and an engine snapshot holds none.
             engine: self.engine().snapshot().expect("engines always serialize"),
             links: self.links.clone(),
         }
@@ -573,6 +575,8 @@ impl ReplicatedActor {
     /// or duplicate transfers, so serving is always safe.
     fn send_snapshot(&self, to: u32, ctx: &mut Ctx<'_, NetMsg>) {
         let through = self.rg.applied_slots();
+        // Cannot fire: a `ReplSnapshot` is bytes and plain data, all of
+        // known length, which is all the wire encoder asks.
         let state = flexcast_wire::to_bytes(&self.rg.engine().to_snapshot())
             .expect("snapshots always encode");
         ctx.telemetry().instant(
@@ -1142,6 +1146,8 @@ impl ReplClientActor {
         let dst = self.next_dst();
         let id = MsgId::new(self.id, self.seq);
         self.seq += 1;
+        // Cannot fire: `next_dst` inserts until the set has at least two
+        // members.
         let m = Message::new(id, dst, vec![7u8; self.payload_bytes].into())
             .expect("generated destinations are non-empty");
         self.issued.push((id, dst));

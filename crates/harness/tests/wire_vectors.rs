@@ -6,7 +6,8 @@
 //! code. A format change now shows up here as a reviewed diff of a hex
 //! string. (`crates/wire/tests/format_vectors.rs` pins `DestSet`; the
 //! other part of the format this workspace writes by hand, a history
-//! delta's edge runs, is pinned here by the `Flex` vectors.)
+//! delta's edge runs and the local deliveries that ride on them, is
+//! pinned here by the `Flex` vectors.)
 
 use flexcast_baselines::{HierPacket, SkeenPacket};
 use flexcast_core::history::{HistoryDelta, MsgRef, TaggedEdge};
@@ -84,9 +85,11 @@ fn net_msg_vectors() {
         (
             // 128 groups: `g120` acks `m1.7 → {g120, g127}` to `g127`, its
             // delta holding its own local delivery `m1.8 → {g120}` and
-            // the edge `m1.7 → m1.8`. The one-member set is the
-            // singleton header 9 + 120 (`8101`); as a word count and two
-            // words it would be `02 00 808080808080808001`.
+            // the edge `m1.7 → m1.8`. The local rides on that edge: no
+            // vertex is written (`00`), and `g120`'s run is marked — an
+            // empty `afters` (`00`), its one after, and the mark `01`.
+            // Written, the vertex would be `0108 8101`: its id and the
+            // singleton header 9 + 120.
             NetMsg::Flex(Packet::Ack {
                 mref: MsgRef {
                     id: id(7),
@@ -103,7 +106,58 @@ fn net_msg_vectors() {
                 },
             }),
             "01 01 0107 02 00 80808080808080808101 78 00 \
-             01 0108 8101 01 78 00 0107 01 0108",
+             00 01 78 00 0107 00 01 0108 01",
+        ),
+        (
+            // A local without its in-edge stays written: `m1.3 → {g2}`
+            // is `g2`'s first delivery, and the one edge, `g1`'s
+            // `m1.2 → m1.4`, leads elsewhere.
+            NetMsg::Flex(Packet::Notif {
+                mref: MsgRef::of(&message()),
+                hist: HistoryDelta {
+                    verts: vec![MsgRef {
+                        id: id(3),
+                        dst: dst(&[2]),
+                    }],
+                    edges: vec![edge(1, 0, 2, 4)],
+                },
+            }),
+            "01 02 0102 0109 01 0103 0b 01 01 00 0102 01 0104",
+        ),
+        (
+            // Locals between written vertices: `g1` delivers `m1.3`, the
+            // global `m1.4 → {g0, g1}` and `m1.5`; `m1.6 → {g3}` has no
+            // edge. `m1.3` and `m1.5` ride on `g1`'s run, marked `0101`
+            // on its first and third edge. `m1.4` is written with one
+            // vertex left out before it — word-form header 1 + 521
+            // (`8a04`) — and `m1.6` with one — singleton header 9 + 3 +
+            // 521 (`9504`).
+            NetMsg::Flex(Packet::Notif {
+                mref: MsgRef::of(&message()),
+                hist: HistoryDelta {
+                    verts: vec![
+                        MsgRef {
+                            id: id(3),
+                            dst: dst(&[1]),
+                        },
+                        MsgRef {
+                            id: id(4),
+                            dst: dst(&[0, 1]),
+                        },
+                        MsgRef {
+                            id: id(5),
+                            dst: dst(&[1]),
+                        },
+                        MsgRef {
+                            id: id(6),
+                            dst: dst(&[3]),
+                        },
+                    ],
+                    edges: vec![edge(1, 4, 2, 3), edge(1, 5, 3, 4), edge(1, 6, 4, 5)],
+                },
+            }),
+            "01 02 0102 0109 02 0104 8a04 03 0106 9504 \
+             01 01 04 0102 00 03 0103 0104 0105 05",
         ),
         (
             // Two edge runs: `g1`'s chain #4–#6 through `m1.2 … m1.5` —

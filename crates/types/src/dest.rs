@@ -77,96 +77,208 @@ fn sole_member(words: &[u64]) -> Option<u16> {
 // zero last word and a header above 520, so decoding then encoding
 // reproduces the input bytes and an all-zero set has exactly one
 // spelling (the one `Message`'s empty-destination check looks for).
+// Headers above 520 are the code space [`TaggedDestSet`] spends.
 // Header and words travel as a tuple, not a length-prefixed sequence:
 // the wire decoder checks a sequence's length against the input left,
 // which a singleton header is not. Either way it is one `Serialize` walk,
 // which `flexcast-wire`'s `encoded_len` sizes and `to_bytes` writes.
 impl Serialize for DestSet {
+    #[inline]
     fn serialize<S: serde::Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeTuple;
-        let n = WORDS - self.0.iter().rev().take_while(|&&w| w == 0).count();
-        let words = &self.0[..n];
-        // A set within ranks 0..64 — every set of a world of up to 64
-        // groups — takes straight-line code: either header sizes as the
-        // constant one byte it is, and the word needs no loop. Through
-        // the general path below such sets sized up to a quarter slower
-        // than a word-form-only encoder (DESIGN.md §7 "One destination,
-        // one byte").
-        if let [w] = *words {
-            if w & (w - 1) == 0 {
-                let mut t = s.serialize_tuple(1)?;
-                t.serialize_element(&(SINGLETON + w.trailing_zeros() as u16))?;
-                return t.end();
-            }
-            let mut t = s.serialize_tuple(2)?;
-            t.serialize_element(&1u16)?;
-            t.serialize_element(&w)?;
-            return t.end();
-        }
-        if let Some(r) = sole_member(words) {
-            let mut t = s.serialize_tuple(1)?;
-            t.serialize_element(&(SINGLETON + r))?;
-            return t.end();
-        }
-        let mut t = s.serialize_tuple(1 + n)?;
-        t.serialize_element(&(n as u16))?;
-        for w in words {
-            t.serialize_element(w)?;
-        }
-        t.end()
+        self.serialize_tagged(0, s)
     }
 }
 
 impl<'de> Deserialize<'de> for DestSet {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
-        struct SetVisitor;
-        impl<'de> serde::de::Visitor<'de> for SetVisitor {
-            type Value = DestSet;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                write!(
-                    f,
-                    "a destination-set header of at most {MAX_HEADER}, then its words"
-                )
-            }
-            fn visit_seq<A: serde::de::SeqAccess<'de>>(
-                self,
-                mut seq: A,
-            ) -> std::result::Result<DestSet, A::Error> {
-                use serde::de::Error as _;
-                let missing = || A::Error::custom("destination set cut short");
-                let header: u16 = seq.next_element()?.ok_or_else(missing)?;
-                // The words land in the fixed array, so a hostile header
-                // allocates nothing whatever it claims.
-                let mut words = [0u64; WORDS];
-                if header >= SINGLETON {
-                    if header > MAX_HEADER {
-                        return Err(A::Error::custom(format_args!(
-                            "destination-set header {header} out of range (at most {MAX_HEADER})"
-                        )));
-                    }
-                    let r = (header - SINGLETON) as usize;
-                    words[r / 64] = 1 << (r % 64);
-                    return Ok(DestSet(words));
-                }
-                let n = header as usize;
-                for w in &mut words[..n] {
-                    *w = seq.next_element()?.ok_or_else(missing)?;
-                }
-                if n > 0 && words[n - 1] == 0 {
-                    return Err(A::Error::custom(
-                        "destination set ends in a zero word (not canonical)",
-                    ));
-                }
-                if sole_member(&words[..n]).is_some() {
-                    return Err(A::Error::custom(
-                        "one-member destination set in word form (not canonical)",
-                    ));
-                }
-                Ok(DestSet(words))
-            }
-        }
         // The longest spelling: the header and all eight words.
-        d.deserialize_tuple(1 + WORDS, SetVisitor)
+        d.deserialize_tuple(1 + WORDS, SetVisitor { tagged: false })
+            .map(|t| t.set)
+    }
+}
+
+/// The number of distinct bare-set headers: header `h + HEADERS · tag`
+/// is the set of header `h` carrying `tag` (see [`TaggedDestSet`]).
+const HEADERS: u64 = MAX_HEADER as u64 + 1;
+
+/// A destination set and a count written as one: on the wire the count
+/// is folded into the set's header, as `h + 521 · tag` where `h ≤ 520` is
+/// the bare set's header — code space a bare [`DestSet`] leaves unused,
+/// and whose decoder refuses it. Tag 0 spells the bare set byte for
+/// byte, and a small tag costs at most one byte more: a header of one
+/// byte becomes two up to tag 31.
+///
+/// A history delta writes each vertex's set in this form, the tag being
+/// how many vertices the delta left out just before it
+/// (`flexcast_core::HistoryDelta`). `D` is the set or a reference to it,
+/// so a writer need not copy the set's 64 bytes; a decoded one owns it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TaggedDestSet<D = DestSet> {
+    /// The destination set.
+    pub set: D,
+    /// The count that shares its header.
+    pub tag: u32,
+}
+
+impl<D: std::borrow::Borrow<DestSet>> Serialize for TaggedDestSet<D> {
+    #[inline]
+    fn serialize<S: serde::Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
+        self.set.borrow().serialize_tagged(self.tag, s)
+    }
+}
+
+impl<'de> Deserialize<'de> for TaggedDestSet {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
+        d.deserialize_tuple(1 + WORDS, SetVisitor { tagged: true })
+    }
+}
+
+/// Decodes a header and its words; a header above 520 is refused unless
+/// `tagged`, before any word is read.
+struct SetVisitor {
+    tagged: bool,
+}
+
+impl<'de> serde::de::Visitor<'de> for SetVisitor {
+    type Value = TaggedDestSet;
+    fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "a destination-set header of at most {MAX_HEADER}, then its words"
+        )
+    }
+    fn visit_seq<A: serde::de::SeqAccess<'de>>(
+        self,
+        mut seq: A,
+    ) -> std::result::Result<TaggedDestSet, A::Error> {
+        use serde::de::Error as _;
+        let missing = || A::Error::custom("destination set cut short");
+        let header: u64 = seq.next_element()?.ok_or_else(missing)?;
+        let tag = header / HEADERS;
+        if tag > 0 && !self.tagged {
+            return Err(A::Error::custom(format_args!(
+                "destination-set header {header} out of range (at most {MAX_HEADER})"
+            )));
+        }
+        let Ok(tag) = u32::try_from(tag) else {
+            return Err(A::Error::custom(format_args!(
+                "destination-set tag {tag} out of range (at most {})",
+                u32::MAX
+            )));
+        };
+        let header = (header % HEADERS) as u16;
+        // The words land in the fixed array, so a hostile header
+        // allocates nothing whatever it claims.
+        let mut words = [0u64; WORDS];
+        if header >= SINGLETON {
+            let r = (header - SINGLETON) as usize;
+            words[r / 64] = 1 << (r % 64);
+            return Ok(TaggedDestSet {
+                set: DestSet(words),
+                tag,
+            });
+        }
+        let n = header as usize;
+        for w in &mut words[..n] {
+            *w = seq.next_element()?.ok_or_else(missing)?;
+        }
+        if n > 0 && words[n - 1] == 0 {
+            return Err(A::Error::custom(
+                "destination set ends in a zero word (not canonical)",
+            ));
+        }
+        if sole_member(&words[..n]).is_some() {
+            return Err(A::Error::custom(
+                "one-member destination set in word form (not canonical)",
+            ));
+        }
+        Ok(TaggedDestSet {
+            set: DestSet(words),
+            tag,
+        })
+    }
+}
+
+impl DestSet {
+    /// Writes the set with `tag` folded into its header: the one
+    /// `Serialize` walk behind both [`DestSet`] and [`TaggedDestSet`].
+    #[inline]
+    fn serialize_tagged<S: serde::Serializer>(
+        &self,
+        tag: u32,
+        s: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        use serde::ser::SerializeTuple;
+        let base = u64::from(tag) * HEADERS;
+        // A set within ranks 0..128 — every set of a world of up to 128
+        // groups — takes straight-line code: one test finds the upper
+        // words empty, and the one or two words left need no loop.
+        // Through the general path below such sets sized up to a quarter
+        // slower than a word-form-only encoder (DESIGN.md §7 "One
+        // destination, one byte").
+        let [w0, w1, ref upper @ ..] = self.0;
+        if upper.iter().fold(0, |a, &w| a | w) == 0 {
+            let x = u128::from(w1) << 64 | u128::from(w0);
+            if x != 0 && x & (x - 1) == 0 {
+                let mut t = s.serialize_tuple(1)?;
+                t.serialize_element(
+                    &(base + u64::from(SINGLETON) + u64::from(x.trailing_zeros())),
+                )?;
+                return t.end();
+            }
+            if w1 == 0 {
+                let mut t = s.serialize_tuple(2)?;
+                t.serialize_element(&(base + u64::from(w0 != 0)))?;
+                if w0 != 0 {
+                    t.serialize_element(&w0)?;
+                }
+                return t.end();
+            }
+            let mut t = s.serialize_tuple(3)?;
+            t.serialize_element(&(base + 2))?;
+            t.serialize_element(&w0)?;
+            t.serialize_element(&w1)?;
+            return t.end();
+        }
+        if let Some(r) = self.sole() {
+            let mut t = s.serialize_tuple(1)?;
+            t.serialize_element(&(base + u64::from(SINGLETON + r.0)))?;
+            return t.end();
+        }
+        let n = (u32::BITS - self.nonzero_words().leading_zeros()) as usize;
+        let words = &self.0[..n];
+        let mut t = s.serialize_tuple(1 + n)?;
+        t.serialize_element(&(base + n as u64))?;
+        for w in words {
+            t.serialize_element(w)?;
+        }
+        t.end()
+    }
+
+    /// The one member of a one-member set, `None` for any other set.
+    #[inline]
+    pub fn sole(&self) -> Option<GroupId> {
+        // Ranks 0..128 — every set of a world of up to 128 groups — are
+        // tested as one 128-bit word.
+        let [w0, w1, ref upper @ ..] = self.0;
+        if upper.iter().fold(0, |a, &w| a | w) == 0 {
+            let x = u128::from(w1) << 64 | u128::from(w0);
+            return (x != 0 && x & (x - 1) == 0).then(|| GroupId(x.trailing_zeros() as u16));
+        }
+        let nz = self.nonzero_words();
+        if nz & (nz - 1) != 0 {
+            return None;
+        }
+        let k = nz.trailing_zeros() as usize;
+        let w = self.0[k];
+        (w & (w - 1) == 0).then(|| GroupId((k * 64) as u16 + w.trailing_zeros() as u16))
+    }
+
+    /// Bit `k` set if word `k` is not zero: one compare a word and no
+    /// branch, where a scan for the top word loops.
+    #[inline]
+    fn nonzero_words(&self) -> u32 {
+        (0..WORDS).fold(0, |m, k| m | u32::from(self.0[k] != 0) << k)
     }
 }
 

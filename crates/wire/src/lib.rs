@@ -7,8 +7,9 @@
 //! provides one (serde is a framework, not a format), so this crate
 //! implements a small binary format in the spirit of bincode's varint mode:
 //!
-//! * unsigned integers are LEB128 varints; signed integers are zig-zag
-//!   encoded varints,
+//! * unsigned integers are LEB128 varints, in their shortest spelling
+//!   only (the decoder refuses an overlong one); signed integers are
+//!   zig-zag encoded varints,
 //! * `f32`/`f64` are little-endian fixed width,
 //! * sequences/maps/strings are length-prefixed,
 //! * options are a 1-byte tag, enum variants a varint index,
@@ -24,13 +25,18 @@
 //! one byte up to rank 118 and two above, and a larger set over the
 //! paper's 12 groups two or three. The decoder refuses a header above
 //! 520, a zero last word and a word form with exactly one member, which
-//! keeps the encoding canonical. A history delta
-//! (`flexcast_core::HistoryDelta`) writes its edges as maximal chains,
-//! one `(creator, first idx, first before, afters)` run per chain, and its
-//! decoder refuses an empty run, an index past `u32::MAX` and a run that
-//! continues the one before it. `tests/format_vectors.rs` pins the
-//! destination-set bytes; `crates/harness/tests/wire_vectors.rs` pins one
-//! value of every message kind the simulator sizes.
+//! keeps the encoding canonical; headers above 520 spell a set with a
+//! count folded in (`flexcast_types::TaggedDestSet`), which only a
+//! history delta writes. A history delta (`flexcast_core::HistoryDelta`)
+//! writes its edges as maximal chains, one `(creator, first idx, first
+//! before, afters)` run per chain, and leaves out each local delivery
+//! whose chain edge it carries: the next written vertex's set counts it,
+//! and the run marks the edge. Its decoder refuses an empty run, an index
+//! past `u32::MAX`, a run that continues the one before it, and any
+//! choice of vertices to leave out but the one its rule makes.
+//! `tests/format_vectors.rs` pins the destination-set bytes;
+//! `crates/harness/tests/wire_vectors.rs` pins one value of every message
+//! kind the simulator sizes.
 //!
 //! Entry points: [`to_bytes`], [`from_bytes`], and [`encoded_len`].
 

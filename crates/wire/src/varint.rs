@@ -5,6 +5,16 @@ use crate::WireError;
 /// Appends `v` as an LEB128 varint (7 bits per byte, MSB = continuation).
 #[inline]
 pub fn write_u128(out: &mut Vec<u8>, mut v: u128) {
+    // Every integer but a `u128` fits 64 bits, where the shifts are one
+    // instruction each.
+    if let Ok(mut v) = u64::try_from(v) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+        return;
+    }
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -22,11 +32,18 @@ pub fn write_u128(out: &mut Vec<u8>, mut v: u128) {
 #[inline]
 pub fn size_u128(v: u128) -> usize {
     // One byte per started group of 7 bits below the top set bit
-    // (`| 1`: zero still takes a byte).
-    (127 - (v | 1).leading_zeros() as usize) / 7 + 1
+    // (`| 1`: zero still takes a byte). Every integer but a `u128` fits
+    // 64 bits, where the count takes one 64-bit bit scan.
+    match u64::try_from(v) {
+        Ok(v) => (63 - (v | 1).leading_zeros() as usize) / 7 + 1,
+        Err(_) => (127 - (v | 1).leading_zeros() as usize) / 7 + 1,
+    }
 }
 
 /// Reads an LEB128 varint from `buf` starting at `*pos`, advancing `*pos`.
+/// Only the spelling [`write_u128`] produces is accepted: a last byte of
+/// zero after the first (an overlong spelling) and bits past the 128th
+/// are refused, so every value has one encoding.
 #[inline]
 pub fn read_u128(buf: &[u8], pos: &mut usize) -> Result<u128, WireError> {
     let mut v: u128 = 0;
@@ -36,11 +53,14 @@ pub fn read_u128(buf: &[u8], pos: &mut usize) -> Result<u128, WireError> {
             .get(*pos)
             .ok_or_else(|| WireError::decode("varint: unexpected end of input"))?;
         *pos += 1;
-        if shift >= 128 {
+        if shift >= 128 || (shift == 126 && byte > 3) {
             return Err(WireError::decode("varint: overflow"));
         }
         v |= ((byte & 0x7F) as u128) << shift;
         if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err(WireError::decode("varint: overlong (not canonical)"));
+            }
             return Ok(v);
         }
         shift += 7;
@@ -71,6 +91,21 @@ mod tests {
         let mut pos = 0;
         assert_eq!(read_u128(&buf, &mut pos).unwrap(), v);
         assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn overlong_and_overflowing_varints_are_refused() {
+        for bad in [&[0x80, 0x00][..], &[0xff, 0x00], &[0x81, 0x80, 0x00]] {
+            let mut pos = 0;
+            assert!(read_u128(bad, &mut pos).is_err(), "{bad:02x?}");
+        }
+        let mut top = vec![0xff; 18];
+        top.push(0x03);
+        let mut pos = 0;
+        assert_eq!(read_u128(&top, &mut pos).unwrap(), u128::MAX);
+        *top.last_mut().unwrap() = 0x04;
+        let mut pos = 0;
+        assert!(read_u128(&top, &mut pos).is_err());
     }
 
     #[test]

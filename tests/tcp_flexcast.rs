@@ -176,4 +176,15 @@ fn local_deliveries_travel_in_the_deltas_of_a_global_message() {
             local.id
         );
     }
+    // `l1` and `l3` are their creators' first deliveries, written in the
+    // deltas; `l2` rode on A's chain edge `l1 → l2` and was rebuilt from
+    // it. Either way C holds each with exactly its creator as destination.
+    for (local, creator) in [(&l1, 0), (&l2, 0), (&l3, 1)] {
+        assert_eq!(
+            c.engine.history().dst_of(local.id),
+            Some(DestSet::singleton(GroupId(creator))),
+            "{}",
+            local.id
+        );
+    }
 }
