@@ -1,44 +1,49 @@
 //! Fault sweep: delivery latency and availability of *replicated*
-//! FlexCast groups under scripted failures, sweeping crash timing ×
-//! partition duration × replication factor — plus a reactive-adversary
-//! axis sweeping the leader hunter's kill delay.
+//! FlexCast groups under faults. Every run covers four axes:
 //!
-//! Every scripted cell runs the same closed-loop multicast workload on
-//! the deterministic simulator while a `flexcast-chaos` schedule crashes
-//! the rank-0 group's initial Paxos leader and (optionally) partitions
-//! group 1 from group 2. With `--adversary leader-hunter`, additional
-//! cells drive `scenarios::leader_hunter` through `run_adversary`: the
-//! adversary crashes whichever replica *currently* leads group 0 a fixed
-//! delay after each failover — a state-triggered scenario no schedule can
-//! script — and each cell prints the fired-action trace, which replays
-//! the run as a plain schedule. `--adversary quorum-cutter` instead
-//! drives `scenarios::quorum_cutter` — asymmetric partitions that deafen
-//! one minority sibling to each new leader — while sweeping the ballot
-//! leader election's heartbeat timing (`hb_delay`) and the snapshot
-//! catch-up threshold (`catch_up_lag`), both plain `ReplicatedConfig`
-//! fields. Target-crash cells, run every time, crash the leader or a
-//! follower of group 1, a group that receives overlay packets, under a
-//! heavier load. Reported per cell: availability (completed ⁄ issued by
-//! the end of the run), completion-latency percentiles, and the drop
-//! count.
-//! Safety — integrity, prefix/acyclic order, replica lockstep — is
-//! *asserted*, not reported: any violation aborts the sweep.
+//! * **scripted** — a `flexcast-chaos` schedule crashes the rank-0
+//!   group's initial Paxos leader and partitions group 1 from group 2,
+//!   sweeping crash timing × partition duration × replication factor;
+//! * **target** — a replica of group 1, a group that receives overlay
+//!   packets, crashes for good or for one second under a heavier load;
+//! * **hunter** — `scenarios::leader_hunter` crashes whichever replica
+//!   *currently* leads group 0 a fixed delay after each failover — a
+//!   state-triggered scenario no schedule can script — sweeping the delay;
+//! * **cutter** — `scenarios::quorum_cutter` deafens one minority sibling
+//!   to each new leader of group 0, sweeping the ballot leader election's
+//!   heartbeat round (`hb_delay`) and the snapshot catch-up threshold
+//!   (`catch_up_lag`), both plain `ReplicatedConfig` fields.
+//!
+//! Every cell takes one path: a labelled `ReplicatedConfig` and an
+//! adversary (scripted and target cells wrap their schedule in a
+//! `ScheduleAdversary`, which is what `run_schedule` runs) are driven by
+//! `run_adversary`, and the cell prints one row: availability (completed
+//! ⁄ issued by the end of the run), completion-latency p50/p90/p99/p999
+//! and max (a target cell's max is the longest stall any multicast saw),
+//! drop and event counts, and the number of faults fired. The hunter and
+//! cutter cells also print the actions they fired, one per line;
+//! replaying them as a timed schedule on the same seed reproduces the
+//! cell. Safety — integrity, prefix/acyclic order, replica lockstep — is
+//! *asserted*, not reported, and so is that every fault fired before the
+//! repair timers stop: any violation aborts the sweep.
 //!
 //! ```sh
-//! cargo run --release --bin fault_sweep            # full scripted sweep
-//! cargo run --release --bin fault_sweep -- --smoke # CI-sized: 1 cell/rf
-//! cargo run --release --bin fault_sweep -- --smoke --adversary leader-hunter
-//! cargo run --release --bin fault_sweep -- --smoke --adversary quorum-cutter \
-//!     --actions-out cutter-actions.txt
+//! cargo run --release --bin fault_sweep            # full sweep
+//! cargo run --release --bin fault_sweep -- --smoke # CI-sized: one cell per rf and axis point
+//! cargo run --release --bin fault_sweep -- --smoke --actions-out actions.txt
+//!     # also writes every hunter and cutter cell's fired actions, one labelled line each
+//! cargo run --release --bin fault_sweep -- --smoke --trace-out trace.json
+//!     # plus one telemetry-traced scripted cell: trace.json and trace.metrics.json
 //! ```
 
-use flexcast_chaos::{run_adversary, run_schedule, scenarios, FaultSchedule};
+use flexcast_chaos::{
+    run_adversary, scenarios, Adversary, FaultEvent, FaultSchedule, ScheduleAdversary,
+};
 use flexcast_harness::replicated::{build_world, collect, replica_pid, ReplicatedConfig};
 use flexcast_overlay::LatencyMatrix;
 use flexcast_sim::{ProcessId, SimTime};
 use flexcast_telemetry::Telemetry;
 use flexcast_types::GroupId;
-use std::collections::BTreeSet;
 
 const MAX_EVENTS: u64 = 200_000_000;
 
@@ -57,62 +62,72 @@ fn group_pids(g: u16, rf: u32) -> Vec<ProcessId> {
     (0..rf).map(|r| replica_pid(GroupId(g), r, rf)).collect()
 }
 
-struct Cell {
-    rf: u32,
-    crash_ms: f64,
-    part_ms: f64,
+/// Three groups at replication factor `rf` under a closed-loop multicast
+/// load. Target cells run a heavier one, so the senders' outboxes outgrow
+/// one retransmission window, which is where a slow repair shows.
+fn config(rf: u32, heavy: bool, smoke: bool) -> ReplicatedConfig {
+    let mut cfg = ReplicatedConfig::small(3, rf, 40 + rf as u64);
+    (cfg.n_clients, cfg.msgs_per_client) = match (heavy, smoke) {
+        (false, true) => (1, 4),
+        (false, false) => (2, 10),
+        (true, true) => (2, 40),
+        (true, false) => (6, 60),
+    };
+    if smoke && !heavy {
+        cfg.stop_at = SimTime::from_secs(15);
+    }
+    cfg
 }
 
-fn run_cell(cell: &Cell, smoke: bool, telemetry: Telemetry) {
-    let n_groups: u16 = 3;
-    let mut cfg = ReplicatedConfig::small(n_groups, cell.rf, 40 + cell.rf as u64);
-    cfg.telemetry = telemetry;
-    if smoke {
-        cfg.n_clients = 1;
-        cfg.msgs_per_client = 4;
-        cfg.stop_at = SimTime::from_secs(15);
-    } else {
-        cfg.n_clients = 2;
-        cfg.msgs_per_client = 10;
+/// The scripted cell's faults: the rank-0 group's initial leader crashes
+/// at `crash_ms` for one second, and group 1 is cut off from group 2 for
+/// `part_ms` from 300 ms.
+fn scripted(rf: u32, crash_ms: f64, part_ms: f64) -> FaultSchedule {
+    let crash = scenarios::crash_recover(replica_pid(GroupId(0), 0, rf), crash_ms, 1_000.0);
+    if part_ms == 0.0 {
+        return crash;
     }
+    crash.merge(scenarios::wan_partition(
+        &group_pids(1, rf),
+        &group_pids(2, rf),
+        300.0,
+        part_ms,
+    ))
+}
 
-    // Crash the rank-0 group's initial leader at `crash_ms` for one
-    // second; partition group 1 from group 2 for `part_ms` starting at
-    // 300 ms. Both heal well before the timers stop.
-    let mut schedule =
-        scenarios::crash_recover(replica_pid(GroupId(0), 0, cell.rf), cell.crash_ms, 1_000.0);
-    if cell.part_ms > 0.0 {
-        schedule = schedule.merge(scenarios::wan_partition(
-            &group_pids(1, cell.rf),
-            &group_pids(2, cell.rf),
-            300.0,
-            cell.part_ms,
-        ));
-    }
-    schedule = dedup_horizon_guard(schedule, &cfg);
-
-    let m = matrix(n_groups as usize);
-    let mut world = build_world(&cfg, &m);
+/// Runs one cell: drives `cfg`'s world under `adversary`, asserts safety
+/// and that no fault fired after the repair timers stopped (a later
+/// recovery could not heal, so the row's availability would mislead),
+/// prints the row, and returns the fired actions.
+fn run_cell(
+    label: &str,
+    cfg: &ReplicatedConfig,
+    mut adversary: Box<dyn Adversary>,
+) -> Vec<(SimTime, FaultEvent)> {
+    let mut world = build_world(cfg, &matrix(cfg.n_groups as usize));
     let start = std::time::Instant::now();
-    run_schedule(&mut world, &schedule, MAX_EVENTS);
+    let run = run_adversary(&mut world, adversary.as_mut(), MAX_EVENTS);
     let wall_secs = start.elapsed().as_secs_f64();
     let stats = world.stats();
-    let r = collect(&cfg, &world);
+    let r = collect(cfg, &world);
 
     assert!(
         r.check.safety_ok(),
-        "safety violation at rf={} crash={} part={}: {:?}",
-        cell.rf,
-        cell.crash_ms,
-        cell.part_ms,
+        "safety violation at {label}: {:?}",
         r.check
     );
-    let (p50, p90, p99, p999) = latency_row(&r.latency);
+    assert!(
+        run.actions.last().is_none_or(|&(t, _)| t < cfg.stop_at),
+        "{label}: a fault fired after the repair timers stopped"
+    );
+    let (p50, p90, p99, p999) = r
+        .latency
+        .percentiles()
+        .map_or((f64::NAN, f64::NAN, f64::NAN, f64::NAN), |p| {
+            (p.p50, p.p90, p.p99, p.p999)
+        });
     println!(
-        "  rf={:<2} crash={:>5.0}ms part={:>5.0}ms  avail={:>6.1}% ({}/{})  p50={:>7.1}ms p90={:>7.1}ms p99={:>7.1}ms p999={:>7.1}ms  dropped={:<5} events={}  eps={:.0} peakq={}",
-        cell.rf,
-        cell.crash_ms,
-        cell.part_ms,
+        "  {label}  avail={:>6.1}% ({}/{})  p50={:>7.1}ms p90={:>7.1}ms p99={:>7.1}ms p999={:>7.1}ms max={:>7.1}ms  dropped={:<5} events={}  faults={} eps={:.0} peakq={}",
         100.0 * r.availability,
         r.completed,
         r.issued,
@@ -120,338 +135,121 @@ fn run_cell(cell: &Cell, smoke: bool, telemetry: Telemetry) {
         p90,
         p99,
         p999,
-        r.dropped,
-        r.events,
-        stats.events_per_sec(wall_secs),
-        stats.peak_queue_depth,
-    );
-}
-
-/// Completion-latency percentile row: `(p50, p90, p99, p999)` in ms,
-/// NaN-filled when the cell completed nothing.
-fn latency_row(latency: &flexcast_sim::Summary) -> (f64, f64, f64, f64) {
-    match latency.percentiles() {
-        Some(p) => (p.p50, p.p90, p.p99, p.p999),
-        None => (f64::NAN, f64::NAN, f64::NAN, f64::NAN),
-    }
-}
-
-/// Sanity guard: the schedule must finish inside the maintenance-timer
-/// horizon, or the run cannot heal before retries stop.
-fn dedup_horizon_guard(schedule: FaultSchedule, cfg: &ReplicatedConfig) -> FaultSchedule {
-    assert!(
-        schedule.horizon() < cfg.stop_at,
-        "fault schedule outlives the repair timers"
-    );
-    schedule
-}
-
-/// One leader-hunter cell: the reactive adversary kills group 0's
-/// *current* leader `delay_ms` after each failover, `k` times. Prints the
-/// fired-action trace — replaying it through `run_schedule` on the same
-/// seed reproduces the execution, so any failure here is a plain timed
-/// schedule away from a deterministic repro.
-fn run_hunter_cell(rf: u32, delay_ms: f64, k: u32, smoke: bool) {
-    let n_groups: u16 = 3;
-    let mut cfg = ReplicatedConfig::small(n_groups, rf, 40 + rf as u64);
-    if smoke {
-        cfg.n_clients = 1;
-        cfg.msgs_per_client = 4;
-        cfg.stop_at = SimTime::from_secs(15);
-    } else {
-        cfg.n_clients = 2;
-        cfg.msgs_per_client = 10;
-    }
-
-    let m = matrix(n_groups as usize);
-    let mut world = build_world(&cfg, &m);
-    let mut hunter = scenarios::leader_hunter(GroupId(0), delay_ms, k).down_ms(1_200.0);
-    let start = std::time::Instant::now();
-    let run = run_adversary(&mut world, &mut hunter, MAX_EVENTS);
-    let wall_secs = start.elapsed().as_secs_f64();
-    let stats = world.stats();
-    let r = collect(&cfg, &world);
-
-    assert!(
-        r.check.safety_ok(),
-        "safety violation at rf={rf} hunter delay={delay_ms} k={k}: {:?}",
-        r.check
-    );
-    let victims: BTreeSet<ProcessId> = hunter.kills().iter().map(|&(_, p)| p).collect();
-    let (p50, p90, p99, p999) = latency_row(&r.latency);
-    println!(
-        "  rf={:<2} hunt delay={:>4.0}ms k={k}  kills={} ({} distinct leaders)  avail={:>6.1}% ({}/{})  p50={:>7.1}ms p90={:>7.1}ms p99={:>7.1}ms p999={:>7.1}ms  dropped={:<5} events={}  eps={:.0}",
-        rf,
-        delay_ms,
-        hunter.kills().len(),
-        victims.len(),
-        100.0 * r.availability,
-        r.completed,
-        r.issued,
-        p50,
-        p90,
-        p99,
-        p999,
-        r.dropped,
-        r.events,
-        stats.events_per_sec(wall_secs),
-    );
-    // The replay script: every action the adversary actually fired.
-    for (t, ev) in &run.actions {
-        println!("      @{:>9.1}ms {:?}", t.as_ms(), ev);
-    }
-}
-
-/// One quorum-cutter cell: the reactive adversary severs the directed
-/// edge from group 0's *current* leader to one minority sibling for
-/// `cut_ms`, `k` times — the asymmetric partial-connectivity pattern the
-/// ballot leader election exists for. Sweeps ride plain config fields:
-/// `hb_delay` (heartbeat-round length) and `catch_up_lag` (snapshot
-/// catch-up threshold + compaction depth). Returns the fired-action
-/// trace, which replays the run as a plain schedule.
-fn run_cutter_cell(
-    rf: u32,
-    delay_ms: f64,
-    cut_ms: f64,
-    k: u32,
-    hb_delay: u64,
-    catch_up_lag: u64,
-    smoke: bool,
-) -> Vec<(SimTime, flexcast_chaos::FaultEvent)> {
-    let n_groups: u16 = 3;
-    let mut cfg = ReplicatedConfig::small(n_groups, rf, 40 + rf as u64);
-    cfg.hb_delay = hb_delay;
-    cfg.catch_up_lag = catch_up_lag;
-    if smoke {
-        cfg.n_clients = 1;
-        cfg.msgs_per_client = 4;
-        cfg.stop_at = SimTime::from_secs(15);
-    } else {
-        cfg.n_clients = 2;
-        cfg.msgs_per_client = 10;
-    }
-
-    let m = matrix(n_groups as usize);
-    let mut world = build_world(&cfg, &m);
-    let mut cutter = scenarios::quorum_cutter(GroupId(0), group_pids(0, rf), delay_ms, cut_ms, k);
-    let start = std::time::Instant::now();
-    let run = run_adversary(&mut world, &mut cutter, MAX_EVENTS);
-    let wall_secs = start.elapsed().as_secs_f64();
-    let stats = world.stats();
-    let r = collect(&cfg, &world);
-
-    assert!(
-        r.check.safety_ok(),
-        "safety violation at rf={rf} cutter hb={hb_delay} lag={catch_up_lag}: {:?}",
-        r.check
-    );
-    let (p50, p90, p99, p999) = latency_row(&r.latency);
-    println!(
-        "  rf={:<2} cut delay={:>4.0}ms hb={:<2} lag={:<3} cuts={}/{}  avail={:>6.1}% ({}/{})  p50={:>7.1}ms p90={:>7.1}ms p99={:>7.1}ms p999={:>7.1}ms  dropped={:<5} events={}  eps={:.0}",
-        rf,
-        delay_ms,
-        hb_delay,
-        catch_up_lag,
-        cutter.cuts().len(),
-        k,
-        100.0 * r.availability,
-        r.completed,
-        r.issued,
-        p50,
-        p90,
-        p99,
-        p999,
-        r.dropped,
-        r.events,
-        stats.events_per_sec(wall_secs),
-    );
-    for (t, ev) in &run.actions {
-        println!("      @{:>9.1}ms {:?}", t.as_ms(), ev);
-    }
-    run.actions
-}
-
-/// One target-crash cell: replica `replica` of group 1 — a group that
-/// receives overlay packets, where each replica is the senders' target at
-/// every `rf`-th tick — crashes at 300 ms, for good (`down_ms = None`) or
-/// for `down_ms`. Replica 0 is group 1's initial leader, replica 1 a
-/// follower. The load is heavier than the scripted cells' so the
-/// senders' outboxes outgrow one retransmission window, which is what a
-/// slow repair would show up in. The latency row's max is the longest
-/// stall any multicast saw.
-fn run_target_cell(rf: u32, replica: u32, down_ms: Option<f64>, smoke: bool) {
-    let n_groups: u16 = 3;
-    let mut cfg = ReplicatedConfig::small(n_groups, rf, 40 + rf as u64);
-    if smoke {
-        cfg.n_clients = 2;
-        cfg.msgs_per_client = 40;
-    } else {
-        cfg.n_clients = 6;
-        cfg.msgs_per_client = 60;
-    }
-    let victim = replica_pid(GroupId(1), replica, rf);
-    let schedule = dedup_horizon_guard(
-        match down_ms {
-            Some(down) => scenarios::crash_recover(victim, 300.0, down),
-            None => FaultSchedule::new().crash_at(300.0, victim),
-        },
-        &cfg,
-    );
-
-    let m = matrix(n_groups as usize);
-    let mut world = build_world(&cfg, &m);
-    run_schedule(&mut world, &schedule, MAX_EVENTS);
-    let r = collect(&cfg, &world);
-    assert!(
-        r.check.safety_ok(),
-        "safety violation at rf={rf} target crash r{replica} down={down_ms:?}: {:?}",
-        r.check
-    );
-    let (p50, p90, p99, _) = latency_row(&r.latency);
-    let down = down_ms.map_or("forever".to_string(), |d| format!("{d:.0}ms"));
-    println!(
-        "  rf={:<2} crash g1/r{} down={:>7}  avail={:>6.1}% ({}/{})  p50={:>7.1}ms p90={:>7.1}ms p99={:>7.1}ms max={:>7.1}ms  dropped={:<5} events={}",
-        rf,
-        replica,
-        down,
-        100.0 * r.availability,
-        r.completed,
-        r.issued,
-        p50,
-        p90,
-        p99,
         r.latency.max().unwrap_or(f64::NAN),
         r.dropped,
         r.events,
+        run.actions.len(),
+        stats.events_per_sec(wall_secs),
+        stats.peak_queue_depth,
     );
-}
-
-/// Which reactive adversary axis to run alongside the scripted sweep.
-#[derive(Clone, Copy, PartialEq)]
-enum AdversaryAxis {
-    None,
-    LeaderHunter,
-    QuorumCutter,
+    run.actions
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let adversary = match args.iter().position(|a| a == "--adversary") {
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("leader-hunter") => AdversaryAxis::LeaderHunter,
-            Some("quorum-cutter") => AdversaryAxis::QuorumCutter,
-            which => panic!("unknown adversary {which:?}; supported: leader-hunter, quorum-cutter"),
-        },
-        None => AdversaryAxis::None,
+    let value_of = |flag: &str| {
+        let i = args.iter().position(|a| a == flag)?;
+        args.get(i + 1).cloned()
     };
-    let actions_out: Option<String> = args
-        .iter()
-        .position(|a| a == "--actions-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let trace_out: Option<String> = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let rfs = [1u32, 3, 5];
-    let crashes: &[f64] = if smoke {
-        &[150.0]
-    } else {
-        &[100.0, 400.0, 800.0]
+    let actions_out = value_of("--actions-out");
+    let trace_out = value_of("--trace-out");
+    let scripted_cell = |rf: u32, crash_ms: f64, part_ms: f64, cfg: &ReplicatedConfig| {
+        let label = format!("rf={rf:<2} crash={crash_ms:>5.0}ms part={part_ms:>5.0}ms");
+        let schedule = scripted(rf, crash_ms, part_ms);
+        run_cell(&label, cfg, Box::new(ScheduleAdversary::new(schedule)));
     };
-    let parts: &[f64] = if smoke {
-        &[600.0]
-    } else {
-        &[0.0, 600.0, 1_200.0]
-    };
+    // The reactive cells' fired actions: printed under each row, and one
+    // labelled line each in the `--actions-out` file.
+    let mut fired = String::new();
+    let mut reactive_cell =
+        |label: String, cfg: ReplicatedConfig, adversary: Box<dyn Adversary>| {
+            for (t, ev) in run_cell(&label, &cfg, adversary) {
+                println!("      @{:>9.1}ms {:?}", t.as_ms(), ev);
+                fired.push_str(&format!("{label} @{:.1}ms {ev:?}\n", t.as_ms()));
+            }
+        };
 
     println!(
-        "fault sweep: replicated FlexCast groups under leader crash × partition ({} mode)",
+        "fault sweep: replicated FlexCast groups under faults ({} mode)",
         if smoke { "smoke" } else { "full" }
     );
-    for &rf in &rfs {
+    println!("scripted axis: group 0's leader crashes × group 1 | group 2 partition");
+    let (crashes, parts): (&[f64], &[f64]) = if smoke {
+        (&[150.0], &[600.0])
+    } else {
+        (&[100.0, 400.0, 800.0], &[0.0, 600.0, 1_200.0])
+    };
+    for rf in [1u32, 3, 5] {
         for &crash_ms in crashes {
             for &part_ms in parts {
-                run_cell(
-                    &Cell {
-                        rf,
-                        crash_ms,
-                        part_ms,
-                    },
-                    smoke,
-                    Telemetry::disabled(),
-                );
+                scripted_cell(rf, crash_ms, part_ms, &config(rf, false, smoke));
             }
         }
     }
-    println!("target axis: a replica of group 1, a receiving group, crashes");
+
+    println!("target axis: a replica of group 1, a receiving group, crashes at 300 ms");
+    // Replica 0 is group 1's initial leader, replica 1 a follower.
     for rf in [3u32, 5] {
         for replica in [0, 1] {
             for down_ms in [None, Some(1_000.0)] {
-                run_target_cell(rf, replica, down_ms, smoke);
+                let victim = replica_pid(GroupId(1), replica, rf);
+                let schedule = match down_ms {
+                    Some(down) => scenarios::crash_recover(victim, 300.0, down),
+                    None => FaultSchedule::new().crash_at(300.0, victim),
+                };
+                let down = down_ms.map_or("forever".to_string(), |d| format!("{d:.0}ms"));
+                let label = format!("rf={rf:<2} crash g1/r{replica} down={down:>7}");
+                let adversary = Box::new(ScheduleAdversary::new(schedule));
+                run_cell(&label, &config(rf, true, smoke), adversary);
             }
         }
     }
-    if adversary == AdversaryAxis::LeaderHunter {
-        println!("adversary axis: leader hunter on group 0 (reactive, state-triggered)");
-        let delays: &[f64] = if smoke {
-            &[250.0]
-        } else {
-            &[100.0, 250.0, 500.0]
-        };
-        // rf = 5 even in the smoke run: only a quorum above two can mix
-        // votes from two ballots of one leader.
-        for rf in [3u32, 5] {
-            for &delay_ms in delays {
-                run_hunter_cell(rf, delay_ms, 3, smoke);
-            }
+
+    println!("hunter axis: leader hunter on group 0 (reactive, state-triggered)");
+    let delays: &[f64] = if smoke {
+        &[250.0]
+    } else {
+        &[100.0, 250.0, 500.0]
+    };
+    // rf = 5 even in the smoke run: only a quorum above two can mix votes
+    // from two ballots of one leader.
+    for rf in [3u32, 5] {
+        for &delay_ms in delays {
+            let hunter = scenarios::leader_hunter(GroupId(0), delay_ms, 3).hold_ms(1_200.0);
+            let label = format!("rf={rf:<2} hunt delay={delay_ms:>4.0}ms k=3");
+            reactive_cell(label, config(rf, false, smoke), Box::new(hunter));
         }
     }
-    if adversary == AdversaryAxis::QuorumCutter {
-        println!("adversary axis: quorum cutter on group 0 (asymmetric leader↛minority cuts)");
-        let mut fired = Vec::new();
-        // Sweep the heartbeat-round length at the default catch-up lag,
-        // then the catch-up lag at the default round length — both plain
-        // `ReplicatedConfig` fields.
-        let cells: &[(u64, u64)] = if smoke {
-            &[(4, 64)]
-        } else {
-            &[(2, 64), (4, 64), (8, 64), (4, 16), (4, 256)]
-        };
-        for &(hb, lag) in cells {
-            let actions = run_cutter_cell(3, 150.0, 4_000.0, 2, hb, lag, smoke);
-            fired.push(((hb, lag), actions));
-        }
-        if let Some(path) = &actions_out {
-            // The fired-action trace artifact: each line is one applied
-            // fault event; replaying a cell's lines as a timed schedule
-            // reproduces its execution on the same seed.
-            let mut out = String::new();
-            for ((hb, lag), actions) in &fired {
-                for (t, ev) in actions {
-                    out.push_str(&format!("hb={hb} lag={lag} @{:.1}ms {ev:?}\n", t.as_ms()));
-                }
-            }
-            std::fs::write(path, out).expect("write fired-action trace");
-            println!("wrote {path} (quorum-cutter fired-action trace)");
-        }
+
+    println!("cutter axis: quorum cutter on group 0 (asymmetric leader↛minority cuts)");
+    // The heartbeat-round length at the default catch-up lag, then the
+    // catch-up lag at the default round length.
+    let hb_lags: &[(u64, u64)] = if smoke {
+        &[(4, 64)]
+    } else {
+        &[(2, 64), (4, 64), (8, 64), (4, 16), (4, 256)]
+    };
+    for &(hb, lag) in hb_lags {
+        let mut cfg = config(3, false, smoke);
+        (cfg.hb_delay, cfg.catch_up_lag) = (hb, lag);
+        let cutter = scenarios::quorum_cutter(GroupId(0), group_pids(0, 3), 150.0, 4_000.0, 2);
+        let label = format!("rf=3  cut delay= 150ms hb={hb:<2} lag={lag:<3}");
+        reactive_cell(label, cfg, Box::new(cutter));
+    }
+
+    if let Some(path) = &actions_out {
+        std::fs::write(path, fired).expect("write fired actions");
+        println!("wrote {path} (fired actions of every hunter and cutter cell)");
     }
     // One extra instrumented cell, separate from the reported sweep so
     // telemetry cost never shows up in the comparison rows.
     if let Some(path) = &trace_out {
         let tel = Telemetry::enabled();
-        println!("traced cell (rf=3, crash=150ms, part=600ms):");
-        run_cell(
-            &Cell {
-                rf: 3,
-                crash_ms: 150.0,
-                part_ms: 600.0,
-            },
-            smoke,
-            tel.clone(),
-        );
+        let mut cfg = config(3, false, smoke);
+        cfg.telemetry = tel.clone();
+        println!("traced cell:");
+        scripted_cell(3, 150.0, 600.0, &cfg);
         std::fs::write(path, tel.trace_json()).expect("write trace JSON");
         let metrics_path = match path.strip_suffix(".json") {
             Some(stem) => format!("{stem}.metrics.json"),

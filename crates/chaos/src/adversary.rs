@@ -6,11 +6,13 @@
 //! ([`crate::run_adversary`]) feeds it every [`Observation`] actors
 //! publish (leadership transitions, application probes) and the adversary
 //! answers through a [`FaultCtx`] — immediate or delayed fault events
-//! scheduled on the simulated clock. The sharpest scenario this unlocks
-//! is the leader hunter ([`crate::scenarios::leader_hunter`]): crash
-//! whoever leads *now*, a fixed delay after each failover, which no
+//! scheduled on the simulated clock. The scenarios this unlocks are the
+//! election strikes ([`crate::scenarios::ElectionStrike`]): answer each
+//! failover with a fault aimed at whoever leads *now* — which no
 //! pre-scripted timeline can express because the identity of the leader
-//! is itself an outcome of the faults.
+//! is itself an outcome of the faults. Every fault an adversary fires is
+//! recorded by the driver in [`crate::AdversaryRun::actions`]; an
+//! adversary keeps no log of its own.
 //!
 //! Determinism is preserved end to end: observations are published in
 //! deterministic event order, dispatched at simulated-time boundaries,

@@ -31,10 +31,15 @@
 //!   observation dispatch, and fault application; returns the
 //!   fired-action trace ([`AdversaryRun`]) that replays the run as a
 //!   plain schedule.
-//! * [`scenarios::leader_hunter`] — the flagship: crash whichever
-//!   replica *currently* leads a group a fixed delay after each
-//!   failover, up to `k` kills. Inexpressible as a schedule because each
-//!   victim's identity is an outcome of the previous kill.
+//! * [`scenarios::ElectionStrike`] — the one election-triggered shape:
+//!   on each leader election in a group, while budget lasts, fire a fault
+//!   a fixed delay later and undo it after a hold. Its presets crash the
+//!   new leader ([`scenarios::leader_hunter`], the flagship), deafen the
+//!   leader's next sibling ([`scenarios::quorum_cutter`]), or crash one
+//!   follower for a deep catch-up gap ([`scenarios::rejoin_hunter`]).
+//!   None is expressible as a schedule, because each victim is an outcome
+//!   of the earlier strikes; what they fired is read from
+//!   [`AdversaryRun::actions`], the record every reactive run keeps.
 //!
 //! Both layers sample every fault draw from the world's own seeded RNG
 //! and fire actions in `(time, scheduling order)`, so every chaotic run —
@@ -44,8 +49,8 @@
 //! The crate is protocol-agnostic: it manipulates the simulator only.
 //! `flexcast-harness` supplies the replicated FlexCast worlds (and the
 //! observation publishers) these drivers are pointed at, and
-//! `flexcast-bench`'s `fault_sweep` binary sweeps schedule and adversary
-//! parameters against replication factors.
+//! `flexcast-bench`'s `fault_sweep` binary runs scripted, target-crash and
+//! election-strike cells against replication factors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,14 +6,13 @@
 //! ROADMAP asks for: crash/failover, Byzantine-free churn (rolling
 //! restarts), and WAN partition sweeps.
 //!
-//! The one scenario no schedule can express is here too:
-//! [`leader_hunter`], a reactive [`Adversary`] that crashes whichever
-//! replica *currently* leads a group, a fixed delay after each failover —
-//! the identity of its victim is an outcome of its own earlier kills.
+//! The scenarios no schedule can express are here too, as one reactive
+//! [`Adversary`], the [`ElectionStrike`], with three presets:
+//! [`leader_hunter`], [`quorum_cutter`] and [`rejoin_hunter`].
 
 use crate::adversary::{Adversary, FaultCtx};
 use crate::schedule::{FaultEvent, FaultSchedule};
-use flexcast_sim::{Observation, ProcessId, SimTime};
+use flexcast_sim::{Observation, ProcessId};
 use flexcast_types::GroupId;
 
 /// Crash `pid` at `crash_ms` and bring it back `down_ms` later.
@@ -64,60 +63,83 @@ pub fn isolate(
     FaultSchedule::new().partition_between(start_ms, start_ms + duration_ms, &[pid], others)
 }
 
-/// The leader hunter: crash each newly elected leader of `group`,
-/// `delay_ms` after its election, up to `k` kills — the sharpest fault
-/// axis against a replicated group, because it re-aims at every failover.
-/// Killed replicas recover after [`LeaderHunter::down_ms`] (default
-/// 1 500 ms), so the group keeps a quorum and each kill forces a fresh
-/// election for the hunter to observe.
-///
-/// Drive it with [`crate::run_adversary`] over a world whose replicas
-/// publish [`Observation::LeaderElected`] (the `flexcast-harness`
-/// replicated actors do). [`LeaderHunter::kills`] records who was shot
-/// and when; the driver's [`crate::AdversaryRun::actions`] trace replays
-/// the run as a plain schedule.
-pub fn leader_hunter(group: GroupId, delay_ms: f64, k: u32) -> LeaderHunter {
-    LeaderHunter {
-        group,
-        delay_ms,
-        remaining: k,
-        down_ms: 1_500.0,
-        kills: Vec::new(),
+/// What an [`ElectionStrike`] hits when its group elects `leader`: the
+/// fault and the undo that ends it, or nothing if the aim finds no victim.
+#[derive(Clone, Debug)]
+enum Aim {
+    Leader,
+    Cut(Vec<ProcessId>),
+    Rejoin(Vec<ProcessId>),
+}
+
+impl Aim {
+    fn strike(&self, leader: ProcessId) -> Option<(FaultEvent, FaultEvent)> {
+        let crash = |pid| (FaultEvent::Crash(pid), FaultEvent::Recover(pid));
+        match self {
+            Aim::Leader => Some(crash(leader)),
+            Aim::Cut(replicas) => {
+                let idx = replicas.iter().position(|&p| p == leader)?;
+                let to = replicas[(idx + 1) % replicas.len()];
+                // In a one-replica group the leader is its own sibling.
+                (to != leader).then_some((
+                    FaultEvent::BlockLink { from: leader, to },
+                    FaultEvent::UnblockLink { from: leader, to },
+                ))
+            }
+            Aim::Rejoin(replicas) => {
+                let victim = *replicas.iter().rev().find(|&&p| p != leader)?;
+                replicas.contains(&leader).then(|| crash(victim))
+            }
+        }
     }
 }
 
-/// The reactive adversary built by [`leader_hunter`].
+/// The election-triggered adversary: on each
+/// [`Observation::LeaderElected`] in its group, while budget lasts, it
+/// fires a fault `delay_ms` later and its undo `hold_ms` after that. The
+/// preset that built it picks the fault: [`leader_hunter`],
+/// [`quorum_cutter`] or [`rejoin_hunter`]. An election that leaves the
+/// aim no victim (a one-replica group, or an elected pid outside the
+/// group's replicas) spends no budget.
+///
+/// Drive it with [`crate::run_adversary`] over a world whose replicas
+/// publish `LeaderElected` (the `flexcast-harness` replicated actors do);
+/// what it fired is the run's [`crate::AdversaryRun::actions`].
 #[derive(Clone, Debug)]
-pub struct LeaderHunter {
+pub struct ElectionStrike {
     group: GroupId,
+    aim: Aim,
     delay_ms: f64,
+    hold_ms: f64,
     remaining: u32,
-    down_ms: f64,
-    kills: Vec<(SimTime, ProcessId)>,
 }
 
-impl LeaderHunter {
-    /// Sets how long a killed leader stays down before recovering
-    /// (default 1 500 ms). Keep it past the group's election timeout so
-    /// the failover completes while the victim is still dark.
-    pub fn down_ms(mut self, ms: f64) -> Self {
-        self.down_ms = ms;
+impl ElectionStrike {
+    fn new(group: GroupId, aim: Aim, delay_ms: f64, hold_ms: f64, remaining: u32) -> Self {
+        ElectionStrike {
+            group,
+            aim,
+            delay_ms,
+            hold_ms,
+            remaining,
+        }
+    }
+
+    /// Sets how long each fault holds before its undo fires. Keep a
+    /// leader kill past the group's election timeout so the failover
+    /// completes while the victim is still dark.
+    pub fn hold_ms(mut self, ms: f64) -> Self {
+        self.hold_ms = ms;
         self
     }
 
-    /// Every kill fired so far: `(crash time, victim pid)` in firing
-    /// order.
-    pub fn kills(&self) -> &[(SimTime, ProcessId)] {
-        &self.kills
-    }
-
-    /// Kills not yet spent.
+    /// Strikes not yet spent.
     pub fn remaining(&self) -> u32 {
         self.remaining
     }
 }
 
-impl Adversary for LeaderHunter {
+impl Adversary for ElectionStrike {
     fn on_observation(&mut self, obs: &Observation, ctx: &mut FaultCtx) {
         let Observation::LeaderElected { group, pid, .. } = obs else {
             return;
@@ -125,12 +147,23 @@ impl Adversary for LeaderHunter {
         if *group != self.group || self.remaining == 0 {
             return;
         }
+        let Some((fault, undo)) = self.aim.strike(*pid) else {
+            return;
+        };
         self.remaining -= 1;
-        let at = ctx.now() + SimTime::from_ms(self.delay_ms);
-        self.kills.push((at, *pid));
-        ctx.after_ms(self.delay_ms, FaultEvent::Crash(*pid));
-        ctx.after_ms(self.delay_ms + self.down_ms, FaultEvent::Recover(*pid));
+        ctx.after_ms(self.delay_ms, fault);
+        ctx.after_ms(self.delay_ms + self.hold_ms, undo);
     }
+}
+
+/// The leader hunter: crash each newly elected leader of `group`,
+/// `delay_ms` after its election, up to `k` kills — the sharpest fault
+/// axis against a replicated group, because it re-aims at every failover.
+/// A killed leader recovers after [`ElectionStrike::hold_ms`] (default
+/// 1 500 ms), so the group keeps a quorum and each kill forces a fresh
+/// election for the hunter to observe.
+pub fn leader_hunter(group: GroupId, delay_ms: f64, k: u32) -> ElectionStrike {
+    ElectionStrike::new(group, Aim::Leader, delay_ms, 1_500.0, k)
 }
 
 /// The quorum cutter: an *asymmetric* partitioner that aims at the
@@ -146,84 +179,14 @@ impl Adversary for LeaderHunter {
 ///
 /// `replicas` is the group's full pid set in replica order (the caller
 /// owns the layout, e.g. `flexcast-harness::replicated::replica_pid`).
-/// Drive with [`crate::run_adversary`]; [`QuorumCutter::cuts`] records
-/// every fired cut.
 pub fn quorum_cutter(
     group: GroupId,
     replicas: Vec<ProcessId>,
     delay_ms: f64,
     cut_ms: f64,
     k: u32,
-) -> QuorumCutter {
-    QuorumCutter {
-        group,
-        replicas,
-        delay_ms,
-        cut_ms,
-        remaining: k,
-        cuts: Vec::new(),
-    }
-}
-
-/// The reactive adversary built by [`quorum_cutter`].
-#[derive(Clone, Debug)]
-pub struct QuorumCutter {
-    group: GroupId,
-    replicas: Vec<ProcessId>,
-    delay_ms: f64,
-    cut_ms: f64,
-    remaining: u32,
-    cuts: Vec<(SimTime, ProcessId, ProcessId)>,
-}
-
-impl QuorumCutter {
-    /// Every cut fired so far: `(block time, leader pid, victim pid)` in
-    /// firing order.
-    pub fn cuts(&self) -> &[(SimTime, ProcessId, ProcessId)] {
-        &self.cuts
-    }
-
-    /// Cuts not yet spent.
-    pub fn remaining(&self) -> u32 {
-        self.remaining
-    }
-}
-
-impl Adversary for QuorumCutter {
-    fn on_observation(&mut self, obs: &Observation, ctx: &mut FaultCtx) {
-        let Observation::LeaderElected { group, pid, .. } = obs else {
-            return;
-        };
-        if *group != self.group || self.remaining == 0 {
-            return;
-        }
-        let Some(idx) = self.replicas.iter().position(|p| p == pid) else {
-            return;
-        };
-        // Deafen the next sibling in replica order to the new leader —
-        // one directed edge, quorum untouched.
-        let victim = self.replicas[(idx + 1) % self.replicas.len()];
-        if victim == *pid {
-            return; // single-replica group: nothing to cut
-        }
-        self.remaining -= 1;
-        let at = ctx.now() + SimTime::from_ms(self.delay_ms);
-        self.cuts.push((at, *pid, victim));
-        ctx.after_ms(
-            self.delay_ms,
-            FaultEvent::BlockLink {
-                from: *pid,
-                to: victim,
-            },
-        );
-        ctx.after_ms(
-            self.delay_ms + self.cut_ms,
-            FaultEvent::UnblockLink {
-                from: *pid,
-                to: victim,
-            },
-        );
-    }
+) -> ElectionStrike {
+    ElectionStrike::new(group, Aim::Cut(replicas), delay_ms, cut_ms, k)
 }
 
 /// The rejoin hunter: aims at recovery instead of leadership. `delay_ms`
@@ -240,55 +203,14 @@ pub fn rejoin_hunter(
     replicas: Vec<ProcessId>,
     delay_ms: f64,
     down_ms: f64,
-) -> RejoinHunter {
-    RejoinHunter {
-        group,
-        replicas,
-        delay_ms,
-        down_ms,
-        kill: None,
-    }
-}
-
-/// The reactive adversary built by [`rejoin_hunter`].
-#[derive(Clone, Debug)]
-pub struct RejoinHunter {
-    group: GroupId,
-    replicas: Vec<ProcessId>,
-    delay_ms: f64,
-    down_ms: f64,
-    kill: Option<(SimTime, ProcessId)>,
-}
-
-impl RejoinHunter {
-    /// The one kill, if fired: `(crash time, victim pid)`.
-    pub fn kill(&self) -> Option<(SimTime, ProcessId)> {
-        self.kill
-    }
-}
-
-impl Adversary for RejoinHunter {
-    fn on_observation(&mut self, obs: &Observation, ctx: &mut FaultCtx) {
-        let Observation::LeaderElected { group, pid, .. } = obs else {
-            return;
-        };
-        if *group != self.group || self.kill.is_some() {
-            return;
-        }
-        let Some(&victim) = self.replicas.iter().rev().find(|&&p| p != *pid) else {
-            return; // single-replica group
-        };
-        let at = ctx.now() + SimTime::from_ms(self.delay_ms);
-        self.kill = Some((at, victim));
-        ctx.after_ms(self.delay_ms, FaultEvent::Crash(victim));
-        ctx.after_ms(self.delay_ms + self.down_ms, FaultEvent::Recover(victim));
-    }
+) -> ElectionStrike {
+    ElectionStrike::new(group, Aim::Rejoin(replicas), delay_ms, down_ms, 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::FaultEvent;
+    use flexcast_sim::SimTime;
 
     #[test]
     fn rolling_restart_staggers_crashes() {
@@ -316,103 +238,126 @@ mod tests {
         assert_eq!(s.horizon(), SimTime::from_ms(100.0));
     }
 
-    #[test]
-    fn leader_hunter_shoots_each_new_leader_until_out_of_ammo() {
-        let mut h = leader_hunter(GroupId(0), 200.0, 2).down_ms(1_000.0);
-        let elected = |pid: ProcessId, ms: f64| Observation::LeaderElected {
-            group: GroupId(0),
+    /// One election of `pid` in group 0 at `ms`, handed to `strike`;
+    /// returns what it queued.
+    fn elect(strike: &mut ElectionStrike, pid: ProcessId, ms: f64) -> Vec<(SimTime, FaultEvent)> {
+        elect_in(strike, GroupId(0), pid, ms)
+    }
+
+    fn elect_in(
+        strike: &mut ElectionStrike,
+        group: GroupId,
+        pid: ProcessId,
+        ms: f64,
+    ) -> Vec<(SimTime, FaultEvent)> {
+        let at = SimTime::from_ms(ms);
+        let mut ctx = FaultCtx::new(at);
+        let obs = Observation::LeaderElected {
+            group,
             replica: pid as u32,
             pid,
-            at: SimTime::from_ms(ms),
+            at,
         };
-        // First election: kill scheduled 200 ms later, recovery 1 s after.
-        let mut ctx = FaultCtx::new(SimTime::from_ms(10.0));
-        h.on_observation(&elected(0, 10.0), &mut ctx);
-        assert_eq!(h.kills(), &[(SimTime::from_ms(210.0), 0)]);
-        assert_eq!(h.remaining(), 1);
+        strike.on_observation(&obs, &mut ctx);
+        ctx.queued
+    }
 
-        // Another group's election: ignored.
-        let mut ctx = FaultCtx::new(SimTime::from_ms(50.0));
-        h.on_observation(
-            &Observation::LeaderElected {
-                group: GroupId(1),
-                replica: 0,
-                pid: 9,
-                at: SimTime::from_ms(50.0),
-            },
-            &mut ctx,
+    fn t(ms: f64) -> SimTime {
+        SimTime::from_ms(ms)
+    }
+
+    #[test]
+    fn leader_hunter_shoots_each_new_leader_until_out_of_ammo() {
+        // Each new leader is crashed 200 ms after its election and
+        // recovered after the hold, until out of ammo.
+        let mut h = leader_hunter(GroupId(0), 200.0, 2).hold_ms(1_000.0);
+        assert_eq!(
+            elect(&mut h, 0, 10.0),
+            [
+                (t(210.0), FaultEvent::Crash(0)),
+                (t(1_210.0), FaultEvent::Recover(0))
+            ]
         );
+        assert_eq!(h.remaining(), 1);
+        assert!(elect_in(&mut h, GroupId(1), 9, 50.0).is_empty());
         assert_eq!(h.remaining(), 1, "wrong group does not spend a kill");
-
-        // Failover elects replica 1: second (last) kill.
-        let mut ctx = FaultCtx::new(SimTime::from_ms(600.0));
-        h.on_observation(&elected(1, 600.0), &mut ctx);
+        assert_eq!(
+            elect(&mut h, 1, 600.0),
+            [
+                (t(800.0), FaultEvent::Crash(1)),
+                (t(1_800.0), FaultEvent::Recover(1))
+            ]
+        );
         assert_eq!(h.remaining(), 0);
-        assert_eq!(h.kills().len(), 2);
+        assert!(elect(&mut h, 2, 1_200.0).is_empty(), "out of ammo");
 
-        // Out of ammo: further elections are observed but spared.
-        let mut ctx = FaultCtx::new(SimTime::from_ms(1_200.0));
-        h.on_observation(&elected(2, 1_200.0), &mut ctx);
-        assert_eq!(h.kills().len(), 2);
+        // No budget from the start: nothing queued.
+        let mut h = leader_hunter(GroupId(0), 100.0, 0);
+        assert!(elect(&mut h, 0, 10.0).is_empty());
+        assert_eq!(h.remaining(), 0);
     }
 
     #[test]
     fn quorum_cutter_severs_one_directed_edge_per_election() {
+        // Leader 0 elected cuts 0 → 1 only (quorum {0, 2} and {1, 2} both
+        // stay connected; one directed edge goes dark), and the failover
+        // to 1 re-aims at 1 → 2.
         let mut q = quorum_cutter(GroupId(0), vec![0, 1, 2], 100.0, 800.0, 2);
-        let elected = |pid: ProcessId, ms: f64| Observation::LeaderElected {
-            group: GroupId(0),
-            replica: pid as u32,
-            pid,
-            at: SimTime::from_ms(ms),
-        };
-        // Leader 0 elected: cut 0 → 1 only (quorum {0, 2} and {1, 2}
-        // both stay connected; only the one directed edge goes dark).
-        let mut ctx = FaultCtx::new(SimTime::from_ms(10.0));
-        q.on_observation(&elected(0, 10.0), &mut ctx);
-        assert_eq!(q.cuts(), &[(SimTime::from_ms(110.0), 0, 1)]);
+        let cut = |from, to| FaultEvent::BlockLink { from, to };
+        let heal = |from, to| FaultEvent::UnblockLink { from, to };
+        assert_eq!(
+            elect(&mut q, 0, 10.0),
+            [(t(110.0), cut(0, 1)), (t(910.0), heal(0, 1))]
+        );
+        assert_eq!(q.remaining(), 1);
+        assert!(elect_in(&mut q, GroupId(3), 9, 300.0).is_empty());
+        assert_eq!(q.remaining(), 1, "wrong group does not spend a cut");
+        assert_eq!(
+            elect(&mut q, 1, 900.0),
+            [(t(1_000.0), cut(1, 2)), (t(1_800.0), heal(1, 2))]
+        );
+        assert_eq!(q.remaining(), 0);
+        assert!(elect(&mut q, 2, 2_000.0).is_empty(), "out of ammo");
+
+        // A one-replica group is never cut.
+        let mut q = quorum_cutter(GroupId(0), vec![0], 100.0, 800.0, 1);
+        assert!(elect(&mut q, 0, 10.0).is_empty());
         assert_eq!(q.remaining(), 1);
 
-        // Another group: ignored. Failover to 1: re-aims at 1 → 2.
-        let mut ctx = FaultCtx::new(SimTime::from_ms(300.0));
-        q.on_observation(
-            &Observation::LeaderElected {
-                group: GroupId(3),
-                replica: 0,
-                pid: 9,
-                at: SimTime::from_ms(300.0),
-            },
-            &mut ctx,
-        );
-        assert_eq!(q.remaining(), 1, "wrong group does not spend a cut");
-        let mut ctx = FaultCtx::new(SimTime::from_ms(900.0));
-        q.on_observation(&elected(1, 900.0), &mut ctx);
-        assert_eq!(q.cuts().len(), 2);
-        assert_eq!(q.cuts()[1], (SimTime::from_ms(1_000.0), 1, 2));
-        assert_eq!(q.remaining(), 0);
+        // An elected pid outside `replicas` spends no budget.
+        let mut q = quorum_cutter(GroupId(0), vec![0, 1, 2], 100.0, 800.0, 1);
+        assert!(elect(&mut q, 7, 10.0).is_empty());
+        assert_eq!(q.remaining(), 1);
 
-        // Out of ammo: the next failover is spared.
-        let mut ctx = FaultCtx::new(SimTime::from_ms(2_000.0));
-        q.on_observation(&elected(2, 2_000.0), &mut ctx);
-        assert_eq!(q.cuts().len(), 2);
+        // No budget from the start: nothing queued.
+        let mut q = quorum_cutter(GroupId(0), vec![0, 1, 2], 100.0, 800.0, 0);
+        assert!(elect(&mut q, 0, 10.0).is_empty());
+        assert_eq!(q.remaining(), 0);
     }
 
     #[test]
     fn rejoin_hunter_crashes_one_follower_once() {
-        let mut h = rejoin_hunter(GroupId(0), vec![0, 1, 2], 200.0, 5_000.0);
-        let elected = |pid: ProcessId, ms: f64| Observation::LeaderElected {
-            group: GroupId(0),
-            replica: pid as u32,
-            pid,
-            at: SimTime::from_ms(ms),
-        };
-        let mut ctx = FaultCtx::new(SimTime::from_ms(10.0));
-        h.on_observation(&elected(0, 10.0), &mut ctx);
-        // Victim is the last non-leader replica, down for the long haul.
-        assert_eq!(h.kill(), Some((SimTime::from_ms(210.0), 2)));
+        // The victim is the last non-leader replica, down for the long
+        // haul; one shot, so the next failover is spared.
+        let mut r = rejoin_hunter(GroupId(0), vec![0, 1, 2], 200.0, 5_000.0);
+        assert_eq!(
+            elect(&mut r, 0, 10.0),
+            [
+                (t(210.0), FaultEvent::Crash(2)),
+                (t(5_210.0), FaultEvent::Recover(2))
+            ]
+        );
+        assert_eq!(r.remaining(), 0);
+        assert!(elect(&mut r, 1, 1_000.0).is_empty(), "one shot");
 
-        // One shot: the failover after the kill is not re-targeted.
-        let mut ctx = FaultCtx::new(SimTime::from_ms(1_000.0));
-        h.on_observation(&elected(1, 1_000.0), &mut ctx);
-        assert_eq!(h.kill(), Some((SimTime::from_ms(210.0), 2)));
+        // A one-replica group has no follower to crash.
+        let mut r = rejoin_hunter(GroupId(0), vec![0], 100.0, 800.0);
+        assert!(elect(&mut r, 0, 10.0).is_empty());
+        assert_eq!(r.remaining(), 1);
+
+        // An elected pid outside `replicas` spends no budget.
+        let mut r = rejoin_hunter(GroupId(0), vec![0, 1, 2], 100.0, 800.0);
+        assert!(elect(&mut r, 7, 10.0).is_empty());
+        assert_eq!(r.remaining(), 1);
     }
 }

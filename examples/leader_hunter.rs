@@ -10,14 +10,14 @@
 //! This example hunts group 0's leadership three times, shows that at
 //! least two *distinct* replicas died (the proof the adversary re-aimed),
 //! verifies every multicast still completed with zero safety violations,
-//! and then replays the hunter's fired-action trace as a plain timed
-//! schedule — reproducing the adversarial execution event-for-event.
+//! and then replays the fired-action trace the driver recorded as a plain
+//! timed schedule — reproducing the adversarial execution event-for-event.
 //!
 //! ```sh
 //! cargo run --release --example leader_hunter
 //! ```
 
-use flexcast::chaos::{run_adversary, run_schedule, scenarios};
+use flexcast::chaos::{run_adversary, run_schedule, scenarios, FaultEvent};
 use flexcast::harness::replicated::{build_world, collect, group_of, replica_of, ReplicatedConfig};
 use flexcast::overlay::LatencyMatrix;
 use flexcast::types::GroupId;
@@ -44,20 +44,28 @@ fn main() {
 
     let m = matrix(cfg.n_groups as usize);
     let mut world = build_world(&cfg, &m);
-    let mut hunter = scenarios::leader_hunter(GroupId(0), 250.0, 3).down_ms(1_200.0);
+    let mut hunter = scenarios::leader_hunter(GroupId(0), 250.0, 3).hold_ms(1_200.0);
     let run = run_adversary(&mut world, &mut hunter, 100_000_000);
     let r = collect(&cfg, &world);
 
     println!("  the hunt (reacting to observed elections):");
-    for (t, pid) in hunter.kills() {
+    let kills: Vec<_> = run
+        .actions
+        .iter()
+        .filter_map(|(t, ev)| match ev {
+            FaultEvent::Crash(pid) => Some((t, *pid)),
+            _ => None,
+        })
+        .collect();
+    for &(t, pid) in &kills {
         println!(
             "    @{:>7.1}ms crash pid {pid} (replica {} of group {:?})",
             t.as_ms(),
-            replica_of(*pid, cfg.rf),
-            group_of(*pid, cfg.rf)
+            replica_of(pid, cfg.rf),
+            group_of(pid, cfg.rf)
         );
     }
-    let victims: BTreeSet<usize> = hunter.kills().iter().map(|&(_, p)| p).collect();
+    let victims: BTreeSet<usize> = kills.iter().map(|&(_, p)| p).collect();
     assert!(
         victims.len() >= 2,
         "the hunter must re-aim across failovers"
@@ -66,7 +74,7 @@ fn main() {
     assert_eq!(r.completed as usize, r.issued);
     println!(
         "\n  {} kills across {} distinct leaders; {}/{} multicasts still completed, zero violations",
-        hunter.kills().len(),
+        kills.len(),
         victims.len(),
         r.completed,
         r.issued

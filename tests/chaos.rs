@@ -5,8 +5,8 @@
 //! seed.
 
 use flexcast_chaos::{
-    run_adversary, run_schedule, scenarios, try_apply_event, Adversary, FaultCtx, FaultSchedule,
-    ScheduleAdversary,
+    run_adversary, run_schedule, scenarios, try_apply_event, Adversary, AdversaryRun, FaultCtx,
+    FaultEvent, FaultSchedule, ScheduleAdversary,
 };
 use flexcast_harness::replicated::{
     build_world, collect, group_of, replica_pid, ReplEngine, ReplNode, ReplSnapshot,
@@ -40,6 +40,27 @@ fn run_with(cfg: &ReplicatedConfig, schedule: &FaultSchedule) -> ReplicatedResul
     let mut world = build_world(cfg, &m);
     run_schedule(&mut world, schedule, MAX_EVENTS);
     collect(cfg, &world)
+}
+
+/// `(fire time, victim)` of every crash a reactive run fired, in firing
+/// order.
+fn crashes(run: &AdversaryRun) -> Vec<(SimTime, ProcessId)> {
+    run.actions
+        .iter()
+        .filter_map(|(t, ev)| match ev {
+            FaultEvent::Crash(pid) => Some((*t, *pid)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Replays `run`'s fired actions as a plain timed schedule on a fresh
+/// world and checks that the execution is the same event for event.
+fn assert_replays(cfg: &ReplicatedConfig, run: &AdversaryRun, r: &ReplicatedResult) {
+    let r2 = run_with(cfg, &run.to_schedule());
+    assert_eq!(r.events, r2.events);
+    assert_eq!(trace_ids(r), trace_ids(&r2));
+    assert_eq!(r.replica_logs, r2.replica_logs);
 }
 
 fn trace_ids(r: &ReplicatedResult) -> Vec<Vec<MsgId>> {
@@ -242,7 +263,7 @@ fn leader_hunter_kills_consecutive_leaders_and_the_world_survives() {
 
     let hunt = || {
         let mut world = build_world(&cfg, &m);
-        let mut hunter = scenarios::leader_hunter(GroupId(0), 250.0, 3).down_ms(1_200.0);
+        let mut hunter = scenarios::leader_hunter(GroupId(0), 250.0, 3).hold_ms(1_200.0);
         let run = run_adversary(&mut world, &mut hunter, MAX_EVENTS);
         let r = collect(&cfg, &world);
         (r, run, hunter)
@@ -257,11 +278,12 @@ fn leader_hunter_kills_consecutive_leaders_and_the_world_survives() {
 
     // The hunter spent its ammo on group 0's successive leaders: at
     // least two *distinct* replicas of the same group were killed.
-    let victims: BTreeSet<ProcessId> = hunter.kills().iter().map(|&(_, pid)| pid).collect();
+    let kills = crashes(&run);
+    assert_eq!(kills.len(), 3, "{kills:?}");
+    let victims: BTreeSet<ProcessId> = kills.iter().map(|&(_, pid)| pid).collect();
     assert!(
         victims.len() >= 2,
-        "expected ≥2 distinct leaders killed, got {:?}",
-        hunter.kills()
+        "expected ≥2 distinct leaders killed, got {kills:?}"
     );
     assert!(
         victims.iter().all(|&pid| group_of(pid, 3) == GroupId(0)),
@@ -269,7 +291,7 @@ fn leader_hunter_kills_consecutive_leaders_and_the_world_survives() {
     );
     assert_eq!(hunter.remaining(), 0, "all 3 kills found a leader");
     // Kill times strictly increase: each kill answered a *new* election.
-    let times: Vec<SimTime> = hunter.kills().iter().map(|&(t, _)| t).collect();
+    let times: Vec<SimTime> = kills.iter().map(|&(t, _)| t).collect();
     assert!(times.windows(2).all(|w| w[0] < w[1]), "{times:?}");
 
     // Deterministic: the same seed reproduces the same hunt.
@@ -280,12 +302,7 @@ fn leader_hunter_kills_consecutive_leaders_and_the_world_survives() {
 
     // Replayable: the fired-action trace *is* a timed schedule that
     // reproduces the adversarial execution event-for-event.
-    let mut world3 = build_world(&cfg, &m);
-    run_schedule(&mut world3, &run.to_schedule(), MAX_EVENTS);
-    let r3 = collect(&cfg, &world3);
-    assert_eq!(r.events, r3.events);
-    assert_eq!(trace_ids(&r), trace_ids(&r3));
-    assert_eq!(r.replica_logs, r3.replica_logs);
+    assert_replays(&cfg, &run, &r);
 }
 
 /// GC under replication (ROADMAP axis): flush traffic runs concurrently
@@ -301,9 +318,9 @@ fn gc_flushes_stay_consistent_under_a_leader_kill() {
     let m = matrix(3);
 
     let mut world = build_world(&cfg, &m);
-    let mut hunter = scenarios::leader_hunter(GroupId(0), 200.0, 1).down_ms(1_000.0);
+    let mut hunter = scenarios::leader_hunter(GroupId(0), 200.0, 1).hold_ms(1_000.0);
     let run = run_adversary(&mut world, &mut hunter, MAX_EVENTS);
-    assert_eq!(hunter.kills().len(), 1, "the leader kill happened");
+    assert_eq!(crashes(&run).len(), 1, "the leader kill happened");
     assert_eq!(run.actions.len(), 2, "crash + recover fired");
 
     let r = collect(&cfg, &world);
@@ -425,7 +442,15 @@ fn quorum_cutter_forces_bounded_failovers_and_the_world_survives() {
     r.check.assert_ok();
     assert_eq!(r.availability, 1.0, "every multicast completed");
     assert_eq!(cutter.remaining(), 0, "both cuts found a leader to aim at");
-    let cuts = cutter.cuts();
+    // `(block time, leader, victim)` of every fired cut.
+    let cuts: Vec<(SimTime, ProcessId, ProcessId)> = run
+        .actions
+        .iter()
+        .filter_map(|(t, ev)| match ev {
+            FaultEvent::BlockLink { from, to } => Some((*t, *from, *to)),
+            _ => None,
+        })
+        .collect();
     assert_eq!(cuts.len(), 2);
     // The second cut answers the election the first one forced: the gap
     // between them is the failover time, bounded by a handful of
@@ -458,12 +483,7 @@ fn quorum_cutter_forces_bounded_failovers_and_the_world_survives() {
     assert_eq!(run.actions, run2.actions);
     assert_eq!(trace_ids(&r), trace_ids(&r2));
     // …and the fired-action trace *is* a schedule that replays the run.
-    let mut world3 = build_world(&cfg, &m);
-    run_schedule(&mut world3, &run.to_schedule(), MAX_EVENTS);
-    let r3 = collect(&cfg, &world3);
-    assert_eq!(r.events, r3.events);
-    assert_eq!(trace_ids(&r), trace_ids(&r3));
-    assert_eq!(r.replica_logs, r3.replica_logs);
+    assert_replays(&cfg, &run, &r);
 }
 
 /// Snapshot catch-up acceptance: a follower of group 0 is crashed long
@@ -482,8 +502,10 @@ fn rejoined_replica_catches_up_by_snapshot_not_replay() {
 
     let mut world = build_world(&cfg, &m);
     let mut hunter = scenarios::rejoin_hunter(GroupId(0), group_pids(0, 3), 250.0, 6_000.0);
-    run_adversary(&mut world, &mut hunter, MAX_EVENTS);
-    let (_, victim) = hunter.kill().expect("the follower kill fired");
+    let run = run_adversary(&mut world, &mut hunter, MAX_EVENTS);
+    let [(_, victim)] = crashes(&run)[..] else {
+        panic!("expected one follower kill, fired {:?}", run.actions);
+    };
     assert_eq!(group_of(victim, 3), GroupId(0));
 
     let r = collect(&cfg, &world);
@@ -528,6 +550,9 @@ fn rejoined_replica_catches_up_by_snapshot_not_replay() {
         wire,
         "post-recovery snapshot did not round-trip bit-for-bit"
     );
+
+    // The fired-action trace replays the catch-up run event for event.
+    assert_replays(&cfg, &run, &r);
 }
 
 /// Wraps any adversary and records every observation the world publishes,
@@ -563,11 +588,11 @@ fn leadership_observations_pair_up_through_crash_rejoin_demote() {
     // Two leader kills with slow recovery: each victim rejoins holding a
     // stale claim, re-announces, and gets demoted by the new leader.
     let mut rec = Recording {
-        inner: scenarios::leader_hunter(GroupId(0), 250.0, 2).down_ms(1_200.0),
+        inner: scenarios::leader_hunter(GroupId(0), 250.0, 2).hold_ms(1_200.0),
         seen: Vec::new(),
     };
-    run_adversary(&mut world, &mut rec, MAX_EVENTS);
-    assert_eq!(rec.inner.kills().len(), 2, "both kills fired");
+    let run = run_adversary(&mut world, &mut rec, MAX_EVENTS);
+    assert_eq!(crashes(&run).len(), 2, "both kills fired");
     collect(&cfg, &world).check.assert_ok();
 
     // Replay the stream through a per-pid believed-leadership machine.
