@@ -158,6 +158,11 @@ impl SkeenGroup {
                     self.early_stamp(id, from, ts);
                     return;
                 };
+                // Only a destination stamps: another group's stamp could
+                // complete the set early and fix a wrong final timestamp.
+                if !entry.msg.dst.contains(from) {
+                    return;
+                }
                 entry.stamps.insert(from, ts);
                 if entry.stamps.len() == entry.msg.dst.len() {
                     let f = *entry.stamps.values().max().expect("non-empty stamps");
@@ -207,7 +212,8 @@ impl SkeenGroup {
     fn drain_early(&mut self, id: MsgId) {
         if let Some(stamps) = self.early.remove(&id) {
             if let Some(entry) = self.pending.get_mut(&id) {
-                for (g, ts) in stamps {
+                let dst = entry.msg.dst;
+                for (g, ts) in stamps.into_iter().filter(|&(g, _)| dst.contains(g)) {
                     entry.stamps.insert(g, ts);
                 }
                 if entry.stamps.len() == entry.msg.dst.len() {
@@ -359,5 +365,36 @@ mod tests {
         let mut o2 = Vec::new();
         a.on_client(m.clone(), &mut o2);
         assert_eq!(deliveries(&o2), vec![m.id], "buffered stamp applied");
+    }
+
+    /// A stamp from a group outside the message's destinations does not
+    /// count: `m → {0, 1, 2}` at group 0 with stamps from groups 1 and 5
+    /// has three stamps but not its three destinations' — whether the
+    /// stamps come before the message or after it.
+    #[test]
+    fn a_stamp_from_outside_the_destinations_is_ignored() {
+        let m = msg(1, &[0, 1, 2]);
+        let ts = |g: u16, ts| (GroupId(g), SkeenPacket::Ts { id: m.id, ts });
+        let mut after = SkeenGroup::new(GroupId(0));
+        let mut out = Vec::new();
+        after.on_client(m.clone(), &mut out);
+        for (from, pkt) in [ts(1, 2), ts(5, 9)] {
+            after.on_packet(from, pkt, &mut out);
+        }
+        assert!(deliveries(&out).is_empty(), "group 2 has not stamped");
+        let mut before = SkeenGroup::new(GroupId(0));
+        let mut out = Vec::new();
+        for (from, pkt) in [ts(1, 2), ts(5, 9)] {
+            before.on_packet(from, pkt, &mut out);
+        }
+        before.on_client(m.clone(), &mut out);
+        assert!(deliveries(&out).is_empty(), "group 2 has not stamped");
+        // Group 2's stamp completes the set, and group 5's never counted.
+        for g in [&mut after, &mut before] {
+            let mut out = Vec::new();
+            let (from, pkt) = ts(2, 3);
+            g.on_packet(from, pkt, &mut out);
+            assert_eq!(deliveries(&out), vec![m.id]);
+        }
     }
 }

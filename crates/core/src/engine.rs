@@ -23,7 +23,7 @@
 //! acks carry the prompting notifier (`via`), and `can-deliver` requires
 //! one ack per pair rather than one per group.
 
-use crate::history::{flag, History, HistoryDelta, MergeStats, MsgRef, NO_WATERMARK};
+use crate::history::{flag, History, HistoryDelta, MergeStats, MsgRef, TaggedEdge, NO_WATERMARK};
 use crate::packet::{NotifPair, Packet};
 use flexcast_telemetry::Telemetry;
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Watermarks, MAX_GROUPS};
@@ -821,54 +821,58 @@ impl FlexCastGroup {
     /// nothing about `d`'s behavior while saving the encode, clone, and
     /// probe per duplicate. The cursor advances past suppressed entries
     /// permanently; watermarks are monotone, so they stay covered.
+    ///
+    /// Last, a vertex `{id, {c}}` is left out when the delta keeps `c`'s
+    /// edge into `id`: the edge carries the local delivery, and `d`'s
+    /// merge rebuilds the vertex from it. A suppressed edge carries
+    /// nothing, so its local stays in the delta unless it is suppressed
+    /// itself.
     fn diff_hst(&mut self, d: GroupId) -> HistoryDelta {
         let di = d.index();
-        let verts = self.hst.verts_since(self.vert_cursor[di]);
+        let from = self.vert_cursor[di];
+        let verts = self.hst.verts_since(from);
         let edges = self.hst.edges_since(self.edge_cursor[di]);
-        let cwm = &self.advertised_clients[di];
-        let ewm = &self.advertised_edges[di];
-        let (delta, sup_v, sup_e) = if cwm.is_empty() && ewm.is_empty() {
-            (
-                HistoryDelta {
-                    verts: verts.to_vec(),
-                    edges: edges.to_vec(),
-                },
-                0,
-                0,
-            )
-        } else {
-            let mut kept = HistoryDelta {
-                verts: Vec::with_capacity(verts.len()),
-                edges: Vec::with_capacity(edges.len()),
-            };
-            let mut sup_v = 0u64;
-            let mut sup_e = 0u64;
-            for v in verts {
-                let w = cwm
-                    .get(v.id.sender.0 as usize)
-                    .copied()
-                    .unwrap_or(NO_WATERMARK);
-                if w != NO_WATERMARK && v.id.seq <= w {
-                    sup_v += 1;
-                } else {
-                    kept.verts.push(*v);
-                }
-            }
-            for e in edges {
-                let w = ewm.get(e.creator.index()).copied().unwrap_or(NO_WATERMARK);
-                if w != NO_WATERMARK && e.idx <= w {
-                    sup_e += 1;
-                } else {
-                    kept.edges.push(*e);
-                }
-            }
-            (kept, sup_v, sup_e)
+        let covered = |wm: &[u32], k: usize, x: u32| {
+            let w = wm.get(k).copied().unwrap_or(NO_WATERMARK);
+            w != NO_WATERMARK && x <= w
         };
+        let ewm = &self.advertised_edges[di];
+        let kept_edges: Vec<TaggedEdge> = if ewm.is_empty() {
+            edges.to_vec()
+        } else {
+            let fresh = |e: &&TaggedEdge| !covered(ewm, e.creator.index(), e.idx);
+            edges.iter().filter(fresh).copied().collect()
+        };
+        // A local delivery `{id, {c}}` whose in-edge from `c` the delta
+        // keeps travels as that edge alone; the receiver's merge rebuilds
+        // it (`HistoryDelta`). One flag a vertex, allocated on the first.
+        let mut rides = Vec::new();
+        for e in &kept_edges {
+            if let Some(i) = self.hst.local_into(e).and_then(|s| s.checked_sub(from)) {
+                if rides.is_empty() {
+                    rides.resize(verts.len(), false);
+                }
+                rides[i] = true;
+            }
+        }
+        let cwm = &self.advertised_clients[di];
+        let mut kept_verts = Vec::with_capacity(verts.len());
+        let mut sup_v = 0u64;
+        for (i, v) in verts.iter().enumerate() {
+            if covered(cwm, v.id.sender.0 as usize, v.id.seq) {
+                sup_v += 1;
+            } else if !rides.get(i).is_some_and(|&r| r) {
+                kept_verts.push(*v);
+            }
+        }
         self.sup.suppressed_verts += sup_v;
-        self.sup.suppressed_edges += sup_e;
+        self.sup.suppressed_edges += (edges.len() - kept_edges.len()) as u64;
         self.vert_cursor[di] = self.hst.vert_log_len();
         self.edge_cursor[di] = self.hst.edge_log_len();
-        delta
+        HistoryDelta {
+            verts: kept_verts,
+            edges: kept_edges,
+        }
     }
 
     /// `reprocess-queues` (Alg. 3 line 41): delivers queue heads until no
@@ -1007,7 +1011,6 @@ impl FlexCastGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::TaggedEdge;
     use flexcast_types::{ClientId, Payload};
 
     const A: GroupId = GroupId(0);
@@ -1051,9 +1054,19 @@ mod tests {
         assert_eq!(flexcast_wire::to_bytes(&back).unwrap(), bytes);
     }
 
+    /// Local deliveries `delta` carries as vertices though it keeps their
+    /// in-edges: `diff_hst` leaves every one out, so none.
+    fn carried_riders(delta: &HistoryDelta) -> Vec<MsgRef> {
+        let rides = |v: &&MsgRef| {
+            (delta.edges.iter()).any(|e| e.after == v.id && v.dst.sole() == Some(e.creator))
+        };
+        delta.verts.iter().filter(rides).copied().collect()
+    }
+
     /// Routes `out` from group `from` into the right engine, collecting
     /// transitively produced outputs. Delivery order per group recorded.
-    /// Every packet is checked to survive the wire first.
+    /// Every packet is checked to survive the wire first, and to carry no
+    /// local delivery whose in-edge it carries.
     fn route(
         engines: &mut [FlexCastGroup],
         from: GroupId,
@@ -1065,6 +1078,9 @@ mod tests {
                 Output::Deliver(m) => log.push((from, m.id)),
                 Output::Send { to, pkt } => {
                     assert_round_trips(&pkt);
+                    if let Some(hist) = pkt.hist() {
+                        assert_eq!(carried_riders(hist), vec![], "{from} → {to}");
+                    }
                     let mut next = Vec::new();
                     engines[to.index()].on_packet(from, pkt, &mut next);
                     route(engines, to, next, log);
@@ -1615,16 +1631,17 @@ mod tests {
 
     /// Local deliveries between global messages, on four groups: the
     /// deltas the run emits leave the locals out and carry them on their
-    /// chain edges, every one survives the wire (`route`), and every
-    /// group's history rebuilds each local with exactly its creator as
-    /// destination.
+    /// chain edges (`route` checks that no delta carries a local whose
+    /// in-edge it carries, and that every one survives the wire), and
+    /// every group's history rebuilds each local with exactly its creator
+    /// as destination.
     #[test]
     fn locals_ride_on_their_chain_edges_through_a_four_group_run() {
         let n = 4u16;
         let mut engines: Vec<FlexCastGroup> =
             (0..n).map(|g| FlexCastGroup::new(GroupId(g), n)).collect();
         let mut log = Vec::new();
-        let mut left_out = 0;
+        let mut rode = 0;
         let mut seq = 0;
         for round in 0..6u16 {
             for g in 0..n {
@@ -1641,26 +1658,72 @@ mod tests {
             let lca = global.lca();
             let mut out = Vec::new();
             engines[lca.index()].on_client(global, &mut out);
-            left_out += out
+            let h = engines[lca.index()].history();
+            rode += out
                 .iter()
                 .filter_map(|o| match o {
                     Output::Send { pkt, .. } => pkt.hist(),
                     _ => None,
                 })
-                .map(HistoryDelta::left_out)
-                .sum::<usize>();
+                .flat_map(|d| &d.edges)
+                .filter(|e| h.dst_of(e.after) == Some(DestSet::singleton(e.creator)))
+                .count();
             route(&mut engines, lca, out, &mut log);
         }
-        assert!(left_out > 10, "only {left_out} locals left out");
-        for e in &engines {
+        assert!(rode > 10, "only {rode} locals rode on their edges");
+        let mut foreign = 0;
+        for (g, e) in engines.iter().enumerate() {
             for v in e.history().verts() {
                 if let Some(&(creator, _)) = log.iter().find(|&&(_, id)| id == v.id) {
                     if v.dst.len() == 1 {
                         assert_eq!(v.dst, DestSet::singleton(creator), "{v:?}");
+                        foreign += usize::from(creator.index() != g);
                     }
                 }
             }
         }
+        assert!(
+            foreign > 10,
+            "only {foreign} locals held away from their creators"
+        );
+    }
+
+    /// With adverts on, a local whose in-edge the descendant advertised
+    /// is shipped as a vertex: the suppressed edge carries nothing, so
+    /// the vertex is left out only while its edge travels with it.
+    #[test]
+    fn a_local_whose_in_edge_is_suppressed_is_shipped_as_a_vertex() {
+        let run = |advert: Option<Watermarks>| {
+            let mut a = FlexCastGroup::new(A, 2);
+            for seq in 1..=3 {
+                a.on_client(msg(seq, &[0]), &mut Vec::new());
+            }
+            if let Some(wm) = advert {
+                a.on_packet(B, Packet::Advert { wm }, &mut Vec::new());
+            }
+            let mut out = Vec::new();
+            a.on_client(msg(4, &[0, 1]), &mut out);
+            let (to, pkt) = sends(&out).pop().expect("the global goes to B");
+            assert_eq!(to, B);
+            let hist = pkt.hist().expect("a msg packet carries a delta").clone();
+            assert_eq!(carried_riders(&hist), vec![]);
+            (hist, a.suppression_stats())
+        };
+        let ids = |d: &HistoryDelta| d.verts.iter().map(|v| v.id.seq).collect::<Vec<_>>();
+        // A's chain 1 → 2 → 3 → 4: locals 2 and 3 ride on edges #0, #1.
+        let (plain, _) = run(None);
+        assert_eq!(ids(&plain), vec![1, 4]);
+        assert_eq!(plain.edges.len(), 3);
+        // B advertises edge #0 alone: local 2 loses its edge and ships.
+        let wm = Watermarks {
+            clients: vec![],
+            edges: vec![(A, 0)],
+        };
+        let (lean, st) = run(Some(wm));
+        assert_eq!((st.suppressed_verts, st.suppressed_edges), (0, 1));
+        assert_eq!(ids(&lean), vec![1, 2, 4]);
+        assert_eq!(lean.verts[1].dst, DestSet::singleton(A));
+        assert_eq!(lean.edges.len(), 2);
     }
 
     /// End-to-end sanity on four groups with randomized-ish interleaving

@@ -10,7 +10,7 @@
 //! encode (transitive) delivery dependencies.
 
 use crate::slots::SlotTable;
-use flexcast_types::{DestSet, GroupId, Message, MsgId, TaggedDestSet, MAX_GROUPS};
+use flexcast_types::{DestSet, GroupId, Message, MsgId, MAX_GROUPS};
 use serde::de::{DeserializeSeed, Error as _, SeqAccess, Visitor};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -79,35 +79,21 @@ impl TaggedEdge {
 /// line 11): only the vertices and edges the receiver has not seen from
 /// this sender yet.
 ///
+/// A *local delivery* — a vertex `{id, {c}}` whose in-edge, `c`'s chain
+/// edge into `id`, the delta also carries — travels as that edge alone:
+/// the edge names both halves of it, so the engine's `diff-hst` leaves
+/// the vertex out and [`History::merge`] rebuilds it from the edge. A
+/// delta therefore need not hold the `after` of every edge it carries.
+///
 /// On the wire the edges travel as *chains*: a count of maximal runs of
 /// edges each of which continues the one before it (same creator, next
 /// index, `before` equal to the previous `after`), each run written
 /// `(creator, first idx, first before, afters)` with `afters` a counted
 /// sequence of ids. A run of `k` edges costs one header and `k` ids
-/// instead of `k` four-field edges.
-///
-/// A *local delivery* — a vertex `{id, {c}}` whose in-edge, `c`'s edge
-/// into `id`, is in the same delta — is not written at all: the edge
-/// already names both halves of it. Which vertices go is one rule,
-/// walked over the vertices in order with a cursor into the edges: a
-/// vertex `{id, {c}}` is left out when `c`'s edge into `id` lies among
-/// the 64 edges from the cursor on, ahead of any edge of `c` out of `id`;
-/// that edge is its in-edge, and the cursor moves past it. A written
-/// vertex carries, folded
-/// into its destination set's header ([`TaggedDestSet`]), how many
-/// vertices were left out just before it; a run holding in-edges is
-/// *marked* — an empty `afters` (code a plain run never uses), then its
-/// `afters`, then one bit per after, set on the in-edges, 63 to a varint.
-/// The decoder rebuilds each left-out vertex as `{after, {creator}}` of
-/// the next set bit, in order, at its place. A delta that leaves nothing
-/// out encodes as it would without the rule.
-///
-/// The encoding is canonical: the decoder refuses an empty run, a run
-/// whose indices pass `u32::MAX`, a run whose first edge continues the
-/// previous run's last, a marked run that marks nothing or sets a bit past
-/// its end, more left-out vertices than set bits, a rebuilt vertex whose
-/// creator no [`DestSet`] holds, and any choice of left-out vertices other
-/// than the rule's — so decoding then encoding reproduces the input bytes.
+/// instead of `k` four-field edges. The encoding is canonical: the
+/// decoder refuses an empty run, a run whose indices pass `u32::MAX`, and
+/// a run whose first edge continues the previous run's last, so decoding
+/// then encoding reproduces the input bytes.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct HistoryDelta {
     /// New vertices.
@@ -133,245 +119,17 @@ impl HistoryDelta {
     }
 }
 
-/// How many marks one varint of a marked run carries: 63 bits fill the
-/// nine bytes a varint spends on them.
-const MARK_BITS: usize = 63;
-
-/// How many edges from the cursor on a left-out vertex's in-edge may lie
-/// ([`HistoryDelta`]'s rule). It bounds the rule's walk at 64 steps a
-/// vertex. In the deltas `flexbench` ships at seed 1, every in-edge that
-/// is in its vertex's delta lies within 16 edges of the cursor on
-/// `scale128` and within 64 on `wan12`.
-const IN_EDGE_WINDOW: usize = 64;
-
-/// [`HistoryDelta`]'s rule as a walk: fed the vertices in order, it
-/// answers which are left out and names their in-edges. Encoder and
-/// decoder both walk it, so the decoder can refuse any other choice.
-#[derive(Clone, Copy)]
-struct InEdges<'a> {
-    edges: &'a [TaggedEdge],
-    cursor: usize,
-}
-
-impl<'a> InEdges<'a> {
-    fn new(edges: &'a [TaggedEdge]) -> Self {
-        InEdges { edges, cursor: 0 }
-    }
-
-    /// The index of `v`'s in-edge if the rule leaves `v` out, which moves
-    /// the cursor past it, and `None` if `v` is written.
-    #[inline]
-    fn take(&mut self, v: &MsgRef) -> Option<usize> {
-        let c = v.dst.sole()?;
-        let rest = &self.edges[self.cursor..];
-        let next = rest.first()?;
-        // Most in-edges are the next edge; only the others cost a walk.
-        let k = if next.after == v.id && next.creator == c {
-            0
-        } else {
-            let window = &rest[..rest.len().min(IN_EDGE_WINDOW)];
-            let k = window
-                .iter()
-                .position(|e| e.creator == c && (e.after == v.id || e.before == v.id))?;
-            if window[k].after != v.id {
-                return None;
-            }
-            k
-        };
-        self.cursor += k + 1;
-        Some(self.cursor - 1)
-    }
-}
-
-/// One bit per entry, on the stack up to 512 entries.
-struct Bits {
-    inline: [u64; 8],
-    heap: Vec<u64>,
-}
-
-impl Bits {
-    fn new(len: usize) -> Self {
-        let words = len.div_ceil(64);
-        Bits {
-            inline: [0; 8],
-            heap: if words > 8 {
-                vec![0; words]
-            } else {
-                Vec::new()
-            },
-        }
-    }
-
-    #[inline]
-    fn words(&self) -> &[u64] {
-        if self.heap.is_empty() {
-            &self.inline
-        } else {
-            &self.heap
-        }
-    }
-
-    #[inline]
-    fn words_mut(&mut self) -> &mut [u64] {
-        if self.heap.is_empty() {
-            &mut self.inline
-        } else {
-            &mut self.heap
-        }
-    }
-
-    /// The first set bit at or after `from`.
-    fn next_set(&self, from: usize) -> Option<usize> {
-        let words = self.words();
-        let mut w = from / 64;
-        let mut word = words.get(w)? & (!0 << (from % 64));
-        while word == 0 {
-            w += 1;
-            word = *words.get(w)?;
-        }
-        Some(w * 64 + word.trailing_zeros() as usize)
-    }
-
-    /// Bits `at..at + width` as the low bits of a word, `width ≤ 63`.
-    #[inline]
-    fn bits_at(&self, at: usize, width: usize) -> u64 {
-        let words = self.words();
-        let (w, b) = (at / 64, at % 64);
-        let mut x = words[w] >> b;
-        if b + width > 64 {
-            x |= words[w + 1] << (64 - b);
-        }
-        x & ((1 << width) - 1)
-    }
-}
-
-#[inline]
-fn set_bit(words: &mut [u64], i: usize) {
-    words[i / 64] |= 1 << (i % 64);
-}
-
-/// Which of a delta's vertices the rule leaves out and which edges are
-/// their in-edges, from one walk of [`InEdges`].
-struct Plan {
-    left_out: Bits,
-    in_edges: Bits,
-    count: usize,
-}
-
-impl Plan {
-    /// The plan, or `None` if the delta leaves nothing out.
-    fn of(delta: &HistoryDelta) -> Option<Plan> {
-        let mut left_out = Bits::new(delta.verts.len());
-        let mut in_edges = Bits::new(delta.edges.len());
-        let (lo, ie) = (left_out.words_mut(), in_edges.words_mut());
-        let mut rule = InEdges::new(&delta.edges);
-        let mut count = 0;
-        for (i, v) in delta.verts.iter().enumerate() {
-            let at = rule.cursor;
-            let Some(next) = rule.edges.get(at) else {
-                break;
-            };
-            // `InEdges::take`'s common case, the next edge, tested with
-            // one branch: the vertex's kind and its edge's fit are
-            // combined first.
-            let next_fits = (v.dst.sole() == Some(next.creator)) & (next.after == v.id);
-            let e = if next_fits {
-                rule.cursor = at + 1;
-                at
-            } else {
-                let Some(e) = rule.take(v) else {
-                    continue;
-                };
-                e
-            };
-            set_bit(lo, i);
-            set_bit(ie, e);
-            count += 1;
-        }
-        (count > 0).then_some(Plan {
-            left_out,
-            in_edges,
-            count,
-        })
-    }
-}
-
-#[cfg(test)]
-impl HistoryDelta {
-    /// How many vertices the wire form leaves out.
-    pub(crate) fn left_out(&self) -> usize {
-        Plan::of(self).map_or(0, |p| p.count)
-    }
-}
-
 impl Serialize for HistoryDelta {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        match Plan::of(self) {
-            None => (&self.verts, Runs(&self.edges, None)).serialize(s),
-            Some(plan) => {
-                let written = Written {
-                    delta: self,
-                    plan: &plan,
-                };
-                (written, Runs(&self.edges, Some(&plan.in_edges))).serialize(s)
-            }
-        }
+        (&self.verts, Runs(&self.edges)).serialize(s)
     }
 }
 
-/// The vertices a delta writes, each with the number left out just
-/// before it folded into its header.
-struct Written<'a> {
-    delta: &'a HistoryDelta,
-    plan: &'a Plan,
-}
-
-impl Serialize for Written<'_> {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::{Error as _, SerializeSeq};
-        let verts = &self.delta.verts;
-        let mut seq = s.serialize_seq(Some(verts.len() - self.plan.count))?;
-        // The written vertices are the zero bits: walked a word at a time,
-        // the left-out ones cost nothing here.
-        let mut last = 0;
-        for (w, &word) in self.plan.left_out.words().iter().enumerate() {
-            let mut zeros = !word;
-            while zeros != 0 {
-                let i = w * 64 + zeros.trailing_zeros() as usize;
-                let Some(v) = verts.get(i) else {
-                    return seq.end();
-                };
-                let gap = u32::try_from(i - last).map_err(|_| {
-                    S::Error::custom("history delta: 2³² vertices left out in a row")
-                })?;
-                let set = TaggedDestSet {
-                    set: &v.dst,
-                    tag: gap,
-                };
-                seq.serialize_element(&(&v.id, set))?;
-                last = i + 1;
-                zeros &= zeros - 1;
-            }
-        }
-        seq.end()
-    }
-}
-
-/// A delta's edges as the counted sequence of their maximal runs, and
-/// the in-edges to mark among them if the delta leaves vertices out.
-struct Runs<'a>(&'a [TaggedEdge], Option<&'a Bits>);
+/// A delta's edges as the counted sequence of their maximal runs.
+struct Runs<'a>(&'a [TaggedEdge]);
 
 /// One run's edges, written as their `after` ids alone.
 struct Afters<'a>(&'a [TaggedEdge]);
-
-/// A marked run's bits: edge `from + i` is an in-edge if bit `i % 63`
-/// of word `i / 63` is set. A word is written as a varint, so it costs a
-/// byte per seven bits up to its last set one.
-struct MarkBits<'a> {
-    from: usize,
-    to: usize,
-    in_edges: &'a Bits,
-}
 
 impl Serialize for Runs<'_> {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
@@ -393,7 +151,6 @@ impl Serialize for Runs<'_> {
         let runs = n_breaks + usize::from(!edges.is_empty());
         let mut seq = s.serialize_seq(Some(runs))?;
         let mut from = 0;
-        let mut next_mark = self.1.and_then(|b| b.next_set(0));
         for r in 0..runs {
             let to = match breaks.get(r) {
                 _ if r == n_breaks => edges.len(),
@@ -404,18 +161,7 @@ impl Serialize for Runs<'_> {
                 }
             };
             let (first, run) = (&edges[from], &edges[from..to]);
-            match (self.1, next_mark) {
-                (Some(in_edges), Some(m)) if m < to => {
-                    let bits = MarkBits { from, to, in_edges };
-                    let no_afters: &[MsgId] = &[];
-                    let head = (first.creator, first.idx, first.before);
-                    seq.serialize_element(&(head, no_afters, Afters(run), bits))?;
-                    next_mark = in_edges.next_set(to);
-                }
-                _ => {
-                    seq.serialize_element(&(first.creator, first.idx, first.before, Afters(run)))?
-                }
-            }
+            seq.serialize_element(&(first.creator, first.idx, first.before, Afters(run)))?;
             from = to;
         }
         seq.end()
@@ -441,18 +187,6 @@ impl Serialize for Afters<'_> {
     }
 }
 
-impl Serialize for MarkBits<'_> {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeTuple;
-        let mut t = s.serialize_tuple((self.to - self.from).div_ceil(MARK_BITS))?;
-        for at in (self.from..self.to).step_by(MARK_BITS) {
-            let width = (self.to - at).min(MARK_BITS);
-            t.serialize_element(&self.in_edges.bits_at(at, width))?;
-        }
-        t.end()
-    }
-}
-
 impl<'de> Deserialize<'de> for HistoryDelta {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
         struct DeltaVisitor;
@@ -463,101 +197,30 @@ impl<'de> Deserialize<'de> for HistoryDelta {
             }
             fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<HistoryDelta, A::Error> {
                 let short = || A::Error::custom("history delta too short");
-                let mut written = Vec::new();
-                let mut gaps = Vec::new();
-                seq.next_element_seed(WrittenSeed {
-                    verts: &mut written,
-                    gaps: &mut gaps,
-                })?
-                .ok_or_else(short)?;
-                let mut edges = EdgesIn::default();
+                let verts = seq.next_element()?.ok_or_else(short)?;
+                let mut edges = Vec::new();
                 seq.next_element_seed(RunsSeed(&mut edges))?
                     .ok_or_else(short)?;
-                let verts = rebuild(written, &gaps, &edges).map_err(A::Error::custom)?;
-                Ok(HistoryDelta {
-                    verts,
-                    edges: edges.edges,
-                })
+                Ok(HistoryDelta { verts, edges })
             }
         }
         d.deserialize_tuple(2, DeltaVisitor)
     }
 }
 
-/// The written vertices in order, and `(i, k)` for each written vertex
-/// `i` that `k > 0` left-out vertices precede.
-struct WrittenSeed<'a> {
-    verts: &'a mut Vec<MsgRef>,
-    gaps: &'a mut Vec<(usize, u32)>,
-}
-
-impl<'de> DeserializeSeed<'de> for WrittenSeed<'_> {
-    type Value = ();
-    fn deserialize<D: serde::Deserializer<'de>>(self, d: D) -> Result<(), D::Error> {
-        d.deserialize_seq(self)
-    }
-}
-
-impl<'de> Visitor<'de> for WrittenSeed<'_> {
-    type Value = ();
-    fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("a sequence of vertices")
-    }
-    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<(), A::Error> {
-        // As serde sizes a `Vec`: from the claimed count, which the wire
-        // decoder holds to the input left, and at most 1 MiB.
-        let claimed = seq.size_hint().unwrap_or(0);
-        self.verts
-            .reserve_exact(claimed.min((1 << 20) / std::mem::size_of::<MsgRef>()));
-        while let Some((id, set)) = seq.next_element::<(MsgId, TaggedDestSet)>()? {
-            if set.tag > 0 {
-                self.gaps.push((self.verts.len(), set.tag));
-            }
-            self.verts.push(MsgRef { id, dst: set.set });
-        }
-        Ok(())
-    }
-}
-
-/// The edges a delta's runs decode to, with a bit per edge set on the
-/// in-edges its marked runs name.
-#[derive(Default)]
-struct EdgesIn {
-    edges: Vec<TaggedEdge>,
-    marked: Vec<u64>,
-    n_marked: usize,
-}
-
-impl EdgesIn {
-    fn is_marked(&self, i: usize) -> bool {
-        self.marked
-            .get(i / 64)
-            .is_some_and(|w| w >> (i % 64) & 1 == 1)
-    }
-}
-
 /// Decodes the run sequence, expanding every run straight into the
 /// delta's edge vector: no per-run allocation, and nothing sized from a
 /// claimed length.
-struct RunsSeed<'a>(&'a mut EdgesIn);
+struct RunsSeed<'a>(&'a mut Vec<TaggedEdge>);
 
-/// Decodes one run's `(creator, first idx, first before, afters)`, or a
-/// marked run's `(creator, first idx, first before, [], afters, bits)`.
-struct RunSeed<'a>(&'a mut EdgesIn);
+/// Decodes one run's `(creator, first idx, first before, afters)`.
+struct RunSeed<'a>(&'a mut Vec<TaggedEdge>);
 
 /// Decodes one run's `afters`, each the next edge of the chain that
-/// `head` (with its `after` not yet known) starts, and answers how many
-/// there were: zero only for a marked run's leading empty `afters`.
+/// `head` (with its `after` not yet known) starts.
 struct AftersSeed<'a> {
     edges: &'a mut Vec<TaggedEdge>,
     head: (GroupId, u32, MsgId),
-}
-
-/// Decodes a marked run's bits for its `n` edges from `from` on.
-struct MarkBitsSeed<'a> {
-    edges: &'a mut EdgesIn,
-    from: usize,
-    n: usize,
 }
 
 impl<'de> DeserializeSeed<'de> for RunsSeed<'_> {
@@ -581,7 +244,7 @@ impl<'de> Visitor<'de> for RunsSeed<'_> {
 impl<'de> DeserializeSeed<'de> for RunSeed<'_> {
     type Value = ();
     fn deserialize<D: serde::Deserializer<'de>>(self, d: D) -> Result<(), D::Error> {
-        d.deserialize_tuple(6, self)
+        d.deserialize_tuple(4, self)
     }
 }
 
@@ -595,51 +258,29 @@ impl<'de> Visitor<'de> for RunSeed<'_> {
         let creator = seq.next_element()?.ok_or_else(short)?;
         let idx = seq.next_element()?.ok_or_else(short)?;
         let before = seq.next_element()?.ok_or_else(short)?;
-        let head = (creator, idx, before);
-        let edges = &mut self.0.edges;
-        if seq
-            .next_element_seed(AftersSeed { edges, head })?
-            .ok_or_else(short)?
-            > 0
-        {
-            return Ok(());
-        }
-        // An empty `afters`: the run is marked, and its `afters` follow.
-        let from = self.0.edges.len();
-        let edges = &mut self.0.edges;
-        let n = match seq.next_element_seed(AftersSeed { edges, head }) {
-            Ok(Some(n)) if n > 0 => n,
-            Ok(_) => return Err(A::Error::custom("history delta: empty edge run")),
-            Err(e) => {
-                return Err(A::Error::custom(format_args!(
-                    "history delta: empty edge run, and no marked run after it: {e}"
-                )))
-            }
+        let afters = AftersSeed {
+            edges: self.0,
+            head: (creator, idx, before),
         };
-        let bits = MarkBitsSeed {
-            edges: &mut *self.0,
-            from,
-            n,
-        };
-        seq.next_element_seed(bits)?.ok_or_else(short)
+        seq.next_element_seed(afters)?.ok_or_else(short)
     }
 }
 
 impl<'de> DeserializeSeed<'de> for AftersSeed<'_> {
-    type Value = usize;
-    fn deserialize<D: serde::Deserializer<'de>>(self, d: D) -> Result<usize, D::Error> {
+    type Value = ();
+    fn deserialize<D: serde::Deserializer<'de>>(self, d: D) -> Result<(), D::Error> {
         d.deserialize_seq(self)
     }
 }
 
 impl<'de> Visitor<'de> for AftersSeed<'_> {
-    type Value = usize;
+    type Value = ();
     fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("a sequence of the run's after ids")
+        f.write_str("a non-empty sequence of the run's after ids")
     }
-    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<usize, A::Error> {
+    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<(), A::Error> {
         let Some(after) = seq.next_element()? else {
-            return Ok(0);
+            return Err(A::Error::custom("history delta: empty edge run"));
         };
         let (creator, idx, before) = self.head;
         let mut e = TaggedEdge {
@@ -654,7 +295,6 @@ impl<'de> Visitor<'de> for AftersSeed<'_> {
             ));
         }
         self.edges.push(e);
-        let mut n = 1;
         while let Some(after) = seq.next_element()? {
             let Some(idx) = e.idx.checked_add(1) else {
                 return Err(A::Error::custom("history delta: edge run passes u32::MAX"));
@@ -666,112 +306,9 @@ impl<'de> Visitor<'de> for AftersSeed<'_> {
                 ..e
             };
             self.edges.push(e);
-            n += 1;
-        }
-        Ok(n)
-    }
-}
-
-impl<'de> DeserializeSeed<'de> for MarkBitsSeed<'_> {
-    type Value = ();
-    fn deserialize<D: serde::Deserializer<'de>>(self, d: D) -> Result<(), D::Error> {
-        d.deserialize_tuple(self.n.div_ceil(MARK_BITS), self)
-    }
-}
-
-impl<'de> Visitor<'de> for MarkBitsSeed<'_> {
-    type Value = ();
-    fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("a marked run's bits, 63 to a word")
-    }
-    fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<(), A::Error> {
-        let EdgesIn {
-            edges,
-            marked,
-            n_marked,
-        } = self.edges;
-        marked.resize(edges.len().div_ceil(64), 0);
-        let before = *n_marked;
-        for at in (0..self.n).step_by(MARK_BITS) {
-            let mut bits: u64 = seq
-                .next_element()?
-                .ok_or_else(|| A::Error::custom("marked run's bits cut short"))?;
-            if bits >> (self.n - at).min(MARK_BITS) != 0 {
-                return Err(A::Error::custom(
-                    "history delta: a mark past its run's end (not canonical)",
-                ));
-            }
-            while bits != 0 {
-                let i = self.from + at + bits.trailing_zeros() as usize;
-                marked[i / 64] |= 1 << (i % 64);
-                *n_marked += 1;
-                bits &= bits - 1;
-            }
-        }
-        if *n_marked == before {
-            return Err(A::Error::custom(
-                "history delta: a marked run that marks nothing (not canonical)",
-            ));
         }
         Ok(())
     }
-}
-
-/// Puts a decoded delta's left-out vertices back between its written
-/// ones, and checks that the rule leaves out exactly those.
-fn rebuild(
-    written: Vec<MsgRef>,
-    gaps: &[(usize, u32)],
-    edges: &EdgesIn,
-) -> Result<Vec<MsgRef>, &'static str> {
-    const NOT_RULE: &str = "history delta: left-out vertices other than the rule's (not canonical)";
-    let placed: u64 = gaps.iter().map(|&(_, k)| u64::from(k)).sum();
-    if placed > edges.n_marked as u64 {
-        return Err("history delta: more left-out vertices than in-edges marked");
-    }
-    let mut rule = InEdges::new(&edges.edges);
-    if edges.n_marked == 0 {
-        // Nothing left out: the written vertices are the delta's.
-        if written.iter().any(|v| rule.take(v).is_some()) {
-            return Err(NOT_RULE);
-        }
-        return Ok(written);
-    }
-    let mut marks = (0..edges.edges.len()).filter(|&i| edges.is_marked(i));
-    let mut left_out = |out: &mut Vec<MsgRef>, rule: &mut InEdges<'_>| {
-        let i = marks.next().ok_or(NOT_RULE)?;
-        let e = edges.edges[i];
-        if e.creator.index() >= MAX_GROUPS {
-            return Err("history delta: an in-edge's creator no destination set holds");
-        }
-        let v = MsgRef {
-            id: e.after,
-            dst: DestSet::singleton(e.creator),
-        };
-        if rule.take(&v) != Some(i) {
-            return Err(NOT_RULE);
-        }
-        out.push(v);
-        Ok(())
-    };
-    let len = written.len() + edges.n_marked;
-    let mut verts = Vec::with_capacity(len);
-    let mut gaps = gaps.iter().peekable();
-    for (i, v) in written.into_iter().enumerate() {
-        if let Some(&(_, k)) = gaps.next_if(|g| g.0 == i) {
-            for _ in 0..k {
-                left_out(&mut verts, &mut rule)?;
-            }
-        }
-        if rule.take(&v).is_some() {
-            return Err(NOT_RULE);
-        }
-        verts.push(v);
-    }
-    while verts.len() < len {
-        left_out(&mut verts, &mut rule)?;
-    }
-    Ok(verts)
 }
 
 /// Counters over [`History::merge`]: how many delta entries arrived and
@@ -1225,11 +762,12 @@ impl History {
             return false;
         }
         self.note_edge(e.creator, e.idx);
-        // A delta always ships its vertices with (or before) its edges,
-        // so a missing endpoint means the vertex was pruned here — and
-        // tombstones make that permanent, so dropping is final. Content
-        // duplicate: two groups can create the same `before → after` pair
-        // independently; only the first is linked and logged.
+        // The merge has admitted every vertex the delta carries and
+        // rebuilt every local delivery it left out, so a missing endpoint
+        // was pruned here (tombstones make that permanent, so dropping is
+        // final) or refused by the merge. Content duplicate: two groups
+        // can create the same `before → after` pair independently; only
+        // the first is linked and logged.
         let Some((b, a)) = self.linkable(e.before, e.after) else {
             return false;
         };
@@ -1334,8 +872,13 @@ impl History {
     /// this history has garbage-collected cannot re-enter through a slow
     /// ancestor: the seen watermark rejects them in `insert_vert`, and
     /// `apply_edge` drops edges whose endpoints are missing. A vertex
-    /// addressed to no group is left out. Duplicate counts accumulate in
-    /// [`History::merge_stats`].
+    /// addressed to no group is left out. A local delivery the delta left
+    /// out is rebuilt from its chain edge ([`HistoryDelta`]): an edge not
+    /// yet processed, into an id this history has never seen and the
+    /// delta does not carry, admits `{after, {creator}}` — before any
+    /// edge is linked, and whether or not its `before` is retained.
+    /// Duplicate counts accumulate in [`History::merge_stats`], where a
+    /// rebuilt vertex counts as one admitted vertex.
     pub fn merge(&mut self, delta: &HistoryDelta) {
         self.merge_within(delta, DestSet::all(MAX_GROUPS));
     }
@@ -1344,15 +887,17 @@ impl History {
     /// vertex addressed outside them, or to no group at all, is left out
     /// — not inserted, not marked seen, not counted in
     /// [`History::merge_stats`] — and the number of such vertices is
-    /// returned. An edge naming one then finds no endpoint and is dropped
-    /// like an edge into pruned history. (A vertex with no destination
-    /// gets no edges from any honest group, so no flush's backward closure
-    /// would ever reach it: admitted, it would be retained and relayed to
-    /// every descendant forever.) The check runs only on a vertex about to
-    /// be inserted, so a duplicate (most delta entries in a large world)
-    /// never pays for it.
+    /// returned. An edge naming one rebuilds nothing, finds no endpoint
+    /// and is dropped like an edge into pruned history; so is an edge
+    /// into an unseen id whose creator is outside `groups`. (A vertex with
+    /// no destination gets no edges from any honest group, so no flush's
+    /// backward closure would ever reach it: admitted, it would be
+    /// retained and relayed to every descendant forever.) The check runs
+    /// only on a vertex about to be inserted, so a duplicate (most delta
+    /// entries in a large world) never pays for it; likewise the rebuild
+    /// rule costs a duplicate edge one probe of its creator's ranges.
     pub(crate) fn merge_within(&mut self, delta: &HistoryDelta, groups: DestSet) -> u64 {
-        let mut refused = 0;
+        let mut refused = Vec::new();
         for v in &delta.verts {
             if self.has_seen(v.id) {
                 self.merge_stats.verts_in += 1;
@@ -1361,7 +906,24 @@ impl History {
                 self.merge_stats.verts_in += 1;
                 self.admit_vert(*v);
             } else {
-                refused += 1;
+                refused.push(v.id);
+            }
+        }
+        // Every rebuild before the first link, so an edge out of a rebuilt
+        // vertex links wherever it sits among the delta's edges. Sorted,
+        // the refused ids cost a hostile delta a binary search an edge.
+        refused.sort_unstable();
+        for e in &delta.edges {
+            if !self.edge_processed(e.creator, e.idx)
+                && !self.has_seen(e.after)
+                && groups.contains(e.creator)
+                && refused.binary_search(&e.after).is_err()
+            {
+                self.merge_stats.verts_in += 1;
+                self.admit_vert(MsgRef {
+                    id: e.after,
+                    dst: DestSet::singleton(e.creator),
+                });
             }
         }
         for &e in &delta.edges {
@@ -1370,7 +932,15 @@ impl History {
                 self.merge_stats.edges_dup += 1;
             }
         }
-        refused
+        refused.len() as u64
+    }
+
+    /// The log position of the local delivery `e` is the in-edge of: its
+    /// `after`, if retained as `{after, {e.creator}}`. A delta that
+    /// carries `e` may leave that vertex out ([`HistoryDelta`]).
+    pub(crate) fn local_into(&self, e: &TaggedEdge) -> Option<usize> {
+        let s = self.verts.slot_of(e.after)?;
+        (self.verts.get(s).dst.sole() == Some(e.creator)).then_some(s as usize)
     }
 
     /// True if the history has any vertex addressed to `g`
@@ -1652,8 +1222,10 @@ mod tests {
         assert_eq!(h.edges_since(0)[0].idx, 0);
     }
 
+    /// An edge into an id the history has never seen, and that the delta
+    /// does not carry, rebuilds its `after` as a local of its creator.
     #[test]
-    fn merge_applies_delta_and_drops_dangling_edges() {
+    fn an_edge_into_an_unseen_id_rebuilds_its_local() {
         let mut h = History::new();
         let delta = HistoryDelta {
             verts: vec![vref(1, &[0]), vref(3, &[0, 1])],
@@ -1664,15 +1236,66 @@ mod tests {
             ],
         };
         h.merge(&delta);
-        assert!(h.contains(id(1)));
-        assert!(!h.contains(id(2)), "vertex the delta never shipped");
-        assert!(h.contains(id(3)));
-        assert_eq!(h.edge_count(), 1, "edges touching missing vertices dropped");
-        assert!(h.reaches(id(1), id(3)));
-        // Dropped edges still count as processed stream elements.
+        assert_eq!(
+            h.dst_of(id(2)),
+            Some(vref(2, &[3]).dst),
+            "rebuilt from 3's edge"
+        );
+        assert_eq!(h.edge_count(), 3);
+        assert!(h.reaches(id(1), id(2)) && h.reaches(id(2), id(3)));
+        assert_eq!(h.edge_prefix(GroupId(3)), Some(2));
+        let st = h.merge_stats();
+        assert_eq!((st.verts_in, st.verts_dup), (3, 0), "one admitted vertex");
+        // Merged again, the delta rebuilds nothing more.
+        h.merge(&delta);
+        assert_eq!((h.len(), h.edge_count()), (3, 3));
+    }
+
+    /// A rebuilt local does not need its in-edge's `before`: with it
+    /// pruned, the vertex is admitted and the edge dropped.
+    #[test]
+    fn an_edge_whose_before_was_pruned_still_rebuilds_its_after() {
+        let mut h = History::new();
+        h.insert_vert(vref(1, &[0]));
+        h.insert_vert(vref(2, &[0]));
+        h.create_edge(OWNER, id(1), id(2));
+        let _ = h.prune_before(id(2), &mut [], &mut []);
+        assert!(!h.contains(id(1)) && h.has_seen(id(1)));
+        h.merge(&HistoryDelta {
+            verts: vec![],
+            edges: vec![te(3, 0, id(1), id(4))],
+        });
+        assert_eq!(h.dst_of(id(4)), Some(vref(4, &[3]).dst));
+        assert!(!h.contains(id(1)), "the tombstone holds");
+        assert_eq!(h.edge_count(), 0, "edge from a pruned vertex dropped");
         assert!(h.edge_processed(GroupId(3), 0));
-        assert!(h.edge_processed(GroupId(3), 1));
-        assert!(h.edge_processed(GroupId(3), 2));
+    }
+
+    /// An endpoint pruned here still drops the edge, and a pruned `after`
+    /// is not rebuilt: it has been seen.
+    #[test]
+    fn merge_applies_delta_and_drops_dangling_edges() {
+        let mut h = History::new();
+        for s in 1..=3 {
+            h.insert_vert(vref(s, &[0]));
+        }
+        h.create_edge(OWNER, id(1), id(2));
+        let _ = h.prune_before(id(2), &mut [], &mut []);
+        let delta = HistoryDelta {
+            verts: vec![vref(5, &[0, 1])],
+            edges: vec![
+                te(3, 0, id(1), id(5)),
+                te(3, 1, id(5), id(1)),
+                te(3, 2, id(3), id(5)),
+            ],
+        };
+        h.merge(&delta);
+        assert!(!h.contains(id(1)), "no resurrection through an edge");
+        assert!(h.contains(id(5)));
+        assert_eq!(h.len(), 3);
+        assert_eq!(h.edge_count(), 1, "edges touching pruned vertices dropped");
+        assert!(h.reaches(id(3), id(5)));
+        // Dropped edges still count as processed stream elements.
         assert_eq!(h.edge_prefix(GroupId(3)), Some(2));
     }
 
@@ -2028,6 +1651,20 @@ mod tests {
             for v in &d.verts {
                 self.insert_vert(*v);
             }
+            // The rebuild rule: an unprocessed edge into an id never seen
+            // and not carried admits its `after` as its creator's local.
+            for e in &d.edges {
+                if !self.edges_seen.contains(&(e.creator, e.idx))
+                    && !self.seen.contains(&e.after)
+                    && d.verts.iter().all(|v| v.id != e.after)
+                    && e.creator.index() < MAX_GROUPS
+                {
+                    self.insert_vert(MsgRef {
+                        id: e.after,
+                        dst: DestSet::singleton(e.creator),
+                    });
+                }
+            }
             for &e in &d.edges {
                 if self.edges_seen.insert((e.creator, e.idx)) {
                     self.link(e);
@@ -2336,9 +1973,9 @@ mod tests {
     /// creators deliver locals and globals, each delivery adding its
     /// vertex and, from the creator's second delivery on, its chain edge.
     /// Some words disturb the shape — an in-edge left outside the delta,
-    /// one moved behind later edges, a stray edge into an id the delta
-    /// does not hold, a local whose in-edge names another creator — so
-    /// the rule meets every case it has to refuse.
+    /// one moved behind later edges, a stray edge into an id no delta
+    /// holds (client 3 or above), a local whose in-edge names another
+    /// creator — so the omission rule meets every case it has to pass by.
     fn relayed_delta(words: &[u64]) -> HistoryDelta {
         let mut d = HistoryDelta::default();
         let mut last: [Option<MsgId>; 4] = [None; 4];
@@ -2352,11 +1989,11 @@ mod tests {
                 _ => DestSet::singleton(GroupId(c as u16)),
             };
             d.verts.push(MsgRef { id, dst });
-            let creator = match (w >> 7) % 16 {
-                0 => (c + 1) % 4,
-                _ => c,
-            };
-            let edge = last[c].map(|before| te(creator as u16, idx[c], before, id));
+            let edge = last[c].map(|before| match (w >> 7) % 16 {
+                // Another creator, at a stream position no chain uses.
+                0 => te(((c + 1) % 4) as u16, idx[c] | 1 << 31, before, id),
+                _ => te(c as u16, idx[c], before, id),
+            });
             if edge.is_some() {
                 idx[c] += 1;
             }
@@ -2364,9 +2001,10 @@ mod tests {
             match ((w >> 11) % 16, edge) {
                 (0, _) | (_, None) => {}
                 (1, Some(e)) => held = held.or(Some(e)),
-                (2, Some(e)) => d
-                    .edges
-                    .push(te(e.creator.0, e.idx, e.before, pool(w >> 16))),
+                (2, Some(e)) => {
+                    let stray = MsgId::new(ClientId(3 + (w >> 16) as u32 % 3), (w >> 20) as u32);
+                    d.edges.push(te(e.creator.0, e.idx, e.before, stray))
+                }
                 (_, Some(e)) => d.edges.push(e),
             }
             if (w >> 15) % 8 == 0 {
@@ -2385,6 +2023,54 @@ mod tests {
         let back: HistoryDelta = flexcast_wire::from_bytes(&bytes).unwrap();
         assert_eq!(&back, d);
         assert_eq!(flexcast_wire::to_bytes(&back).unwrap(), bytes);
+    }
+
+    /// `d` as the engine's `diff-hst` ships it: without each vertex
+    /// `{id, {c}}` whose in-edge from `c` it carries.
+    fn shipped(d: &HistoryDelta) -> HistoryDelta {
+        let rides = |v: &&MsgRef| {
+            (d.edges.iter()).any(|e| e.after == v.id && v.dst.sole() == Some(e.creator))
+        };
+        HistoryDelta {
+            verts: d.verts.iter().filter(|v| !rides(v)).copied().collect(),
+            edges: d.edges.clone(),
+        }
+    }
+
+    /// Merges `d` and, separately, [`shipped`]`(d)` into copies of
+    /// `base`, and checks the two hold the same vertices with the same
+    /// destinations, the same edges, flags and seen state; only where a
+    /// rebuilt vertex sits in the vertex log may differ.
+    fn assert_omission_is_lossless(base: &History, d: &HistoryDelta) {
+        let (mut full, mut lean) = (base.clone(), base.clone());
+        full.merge(d);
+        lean.merge(&shipped(d));
+        let by_id = |h: &History| {
+            let mut vs: Vec<MsgRef> = h.verts().collect();
+            vs.sort_by_key(|v| v.id);
+            vs
+        };
+        let verts = by_id(&full);
+        assert_eq!(verts, by_id(&lean));
+        assert_eq!(full.edges_since(0), lean.edges_since(0));
+        let edges: BTreeSet<(MsgId, MsgId)> = full.edges().collect();
+        assert_eq!(edges, lean.edges().collect());
+        for v in &verts {
+            for bit in [flag::DELIVERED, flag::OPEN, flag::CLEAN] {
+                assert_eq!(full.has_flag(v.id, bit), lean.has_flag(v.id, bit));
+            }
+        }
+        let ids = d.verts.iter().map(|v| v.id);
+        for id in ids.chain(d.edges.iter().flat_map(|e| [e.before, e.after])) {
+            assert_eq!(full.has_seen(id), lean.has_seen(id), "{id}");
+        }
+        for e in &d.edges {
+            assert!(full.edge_processed(e.creator, e.idx));
+            assert!(lean.edge_processed(e.creator, e.idx));
+        }
+        assert!(full.client_watermarks().eq(lean.client_watermarks()));
+        assert_eq!(full.seen_residual_len(), lean.seen_residual_len());
+        assert!(full.edge_prefixes().eq(lean.edge_prefixes()));
     }
 
     /// `k` locals of one creator chained edge to edge: `c`'s `k` edges and
@@ -2420,30 +2106,25 @@ mod tests {
             ..one.clone()
         };
         assert_round_trips(&local);
-        assert_eq!(local.left_out(), 1);
+        assert_eq!(shipped(&local), one);
+        assert_omission_is_lossless(&History::new(), &local);
     }
 
-    /// `k` chained locals cost their edges, one byte saying the run is
-    /// marked and the marks — and no byte of any vertex.
+    /// `k` chained locals ship as their edges alone: no byte of any
+    /// vertex, and the merge rebuilds every one.
     #[test]
     fn chained_locals_cost_no_vertex_bytes() {
         for k in [1, 2, 7, 62, 63, 64, 130] {
             let d = chained_locals(3, k);
-            assert_eq!(d.left_out(), k);
-            assert_round_trips(&d);
-            let edges_alone = HistoryDelta {
-                verts: vec![],
-                edges: d.edges.clone(),
-            };
-            let marks: usize = (0..k)
-                .step_by(MARK_BITS)
-                .map(|at| size(&((1u64 << (k - at).min(MARK_BITS)) - 1)))
-                .sum();
-            assert_eq!(size(&d), size(&edges_alone) + 1 + marks, "k = {k}");
+            let lean = shipped(&d);
+            assert!(lean.verts.is_empty(), "k = {k}");
+            assert_round_trips(&lean);
+            assert_eq!(size(&lean), size(&d) - size(&d.verts) + 1, "k = {k}");
+            assert_omission_is_lossless(&History::new(), &d);
         }
     }
 
-    /// A creator's first delivery has no in-edge: it is written, and the
+    /// A creator's first delivery has no in-edge: it is shipped, and the
     /// locals after it are not.
     #[test]
     fn a_first_delivery_stays_written() {
@@ -2453,52 +2134,57 @@ mod tests {
             dst: DestSet::singleton(GroupId(2)),
         };
         d.verts.insert(0, first);
-        assert_eq!(d.left_out(), 4);
-        assert_round_trips(&d);
+        assert_eq!(shipped(&d).verts, vec![first]);
+        assert_omission_is_lossless(&History::new(), &d);
     }
 
     /// An in-edge outside the delta, one that names another creator, and
-    /// one whose vertex has two destinations each keep the vertex written.
+    /// one whose vertex has two destinations each keep the vertex shipped.
     #[test]
     fn a_vertex_without_its_in_edge_stays_written() {
         let mut d = chained_locals(1, 3);
         d.edges.remove(1);
-        assert_eq!(d.left_out(), 2);
-        assert_round_trips(&d);
+        assert_eq!(shipped(&d).verts, vec![d.verts[1]]);
+        assert_omission_is_lossless(&History::new(), &d);
         let mut d = chained_locals(1, 3);
         d.edges[1].creator = GroupId(2);
-        assert_eq!(d.left_out(), 2, "the middle local stays");
-        assert_round_trips(&d);
+        assert_eq!(
+            shipped(&d).verts,
+            vec![d.verts[1]],
+            "the middle local stays"
+        );
+        assert_omission_is_lossless(&History::new(), &d);
         let mut d = chained_locals(1, 3);
         d.verts[1].dst.insert(GroupId(0));
-        assert_eq!(d.left_out(), 2);
-        assert_round_trips(&d);
+        assert_eq!(shipped(&d).verts, vec![d.verts[1]]);
+        assert_omission_is_lossless(&History::new(), &d);
     }
 
-    /// In-edges out of order: a local whose in-edge lies behind the
-    /// cursor stays written; the window ends 64 edges past the cursor;
-    /// and an edge out of the vertex ends the search.
+    /// Where a local's in-edge sits in the delta does not matter: behind
+    /// its vertex's successors, past many other edges, or behind the
+    /// local's own out-edge, the merge rebuilds it before any edge links.
     #[test]
-    fn the_rule_walks_a_bounded_window_in_order() {
+    fn a_local_rides_on_its_in_edge_anywhere_in_the_delta() {
         let mut d = chained_locals(1, 2);
         d.verts.swap(0, 1);
-        assert_eq!(d.left_out(), 1, "l2 takes edge 1; l1's edge 0 is behind");
-        assert_round_trips(&d);
-        for (gap, left) in [(IN_EDGE_WINDOW - 1, 1), (IN_EDGE_WINDOW, 0)] {
-            let mut d = chained_locals(1, 1);
-            let strays = (0..gap).map(|j| te(2, j as u32 * 2, id(50), id(60 + j as u32)));
-            d.edges.splice(0..0, strays);
-            assert_eq!(d.left_out(), left, "in-edge {gap} edges past the cursor");
-            assert_round_trips(&d);
-        }
+        assert!(shipped(&d).verts.is_empty());
+        assert_omission_is_lossless(&History::new(), &d);
+        let mut d = chained_locals(1, 1);
+        let strays = (0..100).map(|j| te(2, j * 2, id(50), id(60 + j)));
+        d.edges.splice(0..0, strays);
+        assert!(shipped(&d).verts.is_empty());
+        assert_omission_is_lossless(&History::new(), &d);
         let mut d = chained_locals(1, 2);
         d.edges.swap(0, 1);
-        assert_eq!(
-            d.left_out(),
-            1,
-            "l1's out-edge comes first, so only l2 goes"
+        assert!(shipped(&d).verts.is_empty());
+        let mut h = History::new();
+        h.merge(&shipped(&d));
+        let (l1, l2) = (d.edges[0].before, d.edges[0].after);
+        assert!(
+            h.reaches(l1, l2),
+            "l1's out-edge links though it comes first"
         );
-        assert_round_trips(&d);
+        assert_omission_is_lossless(&History::new(), &d);
     }
 
     proptest::proptest! {
@@ -2515,6 +2201,30 @@ mod tests {
             words in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..300),
         ) {
             assert_round_trips(&relayed_delta(&words));
+        }
+
+        /// The omission oracle: a relayed delta, split into a part already
+        /// merged and the part that arrives, merges the same with or
+        /// without the locals whose in-edges it carries.
+        #[test]
+        fn leaving_out_carried_locals_changes_no_merge(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..300),
+            split in proptest::prelude::any::<u64>(),
+        ) {
+            let d = relayed_delta(&words);
+            let kv = split as usize % (d.verts.len() + 1);
+            let ke = (split >> 32) as usize % (d.edges.len() + 1);
+            let mut base = History::new();
+            base.merge(&HistoryDelta {
+                verts: d.verts[..kv].to_vec(),
+                edges: d.edges[..ke].to_vec(),
+            });
+            let rest = HistoryDelta {
+                verts: d.verts[kv..].to_vec(),
+                edges: d.edges[ke..].to_vec(),
+            };
+            assert_omission_is_lossless(&base, &rest);
+            assert_omission_is_lossless(&History::new(), &d);
         }
     }
 

@@ -2,19 +2,17 @@
 //! chains (`HistoryDelta`'s wire form): a count of runs, each
 //! `(creator, first idx, first before, afters)`; its vertices' destination
 //! sets as one header each, a word count or a singleton `9 + rank`
-//! (`DestSet`'s wire form). A local delivery whose chain edge is in the
-//! delta is not written at all: the written vertex after it carries the
-//! number left out in its header (`h + 521 · tag`), and a run holding
-//! such in-edges is marked — an empty `afters`, its `afters`, then one bit
-//! per after, 63 to a varint. Whatever a peer sends, decoding answers
-//! `Err` or a value that re-encodes to exactly the bytes it came from,
-//! never panics, and never holds memory in proportion to a length or a
-//! count the bytes merely claim.
+//! (`DestSet`'s wire form). Whatever a peer sends, decoding answers `Err`
+//! or a value that re-encodes to exactly the bytes it came from, never
+//! panics, and never holds memory in proportion to a length the bytes
+//! merely claim. A local delivery may travel as its chain edge alone, and
+//! the merge rebuilds it: what an edge can make a receiver admit is
+//! checked here too.
 
 mod common;
 
 use common::peak_during;
-use flexcast_core::{HistoryDelta, MsgRef, Packet, TaggedEdge};
+use flexcast_core::{FlexCastGroup, History, HistoryDelta, MsgRef, Packet, TaggedEdge};
 use flexcast_types::{ClientId, DestSet, GroupId, MsgId};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -30,10 +28,6 @@ fn te(creator: u16, idx: u32, before: u32, after: u32) -> TaggedEdge {
         before: id(before),
         after: id(after),
     }
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// `u32::MAX - 1` as an LEB128 varint.
@@ -264,179 +258,136 @@ fn every_mutation_of_a_mixed_form_packet_is_contained() {
     );
 }
 
-/// An ack whose delta leaves three of its five vertices out. `g1`'s chain
-/// `m2 → m3 → m4 → m5 → m6` delivers the locals `m3`, `m5` and `m6` and
-/// the global `m4`; `m10` is a local of `g2` whose only edge in the delta
-/// leaves it, so it is written. On the wire: `m4` with one vertex left
-/// out before it, `m10` with one, one more after them; `g1`'s run marked
-/// on its first, third and fourth edge, `g2`'s lone edge plain.
-fn left_out_packet() -> Packet {
-    let one = |r| DestSet::singleton(GroupId(r));
-    let two = DestSet::from_iter([GroupId(0), GroupId(1)]);
-    Packet::Ack {
-        mref: MsgRef {
-            id: id(9),
-            dst: two,
-        },
-        via: GroupId(1),
-        notif_pairs: vec![],
-        hist: HistoryDelta {
-            verts: vec![
-                MsgRef {
-                    id: id(3),
-                    dst: one(1),
-                },
-                MsgRef {
-                    id: id(4),
-                    dst: two,
-                },
-                MsgRef {
-                    id: id(5),
-                    dst: one(1),
-                },
-                MsgRef {
-                    id: id(10),
-                    dst: one(2),
-                },
-                MsgRef {
-                    id: id(6),
-                    dst: one(1),
-                },
-            ],
-            edges: vec![
-                te(1, 4, 2, 3),
-                te(1, 5, 3, 4),
-                te(1, 6, 4, 5),
-                te(1, 7, 5, 6),
-                te(2, 0, 10, 11),
-            ],
-        },
+/// One vertex `m9` whose set header is `header`, as a varint, then `tail`
+/// (the rest of the delta).
+fn one_vertex(header: u64, tail: &[u8]) -> Vec<u8> {
+    let mut b = vec![1, 1, 9];
+    let mut h = header;
+    while h >= 0x80 {
+        b.push(h as u8 | 0x80);
+        h >>= 7;
     }
-}
-
-#[test]
-fn the_left_out_packet_writes_two_vertices_and_marks_three_edges() {
-    let bytes = flexcast_wire::to_bytes(&left_out_packet()).unwrap();
-    let hist = hex(&bytes[bytes.len() - 33..]);
-    assert_eq!(
-        hist,
-        // Two written vertices: `m4` (header 1 + 521, word 3), `m10`
-        // (header 9 + 2 + 521); then two runs, `g1`'s marked `0b1101`.
-        "02 0104 8a04 03 010a 9404 02 01 04 0102 00 04 0103 0104 0105 0106 0d 02 00 010a 01 010b"
-            .split_whitespace()
-            .collect::<String>()
-    );
-    let back: Packet = decode_contained(&bytes).unwrap();
-    assert_eq!(back, left_out_packet());
-}
-
-/// Every truncation and bit flip of [`left_out_packet`], and every byte
-/// in turn replaced by a value at a boundary of the new form: the empty
-/// `afters` that marks a run, the last bare header (520) and the first
-/// tagged ones (521, 522), the last header of tag 1 and the first of tag
-/// 2 (1041, 1042), the largest 63-bit mark word and one past it, and the
-/// widest `u32`.
-#[test]
-fn every_mutation_of_a_left_out_packet_is_contained() {
-    every_mutation_is_contained(
-        left_out_packet(),
-        &[
-            &[0x00],
-            &[0x88, 0x04],
-            &[0x89, 0x04],
-            &[0x8a, 0x04],
-            &[0x91, 0x08],
-            &[0x92, 0x08],
-            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f],
-            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01],
-            &[0xff, 0xff, 0xff, 0xff, 0x0f],
-        ],
-    );
-}
-
-/// No vertices written, then one `g1` run `m2 → m3` whose after is marked
-/// by `bits`: the delta `{m3, {g1}}` with its in-edge when `bits` is 1.
-fn marked_run(creator: &[u8], bits: &[u8]) -> Vec<u8> {
-    let mut b = vec![0, 1];
-    b.extend(creator);
-    b.extend([0, 1, 2, 0, 1, 1, 3]);
-    b.extend(bits);
+    b.push(h as u8);
+    b.extend(tail);
     b
 }
 
+/// Header 520, `{g511}`, is the last a destination set starts with;
+/// every header above it is refused before any word is read, in the
+/// first vertex or a later one, within the decoding allowance.
 #[test]
-fn a_marked_run_decodes_to_its_local() {
-    let d: HistoryDelta = decode_contained(&marked_run(&[1], &[1])).unwrap();
+fn a_delta_vertex_whose_set_header_is_above_520_is_refused() {
+    let d: HistoryDelta = decode_contained(&one_vertex(520, &[0])).unwrap();
+    assert_eq!(d.verts[0].dst, DestSet::singleton(GroupId(511)));
+    let two = |header| {
+        let mut b = one_vertex(10, &[]);
+        b[0] = 2;
+        b.extend(&one_vertex(header, &[0])[1..]);
+        b
+    };
     assert_eq!(
-        d.verts,
-        vec![MsgRef {
-            id: id(3),
-            dst: DestSet::singleton(GroupId(1))
-        }]
+        decode_contained::<HistoryDelta>(&two(520))
+            .unwrap()
+            .verts
+            .len(),
+        2
     );
-    assert_eq!(d.edges, vec![te(1, 0, 2, 3)]);
+    for header in [
+        521,
+        522,
+        1043,
+        1 << 16,
+        u64::from(u32::MAX) * 521 + 1,
+        u64::MAX,
+    ] {
+        for bytes in [one_vertex(header, &[0]), two(header)] {
+            let (res, peak) = peak_during(|| flexcast_wire::from_bytes::<HistoryDelta>(&bytes));
+            match res {
+                Err(flexcast_types::Error::Decode(why)) => {
+                    assert!(why.contains("out of range"), "{header}: {why}")
+                }
+                other => panic!("header {header} decoded to {other:?}"),
+            }
+            let most = allowance(bytes.len());
+            assert!(peak <= most, "{peak} bytes held for header {header}");
+        }
+    }
 }
 
-#[test]
-fn a_written_vertex_the_rule_leaves_out_is_refused() {
-    // `{m3, {g1}}` written (header 9 + 1), and its in-edge plain: the
-    // encoder would have left it out.
-    let why = delta_error(&[1, 1, 3, 10, 1, 1, 0, 1, 2, 1, 1, 3]);
-    assert!(why.contains("not canonical"), "{why}");
-}
-
-#[test]
-fn a_marked_run_that_marks_nothing_is_refused() {
-    let why = delta_error(&marked_run(&[1], &[0]));
-    assert!(why.contains("marks nothing"), "{why}");
-}
-
-#[test]
-fn a_mark_past_its_run_is_refused() {
-    let why = delta_error(&marked_run(&[1], &[3]));
-    assert!(why.contains("past its run's end"), "{why}");
-}
-
-#[test]
-fn a_marked_run_with_no_afters_is_refused() {
-    let why = delta_error(&[0, 1, 1, 0, 1, 2, 0, 0]);
-    assert!(why.contains("empty edge run"), "{why}");
-}
-
+/// An edge into an id the receiver has never seen rebuilds `{after,
+/// {creator}}` only for a creator inside the overlay: creator 512 is past
+/// every rank, and in a three-group world creator 5 is outside it. Either
+/// way the edge decodes and is processed, and admits nothing.
 #[test]
 fn an_in_edge_whose_creator_no_set_holds_is_refused() {
-    // Creator 512, one past the last rank: `{m3, {g512}}` cannot exist.
-    let why = delta_error(&marked_run(&[0x80, 0x04], &[1]));
-    assert!(why.contains("no destination set holds"), "{why}");
+    let bytes = [0, 1, 0x80, 0x04, 0, 1, 2, 1, 1, 3];
+    let d: HistoryDelta = decode_contained(&bytes).unwrap();
+    assert_eq!(d.edges, vec![te(512, 0, 2, 3)]);
+    let mut h = History::new();
+    h.merge(&d);
+    assert!(h.is_empty(), "no vertex for a creator past every rank");
+    assert_eq!(h.merge_stats().verts_in, 0);
+
+    let mut g = FlexCastGroup::new(GroupId(2), 3);
+    let dst = DestSet::from_iter([GroupId(0), GroupId(2)]);
+    let hist = HistoryDelta {
+        verts: vec![],
+        edges: vec![te(5, 0, 2, 3), te(1, 0, 2, 4)],
+    };
+    let pkt = Packet::Notif {
+        mref: MsgRef { id: id(9), dst },
+        hist,
+    };
+    g.on_packet(GroupId(0), pkt, &mut Vec::new());
+    let h = g.history();
+    assert!(
+        !h.contains(id(3)),
+        "no vertex for a creator outside the overlay"
+    );
+    assert_eq!(h.dst_of(id(4)), Some(DestSet::singleton(GroupId(1))));
 }
 
+/// What the rebuild rule can make a receiver admit is bounded by the
+/// edges a delta carries: one vertex an edge at most, whatever their
+/// ids. `k` edges into distinct unseen ids admit `k` vertices; the same
+/// edges again, or `k` edges into ids already seen, admit none; and
+/// merging holds memory in proportion to `k`.
 #[test]
-fn more_left_out_vertices_than_marks_is_refused() {
-    // `m9 → {g0, g2}` says two vertices were left out before it (header
-    // 1 + 2 · 521 = 1043), and one edge is marked.
-    let mut bytes = vec![1, 1, 9, 0x93, 0x08, 5];
-    bytes.extend(&marked_run(&[1], &[1])[1..]);
-    let why = delta_error(&bytes);
-    assert!(why.contains("more left-out vertices than"), "{why}");
-    // And a count a header merely claims — tag `u32::MAX` — holds no
-    // more than its error.
-    let mut bytes = vec![1, 1, 9];
-    let mut header = u64::from(u32::MAX) * 521 + 1;
-    while header >= 0x80 {
-        bytes.push(header as u8 | 0x80);
-        header >>= 7;
-    }
-    bytes.extend([header as u8, 5, 0]);
-    let (res, peak) = peak_during(|| flexcast_wire::from_bytes::<HistoryDelta>(&bytes));
-    assert!(res.is_err());
-    assert!(peak <= 256, "{peak} bytes held for {bytes:02x?}");
-}
-
-#[test]
-fn a_mark_the_rule_would_not_choose_is_refused() {
-    // `g1`'s edge `m2 → m3` plain, then a second `g1` run `m7 → m3`
-    // marked: the rule gives `{m3, {g1}}` the first edge into it.
-    let bytes = [0, 2, 1, 0, 1, 2, 1, 1, 3, 1, 5, 1, 7, 0, 1, 1, 3, 1];
-    let why = delta_error(&bytes);
-    assert!(why.contains("not canonical"), "{why}");
+fn a_delta_of_k_edges_admits_at_most_k_rebuilt_vertices() {
+    let k: u32 = 2_000;
+    let chain = |first: u32, afters: &mut dyn Iterator<Item = u32>| -> Vec<TaggedEdge> {
+        let mut before = first;
+        (0..)
+            .zip(afters)
+            .map(|(i, a)| {
+                let e = te(1, i, before, a);
+                before = a;
+                e
+            })
+            .collect()
+    };
+    let fresh = HistoryDelta {
+        verts: vec![],
+        edges: chain(0, &mut (1..=k)),
+    };
+    let bytes = flexcast_wire::to_bytes(&fresh).unwrap();
+    let d: HistoryDelta = decode_contained(&bytes).unwrap();
+    let mut h = History::new();
+    let ((), peak) = peak_during(|| h.merge(&d));
+    assert_eq!(h.len(), k as usize);
+    assert_eq!(
+        h.edge_count(),
+        k as usize - 1,
+        "the first edge's before is unseen"
+    );
+    // About 210 bytes a rebuilt vertex: its `MsgRef`, slot and links.
+    assert!(peak <= 512 * k as usize, "{peak} bytes held for {k} edges");
+    h.merge(&d);
+    assert_eq!(h.len(), k as usize, "processed edges rebuild nothing");
+    let seen = HistoryDelta {
+        verts: vec![],
+        edges: chain(k + 1, &mut (1..=k).rev()),
+    };
+    h.merge(&seen);
+    assert_eq!(h.len(), k as usize, "seen ids rebuild nothing");
 }

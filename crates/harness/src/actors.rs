@@ -317,6 +317,11 @@ impl ServerActor {
                     self.stats.refused_inputs += 1;
                     return;
                 };
+                // Servers sit at pids `0..n`: any other sender is no group.
+                if from >= self.n_servers {
+                    self.stats.refused_inputs += 1;
+                    return;
+                }
                 let mut outs = Vec::new();
                 engine.on_packet(GroupId(from as u16), pkt, &mut outs);
                 self.handle_skeen_outputs(outs, ctx);
@@ -326,6 +331,11 @@ impl ServerActor {
                     self.stats.refused_inputs += 1;
                     return;
                 };
+                // Servers sit at pids `0..n`: any other sender is no group.
+                if from >= self.n_servers {
+                    self.stats.refused_inputs += 1;
+                    return;
+                }
                 let mut outs = Vec::new();
                 engine.on_packet(GroupId(from as u16), pkt, &mut outs);
                 self.handle_hier_outputs(outs, ctx);
@@ -716,6 +726,47 @@ mod tests {
         };
         let hist = HistoryDelta::empty();
         assert_refused(&[NetMsg::Flex(Packet::Notif { mref, hist })]);
+    }
+
+    /// Only servers send baseline packets either: a Skeen or hierarchical
+    /// packet from any other pid is refused and counted, and no server
+    /// delivers or sends because of it.
+    #[test]
+    fn a_baseline_packet_from_outside_the_overlay_is_refused() {
+        let id = MsgId::new(ClientId(0), 999);
+        let dst = DestSet::from_iter([GroupId(0), GroupId(1)]);
+        let msg = Message::new(id, dst, Payload::empty()).unwrap();
+        let ts = flexcast_baselines::SkeenPacket::Ts { id, ts: 1 };
+        let cases = [
+            (ProtocolKind::Distributed, NetMsg::Skeen(ts)),
+            (
+                ProtocolKind::Hierarchical(flexcast_overlay::presets::t1()),
+                NetMsg::Hier(flexcast_baselines::HierPacket(msg)),
+            ),
+        ];
+        for (protocol, input) in cases {
+            let label = protocol.label();
+            let mut cfg = ExperimentConfig::latency(protocol, 0.9);
+            cfg.n_clients = 4;
+            cfg.duration = SimTime::from_secs(1);
+            let mut world = run_world_on(&cfg, &regions::aws12());
+            let stats = |w: &World<NetMsg, Node>| -> Vec<(u64, u64, u64)> {
+                (0..SERVERS)
+                    .map(|pid| match w.actor(pid) {
+                        Node::Server(s) => {
+                            let st = &s.stats;
+                            (st.delivered, st.sent_msgs, st.refused_inputs)
+                        }
+                        _ => panic!("pid {pid} is not a server"),
+                    })
+                    .collect()
+            };
+            let mut want = stats(&world);
+            want[0].2 += 1;
+            world.inject(client_pid(SERVERS, ClientId(0)), 0, input);
+            world.run_to_quiescence(1_000);
+            assert_eq!(stats(&world), want, "{label}");
+        }
     }
 
     /// Replies are for clients, replication traffic for replicated worlds,

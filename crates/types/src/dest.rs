@@ -51,25 +51,14 @@ const SINGLETON: u16 = WORDS as u16 + 1;
 /// The largest header a destination set can start with: `{MAX_GROUPS − 1}`.
 const MAX_HEADER: u16 = SINGLETON + MAX_GROUPS as u16 - 1;
 
-/// The rank of the one member of `words`, whose last word must be
-/// non-zero — `None` unless exactly one bit is set. One `w & (w − 1)`
-/// test on the top word and a zero check below it, not a popcount pass.
-#[inline]
-fn sole_member(words: &[u64]) -> Option<u16> {
-    let (&top, below) = words.split_last()?;
-    (top & (top - 1) == 0 && below.iter().all(|&w| w == 0))
-        .then(|| (below.len() * 64) as u16 + top.trailing_zeros() as u16)
-}
-
 // Wire format: one header varint, then the words if any. Header `n` in
 // `0..=8` is the *word form*: the significant words follow, `n = 8 −
 // (trailing zero words)` of them, least significant first, each encoded
 // as the format encodes a `u64` — so in `flexcast-wire` the empty set is
 // 1 byte and a larger set over 12 groups 2 or 3. Header `9 + r`
 // (`9..=520`) is the *singleton form* `{r}`, with no words after it: 1
-// byte for ranks up to 118, 2 up to 511. Most vertices a history delta
-// relays are local deliveries with one destination, so this form carries
-// most sets.
+// byte for ranks up to 118, 2 up to 511. A local delivery has one
+// destination, so this form carries every local a history delta writes.
 //
 // The encoding is canonical: a set with exactly one member is always
 // sent in the singleton form, and otherwise the last word sent is never
@@ -77,7 +66,6 @@ fn sole_member(words: &[u64]) -> Option<u16> {
 // zero last word and a header above 520, so decoding then encoding
 // reproduces the input bytes and an all-zero set has exactly one
 // spelling (the one `Message`'s empty-destination check looks for).
-// Headers above 520 are the code space [`TaggedDestSet`] spends.
 // Header and words travel as a tuple, not a length-prefixed sequence:
 // the wire decoder checks a sequence's length against the input left,
 // which a singleton header is not. Either way it is one `Serialize` walk,
@@ -85,131 +73,7 @@ fn sole_member(words: &[u64]) -> Option<u16> {
 impl Serialize for DestSet {
     #[inline]
     fn serialize<S: serde::Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
-        self.serialize_tagged(0, s)
-    }
-}
-
-impl<'de> Deserialize<'de> for DestSet {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
-        // The longest spelling: the header and all eight words.
-        d.deserialize_tuple(1 + WORDS, SetVisitor { tagged: false })
-            .map(|t| t.set)
-    }
-}
-
-/// The number of distinct bare-set headers: header `h + HEADERS · tag`
-/// is the set of header `h` carrying `tag` (see [`TaggedDestSet`]).
-const HEADERS: u64 = MAX_HEADER as u64 + 1;
-
-/// A destination set and a count written as one: on the wire the count
-/// is folded into the set's header, as `h + 521 · tag` where `h ≤ 520` is
-/// the bare set's header — code space a bare [`DestSet`] leaves unused,
-/// and whose decoder refuses it. Tag 0 spells the bare set byte for
-/// byte, and a small tag costs at most one byte more: a header of one
-/// byte becomes two up to tag 31.
-///
-/// A history delta writes each vertex's set in this form, the tag being
-/// how many vertices the delta left out just before it
-/// (`flexcast_core::HistoryDelta`). `D` is the set or a reference to it,
-/// so a writer need not copy the set's 64 bytes; a decoded one owns it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TaggedDestSet<D = DestSet> {
-    /// The destination set.
-    pub set: D,
-    /// The count that shares its header.
-    pub tag: u32,
-}
-
-impl<D: std::borrow::Borrow<DestSet>> Serialize for TaggedDestSet<D> {
-    #[inline]
-    fn serialize<S: serde::Serializer>(&self, s: S) -> std::result::Result<S::Ok, S::Error> {
-        self.set.borrow().serialize_tagged(self.tag, s)
-    }
-}
-
-impl<'de> Deserialize<'de> for TaggedDestSet {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
-        d.deserialize_tuple(1 + WORDS, SetVisitor { tagged: true })
-    }
-}
-
-/// Decodes a header and its words; a header above 520 is refused unless
-/// `tagged`, before any word is read.
-struct SetVisitor {
-    tagged: bool,
-}
-
-impl<'de> serde::de::Visitor<'de> for SetVisitor {
-    type Value = TaggedDestSet;
-    fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "a destination-set header of at most {MAX_HEADER}, then its words"
-        )
-    }
-    fn visit_seq<A: serde::de::SeqAccess<'de>>(
-        self,
-        mut seq: A,
-    ) -> std::result::Result<TaggedDestSet, A::Error> {
-        use serde::de::Error as _;
-        let missing = || A::Error::custom("destination set cut short");
-        let header: u64 = seq.next_element()?.ok_or_else(missing)?;
-        let tag = header / HEADERS;
-        if tag > 0 && !self.tagged {
-            return Err(A::Error::custom(format_args!(
-                "destination-set header {header} out of range (at most {MAX_HEADER})"
-            )));
-        }
-        let Ok(tag) = u32::try_from(tag) else {
-            return Err(A::Error::custom(format_args!(
-                "destination-set tag {tag} out of range (at most {})",
-                u32::MAX
-            )));
-        };
-        let header = (header % HEADERS) as u16;
-        // The words land in the fixed array, so a hostile header
-        // allocates nothing whatever it claims.
-        let mut words = [0u64; WORDS];
-        if header >= SINGLETON {
-            let r = (header - SINGLETON) as usize;
-            words[r / 64] = 1 << (r % 64);
-            return Ok(TaggedDestSet {
-                set: DestSet(words),
-                tag,
-            });
-        }
-        let n = header as usize;
-        for w in &mut words[..n] {
-            *w = seq.next_element()?.ok_or_else(missing)?;
-        }
-        if n > 0 && words[n - 1] == 0 {
-            return Err(A::Error::custom(
-                "destination set ends in a zero word (not canonical)",
-            ));
-        }
-        if sole_member(&words[..n]).is_some() {
-            return Err(A::Error::custom(
-                "one-member destination set in word form (not canonical)",
-            ));
-        }
-        Ok(TaggedDestSet {
-            set: DestSet(words),
-            tag,
-        })
-    }
-}
-
-impl DestSet {
-    /// Writes the set with `tag` folded into its header: the one
-    /// `Serialize` walk behind both [`DestSet`] and [`TaggedDestSet`].
-    #[inline]
-    fn serialize_tagged<S: serde::Serializer>(
-        &self,
-        tag: u32,
-        s: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
         use serde::ser::SerializeTuple;
-        let base = u64::from(tag) * HEADERS;
         // A set within ranks 0..128 — every set of a world of up to 128
         // groups — takes straight-line code: one test finds the upper
         // words empty, and the one or two words left need no loop.
@@ -221,40 +85,93 @@ impl DestSet {
             let x = u128::from(w1) << 64 | u128::from(w0);
             if x != 0 && x & (x - 1) == 0 {
                 let mut t = s.serialize_tuple(1)?;
-                t.serialize_element(
-                    &(base + u64::from(SINGLETON) + u64::from(x.trailing_zeros())),
-                )?;
+                t.serialize_element(&(SINGLETON + x.trailing_zeros() as u16))?;
                 return t.end();
             }
             if w1 == 0 {
                 let mut t = s.serialize_tuple(2)?;
-                t.serialize_element(&(base + u64::from(w0 != 0)))?;
+                t.serialize_element(&u16::from(w0 != 0))?;
                 if w0 != 0 {
                     t.serialize_element(&w0)?;
                 }
                 return t.end();
             }
             let mut t = s.serialize_tuple(3)?;
-            t.serialize_element(&(base + 2))?;
+            t.serialize_element(&2u16)?;
             t.serialize_element(&w0)?;
             t.serialize_element(&w1)?;
             return t.end();
         }
         if let Some(r) = self.sole() {
             let mut t = s.serialize_tuple(1)?;
-            t.serialize_element(&(base + u64::from(SINGLETON + r.0)))?;
+            t.serialize_element(&(SINGLETON + r.0))?;
             return t.end();
         }
         let n = (u32::BITS - self.nonzero_words().leading_zeros()) as usize;
         let words = &self.0[..n];
         let mut t = s.serialize_tuple(1 + n)?;
-        t.serialize_element(&(base + n as u64))?;
+        t.serialize_element(&(n as u16))?;
         for w in words {
             t.serialize_element(w)?;
         }
         t.end()
     }
+}
 
+impl<'de> Deserialize<'de> for DestSet {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
+        struct SetVisitor;
+        impl<'de> serde::de::Visitor<'de> for SetVisitor {
+            type Value = DestSet;
+            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                write!(
+                    f,
+                    "a destination-set header of at most {MAX_HEADER}, then its words"
+                )
+            }
+            fn visit_seq<A: serde::de::SeqAccess<'de>>(
+                self,
+                mut seq: A,
+            ) -> std::result::Result<DestSet, A::Error> {
+                use serde::de::Error as _;
+                let missing = || A::Error::custom("destination set cut short");
+                let header: u64 = seq.next_element()?.ok_or_else(missing)?;
+                let Some(header) = u16::try_from(header).ok().filter(|&h| h <= MAX_HEADER) else {
+                    return Err(A::Error::custom(format_args!(
+                        "destination-set header {header} out of range (at most {MAX_HEADER})"
+                    )));
+                };
+                // The words land in the fixed array, so a hostile header
+                // allocates nothing whatever it claims.
+                let mut words = [0u64; WORDS];
+                if header >= SINGLETON {
+                    let r = (header - SINGLETON) as usize;
+                    words[r / 64] = 1 << (r % 64);
+                    return Ok(DestSet(words));
+                }
+                let n = header as usize;
+                for w in &mut words[..n] {
+                    *w = seq.next_element()?.ok_or_else(missing)?;
+                }
+                if n > 0 && words[n - 1] == 0 {
+                    return Err(A::Error::custom(
+                        "destination set ends in a zero word (not canonical)",
+                    ));
+                }
+                if DestSet(words).sole().is_some() {
+                    return Err(A::Error::custom(
+                        "one-member destination set in word form (not canonical)",
+                    ));
+                }
+                Ok(DestSet(words))
+            }
+        }
+        // The longest spelling: the header and all eight words.
+        d.deserialize_tuple(1 + WORDS, SetVisitor)
+    }
+}
+
+impl DestSet {
     /// The one member of a one-member set, `None` for any other set.
     #[inline]
     pub fn sole(&self) -> Option<GroupId> {

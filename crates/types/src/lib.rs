@@ -24,7 +24,7 @@ pub mod error;
 pub mod message;
 
 pub use bytes::Bytes;
-pub use dest::{DestSet, TaggedDestSet, MAX_GROUPS};
+pub use dest::{DestSet, MAX_GROUPS};
 pub use error::{Error, Result};
 pub use message::{ClientId, Message, MsgId, Payload, Watermarks};
 
