@@ -25,10 +25,12 @@
 
 use crate::history::{flag, History, HistoryDelta, MergeStats, MsgRef, TaggedEdge, NO_WATERMARK};
 use crate::packet::{NotifPair, Packet};
+use crate::slots::{WINDOW_PER_LIVE, WINDOW_SLACK};
 use flexcast_telemetry::Telemetry;
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Watermarks, MAX_GROUPS};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::mem::size_of;
 
 /// Payload marking a garbage-collection flush message (§4.3). A flush must
 /// be multicast to *all* groups; delivering it prunes all history that
@@ -338,9 +340,53 @@ impl FlexCastGroup {
         );
         tel.gauge_set(&format!("{prefix}.history_verts"), self.hst.len() as f64);
         tel.gauge_set(
+            &format!("{prefix}.history_bytes"),
+            self.hst.heap_bytes() as f64,
+        );
+        tel.gauge_set(
             &format!("{prefix}.history_edges"),
             self.hst.edge_count() as f64,
         );
+    }
+
+    /// Heap bytes this engine holds: its history
+    /// ([`History::heap_bytes`]) plus its own per-message and per-group
+    /// tables, by the same rule — vectors at their capacity, tree entries
+    /// at their own size without node overhead, payloads at their length.
+    pub fn heap_bytes(&self) -> usize {
+        let msg = |m: &Message| m.payload.as_slice().len();
+        let queues: usize = self.queues.iter().map(VecDeque::capacity).sum();
+        let pending: usize = self
+            .pending
+            .values()
+            .map(|e| {
+                size_of::<(MsgId, PendingEntry)>()
+                    + e.msg.as_ref().map_or(0, msg)
+                    + (e.acks.len() + e.required.len()) * size_of::<NotifPair>()
+            })
+            .sum();
+        let notif_deps: usize = self.pend_notif.iter().map(|(_, _, d)| d.len()).sum();
+        let backlog: usize = self.client_backlog.iter().map(msg).sum();
+        let advertised: usize = (self.advertised_clients.iter())
+            .chain(&self.advertised_edges)
+            .map(Vec::capacity)
+            .sum();
+        self.hst.heap_bytes()
+            + self.queues.capacity() * size_of::<VecDeque<MsgId>>()
+            + queues * size_of::<MsgId>()
+            + pending
+            + self.pend_notif.capacity() * size_of::<(MsgRef, GroupId, BTreeSet<MsgId>)>()
+            + notif_deps * size_of::<MsgId>()
+            + self.my_notifs.len() * size_of::<(MsgId, DestSet)>()
+            + self.blocked_by.len() * size_of::<(MsgId, MsgId)>()
+            + self.client_backlog.capacity() * size_of::<Message>()
+            + backlog
+            + (self.vert_cursor.capacity() + self.edge_cursor.capacity()) * size_of::<usize>()
+            + self.advert_sent_clients.len() * size_of::<(ClientId, u32)>()
+            + self.advert_sent_edges.len() * size_of::<(GroupId, u32)>()
+            + (self.advertised_clients.capacity() + self.advertised_edges.capacity())
+                * size_of::<Vec<u32>>()
+            + advertised * size_of::<u32>()
     }
 
     /// Messages queued but not yet deliverable (diagnostics).
@@ -456,18 +502,18 @@ impl FlexCastGroup {
     /// upstream advertisement flow of the delta-suppression protocol).
     ///
     /// The packet is decoded peer input. One that travels against its
-    /// C-DAG edge, whose own destination set names a group outside the
-    /// overlay, or a `msg` whose lca is not an ancestor of this group
-    /// (there is no queue for it), is dropped before it touches any state
-    /// and counted in [`FlexCastGroup::reject_stats`]; the vertices of its
-    /// history delta are checked where the history admits them
-    /// (`update_hst`).
+    /// C-DAG edge or comes from a rank outside the overlay, whose own
+    /// destination set names a group outside the overlay, or a `msg`
+    /// whose lca is not an ancestor of this group (there is no queue for
+    /// it), is dropped before it touches any state and counted in
+    /// [`FlexCastGroup::reject_stats`]; the vertices of its history delta
+    /// are checked where the history admits them (`update_hst`).
     pub fn on_packet(&mut self, from: GroupId, pkt: Packet, out: &mut Vec<Output>) {
         // C-DAG edges point to higher ranks. Advertisements are the one
         // packet kind that flows against them: a descendant telling this
         // group what it has seen.
         let acceptable = match &pkt {
-            Packet::Advert { .. } => from > self.g,
+            Packet::Advert { .. } => from > self.g && from.rank() < self.n,
             _ if from >= self.g => false,
             Packet::Msg { msg, .. } => self.in_overlay(msg.dst) && msg.lca() < self.g,
             Packet::Ack { mref, .. } | Packet::Notif { mref, .. } => self.in_overlay(mref.dst),
@@ -538,13 +584,23 @@ impl FlexCastGroup {
     /// per-descendant advertised view (watermarks are monotone, so a
     /// stale or reordered advertisement can only be a no-op, never a
     /// regression).
+    ///
+    /// Client ids are dense from 0. An entry for a client far beyond what
+    /// this group's history has admitted — by the slot index's spill rule
+    /// — is dropped instead of stretching the view to it: an
+    /// advertisement only lets this group leave entries out of a delta,
+    /// so ignoring one is always safe (DESIGN.md §3).
     fn on_advert(&mut self, from: GroupId, wm: Watermarks) {
         self.sup.adverts_received += 1;
         let di = from.index();
+        let reach = WINDOW_SLACK + WINDOW_PER_LIVE * self.hst.admitted_entries();
         for (c, w) in wm.clients {
             let ci = c.0 as usize;
             let v = &mut self.advertised_clients[di];
             if ci >= v.len() {
+                if ci as u64 > reach {
+                    continue;
+                }
                 v.resize(ci + 1, NO_WATERMARK);
             }
             if v[ci] == NO_WATERMARK || v[ci] < w {
@@ -836,12 +892,16 @@ impl FlexCastGroup {
             let w = wm.get(k).copied().unwrap_or(NO_WATERMARK);
             w != NO_WATERMARK && x <= w
         };
+        // Each half of the delta is counted before it is collected, so it
+        // holds exactly its length while it is in flight.
         let ewm = &self.advertised_edges[di];
         let kept_edges: Vec<TaggedEdge> = if ewm.is_empty() {
             edges.to_vec()
         } else {
             let fresh = |e: &&TaggedEdge| !covered(ewm, e.creator.index(), e.idx);
-            edges.iter().filter(fresh).copied().collect()
+            let mut kept = Vec::with_capacity(edges.iter().filter(fresh).count());
+            kept.extend(edges.iter().filter(fresh));
+            kept
         };
         // A local delivery `{id, {c}}` whose in-edge from `c` the delta
         // keeps travels as that edge alone; the receiver's merge rebuilds
@@ -856,15 +916,19 @@ impl FlexCastGroup {
             }
         }
         let cwm = &self.advertised_clients[di];
-        let mut kept_verts = Vec::with_capacity(verts.len());
-        let mut sup_v = 0u64;
+        let sup = |v: &MsgRef| covered(cwm, v.id.sender.0 as usize, v.id.seq);
+        let rides = |i: usize| rides.get(i).is_some_and(|&r| r);
+        let (mut sup_v, mut n_kept) = (0u64, 0usize);
         for (i, v) in verts.iter().enumerate() {
-            if covered(cwm, v.id.sender.0 as usize, v.id.seq) {
+            if sup(v) {
                 sup_v += 1;
-            } else if !rides.get(i).is_some_and(|&r| r) {
-                kept_verts.push(*v);
+            } else if !rides(i) {
+                n_kept += 1;
             }
         }
+        let mut kept_verts = Vec::with_capacity(n_kept);
+        let keep = |&(i, v): &(usize, &MsgRef)| !sup(v) && !rides(i);
+        kept_verts.extend(verts.iter().enumerate().filter(keep).map(|(_, v)| *v));
         self.sup.suppressed_verts += sup_v;
         self.sup.suppressed_edges += (edges.len() - kept_edges.len()) as u64;
         self.vert_cursor[di] = self.hst.vert_log_len();
@@ -1065,8 +1129,9 @@ mod tests {
 
     /// Routes `out` from group `from` into the right engine, collecting
     /// transitively produced outputs. Delivery order per group recorded.
-    /// Every packet is checked to survive the wire first, and to carry no
-    /// local delivery whose in-edge it carries.
+    /// Every packet is checked to survive the wire first, to carry no
+    /// local delivery whose in-edge it carries, and to hold its delta in
+    /// exactly the memory the delta's length needs.
     fn route(
         engines: &mut [FlexCastGroup],
         from: GroupId,
@@ -1080,6 +1145,8 @@ mod tests {
                     assert_round_trips(&pkt);
                     if let Some(hist) = pkt.hist() {
                         assert_eq!(carried_riders(hist), vec![], "{from} → {to}");
+                        assert_eq!(hist.verts.capacity(), hist.verts.len(), "{from} → {to}");
+                        assert_eq!(hist.edges.capacity(), hist.edges.len(), "{from} → {to}");
                     }
                     let mut next = Vec::new();
                     engines[to.index()].on_packet(from, pkt, &mut next);
@@ -1726,6 +1793,42 @@ mod tests {
         assert_eq!(lean.edges.len(), 2);
     }
 
+    /// With stride-1 advertisements most of a delta is suppressed, so
+    /// both its halves are shorter than the log suffix they are cut from;
+    /// `route` checks that each is held at exactly its length.
+    #[test]
+    fn suppressed_deltas_hold_exactly_their_length() {
+        let n = 4u16;
+        let mut engines: Vec<FlexCastGroup> = (0..n)
+            .map(|g| {
+                let mut e = FlexCastGroup::new(GroupId(g), n);
+                e.set_advert_stride(1);
+                e
+            })
+            .collect();
+        let mut log = Vec::new();
+        // D learns m0, m1 and A's chain edge m0 → m1 from A, and says so,
+        // before C — which learns them from A too — forwards m4 to D.
+        let workload = [
+            msg(0, &[0, 3]),
+            msg(1, &[0, 3]),
+            msg(2, &[0, 2]),
+            msg(3, &[2]),
+            msg(4, &[2, 3]),
+        ];
+        for m in workload {
+            let lca = m.lca();
+            let mut out = Vec::new();
+            engines[lca.index()].on_client(m, &mut out);
+            route(&mut engines, lca, out, &mut log);
+        }
+        let sup = |f: fn(&SuppressionStats) -> u64| -> u64 {
+            engines.iter().map(|e| f(&e.suppression_stats())).sum()
+        };
+        assert!(sup(|s| s.suppressed_verts) > 0);
+        assert!(sup(|s| s.suppressed_edges) > 0);
+    }
+
     /// End-to-end sanity on four groups with randomized-ish interleaving
     /// through the router helper: prefix and acyclic order hold.
     #[test]
@@ -1902,6 +2005,19 @@ mod tests {
         assert_eq!(deliveries(&out_c2), vec![m2.id]);
     }
 
+    /// A history's heap bytes are the sum of its parts, each non-zero
+    /// once it holds linked vertices; the engine's add its own tables —
+    /// here, the queue and pending entry of the parked `m2`.
+    #[test]
+    fn heap_bytes_cover_the_history_and_the_engine_tables() {
+        let (c, ..) = mid_protocol();
+        let h = c.history();
+        let parts = h.heap_parts();
+        assert!(parts.iter().all(|&(_, b)| b > 0), "{parts:?}");
+        assert_eq!(h.heap_bytes(), parts.iter().map(|&(_, b)| b).sum::<usize>());
+        assert!(c.heap_bytes() > h.heap_bytes());
+    }
+
     /// The error `restore` gives for `c`'s snapshot.
     fn restore_error(c: &FlexCastGroup) -> String {
         let bytes = c.snapshot().expect("snapshot encodes");
@@ -1959,9 +2075,10 @@ mod tests {
     /// Bytes off a socket decode to any rank a `DestSet` can hold. Input
     /// whose own destinations name group 300 of a 3-group overlay — which
     /// would index `vert_cursor[300]` on the next forward — a `msg` with
-    /// no queue to wait in, and a packet that travels against its C-DAG
-    /// edge are dropped at the boundary: no output, the snapshot byte for
-    /// byte what it was, one count each.
+    /// no queue to wait in, a packet that travels against its C-DAG edge,
+    /// and an advertisement from a rank past the overlay (which would
+    /// index `advertised_clients[7]`) are dropped at the boundary: no
+    /// output, the snapshot byte for byte what it was, one count each.
     #[test]
     fn input_outside_the_overlay_or_against_a_c_dag_edge_is_dropped_without_a_trace() {
         let (mut c, ..) = mid_protocol();
@@ -2019,10 +2136,11 @@ mod tests {
             clients: vec![(ClientId(9), 5)],
             edges: vec![],
         };
-        c.on_packet(B, Packet::Advert { wm }, &mut out);
+        c.on_packet(B, Packet::Advert { wm: wm.clone() }, &mut out);
+        c.on_packet(GroupId(7), Packet::Advert { wm }, &mut out);
         assert_eq!(out, vec![], "nothing delivered, nothing sent");
         assert_eq!(c.snapshot().expect("snapshot encodes"), before);
-        assert_eq!(c.reject_stats().packets, 6);
+        assert_eq!(c.reject_stats().packets, 7);
         assert_eq!(c.reject_stats().verts, 1);
         assert_eq!(c.suppression_stats().adverts_received, 0);
 

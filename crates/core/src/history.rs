@@ -9,11 +9,12 @@
 //! histories of ancestor groups turns the structure into a DAG whose paths
 //! encode (transitive) delivery dependencies.
 
-use crate::slots::SlotTable;
-use flexcast_types::{DestSet, GroupId, Message, MsgId, MAX_GROUPS};
+use crate::slots::{shrink, SlotTable, WINDOW_PER_LIVE, WINDOW_SLACK};
+use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, MAX_GROUPS};
 use serde::de::{DeserializeSeed, Error as _, SeqAccess, Visitor};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::mem::size_of;
 
 /// A history vertex: a message's identity and destinations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -536,12 +537,14 @@ impl History {
     /// Clears `bit` on `v` and, transitively, on every successor that
     /// carries it (stopping where it is already clear).
     pub(crate) fn clear_flag_downstream(&mut self, v: MsgId, bit: u8) {
-        let mut stack: Vec<u32> = self.verts.slot_of(v).into_iter().collect();
+        let mut stack = self.verts.take_stack();
+        stack.extend(self.verts.slot_of(v));
         while let Some(s) = stack.pop() {
             if self.verts.clear_flags(s, bit) {
-                stack.extend_from_slice(self.verts.succs(s));
+                stack.extend(self.verts.succs(s));
             }
         }
+        self.verts.put_stack(stack);
     }
 
     /// Memoizing backward search from `m` (the engine's `can-deliver`
@@ -559,8 +562,9 @@ impl History {
     ) -> Option<MsgId> {
         let start = self.verts.slot_of(m)?;
         self.verts.begin_walk();
-        let mut stack = Vec::new();
+        let mut stack = self.verts.take_stack();
         let mut expanded = Vec::new();
+        let mut found = None;
         self.verts.push_unvisited_preds(start, &mut stack);
         while let Some(s) = stack.pop() {
             let f = self.verts.flags(s);
@@ -568,15 +572,19 @@ impl History {
                 continue;
             }
             if f & hit != 0 {
-                return Some(self.verts.get(s).id);
+                found = Some(self.verts.get(s).id);
+                break;
             }
             expanded.push(s);
             self.verts.push_unvisited_preds(s, &mut stack);
         }
-        for s in expanded {
-            self.verts.set_flags(s, memo);
+        self.verts.put_stack(stack);
+        if found.is_none() {
+            for s in expanded {
+                self.verts.set_flags(s, memo);
+            }
         }
-        None
+        found
     }
 
     /// Iterates all edges as `(before, after)` pairs, grouped by `after`
@@ -585,15 +593,15 @@ impl History {
         let t = &self.verts;
         (0..t.len() as u32).flat_map(move |after| {
             let to = t.get(after).id;
-            t.preds(after).iter().map(move |&b| (t.get(b).id, to))
+            t.preds(after).map(move |b| (t.get(b).id, to))
         })
     }
 
     /// Direct predecessors of `id`, in the order their edges were linked.
     pub fn preds_of(&self, id: MsgId) -> impl Iterator<Item = MsgId> + '_ {
         let t = &self.verts;
-        let ps = t.slot_of(id).map_or(&[][..], |s| t.preds(s));
-        ps.iter().map(move |&p| t.get(p).id)
+        let ps = t.slot_of(id).into_iter().flat_map(|s| t.preds(s));
+        ps.map(move |p| t.get(p).id)
     }
 
     /// Direct successors of `id`, in the order their edges were linked —
@@ -602,8 +610,8 @@ impl History {
     /// may depend on the order).
     pub fn succs_of(&self, id: MsgId) -> impl Iterator<Item = MsgId> + '_ {
         let t = &self.verts;
-        let ss = t.slot_of(id).map_or(&[][..], |s| t.succs(s));
-        ss.iter().map(move |&s| t.get(s).id)
+        let ss = t.slot_of(id).into_iter().flat_map(|s| t.succs(s));
+        ss.map(move |s| t.get(s).id)
     }
 
     /// True if `id` was ever admitted into this history — whether still
@@ -624,7 +632,15 @@ impl History {
     fn note_seen(&mut self, id: MsgId) {
         let ci = id.sender.0 as usize;
         if ci >= self.seen_watermark.len() {
-            self.seen_watermark.resize(ci + 1, NO_WATERMARK);
+            // Client ids are dense from 0. One far beyond what this
+            // history has admitted (a peer's bytes can name any) waits in
+            // the residual, as the slot index spills it, rather than
+            // stretch the vector to itself.
+            if ci as u64 > WINDOW_SLACK + WINDOW_PER_LIVE * self.admitted {
+                self.seen_residual.insert(id);
+                return;
+            }
+            self.grow_watermarks(ci + 1);
         }
         // `NO_WATERMARK + 1` wraps to 0: a fresh client's prefix starts
         // at sequence 0, exactly like the old `None` case.
@@ -642,6 +658,25 @@ impl History {
             self.seen_watermark[ci] = w;
         } else {
             self.seen_residual.insert(id);
+        }
+    }
+
+    /// Grows the watermark vector to `len` clients. A client it now
+    /// covers may have ids waiting in the residual since they were far:
+    /// their contiguous prefix from seq 0 becomes its watermark.
+    fn grow_watermarks(&mut self, len: usize) {
+        let from = self.seen_watermark.len();
+        self.seen_watermark.resize(len, NO_WATERMARK);
+        if self.seen_residual.is_empty() {
+            return;
+        }
+        for ci in from..len {
+            let c = ClientId(ci as u32);
+            let mut w = NO_WATERMARK;
+            while self.seen_residual.remove(&MsgId::new(c, w.wrapping_add(1))) {
+                w = w.wrapping_add(1);
+            }
+            self.seen_watermark[ci] = w;
         }
     }
 
@@ -719,7 +754,7 @@ impl History {
         }
         let b = self.verts.slot_of(before)?;
         let a = self.verts.slot_of(after)?;
-        (!self.verts.preds(a).contains(&b)).then_some((b, a))
+        (!self.verts.preds(a).any(|p| p == b)).then_some((b, a))
     }
 
     /// Links `e.before → e.after` in the DAG; `before`/`after` are their
@@ -805,19 +840,41 @@ impl History {
 
     /// The per-client vertex watermark (contiguous seen prefix per
     /// client), in ascending client order — the vertex half of a
-    /// [`flexcast_types::Watermarks`] advertisement.
-    pub fn client_watermarks(&self) -> impl Iterator<Item = (flexcast_types::ClientId, u32)> + '_ {
-        self.seen_watermark
+    /// [`flexcast_types::Watermarks`] advertisement. A client past the
+    /// watermark vector has its ids in the residual (`note_seen`); its
+    /// prefix is read from there, so spilling changes no advertisement.
+    pub fn client_watermarks(&self) -> impl Iterator<Item = (ClientId, u32)> + '_ {
+        let dense = self
+            .seen_watermark
             .iter()
             .enumerate()
             .filter(|&(_, &w)| w != NO_WATERMARK)
-            .map(|(c, &w)| (flexcast_types::ClientId(c as u32), w))
+            .map(|(c, &w)| (ClientId(c as u32), w));
+        let first_far = u32::try_from(self.seen_watermark.len()).ok();
+        let mut far = first_far
+            .into_iter()
+            .flat_map(|c| self.seen_residual.range(MsgId::new(ClientId(c), 0)..))
+            .peekable();
+        let spilled = std::iter::from_fn(move || loop {
+            let first = *far.next()?;
+            let mut prefix = (first.seq == 0).then_some(0u32);
+            while let Some(id) = far.next_if(|id| id.sender == first.sender) {
+                if prefix.is_some_and(|w| w.checked_add(1) == Some(id.seq)) {
+                    prefix = Some(id.seq);
+                }
+            }
+            if let Some(w) = prefix {
+                return Some((first.sender, w));
+            }
+        });
+        dense.chain(spilled)
     }
 
     /// Number of seen ids held individually because they lie beyond their
-    /// client's contiguous prefix. An entry leaves only when the prefix
-    /// reaches it, so a client whose seqs arrive with permanent gaps
-    /// grows this set without bound (diagnostics).
+    /// client's contiguous prefix, or belong to a client past the
+    /// watermark vector. An entry leaves only when the prefix reaches it,
+    /// so a client whose seqs arrive with permanent gaps grows this set
+    /// without bound (diagnostics).
     pub fn seen_residual_len(&self) -> usize {
         self.seen_residual.len()
     }
@@ -852,6 +909,40 @@ impl History {
     /// Merge-path duplicate counters.
     pub fn merge_stats(&self) -> MergeStats {
         self.merge_stats
+    }
+
+    /// Heap bytes this history holds, part by part: the retained vertices
+    /// (log, flags, visit marks, id index, per-group counts), their
+    /// adjacency (list ends and link arena), the edge log, and what it has
+    /// seen (watermarks, residual, processed edge ranges). Vectors count
+    /// at their capacity, tree entries at their own size without node
+    /// overhead, so this is a floor on what the allocator holds.
+    pub fn heap_parts(&self) -> [(&'static str, usize); 4] {
+        let t = &self.verts;
+        let edge_ranges: usize = self.edge_seen.iter().map(Vec::capacity).sum();
+        [
+            (
+                "vertices",
+                t.heap_bytes() - t.adjacency_bytes() + self.addressed.capacity() * size_of::<u32>(),
+            ),
+            ("adjacency", t.adjacency_bytes()),
+            (
+                "edge_log",
+                self.edge_log.capacity() * size_of::<TaggedEdge>(),
+            ),
+            (
+                "seen",
+                self.seen_watermark.capacity() * size_of::<u32>()
+                    + self.seen_residual.len() * size_of::<MsgId>()
+                    + self.edge_seen.capacity() * size_of::<Vec<(u32, u32)>>()
+                    + edge_ranges * size_of::<(u32, u32)>(),
+            ),
+        ]
+    }
+
+    /// The sum of [`History::heap_parts`].
+    pub fn heap_bytes(&self) -> usize {
+        self.heap_parts().iter().map(|&(_, b)| b).sum()
     }
 
     /// Records a local delivery (`hst-add`, Alg. 3 line 4): inserts the
@@ -965,7 +1056,7 @@ impl History {
         let mut seen = vec![false; t.len()];
         let mut stack = vec![from];
         while let Some(s) = stack.pop() {
-            for &n in t.succs(s) {
+            for n in t.succs(s) {
                 if n == to {
                     return true;
                 }
@@ -994,26 +1085,30 @@ impl History {
         // `&self`: the table's visit marks are not available, so the walk
         // keeps its own.
         let mut seen = vec![false; t.len()];
-        let mut stack = Vec::new();
         let mut expand = |s: u32, stack: &mut Vec<u32>| {
-            for &p in t.preds(s) {
+            for p in t.preds(s) {
                 if !std::mem::replace(&mut seen[p as usize], true) {
                     stack.push(p);
                 }
             }
         };
-        expand(t.slot_of(m)?, &mut stack);
+        let start = t.slot_of(m)?;
+        let mut stack = t.take_stack();
+        let mut found = None;
+        expand(start, &mut stack);
         while let Some(s) = stack.pop() {
             if t.flags(s) & flag::DELIVERED != 0 {
                 continue; // resolved past: cannot block, do not expand
             }
             let v = t.get(s);
             if v.dst.contains(g) {
-                return Some(v.id);
+                found = Some(v.id);
+                break;
             }
             expand(s, &mut stack);
         }
-        None
+        t.put_stack(stack);
+        found
     }
 
     /// All vertices addressed to `g` that are not delivered here
@@ -1044,13 +1139,14 @@ impl History {
         };
         // Mark the fence's backward closure: a visited slot is doomed.
         self.verts.begin_walk();
-        let mut stack = Vec::new();
+        let mut stack = self.verts.take_stack();
         let mut doomed = 0usize;
         self.verts.push_unvisited_preds(fence, &mut stack);
         while let Some(s) = stack.pop() {
             doomed += 1;
             self.verts.push_unvisited_preds(s, &mut stack);
         }
+        self.verts.put_stack(stack);
         if doomed == 0 {
             return Vec::new();
         }
@@ -1070,18 +1166,29 @@ impl History {
 
         // Compact the logs and remap cursors: a new cursor counts the
         // retained entries among the old prefix it covered. Edges first —
-        // their endpoints are looked up through the old slots and marks.
+        // edge-log entry `i` is link `i`, whose endpoints' old slots the
+        // arena caches, and the marks are still those of the old slots.
+        if self.verts.links_as_loaded() {
+            // Checked where the history was restored.
+            let Ok(order) = self.link_of_each_edge() else {
+                debug_assert!(false, "pruning an unchecked history");
+                return Vec::new();
+            };
+            self.verts.reorder_links(&order);
+        }
         let verts = &self.verts;
-        let is_doomed = |id: MsgId| verts.slot_of(id).is_some_and(|s| verts.visited(s));
         let mut edge_prefix = Vec::with_capacity(self.edge_log.len() + 1);
         let mut kept = 0usize;
-        self.edge_log.retain(|e| {
+        let mut link = 0usize;
+        self.edge_log.retain(|_| {
             edge_prefix.push(kept);
-            let keep = !is_doomed(e.before) && !is_doomed(e.after);
+            let keep = !verts.link_visited(link);
+            link += 1;
             kept += keep as usize;
             keep
         });
         edge_prefix.push(kept);
+        shrink(&mut self.edge_log, kept);
         for c in edge_cursors.iter_mut() {
             *c = edge_prefix[(*c).min(edge_prefix.len() - 1)];
         }
@@ -1099,22 +1206,33 @@ impl History {
     /// the order of both, so the entries naming one `after` are that
     /// vertex's predecessor list, in order: one counter per slot, one pass.
     pub(crate) fn check_restored(&self) -> Result<(), &'static str> {
+        self.link_of_each_edge().map(drop)
+    }
+
+    /// [`History::check_restored`]'s pass, returning the arena position
+    /// of each edge-log entry's link: one cursor per slot walks its
+    /// predecessor list along the log.
+    fn link_of_each_edge(&self) -> Result<Vec<u32>, &'static str> {
         let t = &self.verts;
-        let mut matched = vec![0u32; t.len()];
+        let mut next: Vec<u32> = (0..t.len() as u32).map(|s| t.first_pred_link(s)).collect();
+        let mut order = Vec::with_capacity(self.edge_log.len());
         for e in &self.edge_log {
             let (Some(b), Some(a)) = (t.slot_of(e.before), t.slot_of(e.after)) else {
                 return Err("history: edge log names a vertex that is not retained");
             };
-            let n = &mut matched[a as usize];
-            if t.preds(a).get(*n as usize) != Some(&b) {
-                return Err("history: edge log entry is not the next link of its vertex");
+            let l = &mut next[a as usize];
+            match t.pred_link(*l) {
+                Some((p, following)) if p == b => {
+                    order.push(*l);
+                    *l = following;
+                }
+                _ => return Err("history: edge log entry is not the next link of its vertex"),
             }
-            *n += 1;
         }
         if self.edge_log.len() != t.link_count() {
             return Err("history: a link has no edge log entry");
         }
-        Ok(())
+        Ok(order)
     }
 
     /// The edge log, for tests that corrupt a snapshot.
@@ -1129,12 +1247,12 @@ impl History {
         // Kahn's algorithm over the retained graph.
         let t = &self.verts;
         let slots = 0..t.len() as u32;
-        let mut indegree: Vec<u32> = slots.clone().map(|s| t.preds(s).len() as u32).collect();
+        let mut indegree: Vec<u32> = slots.clone().map(|s| t.preds(s).count() as u32).collect();
         let mut ready: Vec<u32> = slots.filter(|&s| indegree[s as usize] == 0).collect();
         let mut seen = 0usize;
         while let Some(v) = ready.pop() {
             seen += 1;
-            for &s in t.succs(v) {
+            for s in t.succs(v) {
                 let d = &mut indegree[s as usize];
                 *d -= 1;
                 if *d == 0 {
@@ -1445,6 +1563,45 @@ mod tests {
         assert!(h.insert_vert(vref(0, &[0])));
         assert_eq!(h.seen_residual_len(), 0);
         assert!(h.has_seen(id(N)));
+    }
+
+    /// A client id far past what a history has admitted waits in the
+    /// residual instead of stretching the watermark vector; the vector
+    /// takes it in, prefix and stragglers apart, once the history has
+    /// admitted enough to reach it. Nothing a caller reads tells the two
+    /// apart: the same ids are seen, and the same watermarks advertised.
+    #[test]
+    fn a_far_client_waits_in_the_residual_until_the_vector_reaches_it() {
+        // Past the reach of the first four admissions (64 + 8 × 4), within
+        // that of the fifth.
+        let c = ClientId(100);
+        let far = |seq| MsgRef {
+            id: MsgId::new(c, seq),
+            dst: DestSet::singleton(GroupId(0)),
+        };
+        let mut h = History::new();
+        for seq in [0, 1, 3] {
+            assert!(h.insert_vert(far(seq)));
+        }
+        assert_eq!(h.seen_watermark.len(), 0, "client {c:?} spilled");
+        assert_eq!(h.seen_residual_len(), 3);
+        assert!(!h.insert_vert(far(1)), "seen while spilled");
+        let watermarks = |h: &History| h.client_watermarks().collect::<Vec<_>>();
+        assert_eq!(watermarks(&h), vec![(c, 1)]);
+        // A near client has the vector grow to it; `c` stays far.
+        assert!(h.insert_vert(vref(0, &[0])));
+        assert_eq!(h.seen_watermark.len(), 1);
+        assert_eq!(watermarks(&h), vec![(ClientId(0), 0), (c, 1)]);
+        assert!(h.insert_vert(vref(1, &[0])));
+        // Five admissions reach `c`: its prefix joins the vector, its
+        // stragglers stay behind.
+        assert!(h.insert_vert(far(4)));
+        assert_eq!(h.seen_watermark.len(), c.0 as usize + 1);
+        assert_eq!(h.seen_residual_len(), 2);
+        assert_eq!(watermarks(&h), vec![(ClientId(0), 1), (c, 1)]);
+        assert!(h.insert_vert(far(2)));
+        assert_eq!(h.seen_residual_len(), 0);
+        assert_eq!(watermarks(&h), vec![(ClientId(0), 1), (c, 4)]);
     }
 
     #[test]
@@ -2293,6 +2450,12 @@ mod tests {
                         let d = (x % 3) as usize;
                         vc[d] = h.vert_log_len();
                         ec[d] = h.edge_log_len();
+                        if y % 2 == 0 {
+                            // A restore: later links and prunes run on a
+                            // link arena laid out by the load.
+                            h = flexcast_wire::from_bytes(&flexcast_wire::to_bytes(&h).unwrap())
+                                .unwrap();
+                        }
                     }
                     _ => {
                         let (mut mvc, mut mec) = (vc, ec);

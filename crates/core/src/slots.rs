@@ -5,10 +5,17 @@
 //! doubles as the `diff-hst` log (a descendant's cursor is a slot
 //! number) and as the key space for per-vertex state. Beside each vertex
 //! sit one byte of flag bits (owned by the history and the engine — see
-//! [`crate::history::flag`]), the slots of its direct predecessors and of
-//! its direct successors (the DAG's adjacency both ways, in the order the
-//! edges were linked) and an epoch-stamped visit mark that graph walks use
-//! in place of a per-walk `BTreeSet`.
+//! [`crate::history::flag`]), the ends of its predecessor and successor
+//! lists, and an epoch-stamped visit mark that graph walks use in place
+//! of a per-walk `BTreeSet`.
+//!
+//! The DAG's adjacency both ways lives in one link arena: link `i` is the
+//! `i`-th edge linked (so, in a history, the `i`-th edge-log entry), with
+//! the slots of its two endpoints and the next link of its `after`'s
+//! predecessor list and of its `before`'s successor list. A slot keeps the
+//! first and last link of each of its two lists, so linking appends to
+//! both in O(1) and allocates nothing beyond the arena's own growth, and
+//! every list stays in the order its edges were linked.
 //!
 //! Ids find their slot through a dense per-client window: client `c`'s
 //! retained seqs `base..base + len` map to `slots[seq - base]` (the same
@@ -25,16 +32,23 @@
 
 use crate::history::MsgRef;
 use flexcast_types::MsgId;
+use serde::ser::SerializeSeq;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
+use std::mem::size_of;
 
 /// "No vertex at this seq" inside a client window.
 const NO_SLOT: u32 = u32::MAX;
 
+/// The end of an adjacency list: no (further) link.
+const END: u32 = u32::MAX;
+
 /// A window may span this many seqs plus [`WINDOW_PER_LIVE`] per vertex
-/// it already holds; anything farther out goes to the spill map.
-const WINDOW_SLACK: u64 = 64;
-const WINDOW_PER_LIVE: u64 = 8;
+/// it already holds; anything farther out goes to the spill map. The
+/// history bounds its client-indexed vectors by the same rule.
+pub(crate) const WINDOW_SLACK: u64 = 64;
+pub(crate) const WINDOW_PER_LIVE: u64 = 8;
 
 /// One client's dense `seq → slot` window.
 #[derive(Clone, Debug, Default)]
@@ -46,17 +60,80 @@ struct ClientWindow {
     slots: VecDeque<u32>,
 }
 
+/// One edge `before → after` of the DAG, in the link arena.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    before: u32,
+    after: u32,
+    /// The link after this one in `after`'s predecessor list.
+    next_pred: u32,
+    /// The link after this one in `before`'s successor list.
+    next_succ: u32,
+}
+
+/// A slot's two adjacency lists, as the first and last link of each
+/// ([`END`] for an empty list).
+#[derive(Clone, Copy, Debug)]
+struct Ends {
+    pred_head: u32,
+    pred_tail: u32,
+    succ_head: u32,
+    succ_tail: u32,
+}
+
+impl Ends {
+    /// Points each end at link `renum(end)`.
+    fn renumber(&mut self, renum: impl Fn(u32) -> u32) {
+        for end in [
+            &mut self.pred_head,
+            &mut self.pred_tail,
+            &mut self.succ_head,
+            &mut self.succ_tail,
+        ] {
+            *end = renum(*end);
+        }
+    }
+}
+
+const NO_LINKS: Ends = Ends {
+    pred_head: END,
+    pred_tail: END,
+    succ_head: END,
+    succ_tail: END,
+};
+
+/// The stack graph walks push slots on, kept between walks so that a
+/// warm walk allocates nothing. A `Cell`, so that `&self` walks can use it
+/// too; derived state, cloned and loaded empty.
+#[derive(Default)]
+struct WalkStack(Cell<Vec<u32>>);
+
+impl Clone for WalkStack {
+    fn clone(&self) -> Self {
+        WalkStack::default()
+    }
+}
+
+impl std::fmt::Debug for WalkStack {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("WalkStack")
+    }
+}
+
 /// Slot-addressed vertex store: insertion log, per-slot flags and
 /// adjacency lists, visit marks, and the id → slot index.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SlotTable {
     log: Vec<MsgRef>,
     flags: Vec<u8>,
-    /// `preds[slot]`: the slots of its direct predecessors, in link order
-    /// (no self-link, no duplicate).
-    preds: Vec<Vec<u32>>,
-    /// `succs[slot]`: its direct successors, likewise — `preds` mirrored.
-    succs: Vec<Vec<u32>>,
+    /// `ends[slot]`: the ends of its predecessor list (no self-link, no
+    /// duplicate) and of its successor list, `preds` mirrored.
+    ends: Vec<Ends>,
+    /// Every link, in the order it was linked — except that a load adds
+    /// its links slot by slot ([`SlotTable::links_as_loaded`]).
+    links: Vec<Link>,
+    /// True from a load until [`SlotTable::reorder_links`].
+    as_loaded: bool,
     /// `mark[slot] == epoch` ⇔ the current walk has visited `slot`.
     mark: Vec<u32>,
     epoch: u32,
@@ -64,6 +141,32 @@ pub(crate) struct SlotTable {
     index: Vec<ClientWindow>,
     /// Ids outside their client's window.
     far: BTreeMap<MsgId, u32>,
+    stack: WalkStack,
+}
+
+/// One adjacency list, walked through the link arena: the predecessors
+/// or the successors of one slot, in link order.
+pub(crate) struct Adjacent<'a> {
+    links: &'a [Link],
+    at: u32,
+    succs: bool,
+}
+
+impl Iterator for Adjacent<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        // `END` is past every link.
+        let l = self.links.get(self.at as usize)?;
+        if self.succs {
+            self.at = l.next_succ;
+            Some(l.after)
+        } else {
+            self.at = l.next_pred;
+            Some(l.before)
+        }
+    }
 }
 
 impl SlotTable {
@@ -110,8 +213,7 @@ impl SlotTable {
         let slot = u32::try_from(self.log.len()).expect("fewer than 2^32 retained vertices");
         self.log.push(v);
         self.flags.push(0);
-        self.preds.push(Vec::new());
-        self.succs.push(Vec::new());
+        self.ends.push(NO_LINKS);
         self.mark.push(0);
         self.index_insert(v.id, slot);
         slot
@@ -176,28 +278,108 @@ impl SlotTable {
 
     /// The direct predecessors of `slot`, in link order.
     #[inline]
-    pub(crate) fn preds(&self, slot: u32) -> &[u32] {
-        &self.preds[slot as usize]
+    pub(crate) fn preds(&self, slot: u32) -> Adjacent<'_> {
+        Adjacent {
+            links: &self.links,
+            at: self.ends[slot as usize].pred_head,
+            succs: false,
+        }
     }
 
-    /// The direct successors of `slot`, in link order (slot order in a
-    /// table as loaded).
+    /// The direct successors of `slot`, in link order (slot order for the
+    /// links a load added).
     #[inline]
-    pub(crate) fn succs(&self, slot: u32) -> &[u32] {
-        &self.succs[slot as usize]
+    pub(crate) fn succs(&self, slot: u32) -> Adjacent<'_> {
+        Adjacent {
+            links: &self.links,
+            at: self.ends[slot as usize].succ_head,
+            succs: true,
+        }
     }
 
     /// Links `before → after` (the caller has checked the two are
-    /// distinct and not linked yet).
+    /// distinct and not linked yet), appending to both lists.
     #[inline]
     pub(crate) fn link(&mut self, before: u32, after: u32) {
-        self.preds[after as usize].push(before);
-        self.succs[before as usize].push(after);
+        let l = u32::try_from(self.links.len()).expect("fewer than 2^32 links");
+        self.links.push(Link {
+            before,
+            after,
+            next_pred: END,
+            next_succ: END,
+        });
+        let a = &mut self.ends[after as usize];
+        match a.pred_tail {
+            END => a.pred_head = l,
+            t => self.links[t as usize].next_pred = l,
+        }
+        a.pred_tail = l;
+        let b = &mut self.ends[before as usize];
+        match b.succ_tail {
+            END => b.succ_head = l,
+            t => self.links[t as usize].next_succ = l,
+        }
+        b.succ_tail = l;
+    }
+
+    /// The first link of `slot`'s predecessor list, to walk with
+    /// [`SlotTable::pred_link`].
+    #[inline]
+    pub(crate) fn first_pred_link(&self, slot: u32) -> u32 {
+        self.ends[slot as usize].pred_head
+    }
+
+    /// Link `l`'s `before` and the link after it in its `after`'s
+    /// predecessor list; `None` past the end of the list.
+    #[inline]
+    pub(crate) fn pred_link(&self, l: u32) -> Option<(u32, u32)> {
+        self.links.get(l as usize).map(|l| (l.before, l.next_pred))
     }
 
     /// Number of links (edges of the DAG).
+    #[inline]
     pub(crate) fn link_count(&self) -> usize {
-        self.preds.iter().map(Vec::len).sum()
+        self.links.len()
+    }
+
+    /// True if link `l` (its position in the arena) has an endpoint the
+    /// current walk visited.
+    #[inline]
+    pub(crate) fn link_visited(&self, l: usize) -> bool {
+        let l = self.links[l];
+        self.visited(l.before) || self.visited(l.after)
+    }
+
+    /// True while the arena holds a load's links slot by slot, not in the
+    /// order they were linked — until [`SlotTable::reorder_links`].
+    pub(crate) fn links_as_loaded(&self) -> bool {
+        self.as_loaded
+    }
+
+    /// Moves link `order[i]` to arena position `i` (`order` is a
+    /// permutation of the arena's positions). Every list keeps its order.
+    pub(crate) fn reorder_links(&mut self, order: &[u32]) {
+        debug_assert_eq!(order.len(), self.links.len());
+        let mut new_of = vec![END; order.len()];
+        for (i, &o) in order.iter().enumerate() {
+            new_of[o as usize] = i as u32;
+        }
+        let renum = |x: u32| if x == END { END } else { new_of[x as usize] };
+        self.links = order
+            .iter()
+            .map(|&o| {
+                let l = self.links[o as usize];
+                Link {
+                    next_pred: renum(l.next_pred),
+                    next_succ: renum(l.next_succ),
+                    ..l
+                }
+            })
+            .collect();
+        for e in &mut self.ends {
+            e.renumber(renum);
+        }
+        self.as_loaded = false;
     }
 
     /// Starts a new graph walk: every slot becomes unvisited.
@@ -213,12 +395,14 @@ impl SlotTable {
     /// not visited yet, marking them visited.
     #[inline]
     pub(crate) fn push_unvisited_preds(&mut self, slot: u32, stack: &mut Vec<u32>) {
-        for &p in &self.preds[slot as usize] {
-            let m = &mut self.mark[p as usize];
+        let mut at = self.ends[slot as usize].pred_head;
+        while let Some(l) = self.links.get(at as usize) {
+            let m = &mut self.mark[l.before as usize];
             if *m != self.epoch {
                 *m = self.epoch;
-                stack.push(p);
+                stack.push(l.before);
             }
+            at = l.next_pred;
         }
     }
 
@@ -228,12 +412,27 @@ impl SlotTable {
         self.mark[slot as usize] == self.epoch
     }
 
-    /// Removes every slot the current walk visited, compacting log, flags
-    /// and adjacency lists and rebuilding the index in one sweep, and
-    /// ends the walk. Survivors forget removed neighbours; their other
-    /// links are renumbered. Returns the old → new prefix table: entry
-    /// `i` is the number of retained slots among the old slots `0..i` (so
-    /// it remaps cursors).
+    /// The table's walk stack, empty; hand it back with
+    /// [`SlotTable::put_stack`] so the next walk reuses its capacity.
+    #[inline]
+    pub(crate) fn take_stack(&self) -> Vec<u32> {
+        self.stack.0.take()
+    }
+
+    /// Returns a stack taken with [`SlotTable::take_stack`].
+    #[inline]
+    pub(crate) fn put_stack(&self, mut stack: Vec<u32>) {
+        stack.clear();
+        self.stack.0.set(stack);
+    }
+
+    /// Removes every slot the current walk visited, compacting log, flags,
+    /// adjacency lists and link arena and rebuilding the index in one
+    /// sweep, and ends the walk. Survivors forget removed neighbours;
+    /// their other links are renumbered and keep their order, in the lists
+    /// and in the arena. Returns the old → new prefix table: entry `i` is
+    /// the number of retained slots among the old slots `0..i` (so it
+    /// remaps cursors).
     pub(crate) fn remove_visited(&mut self) -> Vec<usize> {
         for w in &mut self.index {
             w.slots.clear();
@@ -241,6 +440,24 @@ impl SlotTable {
         }
         self.far.clear();
         let n = self.log.len();
+        let (mark, epoch) = (&self.mark, self.epoch);
+        let keep = |l: &Link| mark[l.before as usize] != epoch && mark[l.after as usize] != epoch;
+        // Survivors' lists drop their removed links first, while the
+        // lists are still addressed by old slot and old link.
+        for (slot, e) in self.ends.iter_mut().enumerate() {
+            if mark[slot] != epoch {
+                (e.pred_head, e.pred_tail) = retain_list(&mut self.links, e.pred_head, pred, keep);
+                (e.succ_head, e.succ_tail) = retain_list(&mut self.links, e.succ_head, succ, keep);
+            }
+        }
+        let mut new_of = vec![END; self.links.len()];
+        let mut kept_links = 0u32;
+        for (l, new) in self.links.iter().zip(&mut new_of) {
+            if keep(l) {
+                *new = kept_links;
+                kept_links += 1;
+            }
+        }
         let mut prefix = Vec::with_capacity(n + 1);
         let mut kept = 0usize;
         for old in 0..n {
@@ -251,42 +468,149 @@ impl SlotTable {
             let v = self.log[old];
             self.log[kept] = v;
             self.flags[kept] = self.flags[old];
-            self.preds.swap(kept, old);
-            self.succs.swap(kept, old);
+            self.ends[kept] = self.ends[old];
             self.index_insert(v.id, kept as u32);
             kept += 1;
         }
         prefix.push(kept);
-        // A link can point either way along the log, so the lists are
-        // renumbered only once the whole prefix table exists.
-        let (mark, epoch) = (&self.mark, self.epoch);
-        for list in self.preds[..kept].iter_mut().chain(&mut self.succs[..kept]) {
-            list.retain_mut(|s| {
-                let old = *s as usize;
-                *s = prefix[old] as u32;
-                mark[old] != epoch
-            });
+        // A link can point either way along the arena and the log, so
+        // links are renumbered only once both tables exist.
+        let renum = |x: u32| if x == END { END } else { new_of[x as usize] };
+        for (old, &new) in new_of.iter().enumerate() {
+            if new != END {
+                let l = self.links[old];
+                self.links[new as usize] = Link {
+                    before: prefix[l.before as usize] as u32,
+                    after: prefix[l.after as usize] as u32,
+                    next_pred: renum(l.next_pred),
+                    next_succ: renum(l.next_succ),
+                };
+            }
         }
-        self.log.truncate(kept);
-        self.flags.truncate(kept);
-        self.preds.truncate(kept);
-        self.succs.truncate(kept);
-        self.mark.truncate(kept);
+        for e in &mut self.ends[..kept] {
+            e.renumber(renum);
+        }
+        // What a sweep removes it gives back, past twice what is left: a
+        // history would otherwise hold, after every flush, the capacity
+        // of its largest size so far.
+        shrink(&mut self.links, kept_links as usize);
+        shrink(&mut self.log, kept);
+        shrink(&mut self.flags, kept);
+        shrink(&mut self.ends, kept);
+        shrink(&mut self.mark, kept);
         // Marks were not moved with their slots; a fresh epoch voids them.
         self.begin_walk();
         prefix
+    }
+
+    /// Heap bytes the table holds, by the capacity of each vector: the
+    /// vertex log, the per-slot flags, list ends and visit marks, the
+    /// link arena, the id index (spill-map entries at their own size,
+    /// without tree overhead) and the walk stack.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let stack = self.stack.0.take();
+        let stack_bytes = stack.capacity() * size_of::<u32>();
+        self.stack.0.set(stack);
+        let windows: usize = self.index.iter().map(|w| w.slots.capacity()).sum();
+        self.log.capacity() * size_of::<MsgRef>()
+            + self.flags.capacity()
+            + self.ends.capacity() * size_of::<Ends>()
+            + self.links.capacity() * size_of::<Link>()
+            + self.mark.capacity() * size_of::<u32>()
+            + self.index.capacity() * size_of::<ClientWindow>()
+            + windows * size_of::<u32>()
+            + self.far.len() * size_of::<(MsgId, u32)>()
+            + stack_bytes
+    }
+
+    /// Of [`SlotTable::heap_bytes`], what the adjacency holds: the list
+    /// ends and the link arena.
+    pub(crate) fn adjacency_bytes(&self) -> usize {
+        self.ends.capacity() * size_of::<Ends>() + self.links.capacity() * size_of::<Link>()
+    }
+}
+
+/// Truncates `v` to `len` and lets it keep at most twice that.
+pub(crate) fn shrink<T>(v: &mut Vec<T>, len: usize) {
+    v.truncate(len);
+    v.shrink_to(2 * len);
+}
+
+/// The next-link field of a predecessor list.
+fn pred(l: &mut Link) -> &mut u32 {
+    &mut l.next_pred
+}
+
+/// The next-link field of a successor list.
+fn succ(l: &mut Link) -> &mut u32 {
+    &mut l.next_succ
+}
+
+/// Drops from the list starting at `head` (threaded through `next`) every
+/// link `keep` refuses, keeping the order of the rest; returns the new
+/// first and last link.
+fn retain_list(
+    links: &mut [Link],
+    head: u32,
+    next: fn(&mut Link) -> &mut u32,
+    keep: impl Fn(&Link) -> bool,
+) -> (u32, u32) {
+    let (mut first, mut last) = (END, END);
+    let mut at = head;
+    while at != END {
+        let following = *next(&mut links[at as usize]);
+        if keep(&links[at as usize]) {
+            match last {
+                END => first = at,
+                l => *next(&mut links[l as usize]) = at,
+            }
+            last = at;
+        }
+        at = following;
+    }
+    if last != END {
+        *next(&mut links[last as usize]) = END;
+    }
+    (first, last)
+}
+
+/// The predecessor lists, slot by slot, in the form a `Vec<Vec<u32>>`
+/// takes on the wire.
+struct PredLists<'a>(&'a SlotTable);
+
+/// One slot's predecessor list, as a `Vec<u32>`.
+struct PredList<'a>(&'a SlotTable, u32);
+
+impl Serialize for PredLists<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
+        for slot in 0..self.0.len() as u32 {
+            seq.serialize_element(&PredList(self.0, slot))?;
+        }
+        seq.end()
+    }
+}
+
+impl Serialize for PredList<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut seq = serializer.serialize_seq(Some(self.0.preds(self.1).count()))?;
+        for p in self.0.preds(self.1) {
+            seq.serialize_element(&p)?;
+        }
+        seq.end()
     }
 }
 
 impl Serialize for SlotTable {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (&self.log, &self.flags, &self.preds).serialize(serializer)
+        (&self.log, &self.flags, PredLists(self)).serialize(serializer)
     }
 }
 
 impl<'de> Deserialize<'de> for SlotTable {
     /// Rebuilds the derived state and checks everything a walk later
     /// indexes with: a peer's snapshot must not be able to cause a panic.
+    /// Links are added slot by slot, each list in its serialized order.
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let (log, flags, preds) =
             <(Vec<MsgRef>, Vec<u8>, Vec<Vec<u32>>)>::deserialize(deserializer)?;
@@ -299,7 +623,9 @@ impl<'de> Deserialize<'de> for SlotTable {
         }
         let mut t = SlotTable {
             mark: vec![0; log.len()],
-            succs: vec![Vec::new(); log.len()],
+            ends: vec![NO_LINKS; log.len()],
+            links: Vec::with_capacity(preds.iter().map(Vec::len).sum()),
+            as_loaded: true,
             log,
             flags,
             ..SlotTable::default()
@@ -327,10 +653,9 @@ impl<'de> Deserialize<'de> for SlotTable {
                     });
                 }
                 *m = t.epoch;
-                t.succs[p as usize].push(slot as u32);
+                t.link(p, slot as u32);
             }
         }
-        t.preds = preds;
         Ok(t)
     }
 }
@@ -339,6 +664,18 @@ impl<'de> Deserialize<'de> for SlotTable {
 mod tests {
     use super::*;
     use flexcast_types::{ClientId, DestSet};
+
+    impl SlotTable {
+        /// [`SlotTable::preds`], collected.
+        fn pred_vec(&self, slot: u32) -> Vec<u32> {
+            self.preds(slot).collect()
+        }
+
+        /// [`SlotTable::succs`], collected.
+        fn succ_vec(&self, slot: u32) -> Vec<u32> {
+            self.succs(slot).collect()
+        }
+    }
 
     fn vref(client: u32, seq: u32) -> MsgRef {
         MsgRef {
@@ -396,8 +733,12 @@ mod tests {
         assert_eq!(t.slot_of(vref(0, 0).id), None);
         assert_eq!(t.slot_of(vref(0, 4).id), Some(2));
         assert_eq!(t.flags(2), 0b10, "flags travel with their vertex");
-        assert_eq!(t.preds(2), [3], "4 forgot 3 and still names 5, renumbered");
-        assert!(t.preds(3).is_empty(), "5 forgot 3");
+        assert_eq!(
+            t.pred_vec(2),
+            [3],
+            "4 forgot 3 and still names 5, renumbered"
+        );
+        assert!(t.pred_vec(3).is_empty(), "5 forgot 3");
         assert_eq!(t.link_count(), 1);
         assert!((0..4).all(|s| !t.visited(s)), "the walk is over");
     }
@@ -425,8 +766,8 @@ mod tests {
         ] {
             t.link(b, a);
         }
-        assert_eq!(t.succs(1), [4, 2]);
-        assert_eq!(t.succs(0), [5, 3], "link order");
+        assert_eq!(t.succ_vec(1), [4, 2]);
+        assert_eq!(t.succ_vec(0), [5, 3], "link order");
         t.begin_walk();
         let mut stack = Vec::new();
         t.push_unvisited_preds(6, &mut stack);
@@ -434,19 +775,19 @@ mod tests {
         assert_eq!(stack, vec![4, 1]);
         // Old slots 0, 2, 3, 5, 6 become 0, 1, 2, 3, 4.
         assert_eq!(t.remove_visited(), vec![0, 1, 1, 2, 3, 3, 4, 5]);
-        let succs: Vec<&[u32]> = (0..5).map(|s| t.succs(s)).collect();
+        let succs: Vec<Vec<u32>> = (0..5).map(|s| t.succ_vec(s)).collect();
         assert_eq!(succs, [&[3, 2][..], &[], &[3], &[1], &[0]]);
-        let preds: Vec<&[u32]> = (0..5).map(|s| t.preds(s)).collect();
+        let preds: Vec<Vec<u32>> = (0..5).map(|s| t.pred_vec(s)).collect();
         assert_eq!(preds, [&[4][..], &[3], &[0], &[0, 2], &[]]);
 
         let bytes = flexcast_wire::to_bytes(&t).unwrap();
         let back: SlotTable = flexcast_wire::from_bytes(&bytes).unwrap();
-        assert_eq!(back.succs(0), [2, 3], "slot order after a load");
+        assert_eq!(back.succ_vec(0), [2, 3], "slot order after a load");
         for slot in 0..5 {
-            let mut want = t.succs(slot).to_vec();
+            let mut want = t.succ_vec(slot).to_vec();
             want.sort_unstable();
-            assert_eq!(back.succs(slot), want, "slot {slot}");
-            assert_eq!(back.preds(slot), t.preds(slot));
+            assert_eq!(back.succ_vec(slot), want, "slot {slot}");
+            assert_eq!(back.pred_vec(slot), t.pred_vec(slot));
         }
     }
 
@@ -465,8 +806,8 @@ mod tests {
         t.begin_walk();
         t.push_unvisited_preds(3, &mut Vec::new());
         t.remove_visited();
-        assert_eq!(t.succs(0), [1], "0 forgot old 1 and names old 2");
-        assert!(t.succs(1).is_empty() && t.preds(2).is_empty());
+        assert_eq!(t.succ_vec(0), [1], "0 forgot old 1 and names old 2");
+        assert!(t.succ_vec(1).is_empty() && t.pred_vec(2).is_empty());
         assert_eq!(t.link_count(), 1);
     }
 
@@ -484,7 +825,7 @@ mod tests {
         assert_eq!(back.log(), t.log());
         for slot in 0..4u32 {
             assert_eq!(back.flags(slot), t.flags(slot));
-            assert_eq!(back.preds(slot), t.preds(slot));
+            assert_eq!(back.pred_vec(slot), t.pred_vec(slot));
             assert_eq!(back.slot_of(t.get(slot).id), Some(slot));
         }
         assert_eq!(flexcast_wire::to_bytes(&back).unwrap(), bytes);
@@ -551,5 +892,122 @@ mod tests {
         assert_eq!(t.slot_of(vref(3, 7).id), Some(1));
         assert_eq!(t.index.len(), 4, "no window vector stretched to the far id");
         assert_eq!(t.far.len(), 1);
+    }
+
+    /// The adjacency as `Vec<Vec<u32>>` lists, the layout the arena
+    /// replaced: what every list must read as, step after step.
+    #[derive(Default)]
+    struct Model {
+        preds: Vec<Vec<u32>>,
+        succs: Vec<Vec<u32>>,
+    }
+
+    impl Model {
+        fn remove(&mut self, gone: &[bool]) -> Vec<usize> {
+            let mut prefix = vec![0];
+            for &g in gone {
+                prefix.push(prefix.last().unwrap() + usize::from(!g));
+            }
+            let renumber = |lists: &mut Vec<Vec<u32>>| {
+                let mut slot = 0;
+                lists.retain(|_| {
+                    slot += 1;
+                    !gone[slot - 1]
+                });
+                for list in lists {
+                    list.retain(|&s| !gone[s as usize]);
+                    for s in list {
+                        *s = prefix[*s as usize] as u32;
+                    }
+                }
+            };
+            renumber(&mut self.preds);
+            renumber(&mut self.succs);
+            prefix
+        }
+    }
+
+    fn assert_matches(t: &SlotTable, m: &Model) {
+        assert_eq!(t.len(), m.preds.len());
+        for slot in 0..t.len() as u32 {
+            assert_eq!(t.pred_vec(slot), m.preds[slot as usize], "preds of {slot}");
+            assert_eq!(t.succ_vec(slot), m.succs[slot as usize], "succs of {slot}");
+        }
+        assert_eq!(t.link_count(), m.preds.iter().map(Vec::len).sum::<usize>());
+        let want = (&t.log, &t.flags, &m.preds);
+        assert_eq!(
+            flexcast_wire::to_bytes(t).unwrap(),
+            flexcast_wire::to_bytes(&want).unwrap()
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Random pushes, links, sweeps of random visited sets, arena
+        /// reorders and serde round-trips keep every list, the link count
+        /// and the serialized bytes those of the `Vec<Vec<u32>>` model.
+        /// A load rebuilds each successor list in slot order.
+        #[test]
+        fn the_link_arena_reads_as_vec_lists(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..200),
+        ) {
+            let mut t = SlotTable::default();
+            let mut m = Model::default();
+            let mut seq = 0;
+            for w in words {
+                let n = t.len() as u64;
+                match w % 8 {
+                    0 | 1 => {
+                        t.push(vref((w >> 8) as u32 % 3, seq));
+                        seq += 1;
+                        m.preds.push(Vec::new());
+                        m.succs.push(Vec::new());
+                    }
+                    2..=4 if n >= 2 => {
+                        let (b, a) = ((w >> 8) % n, (w >> 24) % n);
+                        let (b, a) = (b as u32, a as u32);
+                        if b != a && !m.preds[a as usize].contains(&b) {
+                            t.link(b, a);
+                            m.preds[a as usize].push(b);
+                            m.succs[b as usize].push(a);
+                        }
+                    }
+                    5 if n > 0 => {
+                        // Visits the predecessors of up to three slots.
+                        t.begin_walk();
+                        let mut stack = Vec::new();
+                        for k in 0..3 {
+                            t.push_unvisited_preds(((w >> (8 + 8 * k)) % n) as u32, &mut stack);
+                        }
+                        let gone: Vec<bool> = (0..n as u32).map(|s| t.visited(s)).collect();
+                        assert_eq!(t.remove_visited(), m.remove(&gone));
+                        assert!((0..t.len() as u32).all(|s| !t.visited(s)));
+                    }
+                    6 => {
+                        // Any permutation of the arena reads the same.
+                        let mut order: Vec<u32> = (0..t.link_count() as u32).collect();
+                        let mut x = w;
+                        for i in (1..order.len()).rev() {
+                            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                            order.swap(i, (x >> 33) as usize % (i + 1));
+                        }
+                        t.reorder_links(&order);
+                    }
+                    7 => {
+                        let bytes = flexcast_wire::to_bytes(&t).unwrap();
+                        t = flexcast_wire::from_bytes(&bytes).unwrap();
+                        for list in &mut m.succs {
+                            list.sort_unstable();
+                        }
+                    }
+                    _ => {}
+                }
+                assert_matches(&t, &m);
+            }
+        }
     }
 }

@@ -7,13 +7,15 @@
 //! panics, and never holds memory in proportion to a length the bytes
 //! merely claim. A local delivery may travel as its chain edge alone, and
 //! the merge rebuilds it: what an edge can make a receiver admit is
-//! checked here too.
+//! checked here too. So is what a client id can make a receiver hold: ids
+//! are dense from 0 in an honest world, and one far past them costs no
+//! more than a near one.
 
 mod common;
 
 use common::peak_during;
 use flexcast_core::{FlexCastGroup, History, HistoryDelta, MsgRef, Packet, TaggedEdge};
-use flexcast_types::{ClientId, DestSet, GroupId, MsgId};
+use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload, Watermarks};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
@@ -390,4 +392,90 @@ fn a_delta_of_k_edges_admits_at_most_k_rebuilt_vertices() {
     };
     h.merge(&seen);
     assert_eq!(h.len(), k as usize, "seen ids rebuild nothing");
+}
+
+/// A client id far past any honest world's: a receiver that stretched a
+/// client-indexed vector to it would hold 64 MiB, over every allowance
+/// here and well within the memory a test may take.
+const FAR: ClientId = ClientId(1 << 24);
+
+fn far(seq: u32) -> MsgId {
+    MsgId::new(FAR, seq)
+}
+
+/// Merges `d` into a fresh history and checks the peak against the
+/// allowance for `d`'s bytes.
+fn merge_contained(d: &HistoryDelta) -> History {
+    let bytes = flexcast_wire::to_bytes(d).unwrap();
+    let mut h = History::new();
+    let ((), peak) = peak_during(|| h.merge(d));
+    let most = allowance(bytes.len());
+    assert!(peak <= most, "{peak} bytes held for {} bytes", bytes.len());
+    h
+}
+
+#[test]
+fn a_far_client_vertex_holds_no_more_than_a_near_one() {
+    let dst = DestSet::singleton(GroupId(1));
+    let h = merge_contained(&HistoryDelta {
+        verts: vec![MsgRef { id: far(0), dst }],
+        edges: vec![],
+    });
+    assert!(h.has_seen(far(0)) && h.contains(far(0)));
+    assert_eq!(h.client_watermarks().collect::<Vec<_>>(), vec![(FAR, 0)]);
+}
+
+#[test]
+fn an_edge_that_rebuilds_a_far_client_vertex_holds_no_more_than_a_near_one() {
+    let edge = TaggedEdge {
+        creator: GroupId(1),
+        idx: 0,
+        before: id(2),
+        after: far(7),
+    };
+    let h = merge_contained(&HistoryDelta {
+        verts: vec![],
+        edges: vec![edge],
+    });
+    assert_eq!(h.dst_of(far(7)), Some(DestSet::singleton(GroupId(1))));
+    assert!(h.has_seen(far(7)) && !h.has_seen(far(6)));
+}
+
+/// A client message from a far client, at its lca: delivered like any
+/// other, holding what a near client's message holds. The engine has
+/// taken one near message first, so its vectors are warm.
+#[test]
+fn a_far_client_message_holds_no_more_than_a_near_one() {
+    let mut g = FlexCastGroup::new(GroupId(0), 3);
+    let dst = DestSet::singleton(GroupId(0));
+    let near = Message::new(id(0), dst, Payload::empty()).unwrap();
+    let mut out = Vec::with_capacity(4);
+    g.on_client(near, &mut out);
+    let m = Message::new(far(0), dst, Payload::empty()).unwrap();
+    let bytes = flexcast_wire::to_bytes(&m).unwrap();
+    out.clear();
+    let ((), peak) = peak_during(|| g.on_client(m, &mut out));
+    let most = allowance(bytes.len());
+    assert!(peak <= most, "{peak} bytes held for {} bytes", bytes.len());
+    assert!(g.has_delivered(far(0)));
+}
+
+/// An advertisement naming a far client is absorbed — counted, and
+/// holding what a near entry holds.
+#[test]
+fn a_far_client_advert_entry_holds_no_more_than_a_near_one() {
+    let mut g = FlexCastGroup::new(GroupId(0), 3);
+    let pkt = Packet::Advert {
+        wm: Watermarks {
+            clients: vec![(ClientId(1), 3), (FAR, 5)],
+            edges: vec![],
+        },
+    };
+    let bytes = flexcast_wire::to_bytes(&pkt).unwrap();
+    let mut out = Vec::new();
+    let ((), peak) = peak_during(|| g.on_packet(GroupId(1), pkt, &mut out));
+    let most = allowance(bytes.len());
+    assert!(peak <= most, "{peak} bytes held for {} bytes", bytes.len());
+    assert_eq!(out, vec![]);
+    assert_eq!(g.suppression_stats().adverts_received, 1);
 }

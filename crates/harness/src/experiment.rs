@@ -387,6 +387,8 @@ fn collect(
         let (mut adverts, mut suppressed) = (0u64, 0u64);
         let mut received = 0u64;
         let mut delivered = 0u64;
+        // What the histories hold when the run ends: what GC buys.
+        let (mut history_bytes, mut history_verts, mut residual) = (0u64, 0u64, 0u64);
         for pid in 0..world.len() {
             if let Node::Server(s) = world.actor(pid) {
                 received += s.stats.received_msgs;
@@ -398,6 +400,10 @@ fn collect(
                     let sup = engine.suppression_stats();
                     adverts += sup.adverts_sent;
                     suppressed += sup.suppressed_entries();
+                    let h = engine.history();
+                    history_bytes += h.heap_bytes() as u64;
+                    history_verts += h.len() as u64;
+                    residual += h.seen_residual_len() as u64;
                 }
             }
         }
@@ -405,6 +411,9 @@ fn collect(
         tel.counter_set("net.server_delivered", delivered);
         tel.counter_set("flex.merge.entries_in", merge_in);
         tel.counter_set("flex.merge.entries_dup", merge_dup);
+        tel.counter_set("flex.history_bytes_end", history_bytes);
+        tel.counter_set("flex.history_verts_end", history_verts);
+        tel.counter_set("flex.seen_residual_end", residual);
         tel.counter_set("flex.sup.adverts_sent", adverts);
         tel.counter_set("flex.sup.suppressed_entries", suppressed);
     }
@@ -536,6 +545,9 @@ mod tests {
         assert!(r.metrics.histograms.contains_key("latency.rank1_ns"));
         assert!(*r.metrics.counters.get("sim.events").unwrap() > 0);
         assert!(*r.metrics.counters.get("server.delivered").unwrap() > 0);
+        assert!(r.metrics.counters["flex.history_bytes_end"] > 0);
+        assert!(r.metrics.counters["flex.history_verts_end"] > 0);
+        assert!(r.metrics.counters.contains_key("flex.seen_residual_end"));
         assert!(cfg.telemetry.trace_len() > 0, "spans were recorded");
         let p = r.completion_percentiles().expect("completion samples");
         assert!(p.p50 <= p.p99 && p.p99 <= p.p999);
