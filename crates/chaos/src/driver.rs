@@ -191,16 +191,15 @@ pub fn run_adversary<M, A, Adv>(
     max_events: u64,
 ) -> AdversaryRun
 where
-    M: Clone + Send,
-    A: Actor<M> + Send,
+    M: Clone,
+    A: Actor<M>,
     Adv: Adversary + ?Sized,
 {
     // Purely pre-scheduled adversaries (the `run_schedule` compat path)
     // opt out of the observation plane: probes stay off and the world
-    // free-runs between faults via `run_until` — which both skips the
-    // per-event drain/dispatch round-trip and lets multi-shard worlds
-    // engage the parallel executor. Observing adversaries must see every
-    // event boundary, so they stay on the sequential step loop.
+    // free-runs between faults via `run_until`, which skips the
+    // per-event drain/dispatch round-trip. Observing adversaries must see
+    // every event boundary, so they stay on the step loop.
     let observing = adversary.wants_observations();
     if observing {
         world.enable_probes();
@@ -306,7 +305,7 @@ where
 ///
 /// Panics if the world fails to quiesce within `max_events` (a livelock:
 /// some actor keeps re-arming timers or resending forever).
-pub fn run_schedule<M: Clone + Send, A: Actor<M> + Send>(
+pub fn run_schedule<M: Clone, A: Actor<M>>(
     world: &mut World<M, A>,
     schedule: &FaultSchedule,
     max_events: u64,

@@ -1041,16 +1041,34 @@ impl FlexCastGroup {
     /// would index with is checked here and reported as an error.
     pub fn restore(bytes: &[u8]) -> flexcast_types::Result<FlexCastGroup> {
         let g: FlexCastGroup = flexcast_wire::from_bytes(bytes)?;
-        if g.n as usize > MAX_GROUPS || g.g.rank() >= g.n {
+        let n = g.n as usize;
+        if n > MAX_GROUPS || g.g.rank() >= g.n {
             return Err(flexcast_types::Error::Decode(format!(
                 "group {} of {} is not a rank of a supported overlay",
                 g.g, g.n
             )));
         }
-        g.hst
-            .check_restored()
-            .map_err(|what| flexcast_types::Error::Decode(what.into()))?;
-        Ok(g)
+        let per_rank = [
+            g.vert_cursor.len(),
+            g.edge_cursor.len(),
+            g.advertised_clients.len(),
+            g.advertised_edges.len(),
+        ];
+        let invalid = if per_rank.iter().any(|&len| len != n) {
+            Some("a per-rank table does not have one entry per group")
+        } else if g.queues.len() != g.g.index() {
+            Some("the queues are not one per ancestor")
+        } else if g.vert_cursor.iter().any(|&c| c > g.hst.vert_log_len())
+            || g.edge_cursor.iter().any(|&c| c > g.hst.edge_log_len())
+        {
+            Some("a diff cursor points past its log")
+        } else {
+            g.hst.check_restored().err()
+        };
+        match invalid {
+            Some(what) => Err(flexcast_types::Error::Decode(what.into())),
+            None => Ok(g),
+        }
     }
 
     /// Builds the flush message used for garbage collection; multicast it
@@ -2024,6 +2042,37 @@ mod tests {
         FlexCastGroup::restore(&bytes)
             .expect_err("corrupt snapshot")
             .to_string()
+    }
+
+    /// A rank-0 engine whose `vert_cursor` was emptied would index it on
+    /// its first forward; `restore` refuses the snapshot instead.
+    #[test]
+    fn restore_rejects_a_cleared_vert_cursor() {
+        let mut a = FlexCastGroup::new(A, 3);
+        a.vert_cursor.clear();
+        assert!(restore_error(&a).contains("per-rank table"));
+    }
+
+    /// Every per-rank table must hold `n` entries, the queues one per
+    /// ancestor, and every diff cursor must stay within its log.
+    #[test]
+    fn restore_rejects_per_rank_tables_of_another_length_and_cursors_past_the_log() {
+        type Corrupt = fn(&mut FlexCastGroup);
+        let corruptions: [(Corrupt, &str); 7] = [
+            (|c| c.edge_cursor.truncate(2), "per-rank table"),
+            (|c| c.advertised_clients.push(Vec::new()), "per-rank table"),
+            (|c| c.advertised_edges.truncate(2), "per-rank table"),
+            (|c| c.vert_cursor.push(0), "per-rank table"),
+            (|c| c.queues.push(VecDeque::new()), "one per ancestor"),
+            (|c| c.vert_cursor[0] = c.hst.vert_log_len() + 1, "past"),
+            (|c| c.edge_cursor[1] = c.hst.edge_log_len() + 1, "past"),
+        ];
+        for (i, (corrupt, want)) in corruptions.into_iter().enumerate() {
+            let (mut c, ..) = mid_protocol();
+            corrupt(&mut c);
+            let err = restore_error(&c);
+            assert!(err.contains(want), "case {i}: {err}");
+        }
     }
 
     #[test]

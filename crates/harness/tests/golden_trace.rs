@@ -167,11 +167,11 @@ fn golden_trace_link_faults() {
     );
 }
 
-/// The sharded parallel core is proven trace-identical: the fault-free
-/// golden must replay byte-for-byte at every shard count, pre-refactor
-/// digest included. Shard workers only change *where* actor callbacks
-/// execute; all routing, RNG draws, and sequencing happen at commit time
-/// in the global `(time, seq)` order.
+/// The sharded core is trace-identical: the fault-free golden must
+/// replay byte-for-byte at every shard count, pre-refactor digest
+/// included. Shards only split the event queue; every step takes the
+/// global `(time, seq)` minimum, so routing, RNG draws, and sequencing
+/// happen in one order.
 #[test]
 fn golden_trace_fault_free_replays_on_every_shard_count() {
     for shards in [2, 3, 4, 12] {

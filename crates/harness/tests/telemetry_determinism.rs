@@ -86,10 +86,9 @@ fn seeded_flexcast_telemetry_is_deterministic() {
     assert_eq!(t1, t2, "span logs diverged across replays");
 }
 
-/// Sharded execution is telemetry-invisible: workers record into
-/// per-event op buffers that the committer replays in global commit
-/// order, so the metrics snapshot and the chrome-trace span log are
-/// byte-identical to the sequential run at every shard count.
+/// Sharding is telemetry-invisible: every callback records in global
+/// `(time, seq)` order at every shard count, so the metrics snapshot and
+/// the chrome-trace span log are byte-identical to the one-shard run.
 #[test]
 fn sharded_telemetry_matches_sequential_byte_for_byte() {
     let (m1, t1) = traced_chaos_run_sharded(1);
@@ -101,7 +100,7 @@ fn sharded_telemetry_matches_sequential_byte_for_byte() {
 }
 
 /// And sharded runs are self-deterministic: two replays at shards = 4
-/// (different thread interleavings) produce identical JSON artifacts.
+/// produce identical JSON artifacts.
 #[test]
 fn sharded_telemetry_is_deterministic_across_replays() {
     let (m1, t1) = traced_chaos_run_sharded(4);

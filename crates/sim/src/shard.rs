@@ -1,4 +1,4 @@
-//! Shard map and conservative lookahead for the sharded event core.
+//! Shard map for the sharded event core.
 //!
 //! The sharded [`World`](crate::World) partitions its event queue by
 //! process: every event targets exactly one process, every process lives
@@ -6,33 +6,18 @@
 //! of the global queue and the global order is recovered by merging shard
 //! heads on `(SimTime, seq)` — the same total order the single queue used.
 //!
-//! [`ShardMap`] carries two things:
-//!
-//! * the **assignment** `pid → shard`, derived from the link model's
-//!   site (region) of each process: site ranks are cut into contiguous
-//!   blocks, one block per shard, so co-located processes (a group's
-//!   replicas, its local clients) always share a shard and the cheap
-//!   intra-region links stay shard-internal;
-//! * the per-shard **lookahead**: for shard `s`, the minimum over all
-//!   cross-shard links `p → q` (`q` in `s`) of
-//!   `base_delay(p, q) + processing(q)`. Jitter, fault delays, FIFO
-//!   clamps, and service queueing only ever *increase* an arrival time,
-//!   so no event committed at time `t` in another shard can make a new
-//!   event appear in `s` earlier than `t + lookahead(s)`. That bound is
-//!   what lets the parallel executor run a shard's head event before
-//!   slower shards have caught up (see `World::run_parallel`).
+//! [`ShardMap`] carries the **assignment** `pid → shard`, derived from the
+//! link model's site (region) of each process: site ranks are cut into
+//! contiguous blocks, one block per shard, so co-located processes (a
+//! group's replicas, its local clients) always share a shard.
 
-use crate::{LinkModel, SimTime};
+use crate::LinkModel;
 
-/// Process→shard assignment plus the conservative cross-shard lookahead
-/// derived from a [`LinkModel`].
+/// Process→shard assignment derived from a [`LinkModel`].
 #[derive(Clone, Debug)]
 pub struct ShardMap {
     shard_of: Vec<usize>,
     n_shards: usize,
-    /// Per shard: minimum cross-shard arrival bound (see module docs).
-    /// [`SimTime::MAX`] when no link enters the shard from outside.
-    lookahead: Vec<SimTime>,
 }
 
 impl ShardMap {
@@ -42,7 +27,6 @@ impl ShardMap {
         ShardMap {
             shard_of: vec![0; n_procs],
             n_shards: 1,
-            lookahead: vec![SimTime::MAX],
         }
     }
 
@@ -59,8 +43,7 @@ impl ShardMap {
     }
 
     /// Builds a map from an explicit assignment (tests and experiments
-    /// that want non-geographic cuts). Lookahead is computed from the
-    /// link model for whatever cut is given.
+    /// that want non-geographic cuts).
     ///
     /// # Panics
     ///
@@ -73,26 +56,7 @@ impl ShardMap {
             "shard assignment must cover every process"
         );
         let n_shards = shard_of.iter().map(|&s| s + 1).max().unwrap_or(1);
-        let mut lookahead = vec![SimTime::MAX; n_shards];
-        let n = shard_of.len();
-        for q in 0..n {
-            let sq = shard_of[q];
-            let processing = link.processing(q);
-            for (p, &sp) in shard_of.iter().enumerate() {
-                if sp == sq {
-                    continue;
-                }
-                let bound = link.base_delay(p, q) + processing;
-                if bound < lookahead[sq] {
-                    lookahead[sq] = bound;
-                }
-            }
-        }
-        ShardMap {
-            shard_of,
-            n_shards,
-            lookahead,
-        }
+        ShardMap { shard_of, n_shards }
     }
 
     /// Number of shards.
@@ -104,13 +68,6 @@ impl ShardMap {
     #[inline]
     pub fn shard_of(&self, pid: usize) -> usize {
         self.shard_of[pid]
-    }
-
-    /// The conservative cross-shard arrival bound for `shard`: no commit
-    /// at time `t` outside the shard can create an event inside it
-    /// earlier than `t + lookahead`.
-    pub fn lookahead(&self, shard: usize) -> SimTime {
-        self.lookahead[shard]
     }
 
     /// The full assignment, indexed by process id.
@@ -143,7 +100,6 @@ mod tests {
         let map = ShardMap::single(5);
         assert_eq!(map.count(), 1);
         assert!((0..5).all(|p| map.shard_of(p) == 0));
-        assert_eq!(map.lookahead(0), SimTime::MAX, "no cross-shard links");
     }
 
     #[test]
@@ -162,32 +118,12 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_is_the_min_entering_delay() {
-        // 20 ms RTT = 10 ms one-way between every site pair.
-        let lm = link(4, 1, 20.0);
-        let map = ShardMap::from_link(&lm, 2);
-        assert_eq!(map.lookahead(0), SimTime::from_ms(10.0));
-        assert_eq!(map.lookahead(1), SimTime::from_ms(10.0));
-    }
-
-    #[test]
-    fn lookahead_includes_receiver_processing() {
-        let mut lm = link(2, 1, 20.0);
-        lm.set_processing_ms(1, 5.0);
-        let map = ShardMap::from_link(&lm, 2);
-        assert_eq!(map.lookahead(0), SimTime::from_ms(10.0), "pid 0 has none");
-        assert_eq!(map.lookahead(1), SimTime::from_ms(15.0), "10 link + 5 proc");
-    }
-
-    #[test]
     fn explicit_assignment_overrides_sites() {
         let lm = link(2, 2, 20.0);
-        // Cut straight through both sites: intra-site links (0 delay)
-        // now cross shards, so lookahead collapses to zero.
+        // Cut straight through both sites.
         let map = ShardMap::from_assignment(&lm, vec![0, 1, 0, 1]);
         assert_eq!(map.count(), 2);
-        assert_eq!(map.lookahead(0), SimTime::ZERO);
-        assert_eq!(map.lookahead(1), SimTime::ZERO);
+        assert_eq!(map.assignment(), &[0, 1, 0, 1]);
     }
 
     #[test]

@@ -116,10 +116,12 @@ impl Summary {
     /// Sorts the samples in place so subsequent reads are allocation-free.
     /// Reads on an unsorted summary still work (they sort a clone), so
     /// this is an optimization hook, not a correctness requirement.
+    /// Every read orders samples by [`f64::total_cmp`], which agrees with
+    /// `<` on finite samples (bar −0.0 sorting before +0.0) and never
+    /// panics.
     pub fn sort(&mut self) {
         if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+            self.samples.sort_by(f64::total_cmp);
             self.sorted = true;
         }
     }
@@ -131,7 +133,7 @@ impl Summary {
             Cow::Borrowed(&self.samples[..])
         } else {
             let mut v = self.samples.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+            v.sort_by(f64::total_cmp);
             Cow::Owned(v)
         }
     }
@@ -176,18 +178,12 @@ impl Summary {
 
     /// Minimum sample.
     pub fn min(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .copied()
-            .min_by(|a, b| a.partial_cmp(b).expect("finite samples"))
+        self.samples.iter().copied().min_by(f64::total_cmp)
     }
 
     /// Maximum sample.
     pub fn max(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .copied()
-            .max_by(|a, b| a.partial_cmp(b).expect("finite samples"))
+        self.samples.iter().copied().max_by(f64::total_cmp)
     }
 
     /// Empirical CDF evaluated at `points`: for each `x`, the fraction of

@@ -13,16 +13,6 @@ impl SimTime {
     /// Time zero (simulation start).
     pub const ZERO: SimTime = SimTime(0);
 
-    /// The largest representable time (~584 years). Used as the identity
-    /// for `min`-folds, e.g. the sharded core's lookahead bounds.
-    pub const MAX: SimTime = SimTime(u64::MAX);
-
-    /// Saturating addition (useful when one operand may be
-    /// [`SimTime::MAX`]).
-    pub fn saturating_add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0.saturating_add(rhs.0))
-    }
-
     /// Builds a time from milliseconds (fractional values preserved to ns).
     pub fn from_ms(ms: f64) -> Self {
         debug_assert!(ms >= 0.0 && ms.is_finite(), "negative or non-finite time");

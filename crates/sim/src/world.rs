@@ -5,12 +5,11 @@ use crate::obs::Observation;
 use crate::shard::ShardMap;
 use crate::stats::SimStats;
 use crate::{LinkFault, LinkModel, SimTime};
-use flexcast_telemetry::{Telemetry, TelemetryOp};
+use flexcast_telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
 
 /// Identifier of a simulated process (index into the actor table).
 pub type ProcessId = usize;
@@ -215,21 +214,17 @@ enum SendFate {
 }
 
 /// How a multi-shard world executes its shards (see
-/// [`World::set_shard_execution`]). The choice is an execution-strategy
-/// knob only: the committed event sequence is bit-identical under every
-/// variant, which is exactly the sharded core's determinism invariant.
+/// [`World::set_shard_execution`]). Every variant runs the same inline
+/// merge of the shard queues on the calling thread; the variants stay only
+/// because the `flexbench` benchmark names them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ShardExecution {
-    /// Worker threads when the host has more than one CPU, the inline
-    /// loop otherwise. On a single core, worker threads cannot overlap
-    /// anything and each event would pay two context switches — the
-    /// inline loop runs the same shard queues at sequential speed.
+    /// The inline merge.
     #[default]
     Auto,
-    /// Always run shard queues inline on the calling thread.
+    /// The inline merge.
     Inline,
-    /// Always spawn one worker per shard (useful for exercising the
-    /// threaded executor in tests regardless of host parallelism).
+    /// The inline merge.
     Threads,
 }
 
@@ -261,7 +256,7 @@ pub struct World<M, A: Actor<M>> {
     /// `(at, seq)` order is recovered by merging shard heads. With one
     /// shard (the default) this is exactly the classic single queue.
     queues: Vec<BinaryHeap<Reverse<HeapEntry<M>>>>,
-    /// Process→shard assignment and cross-shard lookahead.
+    /// Process→shard assignment.
     shards: ShardMap,
     /// Total queued events across all shards (drained events excluded),
     /// so peak-depth accounting is identical at every shard count.
@@ -288,8 +283,6 @@ pub struct World<M, A: Actor<M>> {
     /// Telemetry handle exposed to actors via [`Ctx::telemetry`].
     /// Disabled by default (see [`World::set_telemetry`]).
     telemetry: Telemetry,
-    /// Worker-thread policy for multi-shard runs (default [`ShardExecution::Auto`]).
-    exec: ShardExecution,
 }
 
 impl<M: Clone, A: Actor<M>> World<M, A> {
@@ -327,7 +320,6 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
             observations: Vec::new(),
             probes: false,
             telemetry: Telemetry::disabled(),
-            exec: ShardExecution::default(),
         };
         for pid in 0..n {
             w.push(SimTime::ZERO, Event::Start { pid });
@@ -361,12 +353,12 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
 
     /// Re-partitions the world into `n` shards derived from the link
     /// model's sites (contiguous site blocks — see
-    /// [`ShardMap::from_link`]). With `n > 1`, [`World::run_until`] and
-    /// [`World::run_to_quiescence`] execute shards on parallel workers
-    /// while committing all effects in global `(at, seq)` order, so the
-    /// observable execution — delivered traces, RNG draws, stats,
-    /// observations, telemetry — is byte-identical at every shard count.
-    /// `set_shards(1)` is exactly the classic sequential loop.
+    /// [`ShardMap::from_link`]). Each shard gets its own event queue, and
+    /// every step takes the globally next `(at, seq)` head across them, so
+    /// the observable execution — delivered traces, RNG draws, stats,
+    /// observations, telemetry — is byte-identical at every shard count;
+    /// only [`SimStats::events_by_shard`] tells the shards apart.
+    /// `set_shards(1)` is exactly the classic single queue.
     pub fn set_shards(&mut self, n: usize) {
         let map = ShardMap::from_link(&self.link, n);
         let entries: Vec<Reverse<HeapEntry<M>>> = self
@@ -387,16 +379,10 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
         }
     }
 
-    /// Sets the worker-thread policy for multi-shard runs. Purely an
-    /// execution-strategy choice: the committed event sequence — traces,
-    /// RNG draws, stats, observations, telemetry — is bit-identical
-    /// under [`ShardExecution::Inline`] and [`ShardExecution::Threads`]
-    /// (that invariant is what the lockstep suite proves), so
-    /// [`ShardExecution::Auto`] is free to pick whichever is faster for
-    /// the host.
-    pub fn set_shard_execution(&mut self, exec: ShardExecution) {
-        self.exec = exec;
-    }
+    /// Accepts a [`ShardExecution`] and changes nothing: every variant
+    /// runs the inline merge. Kept because the `flexbench` benchmark
+    /// calls it.
+    pub fn set_shard_execution(&mut self, _exec: ShardExecution) {}
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
@@ -599,7 +585,7 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     #[inline]
     fn plan_send(&mut self, from: ProcessId, to: ProcessId, control: bool) -> SendFate {
         self.sent_messages += 1;
-        // Worker threads borrow `actors`; `link` always covers every pid.
+        // `link` covers every pid this world hosts.
         if to >= self.link.len() || self.links.is_blocked(from, to) {
             self.dropped_messages += 1;
             return SendFate::Dropped;
@@ -688,6 +674,8 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
             match fate {
                 SendFate::Dropped => {}
                 SendFate::Deliver { at } => {
+                    // `msg` is taken at `last_delivering` only, and no
+                    // target after it delivers, so it is still here.
                     let m = if Some(i) == last_delivering {
                         msg.take().expect("each target handled once")
                     } else {
@@ -696,6 +684,7 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
                     self.push(at, deliver(m));
                 }
                 SendFate::DeliverDup { dup_at, at } => {
+                    // As above: no delivering target follows the take.
                     let m = msg.as_ref().expect("taken only at the last");
                     self.push(dup_at, deliver(m.clone()));
                     let m = if Some(i) == last_delivering {
@@ -746,16 +735,15 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
 
     /// Processes the next event. Returns `false` when the queue is empty.
     ///
-    /// Always sequential, whatever the shard count: drivers that
-    /// interleave steps with world mutation (observing adversaries) need
-    /// the one-event-at-a-time contract. Batch runs go through
-    /// [`World::run_until`] / [`World::run_to_quiescence`], which engage
-    /// the parallel executor when [`World::set_shards`] installed more
-    /// than one shard.
+    /// Whatever the shard count, this takes the globally next event:
+    /// [`World::run_until`] and [`World::run_to_quiescence`] are loops of
+    /// it, and drivers that interleave steps with world mutation
+    /// (observing adversaries) call it directly.
     pub fn step(&mut self) -> bool {
         let Some(shard) = self.min_shard() else {
             return false;
         };
+        // `min_shard` returns only a shard whose queue has a head.
         let Reverse(HeapEntry { at, ev, .. }) =
             self.queues[shard].pop().expect("min_shard saw a head");
         self.pending -= 1;
@@ -826,13 +814,15 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
         self.scratch_timers = timers;
     }
 
-    /// Sequential [`World::run_until`] loop (also the `shards = 1` path).
-    fn run_until_seq(&mut self, deadline: SimTime) -> u64 {
+    /// Runs until the queue drains or simulated time exceeds `deadline`,
+    /// then advances the clock to `deadline` (so anything scheduled next —
+    /// a fault event, an injected message, a restart — happens at the
+    /// right simulated time even if the world went idle earlier).
+    /// Returns the number of events processed. The shard count does not
+    /// change the execution (see [`World::set_shards`]).
+    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
-        while let Some(s) = self.min_shard() {
-            if self.queues[s].peek().expect("min_shard saw a head").0.at > deadline {
-                break;
-            }
+        while self.next_event_time().is_some_and(|at| at <= deadline) {
             self.step();
             n += 1;
         }
@@ -840,8 +830,11 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
         n
     }
 
-    /// Sequential [`World::run_to_quiescence`] loop.
-    fn run_to_quiescence_seq(&mut self, max_events: u64) -> u64 {
+    /// Runs until the event queue is empty (quiescence), up to `max_events`.
+    /// Returns the number of events processed; panics if the limit is hit,
+    /// which in a correct protocol signals a livelock. The shard count
+    /// does not change the execution (see [`World::set_shards`]).
+    pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
         while self.step() {
             n += 1;
@@ -851,391 +844,6 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
             );
         }
         n
-    }
-}
-
-impl<M: Clone + Send, A: Actor<M> + Send> World<M, A> {
-    /// Runs until the queue drains or simulated time exceeds `deadline`,
-    /// then advances the clock to `deadline` (so anything scheduled next —
-    /// a fault event, an injected message, a restart — happens at the
-    /// right simulated time even if the world went idle earlier).
-    /// Returns the number of events processed.
-    ///
-    /// With more than one shard this executes on the parallel sharded
-    /// core; the observable execution is identical either way.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        if !self.use_workers() {
-            return self.run_until_seq(deadline);
-        }
-        // Pure clock advances (no event due) skip the worker spin-up —
-        // drivers call `run_until` for exactly that between fault events.
-        let n = if self.next_event_time().is_some_and(|t| t <= deadline) {
-            self.run_parallel(Some(deadline), u64::MAX)
-        } else {
-            0
-        };
-        self.now = self.now.max(deadline);
-        n
-    }
-
-    /// Whether batch runs should spawn shard workers. With one shard
-    /// there is nothing to overlap; with several, [`ShardExecution`]
-    /// decides. The inline fallback runs the same per-shard queues
-    /// through the sequential merge loop (`min_shard` + `step`), which
-    /// commits the identical event sequence — per-shard attribution
-    /// included — without the per-event channel round-trips that worker
-    /// threads cost on a single-core host.
-    fn use_workers(&self) -> bool {
-        self.shards.count() > 1
-            && match self.exec {
-                ShardExecution::Threads => true,
-                ShardExecution::Inline => false,
-                ShardExecution::Auto => {
-                    std::thread::available_parallelism().is_ok_and(|p| p.get() > 1)
-                }
-            }
-    }
-
-    /// Runs until the event queue is empty (quiescence), up to `max_events`.
-    /// Returns the number of events processed; panics if the limit is hit,
-    /// which in a correct protocol signals a livelock.
-    ///
-    /// With more than one shard this executes on the parallel sharded
-    /// core; the observable execution is identical either way.
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
-        if self.use_workers() {
-            self.run_parallel(None, max_events)
-        } else {
-            self.run_to_quiescence_seq(max_events)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel sharded executor
-// ---------------------------------------------------------------------------
-//
-// The executor splits one event's lifecycle in two:
-//
-// * **execute** — the actor callback runs on the worker thread owning the
-//   event's shard, against a `Ctx` that only *buffers* side effects
-//   (sends, timers, observations, telemetry ops);
-// * **commit** — the committer (the calling thread) applies those buffers
-//   in strict global `(at, seq)` order: RNG draws for jitter and faults,
-//   seq assignment, FIFO clamps, service backlogs, queue pushes,
-//   observation appends, telemetry replay, and every counter.
-//
-// Because *all* state that events interact through is mutated at commit
-// time in the same total order the sequential loop uses, the execution is
-// bit-identical to `shards = 1` — thread scheduling can only change *when*
-// a callback runs on the wall clock, never what it observes.
-//
-// What makes early execution sound is the conservative lookahead: shard
-// `s`'s head event `E = (t, q)` may start before older events elsewhere
-// have committed iff `t ≤ m + lookahead(s)`, where `m` is the earliest
-// uncommitted event time in any other shard. Every path by which another
-// shard could still place an event into `s` goes through committing some
-// uncommitted event `X` (at `≥ m`) whose sends arrive after at least the
-// minimum entering link delay (`lookahead(s)`, a static lower bound:
-// jitter, fault delay, FIFO clamps, and service only push arrivals later)
-// — so any such event lands at `≥ m + lookahead(s) ≥ t`, and with a
-// freshly assigned (larger) seq, i.e. strictly after `E` in the total
-// order. Within a shard, at most one event is ever uncommitted (depth-1),
-// so per-actor state always advances in order. The globally minimal event
-// is always safe by this rule, which guarantees progress.
-
-/// One event handed to a shard worker for speculative execution.
-struct Job<M> {
-    at: SimTime,
-    shard: usize,
-    pid: ProcessId,
-    kind: JobKind<M>,
-}
-
-enum JobKind<M> {
-    Start,
-    Timer(u64),
-    Deliver {
-        from: ProcessId,
-        msg: M,
-        bytes: Option<u32>,
-    },
-}
-
-/// A finished callback: every side effect buffered, none applied.
-struct Done<M> {
-    at: SimTime,
-    shard: usize,
-    pid: ProcessId,
-    /// The event was a `Deliver` to a crashed process; the committer
-    /// counts the drop at the event's commit position.
-    down_drop: bool,
-    sends: Vec<SendOp<M>>,
-    timers: Vec<(SimTime, u64)>,
-    observations: Vec<Observation>,
-    tel_ops: Vec<TelemetryOp>,
-}
-
-impl<M> Done<M> {
-    /// A no-op result for events targeting crashed processes, which never
-    /// reach a worker.
-    fn skipped(at: SimTime, shard: usize, pid: ProcessId, down_drop: bool) -> Self {
-        Done {
-            at,
-            shard,
-            pid,
-            down_drop,
-            sends: Vec::new(),
-            timers: Vec::new(),
-            observations: Vec::new(),
-            tel_ops: Vec::new(),
-        }
-    }
-}
-
-/// Runs one shard's actor callbacks until the job channel closes, then
-/// returns the actors (sorted by pid) to be folded back into the world.
-fn worker_loop<M: Clone, A: Actor<M>>(
-    mut actors: Vec<(ProcessId, A)>,
-    jobs: mpsc::Receiver<Job<M>>,
-    results: mpsc::Sender<Done<M>>,
-    telemetry_enabled: bool,
-    probes: bool,
-) -> Vec<(ProcessId, A)> {
-    // Worker-local recording sink: ops are drained per event and replayed
-    // by the committer in commit order, so the real registry and tracer
-    // see exactly the sequential mutation sequence.
-    let tel = if telemetry_enabled {
-        Telemetry::buffered()
-    } else {
-        Telemetry::disabled()
-    };
-    while let Ok(job) = jobs.recv() {
-        let mut sends = Vec::new();
-        let mut timers = Vec::new();
-        let mut observations = Vec::new();
-        let idx = actors
-            .binary_search_by_key(&job.pid, |e| e.0)
-            .expect("job routed to the owning worker");
-        let incoming_bytes = match &job.kind {
-            JobKind::Deliver { bytes, .. } => *bytes,
-            JobKind::Start | JobKind::Timer(_) => None,
-        };
-        {
-            let mut ctx = Ctx {
-                now: job.at,
-                me: job.pid,
-                incoming_bytes,
-                sends: &mut sends,
-                timers: &mut timers,
-                observations: &mut observations,
-                probes,
-                telemetry: &tel,
-            };
-            let actor = &mut actors[idx].1;
-            match job.kind {
-                JobKind::Start => actor.on_start(&mut ctx),
-                JobKind::Timer(token) => actor.on_timer(token, &mut ctx),
-                JobKind::Deliver { from, msg, .. } => actor.on_message(from, msg, &mut ctx),
-            }
-        }
-        let done = Done {
-            at: job.at,
-            shard: job.shard,
-            pid: job.pid,
-            down_drop: false,
-            sends,
-            timers,
-            observations,
-            tel_ops: tel.take_ops(),
-        };
-        if results.send(done).is_err() {
-            break; // committer gone (unwinding) — stop quietly
-        }
-    }
-    actors
-}
-
-impl<M: Clone + Send, A: Actor<M> + Send> World<M, A> {
-    /// The committer loop of the sharded executor (see the module-section
-    /// comment above for the determinism and safety argument). Processes
-    /// events up to `deadline` (if given) or to quiescence, committing at
-    /// most `max_events` before panicking on a suspected livelock.
-    /// Returns the number of events committed.
-    fn run_parallel(&mut self, deadline: Option<SimTime>, max_events: u64) -> u64 {
-        let k = self.shards.count();
-        debug_assert!(k > 1, "the sequential loop owns the 1-shard path");
-        let n = self.actors.len();
-        // Hand each worker its shard's actors (pid-sorted for lookup).
-        let mut owned: Vec<Vec<(ProcessId, A)>> = (0..k).map(|_| Vec::new()).collect();
-        for (pid, a) in std::mem::take(&mut self.actors).into_iter().enumerate() {
-            owned[self.shards.shard_of(pid)].push((pid, a));
-        }
-        let telemetry_enabled = self.telemetry.is_enabled();
-        let probes = self.probes;
-        let mut committed = 0u64;
-        std::thread::scope(|scope| {
-            let (res_tx, res_rx) = mpsc::channel::<Done<M>>();
-            let mut job_txs: Vec<mpsc::Sender<Job<M>>> = Vec::with_capacity(k);
-            let mut handles = Vec::with_capacity(k);
-            for actors_w in owned {
-                let (tx, rx) = mpsc::channel::<Job<M>>();
-                job_txs.push(tx);
-                let res_tx = res_tx.clone();
-                handles.push(
-                    scope.spawn(move || {
-                        worker_loop(actors_w, rx, res_tx, telemetry_enabled, probes)
-                    }),
-                );
-            }
-            drop(res_tx);
-
-            // Per shard: the key of the single dispatched-but-uncommitted
-            // event (depth-1), and its result once the worker is done.
-            let mut outstanding: Vec<Option<(SimTime, u64)>> = vec![None; k];
-            let mut ready: Vec<Option<Done<M>>> = (0..k).map(|_| None).collect();
-
-            loop {
-                // Dispatch every idle shard whose head is safe. Popping a
-                // head moves its key into `outstanding`, so one pass sees
-                // a stable picture.
-                for s in 0..k {
-                    if outstanding[s].is_some() {
-                        continue;
-                    }
-                    let Some(Reverse(head)) = self.queues[s].peek() else {
-                        continue;
-                    };
-                    let head_at = head.at;
-                    if deadline.is_some_and(|d| head_at > d) {
-                        continue;
-                    }
-                    // Earliest uncommitted event in any *other* shard.
-                    let mut m: Option<SimTime> = None;
-                    for (r, out) in outstanding.iter().enumerate() {
-                        if r == s {
-                            continue;
-                        }
-                        let key_r = out
-                            .map(|(at, _)| at)
-                            .or_else(|| self.queues[r].peek().map(|Reverse(e)| e.at));
-                        if let Some(at) = key_r {
-                            if m.is_none_or(|cur| at < cur) {
-                                m = Some(at);
-                            }
-                        }
-                    }
-                    let safe = match m {
-                        None => true,
-                        Some(at) => head_at <= at.saturating_add(self.shards.lookahead(s)),
-                    };
-                    if !safe {
-                        continue;
-                    }
-                    let Reverse(HeapEntry { at, seq, ev }) =
-                        self.queues[s].pop().expect("peeked above");
-                    outstanding[s] = Some((at, seq));
-                    let pid = ev.target();
-                    if self.down[pid] {
-                        let drop = matches!(ev, Event::Deliver { .. });
-                        ready[s] = Some(Done::skipped(at, s, pid, drop));
-                    } else {
-                        let kind = match ev {
-                            Event::Start { .. } => JobKind::Start,
-                            Event::Timer { token, .. } => JobKind::Timer(token),
-                            Event::Deliver {
-                                from, msg, bytes, ..
-                            } => JobKind::Deliver { from, msg, bytes },
-                        };
-                        let job = Job {
-                            at,
-                            shard: s,
-                            pid,
-                            kind,
-                        };
-                        job_txs[s].send(job).expect("worker alive");
-                    }
-                }
-
-                // The earliest uncommitted event decides what happens next.
-                let mut min_key: Option<(SimTime, u64, usize)> = None;
-                for (s, out) in outstanding.iter().enumerate() {
-                    let key_s =
-                        out.or_else(|| self.queues[s].peek().map(|Reverse(e)| (e.at, e.seq)));
-                    if let Some((at, seq)) = key_s {
-                        if min_key.is_none_or(|(a, q, _)| (at, seq) < (a, q)) {
-                            min_key = Some((at, seq, s));
-                        }
-                    }
-                }
-                let Some((at, seq, s)) = min_key else {
-                    break; // quiescent
-                };
-                if deadline.is_some_and(|d| at > d) {
-                    break; // everything ≤ deadline committed
-                }
-                debug_assert_eq!(
-                    outstanding[s],
-                    Some((at, seq)),
-                    "the globally minimal event is always dispatchable"
-                );
-                if let Some(done) = ready[s].take() {
-                    outstanding[s] = None;
-                    self.commit(done);
-                    committed += 1;
-                    assert!(
-                        committed < max_events,
-                        "simulation did not quiesce after {max_events} events"
-                    );
-                } else {
-                    // The next committable event is still running: wait,
-                    // then soak up anything else that finished meanwhile.
-                    let done = res_rx.recv().expect("a worker owes a result");
-                    let sh = done.shard;
-                    ready[sh] = Some(done);
-                    while let Ok(d) = res_rx.try_recv() {
-                        let sh = d.shard;
-                        ready[sh] = Some(d);
-                    }
-                }
-            }
-
-            // Close the job channels and fold the actors back in.
-            drop(job_txs);
-            let mut slots: Vec<Option<A>> = (0..n).map(|_| None).collect();
-            for h in handles {
-                for (pid, a) in h.join().expect("worker thread panicked") {
-                    slots[pid] = Some(a);
-                }
-            }
-            self.actors = slots
-                .into_iter()
-                .map(|o| o.expect("every actor comes home"))
-                .collect();
-        });
-        committed
-    }
-
-    /// Applies one finished event's effects at its global commit position
-    /// — the exact mutation sequence of the sequential `step` + `invoke`.
-    fn commit(&mut self, d: Done<M>) {
-        self.now = d.at;
-        self.pending -= 1;
-        self.delivered_events += 1;
-        self.events_by_shard[d.shard] += 1;
-        if d.down_drop {
-            self.dropped_messages += 1;
-        }
-        for op in d.sends {
-            self.apply_send(d.pid, op);
-        }
-        for (t, token) in d.timers {
-            self.push(t, Event::Timer { pid: d.pid, token });
-        }
-        self.observations.extend(d.observations);
-        if !d.tel_ops.is_empty() {
-            self.telemetry.apply_ops(d.tel_ops);
-        }
     }
 }
 
@@ -1502,23 +1110,19 @@ mod tests {
         assert_eq!(mk(true), shuffled, "same seed, same shuffle");
     }
 
-    /// The execution-policy knob is unobservable: a two-shard world run
-    /// inline, on worker threads, or however `Auto` decides produces the
-    /// exact pong trace (values and nanosecond timestamps) of the
-    /// one-shard sequential loop, under jitter that makes the RNG-draw
-    /// order load-bearing.
+    /// The shard count is unobservable: a two-shard world's inline merge
+    /// produces the exact pong trace (values and nanosecond timestamps)
+    /// and event count of the one-shard queue, under jitter that makes
+    /// the RNG-draw order load-bearing.
     #[test]
-    fn inline_and_threaded_shard_execution_match_sequential() {
-        let run = |shards: usize, exec: ShardExecution| {
+    fn two_shard_inline_merge_matches_one_shard() {
+        let run = |shards: usize| {
             let a = Echo {
                 initial: (0..40).map(|k| (1usize, k)).collect(),
                 ..Default::default()
             };
             let mut w = two_site_world(vec![a, Echo::default()], 20.0);
-            if shards > 1 {
-                w.set_shards(shards);
-            }
-            w.set_shard_execution(exec);
+            w.set_shards(shards);
             w.run_to_quiescence(100_000);
             let trace: Vec<(i32, u64)> = w
                 .actor(0)
@@ -1528,13 +1132,72 @@ mod tests {
                 .collect();
             (trace, w.stats().events)
         };
-        let seq = run(1, ShardExecution::Auto);
+        assert_eq!(run(2), run(1), "two shards diverged from one");
+    }
+
+    /// Pings its peer on start and on every pong, up to `left` rounds,
+    /// and counts pongs in a shared `Rc<Cell<_>>` (so the actor is not
+    /// `Send`).
+    struct RcCounter {
+        peer: ProcessId,
+        left: u32,
+        pongs: std::rc::Rc<std::cell::Cell<u64>>,
+        trace: Vec<(ProcessId, u64)>,
+    }
+
+    impl Actor<u32> for RcCounter {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            if self.left > 0 {
+                ctx.send(self.peer, self.left);
+            }
+        }
+        fn on_message(&mut self, from: ProcessId, k: u32, ctx: &mut Ctx<'_, u32>) {
+            self.trace.push((from, ctx.now().as_nanos()));
+            if self.left == 0 {
+                ctx.send(from, k); // echo side
+            } else {
+                self.pongs.set(self.pongs.get() + 1);
+                self.left -= 1;
+                if self.left > 0 {
+                    ctx.send(self.peer, self.left);
+                }
+            }
+        }
+    }
+
+    /// A world of non-`Send` actors runs on two shards through both batch
+    /// loops under every [`ShardExecution`] variant, and each variant
+    /// replays the one-shard trace.
+    #[test]
+    fn non_send_actors_run_on_two_shards_under_every_execution_variant() {
+        let run = |shards: usize, exec: ShardExecution| {
+            let pongs = std::rc::Rc::new(std::cell::Cell::new(0));
+            let mk = |peer, left| RcCounter {
+                peer,
+                left,
+                pongs: pongs.clone(),
+                trace: Vec::new(),
+            };
+            let mut m = LatencyMatrix::zero(2);
+            m.set_rtt(0, 1, 100.0);
+            let link = LinkModel::new(m, vec![GroupId(0), GroupId(1)], 20.0);
+            let mut w = World::new(vec![mk(1, 30), mk(0, 0)], link, 11);
+            w.set_shards(shards);
+            w.set_shard_execution(exec);
+            let early = w.run_until(SimTime::from_ms(1_000.0));
+            let late = w.run_to_quiescence(10_000);
+            let traces = (w.actor(0).trace.clone(), w.actor(1).trace.clone());
+            (early, late, pongs.get(), traces, w.stats().events)
+        };
+        let one = run(1, ShardExecution::default());
+        assert_eq!(one.2, 30, "every round trip completed");
+        assert!(one.0 > 0 && one.1 > 0, "both loops ran events");
         for exec in [
+            ShardExecution::Auto,
             ShardExecution::Inline,
             ShardExecution::Threads,
-            ShardExecution::Auto,
         ] {
-            assert_eq!(run(2, exec), seq, "{exec:?} diverged from sequential");
+            assert_eq!(run(2, exec), one, "{exec:?} diverged from one shard");
         }
     }
 
@@ -1579,12 +1242,11 @@ mod tests {
     }
 
     /// A sized send reaches the receiver as `Some(bytes)` — on both
-    /// deliveries when the link duplicates — under the sequential loop,
-    /// the inline shard merge and worker threads alike; every other way
-    /// into a callback reads `None`.
+    /// deliveries when the link duplicates — on one shard and on two
+    /// alike; every other way into a callback reads `None`.
     #[test]
     fn sized_sends_carry_their_size_to_the_receiver() {
-        let run = |shards: usize, exec: ShardExecution, dup: bool| {
+        let run = |shards: usize, dup: bool| {
             let mut m = LatencyMatrix::zero(2);
             m.set_rtt(0, 1, 100.0);
             let link = LinkModel::new(m, vec![GroupId(0), GroupId(1)], 0.0);
@@ -1599,10 +1261,7 @@ mod tests {
                     },
                 );
             }
-            if shards > 1 {
-                w.set_shards(shards);
-            }
-            w.set_shard_execution(exec);
+            w.set_shards(shards);
             w.inject(0, 1, Kind::Injected);
             w.run_to_quiescence(1_000);
             (w.actor(0).seen.clone(), w.actor(1).seen.clone())
@@ -1613,7 +1272,7 @@ mod tests {
             _ => None,
         };
         for dup in [false, true] {
-            let seq = run(1, ShardExecution::Auto, dup);
+            let seq = run(1, dup);
             assert_eq!(seq.0, [(Kind::Start, None), (Kind::Timer, None)]);
             let copies = if dup { 2 } else { 1 };
             for kind in [
@@ -1628,9 +1287,7 @@ mod tests {
                 assert_eq!(got.len(), copies, "{kind:?}, dup {dup}");
                 assert!(got.iter().all(|(_, b)| *b == expected(kind)), "{got:?}");
             }
-            for exec in [ShardExecution::Inline, ShardExecution::Threads] {
-                assert_eq!(run(2, exec, dup), seq, "{exec:?}, dup {dup}");
-            }
+            assert_eq!(run(2, dup), seq, "two shards, dup {dup}");
         }
     }
 

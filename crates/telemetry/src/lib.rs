@@ -15,8 +15,10 @@
 //! [`Telemetry::default`] is *disabled*: the handle holds no allocation
 //! and every recording call is a single `Option` branch, mirroring the
 //! `World::enable_probes` observation plane. [`Telemetry::enabled`]
-//! allocates shared state; cloning a handle shares that state, so a
-//! config, its world, and its actors all write to one registry.
+//! allocates one registry and tracer behind an `Rc`; cloning a handle
+//! shares them, so a config, its world, and its actors all write to one
+//! registry. The handle is single-threaded: it is neither `Send` nor
+//! `Sync`.
 //!
 //! # Determinism
 //!
@@ -33,68 +35,25 @@ mod trace;
 pub use registry::{Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use trace::{SpanId, TraceEvent, TracePh, Tracer};
 
-use std::sync::{Arc, Mutex};
-
-/// One recorded telemetry mutation, in record order.
-///
-/// A *buffered* handle ([`Telemetry::buffered`]) captures its recording
-/// calls as an op log instead of mutating a registry/tracer directly.
-/// Replaying the log with [`Telemetry::apply_ops`] performs exactly the
-/// same mutations in exactly the same order, so a driver that executes
-/// actor callbacks out of order (the sharded simulator) can still build
-/// a byte-identical registry and trace by replaying each callback's ops
-/// at its deterministic commit position.
-#[derive(Clone, Debug)]
-pub enum TelemetryOp {
-    /// A [`Telemetry::counter_add`] call.
-    CounterAdd {
-        /// Counter name.
-        name: String,
-        /// Amount added.
-        delta: u64,
-    },
-    /// A [`Telemetry::counter_set`] call.
-    CounterSet {
-        /// Counter name.
-        name: String,
-        /// Absolute value written.
-        value: u64,
-    },
-    /// A [`Telemetry::gauge_set`] call.
-    GaugeSet {
-        /// Gauge name.
-        name: String,
-        /// Value written.
-        value: f64,
-    },
-    /// A [`Telemetry::record`] call.
-    Record {
-        /// Histogram name.
-        hist: String,
-        /// Observation.
-        value: u64,
-    },
-    /// Any trace event (span, instant, async begin/end).
-    Trace(TraceEvent),
-}
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Shared state behind an enabled handle.
 #[derive(Debug)]
 struct Inner {
-    registry: Mutex<Registry>,
-    tracer: Mutex<Tracer>,
-    /// `Some` turns the handle into an op-log recorder (see
-    /// [`TelemetryOp`]); the registry and tracer then stay empty.
-    buffer: Option<Mutex<Vec<TelemetryOp>>>,
+    registry: RefCell<Registry>,
+    tracer: RefCell<Tracer>,
 }
 
 /// Cloneable handle to a metrics registry and tracer.
 ///
 /// Disabled (the default) it is a `None` and every call is a no-op;
-/// enabled it shares one registry/tracer across all clones.
+/// enabled it shares one registry/tracer across all clones. The state is
+/// single-threaded (`Rc<RefCell<…>>`): the simulator runs every actor
+/// callback on the calling thread, so nothing records from elsewhere.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Rc<Inner>>,
 }
 
 impl Telemetry {
@@ -113,72 +72,11 @@ impl Telemetry {
     /// than silently discarded.
     pub fn with_trace_capacity(cap: usize) -> Self {
         Telemetry {
-            inner: Some(Arc::new(Inner {
-                registry: Mutex::new(Registry::default()),
-                tracer: Mutex::new(Tracer::with_capacity(cap)),
-                buffer: None,
+            inner: Some(Rc::new(Inner {
+                registry: RefCell::new(Registry::default()),
+                tracer: RefCell::new(Tracer::with_capacity(cap)),
             })),
         }
-    }
-
-    /// An enabled handle that records an op log instead of mutating state.
-    ///
-    /// Recording calls are captured verbatim (see [`TelemetryOp`]) and
-    /// drained with [`Telemetry::take_ops`]; the registry and tracer of a
-    /// buffered handle stay empty. Shard workers in the parallel simulator
-    /// use one buffered handle each: the committer replays every
-    /// callback's ops onto the real handle in deterministic event order.
-    pub fn buffered() -> Self {
-        Telemetry {
-            inner: Some(Arc::new(Inner {
-                registry: Mutex::new(Registry::default()),
-                tracer: Mutex::new(Tracer::with_capacity(usize::MAX)),
-                buffer: Some(Mutex::new(Vec::new())),
-            })),
-        }
-    }
-
-    /// Drains the op log of a buffered handle (empty for direct handles).
-    pub fn take_ops(&self) -> Vec<TelemetryOp> {
-        match &self.inner {
-            Some(inner) => match &inner.buffer {
-                Some(buf) => std::mem::take(&mut *buf.lock().unwrap()),
-                None => Vec::new(),
-            },
-            None => Vec::new(),
-        }
-    }
-
-    /// Replays an op log onto this handle, applying each mutation
-    /// directly (even if this handle is itself buffered) in log order.
-    pub fn apply_ops(&self, ops: Vec<TelemetryOp>) {
-        let Some(inner) = &self.inner else { return };
-        for op in ops {
-            match op {
-                TelemetryOp::CounterAdd { name, delta } => {
-                    inner.registry.lock().unwrap().counter_add(&name, delta);
-                }
-                TelemetryOp::CounterSet { name, value } => {
-                    inner.registry.lock().unwrap().counter_set(&name, value);
-                }
-                TelemetryOp::GaugeSet { name, value } => {
-                    inner.registry.lock().unwrap().gauge_set(&name, value);
-                }
-                TelemetryOp::Record { hist, value } => {
-                    inner.registry.lock().unwrap().record(&hist, value);
-                }
-                TelemetryOp::Trace(ev) => {
-                    inner.tracer.lock().unwrap().push(ev);
-                }
-            }
-        }
-    }
-
-    /// Pushes one op into a buffered handle's log. Callers ensure the
-    /// buffer exists.
-    #[inline]
-    fn buffer_op(buf: &Mutex<Vec<TelemetryOp>>, op: TelemetryOp) {
-        buf.lock().unwrap().push(op);
     }
 
     /// True when recording calls actually record.
@@ -191,16 +89,7 @@ impl Telemetry {
     #[inline]
     pub fn counter_add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
-            match &inner.buffer {
-                Some(buf) => Self::buffer_op(
-                    buf,
-                    TelemetryOp::CounterAdd {
-                        name: name.to_string(),
-                        delta,
-                    },
-                ),
-                None => inner.registry.lock().unwrap().counter_add(name, delta),
-            }
+            inner.registry.borrow_mut().counter_add(name, delta);
         }
     }
 
@@ -209,16 +98,7 @@ impl Telemetry {
     #[inline]
     pub fn counter_set(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
-            match &inner.buffer {
-                Some(buf) => Self::buffer_op(
-                    buf,
-                    TelemetryOp::CounterSet {
-                        name: name.to_string(),
-                        value,
-                    },
-                ),
-                None => inner.registry.lock().unwrap().counter_set(name, value),
-            }
+            inner.registry.borrow_mut().counter_set(name, value);
         }
     }
 
@@ -226,16 +106,7 @@ impl Telemetry {
     #[inline]
     pub fn gauge_set(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            match &inner.buffer {
-                Some(buf) => Self::buffer_op(
-                    buf,
-                    TelemetryOp::GaugeSet {
-                        name: name.to_string(),
-                        value,
-                    },
-                ),
-                None => inner.registry.lock().unwrap().gauge_set(name, value),
-            }
+            inner.registry.borrow_mut().gauge_set(name, value);
         }
     }
 
@@ -244,16 +115,7 @@ impl Telemetry {
     #[inline]
     pub fn record(&self, hist: &str, value: u64) {
         if let Some(inner) = &self.inner {
-            match &inner.buffer {
-                Some(buf) => Self::buffer_op(
-                    buf,
-                    TelemetryOp::Record {
-                        hist: hist.to_string(),
-                        value,
-                    },
-                ),
-                None => inner.registry.lock().unwrap().record(hist, value),
-            }
+            inner.registry.borrow_mut().record(hist, value);
         }
     }
 
@@ -301,13 +163,10 @@ impl Telemetry {
         }
     }
 
-    /// Routes one trace event to the op buffer or the tracer.
+    /// Appends one trace event to the tracer.
     fn push_trace(&self, ev: TraceEvent) {
         if let Some(inner) = &self.inner {
-            match &inner.buffer {
-                Some(buf) => Self::buffer_op(buf, TelemetryOp::Trace(ev)),
-                None => inner.tracer.lock().unwrap().push(ev),
-            }
+            inner.tracer.borrow_mut().push(ev);
         }
     }
 
@@ -353,8 +212,8 @@ impl Telemetry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
             Some(inner) => {
-                let mut snap = inner.registry.lock().unwrap().snapshot();
-                let tracer = inner.tracer.lock().unwrap();
+                let mut snap = inner.registry.borrow().snapshot();
+                let tracer = inner.tracer.borrow();
                 if tracer.dropped() > 0 {
                     snap.counters
                         .insert("trace.dropped_events".to_string(), tracer.dropped());
@@ -368,7 +227,7 @@ impl Telemetry {
     /// Number of buffered trace events.
     pub fn trace_len(&self) -> usize {
         match &self.inner {
-            Some(inner) => inner.tracer.lock().unwrap().len(),
+            Some(inner) => inner.tracer.borrow().len(),
             None => 0,
         }
     }
@@ -376,7 +235,7 @@ impl Telemetry {
     /// The buffered trace as chrome://tracing trace-event JSON.
     pub fn trace_json(&self) -> String {
         match &self.inner {
-            Some(inner) => inner.tracer.lock().unwrap().to_json(),
+            Some(inner) => inner.tracer.borrow().to_json(),
             None => "{\"traceEvents\":[]}".to_string(),
         }
     }
@@ -415,60 +274,6 @@ mod tests {
         tel.counter_set("total", 10);
         tel.counter_set("total", 10);
         assert_eq!(tel.snapshot().counters.get("total"), Some(&10));
-    }
-
-    #[test]
-    fn buffered_handle_captures_ops_without_mutating_state() {
-        let buf = Telemetry::buffered();
-        assert!(buf.is_enabled(), "actors must see a live handle");
-        buf.counter_add("c", 2);
-        buf.counter_set("abs", 9);
-        buf.gauge_set("g", 1.5);
-        buf.record("h", 7);
-        buf.span("cat", "s", 3, 100, 50);
-        assert_eq!(buf.trace_len(), 0, "trace events go to the log");
-        assert!(buf.snapshot().is_empty(), "registry untouched");
-        let ops = buf.take_ops();
-        assert_eq!(ops.len(), 5);
-        assert!(buf.take_ops().is_empty(), "take drains the log");
-    }
-
-    #[test]
-    fn replaying_ops_matches_direct_recording() {
-        let direct = Telemetry::enabled();
-        direct.counter_add("c", 2);
-        direct.gauge_set("g", 1.5);
-        direct.record("h", 7);
-        direct.span("cat", "s", 3, 100, 50);
-        direct.instant("cat", "i", 4, 200);
-
-        let buf = Telemetry::buffered();
-        buf.counter_add("c", 2);
-        buf.gauge_set("g", 1.5);
-        buf.record("h", 7);
-        buf.span("cat", "s", 3, 100, 50);
-        buf.instant("cat", "i", 4, 200);
-        let replayed = Telemetry::enabled();
-        replayed.apply_ops(buf.take_ops());
-
-        assert_eq!(direct.snapshot(), replayed.snapshot());
-        assert_eq!(direct.trace_json(), replayed.trace_json());
-    }
-
-    #[test]
-    fn replay_respects_trace_capacity() {
-        let buf = Telemetry::buffered();
-        for i in 0..5 {
-            buf.instant("cat", "e", 0, i);
-        }
-        let capped = Telemetry::with_trace_capacity(2);
-        capped.apply_ops(buf.take_ops());
-        assert_eq!(capped.trace_len(), 2);
-        assert_eq!(
-            capped.snapshot().counters.get("trace.dropped_events"),
-            Some(&3),
-            "drop decision happens at replay, like a direct capped handle"
-        );
     }
 
     #[test]

@@ -643,7 +643,7 @@ fn leadership_observations_pair_up_through_crash_rejoin_demote() {
 /// quiescence. The proptest below pins the adversary-driver compat layer
 /// (today's `run_schedule` *is* `run_adversary` over a
 /// `ScheduleAdversary`) against it.
-fn reference_run_schedule<M: Clone + Send, A: flexcast_sim::Actor<M> + Send>(
+fn reference_run_schedule<M: Clone, A: flexcast_sim::Actor<M>>(
     world: &mut flexcast_sim::World<M, A>,
     schedule: &FaultSchedule,
     max_events: u64,

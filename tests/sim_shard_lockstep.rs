@@ -1,14 +1,14 @@
-//! Lockstep determinism suite for the sharded parallel simulation core.
+//! Lockstep determinism suite for the sharded simulation core.
 //!
 //! The contract under test: a `World` produces the *same execution* — the
 //! same delivered sequences, checker verdicts, drop counts, and
-//! fired-action traces, byte for byte — at every shard count. Shard
-//! workers only relocate actor callbacks onto threads; every routing
-//! decision (RNG draws, sequence numbers, FIFO clamps, fault sampling)
-//! happens on the committer in global `(time, seq)` order, so thread
-//! scheduling must never leak into results. These tests drive arbitrary
-//! topologies, seeds, and fault schedules through shards ∈ {1, 2, 4} and
-//! reactive adversaries through the same sweep, then compare everything.
+//! fired-action traces, byte for byte — at every shard count. Shards only
+//! split the event queue; every step takes the globally next `(time, seq)`
+//! head, so routing decisions (RNG draws, sequence numbers, FIFO clamps,
+//! fault sampling) happen in the same order whatever the split. These
+//! tests drive arbitrary topologies, seeds, and fault schedules through
+//! shards ∈ {1, 2, 4} and reactive adversaries through the same sweep,
+//! then compare everything.
 
 use flexcast_chaos::{
     run_adversary, run_schedule, scenarios, FaultEvent, FaultSchedule, ScheduleAdversary,
@@ -22,9 +22,7 @@ use flexcast_harness::replicated::{
 };
 use flexcast_harness::{DeliveryEvent, NetMsg};
 use flexcast_overlay::{CDagOrder, LatencyMatrix};
-use flexcast_sim::{
-    Actor, Ctx, LinkFault, LinkModel, Observation, ProcessId, ShardExecution, SimTime, World,
-};
+use flexcast_sim::{Actor, Ctx, LinkFault, LinkModel, Observation, ProcessId, SimTime, World};
 use flexcast_types::{ClientId, GroupId, MsgId};
 use proptest::prelude::*;
 
@@ -349,7 +347,7 @@ impl Actor<NetMsg> for Tap {
 /// Runs a fault-free 4-server FlexCast world (suppression on, periodic
 /// flushes) and returns every server's traffic stats, the bytes of the
 /// replies they sent, and the client bytes they were handed.
-fn flexcast_traffic(shards: usize, exec: ShardExecution) -> (Vec<ServerStats>, u64, u64) {
+fn flexcast_traffic(shards: usize) -> (Vec<ServerStats>, u64, u64) {
     const SERVERS: usize = 4;
     const CLIENTS: usize = 8;
     let m = matrix(SERVERS);
@@ -390,7 +388,6 @@ fn flexcast_traffic(shards: usize, exec: ShardExecution) -> (Vec<ServerStats>, u
         .collect();
     let mut world = World::new(taps, LinkModel::new(m, sites, 2.0), 9);
     world.set_shards(shards);
-    world.set_shard_execution(exec);
     world.run_to_quiescence(MAX_EVENTS);
 
     let mut stats = Vec::new();
@@ -416,10 +413,10 @@ fn flexcast_traffic(shards: usize, exec: ShardExecution) -> (Vec<ServerStats>, u
 /// minus the replies, which go to clients) plus what clients sent them.
 /// A server reads the size its peer attached and sizes only client
 /// messages itself; debug builds also assert each carried size against
-/// the message. And the numbers do not depend on how shards execute.
+/// the message. And the numbers are the same on two shards as on one.
 #[test]
 fn received_bytes_are_the_bytes_senders_charged_in_every_execution_mode() {
-    let seq = flexcast_traffic(1, ShardExecution::Auto);
+    let seq = flexcast_traffic(1);
     let (stats, reply_bytes, client_bytes) = &seq;
     let received: u64 = stats.iter().map(|s| s.received_bytes).sum();
     let sent: u64 = stats.iter().map(|s| s.sent_bytes).sum();
@@ -434,9 +431,7 @@ fn received_bytes_are_the_bytes_senders_charged_in_every_execution_mode() {
     let forwarded = sent_msgs - stats.iter().map(|s| s.delivered).sum::<u64>();
     assert!(forwarded > received_msgs - forwarded, "servers forwarded");
     assert_eq!(received, sent - reply_bytes + client_bytes);
-    for exec in [ShardExecution::Inline, ShardExecution::Threads] {
-        assert_eq!(flexcast_traffic(2, exec), seq, "{exec:?}");
-    }
+    assert_eq!(flexcast_traffic(2), seq, "two shards");
 }
 
 // ---------------------------------------------------------------------------
