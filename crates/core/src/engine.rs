@@ -99,15 +99,29 @@ pub struct RejectStats {
     pub verts: u64,
 }
 
-impl Serialize for RejectStats {
+/// What an engine keeps out of its snapshot: it takes no bytes there.
+/// [`FlexCastGroup::restore`] recounts `open_count` and starts the memo
+/// cold; the refused-input counters restore as zero.
+#[derive(Clone, Debug, Default)]
+struct Local {
+    /// Number of vertices flagged [`flag::OPEN`].
+    open_count: usize,
+    /// Negative memo for condition 2: `m → o` means the last walk found
+    /// open dependency `o` above `m`; while `o` is still open there is no
+    /// point re-walking. Cleared when `o` delivers.
+    blocked_by: BTreeMap<MsgId, MsgId>,
+    rejected: RejectStats,
+}
+
+impl Serialize for Local {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         ().serialize(s)
     }
 }
 
-impl<'de> Deserialize<'de> for RejectStats {
+impl<'de> Deserialize<'de> for Local {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        <()>::deserialize(d).map(|()| RejectStats::default())
+        <()>::deserialize(d).map(|()| Local::default())
     }
 }
 
@@ -148,8 +162,8 @@ pub struct FlexCastGroup {
     /// checks cost O(new history), not O(history). It is invalidated
     /// transitively when an edge from an unclean source vertex arrives.
     hst: History,
-    /// Number of vertices flagged [`flag::OPEN`].
-    open_count: usize,
+    /// What a snapshot leaves out.
+    local: Local,
     /// One FIFO queue per ancestor (`queues` in Alg. 1): index = lca rank.
     queues: Vec<VecDeque<MsgId>>,
     pending: BTreeMap<MsgId, PendingEntry>,
@@ -159,10 +173,6 @@ pub struct FlexCastGroup {
     /// Groups this group has itself notified, per message (the local
     /// slice of `m.notifList`); prevents duplicate notifs.
     my_notifs: BTreeMap<MsgId, DestSet>,
-    /// Negative memo for condition 2: `m → o` means the last walk found
-    /// open dependency `o` above `m`; while `o` is still open there is no
-    /// point re-walking. Cleared when `o` delivers.
-    blocked_by: BTreeMap<MsgId, MsgId>,
     /// Client messages deferred while this group has open dependencies
     /// (see `on_client` — the lca-insertion fix).
     client_backlog: VecDeque<Message>,
@@ -200,8 +210,6 @@ pub struct FlexCastGroup {
     advertised_edges: Vec<Vec<u32>>,
     /// Advertisement / suppression counters.
     sup: SuppressionStats,
-    /// Refused-input counters (not part of a snapshot).
-    rejected: RejectStats,
 }
 
 impl FlexCastGroup {
@@ -216,12 +224,11 @@ impl FlexCastGroup {
             g,
             n,
             hst: History::new(),
-            open_count: 0,
+            local: Local::default(),
             queues: (0..g.rank()).map(|_| VecDeque::new()).collect(),
             pending: BTreeMap::new(),
             pend_notif: Vec::new(),
             my_notifs: BTreeMap::new(),
-            blocked_by: BTreeMap::new(),
             client_backlog: VecDeque::new(),
             vert_cursor: vec![0; n as usize],
             edge_cursor: vec![0; n as usize],
@@ -233,7 +240,6 @@ impl FlexCastGroup {
             advertised_clients: vec![Vec::new(); n as usize],
             advertised_edges: vec![Vec::new(); n as usize],
             sup: SuppressionStats::default(),
-            rejected: RejectStats::default(),
         }
     }
 
@@ -260,7 +266,7 @@ impl FlexCastGroup {
 
     /// Input refused at the boundary ([`RejectStats`]).
     pub fn reject_stats(&self) -> RejectStats {
-        self.rejected
+        self.local.rejected
     }
 
     /// Merge-path duplicate counters of the underlying history
@@ -329,8 +335,9 @@ impl FlexCastGroup {
             &format!("{prefix}.sup.suppressed_edges"),
             s.suppressed_edges,
         );
-        tel.counter_set(&format!("{prefix}.rejected_packets"), self.rejected.packets);
-        tel.counter_set(&format!("{prefix}.rejected_verts"), self.rejected.verts);
+        let rejected = self.local.rejected;
+        tel.counter_set(&format!("{prefix}.rejected_packets"), rejected.packets);
+        tel.counter_set(&format!("{prefix}.rejected_verts"), rejected.verts);
         tel.counter_set(&format!("{prefix}.delivered"), self.delivered_count);
         tel.gauge_set(&format!("{prefix}.backlog"), self.backlog() as f64);
         tel.gauge_set(&format!("{prefix}.pending"), self.pending.len() as f64);
@@ -378,7 +385,7 @@ impl FlexCastGroup {
             + self.pend_notif.capacity() * size_of::<(MsgRef, GroupId, BTreeSet<MsgId>)>()
             + notif_deps * size_of::<MsgId>()
             + self.my_notifs.len() * size_of::<(MsgId, DestSet)>()
-            + self.blocked_by.len() * size_of::<(MsgId, MsgId)>()
+            + self.local.blocked_by.len() * size_of::<(MsgId, MsgId)>()
             + self.client_backlog.capacity() * size_of::<Message>()
             + backlog
             + (self.vert_cursor.capacity() + self.edge_cursor.capacity()) * size_of::<usize>()
@@ -468,7 +475,7 @@ impl FlexCastGroup {
     /// uncounted: client retries are expected input.
     pub fn on_client(&mut self, m: Message, out: &mut Vec<Output>) {
         if !self.in_overlay(m.dst) || m.lca() != self.g {
-            self.rejected.packets += 1;
+            self.local.rejected.packets += 1;
             return;
         }
         if self.has_taken(m.id) {
@@ -482,7 +489,7 @@ impl FlexCastGroup {
     /// Delivers deferred client messages while the group is current
     /// (no open dependencies).
     fn drain_client_backlog(&mut self, out: &mut Vec<Output>) {
-        while self.open_count == 0 {
+        while self.local.open_count == 0 {
             let Some(m) = self.client_backlog.pop_front() else {
                 return;
             };
@@ -519,7 +526,7 @@ impl FlexCastGroup {
             Packet::Ack { mref, .. } | Packet::Notif { mref, .. } => self.in_overlay(mref.dst),
         };
         if !acceptable {
-            self.rejected.packets += 1;
+            self.local.rejected.packets += 1;
             return;
         }
         match pkt {
@@ -567,7 +574,7 @@ impl FlexCastGroup {
             }
             Packet::Notif { mref, hist } => {
                 self.update_hst(&hist);
-                if self.open_count == 0 {
+                if self.local.open_count == 0 {
                     // Not a destination: acknowledge straight away so the
                     // destinations above learn our dependencies.
                     self.send_descendants(mref, None, from, out);
@@ -687,7 +694,7 @@ impl FlexCastGroup {
     fn update_hst(&mut self, delta: &HistoryDelta) {
         let pre_verts = self.hst.vert_log_len();
         let pre_edges = self.hst.edge_log_len();
-        self.rejected.verts += self.hst.merge_within(delta, DestSet::all(self.n as usize));
+        self.local.rejected.verts += self.hst.merge_within(delta, DestSet::all(self.n as usize));
         self.post_merge_since(pre_verts, pre_edges);
     }
 
@@ -695,7 +702,7 @@ impl FlexCastGroup {
     /// inserted after the given log positions.
     fn post_merge_since(&mut self, pre_verts: usize, pre_edges: usize) {
         // A vertex new to the history cannot have been delivered here.
-        self.open_count += self.hst.flag_addressed_since(pre_verts, self.g, flag::OPEN);
+        self.local.open_count += self.hst.flag_addressed_since(pre_verts, self.g, flag::OPEN);
         // Memo invalidation: a new edge whose source is neither clean nor
         // delivered may put an open dependency above its target.
         let purge: Vec<MsgId> = self
@@ -724,22 +731,22 @@ impl FlexCastGroup {
     }
 
     fn cond2_blocked_memo(&mut self, m: MsgId) -> bool {
-        if self.open_count == 0 {
-            self.blocked_by.remove(&m);
+        if self.local.open_count == 0 {
+            self.local.blocked_by.remove(&m);
             return false;
         }
         // Negative memo: the previously found blocker is still open.
-        if let Some(&o) = self.blocked_by.get(&m) {
+        if let Some(&o) = self.local.blocked_by.get(&m) {
             if self.hst.has_flag(o, flag::OPEN) {
                 return true;
             }
-            self.blocked_by.remove(&m);
+            self.local.blocked_by.remove(&m);
         }
         let blocker =
             self.hst
                 .find_pred_flagged(m, flag::DELIVERED | flag::CLEAN, flag::OPEN, flag::CLEAN);
         if let Some(o) = blocker {
-            self.blocked_by.insert(m, o);
+            self.local.blocked_by.insert(m, o);
         }
         blocker.is_some()
     }
@@ -751,9 +758,9 @@ impl FlexCastGroup {
         self.hst.record_delivery(mref, self.g);
         debug_assert!(self.hst.is_delivered(m.id), "delivered after its own GC");
         if self.hst.clear_flag(m.id, flag::OPEN) {
-            self.open_count -= 1;
+            self.local.open_count -= 1;
         }
-        self.blocked_by.remove(&m.id);
+        self.local.blocked_by.remove(&m.id);
         self.delivered_count += 1;
         out.push(Output::Deliver(m.clone()));
 
@@ -1019,56 +1026,91 @@ impl FlexCastGroup {
         for id in &pruned {
             self.pending.remove(id);
             self.my_notifs.remove(id);
-            self.blocked_by.remove(id);
+            self.local.blocked_by.remove(id);
         }
         // Nothing the flush's delivery waited on was still open.
-        debug_assert_eq!(self.hst.flagged(flag::OPEN).count(), self.open_count);
+        debug_assert_eq!(self.hst.flagged(flag::OPEN).count(), self.local.open_count);
     }
 
     /// Serializes the engine's complete state to bytes (§4.4 state
     /// transfer): a replica joining a replicated group — or recovering
     /// after losing its local state — restores from a peer's snapshot and
     /// continues from there instead of replaying the input log from the
-    /// beginning. The snapshot covers everything: history, queues, pending
-    /// acks, GC tombstones, and diff cursors, so a restored engine is
-    /// bit-for-bit interchangeable with the original.
+    /// beginning. The snapshot carries each fact once — history, queues,
+    /// pending acks, GC tombstones, diff cursors — and nothing derived
+    /// from them: a restored engine is interchangeable with the original
+    /// in every output, and its caches start cold.
     pub fn snapshot(&self) -> flexcast_types::Result<Vec<u8>> {
         flexcast_wire::to_bytes(self)
     }
 
-    /// Reconstructs an engine from a [`FlexCastGroup::snapshot`].
-    /// The bytes may come from a peer: anything a later walk or merge
-    /// would index with is checked here and reported as an error.
+    /// Reconstructs an engine from a [`FlexCastGroup::snapshot`], which
+    /// may come from a peer: what a later input indexes with or takes from
+    /// the engine's tables is checked first (`validate`). Then every
+    /// retained vertex addressed here and not delivered is flagged open.
     pub fn restore(bytes: &[u8]) -> flexcast_types::Result<FlexCastGroup> {
-        let g: FlexCastGroup = flexcast_wire::from_bytes(bytes)?;
-        let n = g.n as usize;
-        if n > MAX_GROUPS || g.g.rank() >= g.n {
-            return Err(flexcast_types::Error::Decode(format!(
-                "group {} of {} is not a rank of a supported overlay",
-                g.g, g.n
-            )));
+        let mut g: FlexCastGroup = flexcast_wire::from_bytes(bytes)?;
+        let invalid = |what: &str| flexcast_types::Error::Decode(what.into());
+        g.validate().map_err(invalid)?;
+        g.local.open_count = g.hst.flag_addressed_since(0, g.g, flag::OPEN);
+        Ok(g)
+    }
+
+    /// The invariants [`FlexCastGroup::restore`] checks: a rank of a
+    /// supported overlay, per-rank tables of `n` entries, one queue per
+    /// ancestor, cursors within their logs, an acyclic history (the load
+    /// links any edge log); each queued id once, its
+    /// message pending from that queue's lca and its vertex retained and
+    /// not delivered; waiting client messages this group may take and has
+    /// not seen, each once; pending notifications inside the overlay.
+    fn validate(&self) -> Result<(), &'static str> {
+        let n = self.n as usize;
+        if n > MAX_GROUPS || self.g.rank() >= self.n {
+            return Err("the group is not a rank of a supported overlay");
         }
         let per_rank = [
-            g.vert_cursor.len(),
-            g.edge_cursor.len(),
-            g.advertised_clients.len(),
-            g.advertised_edges.len(),
+            self.vert_cursor.len(),
+            self.edge_cursor.len(),
+            self.advertised_clients.len(),
+            self.advertised_edges.len(),
         ];
-        let invalid = if per_rank.iter().any(|&len| len != n) {
-            Some("a per-rank table does not have one entry per group")
-        } else if g.queues.len() != g.g.index() {
-            Some("the queues are not one per ancestor")
-        } else if g.vert_cursor.iter().any(|&c| c > g.hst.vert_log_len())
-            || g.edge_cursor.iter().any(|&c| c > g.hst.edge_log_len())
-        {
-            Some("a diff cursor points past its log")
-        } else {
-            g.hst.check_restored().err()
-        };
-        match invalid {
-            Some(what) => Err(flexcast_types::Error::Decode(what.into())),
-            None => Ok(g),
+        if per_rank.iter().any(|&len| len != n) {
+            return Err("a per-rank table does not have one entry per group");
         }
+        if self.queues.len() != self.g.index() {
+            return Err("the queues are not one per ancestor");
+        }
+        let (verts, edges) = (self.hst.vert_log_len(), self.hst.edge_log_len());
+        if self.vert_cursor.iter().any(|&c| c > verts)
+            || self.edge_cursor.iter().any(|&c| c > edges)
+        {
+            return Err("a diff cursor points past its log");
+        }
+        if !self.hst.is_acyclic() {
+            return Err("the history has a cycle");
+        }
+        let mut ids = BTreeSet::new();
+        for (lca, q) in self.queues.iter().enumerate() {
+            for &id in q {
+                let ours =
+                    |m: &Message| m.id == id && m.lca().index() == lca && self.in_overlay(m.dst);
+                let pending = self.pending.get(&id).and_then(|e| e.msg.as_ref());
+                let open = self.hst.contains(id) && !self.hst.is_delivered(id);
+                if !pending.is_some_and(ours) || !open || !ids.insert(id) {
+                    return Err("a queued id is no open message pending from its lca");
+                }
+            }
+        }
+        for m in &self.client_backlog {
+            let new = !self.hst.has_seen(m.id) && ids.insert(m.id);
+            if !self.in_overlay(m.dst) || m.lca() != self.g || !new {
+                return Err("a waiting client message is not one this group may take");
+            }
+        }
+        let notifs_inside = self.pend_notif.iter().all(|(n, ..)| self.in_overlay(n.dst));
+        notifs_inside
+            .then_some(())
+            .ok_or("a pending notification names a group outside the overlay")
     }
 
     /// Builds the flush message used for garbage collection; multicast it
@@ -1975,9 +2017,12 @@ mod tests {
     }
 
     /// C of three groups left mid-protocol — `m1` delivered, `m2` queued
-    /// and blocked waiting for B's ack — with `m2` and A's packet to B.
-    fn mid_protocol() -> (FlexCastGroup, Message, Packet) {
+    /// and blocked waiting for B's ack — with `m2`, A's packet to B, and
+    /// the rest of the run as C gets it: B's ack for `m2`, then A's flush
+    /// and B's ack for it, whose delivery prunes `m1` and `m2`.
+    fn mid_protocol() -> (FlexCastGroup, Message, Packet, Vec<(GroupId, Packet)>) {
         let mut a = FlexCastGroup::new(A, 3);
+        let mut b = FlexCastGroup::new(B, 3);
         let mut c = FlexCastGroup::new(C, 3);
         let m1 = msg(1, &[0, 2]);
         let m2 = msg(2, &[0, 1, 2]);
@@ -1992,7 +2037,30 @@ mod tests {
         c.on_packet(A, m1_to_c, &mut Vec::new());
         c.on_packet(A, m2_to_c, &mut Vec::new());
         assert_eq!(c.backlog(), 1, "m2 parked awaiting B's ack");
-        (c, m2, m2_to_b)
+
+        let to_c = |out: &[Output]| sends(out).into_iter().find(|(t, _)| *t == C).unwrap().1;
+        let mut out_b = Vec::new();
+        b.on_packet(A, m2_to_b.clone(), &mut out_b);
+        let mut rest = vec![(B, to_c(&out_b))];
+        let mut out_a = Vec::new();
+        let flush = FlexCastGroup::flush_message(MsgId::new(ClientId(8), 0), 3);
+        a.on_client(flush, &mut out_a);
+        rest.push((A, to_c(&out_a)));
+        let flush_to_b = sends(&out_a).into_iter().find(|(t, _)| *t == B).unwrap().1;
+        let mut out_b = Vec::new();
+        b.on_packet(A, flush_to_b, &mut out_b);
+        rest.push((B, to_c(&out_b)));
+        (c, m2, m2_to_b, rest)
+    }
+
+    /// Feeds `inputs` to `c`; its outputs, one list per input.
+    fn run(c: &mut FlexCastGroup, inputs: &[(GroupId, Packet)]) -> Vec<Vec<Output>> {
+        let outs = inputs.iter().map(|(from, pkt)| {
+            let mut out = Vec::new();
+            c.on_packet(*from, pkt.clone(), &mut out);
+            out
+        });
+        outs.collect()
     }
 
     /// Snapshot/restore: a restored engine is interchangeable with the
@@ -2000,7 +2068,7 @@ mod tests {
     /// subsequent inputs.
     #[test]
     fn snapshot_restore_roundtrips_mid_protocol() {
-        let (mut c, m2, m2_to_b) = mid_protocol();
+        let (mut c, m2, m2_to_b, _) = mid_protocol();
 
         let bytes = c.snapshot().expect("snapshot encodes");
         let mut c2 = FlexCastGroup::restore(&bytes).expect("snapshot decodes");
@@ -2077,24 +2145,24 @@ mod tests {
 
     #[test]
     fn restore_rejects_an_edge_log_entry_with_an_endpoint_not_retained() {
-        let (mut c, m2, _) = mid_protocol();
+        let (mut c, m2, ..) = mid_protocol();
         let edge_log = c.hst.edge_log_mut();
         let mut e = edge_log[0];
         e.before = m2.id;
         e.after = msg(7, &[0]).id;
         edge_log.push(e);
-        assert!(restore_error(&c).contains("edge log names a vertex that is not retained"));
+        assert!(restore_error(&c).contains("edge-log entry cannot be linked"));
     }
 
     #[test]
     fn restore_rejects_an_edge_log_entry_that_is_not_a_link() {
-        // m1 → m2 is linked; m2 → m1 joins two retained vertices but is not.
+        // m1 → m2 is linked; m2 → m1 joins two retained vertices into a cycle.
         let (mut c, ..) = mid_protocol();
         let edge_log = c.hst.edge_log_mut();
         let mut e = edge_log[0];
         (e.before, e.after) = (e.after, e.before);
         edge_log.push(e);
-        assert!(restore_error(&c).contains("edge log entry is not the next link"));
+        assert!(restore_error(&c).contains("the history has a cycle"));
     }
 
     #[test]
@@ -2102,15 +2170,37 @@ mod tests {
         let (mut c, ..) = mid_protocol();
         let edge_log = c.hst.edge_log_mut();
         edge_log.push(edge_log[0]);
-        assert!(restore_error(&c).contains("edge log entry is not the next link"));
+        assert!(restore_error(&c).contains("edge-log entry cannot be linked"));
     }
 
+    /// Restores `c`'s snapshot after `corrupt` has damaged what the
+    /// snapshot no longer carries, and runs both through the rest of the
+    /// run: the same outputs, and the same state after.
+    fn assert_restores_as_honest(corrupt: fn(&mut FlexCastGroup)) {
+        let (mut c, _, _, rest) = mid_protocol();
+        let mut damaged = c.clone();
+        corrupt(&mut damaged);
+        let bytes = damaged.snapshot().expect("snapshot encodes");
+        let mut back = FlexCastGroup::restore(&bytes).expect("snapshot decodes");
+        let outs = run(&mut back, &rest);
+        assert_eq!(run(&mut c, &rest), outs);
+        assert_eq!(deliveries(&outs.concat()).len(), 2, "m2 and the flush");
+        assert_eq!(c.history().len(), 1, "the flush pruned m1 and m2");
+        assert_eq!(back.snapshot().unwrap(), c.snapshot().unwrap());
+    }
+
+    /// A zero open-dependency count beside `m2`'s OPEN flag would wrap on
+    /// `m2`'s delivery; the count is recounted from the flags instead.
     #[test]
-    fn restore_rejects_a_link_without_an_edge_log_entry() {
-        let (mut c, ..) = mid_protocol();
-        assert_eq!(c.hst.edge_count(), 1);
-        c.hst.edge_log_mut().clear();
-        assert!(restore_error(&c).contains("a link has no edge log entry"));
+    fn restore_recounts_a_zeroed_open_count() {
+        assert_restores_as_honest(|c| c.local.open_count = 0);
+    }
+
+    /// Zeroed per-group counts would wrap when the flush prunes; they are
+    /// recounted from the vertex log instead.
+    #[test]
+    fn restore_recounts_zeroed_addressed_counts() {
+        assert_restores_as_honest(|c| c.hst.addressed_mut().fill(0));
     }
 
     /// A message reference for client 7 (the fixtures use client 9).
@@ -2285,7 +2375,7 @@ mod tests {
         assert_eq!((a.delivered_count(), a.reject_stats().packets), (1, 0));
 
         // C waits for B's ack on m2, so a message C is the lca of waits too.
-        let (mut c, m2, m2_to_b) = mid_protocol();
+        let (mut c, m2, m2_to_b, _) = mid_protocol();
         let local = msg(10, &[2]);
         for _ in 0..2 {
             let mut out = Vec::new();
@@ -2318,7 +2408,7 @@ mod tests {
             mref: stray(3, &[0, 1]),
             hist: HistoryDelta { verts, edges },
         };
-        let (mut with, m2, _) = mid_protocol();
+        let (mut with, m2, ..) = mid_protocol();
         let mut without = with.clone();
         let (mut out_with, mut out_without) = (Vec::new(), Vec::new());
         with.on_packet(

@@ -365,6 +365,10 @@ pub(crate) mod flag {
     /// Engine: proven to have no open dependency among its ancestors
     /// (the `can-deliver` condition-2 memo).
     pub const CLEAN: u8 = 1 << 2;
+    /// The bits a snapshot carries. The engine's restore flags `OPEN`
+    /// again from the destinations and `DELIVERED`, and the memo is
+    /// rebuilt by the walks that set it, so it starts cold.
+    pub const SHIPPED: u8 = DELIVERED;
 }
 
 /// Sentinel for "no sequence seen yet from this client" in the dense
@@ -379,7 +383,7 @@ pub(crate) const NO_WATERMARK: u32 = u32::MAX;
 /// therefore the bytes of every [`HistoryDelta`] — is identical across
 /// runs and replicas. That determinism is what lets the engine run
 /// unchanged under state machine replication.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct History {
     /// The retained vertices, each identified by its slot in the vertex
     /// insertion log, with one byte of [`flag`] bits and the lists of its
@@ -394,7 +398,8 @@ pub struct History {
     edge_log: Vec<TaggedEdge>,
     /// Number of retained vertices addressed to each group (indexed by
     /// group rank, grown on demand), for O(1) `contains_msg_to`
-    /// (evaluated on every forward by `send-notifs`).
+    /// (evaluated on every forward by `send-notifs`). Derived from the
+    /// vertex log: not shipped, recounted on load.
     addressed: Vec<u32>,
     /// Per-client contiguous-prefix watermark over every id this history
     /// has *ever* admitted — still retained or since pruned: all seqs
@@ -510,12 +515,14 @@ impl History {
     }
 
     /// Sets [`flag`] `bits` on every vertex inserted at or after log
-    /// position `from` that is addressed to `g`; returns how many.
+    /// position `from` that is addressed to `g` and not delivered here;
+    /// returns how many.
     pub(crate) fn flag_addressed_since(&mut self, from: usize, g: GroupId, bits: u8) -> usize {
         let mut n = 0;
         for slot in from.min(self.verts.len())..self.verts.len() {
             let slot = slot as u32;
-            if self.verts.get(slot).dst.contains(g) {
+            let delivered = self.verts.flags(slot) & flag::DELIVERED != 0;
+            if self.verts.get(slot).dst.contains(g) && !delivered {
                 self.verts.set_flags(slot, bits);
                 n += 1;
             }
@@ -604,10 +611,7 @@ impl History {
         ps.map(move |p| t.get(p).id)
     }
 
-    /// Direct successors of `id`, in the order their edges were linked —
-    /// except that a serde round-trip, which rebuilds the lists from the
-    /// predecessor lists, leaves them in slot order (the same set; nothing
-    /// may depend on the order).
+    /// Direct successors of `id`, in the order their edges were linked.
     pub fn succs_of(&self, id: MsgId) -> impl Iterator<Item = MsgId> + '_ {
         let t = &self.verts;
         let ss = t.slot_of(id).into_iter().flat_map(|s| t.succs(s));
@@ -738,7 +742,12 @@ impl History {
         self.note_seen(v.id);
         self.verts.push(v);
         self.admitted += 1;
-        for g in v.dst.iter() {
+        self.count_addressed(v.dst);
+    }
+
+    /// Counts one more retained vertex addressed to each group of `dst`.
+    fn count_addressed(&mut self, dst: DestSet) {
+        for g in dst.iter() {
             if g.index() >= self.addressed.len() {
                 self.addressed.resize(g.index() + 1, 0);
             }
@@ -1168,14 +1177,6 @@ impl History {
         // retained entries among the old prefix it covered. Edges first —
         // edge-log entry `i` is link `i`, whose endpoints' old slots the
         // arena caches, and the marks are still those of the old slots.
-        if self.verts.links_as_loaded() {
-            // Checked where the history was restored.
-            let Ok(order) = self.link_of_each_edge() else {
-                debug_assert!(false, "pruning an unchecked history");
-                return Vec::new();
-            };
-            self.verts.reorder_links(&order);
-        }
         let verts = &self.verts;
         let mut edge_prefix = Vec::with_capacity(self.edge_log.len() + 1);
         let mut kept = 0usize;
@@ -1197,48 +1198,6 @@ impl History {
             *c = vert_prefix[(*c).min(vert_prefix.len() - 1)];
         }
         pruned
-    }
-
-    /// Checks what deserialization cannot see from one field alone, for a
-    /// history restored from a peer's snapshot: the edge log holds exactly
-    /// the table's links (`diff-hst` ships the log, the walks follow the
-    /// links). An edge is logged where it is linked and compaction keeps
-    /// the order of both, so the entries naming one `after` are that
-    /// vertex's predecessor list, in order: one counter per slot, one pass.
-    pub(crate) fn check_restored(&self) -> Result<(), &'static str> {
-        self.link_of_each_edge().map(drop)
-    }
-
-    /// [`History::check_restored`]'s pass, returning the arena position
-    /// of each edge-log entry's link: one cursor per slot walks its
-    /// predecessor list along the log.
-    fn link_of_each_edge(&self) -> Result<Vec<u32>, &'static str> {
-        let t = &self.verts;
-        let mut next: Vec<u32> = (0..t.len() as u32).map(|s| t.first_pred_link(s)).collect();
-        let mut order = Vec::with_capacity(self.edge_log.len());
-        for e in &self.edge_log {
-            let (Some(b), Some(a)) = (t.slot_of(e.before), t.slot_of(e.after)) else {
-                return Err("history: edge log names a vertex that is not retained");
-            };
-            let l = &mut next[a as usize];
-            match t.pred_link(*l) {
-                Some((p, following)) if p == b => {
-                    order.push(*l);
-                    *l = following;
-                }
-                _ => return Err("history: edge log entry is not the next link of its vertex"),
-            }
-        }
-        if self.edge_log.len() != t.link_count() {
-            return Err("history: a link has no edge log entry");
-        }
-        Ok(order)
-    }
-
-    /// The edge log, for tests that corrupt a snapshot.
-    #[cfg(test)]
-    pub(crate) fn edge_log_mut(&mut self) -> &mut Vec<TaggedEdge> {
-        &mut self.edge_log
     }
 
     /// Checks that the history is acyclic (test/diagnostic helper; the
@@ -1264,10 +1223,70 @@ impl History {
     }
 }
 
+impl Serialize for History {
+    /// Every field but the per-group counts, which the load recounts, in
+    /// nested tuples (serde's tuple impls stop at six elements).
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        (
+            (&self.verts, &self.last_delivered, &self.edge_log),
+            (&self.seen_watermark, &self.seen_residual, &self.edge_seen),
+            (self.next_edge_idx, self.admitted, self.merge_stats),
+        )
+            .serialize(s)
+    }
+}
+
+impl<'de> Deserialize<'de> for History {
+    /// The one way a history is loaded. The per-group counts are recounted
+    /// from the vertex log, and the edge log is linked again in order, so
+    /// every list reads as it did when the snapshot was taken. Each entry
+    /// must join two distinct retained vertices not linked yet
+    /// (`History::linkable`), and each retained vertex must be seen.
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        let mut h = History::default();
+        (
+            (h.verts, h.last_delivered, h.edge_log),
+            (h.seen_watermark, h.seen_residual, h.edge_seen),
+            (h.next_edge_idx, h.admitted, h.merge_stats),
+        ) = Deserialize::deserialize(d)?;
+        for slot in 0..h.verts.len() as u32 {
+            let v = *h.verts.get(slot);
+            if !h.has_seen(v.id) {
+                return Err(D::Error::custom("history: a retained vertex is not seen"));
+            }
+            h.count_addressed(v.dst);
+        }
+        let unlinkable = || D::Error::custom("history: an edge-log entry cannot be linked");
+        for i in 0..h.edge_log.len() {
+            let e = h.edge_log[i];
+            let (b, a) = h.linkable(e.before, e.after).ok_or_else(unlinkable)?;
+            h.verts.link(b, a);
+        }
+        Ok(h)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use flexcast_types::ClientId;
+
+    impl History {
+        /// The edge log, for tests that corrupt a snapshot.
+        pub(crate) fn edge_log_mut(&mut self) -> &mut Vec<TaggedEdge> {
+            &mut self.edge_log
+        }
+
+        /// The per-group counts, for tests that corrupt them.
+        pub(crate) fn addressed_mut(&mut self) -> &mut Vec<u32> {
+            &mut self.addressed
+        }
+
+        /// The slot table, for tests that read its lists.
+        pub(crate) fn slots(&self) -> &SlotTable {
+            &self.verts
+        }
+    }
 
     /// Creator used by tests for locally created edges.
     const OWNER: GroupId = GroupId(9);
@@ -1644,7 +1663,6 @@ mod tests {
             assert_eq!(h.succs_of(id(d_lo)).count(), 0);
             assert_eq!(h.edges_since(0).len(), 2);
             assert_eq!(h.blocking_predecessor(id(s1), GroupId(0)), Some(id(p_hi)));
-            assert_eq!(h.check_restored(), Ok(()));
             assert!(h.is_acyclic());
         };
         check(&h);
@@ -1767,6 +1785,13 @@ mod tests {
     }
 
     impl Model {
+        /// What a restore keeps of the flags.
+        fn restore(&mut self) {
+            for (_, f) in &mut self.verts {
+                *f &= flag::SHIPPED;
+            }
+        }
+
         fn pos(&self, id: MsgId) -> Option<usize> {
             self.verts.iter().position(|(v, _)| v.id == id)
         }
@@ -1990,7 +2015,6 @@ mod tests {
         let edges: BTreeSet<(MsgId, MsgId)> = h.edges().collect();
         assert_eq!(edges, m.edges);
         assert_eq!(h.edges().count(), m.edges.len(), "an edge listed twice");
-        assert_eq!(h.check_restored(), Ok(()));
         let pool_ids = || (0..3 * SEQS.len() as u64).map(pool);
         let mut acyclic = true;
         for id in pool_ids() {
@@ -2451,10 +2475,11 @@ mod tests {
                         vc[d] = h.vert_log_len();
                         ec[d] = h.edge_log_len();
                         if y % 2 == 0 {
-                            // A restore: later links and prunes run on a
-                            // link arena laid out by the load.
+                            // A restore: the load links the edge log again
+                            // and ships no memo bit.
                             h = flexcast_wire::from_bytes(&flexcast_wire::to_bytes(&h).unwrap())
                                 .unwrap();
+                            m.restore();
                         }
                     }
                     _ => {
@@ -2467,9 +2492,10 @@ mod tests {
                 assert_matches_model(&h, &m);
             }
             // The serialized form is canonical state only: it round-trips
-            // to an equal history with a rebuilt index.
+            // to an equal history with a rebuilt index and a cold memo.
             let bytes = flexcast_wire::to_bytes(&h).unwrap();
             let back: History = flexcast_wire::from_bytes(&bytes).unwrap();
+            m.restore();
             assert_matches_model(&back, &m);
             assert_eq!(flexcast_wire::to_bytes(&back).unwrap(), bytes);
         }

@@ -26,13 +26,13 @@
 //! the number of vertices it holds goes to an ordered spill map instead,
 //! so index memory is `O(retained vertices)` whatever ids arrive.
 //!
-//! The log, the flags and the predecessor lists are canonical state. The
-//! successor lists (their mirror), the index and the visit marks are
-//! derived, never serialized, and rebuilt on load.
+//! The table serializes its log and the flag bits a snapshot carries
+//! ([`flag::SHIPPED`]) and nothing else. The adjacency is the history's
+//! edge log, linked again in order when a history loads; the index and
+//! the visit marks are rebuilt with the table.
 
-use crate::history::MsgRef;
+use crate::history::{flag, MsgRef};
 use flexcast_types::MsgId;
-use serde::ser::SerializeSeq;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -81,20 +81,6 @@ struct Ends {
     succ_tail: u32,
 }
 
-impl Ends {
-    /// Points each end at link `renum(end)`.
-    fn renumber(&mut self, renum: impl Fn(u32) -> u32) {
-        for end in [
-            &mut self.pred_head,
-            &mut self.pred_tail,
-            &mut self.succ_head,
-            &mut self.succ_tail,
-        ] {
-            *end = renum(*end);
-        }
-    }
-}
-
 const NO_LINKS: Ends = Ends {
     pred_head: END,
     pred_tail: END,
@@ -129,11 +115,8 @@ pub(crate) struct SlotTable {
     /// `ends[slot]`: the ends of its predecessor list (no self-link, no
     /// duplicate) and of its successor list, `preds` mirrored.
     ends: Vec<Ends>,
-    /// Every link, in the order it was linked — except that a load adds
-    /// its links slot by slot ([`SlotTable::links_as_loaded`]).
+    /// Every link, in the order it was linked.
     links: Vec<Link>,
-    /// True from a load until [`SlotTable::reorder_links`].
-    as_loaded: bool,
     /// `mark[slot] == epoch` ⇔ the current walk has visited `slot`.
     mark: Vec<u32>,
     epoch: u32,
@@ -286,8 +269,7 @@ impl SlotTable {
         }
     }
 
-    /// The direct successors of `slot`, in link order (slot order for the
-    /// links a load added).
+    /// The direct successors of `slot`, in link order.
     #[inline]
     pub(crate) fn succs(&self, slot: u32) -> Adjacent<'_> {
         Adjacent {
@@ -322,20 +304,6 @@ impl SlotTable {
         b.succ_tail = l;
     }
 
-    /// The first link of `slot`'s predecessor list, to walk with
-    /// [`SlotTable::pred_link`].
-    #[inline]
-    pub(crate) fn first_pred_link(&self, slot: u32) -> u32 {
-        self.ends[slot as usize].pred_head
-    }
-
-    /// Link `l`'s `before` and the link after it in its `after`'s
-    /// predecessor list; `None` past the end of the list.
-    #[inline]
-    pub(crate) fn pred_link(&self, l: u32) -> Option<(u32, u32)> {
-        self.links.get(l as usize).map(|l| (l.before, l.next_pred))
-    }
-
     /// Number of links (edges of the DAG).
     #[inline]
     pub(crate) fn link_count(&self) -> usize {
@@ -348,38 +316,6 @@ impl SlotTable {
     pub(crate) fn link_visited(&self, l: usize) -> bool {
         let l = self.links[l];
         self.visited(l.before) || self.visited(l.after)
-    }
-
-    /// True while the arena holds a load's links slot by slot, not in the
-    /// order they were linked — until [`SlotTable::reorder_links`].
-    pub(crate) fn links_as_loaded(&self) -> bool {
-        self.as_loaded
-    }
-
-    /// Moves link `order[i]` to arena position `i` (`order` is a
-    /// permutation of the arena's positions). Every list keeps its order.
-    pub(crate) fn reorder_links(&mut self, order: &[u32]) {
-        debug_assert_eq!(order.len(), self.links.len());
-        let mut new_of = vec![END; order.len()];
-        for (i, &o) in order.iter().enumerate() {
-            new_of[o as usize] = i as u32;
-        }
-        let renum = |x: u32| if x == END { END } else { new_of[x as usize] };
-        self.links = order
-            .iter()
-            .map(|&o| {
-                let l = self.links[o as usize];
-                Link {
-                    next_pred: renum(l.next_pred),
-                    next_succ: renum(l.next_succ),
-                    ..l
-                }
-            })
-            .collect();
-        for e in &mut self.ends {
-            e.renumber(renum);
-        }
-        self.as_loaded = false;
     }
 
     /// Starts a new graph walk: every slot becomes unvisited.
@@ -488,7 +424,14 @@ impl SlotTable {
             }
         }
         for e in &mut self.ends[..kept] {
-            e.renumber(renum);
+            for end in [
+                &mut e.pred_head,
+                &mut e.pred_tail,
+                &mut e.succ_head,
+                &mut e.succ_tail,
+            ] {
+                *end = renum(*end);
+            }
         }
         // What a sweep removes it gives back, past twice what is left: a
         // history would otherwise hold, after every flush, the capacity
@@ -574,58 +517,28 @@ fn retain_list(
     (first, last)
 }
 
-/// The predecessor lists, slot by slot, in the form a `Vec<Vec<u32>>`
-/// takes on the wire.
-struct PredLists<'a>(&'a SlotTable);
-
-/// One slot's predecessor list, as a `Vec<u32>`.
-struct PredList<'a>(&'a SlotTable, u32);
-
-impl Serialize for PredLists<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
-        for slot in 0..self.0.len() as u32 {
-            seq.serialize_element(&PredList(self.0, slot))?;
-        }
-        seq.end()
-    }
-}
-
-impl Serialize for PredList<'_> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut seq = serializer.serialize_seq(Some(self.0.preds(self.1).count()))?;
-        for p in self.0.preds(self.1) {
-            seq.serialize_element(&p)?;
-        }
-        seq.end()
-    }
-}
-
 impl Serialize for SlotTable {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        (&self.log, &self.flags, PredLists(self)).serialize(serializer)
+        let flags: Vec<u8> = self.flags.iter().map(|f| f & flag::SHIPPED).collect();
+        (&self.log, flags).serialize(serializer)
     }
 }
 
 impl<'de> Deserialize<'de> for SlotTable {
-    /// Rebuilds the derived state and checks everything a walk later
-    /// indexes with: a peer's snapshot must not be able to cause a panic.
-    /// Links are added slot by slot, each list in its serialized order.
+    /// Rebuilds the index, with no links; refuses what a later walk would
+    /// index out of range with, and bits only the engine's walks may set.
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let (log, flags, preds) =
-            <(Vec<MsgRef>, Vec<u8>, Vec<Vec<u32>>)>::deserialize(deserializer)?;
+        let (log, flags) = <(Vec<MsgRef>, Vec<u8>)>::deserialize(deserializer)?;
         let err = |what| Err(serde::de::Error::custom(what));
         if flags.len() != log.len() {
             return err("slot table: one flag byte per vertex");
         }
-        if preds.len() != log.len() {
-            return err("slot table: one predecessor list per vertex");
+        if flags.iter().any(|f| f & !flag::SHIPPED != 0) {
+            return err("slot table: a flag bit a snapshot does not carry");
         }
         let mut t = SlotTable {
             mark: vec![0; log.len()],
             ends: vec![NO_LINKS; log.len()],
-            links: Vec::with_capacity(preds.iter().map(Vec::len).sum()),
-            as_loaded: true,
             log,
             flags,
             ..SlotTable::default()
@@ -637,25 +550,6 @@ impl<'de> Deserialize<'de> for SlotTable {
             }
             t.index_insert(id, slot as u32);
         }
-        for (slot, ps) in preds.iter().enumerate() {
-            // One walk per list: a mark seen twice is a duplicate link.
-            t.begin_walk();
-            t.mark[slot] = t.epoch;
-            for &p in ps {
-                let Some(m) = t.mark.get_mut(p as usize) else {
-                    return err("slot table: predecessor slot out of range");
-                };
-                if *m == t.epoch {
-                    return err(if p as usize == slot {
-                        "slot table: vertex linked to itself"
-                    } else {
-                        "slot table: duplicate link"
-                    });
-                }
-                *m = t.epoch;
-                t.link(p, slot as u32);
-            }
-        }
         Ok(t)
     }
 }
@@ -663,7 +557,8 @@ impl<'de> Deserialize<'de> for SlotTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexcast_types::{ClientId, DestSet};
+    use crate::History;
+    use flexcast_types::{ClientId, DestSet, GroupId};
 
     impl SlotTable {
         /// [`SlotTable::preds`], collected.
@@ -744,13 +639,13 @@ mod tests {
     }
 
     /// Successor links pointing both ways along the log survive a sweep
-    /// that shifts their endpoints by different amounts, and loading
-    /// derives the same successor sets from the predecessor lists.
+    /// (a history's prune) that shifts their endpoints by different
+    /// amounts, and a history's load rebuilds every list in link order.
     #[test]
     fn successor_lists_are_renumbered_by_the_sweep_and_rebuilt_on_load() {
-        let mut t = SlotTable::default();
+        let mut h = History::new();
         for s in 0..7 {
-            t.push(vref(0, s));
+            h.insert_vert(vref(0, s));
         }
         // Doomed: 1 → 4 → 6 (the fence), and 1 → 2. Survivors: 0 → 5 and
         // 0 → 3 → 5 → 2 point up and down the log, 6 → 0 points down.
@@ -764,30 +659,25 @@ mod tests {
             (5, 2),
             (6, 0),
         ] {
-            t.link(b, a);
+            h.create_edge(GroupId(0), vref(0, b).id, vref(0, a).id);
         }
-        assert_eq!(t.succ_vec(1), [4, 2]);
-        assert_eq!(t.succ_vec(0), [5, 3], "link order");
-        t.begin_walk();
-        let mut stack = Vec::new();
-        t.push_unvisited_preds(6, &mut stack);
-        t.push_unvisited_preds(4, &mut stack);
-        assert_eq!(stack, vec![4, 1]);
+        assert_eq!(h.slots().succ_vec(1), [4, 2]);
+        assert_eq!(h.slots().succ_vec(0), [5, 3], "link order");
         // Old slots 0, 2, 3, 5, 6 become 0, 1, 2, 3, 4.
-        assert_eq!(t.remove_visited(), vec![0, 1, 1, 2, 3, 3, 4, 5]);
+        let mut cursors: Vec<usize> = (0..=7).collect();
+        let pruned = h.prune_before(vref(0, 6).id, &mut cursors, &mut []);
+        assert_eq!(pruned, [vref(0, 1).id, vref(0, 4).id]);
+        assert_eq!(cursors, [0, 1, 1, 2, 3, 3, 4, 5]);
+        let t = h.slots();
         let succs: Vec<Vec<u32>> = (0..5).map(|s| t.succ_vec(s)).collect();
         assert_eq!(succs, [&[3, 2][..], &[], &[3], &[1], &[0]]);
         let preds: Vec<Vec<u32>> = (0..5).map(|s| t.pred_vec(s)).collect();
         assert_eq!(preds, [&[4][..], &[3], &[0], &[0, 2], &[]]);
 
-        let bytes = flexcast_wire::to_bytes(&t).unwrap();
-        let back: SlotTable = flexcast_wire::from_bytes(&bytes).unwrap();
-        assert_eq!(back.succ_vec(0), [2, 3], "slot order after a load");
+        let back = round_trip(&h);
         for slot in 0..5 {
-            let mut want = t.succ_vec(slot).to_vec();
-            want.sort_unstable();
-            assert_eq!(back.succ_vec(slot), want, "slot {slot}");
-            assert_eq!(back.pred_vec(slot), t.pred_vec(slot));
+            assert_eq!(back.slots().succ_vec(slot), t.succ_vec(slot), "slot {slot}");
+            assert_eq!(back.slots().pred_vec(slot), t.pred_vec(slot));
         }
     }
 
@@ -811,76 +701,123 @@ mod tests {
         assert_eq!(t.link_count(), 1);
     }
 
+    /// `h` through its snapshot bytes and back; the bytes are stable.
+    fn round_trip(h: &History) -> History {
+        let bytes = flexcast_wire::to_bytes(h).unwrap();
+        let back: History = flexcast_wire::from_bytes(&bytes).unwrap();
+        assert_eq!(flexcast_wire::to_bytes(&back).unwrap(), bytes);
+        back
+    }
+
+    /// A history's load rebuilds the table's index and its lists; the
+    /// memo bit is not shipped.
     #[test]
     fn serde_roundtrip_rebuilds_the_index() {
-        let mut t = SlotTable::default();
-        for &(c, s) in &[(0, 3), (1, 9), (0, 900_000), (0, 4)] {
-            t.push(vref(c, s));
+        let mut h = History::new();
+        let log = [vref(0, 3), vref(1, 9), vref(0, 900_000), vref(0, 4)];
+        for v in log {
+            h.insert_vert(v);
         }
-        t.set_flags(1, 0b101);
-        t.link(3, 1);
-        t.link(0, 1);
-        let bytes = flexcast_wire::to_bytes(&t).unwrap();
-        let back: SlotTable = flexcast_wire::from_bytes(&bytes).unwrap();
-        assert_eq!(back.log(), t.log());
+        h.set_flag(log[1].id, flag::DELIVERED | flag::CLEAN);
+        h.create_edge(GroupId(0), log[3].id, log[1].id);
+        h.create_edge(GroupId(0), log[0].id, log[1].id);
+        let back = round_trip(&h);
+        let (t, b) = (h.slots(), back.slots());
+        assert_eq!(b.log(), t.log());
+        assert_eq!(b.flags(1), flag::DELIVERED, "the memo starts cold");
         for slot in 0..4u32 {
-            assert_eq!(back.flags(slot), t.flags(slot));
-            assert_eq!(back.pred_vec(slot), t.pred_vec(slot));
-            assert_eq!(back.slot_of(t.get(slot).id), Some(slot));
+            assert_eq!(b.flags(slot) & flag::SHIPPED, t.flags(slot) & flag::SHIPPED);
+            assert_eq!(b.pred_vec(slot), t.pred_vec(slot));
+            assert_eq!(b.slot_of(t.get(slot).id), Some(slot));
         }
-        assert_eq!(flexcast_wire::to_bytes(&back).unwrap(), bytes);
+        assert_eq!(b.pred_vec(1), [3, 0]);
     }
 
     /// Decodes a table from hand-built parts.
-    fn decode(log: &[MsgRef], flags: &[u8], preds: &[&[u32]]) -> flexcast_types::Result<SlotTable> {
-        flexcast_wire::from_bytes(&flexcast_wire::to_bytes(&(log, flags, preds)).unwrap())
+    fn decode(log: &[MsgRef], flags: &[u8]) -> flexcast_types::Result<SlotTable> {
+        flexcast_wire::from_bytes(&flexcast_wire::to_bytes(&(log, flags)).unwrap())
     }
 
     /// The error text of a table that must not decode.
-    fn rejected(log: &[MsgRef], flags: &[u8], preds: &[&[u32]]) -> String {
-        decode(log, flags, preds)
-            .expect_err("malformed table")
-            .to_string()
+    fn rejected(log: &[MsgRef], flags: &[u8]) -> String {
+        decode(log, flags).expect_err("malformed table").to_string()
     }
 
     #[test]
     fn deserialize_rejects_a_flag_vector_of_the_wrong_length() {
         let log = [vref(0, 0), vref(0, 1)];
-        assert!(rejected(&log, &[0; 3], &[&[], &[]]).contains("one flag byte per vertex"));
+        assert!(rejected(&log, &[0; 3]).contains("one flag byte per vertex"));
     }
 
     #[test]
     fn deserialize_rejects_a_duplicate_vertex_id() {
         let log = [vref(0, 0), vref(0, 0)];
-        assert!(rejected(&log, &[0; 2], &[&[], &[]]).contains("duplicate vertex id"));
+        assert!(rejected(&log, &[0; 2]).contains("duplicate vertex id"));
     }
 
     #[test]
-    fn deserialize_rejects_a_list_count_other_than_the_log_length() {
+    fn deserialize_rejects_a_flag_bit_a_snapshot_does_not_carry() {
         let log = [vref(0, 0), vref(0, 1)];
-        assert!(rejected(&log, &[0; 2], &[&[]]).contains("one predecessor list per vertex"));
-        assert!(rejected(&log, &[0; 2], &[&[], &[], &[]]).contains("one predecessor list"));
+        assert!(rejected(&log, &[0, flag::CLEAN]).contains("flag bit"));
+        assert!(rejected(&log, &[0x80, 0]).contains("flag bit"));
+        assert!(decode(&log, &[flag::SHIPPED, 0]).is_ok());
     }
 
+    /// The error a history with vertices `(0, 0..k)` and edges `links` (by
+    /// seq), which loads, gives on load once `extra` ends its edge log.
+    fn load_error(k: u32, links: &[(u32, u32)], extra: (MsgId, MsgId)) -> String {
+        let mut h = History::new();
+        for s in 0..k {
+            h.insert_vert(vref(0, s));
+        }
+        for &(b, a) in links {
+            h.create_edge(GroupId(0), vref(0, b).id, vref(0, a).id);
+        }
+        round_trip(&h);
+        let mut e = h.edges_since(0)[0];
+        (e.before, e.after) = extra;
+        h.edge_log_mut().push(e);
+        let bytes = flexcast_wire::to_bytes(&h).unwrap();
+        let err = flexcast_wire::from_bytes::<History>(&bytes).expect_err("malformed edge log");
+        err.to_string()
+    }
+
+    const UNLINKABLE: &str = "edge-log entry cannot be linked";
+
+    #[test]
+    fn deserialize_rejects_an_edge_into_a_vertex_not_retained() {
+        let id = |s| vref(0, s).id;
+        assert!(load_error(2, &[(0, 1)], (id(0), id(2))).contains(UNLINKABLE));
+        assert!(load_error(2, &[(0, 1)], (id(0), vref(5, 0).id)).contains(UNLINKABLE));
+    }
+
+    /// An edge out of an id no slot holds: the old list form's predecessor
+    /// slot out of range.
     #[test]
     fn deserialize_rejects_a_predecessor_slot_out_of_range() {
-        let log = [vref(0, 0), vref(0, 1)];
-        assert!(rejected(&log, &[0; 2], &[&[], &[2]]).contains("out of range"));
-        assert!(rejected(&log, &[0; 2], &[&[u32::MAX], &[]]).contains("out of range"));
+        let id = |s| vref(0, s).id;
+        assert!(load_error(2, &[(0, 1)], (id(2), id(1))).contains(UNLINKABLE));
+        assert!(load_error(2, &[(0, 1)], (id(u32::MAX), id(0))).contains(UNLINKABLE));
     }
 
     #[test]
     fn deserialize_rejects_a_self_link() {
-        let log = [vref(0, 0), vref(0, 1)];
-        assert!(rejected(&log, &[0; 2], &[&[], &[0, 1]]).contains("linked to itself"));
+        let id = |s| vref(0, s).id;
+        assert!(load_error(2, &[(0, 1)], (id(1), id(1))).contains(UNLINKABLE));
     }
 
     #[test]
     fn deserialize_rejects_a_duplicate_link() {
-        let log = [vref(0, 0), vref(0, 1), vref(0, 2)];
-        assert!(rejected(&log, &[0; 3], &[&[], &[], &[0, 1, 0]]).contains("duplicate link"));
+        let id = |s| vref(0, s).id;
+        assert!(load_error(3, &[(0, 2), (1, 2)], (id(0), id(2))).contains(UNLINKABLE));
         // The same predecessor under two different vertices is no duplicate.
-        assert!(decode(&log, &[0; 3], &[&[], &[0], &[0]]).is_ok());
+        let mut h = History::new();
+        for s in 0..3 {
+            h.insert_vert(vref(0, s));
+        }
+        h.create_edge(GroupId(0), id(0), id(1));
+        h.create_edge(GroupId(0), id(0), id(2));
+        assert_eq!(round_trip(&h).slots().succ_vec(0), [1, 2]);
     }
 
     #[test]
@@ -934,11 +871,6 @@ mod tests {
             assert_eq!(t.succ_vec(slot), m.succs[slot as usize], "succs of {slot}");
         }
         assert_eq!(t.link_count(), m.preds.iter().map(Vec::len).sum::<usize>());
-        let want = (&t.log, &t.flags, &m.preds);
-        assert_eq!(
-            flexcast_wire::to_bytes(t).unwrap(),
-            flexcast_wire::to_bytes(&want).unwrap()
-        );
     }
 
     proptest::proptest! {
@@ -947,10 +879,10 @@ mod tests {
             ..proptest::prelude::ProptestConfig::default()
         })]
 
-        /// Random pushes, links, sweeps of random visited sets, arena
-        /// reorders and serde round-trips keep every list, the link count
-        /// and the serialized bytes those of the `Vec<Vec<u32>>` model.
-        /// A load rebuilds each successor list in slot order.
+        /// Random pushes, links, sweeps of random visited sets and loads
+        /// keep every list and the link count those of the `Vec<Vec<u32>>`
+        /// model. A load is a history's: the table's own bytes, then its
+        /// links again in arena order, which is edge-log order.
         #[test]
         fn the_link_arena_reads_as_vec_lists(
             words in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..200),
@@ -987,22 +919,13 @@ mod tests {
                         assert_eq!(t.remove_visited(), m.remove(&gone));
                         assert!((0..t.len() as u32).all(|s| !t.visited(s)));
                     }
-                    6 => {
-                        // Any permutation of the arena reads the same.
-                        let mut order: Vec<u32> = (0..t.link_count() as u32).collect();
-                        let mut x = w;
-                        for i in (1..order.len()).rev() {
-                            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            order.swap(i, (x >> 33) as usize % (i + 1));
-                        }
-                        t.reorder_links(&order);
-                    }
-                    7 => {
+                    6 | 7 => {
                         let bytes = flexcast_wire::to_bytes(&t).unwrap();
-                        t = flexcast_wire::from_bytes(&bytes).unwrap();
-                        for list in &mut m.succs {
-                            list.sort_unstable();
+                        let mut back: SlotTable = flexcast_wire::from_bytes(&bytes).unwrap();
+                        for l in &t.links {
+                            back.link(l.before, l.after);
                         }
+                        t = back;
                     }
                     _ => {}
                 }

@@ -1,8 +1,9 @@
 //! Hostile bytes at the state-transfer seam: whatever a peer sends as a
 //! snapshot, `FlexCastGroup::restore` answers `Ok` or `Err` — it never
 //! panics and never allocates more than a small multiple of the bytes it
-//! was handed — and a history it accepts agrees with itself: successors
-//! mirror predecessors and the edge log names exactly the links.
+//! was handed — and an engine it accepts agrees with itself (successors
+//! mirror predecessors, the edge log names exactly the links) and runs:
+//! it takes the rest of the fixture's honest run without a panic.
 //!
 //! The inputs are mutations of one valid snapshot, so most of them get
 //! deep into decoding before something is wrong: single-bit flips (a slot
@@ -37,10 +38,13 @@ fn send_to(out: &[Output], to: GroupId) -> Packet {
 
 /// The engine unit tests' mid-protocol fixture: C of three groups with
 /// `m1` delivered and `m2` queued behind B's ack, so the snapshot holds
-/// vertices, a link, its edge-log entry, a queue and a pending entry.
-fn mid_protocol_snapshot() -> Vec<u8> {
-    let (a_id, c_id) = (GroupId(0), GroupId(2));
+/// vertices, a link, its edge-log entry, a queue and a pending entry. With
+/// it, the rest of the run as C gets it: B's ack for `m2`, then A's flush
+/// and B's ack for it, whose delivery prunes the history.
+fn mid_protocol_snapshot() -> (Vec<u8>, Vec<(GroupId, Packet)>) {
+    let (a_id, b_id, c_id) = (GroupId(0), GroupId(1), GroupId(2));
     let mut a = FlexCastGroup::new(a_id, 3);
+    let mut b = FlexCastGroup::new(b_id, 3);
     let mut c = FlexCastGroup::new(c_id, 3);
     let mut out1 = Vec::new();
     a.on_client(msg(1, &[0, 2]), &mut out1);
@@ -50,17 +54,35 @@ fn mid_protocol_snapshot() -> Vec<u8> {
     c.on_packet(a_id, send_to(&out2, c_id), &mut Vec::new());
     assert_eq!((c.delivered_count(), c.backlog()), (1, 1));
     assert_eq!(c.history().edge_count(), 1);
-    c.snapshot().expect("snapshot encodes")
+    let snapshot = c.snapshot().expect("snapshot encodes");
+
+    let mut out_b = Vec::new();
+    b.on_packet(a_id, send_to(&out2, b_id), &mut out_b);
+    let mut rest = vec![(b_id, send_to(&out_b, c_id))];
+    let mut out_a = Vec::new();
+    a.on_client(
+        FlexCastGroup::flush_message(MsgId::new(ClientId(8), 0), 3),
+        &mut out_a,
+    );
+    rest.push((a_id, send_to(&out_a, c_id)));
+    let mut out_b = Vec::new();
+    b.on_packet(a_id, send_to(&out_a, b_id), &mut out_b);
+    rest.push((b_id, send_to(&out_b, c_id)));
+    for (from, pkt) in &rest {
+        c.on_packet(*from, pkt.clone(), &mut Vec::new());
+    }
+    assert_eq!((c.delivered_count(), c.history().len()), (3, 1), "pruned");
+    (snapshot, rest)
 }
 
 /// What `restore` may hold at its peak for `len` input bytes. A decoded
 /// value is larger than its encoding by a bounded factor — a vertex is
-/// four bytes on the wire and 72 in memory, an empty predecessor list one
-/// byte and 24 (and the successor list derived beside it another 24), and
-/// a growing `Vec` doubles; the valid fixture peaks at 23 × its length
-/// (3 344 bytes held for 144 — the compact destination-set encoding
-/// shrinks a snapshot, not what it decodes to) — and the fixed part
-/// covers the error string and the index's first windows.
+/// five bytes on the wire with its flag byte and 97 in memory with its
+/// list ends, visit mark and index entry, an edge six bytes and 40 with
+/// its link, and a growing `Vec` doubles; the valid fixture peaks at 25 ×
+/// its length (3 360 bytes held for 134 — the compact destination-set
+/// encoding shrinks a snapshot, not what it decodes to) — and the fixed
+/// part covers the error string and the index's first windows.
 fn allowance(len: usize) -> usize {
     2048 + 64 * len
 }
@@ -86,10 +108,10 @@ fn assert_self_consistent(h: &History) {
 }
 
 /// Restores from `bytes` (a panic fails the test), checks the peak
-/// against the allowance and an accepted history against itself, and
-/// returns the retained-vertex count of an accepted snapshot with the
-/// peak.
-fn restore_is_contained(bytes: &[u8]) -> (Option<usize>, usize) {
+/// against the allowance and an accepted engine against itself, runs an
+/// accepted engine through `rest`, and returns the retained-vertex count
+/// of an accepted snapshot with the peak.
+fn restore_is_contained(bytes: &[u8], rest: &[(GroupId, Packet)]) -> (Option<usize>, usize) {
     let (res, peak) = peak_during(|| FlexCastGroup::restore(bytes));
     assert!(
         peak <= allowance(bytes.len()),
@@ -97,16 +119,21 @@ fn restore_is_contained(bytes: &[u8]) -> (Option<usize>, usize) {
         bytes.len(),
         res.as_ref().map(|g| g.history().len())
     );
-    let verts = res.ok().map(|g| {
+    let verts = res.ok().map(|mut g| {
         assert_self_consistent(g.history());
-        g.history().len()
+        let verts = g.history().len();
+        for (from, pkt) in rest {
+            g.on_packet(*from, pkt.clone(), &mut Vec::new());
+        }
+        verts
     });
     (verts, peak)
 }
 
 #[test]
 fn the_fixture_restores_within_the_allowance() {
-    let (verts, peak) = restore_is_contained(&mid_protocol_snapshot());
+    let (snapshot, rest) = mid_protocol_snapshot();
+    let (verts, peak) = restore_is_contained(&snapshot, &rest);
     assert_eq!(verts, Some(2), "the unmutated snapshot is valid");
     assert!(peak > 0, "the counting allocator is installed");
 }
@@ -139,7 +166,7 @@ proptest! {
         bit in 0u32..8,
         noise in proptest::collection::vec(any::<u8>(), 1..48),
     ) {
-        let mut bytes = mid_protocol_snapshot();
+        let (mut bytes, rest) = mid_protocol_snapshot();
         let at = at as usize % bytes.len();
         match kind {
             0 => bytes[at] ^= 1 << bit,
@@ -150,7 +177,7 @@ proptest! {
                 bytes.splice(at..end, noise);
             }
         }
-        restore_is_contained(&bytes);
+        restore_is_contained(&bytes, &rest);
     }
 }
 
@@ -161,16 +188,16 @@ proptest! {
 #[test]
 fn restore_survives_every_flip_truncation_and_widened_field() {
     const U32_MAX_LEB128: [u8; 5] = [0xff, 0xff, 0xff, 0xff, 0x0f];
-    let good = mid_protocol_snapshot();
+    let (good, rest) = mid_protocol_snapshot();
     for at in 0..good.len() {
-        restore_is_contained(&good[..at]);
+        restore_is_contained(&good[..at], &rest);
         for bit in 0..8 {
             let mut bytes = good.clone();
             bytes[at] ^= 1 << bit;
-            restore_is_contained(&bytes);
+            restore_is_contained(&bytes, &rest);
         }
         let mut bytes = good.clone();
         bytes.splice(at..=at, U32_MAX_LEB128);
-        restore_is_contained(&bytes);
+        restore_is_contained(&bytes, &rest);
     }
 }

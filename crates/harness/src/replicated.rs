@@ -203,9 +203,8 @@ pub struct ReplLinks {
     pub next_in: BTreeMap<GroupId, u64>,
     /// Out-of-order inbound packets held until their turn.
     pub held: BTreeMap<(GroupId, u64), Arc<Packet>>,
-    /// Next sequence number per outbound group link.
-    pub next_out: BTreeMap<GroupId, u64>,
-    /// Every inter-group send ever emitted, in emission order. Replicated
+    /// Every inter-group send ever emitted, in emission order, each with
+    /// its position on its link: 0, 1, 2, … per destination. Replicated
     /// state: any leader can retransmit the whole channel history.
     pub outbox: Vec<(GroupId, u64, Arc<Packet>)>,
     /// Delivery log in commit order (identical across replicas).
@@ -218,6 +217,10 @@ pub struct ReplLinks {
 pub struct ReplEngine {
     node: NodeEngine,
     links: ReplLinks,
+    /// Next sequence number per outbound group link: the number of outbox
+    /// entries to it, which is never truncated. Not in [`ReplSnapshot`];
+    /// recounted on restore.
+    next_out: BTreeMap<GroupId, u64>,
     /// See [`ReplEngine::refused_cmds`]; not in [`ReplSnapshot`].
     refused_cmds: u64,
 }
@@ -232,6 +235,7 @@ impl ReplEngine {
         ReplEngine {
             node: NodeEngine::new(node, order.len() as u16, order, advert_stride),
             links: ReplLinks::default(),
+            next_out: BTreeMap::new(),
             refused_cmds: 0,
         }
     }
@@ -289,10 +293,37 @@ impl ReplEngine {
 
     /// Reconstructs the state machine from a sibling's snapshot. `order`
     /// is the receiver's own copy of the (static, per-run) C-DAG order.
+    /// The snapshot may come from any peer, so its links are checked
+    /// before they are adopted: the outbox numbers each destination's
+    /// packets 0, 1, 2, … in order, held packets wait past their link's
+    /// next expected seq, and both name only groups of the overlay.
     pub fn from_snapshot(snap: ReplSnapshot, order: CDagOrder) -> flexcast_types::Result<Self> {
+        let node = NodeEngine::restore(&snap.engine, order)?;
+        let links = snap.links;
+        let refuse = |what: &str| Err(flexcast_types::Error::Decode(what.into()));
+        let mut next_out = BTreeMap::new();
+        for &(to, seq, _) in &links.outbox {
+            if !node.in_overlay(to) {
+                return refuse("an outbox entry names a group outside the overlay");
+            }
+            let next = next_out.entry(to).or_insert(0);
+            if seq != *next {
+                return refuse("an outbox entry is out of its link's sequence");
+            }
+            *next += 1;
+        }
+        for &(peer, seq) in links.held.keys() {
+            if !node.in_overlay(peer) {
+                return refuse("a held packet's peer is outside the overlay");
+            }
+            if seq <= links.next_in.get(&peer).copied().unwrap_or(0) {
+                return refuse("a held packet is not past its link's next seq");
+            }
+        }
         Ok(ReplEngine {
-            node: NodeEngine::restore(&snap.engine, order)?,
-            links: snap.links,
+            node,
+            links,
+            next_out,
             refused_cmds: 0,
         })
     }
@@ -307,7 +338,7 @@ impl ReplEngine {
                     out.push(ReplEffect::Deliver(m));
                 }
                 Output::Send { to, pkt } => {
-                    let next = self.links.next_out.entry(to).or_insert(0);
+                    let next = self.next_out.entry(to).or_insert(0);
                     let seq = *next;
                     *next += 1;
                     let pkt = Arc::new(pkt);
@@ -2310,6 +2341,83 @@ mod tests {
             assert_eq!(snapshot(&e), before, "the state machine changed");
         }
         assert_eq!(e.refused_cmds(), 6);
+    }
+
+    /// The state machine at node 0 of three groups after two client
+    /// messages to all three (outbox: seqs 0 and 1 to each of nodes 1 and
+    /// 2) and a packet from node 1 held at seq 2, ahead of its turn.
+    fn engine_with_links() -> ReplSnapshot {
+        let order = CDagOrder::from_order((0..3).map(GroupId).collect()).expect("permutation");
+        let mut e = ReplEngine::new(GroupId(0), order, None);
+        let all = DestSet::from_iter((0..3).map(GroupId));
+        for seq in 0..2 {
+            let m = Message::new(MsgId::new(ClientId(0), seq), all, vec![1].into()).unwrap();
+            apply_cmd(&mut e, ReplCmd::Client(m), &mut Vec::new());
+        }
+        let pkt = Arc::new(Packet::Advert {
+            wm: flexcast_types::Watermarks::default(),
+        });
+        let held = ReplCmd::Peer {
+            peer: GroupId(1),
+            seq: 2,
+            pkt,
+        };
+        apply_cmd(&mut e, held, &mut Vec::new());
+        let snap = e.to_snapshot();
+        assert_eq!(snap.links.outbox.len(), 4);
+        assert_eq!(snap.links.held.len(), 1);
+        snap
+    }
+
+    /// The error `from_snapshot` gives once `corrupt` has changed the
+    /// links of [`engine_with_links`]; the honest links restore.
+    fn links_error(corrupt: fn(&mut ReplLinks)) -> String {
+        let order = || CDagOrder::from_order((0..3).map(GroupId).collect()).expect("permutation");
+        let mut snap = engine_with_links();
+        let back = ReplEngine::from_snapshot(snap.clone(), order()).expect("honest links");
+        assert_eq!(back.to_snapshot().links.outbox.len(), 4);
+        corrupt(&mut snap.links);
+        match ReplEngine::from_snapshot(snap, order()) {
+            Ok(_) => panic!("corrupt links adopted"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn from_snapshot_refuses_outbox_seqs_out_of_order() {
+        // Node 1's packets as seqs 1, 0; then as seqs 0, 2.
+        let err = links_error(|l| l.outbox.swap(0, 2));
+        assert!(err.contains("out of its link's sequence"), "{err}");
+        let err = links_error(|l| l.outbox[2].1 = 2);
+        assert!(err.contains("out of its link's sequence"), "{err}");
+    }
+
+    #[test]
+    fn from_snapshot_refuses_an_outbox_entry_outside_the_overlay() {
+        let err = links_error(|l| l.outbox[3].0 = GroupId(3));
+        assert!(err.contains("outbox entry names a group outside"), "{err}");
+    }
+
+    #[test]
+    fn from_snapshot_refuses_a_held_packet_at_or_below_its_next_seq() {
+        let err = links_error(|l| {
+            l.next_in.insert(GroupId(1), 2);
+        });
+        assert!(err.contains("held packet is not past"), "{err}");
+        let err = links_error(|l| {
+            let pkt = l.held.pop_first().expect("one held").1;
+            l.held.insert((GroupId(2), 0), pkt);
+        });
+        assert!(err.contains("held packet is not past"), "{err}");
+    }
+
+    #[test]
+    fn from_snapshot_refuses_a_held_packet_from_outside_the_overlay() {
+        let err = links_error(|l| {
+            let pkt = l.held.pop_first().expect("one held").1;
+            l.held.insert((GroupId(7), 5), pkt);
+        });
+        assert!(err.contains("peer is outside the overlay"), "{err}");
     }
 
     /// A batch inside a batch is an invalid variant, so a million nesting
