@@ -74,6 +74,11 @@ impl HierGroup {
         self.received_payloads
     }
 
+    /// The tree this group routes over.
+    pub fn tree(&self) -> &Tree {
+        &self.tree
+    }
+
     /// Where a client must send `m`: the tree lowest-common-ancestor of
     /// the destinations. Not necessarily a destination — that is exactly
     /// the protocol's non-genuineness.

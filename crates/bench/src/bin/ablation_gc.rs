@@ -12,9 +12,11 @@
 //!
 //! The memory it buys is the last three columns: the bytes all groups'
 //! histories hold when the run ends (`History::heap_bytes`, vectors at
-//! their capacity), their retained vertices, and their seen-id residual.
-//! At full size every period ends at 1–21 % of GC off's history bytes,
-//! and the run asserts that each ends below GC off.
+//! their capacity), their retained vertices, and their seen-id residual
+//! — the ranges of seen ids past their clients' prefixes, one per hole,
+//! which GC does not prune. At full size every period ends at 1–21 % of
+//! GC off's history bytes, and the run asserts that each ends below GC
+//! off.
 
 use flexcast_bench::quick_mode;
 use flexcast_gtpcc::WorkloadMode;

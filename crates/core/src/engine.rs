@@ -23,11 +23,11 @@
 //! acks carry the prompting notifier (`via`), and `can-deliver` requires
 //! one ack per pair rather than one per group.
 
-use crate::history::{flag, History, HistoryDelta, MergeStats, MsgRef, TaggedEdge, NO_WATERMARK};
+use crate::history::{flag, History, HistoryDelta, MergeStats, MsgRef, TaggedEdge};
 use crate::packet::{NotifPair, Packet};
-use crate::slots::{WINDOW_PER_LIVE, WINDOW_SLACK};
+use crate::seen::{client_reach, SeenSet, CREATOR_REACH};
 use flexcast_telemetry::Telemetry;
-use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Watermarks, MAX_GROUPS};
+use flexcast_types::{DestSet, GroupId, Message, MsgId, Watermarks, MAX_GROUPS};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::mem::size_of;
@@ -197,17 +197,13 @@ pub struct FlexCastGroup {
     /// changed entries. Shared by all ancestors: each round sends every
     /// ancestor the same client entries, and the edge entries of creators
     /// ranked at or below it.
-    advert_sent_clients: BTreeMap<ClientId, u32>,
-    advert_sent_edges: BTreeMap<GroupId, u32>,
+    advert_sent_clients: SeenSet,
+    advert_sent_edges: SeenSet,
     /// Per-descendant view of the watermarks it advertised to us
-    /// (max-merged — advertisements are monotone), indexed by rank. The
-    /// inner vectors are dense (`advertised_clients[d][client]`,
-    /// `advertised_edges[d][creator rank]`, `NO_WATERMARK` = no advert):
-    /// `diff_hst` probes them once per candidate log entry, the single
-    /// hottest lookup in a large world, so they use the same dense
-    /// representation as the history's own watermarks.
-    advertised_clients: Vec<Vec<u32>>,
-    advertised_edges: Vec<Vec<u32>>,
+    /// (max-merged — advertisements are monotone), indexed by rank and
+    /// probed by `diff_hst` once per candidate log entry.
+    advertised_clients: Vec<SeenSet>,
+    advertised_edges: Vec<SeenSet>,
     /// Advertisement / suppression counters.
     sup: SuppressionStats,
 }
@@ -235,10 +231,10 @@ impl FlexCastGroup {
             delivered_count: 0,
             advert_stride: 0,
             advert_mark: 0,
-            advert_sent_clients: BTreeMap::new(),
-            advert_sent_edges: BTreeMap::new(),
-            advertised_clients: vec![Vec::new(); n as usize],
-            advertised_edges: vec![Vec::new(); n as usize],
+            advert_sent_clients: SeenSet::default(),
+            advert_sent_edges: SeenSet::default(),
+            advertised_clients: vec![SeenSet::default(); n as usize],
+            advertised_edges: vec![SeenSet::default(); n as usize],
             sup: SuppressionStats::default(),
         }
     }
@@ -374,9 +370,10 @@ impl FlexCastGroup {
             .sum();
         let notif_deps: usize = self.pend_notif.iter().map(|(_, _, d)| d.len()).sum();
         let backlog: usize = self.client_backlog.iter().map(msg).sum();
-        let advertised: usize = (self.advertised_clients.iter())
+        let seen: usize = (self.advertised_clients.iter())
             .chain(&self.advertised_edges)
-            .map(Vec::capacity)
+            .chain([&self.advert_sent_clients, &self.advert_sent_edges])
+            .map(SeenSet::heap_bytes)
             .sum();
         self.hst.heap_bytes()
             + self.queues.capacity() * size_of::<VecDeque<MsgId>>()
@@ -389,11 +386,9 @@ impl FlexCastGroup {
             + self.client_backlog.capacity() * size_of::<Message>()
             + backlog
             + (self.vert_cursor.capacity() + self.edge_cursor.capacity()) * size_of::<usize>()
-            + self.advert_sent_clients.len() * size_of::<(ClientId, u32)>()
-            + self.advert_sent_edges.len() * size_of::<(GroupId, u32)>()
             + (self.advertised_clients.capacity() + self.advertised_edges.capacity())
-                * size_of::<Vec<u32>>()
-            + advertised * size_of::<u32>()
+                * size_of::<SeenSet>()
+            + seen
     }
 
     /// Messages queued but not yet deliverable (diagnostics).
@@ -590,39 +585,18 @@ impl FlexCastGroup {
     /// Absorbs a descendant's watermark advertisement: max-merge into the
     /// per-descendant advertised view (watermarks are monotone, so a
     /// stale or reordered advertisement can only be a no-op, never a
-    /// regression).
-    ///
-    /// Client ids are dense from 0. An entry for a client far beyond what
-    /// this group's history has admitted — by the slot index's spill rule
-    /// — is dropped instead of stretching the view to it: an
-    /// advertisement only lets this group leave entries out of a delta,
-    /// so ignoring one is always safe (DESIGN.md §3).
+    /// regression). An entry for a creator outside the overlay is
+    /// dropped: an advertisement only lets this group leave entries out
+    /// of a delta, so ignoring one is always safe (DESIGN.md §8).
     fn on_advert(&mut self, from: GroupId, wm: Watermarks) {
         self.sup.adverts_received += 1;
         let di = from.index();
-        let reach = WINDOW_SLACK + WINDOW_PER_LIVE * self.hst.admitted_entries();
+        let reach = client_reach(self.hst.admitted_entries());
         for (c, w) in wm.clients {
-            let ci = c.0 as usize;
-            let v = &mut self.advertised_clients[di];
-            if ci >= v.len() {
-                if ci as u64 > reach {
-                    continue;
-                }
-                v.resize(ci + 1, NO_WATERMARK);
-            }
-            if v[ci] == NO_WATERMARK || v[ci] < w {
-                v[ci] = w;
-            }
+            self.advertised_clients[di].merge_prefix(c.0, w, reach);
         }
-        for (g, w) in wm.edges {
-            let gi = g.index();
-            let v = &mut self.advertised_edges[di];
-            if gi >= v.len() {
-                v.resize(gi + 1, NO_WATERMARK);
-            }
-            if v[gi] == NO_WATERMARK || v[gi] < w {
-                v[gi] = w;
-            }
+        for (g, w) in wm.edges.into_iter().filter(|&(g, _)| g.rank() < self.n) {
+            self.advertised_edges[di].merge_prefix(g.rank().into(), w, CREATOR_REACH);
         }
     }
 
@@ -645,22 +619,24 @@ impl FlexCastGroup {
             return;
         }
         self.advert_mark = total;
-        let clients: Vec<_> = self
-            .hst
-            .client_watermarks()
-            .filter(|(c, w)| self.advert_sent_clients.get(c) != Some(w))
+        let sent = &self.advert_sent_clients;
+        let clients: Vec<_> = (self.hst.client_watermarks())
+            .filter(|&(c, w)| !sent.contains(c.0, w))
             .collect();
         // An ancestor's log only holds edges created by ranks at or below
         // its own (packets flow strictly downward), so prefixes of
         // higher-ranked creators could never match its diff filter — dead
         // advert bytes; no ancestor is sent this group's or a descendant's.
-        let edges: Vec<_> = self
-            .hst
-            .edge_prefixes()
-            .filter(|(g, w)| *g < self.g && self.advert_sent_edges.get(g) != Some(w))
+        let sent = &self.advert_sent_edges;
+        let edges: Vec<_> = (self.hst.edge_prefixes())
+            .filter(|&(g, w)| g < self.g && !sent.contains(g.rank().into(), w))
             .collect();
-        self.advert_sent_clients.extend(clients.iter().copied());
-        self.advert_sent_edges.extend(edges.iter().copied());
+        for &(c, w) in &clients {
+            (self.advert_sent_clients).merge_prefix(c.0, w, client_reach(total));
+        }
+        for &(g, w) in &edges {
+            (self.advert_sent_edges).merge_prefix(g.rank().into(), w, CREATOR_REACH);
+        }
         for u in (0..self.g.rank()).map(GroupId) {
             let wm = Watermarks {
                 clients: clients.clone(),
@@ -679,18 +655,12 @@ impl FlexCastGroup {
 
     /// `update-hst` (Alg. 3 line 1).
     ///
-    /// Garbage-collection safety is the history's own job now: its seen
-    /// watermark never re-admits a pruned vertex, and the merge path
-    /// drops edges with pruned endpoints — so no per-delta prefilter
-    /// runs here. Post-merge maintenance (open dependencies, clean-set
-    /// invalidation) runs over the history's append-only insertion logs —
-    /// the entries the merge *actually inserted* — instead of the full
-    /// delta. A group receives the same vertex from up to `n − 1`
-    /// different ancestors, so at large group counts almost every delta
-    /// entry is a duplicate; the log cursors make those duplicates cost
-    /// one watermark probe each and nothing afterwards. The same holds
-    /// for the overlay-bound check on a vertex's destinations: the
-    /// history runs it only on a vertex it is about to insert.
+    /// Garbage-collection safety is the history's own job: its seen set
+    /// never re-admits a pruned vertex, and the merge drops edges with
+    /// pruned endpoints. Post-merge maintenance (open dependencies,
+    /// clean-set invalidation) runs over the entries the merge *actually
+    /// inserted* — the tails of the insertion logs — so a duplicate, most
+    /// entries at large group counts, costs one probe and nothing after.
     fn update_hst(&mut self, delta: &HistoryDelta) {
         let pre_verts = self.hst.vert_log_len();
         let pre_edges = self.hst.edge_log_len();
@@ -895,21 +865,12 @@ impl FlexCastGroup {
         let from = self.vert_cursor[di];
         let verts = self.hst.verts_since(from);
         let edges = self.hst.edges_since(self.edge_cursor[di]);
-        let covered = |wm: &[u32], k: usize, x: u32| {
-            let w = wm.get(k).copied().unwrap_or(NO_WATERMARK);
-            w != NO_WATERMARK && x <= w
-        };
         // Each half of the delta is counted before it is collected, so it
         // holds exactly its length while it is in flight.
         let ewm = &self.advertised_edges[di];
-        let kept_edges: Vec<TaggedEdge> = if ewm.is_empty() {
-            edges.to_vec()
-        } else {
-            let fresh = |e: &&TaggedEdge| !covered(ewm, e.creator.index(), e.idx);
-            let mut kept = Vec::with_capacity(edges.iter().filter(fresh).count());
-            kept.extend(edges.iter().filter(fresh));
-            kept
-        };
+        let fresh = |e: &&TaggedEdge| !ewm.contains(e.creator.rank().into(), e.idx);
+        let mut kept_edges = Vec::with_capacity(edges.iter().filter(fresh).count());
+        kept_edges.extend(edges.iter().filter(fresh));
         // A local delivery `{id, {c}}` whose in-edge from `c` the delta
         // keeps travels as that edge alone; the receiver's merge rebuilds
         // it (`HistoryDelta`). One flag a vertex, allocated on the first.
@@ -923,7 +884,7 @@ impl FlexCastGroup {
             }
         }
         let cwm = &self.advertised_clients[di];
-        let sup = |v: &MsgRef| covered(cwm, v.id.sender.0 as usize, v.id.seq);
+        let sup = |v: &MsgRef| cwm.contains(v.id.sender.0, v.id.seq);
         let rides = |i: usize| rides.get(i).is_some_and(|&r| r);
         let (mut sup_v, mut n_kept) = (0u64, 0usize);
         for (i, v) in verts.iter().enumerate() {
@@ -2128,7 +2089,10 @@ mod tests {
         type Corrupt = fn(&mut FlexCastGroup);
         let corruptions: [(Corrupt, &str); 7] = [
             (|c| c.edge_cursor.truncate(2), "per-rank table"),
-            (|c| c.advertised_clients.push(Vec::new()), "per-rank table"),
+            (
+                |c| c.advertised_clients.push(SeenSet::default()),
+                "per-rank table",
+            ),
             (|c| c.advertised_edges.truncate(2), "per-rank table"),
             (|c| c.vert_cursor.push(0), "per-rank table"),
             (|c| c.queues.push(VecDeque::new()), "one per ancestor"),

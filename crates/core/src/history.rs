@@ -9,7 +9,8 @@
 //! histories of ancestor groups turns the structure into a DAG whose paths
 //! encode (transitive) delivery dependencies.
 
-use crate::slots::{shrink, SlotTable, WINDOW_PER_LIVE, WINDOW_SLACK};
+use crate::seen::{client_reach, SeenSet, CREATOR_REACH};
+use crate::slots::{shrink, SlotTable};
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, MAX_GROUPS};
 use serde::de::{DeserializeSeed, Error as _, SeqAccess, Visitor};
 use serde::{Deserialize, Serialize};
@@ -371,11 +372,6 @@ pub(crate) mod flag {
     pub const SHIPPED: u8 = DELIVERED;
 }
 
-/// Sentinel for "no sequence seen yet from this client" in the dense
-/// per-client watermark. Chosen so `NO_WATERMARK.wrapping_add(1) == 0`,
-/// the first sequence a client issues.
-pub(crate) const NO_WATERMARK: u32 = u32::MAX;
-
 /// A group's history DAG (`hst` in Algorithm 1).
 ///
 /// Deterministic by construction: all internal collections are ordered
@@ -401,37 +397,17 @@ pub struct History {
     /// (evaluated on every forward by `send-notifs`). Derived from the
     /// vertex log: not shipped, recounted on load.
     addressed: Vec<u32>,
-    /// Per-client contiguous-prefix watermark over every id this history
-    /// has *ever* admitted — still retained or since pruned: all seqs
-    /// `<= wm` have been seen. A group receives the same vertex from up
-    /// to `n − 1` ancestors, so on the merge hot path almost every delta
-    /// entry is a duplicate; one probe of this small, cache-hot map
-    /// rejects it without walking the full vertex map. The watermark
-    /// doubles as the garbage-collection tombstone: a pruned id stays
-    /// seen forever, so a stale ancestor diff can never resurrect it.
-    /// Ids past a client's prefix wait in `seen_residual`, and a group that
-    /// never admits some seq of a client keeps every later one: the
-    /// residual grows with messages, not clients (DESIGN.md §3). Client
-    /// ids are dense from 0, so the watermark lives in a flat vector
-    /// ([`NO_WATERMARK`] = nothing seen) — this probe runs once per delta
-    /// entry and is the single hottest lookup in the whole simulator, so
-    /// it must not pointer-chase.
-    seen_watermark: Vec<u32>,
-    seen_residual: BTreeSet<MsgId>,
-    /// Per-creator record of the chain-edge indices this history has
-    /// *processed* — inserted, rejected as a content duplicate, or
-    /// dropped for a pruned endpoint — as sorted, disjoint, inclusive
-    /// `(start, end)` ranges. The edge analogue of `seen_watermark`:
-    /// since each group emits its chain edges in index order and relays
-    /// preserve that order, the processed set per creator is usually one
-    /// range `[0, k]`. Ranges (rather than a watermark plus a residual
-    /// set) keep memory bounded by the number of *holes*: an upstream
-    /// prune can drop a stream element some receiver never got, and a
-    /// residual set would then grow by one entry per subsequent edge of
-    /// that creator, forever. Indexed by creator rank (grown on demand;
-    /// an empty range list means nothing processed) — like
-    /// `seen_watermark`, this is probed per delta edge.
-    edge_seen: Vec<Vec<(u32, u32)>>,
+    /// Every seq this history has *ever* admitted per client, retained or
+    /// pruned since. A group receives the same vertex from up to `n − 1`
+    /// ancestors, so almost every delta entry is a duplicate, rejected by
+    /// one indexed load of its client's prefix — the hottest lookup in
+    /// the simulator. It doubles as the GC tombstone: a pruned id stays
+    /// seen, so a stale ancestor diff cannot resurrect it (DESIGN.md §3).
+    seen: SeenSet,
+    /// The chain-edge indices this history has *processed* per creator
+    /// rank: inserted, rejected as a content duplicate, or dropped for a
+    /// pruned endpoint.
+    edges_seen: SeenSet,
     /// Next chain index for edges created locally (`create_edge`); counts
     /// only edges actually logged, so the local creator stream is dense.
     next_edge_idx: u32,
@@ -619,111 +595,19 @@ impl History {
     }
 
     /// True if `id` was ever admitted into this history — whether still
-    /// retained or pruned since. One indexed load of the per-client
-    /// watermark (plus, for out-of-prefix ids, the residual set).
+    /// retained or pruned since. One indexed load of the client's prefix
+    /// (plus, for an id past it, a search of the ranges).
     #[inline]
     pub fn has_seen(&self, id: MsgId) -> bool {
-        let wm = self
-            .seen_watermark
-            .get(id.sender.0 as usize)
-            .copied()
-            .unwrap_or(NO_WATERMARK);
-        (wm != NO_WATERMARK && id.seq <= wm) || self.seen_residual.contains(&id)
-    }
-
-    /// Records `id` as seen, promoting contiguous per-client prefixes into
-    /// the watermark.
-    fn note_seen(&mut self, id: MsgId) {
-        let ci = id.sender.0 as usize;
-        if ci >= self.seen_watermark.len() {
-            // Client ids are dense from 0. One far beyond what this
-            // history has admitted (a peer's bytes can name any) waits in
-            // the residual, as the slot index spills it, rather than
-            // stretch the vector to itself.
-            if ci as u64 > WINDOW_SLACK + WINDOW_PER_LIVE * self.admitted {
-                self.seen_residual.insert(id);
-                return;
-            }
-            self.grow_watermarks(ci + 1);
-        }
-        // `NO_WATERMARK + 1` wraps to 0: a fresh client's prefix starts
-        // at sequence 0, exactly like the old `None` case.
-        let next = self.seen_watermark[ci].wrapping_add(1);
-        if id.seq == next {
-            let mut w = id.seq;
-            // Absorb any residual stragglers that are now contiguous.
-            loop {
-                let n = w.wrapping_add(1);
-                if !self.seen_residual.remove(&MsgId::new(id.sender, n)) {
-                    break;
-                }
-                w = n;
-            }
-            self.seen_watermark[ci] = w;
-        } else {
-            self.seen_residual.insert(id);
-        }
-    }
-
-    /// Grows the watermark vector to `len` clients. A client it now
-    /// covers may have ids waiting in the residual since they were far:
-    /// their contiguous prefix from seq 0 becomes its watermark.
-    fn grow_watermarks(&mut self, len: usize) {
-        let from = self.seen_watermark.len();
-        self.seen_watermark.resize(len, NO_WATERMARK);
-        if self.seen_residual.is_empty() {
-            return;
-        }
-        for ci in from..len {
-            let c = ClientId(ci as u32);
-            let mut w = NO_WATERMARK;
-            while self.seen_residual.remove(&MsgId::new(c, w.wrapping_add(1))) {
-                w = w.wrapping_add(1);
-            }
-            self.seen_watermark[ci] = w;
-        }
+        self.seen.contains(id.sender.0, id.seq)
     }
 
     /// True if the chain-edge stream element `(creator, idx)` has been
     /// processed by this history — inserted, rejected as a duplicate, or
-    /// dropped for a pruned endpoint. One indexed load plus a binary
-    /// search over that creator's (almost always one-element) range list.
+    /// dropped for a pruned endpoint.
     #[inline]
     pub fn edge_processed(&self, creator: GroupId, idx: u32) -> bool {
-        self.edge_seen.get(creator.index()).is_some_and(|ranges| {
-            match ranges.binary_search_by(|&(s, _)| s.cmp(&idx)) {
-                Ok(_) => true,
-                Err(0) => false,
-                Err(i) => ranges[i - 1].1 >= idx,
-            }
-        })
-    }
-
-    /// Records `(creator, idx)` as processed, merging into the creator's
-    /// range list (extending or joining neighbors where contiguous).
-    fn note_edge(&mut self, creator: GroupId, idx: u32) {
-        if creator.index() >= self.edge_seen.len() {
-            self.edge_seen.resize(creator.index() + 1, Vec::new());
-        }
-        let ranges = &mut self.edge_seen[creator.index()];
-        let i = match ranges.binary_search_by(|&(s, _)| s.cmp(&idx)) {
-            Ok(_) => return, // a range starts exactly here: covered
-            Err(i) => i,
-        };
-        if i > 0 && ranges[i - 1].1 >= idx {
-            return; // inside the previous range
-        }
-        let extends_prev = i > 0 && ranges[i - 1].1.checked_add(1) == Some(idx);
-        let extends_next = i < ranges.len() && idx.checked_add(1) == Some(ranges[i].0);
-        match (extends_prev, extends_next) {
-            (true, true) => {
-                ranges[i - 1].1 = ranges[i].1;
-                ranges.remove(i);
-            }
-            (true, false) => ranges[i - 1].1 = idx,
-            (false, true) => ranges[i].0 = idx,
-            (false, false) => ranges.insert(i, (idx, idx)),
-        }
+        self.edges_seen.contains(creator.rank().into(), idx)
     }
 
     /// Inserts a vertex if absent. Returns true when it was new; a vertex
@@ -739,7 +623,7 @@ impl History {
 
     /// Inserts a vertex this history has never seen.
     fn admit_vert(&mut self, v: MsgRef) {
-        self.note_seen(v.id);
+        (self.seen).insert(v.id.sender.0, v.id.seq, client_reach(self.admitted));
         self.verts.push(v);
         self.admitted += 1;
         self.count_addressed(v.dst);
@@ -791,7 +675,7 @@ impl History {
             after,
         };
         self.next_edge_idx += 1;
-        self.note_edge(e.creator, e.idx);
+        (self.edges_seen).insert(e.creator.rank().into(), e.idx, CREATOR_REACH);
         self.link(e, b, a);
     }
 
@@ -805,7 +689,7 @@ impl History {
         if self.edge_processed(e.creator, e.idx) {
             return false;
         }
-        self.note_edge(e.creator, e.idx);
+        (self.edges_seen).insert(e.creator.rank().into(), e.idx, CREATOR_REACH);
         // The merge has admitted every vertex the delta carries and
         // rebuilt every local delivery it left out, so a missing endpoint
         // was pruned here (tombstones make that permanent, so dropping is
@@ -849,70 +733,24 @@ impl History {
 
     /// The per-client vertex watermark (contiguous seen prefix per
     /// client), in ascending client order — the vertex half of a
-    /// [`flexcast_types::Watermarks`] advertisement. A client past the
-    /// watermark vector has its ids in the residual (`note_seen`); its
-    /// prefix is read from there, so spilling changes no advertisement.
+    /// [`flexcast_types::Watermarks`] advertisement.
     pub fn client_watermarks(&self) -> impl Iterator<Item = (ClientId, u32)> + '_ {
-        let dense = self
-            .seen_watermark
-            .iter()
-            .enumerate()
-            .filter(|&(_, &w)| w != NO_WATERMARK)
-            .map(|(c, &w)| (ClientId(c as u32), w));
-        let first_far = u32::try_from(self.seen_watermark.len()).ok();
-        let mut far = first_far
-            .into_iter()
-            .flat_map(|c| self.seen_residual.range(MsgId::new(ClientId(c), 0)..))
-            .peekable();
-        let spilled = std::iter::from_fn(move || loop {
-            let first = *far.next()?;
-            let mut prefix = (first.seq == 0).then_some(0u32);
-            while let Some(id) = far.next_if(|id| id.sender == first.sender) {
-                if prefix.is_some_and(|w| w.checked_add(1) == Some(id.seq)) {
-                    prefix = Some(id.seq);
-                }
-            }
-            if let Some(w) = prefix {
-                return Some((first.sender, w));
-            }
-        });
-        dense.chain(spilled)
+        self.seen.prefixes().map(|(c, w)| (ClientId(c), w))
     }
 
-    /// Number of seen ids held individually because they lie beyond their
-    /// client's contiguous prefix, or belong to a client past the
-    /// watermark vector. An entry leaves only when the prefix reaches it,
-    /// so a client whose seqs arrive with permanent gaps grows this set
-    /// without bound (diagnostics).
+    /// Number of seen-id ranges held past their clients' prefixes — one
+    /// per hole — or for clients past the vector (diagnostics).
     pub fn seen_residual_len(&self) -> usize {
-        self.seen_residual.len()
+        self.seen.sparse_ranges()
     }
 
-    /// The per-creator chain-edge watermark: for each creator whose
-    /// processed set includes index 0, the end of that contiguous prefix
-    /// — the edge half of a [`flexcast_types::Watermarks`]
-    /// advertisement. Ranges beyond the first hole are deliberately not
-    /// advertised (conservative; they stay until the hole fills or
-    /// forever, bounded in memory either way).
+    /// The per-creator chain-edge watermark, in ascending creator order:
+    /// the end of each processed prefix from index 0 — the edge half of a
+    /// [`flexcast_types::Watermarks`] advertisement. Ranges past a hole
+    /// are not advertised (conservative; they stay until it fills).
     pub fn edge_prefixes(&self) -> impl Iterator<Item = (GroupId, u32)> + '_ {
-        self.edge_seen
-            .iter()
-            .enumerate()
-            .filter_map(|(g, ranges)| match ranges.first() {
-                Some(&(0, end)) => Some((GroupId(g as u16), end)),
-                _ => None,
-            })
-    }
-
-    /// The contiguous processed prefix for one creator (tests and
-    /// diagnostics): `Some(end)` if indices `0..=end` are processed.
-    pub fn edge_prefix(&self, creator: GroupId) -> Option<u32> {
-        self.edge_seen
-            .get(creator.index())
-            .and_then(|ranges| match ranges.first() {
-                Some(&(0, end)) => Some(end),
-                _ => None,
-            })
+        let ranked = |(g, w)| Some((GroupId(u16::try_from(g).ok()?), w));
+        self.edges_seen.prefixes().filter_map(ranked)
     }
 
     /// Merge-path duplicate counters.
@@ -923,12 +761,11 @@ impl History {
     /// Heap bytes this history holds, part by part: the retained vertices
     /// (log, flags, visit marks, id index, per-group counts), their
     /// adjacency (list ends and link arena), the edge log, and what it has
-    /// seen (watermarks, residual, processed edge ranges). Vectors count
-    /// at their capacity, tree entries at their own size without node
-    /// overhead, so this is a floor on what the allocator holds.
+    /// seen (ids and processed edges). Vectors count at their capacity,
+    /// tree entries at their own size without node overhead, so this is a
+    /// floor on what the allocator holds.
     pub fn heap_parts(&self) -> [(&'static str, usize); 4] {
         let t = &self.verts;
-        let edge_ranges: usize = self.edge_seen.iter().map(Vec::capacity).sum();
         [
             (
                 "vertices",
@@ -941,10 +778,7 @@ impl History {
             ),
             (
                 "seen",
-                self.seen_watermark.capacity() * size_of::<u32>()
-                    + self.seen_residual.len() * size_of::<MsgId>()
-                    + self.edge_seen.capacity() * size_of::<Vec<(u32, u32)>>()
-                    + edge_ranges * size_of::<(u32, u32)>(),
+                self.seen.heap_bytes() + self.edges_seen.heap_bytes(),
             ),
         ]
     }
@@ -970,7 +804,7 @@ impl History {
 
     /// Merges a received delta (`update-hst`, Alg. 3 line 1). Vertices
     /// this history has garbage-collected cannot re-enter through a slow
-    /// ancestor: the seen watermark rejects them in `insert_vert`, and
+    /// ancestor: the seen set rejects them in `insert_vert`, and
     /// `apply_edge` drops edges whose endpoints are missing. A vertex
     /// addressed to no group is left out. A local delivery the delta left
     /// out is rebuilt from its chain edge ([`HistoryDelta`]): an edge not
@@ -989,7 +823,9 @@ impl History {
     /// [`History::merge_stats`] — and the number of such vertices is
     /// returned. An edge naming one rebuilds nothing, finds no endpoint
     /// and is dropped like an edge into pruned history; so is an edge
-    /// into an unseen id whose creator is outside `groups`. (A vertex with
+    /// whose creator is outside `groups`, which is not even marked
+    /// processed, so no per-creator table holds a rank outside the
+    /// overlay. (A vertex with
     /// no destination gets no edges from any honest group, so no flush's
     /// backward closure would ever reach it: admitted, it would be
     /// retained and relayed to every descendant forever.) The check runs
@@ -1013,10 +849,10 @@ impl History {
         // vertex links wherever it sits among the delta's edges. Sorted,
         // the refused ids cost a hostile delta a binary search an edge.
         refused.sort_unstable();
-        for e in &delta.edges {
+        let edges = || delta.edges.iter().filter(|e| groups.contains(e.creator));
+        for e in edges() {
             if !self.edge_processed(e.creator, e.idx)
                 && !self.has_seen(e.after)
-                && groups.contains(e.creator)
                 && refused.binary_search(&e.after).is_err()
             {
                 self.merge_stats.verts_in += 1;
@@ -1026,7 +862,7 @@ impl History {
                 });
             }
         }
-        for &e in &delta.edges {
+        for &e in edges() {
             self.merge_stats.edges_in += 1;
             if !self.apply_edge(e) {
                 self.merge_stats.edges_dup += 1;
@@ -1229,7 +1065,7 @@ impl Serialize for History {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         (
             (&self.verts, &self.last_delivered, &self.edge_log),
-            (&self.seen_watermark, &self.seen_residual, &self.edge_seen),
+            (&self.seen, &self.edges_seen),
             (self.next_edge_idx, self.admitted, self.merge_stats),
         )
             .serialize(s)
@@ -1246,7 +1082,7 @@ impl<'de> Deserialize<'de> for History {
         let mut h = History::default();
         (
             (h.verts, h.last_delivered, h.edge_log),
-            (h.seen_watermark, h.seen_residual, h.edge_seen),
+            (h.seen, h.edges_seen),
             (h.next_edge_idx, h.admitted, h.merge_stats),
         ) = Deserialize::deserialize(d)?;
         for slot in 0..h.verts.len() as u32 {
@@ -1285,6 +1121,13 @@ mod tests {
         /// The slot table, for tests that read its lists.
         pub(crate) fn slots(&self) -> &SlotTable {
             &self.verts
+        }
+
+        /// `Some(end)` if `creator`'s indices `0..=end` are processed.
+        fn edge_prefix(&self, creator: GroupId) -> Option<u32> {
+            self.edge_prefixes()
+                .find(|&(g, _)| g == creator)
+                .map(|(_, w)| w)
         }
     }
 
@@ -1566,10 +1409,10 @@ mod tests {
         assert_eq!(h.edge_count(), 0, "edge to pruned vertex dropped");
     }
 
-    /// The tombstone residual is not bounded by the client count: while
-    /// one seq of a client is missing, every later id of that client is
-    /// held individually. Seqs 1..=N with seq 0 never admitted leave N
-    /// entries; admitting seq 0 folds them all into the watermark.
+    /// While one seq of a client is missing, every later id of that
+    /// client waits past its prefix — as one range, however many ids it
+    /// spans. Seqs 1..=N with seq 0 never admitted leave one range;
+    /// admitting seq 0 folds it into the prefix.
     #[test]
     fn a_missing_seq_keeps_every_later_id_of_its_client_in_the_residual() {
         const N: u32 = 200;
@@ -1578,14 +1421,14 @@ mod tests {
             assert!(h.insert_vert(vref(seq, &[0])));
         }
         assert!(!h.has_seen(id(0)));
-        assert_eq!(h.seen_residual_len(), N as usize);
+        assert_eq!(h.seen_residual_len(), 1, "one range: 1..=N");
         assert!(h.insert_vert(vref(0, &[0])));
         assert_eq!(h.seen_residual_len(), 0);
         assert!(h.has_seen(id(N)));
     }
 
     /// A client id far past what a history has admitted waits in the
-    /// residual instead of stretching the watermark vector; the vector
+    /// ranges instead of stretching the vector of prefixes; the vector
     /// takes it in, prefix and stragglers apart, once the history has
     /// admitted enough to reach it. Nothing a caller reads tells the two
     /// apart: the same ids are seen, and the same watermarks advertised.
@@ -1602,21 +1445,21 @@ mod tests {
         for seq in [0, 1, 3] {
             assert!(h.insert_vert(far(seq)));
         }
-        assert_eq!(h.seen_watermark.len(), 0, "client {c:?} spilled");
-        assert_eq!(h.seen_residual_len(), 3);
+        assert_eq!(h.seen.dense_len(), 0, "client {c:?} spilled");
+        assert_eq!(h.seen_residual_len(), 2, "ranges 0..=1 and 3..=3");
         assert!(!h.insert_vert(far(1)), "seen while spilled");
         let watermarks = |h: &History| h.client_watermarks().collect::<Vec<_>>();
         assert_eq!(watermarks(&h), vec![(c, 1)]);
         // A near client has the vector grow to it; `c` stays far.
         assert!(h.insert_vert(vref(0, &[0])));
-        assert_eq!(h.seen_watermark.len(), 1);
+        assert_eq!(h.seen.dense_len(), 1);
         assert_eq!(watermarks(&h), vec![(ClientId(0), 0), (c, 1)]);
         assert!(h.insert_vert(vref(1, &[0])));
         // Five admissions reach `c`: its prefix joins the vector, its
         // stragglers stay behind.
         assert!(h.insert_vert(far(4)));
-        assert_eq!(h.seen_watermark.len(), c.0 as usize + 1);
-        assert_eq!(h.seen_residual_len(), 2);
+        assert_eq!(h.seen.dense_len(), c.0 as usize + 1);
+        assert_eq!(h.seen_residual_len(), 1, "range 3..=4");
         assert_eq!(watermarks(&h), vec![(ClientId(0), 1), (c, 1)]);
         assert!(h.insert_vert(far(2)));
         assert_eq!(h.seen_residual_len(), 0);

@@ -69,6 +69,7 @@
 pub mod engine;
 pub mod history;
 pub mod packet;
+mod seen;
 mod slots;
 
 pub use engine::{FlexCastGroup, Output, RejectStats, SuppressionStats, FLUSH_PAYLOAD};

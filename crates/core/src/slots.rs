@@ -32,6 +32,7 @@
 //! the visit marks are rebuilt with the table.
 
 use crate::history::{flag, MsgRef};
+use crate::seen::client_reach;
 use flexcast_types::MsgId;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::cell::Cell;
@@ -45,8 +46,8 @@ const NO_SLOT: u32 = u32::MAX;
 const END: u32 = u32::MAX;
 
 /// A window may span this many seqs plus [`WINDOW_PER_LIVE`] per vertex
-/// it already holds; anything farther out goes to the spill map. The
-/// history bounds its client-indexed vectors by the same rule.
+/// it already holds; anything farther out goes to the spill map. Client
+/// ids are bounded the same way, per vertex held ([`client_reach`]).
 pub(crate) const WINDOW_SLACK: u64 = 64;
 pub(crate) const WINDOW_PER_LIVE: u64 = 8;
 
@@ -207,7 +208,7 @@ impl SlotTable {
         if ci >= self.index.len() {
             // Client ids are dense from 0; one far beyond the vertices
             // held (a peer's bytes can name any) spills like a far seq.
-            if ci as u64 > WINDOW_SLACK + WINDOW_PER_LIVE * self.log.len() as u64 {
+            if ci as u64 > client_reach(self.log.len() as u64) {
                 self.far.insert(id, slot);
                 return;
             }

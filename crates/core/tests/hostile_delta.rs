@@ -319,7 +319,7 @@ fn a_delta_vertex_whose_set_header_is_above_520_is_refused() {
 /// An edge into an id the receiver has never seen rebuilds `{after,
 /// {creator}}` only for a creator inside the overlay: creator 512 is past
 /// every rank, and in a three-group world creator 5 is outside it. Either
-/// way the edge decodes and is processed, and admits nothing.
+/// way the edge decodes, is dropped, and admits nothing.
 #[test]
 fn an_in_edge_whose_creator_no_set_holds_is_refused() {
     let bytes = [0, 1, 0x80, 0x04, 0, 1, 2, 1, 1, 3];
@@ -469,6 +469,48 @@ fn a_far_client_advert_entry_holds_no_more_than_a_near_one() {
         wm: Watermarks {
             clients: vec![(ClientId(1), 3), (FAR, 5)],
             edges: vec![],
+        },
+    };
+    let bytes = flexcast_wire::to_bytes(&pkt).unwrap();
+    let mut out = Vec::new();
+    let ((), peak) = peak_during(|| g.on_packet(GroupId(1), pkt, &mut out));
+    let most = allowance(bytes.len());
+    assert!(peak <= most, "{peak} bytes held for {} bytes", bytes.len());
+    assert_eq!(out, vec![]);
+    assert_eq!(g.suppression_stats().adverts_received, 1);
+}
+
+/// A creator rank past every overlay's: a receiver that stretched a
+/// creator-indexed table to it would hold one entry per rank below it.
+const FAR_CREATOR: GroupId = GroupId(u16::MAX);
+
+/// An edge whose creator is outside the overlay is dropped whole: it
+/// rebuilds nothing, is not marked processed, and holds no more than a
+/// near one.
+#[test]
+fn an_edge_from_a_far_creator_holds_no_more_than_a_near_one() {
+    let edge = TaggedEdge {
+        creator: FAR_CREATOR,
+        ..te(1, 0, 2, 3)
+    };
+    let h = merge_contained(&HistoryDelta {
+        verts: vec![],
+        edges: vec![edge],
+    });
+    assert!(h.is_empty());
+    assert!(!h.edge_processed(FAR_CREATOR, 0));
+    assert_eq!(h.edge_prefixes().count(), 0);
+}
+
+/// An advertisement naming a creator outside the overlay is absorbed —
+/// counted, its entry ignored, and holding what a near entry holds.
+#[test]
+fn a_far_creator_advert_entry_holds_no_more_than_a_near_one() {
+    let mut g = FlexCastGroup::new(GroupId(0), 3);
+    let pkt = Packet::Advert {
+        wm: Watermarks {
+            clients: vec![],
+            edges: vec![(FAR_CREATOR, 5)],
         },
     };
     let bytes = flexcast_wire::to_bytes(&pkt).unwrap();

@@ -79,10 +79,10 @@ fn mid_protocol_snapshot() -> (Vec<u8>, Vec<(GroupId, Packet)>) {
 /// value is larger than its encoding by a bounded factor — a vertex is
 /// five bytes on the wire with its flag byte and 97 in memory with its
 /// list ends, visit mark and index entry, an edge six bytes and 40 with
-/// its link, and a growing `Vec` doubles; the valid fixture peaks at 25 ×
-/// its length (3 360 bytes held for 134 — the compact destination-set
-/// encoding shrinks a snapshot, not what it decodes to) — and the fixed
-/// part covers the error string and the index's first windows.
+/// its link, and a growing `Vec` doubles; the valid fixture peaks at 35 ×
+/// its length (3 480 bytes held for 100 — the compact destination sets
+/// and prefix counts shrink a snapshot, not what it decodes to) — and the
+/// fixed part covers the error string and the index's first windows.
 fn allowance(len: usize) -> usize {
     2048 + 64 * len
 }

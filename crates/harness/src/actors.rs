@@ -46,8 +46,10 @@ pub struct ServerStats {
     pub sent_msgs: u64,
     /// Total bytes sent.
     pub sent_bytes: u64,
-    /// Inputs refused at intake: a client message the engine does not
-    /// serve (a destination outside the overlay, or another group's lca),
+    /// Inputs refused at intake: a client message this server does not
+    /// serve (a destination outside the overlay, or one whose entry is
+    /// another server: another group's lca, or for Skeen a message not
+    /// addressed here),
     /// a packet from a process outside the overlay or one the engine
     /// refuses, or a message kind this server does not handle.
     pub refused_inputs: u64,
@@ -269,16 +271,24 @@ impl ServerActor {
                     self.handle_flex_outputs(&mut outs, ctx);
                     self.flex_outs = outs;
                 }
-                EngineKind::Skeen(engine) => {
+                // A baseline client sends its copy to every destination
+                // (Skeen) or to their tree lca (hierarchical): any other
+                // copy is one this server cannot order. (The FlexCast
+                // engine refuses such copies itself.)
+                _ if !m.dst.is_subset(DestSet::all(self.n_servers)) => {
+                    self.stats.refused_inputs += 1;
+                }
+                EngineKind::Skeen(engine) if m.dst.contains(self.node) => {
                     let mut outs = Vec::new();
                     engine.on_client(m, &mut outs);
                     self.handle_skeen_outputs(outs, ctx);
                 }
-                EngineKind::Hier(engine) => {
+                EngineKind::Hier(engine) if engine.tree().lca(m.dst) == self.node => {
                     let mut outs = Vec::new();
                     engine.on_message(m, &mut outs);
                     self.handle_hier_outputs(outs, ctx);
                 }
+                _ => self.stats.refused_inputs += 1,
             },
             NetMsg::Flex(pkt) => {
                 let tel_on = ctx.telemetry().is_enabled();
@@ -406,9 +416,10 @@ pub struct LatencySample {
 
 struct Outstanding {
     id: MsgId,
-    dst_count: usize,
+    dst: DestSet,
     sent_at: SimTime,
-    replies: usize,
+    /// The destination nodes that have replied.
+    replied: DestSet,
 }
 
 /// A closed-loop gTPC-C client (§5.3): issues one transaction at a time,
@@ -430,7 +441,8 @@ pub struct ClientActor {
     /// Destination sets of every message this client multicast (node
     /// space), for the property checker.
     pub issued: Vec<(MsgId, DestSet)>,
-    /// Inputs refused: anything but a `Reply`.
+    /// Inputs refused: anything but a `Reply`, and a reply to the
+    /// outstanding transaction from a process that is no destination.
     pub refused_inputs: u64,
 }
 
@@ -476,9 +488,9 @@ impl ClientActor {
         self.issued.push((id, m.dst));
         self.outstanding = Some(Outstanding {
             id,
-            dst_count: m.dst.len(),
+            dst: m.dst,
             sent_at: ctx.now(),
-            replies: 0,
+            replied: DestSet::new(),
         });
         ctx.telemetry().async_begin(
             "client",
@@ -491,8 +503,9 @@ impl ClientActor {
             .multicast(m, client_pid(self.n_servers, self.client_id), ctx);
     }
 
-    /// Handles a reply from a destination server.
-    pub fn on_message(&mut self, _from: usize, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
+    /// Handles a reply from a destination server: one per destination
+    /// counts, a repeated one is ignored.
+    pub fn on_message(&mut self, from: usize, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
         let NetMsg::Reply { id } = msg else {
             self.refused_inputs += 1;
             return;
@@ -503,14 +516,26 @@ impl ClientActor {
         if out.id != id {
             return; // reply for an older transaction
         }
-        out.replies += 1;
+        // Servers sit at pids `0..n`, so a pid is its node's id.
+        let Some(node) = u16::try_from(from)
+            .ok()
+            .map(GroupId)
+            .filter(|&g| out.dst.contains(g))
+        else {
+            self.refused_inputs += 1;
+            return;
+        };
+        if out.replied.contains(node) {
+            return;
+        }
+        out.replied.insert(node);
         self.samples.push(LatencySample {
             sent_at: out.sent_at,
-            rank: out.replies,
+            rank: out.replied.len(),
             latency_ms: ctx.now().since(out.sent_at).as_ms(),
-            dst_count: out.dst_count,
+            dst_count: out.dst.len(),
         });
-        if out.replies == out.dst_count {
+        if out.replied == out.dst {
             self.completed += 1;
             self.outstanding = None;
             ctx.telemetry().async_end(
@@ -764,6 +789,57 @@ mod tests {
             let mut want = stats(&world);
             want[0].2 += 1;
             world.inject(client_pid(SERVERS, ClientId(0)), 0, input);
+            world.run_to_quiescence(1_000);
+            assert_eq!(stats(&world), want, "{label}");
+        }
+    }
+
+    /// A baseline server takes a client's copy only where the protocol's
+    /// entry rule sends it: at every destination for Skeen, at the tree
+    /// lca for the hierarchical protocol. A copy naming a node past the
+    /// servers, or sent to a server that is not its entry, is refused and
+    /// counted, and no server delivers or sends because of it.
+    #[test]
+    fn a_baseline_client_message_this_server_cannot_order_is_refused() {
+        let client = |seq, ranks: &[u16]| {
+            let dst = DestSet::from_iter(ranks.iter().copied().map(GroupId));
+            let msg = Message::new(MsgId::new(ClientId(0), seq), dst, Payload::empty()).unwrap();
+            let reply_to = client_pid(SERVERS, ClientId(0));
+            NetMsg::Client { msg, reply_to }
+        };
+        let past = SERVERS as u16;
+        let cases = [
+            (
+                ProtocolKind::Distributed,
+                [client(999, &[0, past]), client(998, &[1, 2])],
+            ),
+            (
+                ProtocolKind::Hierarchical(flexcast_overlay::presets::t1()),
+                [client(999, &[0, past]), client(998, &[1])],
+            ),
+        ];
+        for (protocol, inputs) in cases {
+            let label = protocol.label();
+            let mut cfg = ExperimentConfig::latency(protocol, 0.9);
+            cfg.n_clients = 4;
+            cfg.duration = SimTime::from_secs(1);
+            let mut world = run_world_on(&cfg, &regions::aws12());
+            let stats = |w: &World<NetMsg, Node>| -> Vec<(u64, u64, u64)> {
+                (0..SERVERS)
+                    .map(|pid| match w.actor(pid) {
+                        Node::Server(s) => {
+                            let st = &s.stats;
+                            (st.delivered, st.sent_msgs, st.refused_inputs)
+                        }
+                        _ => panic!("pid {pid} is not a server"),
+                    })
+                    .collect()
+            };
+            let mut want = stats(&world);
+            want[0].2 += inputs.len() as u64;
+            for input in inputs {
+                world.inject(client_pid(SERVERS, ClientId(0)), 0, input);
+            }
             world.run_to_quiescence(1_000);
             assert_eq!(stats(&world), want, "{label}");
         }

@@ -1118,7 +1118,9 @@ pub struct ReplClientActor {
     pub first_ack_ms: Vec<f64>,
     /// Fully acknowledged multicasts.
     pub completed: u64,
-    /// Inputs refused: anything but a `Reply`.
+    /// Inputs refused: anything but a `Reply`, and a reply to the
+    /// outstanding multicast from a process that is no replica of one
+    /// of its destination groups.
     pub refused_inputs: u64,
 }
 
@@ -1223,6 +1225,10 @@ impl Actor<NetMsg> for ReplClientActor {
             return; // ack for an older multicast
         }
         let group = group_of(from, self.rf);
+        if !out.msg.dst.contains(group) {
+            self.refused_inputs += 1;
+            return;
+        }
         if out.acked.contains(group) {
             return; // duplicate ack after a leader change
         }
@@ -1283,7 +1289,8 @@ pub struct ReplFlushActor {
     pub issued: Vec<(MsgId, DestSet)>,
     /// Flushes acked by every group.
     pub completed: u64,
-    /// Inputs refused: anything but a `Reply`.
+    /// Inputs refused: anything but a `Reply`, and a reply to the
+    /// outstanding flush from a process that is no replica of a group.
     pub refused_inputs: u64,
 }
 
@@ -1348,8 +1355,13 @@ impl Actor<NetMsg> for ReplFlushActor {
             return; // ack for an older flush
         }
         let group = group_of(from, self.rf);
+        let all = DestSet::all(self.order.len());
+        if !all.contains(group) {
+            self.refused_inputs += 1;
+            return;
+        }
         acked.insert(group);
-        if *acked == DestSet::all(self.order.len()) {
+        if *acked == all {
             self.completed += 1;
             self.outstanding = None;
         }
@@ -2264,6 +2276,35 @@ mod tests {
         let after = state(&world);
         assert_eq!((after.0, after.1), (before.0, before.1));
         assert_eq!(after.2, (before.2 .0 + 1, before.2 .1 + 1));
+    }
+
+    /// A client counts a reply only from a replica of one of the
+    /// outstanding multicast's destination groups. One from a replica of
+    /// `g0` while the destinations are `{g1, g3}` is refused; taken, it
+    /// would put `g0` among the acks, so the acks could never equal the
+    /// destinations and the client would stall on its first multicast.
+    #[test]
+    fn a_reply_from_a_group_that_is_no_destination_is_refused() {
+        let cfg = ReplicatedConfig::small(4, 3, 7);
+        let mut world = build_world(&cfg, &matrix(4));
+        world.run_until(SimTime::ZERO);
+        let client = client_pid(4, 3, ClientId(0));
+        let clients = |w: &World<NetMsg, ReplNode>| -> Vec<(u64, usize, u64)> {
+            (client..client + 2)
+                .map(|pid| match w.actor(pid) {
+                    ReplNode::Client(c) => (c.completed, c.issued.len(), c.refused_inputs),
+                    _ => panic!("pid {pid} is not a client"),
+                })
+                .collect()
+        };
+        let ReplNode::Client(c) = world.actor(client) else {
+            panic!("pid {client} is not a client");
+        };
+        let (id, dst) = c.issued[0];
+        assert_eq!(dst, DestSet::from_iter([GroupId(1), GroupId(3)]));
+        world.inject(replica_pid(GroupId(0), 0, 3), client, NetMsg::Reply { id });
+        world.run_to_quiescence(20_000_000);
+        assert_eq!(clients(&world), vec![(8, 8, 1), (8, 8, 0)]);
     }
 
     /// A client message whose sender names no client is delivered at

@@ -147,7 +147,9 @@ impl std::fmt::Debug for Payload {
 /// can suppress history entries the group provably already processed.
 ///
 /// Two vectors, both meaning "everything up to and including this
-/// sequence number, per key":
+/// sequence number, per key" — the prefixes of the per-key seen sets in
+/// `flexcast-core`, which keep whatever lies past a prefix (a hole's far
+/// side) to themselves:
 ///
 /// * `clients` — per [`ClientId`], the contiguous prefix of message
 ///   sequence numbers whose history *vertices* this group has admitted
@@ -158,7 +160,8 @@ impl std::fmt::Debug for Payload {
 ///   edge is created by exactly one group (the group that delivered the
 ///   edge's target right after its source) and carries that creator's
 ///   index, so edge knowledge compresses the same way vertex knowledge
-///   does.
+///   does. A receiver ignores an entry for a creator outside its
+///   overlay.
 ///
 /// Advertisements are *monotone* and *conservative*: watermarks only
 /// ever advance, receivers merge them by taking the per-key maximum, and
