@@ -14,7 +14,6 @@ use crate::slots::{shrink, SlotTable};
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, MAX_GROUPS};
 use serde::de::{DeserializeSeed, Error as _, SeqAccess, Visitor};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::mem::size_of;
 
 /// A history vertex: a message's identity and destinations.
@@ -956,15 +955,6 @@ impl History {
         found
     }
 
-    /// All vertices addressed to `g` that are not delivered here
-    /// (`open-dependencies`, Alg. 3 line 9).
-    pub fn open_dependencies(&self, g: GroupId) -> BTreeSet<MsgId> {
-        self.verts()
-            .filter(|v| v.dst.contains(g) && !self.is_delivered(v.id))
-            .map(|v| v.id)
-            .collect()
-    }
-
     /// Removes every vertex from which `fence` is reachable (the strict
     /// past of `fence`), keeping `fence` itself. Returns the pruned ids
     /// in insertion order. This is the flush-based garbage collection of
@@ -1106,6 +1096,7 @@ impl<'de> Deserialize<'de> for History {
 mod tests {
     use super::*;
     use flexcast_types::ClientId;
+    use std::collections::BTreeSet;
 
     impl History {
         /// The edge log, for tests that corrupt a snapshot.
@@ -1300,16 +1291,6 @@ mod tests {
         // m itself is undelivered and addressed to g, but only *strict*
         // predecessors can block it.
         assert_eq!(h.blocking_predecessor(id(1), GroupId(2)), None);
-    }
-
-    #[test]
-    fn open_dependencies_filters_by_group_and_delivery() {
-        let mut h = History::new();
-        h.record_delivery(vref(1, &[3]), GroupId(3));
-        h.insert_vert(vref(2, &[3]));
-        h.insert_vert(vref(3, &[4]));
-        assert!(h.is_delivered(id(1)) && !h.is_delivered(id(2)));
-        assert_eq!(h.open_dependencies(GroupId(3)), [id(2)].into());
     }
 
     #[test]

@@ -66,10 +66,15 @@ impl SeenSet {
             }
         }
         // Absorb the ranges of `key` that overlap or touch `lo..=hi`, from
-        // the last one starting at or before `hi + 1` down.
-        while let Some((&(other, start), &end)) =
-            (self.sparse.range(..=(key, hi.saturating_add(1)))).next_back()
-        {
+        // the last one starting at or before `hi + 1` down. With no ranges
+        // at all — a stream without holes, the usual case — there is no
+        // map to probe.
+        while !self.sparse.is_empty() {
+            let Some((&(other, start), &end)) =
+                (self.sparse.range(..=(key, hi.saturating_add(1)))).next_back()
+            else {
+                break;
+            };
             if other != key || end.saturating_add(1) < lo {
                 break;
             }

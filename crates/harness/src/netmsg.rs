@@ -128,6 +128,7 @@ mod tests {
     /// `wire_size` — what traffic accounting charges — is that length.
     #[test]
     fn wire_size_is_the_encoded_length_of_every_variant() {
+        use crate::replicated::InputName;
         use flexcast_core::history::{HistoryDelta, MsgRef, TaggedEdge};
         use flexcast_smr::Ballot;
         use flexcast_types::Watermarks;
@@ -200,23 +201,30 @@ mod tests {
                 round: next(),
                 owner: next() as u32,
             };
-            let mut single = |i: u32| match i % 3 {
+            let mut single = |i: u32| match i % 5 {
                 0 => ReplCmd::Client(msg.clone()),
                 1 => ReplCmd::Peer {
                     peer: GroupId((next() % 512) as u16),
                     seq: next(),
                     pkt: pkt.clone().into(),
                 },
+                2 => ReplCmd::Named(InputName::Client(id)),
+                3 => ReplCmd::Named(InputName::Peer {
+                    peer: GroupId((next() % 512) as u16),
+                    seq: next(),
+                }),
                 _ => ReplCmd::Noop {
                     proposer: next() as u32,
                 },
             };
-            // Rounds 3 and 4 of every 5 carry a batch of 0..=4 inputs.
-            let cmd = match round % 5 {
-                i @ 0..=2 => single(i),
-                i => ReplCmd::Batch((0..(round + i) % 5).map(&mut single).collect()),
+            // Every Paxos kind meets every input kind: the command turns
+            // over once per seven rounds, the kind every round. Two in
+            // seven commands are a batch of 0..=5 inputs.
+            let cmd = match round / 7 % 7 {
+                i @ 0..=4 => single(i),
+                i => ReplCmd::Batch((0..(round + i) % 6).map(&mut single).collect()),
             };
-            let paxos = match round % 8 {
+            let paxos = match round % 7 {
                 0 => PaxosMsg::Prepare { ballot },
                 1 => PaxosMsg::Promise {
                     ballot,
@@ -233,11 +241,10 @@ mod tests {
                 },
                 4 => PaxosMsg::Learn { slot: next(), cmd },
                 5 => PaxosMsg::LearnReq { from_slot: next() },
-                6 => PaxosMsg::Decide {
+                _ => PaxosMsg::Decide {
                     slot: next(),
                     ballot,
                 },
-                _ => PaxosMsg::Forward { cmd },
             };
             let (skeen, ble) = if round % 2 == 0 {
                 (

@@ -35,31 +35,33 @@
 //!   anything lost to a crash, drop, or partition is eventually
 //!   re-delivered once connectivity returns.
 //!
-//! # One inbox, one proposal rule, one copy per packet
+//! # One inbox, one proposal rule
 //!
-//! A replica keeps every input it took from the network in one inbox
-//! until it sees the input applied. Whenever it leads and no Paxos slot
-//! is open, it proposes every unapplied inbox input as the next slot —
-//! one input as itself, several as one [`ReplCmd::Batch`] — so a slot's
-//! six `Accept`/`Accepted`/`Decide` messages are paid once per round, not
+//! A replica keeps every input it took from the network in one inbox,
+//! keyed by the input's [`InputName`], until it sees the input applied.
+//! Whenever it leads and no Paxos slot is open, it proposes every
+//! unapplied inbox input as the next slot, in name order — one input as
+//! itself, several as one [`ReplCmd::Batch`] — so a slot's six
+//! `Accept`/`Accepted`/`Decide` messages are paid once per round, not
 //! once per input, and the inputs a new leader inherits ride one slot
 //! after its takeover `Noop`. A command holds its packet behind an
-//! [`Arc`], so the copies in the Paxos log, the outbox, snapshots and
+//! [`Arc`], so the copies in a replica's Paxos log, outbox, snapshots and
 //! effects are all one allocation.
 //!
-//! # One replica per inter-group packet
+//! # Every replica hears each packet; an `Accept` names it
 //!
-//! A leader sends each inter-group packet to one replica of the
-//! destination group, the tick's target, and at the next tick again to
-//! the next replica, that tick's target. A follower that receives a packet it has not applied hands
-//! it to the replica its ballot leader election names, as a
-//! [`PaxosMsg::Forward`], and keeps its own copy in the inbox: if that
-//! leader fails first, the follower proposes the packet on taking over,
-//! or hands it to the next leader BLE names. A target that crashed or is
-//! cut off delays the packets of its ticks by one tick; what both
-//! targets miss, the rotating outbox window repairs like packets lost
-//! across a partition. Client messages already reach every replica of
-//! their entry group, so they are never forwarded.
+//! A leader sends each fresh inter-group packet to every replica of the
+//! destination group, as clients send to every replica of the entry
+//! group, so a crashed replica delays nothing while a quorum is up. The
+//! rotating outbox window, 64 entries a round to replica `k mod rf` at
+//! round `k`, is the repair path. The `Accept`s of a slot proposed from
+//! the inbox carry each input as its [`InputName`]; a follower resolves
+//! the names from its own inbox before Paxos sees the `Accept`, and holds
+//! one it cannot resolve yet for the next input it takes in; an input
+//! that never comes is covered by `LearnReq` or the repair tick's whole
+//! re-drive. `(peer, seq)` names one packet because the sender's outbox
+//! is replicated deterministic state; a client id names one message
+//! because a client sends one message under an id.
 //!
 //! Only the current leader emits engine effects; after a failover the new
 //! leader may re-emit, and every re-emission is absorbed by the dedup
@@ -88,7 +90,8 @@ use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One input to a group: a command proposed to (and committed by) the
@@ -117,51 +120,86 @@ pub enum ReplCmd {
     /// slot and applied in order. Never nested: the decoder refuses a
     /// batch inside a batch, so no input can make decoding recurse.
     Batch(Vec<ReplCmd>),
+    /// An input by its name alone, as a fresh `Accept` carries it (module
+    /// docs); [`apply_cmd`] refuses one that commits.
+    Named(InputName),
+}
+
+/// The identity of a group input: the inbox's key, and what a fresh
+/// `Accept` carries in its place.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+pub enum InputName {
+    /// A client message, by its id.
+    Client(MsgId),
+    /// The `seq`-th packet on the directed group link from `peer`.
+    Peer {
+        /// The sending group.
+        peer: GroupId,
+        /// Position on the link.
+        seq: u64,
+    },
+}
+
+impl ReplCmd {
+    /// The input's name; `None` for a no-op or a batch.
+    pub fn name(&self) -> Option<InputName> {
+        match *self {
+            ReplCmd::Client(ref m) => Some(InputName::Client(m.id)),
+            ReplCmd::Peer { peer, seq, .. } => Some(InputName::Peer { peer, seq }),
+            ReplCmd::Named(name) => Some(name),
+            ReplCmd::Noop { .. } | ReplCmd::Batch(_) => None,
+        }
+    }
+
+    /// Replaces every input of this command by its name.
+    fn name_inputs(&mut self) {
+        if let ReplCmd::Batch(cmds) = self {
+            cmds.iter_mut().for_each(ReplCmd::name_inputs);
+        } else if let Some(name) = self.name() {
+            *self = ReplCmd::Named(name);
+        }
+    }
 }
 
 /// Decodes like the derived impl would, except that a `Batch` element is
-/// decoded as a [`ReplCmd`] without the `Batch` variant: a nested batch
-/// is an invalid variant index, refused after one level.
+/// decoded as a [`ReplCmd`] whose `Batch` variant fails at once: a nested
+/// batch is refused after one level.
 impl<'de> Deserialize<'de> for ReplCmd {
     fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        enum Single {
-            Client(Message),
-            Peer {
-                peer: GroupId,
-                seq: u64,
-                pkt: Arc<Packet>,
-            },
-            Noop {
-                proposer: u32,
-            },
-        }
-        #[derive(Deserialize)]
-        enum Wire {
-            Client(Message),
-            Peer {
-                peer: GroupId,
-                seq: u64,
-                pkt: Arc<Packet>,
-            },
-            Noop {
-                proposer: u32,
-            },
-            Batch(Vec<Single>),
-        }
-        fn single(s: Single) -> ReplCmd {
-            match s {
-                Single::Client(m) => ReplCmd::Client(m),
-                Single::Peer { peer, seq, pkt } => ReplCmd::Peer { peer, seq, pkt },
-                Single::Noop { proposer } => ReplCmd::Noop { proposer },
+        enum Nested {}
+        impl<'de> Deserialize<'de> for Nested {
+            fn deserialize<D: serde::Deserializer<'de>>(_: D) -> Result<Self, D::Error> {
+                Err(serde::de::Error::custom("a batch inside a batch"))
             }
         }
-        Ok(match Wire::deserialize(deserializer)? {
-            Wire::Client(m) => ReplCmd::Client(m),
-            Wire::Peer { peer, seq, pkt } => ReplCmd::Peer { peer, seq, pkt },
-            Wire::Noop { proposer } => ReplCmd::Noop { proposer },
-            Wire::Batch(cmds) => ReplCmd::Batch(cmds.into_iter().map(single).collect()),
-        })
+        #[derive(Deserialize)]
+        enum Wire<B> {
+            Client(Message),
+            Peer {
+                peer: GroupId,
+                seq: u64,
+                pkt: Arc<Packet>,
+            },
+            Noop {
+                proposer: u32,
+            },
+            Batch(B),
+            Named(InputName),
+        }
+        fn single<B>(w: Wire<B>, batch: impl FnOnce(B) -> ReplCmd) -> ReplCmd {
+            match w {
+                Wire::Client(m) => ReplCmd::Client(m),
+                Wire::Peer { peer, seq, pkt } => ReplCmd::Peer { peer, seq, pkt },
+                Wire::Noop { proposer } => ReplCmd::Noop { proposer },
+                Wire::Batch(b) => batch(b),
+                Wire::Named(name) => ReplCmd::Named(name),
+            }
+        }
+        let top = Wire::<Vec<Wire<Nested>>>::deserialize(deserializer)?;
+        Ok(single(top, |cmds| {
+            let inner = cmds.into_iter().map(|w| single(w, |n: Nested| match n {}));
+            ReplCmd::Batch(inner.collect())
+        }))
     }
 }
 
@@ -209,6 +247,9 @@ pub struct ReplLinks {
     pub outbox: Vec<(GroupId, u64, Arc<Packet>)>,
     /// Delivery log in commit order (identical across replicas).
     pub log: Vec<MsgId>,
+    /// Slots applied, one per [`apply_cmd`]: the only `through` a
+    /// snapshot of this state is adopted under.
+    pub slots: u64,
 }
 
 /// The replicated state machine: a FlexCast engine plus its
@@ -256,25 +297,24 @@ impl ReplEngine {
     }
 
     /// Committed commands [`apply_cmd`] skipped for naming a group outside
-    /// the overlay, and inputs the engine refused (a client message whose
-    /// lca is another group, a packet against its C-DAG edge); like the
-    /// engine's `RejectStats`, not snapshot state.
+    /// the overlay or for carrying an input by its name alone, and inputs
+    /// the engine refused (a client message whose lca is another group, a
+    /// packet against its C-DAG edge); like the engine's `RejectStats`,
+    /// not snapshot state.
     pub fn refused_cmds(&self) -> u64 {
         self.refused_cmds
     }
 
-    /// True if `cmd` is already in the state machine: a client message
-    /// the engine took, an inbound packet applied or held until the gap
-    /// before it closes, a no-op, or a batch of these.
-    pub fn has_applied(&self, cmd: &ReplCmd) -> bool {
-        match cmd {
-            ReplCmd::Client(m) => self.engine().has_taken(m.id),
-            ReplCmd::Peer { peer, seq, .. } => {
-                *seq < self.links.next_in.get(peer).copied().unwrap_or(0)
-                    || self.links.held.contains_key(&(*peer, *seq))
+    /// True if the input `name` names is already in the state machine: a
+    /// client message the engine took, or an inbound packet applied or
+    /// held until the gap before it closes.
+    pub fn has_applied(&self, name: InputName) -> bool {
+        match name {
+            InputName::Client(id) => self.engine().has_taken(id),
+            InputName::Peer { peer, seq } => {
+                seq < self.links.next_in.get(&peer).copied().unwrap_or(0)
+                    || self.links.held.contains_key(&(peer, seq))
             }
-            ReplCmd::Noop { .. } => true,
-            ReplCmd::Batch(cmds) => cmds.iter().all(|c| self.has_applied(c)),
         }
     }
 
@@ -353,19 +393,28 @@ impl ReplEngine {
 /// The `apply` function handed to [`ReplicatedGroup`]: how one committed
 /// command mutates the state machine and which effects the leader emits.
 ///
-/// A command naming a group outside the overlay, or a client message
-/// whose lca is another group, can still commit (intake guards run only
-/// on the proposer); every replica skips it alike and counts it in
+/// A command naming a group outside the overlay, a client message whose
+/// lca is another group, or a name can still commit (intake guards run
+/// only on the proposer); every replica skips it alike and counts it in
 /// [`ReplEngine::refused_cmds`].
 pub fn apply_cmd(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<ReplEffect>) {
+    e.links.slots += 1;
+    match cmd {
+        ReplCmd::Batch(cmds) => {
+            for cmd in cmds {
+                apply_input(e, cmd, out);
+            }
+        }
+        cmd => apply_input(e, cmd, out),
+    }
+}
+
+/// Applies one input of a committed slot.
+fn apply_input(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<ReplEffect>) {
     let mut outputs = Vec::new();
     match cmd {
         ReplCmd::Noop { .. } => {}
-        ReplCmd::Batch(cmds) => {
-            for cmd in cmds {
-                apply_cmd(e, cmd, out);
-            }
-        }
+        ReplCmd::Batch(_) | ReplCmd::Named(_) => e.refused_cmds += 1,
         // The engine drops a copy it already took: a client retry, or a dual leader's proposal.
         ReplCmd::Client(m) => {
             if !e.node.on_client(m, &mut outputs) {
@@ -424,8 +473,8 @@ pub fn replica_of(pid: ProcessId, rf: u32) -> u32 {
 ///
 /// Responsibilities beyond feeding the [`ReplicatedGroup`]: routing
 /// replication traffic to sibling pids, sending each leader-emitted packet
-/// to one replica of the destination group, forwarding packets that reach
-/// a follower to its leader, answering clients, pumping the
+/// to every replica of the destination group, naming and resolving the
+/// inputs of `Accept`s, answering clients, pumping the
 /// ballot-leader-election oracle, and the periodic repair/retransmission
 /// ticks that give the system liveness under faults.
 pub struct ReplicatedActor {
@@ -438,17 +487,17 @@ pub struct ReplicatedActor {
     order: CDagOrder,
     /// Inputs seen on the network and not yet observed applied: the only
     /// buffer of unproposed input ([`ReplicatedActor::propose_inbox`]).
-    inbox: Vec<ReplCmd>,
+    inbox: HashMap<InputName, ReplCmd>,
+    /// The `Accept` whose names do not resolve yet, and its sender. A
+    /// leader keeps one slot open, so one is enough.
+    held_accept: Option<(u32, PaxosMsg<ReplCmd>)>,
     /// Unapplied inbox inputs held at each takeover: the only inputs an
     /// old leader may have proposed already.
     reproposals: u64,
     /// Inputs refused at intake: a client destination or a group
-    /// message's sender outside the overlay, a forward from outside the
-    /// group, or a message kind replicas do not handle.
+    /// message's sender outside the overlay, or a message kind replicas
+    /// do not handle.
     refused_inputs: u64,
-    /// Inter-group packets this replica handed to its leader as a
-    /// follower ([`ReplicatedActor::forward`]).
-    forwarded: u64,
     was_leader: bool,
     tick: SimTime,
     stop_at: SimTime,
@@ -468,9 +517,6 @@ pub struct ReplicatedActor {
     pub snapshot_installs: u64,
     /// Rotating cursor into the outbox for bounded retransmission rounds.
     retransmit_cursor: usize,
-    /// Outbox length at the last tick: the entries from here on went only
-    /// to that tick's target ([`ReplicatedActor::hand_on`]).
-    tick_start: usize,
     /// Leader-side delivery emissions with simulated times (diagnostics;
     /// the authoritative per-group order is the replicated delivery log).
     pub delivery_events: Vec<DeliveryEvent>,
@@ -502,10 +548,10 @@ impl ReplicatedActor {
             rf: cfg.rf,
             rg,
             order: cfg.order.clone(),
-            inbox: Vec::new(),
+            inbox: HashMap::new(),
+            held_accept: None,
             reproposals: 0,
             refused_inputs: 0,
-            forwarded: 0,
             was_leader: false,
             tick: cfg.tick,
             stop_at: cfg.stop_at,
@@ -517,7 +563,6 @@ impl ReplicatedActor {
             catch_up_started: None,
             snapshot_installs: 0,
             retransmit_cursor: 0,
-            tick_start: 0,
             delivery_events: Vec::new(),
             election_started: None,
             pending_since: BTreeMap::new(),
@@ -535,7 +580,6 @@ impl ReplicatedActor {
         self.rg.export_metrics(tel, &prefix);
         tel.counter_set(&format!("{prefix}.reproposals"), self.reproposals);
         tel.counter_set(&format!("{prefix}.refused_inputs"), self.refused_inputs);
-        tel.counter_set(&format!("{prefix}.forwarded"), self.forwarded);
         tel.counter_set(
             &format!("{prefix}.refused_cmds"),
             self.rg.engine().refused_cmds(),
@@ -562,43 +606,48 @@ impl ReplicatedActor {
     /// Drops the inbox inputs the group has applied since they arrived.
     fn prune_inbox(&mut self) {
         let state = self.rg.engine();
-        self.inbox.retain(|c| !state.has_applied(c));
+        self.inbox.retain(|&name, _| !state.has_applied(name));
     }
 
-    /// Sends an inter-group packet to one replica of the destination
-    /// group, this tick's target: replica `k mod rf` at the `k`-th tick,
-    /// for every link alike. A follower hands it to its leader
-    /// ([`ReplicatedActor::forward`]), so any live replica gets it into
-    /// the group's log. The next tick sends it again to the next replica
-    /// ([`ReplicatedActor::hand_on`]), so a target that is down or cut
-    /// off delays it by one tick. The packet leaves its `Arc` once per
-    /// send.
-    fn send_group(&self, to: GroupId, seq: u64, pkt: Arc<Packet>, ctx: &mut Ctx<'_, NetMsg>) {
-        let target = (self.ticks % u64::from(self.rf)) as u32;
+    /// Sends an inter-group packet to `replicas` of the destination group
+    /// (module docs). The packet leaves its `Arc` once.
+    fn send_group(
+        &self,
+        (to, seq, pkt): (GroupId, u64, Arc<Packet>),
+        replicas: Range<u32>,
+        ctx: &mut Ctx<'_, NetMsg>,
+    ) {
         let pkt = Arc::unwrap_or_clone(pkt);
-        ctx.send(
-            replica_pid(to, target, self.rf),
-            NetMsg::GroupMsg { seq, pkt },
-        );
+        let pids = replicas.map(|r| replica_pid(to, r, self.rf)).collect();
+        ctx.send_many(pids, NetMsg::GroupMsg { seq, pkt });
     }
 
-    /// Hands an input that reached this follower to the replica its
-    /// ballot leader election names, unless that is this replica. The
-    /// input also stays in this replica's inbox, the failover buffer: if
-    /// the leader fails before applying it, this replica proposes it on
-    /// taking over, or hands it to the next leader BLE names.
-    fn forward(&mut self, cmd: &ReplCmd, ctx: &mut Ctx<'_, NetMsg>) {
-        let Some(leader) = self.ble.leader().map(|b| b.owner) else {
-            return;
-        };
-        if leader == self.replica || self.rg.is_leader() {
-            return;
+    /// Replaces every name in `cmd` by its input from the inbox; false if
+    /// one is missing (the names resolved so far stay resolved).
+    fn resolve(&self, cmd: &mut ReplCmd) -> bool {
+        match cmd {
+            ReplCmd::Batch(cmds) => cmds.iter_mut().all(|c| self.resolve(c)),
+            ReplCmd::Named(name) => self.inbox.get(name).map(|i| *cmd = i.clone()).is_some(),
+            _ => true,
         }
-        self.forwarded += 1;
-        ctx.send(
-            replica_pid(self.node, leader, self.rf),
-            NetMsg::Repl(PaxosMsg::Forward { cmd: cmd.clone() }),
-        );
+    }
+
+    /// Hands a replication message from sibling `from` to the Paxos
+    /// replica once the names in an `Accept` resolve, or holds the
+    /// `Accept`. One released late is harmless: its `(ballot, slot)`
+    /// names the command the slot has, if any.
+    fn replicate(&mut self, from: u32, mut msg: PaxosMsg<ReplCmd>, ctx: &mut Ctx<'_, NetMsg>) {
+        if let PaxosMsg::Accept { cmd, .. } = &mut msg {
+            if !self.resolve(cmd) {
+                self.held_accept = Some((from, msg));
+                return;
+            }
+        }
+        let mut fx = Vec::new();
+        self.rg.on_replication(from, msg, &mut fx);
+        self.emit(fx, ctx);
+        self.check_transition(ctx);
+        self.propose_inbox(ctx);
     }
 
     /// Ships this replica's full state to sibling `to` (snapshot catch-up
@@ -624,9 +673,8 @@ impl ReplicatedActor {
 
     /// Applies a batch of BLE outputs: heartbeat traffic goes on the wire;
     /// a `Leader` event for *this* replica stands for the Paxos election
-    /// with the elected ballot (the BLE → Paxos handoff). A follower hands
-    /// the new leader the inter-group packets in its inbox that are not
-    /// applied yet; the new leader's `Prepare` demotes any stale claimant.
+    /// with the elected ballot (the BLE → Paxos handoff). The new leader's
+    /// `Prepare` demotes any stale claimant.
     fn pump_ble(&mut self, outs: Vec<BleOutput>, ctx: &mut Ctx<'_, NetMsg>) {
         for o in outs {
             match o {
@@ -643,18 +691,6 @@ impl ReplicatedActor {
                         self.rg.handle_leader(ballot, &mut fx);
                         self.emit(fx, ctx);
                         self.check_transition(ctx);
-                    } else {
-                        // Clients reach every replica, packets only one.
-                        self.prune_inbox();
-                        let packets: Vec<ReplCmd> = self
-                            .inbox
-                            .iter()
-                            .filter(|c| matches!(c, ReplCmd::Peer { .. }))
-                            .cloned()
-                            .collect();
-                        for cmd in &packets {
-                            self.forward(cmd, ctx);
-                        }
                     }
                 }
             }
@@ -704,7 +740,7 @@ impl ReplicatedActor {
                     );
                 }
                 GroupEffect::Engine(ReplEffect::Send { to, seq, pkt }) => {
-                    self.send_group(to, seq, pkt, ctx);
+                    self.send_group((to, seq, pkt), 0..self.rf, ctx);
                 }
             }
         }
@@ -764,9 +800,11 @@ impl ReplicatedActor {
         }
     }
 
-    /// Takes one input from the network into the group.
+    /// Takes one input from the network into the group, and releases the
+    /// held `Accept` once every input it names is in.
     fn intake(&mut self, cmd: ReplCmd, ctx: &mut Ctx<'_, NetMsg>) {
-        if self.rg.engine().has_applied(&cmd) || self.inbox.contains(&cmd) {
+        let Some(name) = cmd.name() else { return };
+        if self.rg.engine().has_applied(name) || self.inbox.contains_key(&name) {
             return;
         }
         if ctx.telemetry().is_enabled() {
@@ -776,7 +814,10 @@ impl ReplicatedActor {
                     .or_insert_with(|| ctx.now());
             }
         }
-        self.inbox.push(cmd);
+        self.inbox.insert(name, cmd);
+        if let Some((from, msg)) = self.held_accept.take() {
+            self.replicate(from, msg, ctx);
+        }
         self.propose_inbox(ctx);
     }
 
@@ -785,20 +826,33 @@ impl ReplicatedActor {
     /// unapplied inbox input as the next slot, one as itself, several as
     /// one [`ReplCmd::Batch`]. Runs after intake, after every replication
     /// message (a commit closes the round), at each tick and right after
-    /// a takeover's `Noop`.
+    /// a takeover's `Noop`. The slot's `Accept`s name the inputs: every
+    /// follower took them from the network too.
     fn propose_inbox(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
         if !self.rg.is_leader() || self.rg.has_open_slots() {
             return;
         }
         self.prune_inbox();
-        let cmd = match self.inbox.as_slice() {
+        // In name order, which every replica would pick alike.
+        let mut inputs: Vec<(&InputName, &ReplCmd)> = self.inbox.iter().collect();
+        inputs.sort_unstable_by_key(|&(name, _)| name);
+        let cmd = match inputs.as_slice() {
             [] => return,
-            [one] => one.clone(),
-            all => ReplCmd::Batch(all.to_vec()),
+            [(_, one)] => (*one).clone(),
+            all => ReplCmd::Batch(all.iter().map(|&(_, c)| c.clone()).collect()),
         };
         let mut fx = Vec::new();
         self.rg
             .submit_carrying(cmd, self.inbox.len() as u64, &mut fx);
+        for e in &mut fx {
+            if let GroupEffect::Replication {
+                msg: PaxosMsg::Accept { cmd, .. },
+                ..
+            } = e
+            {
+                cmd.name_inputs();
+            }
+        }
         self.emit(fx, ctx);
     }
 
@@ -824,28 +878,9 @@ impl ReplicatedActor {
         }
     }
 
-    /// Runs at every tick, when the target replica of every link moves
-    /// on: the leader sends the new target every outbox entry sent since
-    /// the last tick. Those reached only the last tick's target, which may
-    /// be down, so a dead or cut-off target delays a packet by one tick.
-    fn hand_on(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        let len = self.rg.engine().outbox().len();
-        let fresh = self.tick_start.min(len);
-        self.tick_start = len;
-        // With one replica the new target is the old one.
-        if self.rf == 1 || !self.rg.is_leader() {
-            return;
-        }
-        let resend = self.rg.engine().outbox()[fresh..].to_vec();
-        for (to, seq, pkt) in resend {
-            self.send_group(to, seq, pkt, ctx);
-        }
-    }
-
     fn on_tick(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
         self.ticks += 1;
         self.prune_inbox();
-        self.hand_on(ctx);
 
         let mut ble_out = Vec::new();
         self.ble.on_tick(&mut ble_out);
@@ -868,13 +903,16 @@ impl ReplicatedActor {
             self.rg.tick_repair(&mut fx);
             self.emit(fx, ctx);
             // Periodically retransmit a bounded, rotating window of the
-            // replicated outbox: receivers discard what they already
-            // applied, successive rounds cover the full channel history,
-            // and steady-state traffic stays linear in the outbox size.
-            // It repairs what both targets of a packet missed (a
-            // partition, a lossy link).
+            // replicated outbox, to one replica of each destination per
+            // round (replica `k mod rf` at the `k`-th round): receivers
+            // discard what they already applied, successive rounds cover
+            // the full channel history, and steady-state traffic stays
+            // linear in the outbox size. It repairs what a partition or a
+            // lossy link kept from every replica.
             if self.ticks.is_multiple_of(self.retransmit_every) {
                 const WINDOW: usize = 64;
+                let round = self.ticks / self.retransmit_every;
+                let target = (round % u64::from(self.rf)) as u32;
                 let outbox = self.rg.engine().outbox();
                 let len = outbox.len();
                 if len > 0 {
@@ -886,8 +924,8 @@ impl ReplicatedActor {
                     let end = (start + WINDOW).min(len);
                     let window = outbox[start..end].to_vec();
                     self.retransmit_cursor = if end >= len { 0 } else { end };
-                    for (to, seq, pkt) in window {
-                        self.send_group(to, seq, pkt, ctx);
+                    for entry in window {
+                        self.send_group(entry, target..target + 1, ctx);
                     }
                 }
             }
@@ -981,31 +1019,9 @@ impl Actor<NetMsg> for ReplicatedActor {
             NetMsg::GroupMsg { seq, pkt } => {
                 let peer = group_of(from, self.rf);
                 let pkt = Arc::new(pkt);
-                let cmd = ReplCmd::Peer { peer, seq, pkt };
-                if !self.rg.engine().has_applied(&cmd) {
-                    self.forward(&cmd, ctx);
-                }
-                self.intake(cmd, ctx);
+                self.intake(ReplCmd::Peer { peer, seq, pkt }, ctx);
             }
-            // A sibling hands over a packet that reached it first. It is
-            // taken in, and passed on again only to a newly named leader.
-            NetMsg::Repl(PaxosMsg::Forward { cmd }) => match cmd {
-                ReplCmd::Peer { peer, .. }
-                    if group_of(from, self.rf) == self.node
-                        && self.rg.engine().node.in_overlay(peer) =>
-                {
-                    self.intake(cmd, ctx);
-                }
-                _ => self.refused_inputs += 1,
-            },
-            NetMsg::Repl(pm) => {
-                let mut fx = Vec::new();
-                self.rg
-                    .on_replication(replica_of(from, self.rf), pm, &mut fx);
-                self.emit(fx, ctx);
-                self.check_transition(ctx);
-                self.propose_inbox(ctx);
-            }
+            NetMsg::Repl(pm) => self.replicate(replica_of(from, self.rf), pm, ctx),
             NetMsg::Ble(bm) => {
                 let mut ble_out = Vec::new();
                 self.ble
@@ -1016,12 +1032,13 @@ impl Actor<NetMsg> for ReplicatedActor {
                 if through <= self.rg.applied_slots() {
                     return; // stale or duplicate transfer
                 }
-                // Bytes that do not decode, or an engine that does not
-                // restore, are refused: the replica keeps its state, and
-                // its gap keeps it asking.
+                // Bytes that do not decode, an engine that does not
+                // restore, and a state that took another number of slots
+                // than `through` claims are refused: the replica keeps its
+                // state, and its gap keeps it asking.
                 let restored = flexcast_wire::from_bytes::<ReplSnapshot>(&state)
                     .and_then(|snap| ReplEngine::from_snapshot(snap, self.order.clone()));
-                let Ok(engine) = restored else {
+                let Some(engine) = restored.ok().filter(|e| e.links.slots == through) else {
                     ctx.telemetry().counter_add("smr.snapshot_refused", 1);
                     return;
                 };
@@ -1971,68 +1988,31 @@ mod tests {
     /// A two-group world with leaders elected and no client traffic, in
     /// which group 0's leader has just sent `stray_packet` to replica
     /// `to` of group 1 as the first packet on the link. Returns the world
-    /// and the input group 1 must apply.
-    fn world_with_a_packet_for(to: u32, crash_leader: bool) -> (World<NetMsg, ReplNode>, ReplCmd) {
+    /// and the name of the input group 1 must apply.
+    fn world_with_a_packet_for(to: u32) -> (World<NetMsg, ReplNode>, InputName) {
         let mut cfg = ReplicatedConfig::small(2, 3, 5);
         cfg.msgs_per_client = 0;
         let mut world = build_world(&cfg, &matrix(2));
         world.run_until(SimTime::from_ms(1_000.0));
         let leader = replica_pid(GroupId(1), 0, 3);
         assert!(replica(&world, leader).is_leader());
-        world.set_down(leader, crash_leader);
         let (sender, pkt) = (replica_pid(GroupId(0), 0, 3), stray_packet());
         world.inject(
             sender,
             replica_pid(GroupId(1), to, 3),
             NetMsg::GroupMsg { seq: 0, pkt },
         );
-        let pkt = Arc::new(stray_packet());
-        (
-            world,
-            ReplCmd::Peer {
-                peer: GroupId(0),
-                seq: 0,
-                pkt,
-            },
-        )
+        let peer = GroupId(0);
+        (world, InputName::Peer { peer, seq: 0 })
     }
 
-    /// A packet that reaches a follower goes on to the leader in one
-    /// forward, and the leader proposes it: every replica applies it.
+    /// Replica 1 of groups 1 and 2, a follower, crashes for good while
+    /// multicasts are in flight, under enough load that the senders'
+    /// outboxes outgrow one retransmission window. Every packet reaches
+    /// the two live replicas of its group straight from its sender, so
+    /// the slowest multicasts are as slow as with every replica up.
     #[test]
-    fn a_packet_that_reaches_a_follower_is_forwarded_to_its_leader() {
-        let (mut world, cmd) = world_with_a_packet_for(2, false);
-        world.run_until(SimTime::from_ms(1_100.0));
-        for r in 0..3 {
-            let state = replica(&world, replica_pid(GroupId(1), r, 3)).state();
-            assert!(state.has_applied(&cmd), "replica {r}");
-        }
-        assert_eq!(counter(&world, "forwarded"), 1);
-    }
-
-    /// The follower's copy stays in its inbox, the failover buffer: its
-    /// forward went to a crashed leader, so when ballot leader election
-    /// names a sibling the follower hands the packet over again.
-    #[test]
-    fn a_follower_hands_its_unapplied_packets_to_the_next_leader() {
-        let (mut world, cmd) = world_with_a_packet_for(1, true);
-        world.run_until(SimTime::from_ms(5_000.0));
-        assert!(replica(&world, replica_pid(GroupId(1), 2, 3)).is_leader());
-        for r in [1, 2] {
-            let state = replica(&world, replica_pid(GroupId(1), r, 3)).state();
-            assert!(state.has_applied(&cmd), "replica {r}");
-        }
-        assert_eq!(counter(&world, "forwarded"), 2);
-    }
-
-    /// Replica 1 of groups 1 and 2, a follower and the target at every
-    /// third tick, crashes for good while multicasts are in flight, under
-    /// enough load that the senders' outboxes outgrow one retransmission
-    /// window. Each packet it swallows goes to the next replica one tick
-    /// later, so the slowest multicasts are about as slow as with every
-    /// replica up.
-    #[test]
-    fn a_crashed_target_replica_delays_packets_by_one_tick() {
+    fn a_crashed_replica_of_a_receiving_group_delays_no_packet() {
         let mut cfg = ReplicatedConfig::small(3, 3, 13);
         cfg.n_clients = 4;
         cfg.msgs_per_client = 40;
@@ -2045,52 +2025,15 @@ mod tests {
             world.run_to_quiescence(50_000_000);
             let sender = replica(&world, replica_pid(GroupId(0), 0, 3));
             assert!(sender.state().outbox().len() > 64);
-            (collect(&cfg, &world), counter(&world, "forwarded"))
+            collect(&cfg, &world)
         };
-        let (up, _) = run(false);
-        let (crashed, forwarded) = run(true);
+        let (up, crashed) = (run(false), run(true));
         crashed.check.assert_ok();
         assert_eq!(crashed.availability, 1.0);
-        assert!(forwarded > 0);
         let p99 = |r: &ReplicatedResult| r.latency.percentiles().expect("completions").p99;
-        let bound = p99(&up) + 2.0 * cfg.tick.as_ms();
+        // An eighth of a tick: no packet waits for a tick.
+        let bound = p99(&up) + cfg.tick.as_ms() / 8.0;
         assert!(p99(&crashed) <= bound, "p99 {} > {bound}", p99(&crashed));
-    }
-
-    /// Only a sibling hands over inputs, and only packets from a group in
-    /// the overlay: anything else is counted and changes nothing.
-    #[test]
-    fn forwards_from_outside_the_group_or_of_other_inputs_are_refused() {
-        let peer = |peer| ReplCmd::Peer {
-            peer: GroupId(peer),
-            seq: 0,
-            pkt: Arc::new(stray_packet()),
-        };
-        let forward = |cmd| NetMsg::Repl(PaxosMsg::Forward { cmd });
-        assert_refused(&[forward(peer(1))]);
-
-        let cfg = ReplicatedConfig::small(3, 3, 7);
-        let mut world = build_world(&cfg, &matrix(3));
-        world.run_to_quiescence(20_000_000);
-        let (sibling, leader) = (replica_pid(GroupId(0), 1, 3), replica_pid(GroupId(0), 0, 3));
-        let state = |w: &World<NetMsg, ReplNode>| {
-            let r = replica(w, leader);
-            flexcast_wire::to_bytes(&r.state().to_snapshot()).expect("encodes")
-        };
-        let before = (state(&world), counter(&world, "refused_inputs"));
-        let dst = DestSet::from_iter([GroupId(0), GroupId(1)]);
-        let msg = Message::new(MsgId::new(ClientId(0), 999), dst, vec![1].into()).unwrap();
-        for cmd in [
-            peer(7),
-            ReplCmd::Client(msg),
-            ReplCmd::Noop { proposer: 1 },
-            ReplCmd::Batch(vec![peer(1)]),
-        ] {
-            world.inject(sibling, leader, forward(cmd));
-        }
-        world.run_to_quiescence(1_000);
-        assert_eq!(state(&world), before.0);
-        assert_eq!(counter(&world, "refused_inputs"), before.1 + 4);
     }
 
     /// Fault-free, inputs are proposed twice only at takeover: a group's
@@ -2368,7 +2311,12 @@ mod tests {
         };
         // Outside the overlay, and inside it with group 1 as the lca.
         let (outside, elsewhere) = (client(999, [0, 5]), client(997, [1, 2]));
-        let snapshot = |e: &ReplEngine| flexcast_wire::to_bytes(&e.to_snapshot()).expect("encodes");
+        // Every slot counts, refused or not.
+        let snapshot = |e: &ReplEngine| {
+            let mut snap = e.to_snapshot();
+            snap.links.slots = 0;
+            flexcast_wire::to_bytes(&snap).expect("encodes")
+        };
         let before = snapshot(&e);
         for cmd in [
             peer(0),
@@ -2461,8 +2409,8 @@ mod tests {
         assert!(err.contains("peer is outside the overlay"), "{err}");
     }
 
-    /// A batch inside a batch is an invalid variant, so a million nesting
-    /// levels fail at the second, without recursing.
+    /// A batch inside a batch is refused where it starts, so a million
+    /// nesting levels fail at the second, without recursing.
     #[test]
     fn nested_batches_do_not_decode() {
         let mut bytes = [3u8, 1].repeat(1_000_000);
@@ -2474,5 +2422,290 @@ mod tests {
             flat.expect("one level decodes"),
             ReplCmd::Batch(vec![ReplCmd::Noop { proposer: 0 }])
         );
+    }
+
+    /// A replicated world's actor with a tap on what it receives: every
+    /// `Accept` as `(slot, wire size, command)` and the sender pid of
+    /// every `GroupMsg`.
+    struct Tap {
+        node: ReplNode,
+        accepts: Vec<(u64, usize, ReplCmd)>,
+        group_msgs: Vec<ProcessId>,
+    }
+
+    impl Actor<NetMsg> for Tap {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
+            self.node.on_start(ctx);
+        }
+
+        fn on_message(&mut self, from: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
+            match &msg {
+                NetMsg::Repl(PaxosMsg::Accept { slot, cmd, .. }) => {
+                    self.accepts.push((*slot, msg.wire_size(), cmd.clone()));
+                }
+                NetMsg::GroupMsg { .. } => self.group_msgs.push(from),
+                _ => {}
+            }
+            self.node.on_message(from, msg, ctx);
+        }
+
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg>) {
+            self.node.on_timer(token, ctx);
+        }
+    }
+
+    /// [`build_world`]'s replicas, each behind a [`Tap`], and no clients.
+    fn tapped_world(cfg: &ReplicatedConfig) -> World<NetMsg, Tap> {
+        let mut actors = Vec::new();
+        let mut sites = Vec::new();
+        for g in (0..cfg.n_groups).map(GroupId) {
+            for r in 0..cfg.rf {
+                actors.push(Tap {
+                    node: ReplNode::Replica(ReplicatedActor::new(g, r, cfg)),
+                    accepts: Vec::new(),
+                    group_msgs: Vec::new(),
+                });
+                sites.push(g);
+            }
+        }
+        let link = LinkModel::new(matrix(cfg.n_groups as usize), sites, cfg.jitter_ms);
+        World::new(actors, link, cfg.seed)
+    }
+
+    fn tapped(world: &World<NetMsg, Tap>, pid: ProcessId) -> (&Tap, &ReplicatedActor) {
+        match world.actor(pid) {
+            tap @ Tap {
+                node: ReplNode::Replica(r),
+                ..
+            } => (tap, r),
+            _ => panic!("pid {pid} is not a replica"),
+        }
+    }
+
+    /// A client multicast with a `len`-byte payload, injected into every
+    /// replica of its entry group.
+    fn inject_multicast<A: Actor<NetMsg>>(
+        world: &mut World<NetMsg, A>,
+        cfg: &ReplicatedConfig,
+        seq: u32,
+        dst: &[u16],
+        len: usize,
+    ) -> Message {
+        let dst = DestSet::from_iter(dst.iter().copied().map(GroupId));
+        let msg = Message::new(MsgId::new(ClientId(0), seq), dst, vec![1; len].into())
+            .expect("has destinations");
+        let entry = entry_node(&cfg.order, dst).expect("in the overlay");
+        let reply_to = client_pid(cfg.n_groups as usize, cfg.rf, ClientId(0));
+        for r in 0..cfg.rf {
+            // From the replica itself: the world may host no client.
+            let pid = replica_pid(entry, r, cfg.rf);
+            let msg = msg.clone();
+            world.inject(pid, pid, NetMsg::Client { msg, reply_to });
+        }
+        msg
+    }
+
+    /// Two groups, rf = 3, leaders elected, no clients, and no outbox
+    /// retransmission: group 0's packets reach group 1 only as fresh sends.
+    fn quiet_config() -> ReplicatedConfig {
+        let mut cfg = ReplicatedConfig::small(2, 3, 5);
+        cfg.n_clients = 0;
+        cfg.retransmit_every = 1_000_000;
+        cfg
+    }
+
+    /// Every replica of group 1 takes each of group 0's packets from
+    /// group 0's leader itself, once, even with group 1's replicas cut
+    /// off from each other.
+    #[test]
+    fn every_replica_of_a_receiving_group_takes_each_packet_from_its_sender() {
+        let cfg = quiet_config();
+        let mut world = tapped_world(&cfg);
+        world.run_until(SimTime::from_ms(1_000.0));
+        let g1: Vec<ProcessId> = (0..3).map(|r| replica_pid(GroupId(1), r, 3)).collect();
+        for &a in &g1 {
+            for &b in &g1 {
+                if a != b {
+                    world.block_link(a, b);
+                }
+            }
+        }
+        for seq in 0..4 {
+            inject_multicast(&mut world, &cfg, seq, &[0, 1], 16);
+        }
+        world.run_until(SimTime::from_ms(1_500.0));
+        let sender = replica_pid(GroupId(0), 0, 3);
+        let (_, leader) = tapped(&world, sender);
+        let sent: Vec<u64> = (leader.state().outbox().iter())
+            .filter(|(to, _, _)| *to == GroupId(1))
+            .map(|&(_, seq, _)| seq)
+            .collect();
+        assert!(sent.len() >= 4, "{sent:?}");
+        for &pid in &g1 {
+            let (tap, replica) = tapped(&world, pid);
+            assert_eq!(tap.group_msgs, vec![sender; sent.len()], "pid {pid}");
+            for &seq in &sent {
+                let name = InputName::Peer {
+                    peer: GroupId(0),
+                    seq,
+                };
+                assert!(replica.inbox.contains_key(&name), "pid {pid} seq {seq}");
+            }
+        }
+    }
+
+    /// The first `Accept` of every slot after the takeover `Noop` names
+    /// its inputs: 1 000-byte client messages and the packets that carry
+    /// them cost the followers a few bytes each, and every replica
+    /// applies them all.
+    #[test]
+    fn a_fresh_accept_whose_inputs_every_follower_holds_carries_no_packet_bytes() {
+        let cfg = quiet_config();
+        let mut world = tapped_world(&cfg);
+        world.run_until(SimTime::from_ms(1_000.0));
+        let msgs: Vec<Message> = (0..3)
+            .map(|seq| inject_multicast(&mut world, &cfg, seq, &[0, 1], 1_000))
+            .collect();
+        world.run_until(SimTime::from_ms(1_500.0));
+        let mut fresh = 0;
+        for g in 0..2 {
+            for r in 1..3 {
+                let (tap, replica) = tapped(&world, replica_pid(GroupId(g), r, 3));
+                for m in &msgs {
+                    assert!(replica.state().engine().has_delivered(m.id), "g{g} r{r}");
+                }
+                let mut first = BTreeMap::new();
+                for (slot, size, cmd) in &tap.accepts {
+                    first.entry(*slot).or_insert((*size, cmd));
+                }
+                for (slot, (size, cmd)) in first {
+                    if matches!(cmd, ReplCmd::Noop { .. }) {
+                        continue;
+                    }
+                    fresh += 1;
+                    assert!(size < 64, "g{g} r{r} slot {slot}: {size} B, {cmd:?}");
+                }
+            }
+        }
+        assert!(fresh >= 4, "{fresh} fresh Accepts");
+    }
+
+    /// Group 0's packet reaches group 1's leader and one follower (15 ms
+    /// away): the other follower holds the leader's `Accept`, and accepts
+    /// it as soon as the packet arrives, before the next tick at 1 040 ms
+    /// could repair anything.
+    #[test]
+    fn a_follower_missing_one_named_input_holds_the_accept_until_the_packet_arrives() {
+        let (mut world, cmd) = world_with_a_packet_for(0);
+        let (sender, late) = (replica_pid(GroupId(0), 0, 3), replica_pid(GroupId(1), 2, 3));
+        let packet = || NetMsg::GroupMsg {
+            seq: 0,
+            pkt: stray_packet(),
+        };
+        world.inject(sender, replica_pid(GroupId(1), 1, 3), packet());
+        world.run_until(SimTime::from_ms(1_018.0));
+        for r in 0..2 {
+            let state = replica(&world, replica_pid(GroupId(1), r, 3)).state();
+            assert!(state.has_applied(cmd), "replica {r}");
+        }
+        let held = |w: &World<NetMsg, ReplNode>| replica(w, late).held_accept.is_some();
+        assert!(held(&world));
+        assert!(!replica(&world, late).state().has_applied(cmd));
+        world.inject(sender, late, packet());
+        world.run_until(SimTime::from_ms(1_038.0));
+        assert!(!held(&world));
+        assert!(replica(&world, late).state().has_applied(cmd));
+    }
+
+    /// With group 1's other follower down, the leader needs the vote of a
+    /// follower that never gets the packet: that follower holds the
+    /// named `Accept`, and the leader's repair tick re-sends it whole.
+    #[test]
+    fn a_follower_that_never_gets_the_packet_commits_through_the_repair_redrive() {
+        let (mut world, cmd) = world_with_a_packet_for(0);
+        world.set_down(replica_pid(GroupId(1), 1, 3), true);
+        let follower = replica_pid(GroupId(1), 2, 3);
+        world.run_until(SimTime::from_ms(1_030.0));
+        assert!(replica(&world, follower).held_accept.is_some());
+        for r in [0, 2] {
+            let state = replica(&world, replica_pid(GroupId(1), r, 3)).state();
+            assert!(!state.has_applied(cmd), "replica {r}");
+        }
+        world.run_until(SimTime::from_ms(1_100.0));
+        for r in [0, 2] {
+            let state = replica(&world, replica_pid(GroupId(1), r, 3)).state();
+            assert!(state.has_applied(cmd), "replica {r}");
+        }
+    }
+
+    /// A name reaches `apply_cmd` only if a hostile leader commits one.
+    /// Alone or inside a batch, every replica refuses it alike: no
+    /// effect, no state change beyond the slot count, one refusal each.
+    #[test]
+    fn a_committed_command_that_carries_a_name_is_refused_alike_by_every_replica() {
+        let order = || CDagOrder::from_order((0..3).map(GroupId).collect()).expect("permutation");
+        let packet = |seq| {
+            ReplCmd::Named(InputName::Peer {
+                peer: GroupId(1),
+                seq,
+            })
+        };
+        let client = ReplCmd::Named(InputName::Client(MsgId::new(ClientId(0), 0)));
+        let cmds = [
+            packet(0),
+            client.clone(),
+            ReplCmd::Batch(vec![packet(1), client]),
+        ];
+        let snapshot = |e: &ReplEngine| flexcast_wire::to_bytes(&e.to_snapshot()).expect("encodes");
+        let mut fresh = ReplEngine::new(GroupId(0), order(), None);
+        let mut replicas: Vec<ReplEngine> = (0..3)
+            .map(|_| ReplEngine::new(GroupId(0), order(), None))
+            .collect();
+        for e in &mut replicas {
+            for cmd in cmds.clone() {
+                let mut out = Vec::new();
+                apply_cmd(e, cmd, &mut out);
+                assert!(out.is_empty(), "an effect was emitted");
+            }
+            assert_eq!(e.refused_cmds(), 4);
+        }
+        fresh.links.slots = 3;
+        for e in &replicas {
+            assert_eq!(snapshot(e), snapshot(&fresh));
+        }
+    }
+
+    /// A sitting leader is sent its sibling's honest state under a
+    /// `through` no log can reach: it refuses the transfer, and the next
+    /// input commits in the very next slot at every replica.
+    #[test]
+    fn a_snapshot_whose_through_is_not_its_slot_count_is_refused() {
+        let mut cfg = ReplicatedConfig::small(3, 3, 7);
+        cfg.telemetry = Telemetry::enabled();
+        let mut world = build_world(&cfg, &matrix(3));
+        world.run_to_quiescence(20_000_000);
+        let (leader, sibling) = (replica_pid(GroupId(0), 0, 3), replica_pid(GroupId(0), 1, 3));
+        assert!(replica(&world, leader).is_leader());
+        let slots = replica(&world, leader).replication().applied_slots();
+        let snap = replica(&world, sibling).state().to_snapshot();
+        assert_eq!(snap.links.slots, slots);
+        let state = flexcast_wire::to_bytes(&snap).expect("encodes");
+        let through = u64::MAX;
+        world.inject(sibling, leader, NetMsg::Snapshot { through, state });
+        world.run_to_quiescence(1_000);
+        assert_eq!(replica(&world, leader).snapshot_installs, 0);
+        assert_eq!(cfg.telemetry.snapshot().counters["smr.snapshot_refused"], 1);
+
+        let msg = inject_multicast(&mut world, &cfg, 999, &[0], 8);
+        world.run_to_quiescence(1_000_000);
+        for r in 0..3 {
+            let rep = replica(&world, replica_pid(GroupId(0), r, 3));
+            assert_eq!(rep.replication().applied_slots(), slots + 1, "replica {r}");
+            assert_eq!(
+                rep.state().delivery_log().last(),
+                Some(&msg.id),
+                "replica {r}"
+            );
+        }
     }
 }

@@ -269,4 +269,9 @@ const GOLDEN_FAULT_FREE: (u64, u64, u64) = (1519, 239, 6087929938598119994);
 /// and the lossy `a0 → b0` link carries group 0's packets for group 1
 /// only when `b0` is a target, so fewer messages drop and the delivered
 /// order moves (`(35025, 12, 16, 1190306985904263308)` before).
-const GOLDEN_LINK_FAULTS: (u64, u64, u64, u64) = (29923, 12, 7, 10328533749801288588);
+/// Re-recorded when a leader went back to sending each fresh packet to
+/// every replica of the destination, and the `Accept` of a slot it
+/// proposes from its inbox began naming the inputs instead of carrying
+/// them: no forwards, no second copy a tick later, and the delivered
+/// order moves (`(29923, 12, 7, 10328533749801288588)` before).
+const GOLDEN_LINK_FAULTS: (u64, u64, u64, u64) = (29889, 12, 6, 14322879085045399948);

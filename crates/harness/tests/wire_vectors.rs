@@ -11,7 +11,7 @@
 use flexcast_baselines::{HierPacket, SkeenPacket};
 use flexcast_core::history::{HistoryDelta, MsgRef, TaggedEdge};
 use flexcast_core::Packet;
-use flexcast_harness::replicated::ReplCmd;
+use flexcast_harness::replicated::{InputName, ReplCmd};
 use flexcast_harness::NetMsg;
 use flexcast_smr::{Ballot, BleMsg, PaxosMsg};
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload, Watermarks};
@@ -214,23 +214,21 @@ fn net_msg_vectors() {
             "05 06 09 0502",
         ),
         (
-            // A follower hands its leader a packet from group 1: variant
-            // 7, then the input, 3 bytes more than the `GroupMsg` below
-            // that carries the same packet.
-            NetMsg::Repl(PaxosMsg::Forward {
-                cmd: ReplCmd::Peer {
-                    peer: GroupId(1),
-                    seq: 6,
-                    pkt: Packet::Advert {
-                        wm: Watermarks {
-                            clients: vec![(ClientId(1), 3)],
-                            edges: vec![(GroupId(1), 4)],
-                        },
-                    }
-                    .into(),
-                },
+            // A fresh slot's `Accept` names its inputs: `ReplCmd` variant
+            // 4, then a client message by its id (0) and a packet by its
+            // link position (1), 4 bytes each, whatever their size.
+            NetMsg::Repl(PaxosMsg::Accept {
+                ballot,
+                slot: 9,
+                cmd: ReplCmd::Batch(vec![
+                    ReplCmd::Named(InputName::Client(id(2))),
+                    ReplCmd::Named(InputName::Peer {
+                        peer: GroupId(1),
+                        seq: 6,
+                    }),
+                ]),
             }),
-            "05 07 01 01 06 03 01 0103 01 0104",
+            "05 02 0502 09 03 02 04 00 0102 04 01 01 06",
         ),
         (
             NetMsg::GroupMsg {

@@ -18,9 +18,6 @@
 //!   under that ballot, so each command crosses the wire once per
 //!   follower. A follower that never got the `Accept` asks for the
 //!   command with `LearnReq`, and only that answer, `Learn`, carries it.
-//! * **Input hand-off**: a follower passes an input that reached it to
-//!   the replica it believes leads as `Forward(cmd)`. Proposing is the
-//!   host's choice, so [`Replica`] ignores it.
 //!
 //! Commands apply in slot order; [`Replica::take_committed`] hands the
 //! application a gap-free committed prefix.
@@ -126,14 +123,6 @@ pub enum PaxosMsg<C> {
         slot: u64,
         /// The ballot the committed command was accepted under.
         ballot: Ballot,
-    },
-    /// Input hand-off, follower → the replica it believes leads: a command
-    /// that reached a follower first. The receiver's host takes it in like
-    /// any input and proposes it by its own rule. [`Replica`] ignores it,
-    /// because what to propose, and when, is the host's business.
-    Forward {
-        /// The input.
-        cmd: C,
     },
 }
 
@@ -270,7 +259,7 @@ impl<C: Clone + PartialEq> Replica<C> {
     /// below its compaction marker with [`SmrOutput::SnapshotNeeded`].
     pub fn commit_lag(&self) -> u64 {
         self.known_head()
-            .map_or(0, |max| (max + 1).saturating_sub(self.apply_at))
+            .map_or(0, |max| max.saturating_add(1).saturating_sub(self.apply_at))
     }
 
     /// The highest known commit: committed here, or named by a `Decide`.
@@ -324,6 +313,14 @@ impl<C: Clone + PartialEq> Replica<C> {
         (0..self.n).filter(move |&p| p != self.id)
     }
 
+    /// Sends `msg` to every peer.
+    fn broadcast(&self, msg: PaxosMsg<C>, out: &mut Vec<SmrOutput<C>>) {
+        for to in self.peers() {
+            let msg = msg.clone();
+            out.push(SmrOutput::Send { to, msg });
+        }
+    }
+
     /// Starts (or retries) an election with a ballot above everything seen.
     /// Drive this from an election timeout.
     pub fn start_election(&mut self, out: &mut Vec<SmrOutput<C>>) {
@@ -360,38 +357,27 @@ impl<C: Clone + PartialEq> Replica<C> {
         // could otherwise complete a quorum that never accepted one pair.
         self.tally.clear();
         self.election_values = self.accepted.iter().map(|(&s, v)| (s, v.clone())).collect();
-        for p in self.peers().collect::<Vec<_>>() {
-            out.push(SmrOutput::Send {
-                to: p,
-                msg: PaxosMsg::Prepare {
-                    ballot: self.my_ballot,
-                },
-            });
-        }
+        self.broadcast(PaxosMsg::Prepare { ballot }, out);
         self.maybe_win(out);
     }
 
     /// Proposes a command at the next slot. Only a leader proposes: on any
     /// other replica this does nothing, and the caller keeps the command
-    /// until some replica leads.
+    /// until some replica leads. Nor does a leader whose slots ran out
+    /// (a snapshot's `through` can name the last one).
     pub fn propose(&mut self, cmd: C, out: &mut Vec<SmrOutput<C>>) {
         if self.role != Role::Leader {
             return;
         }
         let slot = self.next_slot;
-        self.next_slot += 1;
+        let Some(next) = slot.checked_add(1) else {
+            return;
+        };
+        self.next_slot = next;
         self.accept_locally(self.my_ballot, slot, cmd.clone());
         self.tally.entry(slot).or_default().insert(self.id);
-        for p in self.peers().collect::<Vec<_>>() {
-            out.push(SmrOutput::Send {
-                to: p,
-                msg: PaxosMsg::Accept {
-                    ballot: self.my_ballot,
-                    slot,
-                    cmd: cmd.clone(),
-                },
-            });
-        }
+        let ballot = self.my_ballot;
+        self.broadcast(PaxosMsg::Accept { ballot, slot, cmd }, out);
         self.maybe_commit(slot, out);
     }
 
@@ -408,26 +394,23 @@ impl<C: Clone + PartialEq> Replica<C> {
         }
         self.role = Role::Leader;
         // Safety: re-propose the highest-ballot value per slot reported by
-        // the promise quorum, then continue after the highest slot.
+        // the promise quorum, then continue after the highest slot — and
+        // never below what this replica compacted or applied, which the
+        // quorum may no longer report.
         let values = std::mem::take(&mut self.election_values);
-        let max_slot = values.keys().next_back().copied();
-        self.next_slot = max_slot.map_or(0, |s| s + 1);
+        let after_values = values
+            .keys()
+            .next_back()
+            .map_or(0, |&s| s.saturating_add(1));
+        self.next_slot = after_values.max(self.compacted_to).max(self.apply_at);
         for (slot, (_, cmd)) in values {
             if self.committed.contains_key(&slot) {
                 continue;
             }
             self.accept_locally(self.my_ballot, slot, cmd.clone());
             self.tally.entry(slot).or_default().insert(self.id);
-            for p in self.peers().collect::<Vec<_>>() {
-                out.push(SmrOutput::Send {
-                    to: p,
-                    msg: PaxosMsg::Accept {
-                        ballot: self.my_ballot,
-                        slot,
-                        cmd: cmd.clone(),
-                    },
-                });
-            }
+            let ballot = self.my_ballot;
+            self.broadcast(PaxosMsg::Accept { ballot, slot, cmd }, out);
             self.maybe_commit(slot, out);
         }
     }
@@ -448,12 +431,7 @@ impl<C: Clone + PartialEq> Replica<C> {
             return;
         };
         self.commit(slot, cmd, out);
-        for p in self.peers().collect::<Vec<_>>() {
-            out.push(SmrOutput::Send {
-                to: p,
-                msg: PaxosMsg::Decide { slot, ballot },
-            });
-        }
+        self.broadcast(PaxosMsg::Decide { slot, ballot }, out);
     }
 
     /// Records `slot` as committed with `cmd`, unless it already is. The
@@ -582,8 +560,6 @@ impl<C: Clone + PartialEq> Replica<C> {
                     }
                 }
             }
-            // The host proposes inputs (see the variant's doc).
-            PaxosMsg::Forward { .. } => {}
         }
     }
 
@@ -605,18 +581,10 @@ impl<C: Clone + PartialEq> Replica<C> {
             .filter(|(slot, _)| !self.committed.contains_key(slot))
             .map(|(&slot, (_, cmd))| (slot, cmd.clone()))
             .collect();
+        let ballot = self.my_ballot;
         for (slot, cmd) in stuck {
             self.tally.entry(slot).or_default().insert(self.id);
-            for p in self.peers().collect::<Vec<_>>() {
-                out.push(SmrOutput::Send {
-                    to: p,
-                    msg: PaxosMsg::Accept {
-                        ballot: self.my_ballot,
-                        slot,
-                        cmd: cmd.clone(),
-                    },
-                });
-            }
+            self.broadcast(PaxosMsg::Accept { ballot, slot, cmd }, out);
         }
         let Some((&slot, cmd)) = self.committed.iter().next_back() else {
             return;
@@ -630,27 +598,15 @@ impl<C: Clone + PartialEq> Replica<C> {
             || self
                 .accepted
                 .get(&slot)
-                .is_some_and(|(b, mine)| *b == self.my_ballot && mine != cmd);
+                .is_some_and(|(b, mine)| *b == ballot && mine != cmd);
         if clash {
             return;
         }
-        let cmd = cmd.clone();
-        for p in self.peers().collect::<Vec<_>>() {
-            out.push(SmrOutput::Send {
-                to: p,
-                msg: PaxosMsg::Decide {
-                    slot,
-                    ballot: self.my_ballot,
-                },
-            });
-            out.push(SmrOutput::Send {
-                to: p,
-                msg: PaxosMsg::Accept {
-                    ballot: self.my_ballot,
-                    slot,
-                    cmd: cmd.clone(),
-                },
-            });
+        for to in self.peers() {
+            let (decide, cmd) = (PaxosMsg::Decide { slot, ballot }, cmd.clone());
+            out.push(SmrOutput::Send { to, msg: decide });
+            let msg = PaxosMsg::Accept { ballot, slot, cmd };
+            out.push(SmrOutput::Send { to, msg });
         }
     }
 
@@ -677,12 +633,7 @@ impl<C: Clone + PartialEq> Replica<C> {
         if owner != self.id {
             out.push(SmrOutput::Send { to: owner, msg });
         } else {
-            for p in self.peers().collect::<Vec<_>>() {
-                out.push(SmrOutput::Send {
-                    to: p,
-                    msg: msg.clone(),
-                });
-            }
+            self.broadcast(msg, out);
         }
     }
 
@@ -690,9 +641,13 @@ impl<C: Clone + PartialEq> Replica<C> {
     /// the application cursor. Call after processing outputs.
     pub fn take_committed(&mut self) -> Vec<C> {
         let mut ready = Vec::new();
-        while let Some(cmd) = self.committed.get(&self.apply_at) {
+        // The last slot there is never applies: the cursor cannot pass it.
+        while let Some(next) = self.apply_at.checked_add(1) {
+            let Some(cmd) = self.committed.get(&self.apply_at) else {
+                break;
+            };
             ready.push(cmd.clone());
-            self.apply_at += 1;
+            self.apply_at = next;
         }
         ready
     }
@@ -1350,19 +1305,48 @@ mod tests {
         assert!(hb.is_empty(), "{hb:?}");
     }
 
-    /// A forwarded input is the host's to propose: neither a leader nor a
-    /// follower acts on it or changes state.
+    /// Every replica applied 1–4 and compacted all four slots away, so
+    /// a promise quorum reports nothing: the next leader still proposes
+    /// past the compaction marker, not at slot 0, where every follower
+    /// would drop its `Accept`.
     #[test]
-    fn a_forward_is_left_to_the_host() {
+    fn a_leader_elected_after_a_full_compaction_proposes_past_the_marker() {
         let mut rs = cluster(3);
-        let mut net = Net::new(3, 0.0, 0.0);
+        let mut net = Net::new(4, 0.0, 0.0);
         elect(0, &mut rs, &mut net);
-        for (to, from) in [(0, 1), (1, 2)] {
-            let before = format!("{:?}", rs[to]);
-            let mut out = Vec::new();
-            rs[to].on_message(from, PaxosMsg::Forward { cmd: 4 }, &mut out);
-            assert!(out.is_empty(), "{out:?}");
-            assert_eq!(format!("{:?}", rs[to]), before);
+        for v in [1, 2, 3, 4] {
+            let mut outs = Vec::new();
+            rs[0].propose(v, &mut outs);
+            net.push_outputs(0, outs);
         }
+        net.run(&mut rs);
+        for r in &mut rs {
+            assert_eq!(r.take_committed(), vec![1, 2, 3, 4]);
+            r.compact_to(4);
+            assert_eq!(r.compacted_to(), 4);
+        }
+        elect(1, &mut rs, &mut net);
+        assert_eq!(rs[1].next_slot(), 4);
+        let mut outs = Vec::new();
+        rs[1].propose(5, &mut outs);
+        net.push_outputs(1, outs);
+        net.run(&mut rs);
+        for (i, r) in rs.iter_mut().enumerate() {
+            assert_eq!(r.take_committed(), vec![5], "replica {i}");
+        }
+    }
+
+    /// A snapshot may fast-forward a leader to the last slot there is:
+    /// it then proposes nothing, rather than wrap or overflow.
+    #[test]
+    fn a_leader_at_the_last_slot_proposes_nothing() {
+        let mut rs = cluster(3);
+        let mut net = Net::new(5, 0.0, 0.0);
+        elect(0, &mut rs, &mut net);
+        assert!(rs[0].install_snapshot(u64::MAX));
+        let mut outs = Vec::new();
+        rs[0].propose(7, &mut outs);
+        assert!(outs.is_empty(), "{outs:?}");
+        assert_eq!(rs[0].next_slot(), u64::MAX);
     }
 }
