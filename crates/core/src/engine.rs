@@ -2176,8 +2176,8 @@ mod tests {
     }
 
     /// Bytes off a socket decode to any rank a `DestSet` can hold. Input
-    /// whose own destinations name group 300 of a 3-group overlay — which
-    /// would index `vert_cursor[300]` on the next forward — a `msg` with
+    /// whose own destinations name group 100 of a 3-group overlay — which
+    /// would index `vert_cursor[100]` on the next forward — a `msg` with
     /// no queue to wait in, a packet that travels against its C-DAG edge,
     /// and an advertisement from a rank past the overlay (which would
     /// index `advertised_clients[7]`) are dropped at the boundary: no
@@ -2186,7 +2186,7 @@ mod tests {
     fn input_outside_the_overlay_or_against_a_c_dag_edge_is_dropped_without_a_trace() {
         let (mut c, ..) = mid_protocol();
         let before = c.snapshot().expect("snapshot encodes");
-        let wild = stray(0, &[0, 2, 300]);
+        let wild = stray(0, &[0, 2, 100]);
         let wild_msg = Message::new(wild.id, wild.dst, Payload::empty()).unwrap();
         let m1 = MsgRef::of(&msg(1, &[0, 2]));
         let packets = [
@@ -2219,7 +2219,7 @@ mod tests {
                 via: A,
                 notif_pairs: vec![],
                 hist: HistoryDelta {
-                    verts: vec![stray(1, &[2, 300])],
+                    verts: vec![stray(1, &[2, 100])],
                     edges: vec![],
                 },
             },
@@ -2361,7 +2361,7 @@ mod tests {
     /// edge hanging off it) out.
     #[test]
     fn a_refused_delta_vertex_leaves_the_rest_of_its_delta_in_force() {
-        let (good, bad) = (stray(1, &[1, 2]), stray(2, &[2, 300]));
+        let (good, bad) = (stray(1, &[1, 2]), stray(2, &[2, 100]));
         let edge = |idx, before: MsgRef, after: MsgRef| TaggedEdge {
             creator: B,
             idx,

@@ -25,6 +25,8 @@ pub struct MsgRef {
     pub dst: DestSet,
 }
 
+const _: () = assert!(size_of::<MsgRef>() == 24);
+
 impl MsgRef {
     /// Builds a reference from a full message.
     pub fn of(m: &Message) -> Self {

@@ -208,7 +208,7 @@ fn every_flip_and_truncation_of_a_three_run_packet_is_contained() {
 
 /// An ack whose destination sets take both forms: the ack's own and one
 /// vertex's as words, and singletons at both ends of the rank range —
-/// `{g1}` is the one-byte header 10, `{g511}` the last header, 520.
+/// `{g1}` is the one-byte header 10, `{g127}` the last header, 136.
 fn mixed_form_packet() -> Packet {
     let two = DestSet::from_iter([GroupId(0), GroupId(2)]);
     let one = |r| DestSet::singleton(GroupId(r));
@@ -231,7 +231,7 @@ fn mixed_form_packet() -> Packet {
                 },
                 MsgRef {
                     id: id(12),
-                    dst: one(511),
+                    dst: one(127),
                 },
             ],
             edges: vec![te(1, 3, 10, 11), te(1, 4, 11, 12)],
@@ -241,20 +241,22 @@ fn mixed_form_packet() -> Packet {
 
 /// Every single-bit flip and truncation of [`mixed_form_packet`], and
 /// every byte in turn replaced by a header at a form boundary — the last
-/// word count (8), the first and last singletons (9, 520), one past them
-/// (521), the two-byte threshold (127, 128) — or widened to the largest
-/// `u32` varint.
+/// word count (2), the first and last refused counts (3, 8), the first
+/// and last singletons (9, 136), one past them (137), the two-byte
+/// threshold (127, 128) — or widened to the largest `u32` varint.
 #[test]
 fn every_mutation_of_a_mixed_form_packet_is_contained() {
     every_mutation_is_contained(
         mixed_form_packet(),
         &[
+            &[0x02],
+            &[0x03],
             &[0x08],
             &[0x09],
             &[0x7f],
             &[0x80, 0x01],
-            &[0x88, 0x04],
-            &[0x89, 0x04],
+            &[0x88, 0x01],
+            &[0x89, 0x01],
             &[0xff, 0xff, 0xff, 0xff, 0x0f],
         ],
     );
@@ -274,13 +276,13 @@ fn one_vertex(header: u64, tail: &[u8]) -> Vec<u8> {
     b
 }
 
-/// Header 520, `{g511}`, is the last a destination set starts with;
+/// Header 136, `{g127}`, is the last a destination set starts with;
 /// every header above it is refused before any word is read, in the
 /// first vertex or a later one, within the decoding allowance.
 #[test]
-fn a_delta_vertex_whose_set_header_is_above_520_is_refused() {
-    let d: HistoryDelta = decode_contained(&one_vertex(520, &[0])).unwrap();
-    assert_eq!(d.verts[0].dst, DestSet::singleton(GroupId(511)));
+fn a_delta_vertex_whose_set_header_is_above_136_is_refused() {
+    let d: HistoryDelta = decode_contained(&one_vertex(136, &[0])).unwrap();
+    assert_eq!(d.verts[0].dst, DestSet::singleton(GroupId(127)));
     let two = |header| {
         let mut b = one_vertex(10, &[]);
         b[0] = 2;
@@ -288,18 +290,19 @@ fn a_delta_vertex_whose_set_header_is_above_520_is_refused() {
         b
     };
     assert_eq!(
-        decode_contained::<HistoryDelta>(&two(520))
+        decode_contained::<HistoryDelta>(&two(136))
             .unwrap()
             .verts
             .len(),
         2
     );
     for header in [
+        137,
+        138,
+        520,
         521,
-        522,
-        1043,
         1 << 16,
-        u64::from(u32::MAX) * 521 + 1,
+        u64::from(u32::MAX) * 137 + 1,
         u64::MAX,
     ] {
         for bytes in [one_vertex(header, &[0]), two(header)] {
@@ -317,14 +320,14 @@ fn a_delta_vertex_whose_set_header_is_above_520_is_refused() {
 }
 
 /// An edge into an id the receiver has never seen rebuilds `{after,
-/// {creator}}` only for a creator inside the overlay: creator 512 is past
+/// {creator}}` only for a creator inside the overlay: creator 128 is past
 /// every rank, and in a three-group world creator 5 is outside it. Either
 /// way the edge decodes, is dropped, and admits nothing.
 #[test]
 fn an_in_edge_whose_creator_no_set_holds_is_refused() {
-    let bytes = [0, 1, 0x80, 0x04, 0, 1, 2, 1, 1, 3];
+    let bytes = [0, 1, 0x80, 0x01, 0, 1, 2, 1, 1, 3];
     let d: HistoryDelta = decode_contained(&bytes).unwrap();
-    assert_eq!(d.edges, vec![te(512, 0, 2, 3)]);
+    assert_eq!(d.edges, vec![te(128, 0, 2, 3)]);
     let mut h = History::new();
     h.merge(&d);
     assert!(h.is_empty(), "no vertex for a creator past every rank");

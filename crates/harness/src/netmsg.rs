@@ -98,7 +98,7 @@ impl NetMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexcast_types::{ClientId, DestSet, GroupId, Payload};
+    use flexcast_types::{ClientId, DestSet, GroupId, Payload, MAX_GROUPS};
 
     fn msg() -> Message {
         Message::new(
@@ -123,6 +123,22 @@ mod tests {
         assert!(NetMsg::Reply { id: msg().id }.wire_size() < 16);
     }
 
+    /// The records the simulator queues and replicas log by the million
+    /// stay as small as a 16-byte destination set makes them: widening
+    /// one is a decision a diff of this test shows.
+    #[test]
+    fn hot_records_stay_within_their_sizes() {
+        use crate::replicated::ReplCmd;
+        use std::mem::size_of;
+        assert!(
+            size_of::<FlexPacket>() <= 112,
+            "{}",
+            size_of::<FlexPacket>()
+        );
+        assert!(size_of::<NetMsg>() <= 120, "{}", size_of::<NetMsg>());
+        assert!(size_of::<ReplCmd>() <= 48, "{}", size_of::<ReplCmd>());
+    }
+
     /// Every variant, randomized: the counting sink agrees with the
     /// writing sink, decoding loses nothing the encoder wrote, and
     /// `wire_size` — what traffic accounting charges — is that length.
@@ -143,8 +159,9 @@ mod tests {
         };
         for round in 0..200u32 {
             let id = MsgId::new(ClientId(next() as u32), next() as u32);
-            let dst =
-                DestSet::from_iter((0..1 + next() % 6).map(|_| GroupId((next() % 512) as u16)));
+            let dst = DestSet::from_iter(
+                (0..1 + next() % 6).map(|_| GroupId((next() % MAX_GROUPS as u64) as u16)),
+            );
             let msg =
                 Message::new(id, dst, Payload(vec![7u8; (next() % 300) as usize].into())).unwrap();
             let mut hist = HistoryDelta::empty();

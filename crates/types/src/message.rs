@@ -218,6 +218,8 @@ pub struct Message {
     pub payload: Payload,
 }
 
+const _: () = assert!(std::mem::size_of::<Message>() == 40);
+
 /// Decoding goes through [`Message::new`]: bytes off a socket must not
 /// yield a message whose [`Message::lca`] panics.
 impl<'de> Deserialize<'de> for Message {

@@ -17,15 +17,16 @@
 //!   both sides, as with all FlexCast peers).
 //!
 //! Two types in the workspace spell their own encoding instead of
-//! deriving it. A destination set (`flexcast_types::DestSet`, 8 words in
+//! deriving it. A destination set (`flexcast_types::DestSet`, 2 words in
 //! memory) travels as one header varint and then its *significant*
-//! words: header `n ≤ 8` is a word count, followed by that many varints,
+//! words: header `n ≤ 2` is a word count, followed by that many varints,
 //! the last of them non-zero; header `9 + r` is the one-member set `{r}`
 //! and nothing follows. So the empty set is one byte, a one-member set
 //! one byte up to rank 118 and two above, and a larger set over the
-//! paper's 12 groups two or three. The decoder refuses a header above
-//! 520, a zero last word and a word form with exactly one member, which
-//! keeps the encoding canonical. A history delta
+//! paper's 12 groups two or three. The decoder refuses headers 3..=8
+//! (word counts only a wider set needs), a header above 136, a zero
+//! last word and a word form with exactly one member, which keeps the
+//! encoding canonical. A history delta
 //! (`flexcast_core::HistoryDelta`) writes its edges as maximal chains,
 //! one `(creator, first idx, first before, afters)` run per chain, and its
 //! decoder refuses an empty run, an index past `u32::MAX` and a run that
