@@ -76,11 +76,11 @@ pub struct ExperimentConfig {
     /// (read back through this handle's `trace_json`). Cloning the config
     /// shares the same underlying registry.
     pub telemetry: Telemetry,
-    /// Simulation shard count. `0` (the default everywhere) defers to the
-    /// `FLEX_SHARDS` environment variable, falling back to `1` (the
-    /// sequential core). Any value is safe: the sharded core's delivered
-    /// trace is bit-identical to sequential at every shard count, and the
-    /// world clamps the count to the region count.
+    /// Shard labels for the world's processes (see
+    /// [`World::set_shards`](flexcast_sim::World::set_shards)). Labels
+    /// only split [`SimStats::events_by_shard`](flexcast_sim::SimStats);
+    /// the run is the same at every value. `0` (the default everywhere)
+    /// means one label.
     pub shards: usize,
 }
 
@@ -128,20 +128,6 @@ impl ExperimentConfig {
             shards: 0,
         }
     }
-}
-
-/// Resolves a config's shard count: an explicit value wins, `0` defers to
-/// the `FLEX_SHARDS` environment variable (how CI runs the whole suite
-/// sharded without touching configs), and the fallback is `1`.
-pub fn resolve_shards(cfg_shards: usize) -> usize {
-    if cfg_shards > 0 {
-        return cfg_shards;
-    }
-    std::env::var("FLEX_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
 }
 
 /// Per-node traffic statistics of a run.
@@ -299,7 +285,7 @@ pub fn run_world_on(cfg: &ExperimentConfig, matrix: &LatencyMatrix) -> World<Net
     }
     let mut world: World<NetMsg, Node> = World::new(actors, link, cfg.seed);
     world.set_telemetry(cfg.telemetry.clone());
-    world.set_shards(resolve_shards(cfg.shards));
+    world.set_shards(cfg.shards);
     // A closed loop of N clients issues a bounded number of events per
     // transaction; the guard only trips on livelock bugs.
     let max_events = 2_000_000_000;

@@ -1505,9 +1505,8 @@ pub struct ReplicatedConfig {
     /// Telemetry handle, disabled by default. Clones share one registry
     /// and tracer; [`collect`] snapshots it into the result.
     pub telemetry: Telemetry,
-    /// Simulation shard count; `0` defers to `FLEX_SHARDS` then `1` (see
-    /// [`crate::experiment::resolve_shards`]). Delivered traces are
-    /// bit-identical at every value.
+    /// Shard labels, as [`crate::ExperimentConfig::shards`]: they only
+    /// split `events_by_shard`, and `0` means one label.
     pub shards: usize,
 }
 
@@ -1629,7 +1628,7 @@ pub fn build_world(cfg: &ReplicatedConfig, matrix: &LatencyMatrix) -> World<NetM
     let link = LinkModel::new(matrix.clone(), sites, cfg.jitter_ms);
     let mut world = World::new(actors, link, cfg.seed);
     world.set_telemetry(cfg.telemetry.clone());
-    world.set_shards(crate::experiment::resolve_shards(cfg.shards));
+    world.set_shards(cfg.shards);
     world
 }
 

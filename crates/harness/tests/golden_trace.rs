@@ -167,86 +167,6 @@ fn golden_trace_link_faults() {
     );
 }
 
-/// The sharded core is trace-identical: the fault-free golden must
-/// replay byte-for-byte at every shard count, pre-refactor digest
-/// included. Shards only split the event queue; every step takes the
-/// global `(time, seq)` minimum, so routing, RNG draws, and sequencing
-/// happen in one order.
-#[test]
-fn golden_trace_fault_free_replays_on_every_shard_count() {
-    for shards in [2, 3, 4, 12] {
-        let mut cfg = golden_config();
-        cfg.shards = shards;
-        let r = run(&cfg);
-        r.check.assert_ok();
-        assert_eq!(
-            (
-                r.stats.events,
-                r.completed,
-                trace_digest(&r.trace, &r.check)
-            ),
-            GOLDEN_FAULT_FREE,
-            "fault-free trace diverged at {shards} shards"
-        );
-        assert_eq!(
-            r.stats.events_by_shard.iter().sum::<u64>(),
-            r.stats.events,
-            "per-shard counts must sum to the total at {shards} shards"
-        );
-    }
-}
-
-/// Same for the link-fault golden: the fault machinery's RNG draw order
-/// (drop/dup/reorder sampling) happens on the committer, so even the
-/// probabilistic path replays exactly under sharded execution.
-#[test]
-fn golden_trace_link_faults_replays_on_every_shard_count() {
-    for shards in [2, 3] {
-        let n_groups: u16 = 3;
-        let rf: u32 = 3;
-        let mut cfg = ReplicatedConfig::small(n_groups, rf, 40);
-        cfg.n_clients = 2;
-        cfg.msgs_per_client = 6;
-        cfg.shards = shards;
-
-        let mut m = LatencyMatrix::zero(n_groups as usize);
-        for a in 0..n_groups as usize {
-            m.set_local(a, 0.5);
-            for b in (a + 1)..n_groups as usize {
-                m.set_rtt(a, b, 20.0 + 10.0 * ((a + b) % 3) as f64);
-            }
-        }
-        let lossy = LinkFault {
-            drop: 0.15,
-            dup: 0.10,
-            reorder: 0.25,
-            extra_delay: SimTime::ZERO,
-        };
-        let a0 = replica_pid(GroupId(0), 0, rf);
-        let b0 = replica_pid(GroupId(1), 0, rf);
-        let c0 = replica_pid(GroupId(2), 0, rf);
-        let schedule = FaultSchedule::new()
-            .link_fault_between(0.0, 3_000.0, a0, b0, lossy)
-            .link_fault_between(0.0, 3_000.0, b0, a0, lossy)
-            .link_fault_between(500.0, 1_500.0, a0, c0, LinkFault::spike_ms(40.0));
-
-        let mut world = build_world(&cfg, &m);
-        run_schedule(&mut world, &schedule, 50_000_000);
-        let r = collect(&cfg, &world);
-        assert!(r.check.safety_ok());
-        assert_eq!(
-            (
-                r.events,
-                r.completed,
-                world.dropped_messages(),
-                trace_digest(&r.trace, &r.check),
-            ),
-            GOLDEN_LINK_FAULTS,
-            "link-fault trace diverged at {shards} shards"
-        );
-    }
-}
-
 /// `(events, completed, trace digest)` recorded from the seed simulator.
 const GOLDEN_FAULT_FREE: (u64, u64, u64) = (1519, 239, 6087929938598119994);
 

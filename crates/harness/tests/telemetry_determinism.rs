@@ -31,16 +31,14 @@ fn group_pids(g: u16, rf: u32) -> Vec<ProcessId> {
     (0..rf).map(|r| replica_pid(GroupId(g), r, rf)).collect()
 }
 
-/// One traced chaos run at `shards` simulation shards: leader crash plus
-/// a WAN partition, telemetry fully enabled. Returns
-/// `(metrics JSON, trace JSON)`.
-fn traced_chaos_run_sharded(shards: usize) -> (String, String) {
+/// One traced chaos run: leader crash plus a WAN partition, telemetry
+/// fully enabled. Returns `(metrics JSON, trace JSON)`.
+fn traced_chaos_run() -> (String, String) {
     let rf = 3u32;
     let mut cfg = ReplicatedConfig::small(3, rf, 40);
     cfg.n_clients = 2;
     cfg.msgs_per_client = 6;
     cfg.telemetry = Telemetry::enabled();
-    cfg.shards = shards;
     let schedule = scenarios::crash_recover(replica_pid(GroupId(0), 0, rf), 150.0, 1_000.0).merge(
         scenarios::wan_partition(&group_pids(1, rf), &group_pids(2, rf), 400.0, 1_200.0),
     );
@@ -51,11 +49,6 @@ fn traced_chaos_run_sharded(shards: usize) -> (String, String) {
     assert!(r.check.safety_ok());
     assert!(!r.metrics.is_empty(), "traced run recorded metrics");
     (r.metrics.to_json(), cfg.telemetry.trace_json())
-}
-
-/// The sequential baseline every other telemetry test compares against.
-fn traced_chaos_run() -> (String, String) {
-    traced_chaos_run_sharded(1)
 }
 
 /// One traced fault-free unreplicated run. Returns the same pair.
@@ -84,29 +77,6 @@ fn seeded_flexcast_telemetry_is_deterministic() {
     let (m2, t2) = traced_flexcast_run();
     assert_eq!(m1, m2, "metrics snapshots diverged across replays");
     assert_eq!(t1, t2, "span logs diverged across replays");
-}
-
-/// Sharding is telemetry-invisible: every callback records in global
-/// `(time, seq)` order at every shard count, so the metrics snapshot and
-/// the chrome-trace span log are byte-identical to the one-shard run.
-#[test]
-fn sharded_telemetry_matches_sequential_byte_for_byte() {
-    let (m1, t1) = traced_chaos_run_sharded(1);
-    for shards in [2usize, 4] {
-        let (m, t) = traced_chaos_run_sharded(shards);
-        assert_eq!(m1, m, "metrics JSON diverged at {shards} shards");
-        assert_eq!(t1, t, "trace JSON diverged at {shards} shards");
-    }
-}
-
-/// And sharded runs are self-deterministic: two replays at shards = 4
-/// produce identical JSON artifacts.
-#[test]
-fn sharded_telemetry_is_deterministic_across_replays() {
-    let (m1, t1) = traced_chaos_run_sharded(4);
-    let (m2, t2) = traced_chaos_run_sharded(4);
-    assert_eq!(m1, m2, "metrics snapshots diverged across sharded replays");
-    assert_eq!(t1, t2, "span logs diverged across sharded replays");
 }
 
 #[test]

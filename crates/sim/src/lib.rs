@@ -12,6 +12,11 @@
 //! [`Actor`] trait and an arbitrary message type `M`. Time is modelled in
 //! nanoseconds ([`SimTime`]) so that sub-millisecond local latencies and
 //! multi-second WAN experiments coexist without rounding.
+//!
+//! A [`World`] keeps one event queue. [`World::set_shards`] only labels
+//! each process with a block of sites, so that
+//! [`SimStats::events_by_shard`] can say how the events split across
+//! regions; labels never change the execution.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +25,6 @@ pub mod fault;
 pub mod link;
 pub mod linkstate;
 pub mod obs;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod world;
@@ -29,7 +33,6 @@ pub use fault::LinkFault;
 pub use link::LinkModel;
 pub use linkstate::LinkState;
 pub use obs::Observation;
-pub use shard::ShardMap;
 pub use stats::{Percentiles, SimStats, Summary};
 pub use time::SimTime;
 pub use world::{Actor, Ctx, ProcessId, ShardExecution, World};

@@ -25,8 +25,11 @@ pub struct SimStats {
     pub peak_queue_depth: usize,
     /// Simulated time reached.
     pub sim_time: SimTime,
-    /// Events processed per shard, indexed by shard id. Sums to `events`;
-    /// a single entry on a sequential world.
+    /// Events processed per shard label, indexed by label (see
+    /// [`World::set_shards`](crate::World::set_shards)), counted since the
+    /// labels were last set. A label only attributes events; a world has
+    /// one event queue whatever its labels. A single entry until
+    /// `set_shards` is called.
     pub events_by_shard: Vec<u64>,
 }
 
@@ -45,9 +48,9 @@ impl SimStats {
     /// `sim.` prefix. Uses absolute sets, so re-exporting after further
     /// progress overwrites rather than double-counts.
     ///
-    /// Per-shard counts are deliberately *not* exported: the metrics JSON
-    /// must stay byte-identical across shard counts, and `events_by_shard`
-    /// is the one field that legitimately varies with the cut.
+    /// Per-label counts are deliberately *not* exported: the metrics JSON
+    /// must not depend on how processes are labelled, and
+    /// `events_by_shard` is the one field that varies with the labels.
     pub fn export_metrics(&self, tel: &Telemetry) {
         if !tel.is_enabled() {
             return;

@@ -1,8 +1,7 @@
-//! The simulation world: actors, sharded event queues, and FIFO links.
+//! The simulation world: actors, one event queue, and FIFO links.
 
 use crate::linkstate::LinkState;
 use crate::obs::Observation;
-use crate::shard::ShardMap;
 use crate::stats::SimStats;
 use crate::{LinkFault, LinkModel, SimTime};
 use flexcast_telemetry::Telemetry;
@@ -162,8 +161,7 @@ enum Event<M> {
 }
 
 impl<M> Event<M> {
-    /// The process this event executes on — and therefore the shard
-    /// whose queue owns it.
+    /// The process this event executes on, whose shard label counts it.
     fn target(&self) -> ProcessId {
         match self {
             Event::Deliver { to, .. } => *to,
@@ -172,10 +170,11 @@ impl<M> Event<M> {
     }
 }
 
-/// A queued event with its payload stored inline: ordering ignores the
-/// payload entirely, comparing only `(at, seq)`. Keeping the payload in
-/// the heap entry kills the seed's side `HashMap<u64, Event<M>>` — one
-/// heap push/pop per event instead of a push/pop plus two hashed probes.
+/// An entry of the world's event queue, payload stored inline: ordering
+/// ignores the payload entirely, comparing only `(at, seq)`. Keeping the
+/// payload in the heap entry kills the seed's side `HashMap<u64, Event<M>>`
+/// — one heap push/pop per event instead of a push/pop plus two hashed
+/// probes.
 struct HeapEntry<M> {
     at: SimTime,
     seq: u64,
@@ -213,18 +212,18 @@ enum SendFate {
     DeliverDup { dup_at: SimTime, at: SimTime },
 }
 
-/// How a multi-shard world executes its shards (see
-/// [`World::set_shard_execution`]). Every variant runs the same inline
-/// merge of the shard queues on the calling thread; the variants stay only
-/// because the `flexbench` benchmark names them.
+/// Accepted by [`World::set_shard_execution`], which ignores it: a world
+/// has one event queue and shards are only labels (see
+/// [`World::set_shards`]). The variants stay because the `flexbench`
+/// benchmark names them.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ShardExecution {
-    /// The inline merge.
+    /// No effect.
     #[default]
     Auto,
-    /// The inline merge.
+    /// No effect.
     Inline,
-    /// The inline merge.
+    /// No effect.
     Threads,
 }
 
@@ -251,22 +250,16 @@ pub struct World<M, A: Actor<M>> {
     link: LinkModel,
     now: SimTime,
     seq: u64,
-    /// Per-shard event queues, payloads inline (see [`HeapEntry`]).
-    /// Every event lives in the queue of its target's shard; the global
-    /// `(at, seq)` order is recovered by merging shard heads. With one
-    /// shard (the default) this is exactly the classic single queue.
-    queues: Vec<BinaryHeap<Reverse<HeapEntry<M>>>>,
-    /// Process→shard assignment.
-    shards: ShardMap,
-    /// Total queued events across all shards (drained events excluded),
-    /// so peak-depth accounting is identical at every shard count.
-    pending: usize,
+    /// The event queue, payloads inline (see [`HeapEntry`]).
+    queue: BinaryHeap<Reverse<HeapEntry<M>>>,
+    /// Each process's shard label (see [`World::set_shards`]).
+    label: Vec<usize>,
     /// Flat per-link state: FIFO clamps, partitions, faults, service.
     links: LinkState,
     down: Vec<bool>,
     rng: StdRng,
     delivered_events: u64,
-    /// Events committed per shard since the last re-shard.
+    /// Events committed per label since the labels were last set.
     events_by_shard: Vec<u64>,
     sent_messages: u64,
     dropped_messages: u64,
@@ -303,9 +296,8 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
             link,
             now: SimTime::ZERO,
             seq: 0,
-            queues: vec![BinaryHeap::with_capacity(4 * n)],
-            shards: ShardMap::single(n),
-            pending: 0,
+            queue: BinaryHeap::with_capacity(4 * n),
+            label: vec![0; n],
             links: LinkState::new(n),
             down: vec![false; n],
             rng: StdRng::seed_from_u64(seed),
@@ -330,58 +322,29 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     fn push(&mut self, at: SimTime, ev: Event<M>) {
         let seq = self.seq;
         self.seq += 1;
-        let shard = self.shards.shard_of(ev.target());
-        self.queues[shard].push(Reverse(HeapEntry { at, seq, ev }));
-        self.pending += 1;
-        if self.pending > self.peak_queue_depth {
-            self.peak_queue_depth = self.pending;
-        }
+        self.queue.push(Reverse(HeapEntry { at, seq, ev }));
+        self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len());
     }
 
-    /// The shard whose head event is globally next, by `(at, seq)`.
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (s, q) in self.queues.iter().enumerate() {
-            if let Some(Reverse(e)) = q.peek() {
-                if best.is_none_or(|(at, seq, _)| (e.at, e.seq) < (at, seq)) {
-                    best = Some((e.at, e.seq, s));
-                }
-            }
-        }
-        best.map(|(_, _, s)| s)
-    }
-
-    /// Re-partitions the world into `n` shards derived from the link
-    /// model's sites (contiguous site blocks — see
-    /// [`ShardMap::from_link`]). Each shard gets its own event queue, and
-    /// every step takes the globally next `(at, seq)` head across them, so
-    /// the observable execution — delivered traces, RNG draws, stats,
-    /// observations, telemetry — is byte-identical at every shard count;
-    /// only [`SimStats::events_by_shard`] tells the shards apart.
-    /// `set_shards(1)` is exactly the classic single queue.
-    pub fn set_shards(&mut self, n: usize) {
-        let map = ShardMap::from_link(&self.link, n);
-        let entries: Vec<Reverse<HeapEntry<M>>> = self
-            .queues
-            .iter_mut()
-            .flat_map(|q| std::mem::take(q).into_vec())
+    /// Labels every process with one of `k` shards, cut from the link
+    /// model's sites in contiguous blocks: site rank `r` of `n_sites` gets
+    /// label `r·k/n_sites`, so co-located processes share a label. `k` is
+    /// clamped to `[1, n_sites]`, so no label is empty and `0` means one.
+    /// Labels only attribute committed events in
+    /// [`SimStats::events_by_shard`], whose counts restart here; the world
+    /// keeps one event queue, so they never change the execution.
+    pub fn set_shards(&mut self, k: usize) {
+        let sites: Vec<usize> = (0..self.link.len())
+            .map(|p| self.link.site(p).index())
             .collect();
-        let k = map.count();
-        self.queues = (0..k).map(|_| BinaryHeap::new()).collect();
-        // Re-sharding changes attribution, so per-shard counts restart.
+        let n_sites = sites.iter().max().map_or(1, |&s| s + 1);
+        let k = k.clamp(1, n_sites);
+        self.label = sites.iter().map(|&s| s * k / n_sites).collect();
         self.events_by_shard = vec![0; k];
-        self.shards = map;
-        // Redistribute without touching seq/pending/peak: these events
-        // are already accounted for.
-        for Reverse(entry) in entries {
-            let shard = self.shards.shard_of(entry.ev.target());
-            self.queues[shard].push(Reverse(entry));
-        }
     }
 
-    /// Accepts a [`ShardExecution`] and changes nothing: every variant
-    /// runs the inline merge. Kept because the `flexbench` benchmark
-    /// calls it.
+    /// Accepts a [`ShardExecution`] and changes nothing. Kept because the
+    /// `flexbench` benchmark calls it.
     pub fn set_shard_execution(&mut self, _exec: ShardExecution) {}
 
     /// Current simulated time.
@@ -472,8 +435,7 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     /// use this to decide whether a pending external action (e.g. a fault)
     /// fires before the simulation's own next step.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.min_shard()
-            .and_then(|s| self.queues[s].peek().map(|Reverse(e)| e.at))
+        self.queue.peek().map(|Reverse(e)| e.at)
     }
 
     /// Snapshot of the run's throughput counters.
@@ -619,7 +581,7 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     }
 
     /// Routes one owned send, scheduling zero, one, or two delivery
-    /// events; both copies of a duplicated delivery carry `bytes`.
+    /// events.
     fn route_send(
         &mut self,
         from: ProcessId,
@@ -628,13 +590,27 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
         bytes: Option<u32>,
         control: bool,
     ) {
+        let fate = self.plan_send(from, to, control);
+        self.schedule(from, to, fate, msg, bytes);
+    }
+
+    /// Queues the delivery events of one planned send; a duplicated
+    /// delivery queues a clone first, and both copies carry `bytes`.
+    fn schedule(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        fate: SendFate,
+        msg: M,
+        bytes: Option<u32>,
+    ) {
         let deliver = |msg| Event::Deliver {
             from,
             to,
             msg,
             bytes,
         };
-        match self.plan_send(from, to, control) {
+        match fate {
             SendFate::Dropped => {}
             SendFate::Deliver { at } => self.push(at, deliver(msg)),
             SendFate::DeliverDup { dup_at, at } => {
@@ -652,50 +628,22 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     fn route_fanout(&mut self, from: ProcessId, targets: &[ProcessId], msg: M) {
         let mut fates = std::mem::take(&mut self.scratch_fates);
         debug_assert!(fates.is_empty());
-        let mut last_delivering = None;
-        for (i, &to) in targets.iter().enumerate() {
+        for &to in targets {
             let fate = self.plan_send(from, to, false);
-            if !matches!(fate, SendFate::Dropped) {
-                last_delivering = Some(i);
-            }
             fates.push(fate);
         }
         // Planning never touches the queue, so pushing afterwards keeps
         // event seq numbers identical to the interleaved ordering.
-        let mut msg = Some(msg);
-        for (i, fate) in fates.drain(..).enumerate() {
-            let to = targets[i];
-            let deliver = |msg| Event::Deliver {
-                from,
-                to,
-                msg,
-                bytes: None,
-            };
-            match fate {
-                SendFate::Dropped => {}
-                SendFate::Deliver { at } => {
-                    // `msg` is taken at `last_delivering` only, and no
-                    // target after it delivers, so it is still here.
-                    let m = if Some(i) == last_delivering {
-                        msg.take().expect("each target handled once")
-                    } else {
-                        msg.as_ref().expect("taken only at the last").clone()
-                    };
-                    self.push(at, deliver(m));
-                }
-                SendFate::DeliverDup { dup_at, at } => {
-                    // As above: no delivering target follows the take.
-                    let m = msg.as_ref().expect("taken only at the last");
-                    self.push(dup_at, deliver(m.clone()));
-                    let m = if Some(i) == last_delivering {
-                        msg.take().expect("each target handled once")
-                    } else {
-                        msg.as_ref().expect("taken only at the last").clone()
-                    };
-                    self.push(at, deliver(m));
+        let delivers = |f: &SendFate| !matches!(f, SendFate::Dropped);
+        if let Some(last) = fates.iter().rposition(delivers) {
+            for (&to, &fate) in targets.iter().zip(&fates[..last]) {
+                if delivers(&fate) {
+                    self.schedule(from, to, fate, msg.clone(), None);
                 }
             }
+            self.schedule(from, targets[last], fates[last], msg, None);
         }
+        fates.clear();
         self.scratch_fates = fates;
     }
 
@@ -735,21 +683,16 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
 
     /// Processes the next event. Returns `false` when the queue is empty.
     ///
-    /// Whatever the shard count, this takes the globally next event:
     /// [`World::run_until`] and [`World::run_to_quiescence`] are loops of
     /// it, and drivers that interleave steps with world mutation
     /// (observing adversaries) call it directly.
     pub fn step(&mut self) -> bool {
-        let Some(shard) = self.min_shard() else {
+        let Some(Reverse(HeapEntry { at, ev, .. })) = self.queue.pop() else {
             return false;
         };
-        // `min_shard` returns only a shard whose queue has a head.
-        let Reverse(HeapEntry { at, ev, .. }) =
-            self.queues[shard].pop().expect("min_shard saw a head");
-        self.pending -= 1;
         self.now = at;
         self.delivered_events += 1;
-        self.events_by_shard[shard] += 1;
+        self.events_by_shard[self.label[ev.target()]] += 1;
 
         match ev {
             Event::Start { pid } => {
@@ -818,8 +761,7 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
     /// then advances the clock to `deadline` (so anything scheduled next —
     /// a fault event, an injected message, a restart — happens at the
     /// right simulated time even if the world went idle earlier).
-    /// Returns the number of events processed. The shard count does not
-    /// change the execution (see [`World::set_shards`]).
+    /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
         while self.next_event_time().is_some_and(|at| at <= deadline) {
@@ -832,8 +774,7 @@ impl<M: Clone, A: Actor<M>> World<M, A> {
 
     /// Runs until the event queue is empty (quiescence), up to `max_events`.
     /// Returns the number of events processed; panics if the limit is hit,
-    /// which in a correct protocol signals a livelock. The shard count
-    /// does not change the execution (see [`World::set_shards`]).
+    /// which in a correct protocol signals a livelock.
     pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
         let mut n = 0;
         while self.step() {
@@ -1110,29 +1051,116 @@ mod tests {
         assert_eq!(mk(true), shuffled, "same seed, same shuffle");
     }
 
-    /// The shard count is unobservable: a two-shard world's inline merge
-    /// produces the exact pong trace (values and nanosecond timestamps)
-    /// and event count of the one-shard queue, under jitter that makes
-    /// the RNG-draw order load-bearing.
+    /// `n_sites` sites of `per_site` processes each, 20 ms apart; only
+    /// `pinger` (if any) sends: one ping to itself, so its label counts
+    /// two events beyond every process's start.
+    fn sites_world(n_sites: usize, per_site: usize, pinger: Option<ProcessId>) -> World<Msg, Echo> {
+        let mut m = LatencyMatrix::zero(n_sites);
+        for a in 0..n_sites {
+            for b in (a + 1)..n_sites {
+                m.set_rtt(a, b, 20.0);
+            }
+        }
+        let sites = (0..n_sites)
+            .flat_map(|s| std::iter::repeat_n(GroupId(s as u16), per_site))
+            .collect();
+        let mut actors: Vec<Echo> = (0..n_sites * per_site).map(|_| Echo::default()).collect();
+        if let Some(p) = pinger {
+            actors[p].initial.push((p, 0));
+        }
+        World::new(actors, LinkModel::new(m, sites, 0.0), 1)
+    }
+
+    /// The label of every process at `k` labels, read back from
+    /// `events_by_shard`: the one label whose count the process's
+    /// self-ping moves.
+    fn labels(n_sites: usize, per_site: usize, k: usize) -> Vec<usize> {
+        let counts = |pinger| {
+            let mut w = sites_world(n_sites, per_site, pinger);
+            w.set_shards(k);
+            w.run_to_quiescence(100);
+            w.stats().events_by_shard
+        };
+        let idle = counts(None);
+        (0..n_sites * per_site)
+            .map(|p| {
+                let busy = counts(Some(p));
+                let moved: Vec<usize> = (0..idle.len()).filter(|&l| busy[l] != idle[l]).collect();
+                assert_eq!(moved.len(), 1, "{busy:?} against {idle:?}");
+                moved[0]
+            })
+            .collect()
+    }
+
     #[test]
-    fn two_shard_inline_merge_matches_one_shard() {
-        let run = |shards: usize| {
+    fn a_new_world_counts_every_event_on_one_label() {
+        let mut w = sites_world(3, 2, Some(4));
+        assert_eq!(w.stats().events_by_shard, [0]);
+        w.run_to_quiescence(100);
+        assert_eq!(w.stats().events_by_shard, [w.stats().events]);
+    }
+
+    #[test]
+    fn labels_cut_sites_into_contiguous_blocks() {
+        assert_eq!(labels(4, 2, 2), [0, 0, 0, 0, 1, 1, 1, 1]);
+        assert_eq!(labels(3, 1, 3), [0, 1, 2]);
+    }
+
+    #[test]
+    fn label_count_clamps_to_the_site_count() {
+        let mut w = sites_world(2, 1, None);
+        w.set_shards(8);
+        assert_eq!(w.stats().events_by_shard.len(), 2, "no empty label");
+        w.set_shards(0);
+        assert_eq!(w.stats().events_by_shard.len(), 1, "zero means one label");
+    }
+
+    #[test]
+    fn label_counts_sum_to_events() {
+        let a = Echo {
+            initial: (0..40).map(|k| (1usize, k)).collect(),
+            ..Default::default()
+        };
+        let mut w = two_site_world(vec![a, Echo::default()], 20.0);
+        w.set_shards(2);
+        w.run_to_quiescence(100_000);
+        let s = w.stats();
+        assert_eq!(s.events_by_shard.len(), 2);
+        assert!(s.events_by_shard.iter().all(|&n| n > 0));
+        assert_eq!(s.events_by_shard.iter().sum::<u64>(), s.events);
+    }
+
+    /// Setting labels mid-run restarts the counts and changes nothing
+    /// else: the pong trace (values and nanosecond timestamps, under
+    /// jitter that makes the RNG-draw order load-bearing) is the one an
+    /// unlabelled run delivers.
+    #[test]
+    fn relabelling_mid_run_restarts_the_counts_and_keeps_the_trace() {
+        let run = |relabel: bool| {
             let a = Echo {
                 initial: (0..40).map(|k| (1usize, k)).collect(),
                 ..Default::default()
             };
             let mut w = two_site_world(vec![a, Echo::default()], 20.0);
-            w.set_shards(shards);
-            w.run_to_quiescence(100_000);
+            let early = w.run_until(SimTime::from_ms(60.0));
+            assert!(early > 0 && w.next_event_time().is_some(), "mid-run");
+            if relabel {
+                w.set_shards(2);
+                assert_eq!(w.stats().events_by_shard, [0, 0]);
+            }
+            let late = w.run_to_quiescence(100_000);
+            let s = w.stats();
+            let counted: u64 = s.events_by_shard.iter().sum();
+            assert_eq!(counted, if relabel { late } else { early + late });
             let trace: Vec<(i32, u64)> = w
                 .actor(0)
                 .got
                 .iter()
                 .map(|&(_, k, t)| (k, t.as_nanos()))
                 .collect();
-            (trace, w.stats().events)
+            (trace, s.events, s.peak_queue_depth)
         };
-        assert_eq!(run(2), run(1), "two shards diverged from one");
+        assert_eq!(run(true), run(false));
     }
 
     /// Pings its peer on start and on every pong, up to `left` rounds,
@@ -1165,40 +1193,27 @@ mod tests {
         }
     }
 
-    /// A world of non-`Send` actors runs on two shards through both batch
-    /// loops under every [`ShardExecution`] variant, and each variant
-    /// replays the one-shard trace.
+    /// A world of non-`Send` actors runs through both run loops.
     #[test]
-    fn non_send_actors_run_on_two_shards_under_every_execution_variant() {
-        let run = |shards: usize, exec: ShardExecution| {
-            let pongs = std::rc::Rc::new(std::cell::Cell::new(0));
-            let mk = |peer, left| RcCounter {
-                peer,
-                left,
-                pongs: pongs.clone(),
-                trace: Vec::new(),
-            };
-            let mut m = LatencyMatrix::zero(2);
-            m.set_rtt(0, 1, 100.0);
-            let link = LinkModel::new(m, vec![GroupId(0), GroupId(1)], 20.0);
-            let mut w = World::new(vec![mk(1, 30), mk(0, 0)], link, 11);
-            w.set_shards(shards);
-            w.set_shard_execution(exec);
-            let early = w.run_until(SimTime::from_ms(1_000.0));
-            let late = w.run_to_quiescence(10_000);
-            let traces = (w.actor(0).trace.clone(), w.actor(1).trace.clone());
-            (early, late, pongs.get(), traces, w.stats().events)
+    fn non_send_actors_run_in_one_world() {
+        let pongs = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mk = |peer, left| RcCounter {
+            peer,
+            left,
+            pongs: pongs.clone(),
+            trace: Vec::new(),
         };
-        let one = run(1, ShardExecution::default());
-        assert_eq!(one.2, 30, "every round trip completed");
-        assert!(one.0 > 0 && one.1 > 0, "both loops ran events");
-        for exec in [
-            ShardExecution::Auto,
-            ShardExecution::Inline,
-            ShardExecution::Threads,
-        ] {
-            assert_eq!(run(2, exec), one, "{exec:?} diverged from one shard");
-        }
+        let mut m = LatencyMatrix::zero(2);
+        m.set_rtt(0, 1, 100.0);
+        let link = LinkModel::new(m, vec![GroupId(0), GroupId(1)], 20.0);
+        let mut w = World::new(vec![mk(1, 30), mk(0, 0)], link, 11);
+        let early = w.run_until(SimTime::from_ms(1_000.0));
+        let late = w.run_to_quiescence(10_000);
+        assert_eq!(pongs.get(), 30, "every round trip completed");
+        assert!(early > 0 && late > 0, "both loops ran events");
+        assert_eq!(w.actor(0).trace.len(), 30);
+        assert_eq!(w.actor(1).trace.len(), 30);
+        assert_eq!(w.stats().events, early + late);
     }
 
     /// Records what [`Ctx::incoming_bytes`] answered in every callback.
@@ -1242,11 +1257,11 @@ mod tests {
     }
 
     /// A sized send reaches the receiver as `Some(bytes)` — on both
-    /// deliveries when the link duplicates — on one shard and on two
-    /// alike; every other way into a callback reads `None`.
+    /// deliveries when the link duplicates, and the same on a replay;
+    /// every other way into a callback reads `None`.
     #[test]
     fn sized_sends_carry_their_size_to_the_receiver() {
-        let run = |shards: usize, dup: bool| {
+        let run = |dup: bool| {
             let mut m = LatencyMatrix::zero(2);
             m.set_rtt(0, 1, 100.0);
             let link = LinkModel::new(m, vec![GroupId(0), GroupId(1)], 0.0);
@@ -1261,7 +1276,6 @@ mod tests {
                     },
                 );
             }
-            w.set_shards(shards);
             w.inject(0, 1, Kind::Injected);
             w.run_to_quiescence(1_000);
             (w.actor(0).seen.clone(), w.actor(1).seen.clone())
@@ -1272,7 +1286,7 @@ mod tests {
             _ => None,
         };
         for dup in [false, true] {
-            let seq = run(1, dup);
+            let seq = run(dup);
             assert_eq!(seq.0, [(Kind::Start, None), (Kind::Timer, None)]);
             let copies = if dup { 2 } else { 1 };
             for kind in [
@@ -1287,7 +1301,7 @@ mod tests {
                 assert_eq!(got.len(), copies, "{kind:?}, dup {dup}");
                 assert!(got.iter().all(|(_, b)| *b == expected(kind)), "{got:?}");
             }
-            assert_eq!(run(2, dup), seq, "two shards, dup {dup}");
+            assert_eq!(run(dup), seq, "replay, dup {dup}");
         }
     }
 
@@ -1446,6 +1460,30 @@ mod tests {
             1,
             "k deliveries cost k − 1 clones regardless of trailing drops"
         );
+    }
+
+    #[test]
+    fn send_many_clones_once_per_extra_delivery_when_a_link_duplicates() {
+        // One duplicating link, in the middle or last: four deliveries
+        // cost three clones either way.
+        for dup_to in [2, 3] {
+            let (mut w, counter) = fanout_world(&[]);
+            let dup = LinkFault {
+                dup: 1.0,
+                ..LinkFault::NONE
+            };
+            w.set_link_fault(0, dup_to, dup);
+            w.run_to_quiescence(100);
+            for pid in 1..=3 {
+                let copies = if pid == dup_to { 2 } else { 1 };
+                assert_eq!(w.actor(pid).received, copies, "target {pid}");
+            }
+            assert_eq!(
+                counter.load(std::sync::atomic::Ordering::Relaxed),
+                3,
+                "k deliveries cost k − 1 clones, duplicates included"
+            );
+        }
     }
 
     #[test]

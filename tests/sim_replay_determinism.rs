@@ -1,17 +1,17 @@
-//! Lockstep determinism suite for the sharded simulation core.
+//! Replay determinism suite for the simulation core.
 //!
-//! The contract under test: a `World` produces the *same execution* — the
-//! same delivered sequences, checker verdicts, drop counts, and
-//! fired-action traces, byte for byte — at every shard count. Shards only
-//! split the event queue; every step takes the globally next `(time, seq)`
-//! head, so routing decisions (RNG draws, sequence numbers, FIFO clamps,
-//! fault sampling) happen in the same order whatever the split. These
-//! tests drive arbitrary topologies, seeds, and fault schedules through
-//! shards ∈ {1, 2, 4} and reactive adversaries through the same sweep,
-//! then compare everything.
+//! The contract under test: two runs of a `World` from the same seed
+//! produce the *same execution* — the same delivered sequences, checker
+//! verdicts, drop counts, and fired-action traces, byte for byte. Every
+//! routing decision (RNG draws, sequence numbers, FIFO clamps, fault
+//! sampling) comes from the world's seeded state and its one totally
+//! ordered event queue. These tests run arbitrary topologies, seeds, and
+//! fault schedules, and reactive adversaries, twice each and compare
+//! everything.
 
 use flexcast_chaos::{
-    run_adversary, run_schedule, scenarios, FaultEvent, FaultSchedule, ScheduleAdversary,
+    run_adversary, run_schedule, scenarios, Adversary, FaultCtx, FaultEvent, FaultSchedule,
+    ScheduleAdversary,
 };
 use flexcast_gtpcc::{Generator, WorkloadConfig};
 use flexcast_harness::actors::{
@@ -178,19 +178,16 @@ fn render(faults: &[Fault], n_pids: usize) -> FaultSchedule {
     s
 }
 
-/// Runs one replicated scenario at a given shard count through the
-/// adversary driver (so the fired-action trace is captured too) and
-/// returns everything comparable.
-fn run_at(
+/// Runs one replicated scenario through `run_adversary` (so the
+/// fired-action trace is captured too) and returns everything comparable.
+fn run_scenario(
     n_groups: u16,
     seed: u64,
     schedule: &FaultSchedule,
-    shards: usize,
 ) -> (Fingerprint, Vec<(SimTime, FaultEvent)>) {
     let mut cfg = ReplicatedConfig::small(n_groups, 3, seed);
     cfg.msgs_per_client = 4;
     cfg.stop_at = SimTime::from_secs(12);
-    cfg.shards = shards;
     let m = matrix(n_groups as usize);
     let mut world = build_world(&cfg, &m);
     let mut adv = ScheduleAdversary::new(schedule.clone());
@@ -202,67 +199,57 @@ fn run_at(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// The tentpole's headline property: arbitrary topology, seed, and
-    /// fault schedule produce byte-identical delivered sequences, checker
-    /// digests, drop counts, and fired-action traces at 1, 2, and 4
-    /// shards.
+    /// Arbitrary topology, seed, and fault schedule: a replay delivers
+    /// byte-identical sequences, checker digests, drop counts, and
+    /// fired-action traces.
     #[test]
-    fn arbitrary_runs_are_lockstep_across_shard_counts(
+    fn arbitrary_runs_replay_byte_for_byte(
         n_groups in 2u16..=4,
         seed in 0u64..1_000_000,
         faults in arb_faults(),
     ) {
         let n_pids = n_groups as usize * 3;
         let schedule = render(&faults, n_pids);
-        let (base, base_actions) = run_at(n_groups, seed, &schedule, 1);
-        for shards in [2usize, 4] {
-            let (fp, actions) = run_at(n_groups, seed, &schedule, shards);
-            prop_assert_eq!(&fp, &base, "diverged at {} shards", shards);
-            prop_assert_eq!(&actions, &base_actions, "actions diverged at {} shards", shards);
-        }
+        let (base, base_actions) = run_scenario(n_groups, seed, &schedule);
+        let (fp, actions) = run_scenario(n_groups, seed, &schedule);
+        prop_assert_eq!(&fp, &base, "replay diverged");
+        prop_assert_eq!(&actions, &base_actions, "replayed actions diverged");
     }
 }
 
 /// A reactive leader-hunter — crash every new leader of group 0 as it
 /// emerges — fires at observation-dependent times; its fired actions and
-/// the world it leaves behind must be identical at every shard count.
+/// the world it leaves behind must be identical on a replay.
 #[test]
-fn leader_hunter_trace_is_lockstep_across_shard_counts() {
-    let run_hunt = |shards: usize| {
+fn leader_hunter_trace_replays_byte_for_byte() {
+    let run_hunt = || {
         let mut cfg = ReplicatedConfig::small(3, 3, 11);
         cfg.msgs_per_client = 4;
-        cfg.shards = shards;
         let m = matrix(3);
         let mut world = build_world(&cfg, &m);
         let mut hunter = scenarios::leader_hunter(GroupId(0), 250.0, 3).hold_ms(1_200.0);
         let run = run_adversary(&mut world, &mut hunter, MAX_EVENTS);
         (fingerprint(collect(&cfg, &world)), run.actions)
     };
-    let (base, base_actions) = run_hunt(1);
+    let (base, base_actions) = run_hunt();
     assert!(
         base_actions
             .iter()
             .any(|(_, ev)| matches!(ev, FaultEvent::Crash(_))),
         "the hunter actually hunted"
     );
-    for shards in [2usize, 4] {
-        let (fp, actions) = run_hunt(shards);
-        assert_eq!(fp, base, "leader-hunter world diverged at {shards} shards");
-        assert_eq!(
-            actions, base_actions,
-            "fired actions diverged at {shards} shards"
-        );
-    }
+    let (fp, actions) = run_hunt();
+    assert_eq!(fp, base, "leader-hunter world diverged on replay");
+    assert_eq!(actions, base_actions, "fired actions diverged on replay");
 }
 
 /// Same for the quorum-cutter: its observation-triggered link cuts and
-/// the resulting failovers replay exactly under sharded execution.
+/// the resulting failovers replay exactly.
 #[test]
-fn quorum_cutter_trace_is_lockstep_across_shard_counts() {
-    let run_cut = |shards: usize| {
+fn quorum_cutter_trace_replays_byte_for_byte() {
+    let run_cut = || {
         let mut cfg = ReplicatedConfig::small(3, 3, 23);
         cfg.msgs_per_client = 4;
-        cfg.shards = shards;
         let m = matrix(3);
         let mut world = build_world(&cfg, &m);
         let pids: Vec<ProcessId> = (0..3).map(|r| replica_pid(GroupId(0), r, 3)).collect();
@@ -270,28 +257,37 @@ fn quorum_cutter_trace_is_lockstep_across_shard_counts() {
         let run = run_adversary(&mut world, &mut cutter, MAX_EVENTS);
         (fingerprint(collect(&cfg, &world)), run.actions)
     };
-    let (base, base_actions) = run_cut(1);
+    let (base, base_actions) = run_cut();
     assert!(
         base_actions
             .iter()
             .any(|(_, ev)| matches!(ev, FaultEvent::BlockLink { .. })),
         "the cutter actually cut"
     );
-    for shards in [2usize, 4] {
-        let (fp, actions) = run_cut(shards);
-        assert_eq!(fp, base, "quorum-cutter world diverged at {shards} shards");
-        assert_eq!(
-            actions, base_actions,
-            "fired actions diverged at {shards} shards"
-        );
+    let (fp, actions) = run_cut();
+    assert_eq!(fp, base, "quorum-cutter world diverged on replay");
+    assert_eq!(actions, base_actions, "fired actions diverged on replay");
+}
+
+/// A [`ScheduleAdversary`] that asks for observations, which puts
+/// `run_adversary` on its per-event step loop instead of the batched
+/// `run_until` path that `run_schedule` takes.
+struct Stepping(ScheduleAdversary);
+
+impl Adversary for Stepping {
+    fn on_start(&mut self, ctx: &mut FaultCtx) {
+        self.0.on_start(ctx);
+    }
+
+    fn on_observation(&mut self, obs: &Observation, ctx: &mut FaultCtx) {
+        self.0.on_observation(obs, ctx);
     }
 }
 
-/// The scripted-schedule driver and the adversary driver agree at every
-/// shard count (the batched non-observing fast path is order-equivalent
-/// to the sequential step loop).
+/// `run_schedule`'s batched fast path and `run_adversary`'s step loop
+/// run the same schedule from the same seed into the same execution.
 #[test]
-fn run_schedule_matches_run_adversary_at_every_shard_count() {
+fn run_schedule_matches_run_adversary() {
     let schedule = scenarios::crash_recover(replica_pid(GroupId(0), 0, 3), 120.0, 900.0).merge(
         scenarios::wan_partition(
             &[replica_pid(GroupId(1), 0, 3)],
@@ -300,20 +296,17 @@ fn run_schedule_matches_run_adversary_at_every_shard_count() {
             800.0,
         ),
     );
-    let mut base: Option<Fingerprint> = None;
-    for shards in [1usize, 2, 4] {
-        let mut cfg = ReplicatedConfig::small(3, 3, 5);
-        cfg.msgs_per_client = 4;
-        cfg.shards = shards;
-        let m = matrix(3);
-        let mut world = build_world(&cfg, &m);
-        run_schedule(&mut world, &schedule, MAX_EVENTS);
-        let fp = fingerprint(collect(&cfg, &world));
-        match &base {
-            None => base = Some(fp),
-            Some(b) => assert_eq!(&fp, b, "run_schedule diverged at {shards} shards"),
-        }
-    }
+    let mut cfg = ReplicatedConfig::small(3, 3, 5);
+    cfg.msgs_per_client = 4;
+    let m = matrix(3);
+    let mut world = build_world(&cfg, &m);
+    run_schedule(&mut world, &schedule, MAX_EVENTS);
+    let batched = fingerprint(collect(&cfg, &world));
+    let mut world = build_world(&cfg, &m);
+    let mut stepping = Stepping(ScheduleAdversary::new(schedule.clone()));
+    let run = run_adversary(&mut world, &mut stepping, MAX_EVENTS);
+    assert_eq!(run.actions.len(), schedule.sorted_events().len());
+    assert_eq!(fingerprint(collect(&cfg, &world)), batched);
 }
 
 // ---------------------------------------------------------------------------
@@ -347,7 +340,7 @@ impl Actor<NetMsg> for Tap {
 /// Runs a fault-free 4-server FlexCast world (suppression on, periodic
 /// flushes) and returns every server's traffic stats, the bytes of the
 /// replies they sent, and the client bytes they were handed.
-fn flexcast_traffic(shards: usize) -> (Vec<ServerStats>, u64, u64) {
+fn flexcast_traffic() -> (Vec<ServerStats>, u64, u64) {
     const SERVERS: usize = 4;
     const CLIENTS: usize = 8;
     let m = matrix(SERVERS);
@@ -387,7 +380,6 @@ fn flexcast_traffic(shards: usize) -> (Vec<ServerStats>, u64, u64) {
         })
         .collect();
     let mut world = World::new(taps, LinkModel::new(m, sites, 2.0), 9);
-    world.set_shards(shards);
     world.run_to_quiescence(MAX_EVENTS);
 
     let mut stats = Vec::new();
@@ -413,10 +405,10 @@ fn flexcast_traffic(shards: usize) -> (Vec<ServerStats>, u64, u64) {
 /// minus the replies, which go to clients) plus what clients sent them.
 /// A server reads the size its peer attached and sizes only client
 /// messages itself; debug builds also assert each carried size against
-/// the message. And the numbers are the same on two shards as on one.
+/// the message. And a replay gives the same numbers.
 #[test]
-fn received_bytes_are_the_bytes_senders_charged_in_every_execution_mode() {
-    let seq = flexcast_traffic(1);
+fn received_bytes_are_the_bytes_senders_charged() {
+    let seq = flexcast_traffic();
     let (stats, reply_bytes, client_bytes) = &seq;
     let received: u64 = stats.iter().map(|s| s.received_bytes).sum();
     let sent: u64 = stats.iter().map(|s| s.sent_bytes).sum();
@@ -431,7 +423,7 @@ fn received_bytes_are_the_bytes_senders_charged_in_every_execution_mode() {
     let forwarded = sent_msgs - stats.iter().map(|s| s.delivered).sum::<u64>();
     assert!(forwarded > received_msgs - forwarded, "servers forwarded");
     assert_eq!(received, sent - reply_bytes + client_bytes);
-    assert_eq!(flexcast_traffic(2), seq, "two shards");
+    assert_eq!(flexcast_traffic(), seq, "replay");
 }
 
 // ---------------------------------------------------------------------------
