@@ -1,27 +1,26 @@
-//! Simulator actors: protocol servers and closed-loop gTPC-C clients.
+//! Simulator actors: protocol servers, and the closed-loop client and the
+//! flushers both harness stacks run.
 
 use crate::checker::DeliveryEvent;
+use crate::layout::Layout;
 use crate::netmsg::NetMsg;
 use crate::node::{entry_node, NodeEngine};
 use flexcast_baselines::{hier, skeen, HierGroup, SkeenGroup};
 use flexcast_core::{FlexCastGroup, Output as FlexOutput};
 use flexcast_gtpcc::Generator;
 use flexcast_overlay::{CDagOrder, Tree};
-use flexcast_sim::{Actor, Ctx, SimTime};
+use flexcast_sim::{Actor, Ctx, ProcessId, SimTime};
 use flexcast_telemetry::SpanId;
-use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId};
+use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::ops::Deref;
 
 /// The deterministic tracing span id of a transaction: packed from the
 /// issuing client and its per-client sequence number, so replays of the
 /// same workload produce identical ids.
 pub fn txn_span_id(id: MsgId) -> SpanId {
     SpanId::from_parts(id.sender.0, id.seq)
-}
-
-/// Maps a client id to its simulator process id (clients sit after the
-/// `n_servers` server processes).
-pub fn client_pid(n_servers: usize, c: ClientId) -> usize {
-    n_servers + c.0 as usize
 }
 
 /// An encoded size as [`Ctx::send_sized`] carries it.
@@ -81,7 +80,8 @@ enum EngineKind {
 /// A protocol server at one node (AWS region).
 pub struct ServerActor {
     node: GroupId,
-    n_servers: usize,
+    /// The `rf = 1` layout: servers at `0..n`.
+    layout: Layout,
     engine: EngineKind,
     /// Traffic statistics.
     pub stats: ServerStats,
@@ -114,17 +114,14 @@ impl ServerActor {
 
     /// Creates a hierarchical server for `node` on `tree`.
     pub fn hier(node: GroupId, n_servers: usize, tree: Tree) -> Self {
-        Self::running(
-            node,
-            n_servers,
-            EngineKind::Hier(HierGroup::new(node, tree)),
-        )
+        let engine = EngineKind::Hier(HierGroup::new(node, tree));
+        Self::running(node, n_servers, engine)
     }
 
     fn running(node: GroupId, n_servers: usize, engine: EngineKind) -> Self {
         ServerActor {
             node,
-            n_servers,
+            layout: Layout::new(n_servers, 1),
             engine,
             stats: ServerStats::default(),
             deliveries: Vec::new(),
@@ -145,7 +142,8 @@ impl ServerActor {
         }
     }
 
-    fn deliver(&mut self, id: MsgId, now: SimTime, ctx: &mut Ctx<'_, NetMsg>) {
+    fn deliver(&mut self, id: MsgId, ctx: &mut Ctx<'_, NetMsg>) {
+        let now = ctx.now();
         self.stats.delivered += 1;
         self.deliveries.push(DeliveryEvent {
             node: self.node,
@@ -156,90 +154,76 @@ impl ServerActor {
         ctx.telemetry()
             .instant("server", "deliver", self.node.0 as u32, now.as_nanos());
         let reply = NetMsg::Reply { id };
-        self.send_counted(client_pid(self.n_servers, id.sender), reply, ctx);
+        self.send_counted(self.layout.client_pid(id.sender), reply, false, ctx);
     }
 
     /// Sends `msg` charged to the traffic stats. The size computed here
     /// travels with the message ([`Ctx::send_sized`]), so the receiving
-    /// server charges `received_bytes` without sizing it again.
-    fn send_counted(&mut self, to: usize, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
+    /// server charges `received_bytes` without sizing it again. `control`
+    /// routes it as control-plane traffic ([`Ctx::send_control`]), which
+    /// does not occupy the receiver's serial service slot.
+    fn send_counted(&mut self, to: usize, msg: NetMsg, control: bool, ctx: &mut Ctx<'_, NetMsg>) {
         let bytes = msg.wire_size();
         self.stats.sent_msgs += 1;
         self.stats.sent_bytes += bytes as u64;
-        ctx.send_sized(to, msg, carried(bytes));
-    }
-
-    /// Like [`ServerActor::send_counted`] but routed as control-plane
-    /// traffic ([`Ctx::send_control`]): counted in the traffic stats, but
-    /// not occupying the receiver's serial service slot.
-    fn send_control_counted(&mut self, to: usize, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
-        let bytes = msg.wire_size();
-        self.stats.sent_msgs += 1;
-        self.stats.sent_bytes += bytes as u64;
-        ctx.send_control_sized(to, msg, carried(bytes));
+        if control {
+            ctx.send_control_sized(to, msg, carried(bytes));
+        } else {
+            ctx.send_sized(to, msg, carried(bytes));
+        }
     }
 
     fn handle_flex_outputs(&mut self, outs: &mut Vec<FlexOutput>, ctx: &mut Ctx<'_, NetMsg>) {
         let now = ctx.now();
         for o in outs.drain(..) {
             match o {
-                FlexOutput::Deliver(m) => self.deliver(m.id, now, ctx),
+                FlexOutput::Deliver(m) => self.deliver(m.id, ctx),
                 FlexOutput::Send { to: node, pkt } => {
                     // Watermark advertisements are tiny background
                     // messages a real deployment would piggyback on its
                     // upstream traffic (client replies, transport acks);
                     // modeling them as serial-service work would let one
                     // in-flight WAN advert head-of-line block a server.
-                    if matches!(pkt, flexcast_core::Packet::Advert { .. }) {
-                        ctx.telemetry().counter_add("flex.adverts_forwarded", 1);
-                        ctx.telemetry().instant(
-                            "flex",
-                            "advert",
-                            self.node.0 as u32,
-                            now.as_nanos(),
-                        );
-                        self.send_control_counted(node.index(), NetMsg::Flex(pkt), ctx);
+                    let advert = matches!(pkt, flexcast_core::Packet::Advert { .. });
+                    let (counter, name) = if advert {
+                        ("flex.adverts_forwarded", "advert")
                     } else {
-                        ctx.telemetry().counter_add("flex.forward_packets", 1);
-                        ctx.telemetry().instant(
-                            "flex",
-                            "forward",
-                            self.node.0 as u32,
-                            now.as_nanos(),
-                        );
-                        self.send_counted(node.index(), NetMsg::Flex(pkt), ctx);
-                    }
+                        ("flex.forward_packets", "forward")
+                    };
+                    let tel = ctx.telemetry();
+                    tel.counter_add(counter, 1);
+                    tel.instant("flex", name, self.node.0 as u32, now.as_nanos());
+                    self.send_counted(node.index(), NetMsg::Flex(pkt), advert, ctx);
                 }
             }
         }
     }
 
     fn handle_skeen_outputs(&mut self, outs: Vec<skeen::Output>, ctx: &mut Ctx<'_, NetMsg>) {
-        let now = ctx.now();
         for o in outs {
             match o {
-                skeen::Output::Deliver(m) => self.deliver(m.id, now, ctx),
+                skeen::Output::Deliver(m) => self.deliver(m.id, ctx),
                 skeen::Output::Send { to, pkt } => {
-                    self.send_counted(to.index(), NetMsg::Skeen(pkt), ctx);
+                    self.send_counted(to.index(), NetMsg::Skeen(pkt), false, ctx);
                 }
             }
         }
     }
 
     fn handle_hier_outputs(&mut self, outs: Vec<hier::Output>, ctx: &mut Ctx<'_, NetMsg>) {
-        let now = ctx.now();
         for o in outs {
             match o {
-                hier::Output::Deliver(m) => self.deliver(m.id, now, ctx),
+                hier::Output::Deliver(m) => self.deliver(m.id, ctx),
                 hier::Output::Send { to, pkt } => {
-                    self.send_counted(to.index(), NetMsg::Hier(pkt), ctx);
+                    self.send_counted(to.index(), NetMsg::Hier(pkt), false, ctx);
                 }
             }
         }
     }
+}
 
-    /// Processes an incoming simulator message.
-    pub fn on_message(&mut self, from: usize, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
+impl Actor<NetMsg> for ServerActor {
+    fn on_message(&mut self, from: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
         self.stats.received_msgs += 1;
         // Server → server messages arrive with the size their sender
         // charged; only messages nobody sized (client → server) are
@@ -255,109 +239,71 @@ impl ServerActor {
         if msg.is_payload() {
             self.stats.received_payloads += 1;
         }
-        match msg {
-            NetMsg::Client { msg: m, .. } => match &mut self.engine {
-                EngineKind::Flex(flex) => {
-                    ctx.telemetry().instant(
-                        "flex",
-                        "multicast",
-                        self.node.0 as u32,
-                        ctx.now().as_nanos(),
-                    );
-                    let mut outs = std::mem::take(&mut self.flex_outs);
-                    if !flex.on_client(m, &mut outs) {
-                        self.stats.refused_inputs += 1;
-                    }
-                    self.handle_flex_outputs(&mut outs, ctx);
-                    self.flex_outs = outs;
-                }
-                // A baseline client sends its copy to every destination
-                // (Skeen) or to their tree lca (hierarchical): any other
-                // copy is one this server cannot order. (The FlexCast
-                // engine refuses such copies itself.)
-                _ if !m.dst.is_subset(DestSet::all(self.n_servers)) => {
+        // A baseline client sends its copy to every destination (Skeen) or
+        // to their tree lca (hierarchical): any other copy is one this
+        // server cannot order. (The FlexCast engine refuses such copies
+        // itself.)
+        let (node, servers) = (self.node, DestSet::all(self.layout.n_groups));
+        let sender = self.layout.replica_at(from).map(|(peer, _)| peer);
+        match (msg, &mut self.engine, sender) {
+            (NetMsg::Client { msg: m, .. }, EngineKind::Flex(flex), _) => {
+                let now = ctx.now().as_nanos();
+                ctx.telemetry()
+                    .instant("flex", "multicast", node.0 as u32, now);
+                let mut outs = std::mem::take(&mut self.flex_outs);
+                if !flex.on_client(m, &mut outs) {
                     self.stats.refused_inputs += 1;
                 }
-                EngineKind::Skeen(engine) if m.dst.contains(self.node) => {
-                    let mut outs = Vec::new();
-                    engine.on_client(m, &mut outs);
-                    self.handle_skeen_outputs(outs, ctx);
-                }
-                EngineKind::Hier(engine) if engine.tree().lca(m.dst) == self.node => {
-                    let mut outs = Vec::new();
-                    engine.on_message(m, &mut outs);
-                    self.handle_hier_outputs(outs, ctx);
-                }
-                _ => self.stats.refused_inputs += 1,
-            },
-            NetMsg::Flex(pkt) => {
-                let tel_on = ctx.telemetry().is_enabled();
-                let EngineKind::Flex(flex) = &mut self.engine else {
-                    self.stats.refused_inputs += 1;
-                    return;
-                };
+                self.handle_flex_outputs(&mut outs, ctx);
+                self.flex_outs = outs;
+            }
+            (NetMsg::Client { msg: m, .. }, EngineKind::Skeen(engine), _)
+                if m.dst.is_subset(servers) && m.dst.contains(node) =>
+            {
+                let mut outs = Vec::new();
+                engine.on_client(m, &mut outs);
+                self.handle_skeen_outputs(outs, ctx);
+            }
+            (NetMsg::Client { msg: m, .. }, EngineKind::Hier(engine), _)
+                if m.dst.is_subset(servers)
+                    && HierGroup::entry_point(engine.tree(), &m) == node =>
+            {
+                let mut outs = Vec::new();
+                engine.on_message(m, &mut outs);
+                self.handle_hier_outputs(outs, ctx);
+            }
+            (NetMsg::Flex(pkt), EngineKind::Flex(flex), sender) => {
                 // Merge-phase span: delta of history entries admitted by
                 // this packet, computed only when tracing is on.
+                let tel_on = ctx.telemetry().is_enabled();
                 let before = tel_on.then(|| flex.engine().merge_stats().entries_in());
                 let mut outs = std::mem::take(&mut self.flex_outs);
-                // Servers sit at pids `0..n`, so a pid is its node's id.
-                let accepted = u16::try_from(from)
-                    .is_ok_and(|node| flex.on_packet(GroupId(node), pkt, &mut outs));
-                if !accepted {
+                if !sender.is_some_and(|peer| flex.on_packet(peer, pkt, &mut outs)) {
                     self.stats.refused_inputs += 1;
                 }
                 let merged = before.map(|b| flex.engine().merge_stats().entries_in() - b);
                 self.handle_flex_outputs(&mut outs, ctx);
                 self.flex_outs = outs;
-                if let Some(n) = merged {
-                    if n > 0 {
-                        ctx.telemetry().span_with_args(
-                            "flex",
-                            "merge",
-                            self.node.0 as u32,
-                            ctx.now().as_nanos(),
-                            0,
-                            &[("entries", n as f64)],
-                        );
-                    }
+                if let Some(n) = merged.filter(|&n| n > 0) {
+                    let (tel, now) = (ctx.telemetry(), ctx.now().as_nanos());
+                    let args = [("entries", n as f64)];
+                    tel.span_with_args("flex", "merge", node.0 as u32, now, 0, &args);
                 }
             }
-            NetMsg::Skeen(pkt) => {
-                let EngineKind::Skeen(engine) = &mut self.engine else {
-                    self.stats.refused_inputs += 1;
-                    return;
-                };
-                // Servers sit at pids `0..n`: any other sender is no group.
-                if from >= self.n_servers {
-                    self.stats.refused_inputs += 1;
-                    return;
-                }
+            (NetMsg::Skeen(pkt), EngineKind::Skeen(engine), Some(peer)) => {
                 let mut outs = Vec::new();
-                engine.on_packet(GroupId(from as u16), pkt, &mut outs);
+                engine.on_packet(peer, pkt, &mut outs);
                 self.handle_skeen_outputs(outs, ctx);
             }
-            NetMsg::Hier(pkt) => {
-                let EngineKind::Hier(engine) = &mut self.engine else {
-                    self.stats.refused_inputs += 1;
-                    return;
-                };
-                // Servers sit at pids `0..n`: any other sender is no group.
-                if from >= self.n_servers {
-                    self.stats.refused_inputs += 1;
-                    return;
-                }
+            (NetMsg::Hier(pkt), EngineKind::Hier(engine), Some(peer)) => {
                 let mut outs = Vec::new();
-                engine.on_packet(GroupId(from as u16), pkt, &mut outs);
+                engine.on_packet(peer, pkt, &mut outs);
                 self.handle_hier_outputs(outs, ctx);
             }
-            // Replies are for clients, replication traffic for replicated
-            // worlds.
-            NetMsg::Reply { .. }
-            | NetMsg::Repl(_)
-            | NetMsg::GroupMsg { .. }
-            | NetMsg::Ble(_)
-            | NetMsg::SnapReq { .. }
-            | NetMsg::Snapshot { .. } => self.stats.refused_inputs += 1,
+            // A client copy this server cannot order, another protocol's
+            // packets, a packet from a pid that is no server, replies (for
+            // clients) and replication traffic (for replicated worlds).
+            _ => self.stats.refused_inputs += 1,
         }
     }
 }
@@ -382,21 +328,7 @@ impl EntryPolicy {
         match self {
             EntryPolicy::Flex(order) => entry_node(order, m.dst).into_iter().collect(),
             EntryPolicy::SkeenAll => m.dst,
-            EntryPolicy::Hier(tree) => DestSet::singleton(tree.lca(m.dst)),
-        }
-    }
-
-    /// Sends the client's copy of `msg` to its entry servers, in
-    /// ascending node order. One entry — the tree's, and FlexCast's in
-    /// the overlay — is a plain send; several (or none) fan out
-    /// ([`Ctx::send_many`]), which schedules exactly what one send per
-    /// entry would.
-    fn multicast(&self, msg: Message, reply_to: usize, ctx: &mut Ctx<'_, NetMsg>) {
-        let entries = self.entries(&msg);
-        let msg = NetMsg::Client { msg, reply_to };
-        match entries.lowest() {
-            Some(only) if entries.len() == 1 => ctx.send(only.index(), msg),
-            _ => ctx.send_many(entries.iter().map(GroupId::index).collect(), msg),
+            EntryPolicy::Hier(tree) => DestSet::singleton(HierGroup::entry_point(tree, m)),
         }
     }
 }
@@ -414,84 +346,176 @@ pub struct LatencySample {
     pub dst_count: usize,
 }
 
-struct Outstanding {
+/// The multicast a client or flusher waits on, and the destination groups
+/// that have answered it.
+struct Pending {
     id: MsgId,
     dst: DestSet,
+    acked: DestSet,
     sent_at: SimTime,
-    /// The destination nodes that have replied.
-    replied: DestSet,
+    /// Latency of the first answer, in milliseconds.
+    first_ms: f64,
+    /// The multicast itself, kept by a sender that retries it.
+    msg: Option<Message>,
 }
 
-/// A closed-loop gTPC-C client (§5.3): issues one transaction at a time,
-/// records the latency of each destination's response, and issues the next
-/// transaction when all destinations have replied.
+impl Pending {
+    fn new(m: &Message, sent_at: SimTime, keep: bool) -> Self {
+        Pending {
+            id: m.id,
+            dst: m.dst,
+            acked: DestSet::new(),
+            sent_at,
+            first_ms: 0.0,
+            msg: keep.then(|| m.clone()),
+        }
+    }
+
+    fn done(&self) -> bool {
+        self.acked == self.dst
+    }
+
+    /// Re-sends a kept multicast to every destination group that has not
+    /// answered: one that delivered it but whose reply was lost re-acks.
+    /// Group-side dedup makes the copy safe.
+    fn resend(&self, layout: Layout, c: ClientId, ctx: &mut Ctx<'_, NetMsg>) {
+        if let Some(msg) = &self.msg {
+            layout.send_copy(c, msg.clone(), self.dst.difference(self.acked), ctx);
+        }
+    }
+}
+
+/// The one reply rule of every reply-taking actor. Anything but a `Reply`,
+/// and a reply to the pending multicast from a pid that is no replica of
+/// one of its destination groups ([`Layout::replica_at`]), is refused and
+/// counted in `refused`. A reply with nothing pending (stale), to an older
+/// multicast, or from a group that has answered already (a duplicate, as
+/// after a leader change) is ignored. Returns the pending multicast when a
+/// destination group answers it for the first time.
+fn take_reply<'a>(
+    layout: Layout,
+    pending: &'a mut Option<Pending>,
+    from: ProcessId,
+    msg: NetMsg,
+    refused: &mut u64,
+) -> Option<&'a mut Pending> {
+    let NetMsg::Reply { id } = msg else {
+        *refused += 1;
+        return None;
+    };
+    let p = pending.as_mut().filter(|p| p.id == id)?;
+    let Some((g, _)) = layout.replica_at(from).filter(|&(g, _)| p.dst.contains(g)) else {
+        *refused += 1;
+        return None;
+    };
+    if p.acked.contains(g) {
+        return None;
+    }
+    p.acked.insert(g);
+    Some(p)
+}
+
+/// Where a client's transactions come from, fixed at construction: the
+/// destinations and payload of its `seq`-th transaction, `None` once it is
+/// spent.
+type Source = Box<dyn FnMut(u32) -> Option<(DestSet, Payload)>>;
+
+/// The closed-loop client of both stacks (§5.3): issues one transaction at
+/// a time to its entry groups' replicas, takes one reply per destination
+/// group (the one reply rule, `take_reply`), and issues the next when
+/// every destination has replied. Where the stacks differ is data fixed at
+/// construction: the transaction source (gTPC-C, or uniform draws), the
+/// layout's `rf`, the retry period (none on the bare stack's reliable
+/// links), and whether it keeps a sample per reply or the first and last
+/// reply per transaction.
 pub struct ClientActor {
-    client_id: ClientId,
-    home: GroupId,
-    n_servers: usize,
-    generator: Generator,
+    id: ClientId,
+    layout: Layout,
+    source: Source,
     entry: EntryPolicy,
-    stop_issuing_at: SimTime,
+    /// Re-sends an unanswered multicast to its unanswered destinations
+    /// this often; `None` never re-sends.
+    retry: Option<SimTime>,
+    /// No transaction is issued, and none retried, from this time on.
+    stop_at: SimTime,
+    /// Keeps a [`LatencySample`] per reply if set, else each transaction's
+    /// first-reply and completion latencies.
+    per_reply: bool,
     seq: u32,
-    outstanding: Option<Outstanding>,
-    /// All latency samples collected.
+    outstanding: Option<Pending>,
+    /// Every latency sample, with `per_reply`.
     pub samples: Vec<LatencySample>,
+    /// Completion latency (all destinations replied) per finished
+    /// transaction, without `per_reply`.
+    pub completion_ms: Vec<f64>,
+    /// First-reply latency per finished transaction, without `per_reply`.
+    pub first_ack_ms: Vec<f64>,
     /// Fully acknowledged transactions.
     pub completed: u64,
     /// Destination sets of every message this client multicast (node
     /// space), for the property checker.
     pub issued: Vec<(MsgId, DestSet)>,
-    /// Inputs refused: anything but a `Reply`, and a reply to the
-    /// outstanding transaction from a process that is no destination.
+    /// Inputs the reply rule (`take_reply`) refused.
     pub refused_inputs: u64,
 }
 
 impl ClientActor {
-    /// Creates a client homed at `home`.
+    /// Creates a gTPC-C client homed at `home` in the `n_servers`-server
+    /// world of the unreplicated stack.
     pub fn new(
         client_id: ClientId,
         home: GroupId,
         n_servers: usize,
-        generator: Generator,
+        mut generator: Generator,
         entry: EntryPolicy,
         stop_issuing_at: SimTime,
     ) -> Self {
+        let source: Source = Box::new(move |_| {
+            let txn = generator.next_txn(home);
+            Some((txn.warehouses, txn.payload()))
+        });
+        let (layout, stop) = (Layout::new(n_servers, 1), stop_issuing_at);
+        Self::with(client_id, layout, source, entry, None, stop, true)
+    }
+
+    /// The client of either stack (type docs).
+    fn with(
+        id: ClientId,
+        layout: Layout,
+        source: Source,
+        entry: EntryPolicy,
+        retry: Option<SimTime>,
+        stop_at: SimTime,
+        per_reply: bool,
+    ) -> Self {
         ClientActor {
-            client_id,
-            home,
-            n_servers,
-            generator,
+            id,
+            layout,
+            source,
             entry,
-            stop_issuing_at,
+            retry,
+            stop_at,
+            per_reply,
             seq: 0,
             outstanding: None,
             samples: Vec::new(),
+            completion_ms: Vec::new(),
+            first_ack_ms: Vec::new(),
             completed: 0,
             issued: Vec::new(),
             refused_inputs: 0,
         }
     }
 
-    /// The client's home region.
-    pub fn home(&self) -> GroupId {
-        self.home
-    }
-
     fn issue(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        let txn = self.generator.next_txn(self.home);
-        let id = MsgId::new(self.client_id, self.seq);
+        let Some((dst, payload)) = (self.source)(self.seq) else {
+            return;
+        };
+        let id = MsgId::new(self.id, self.seq);
         self.seq += 1;
-        // Cannot fire: every generated transaction includes its home
-        // warehouse.
-        let m =
-            Message::new(id, txn.warehouses, txn.payload()).expect("transactions have warehouses");
+        // Cannot fire: every source names at least one destination.
+        let m = Message::new(id, dst, payload).expect("transactions have destinations");
         self.issued.push((id, m.dst));
-        self.outstanding = Some(Outstanding {
-            id,
-            dst: m.dst,
-            sent_at: ctx.now(),
-            replied: DestSet::new(),
-        });
         ctx.telemetry().async_begin(
             "client",
             "txn",
@@ -499,80 +523,102 @@ impl ClientActor {
             ctx.me() as u32,
             ctx.now().as_nanos(),
         );
-        self.entry
-            .multicast(m, client_pid(self.n_servers, self.client_id), ctx);
-    }
-
-    /// Handles a reply from a destination server: one per destination
-    /// counts, a repeated one is ignored.
-    pub fn on_message(&mut self, from: usize, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
-        let NetMsg::Reply { id } = msg else {
-            self.refused_inputs += 1;
-            return;
-        };
-        let Some(out) = &mut self.outstanding else {
-            return; // stale reply after cutoff — ignore
-        };
-        if out.id != id {
-            return; // reply for an older transaction
+        self.outstanding = Some(Pending::new(&m, ctx.now(), self.retry.is_some()));
+        // The retry timer carries the transaction's sequence number, so at
+        // most one retry chain is live: stale chains from completed
+        // transactions see a different token and die out.
+        if let Some(retry) = self.retry {
+            ctx.set_timer(retry, id.seq as u64);
         }
-        // Servers sit at pids `0..n`, so a pid is its node's id.
-        let Some(node) = u16::try_from(from)
-            .ok()
-            .map(GroupId)
-            .filter(|&g| out.dst.contains(g))
-        else {
-            self.refused_inputs += 1;
-            return;
-        };
-        if out.replied.contains(node) {
-            return;
-        }
-        out.replied.insert(node);
-        self.samples.push(LatencySample {
-            sent_at: out.sent_at,
-            rank: out.replied.len(),
-            latency_ms: ctx.now().since(out.sent_at).as_ms(),
-            dst_count: out.dst.len(),
-        });
-        if out.replied == out.dst {
-            self.completed += 1;
-            self.outstanding = None;
-            ctx.telemetry().async_end(
-                "client",
-                "txn",
-                txn_span_id(id),
-                ctx.me() as u32,
-                ctx.now().as_nanos(),
-            );
-            if ctx.now() < self.stop_issuing_at {
-                self.issue(ctx);
-            }
-        }
-    }
-
-    /// Starts the closed loop.
-    pub fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        self.issue(ctx);
+        let entries = self.entry.entries(&m);
+        self.layout.send_copy(self.id, m, entries, ctx);
     }
 }
 
-/// Periodically multicasts FlexCast flush messages for history garbage
-/// collection (§4.3: "a distinguished process periodically multicasts a
-/// flush message to all groups").
+impl Actor<NetMsg> for ClientActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
+        self.issue(ctx);
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
+        let pending = &mut self.outstanding;
+        let Some(out) = take_reply(self.layout, pending, from, msg, &mut self.refused_inputs)
+        else {
+            return;
+        };
+        let elapsed = ctx.now().since(out.sent_at).as_ms();
+        if out.acked.len() == 1 {
+            out.first_ms = elapsed;
+        }
+        if self.per_reply {
+            self.samples.push(LatencySample {
+                sent_at: out.sent_at,
+                rank: out.acked.len(),
+                latency_ms: elapsed,
+                dst_count: out.dst.len(),
+            });
+        }
+        if !out.done() {
+            return;
+        }
+        if !self.per_reply {
+            self.completion_ms.push(elapsed);
+            self.first_ack_ms.push(out.first_ms);
+        }
+        let id = out.id;
+        self.completed += 1;
+        self.outstanding = None;
+        ctx.telemetry().async_end(
+            "client",
+            "txn",
+            txn_span_id(id),
+            ctx.me() as u32,
+            ctx.now().as_nanos(),
+        );
+        if ctx.now() < self.stop_at {
+            self.issue(ctx);
+        }
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg>) {
+        let (Some(out), Some(retry)) = (&self.outstanding, self.retry) else {
+            return;
+        };
+        if out.id.seq as u64 != token || ctx.now() >= self.stop_at {
+            return; // stale chain from a completed transaction, or done
+        }
+        out.resend(self.layout, self.id, ctx);
+        ctx.set_timer(retry, token);
+    }
+}
+
+/// Multicasts a FlexCast flush message to all groups every `period`, for
+/// history garbage collection (§4.3: "a distinguished process periodically
+/// multicasts a flush message to all groups"). On the bare stack it is
+/// periodic, answered or not. On the replicated stack it is acknowledged:
+/// at most `n` flushes, each issued only once every group has answered the
+/// last, which is re-sent each period to the groups that have not.
 pub struct FlushActor {
     client_id: ClientId,
-    n_servers: usize,
+    layout: Layout,
     entry: EntryPolicy,
     period: SimTime,
     stop_at: SimTime,
+    /// `Some(n)` if acknowledged, with at most `n` flushes; `None` if
+    /// periodic.
+    acked: Option<u32>,
     seq: u32,
+    outstanding: Option<Pending>,
     /// Destination sets of issued flushes, for the checker registry.
     pub issued: Vec<(MsgId, DestSet)>,
+    /// Flushes answered by every group.
+    pub completed: u64,
+    /// Inputs the reply rule (`take_reply`) refused.
+    pub refused_inputs: u64,
 }
 
 impl FlushActor {
-    /// Creates a flusher issuing every `period` until `stop_at`.
+    /// Creates a periodic flusher issuing every `period` until `stop_at`.
     pub fn new(
         client_id: ClientId,
         n_servers: usize,
@@ -582,35 +628,127 @@ impl FlushActor {
     ) -> Self {
         FlushActor {
             client_id,
-            n_servers,
+            layout: Layout::new(n_servers, 1),
             entry,
             period,
             stop_at,
+            acked: None,
             seq: 0,
+            outstanding: None,
             issued: Vec::new(),
+            completed: 0,
+            refused_inputs: 0,
         }
     }
 
     fn flush(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
         let id = MsgId::new(self.client_id, self.seq);
         self.seq += 1;
-        let m = FlexCastGroup::flush_message(id, self.n_servers as u16);
+        let m = FlexCastGroup::flush_message(id, self.layout.n_groups as u16);
         self.issued.push((id, m.dst));
-        self.entry
-            .multicast(m, client_pid(self.n_servers, self.client_id), ctx);
-        if ctx.now() + self.period < self.stop_at {
+        self.outstanding = Some(Pending::new(&m, ctx.now(), self.acked.is_some()));
+        let entries = self.entry.entries(&m);
+        self.layout.send_copy(self.client_id, m, entries, ctx);
+    }
+}
+
+impl Actor<NetMsg> for FlushActor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
+        // An acknowledged flusher arms only for a flush due before the stop.
+        if (self.acked).is_none_or(|n| n > 0 && ctx.now() + self.period < self.stop_at) {
             ctx.set_timer(self.period, 0);
         }
     }
 
-    /// Starts the periodic flushing.
-    pub fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        ctx.set_timer(self.period, 0);
+    fn on_message(&mut self, from: ProcessId, msg: NetMsg, _ctx: &mut Ctx<'_, NetMsg>) {
+        let pending = &mut self.outstanding;
+        if take_reply(self.layout, pending, from, msg, &mut self.refused_inputs)
+            .is_some_and(|p| p.done())
+        {
+            self.completed += 1;
+            self.outstanding = None;
+        }
     }
 
-    /// Timer tick: issue the next flush.
-    pub fn on_timer(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        self.flush(ctx);
+    fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_, NetMsg>) {
+        match (&self.outstanding, self.acked) {
+            (Some(pending), Some(_)) => pending.resend(self.layout, self.client_id, ctx),
+            (_, Some(n)) if self.seq >= n => return, // every flush answered
+            _ => self.flush(ctx),
+        }
+        if ctx.now() + self.period < self.stop_at {
+            ctx.set_timer(self.period, 0);
+        }
+    }
+}
+
+/// A client or the flusher of the replicated stack, under the constructors
+/// the benchmark pins (`replicated::{ReplClientActor, ReplFlushActor}`);
+/// reads go through to the actor.
+pub struct Repl<A>(pub(crate) A);
+
+impl<A> Deref for Repl<A> {
+    type Target = A;
+
+    fn deref(&self) -> &A {
+        &self.0
+    }
+}
+
+impl Repl<ClientActor> {
+    /// Creates a client that issues `n_msgs` multicasts with 2..=`max_dst`
+    /// destinations each.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        id: ClientId,
+        rf: u32,
+        order: CDagOrder,
+        n_msgs: u32,
+        max_dst: usize,
+        payload_bytes: usize,
+        retry: SimTime,
+        stop_at: SimTime,
+        seed: u64,
+    ) -> Self {
+        let (n, mut rng) = (order.len(), StdRng::seed_from_u64(seed));
+        let source: Source = Box::new(move |seq| {
+            (seq < n_msgs).then(|| {
+                let k = rng.random_range(2..=max_dst.min(n).max(2));
+                let mut dst = DestSet::new();
+                while dst.len() < k {
+                    dst.insert(GroupId(rng.random_range(0..n as u16)));
+                }
+                (dst, vec![7u8; payload_bytes].into())
+            })
+        });
+        let (layout, entry) = (Layout::new(n, rf), EntryPolicy::Flex(order));
+        Repl(ClientActor::with(
+            id,
+            layout,
+            source,
+            entry,
+            Some(retry),
+            stop_at,
+            false,
+        ))
+    }
+}
+
+impl Repl<FlushActor> {
+    /// Creates a flusher issuing `n_flushes` flushes, one per `period`.
+    pub fn new(
+        id: ClientId,
+        rf: u32,
+        order: CDagOrder,
+        n_flushes: u32,
+        period: SimTime,
+        stop_at: SimTime,
+    ) -> Self {
+        let n = order.len();
+        let mut flusher = FlushActor::new(id, n, EntryPolicy::Flex(order), period, stop_at);
+        flusher.layout = Layout::new(n, rf);
+        flusher.acked = Some(n_flushes);
+        Repl(flusher)
     }
 }
 
@@ -626,27 +764,27 @@ pub enum Node {
     Flusher(FlushActor),
 }
 
+impl Node {
+    fn actor(&mut self) -> &mut dyn Actor<NetMsg> {
+        match self {
+            Node::Server(s) => s,
+            Node::Client(c) => c,
+            Node::Flusher(f) => f,
+        }
+    }
+}
+
 impl Actor<NetMsg> for Node {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        match self {
-            Node::Server(_) => {}
-            Node::Client(c) => c.on_start(ctx),
-            Node::Flusher(f) => f.on_start(ctx),
-        }
+        self.actor().on_start(ctx);
     }
 
-    fn on_message(&mut self, from: usize, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
-        match self {
-            Node::Server(s) => s.on_message(from, msg, ctx),
-            Node::Client(c) => c.on_message(from, msg, ctx),
-            Node::Flusher(_) => {} // replies to flush messages are ignored
-        }
+    fn on_message(&mut self, from: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
+        self.actor().on_message(from, msg, ctx);
     }
 
-    fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_, NetMsg>) {
-        if let Node::Flusher(f) = self {
-            f.on_timer(ctx);
-        }
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg>) {
+        self.actor().on_timer(token, ctx);
     }
 }
 
@@ -655,8 +793,9 @@ mod tests {
     use super::*;
     use crate::experiment::{run_world_on, ExperimentConfig, ProtocolKind};
     use flexcast_core::{HistoryDelta, MsgRef, Packet};
-    use flexcast_overlay::regions;
-    use flexcast_sim::World;
+    use flexcast_gtpcc::{WorkloadConfig, WorkloadMode};
+    use flexcast_overlay::{regions, LatencyMatrix};
+    use flexcast_sim::{LinkModel, World};
     use flexcast_smr::{BleMsg, PaxosMsg};
     use flexcast_types::Payload;
 
@@ -690,7 +829,11 @@ mod tests {
         let mut world = quiesced_world();
         let before = state(&world);
         for msg in inputs {
-            world.inject(client_pid(SERVERS, ClientId(0)), 0, msg.clone());
+            world.inject(
+                Layout::new(SERVERS, 1).client_pid(ClientId(0)),
+                0,
+                msg.clone(),
+            );
         }
         world.run_to_quiescence(1_000);
         let after = state(&world);
@@ -713,7 +856,7 @@ mod tests {
         let client = |seq, dst: [u16; 2]| {
             let dst = DestSet::from_iter(dst.map(GroupId));
             let msg = Message::new(MsgId::new(ClientId(0), seq), dst, Payload::empty()).unwrap();
-            let reply_to = client_pid(SERVERS, ClientId(0));
+            let reply_to = Layout::new(SERVERS, 1).client_pid(ClientId(0));
             NetMsg::Client { msg, reply_to }
         };
         assert_refused(&[client(999, [0, SERVERS as u16]), client(998, [1, 2])]);
@@ -728,7 +871,7 @@ mod tests {
         let dropped = world.dropped_messages();
         let dst = DestSet::from_iter([GroupId(0), GroupId(1)]);
         let msg = Message::new(MsgId::new(ClientId(999), 0), dst, Payload::empty()).unwrap();
-        let reply_to = client_pid(SERVERS, ClientId(0));
+        let reply_to = Layout::new(SERVERS, 1).client_pid(ClientId(0));
         let id = msg.id;
         world.inject(reply_to, 0, NetMsg::Client { msg, reply_to });
         world.run_to_quiescence(1_000_000);
@@ -788,7 +931,7 @@ mod tests {
             };
             let mut want = stats(&world);
             want[0].2 += 1;
-            world.inject(client_pid(SERVERS, ClientId(0)), 0, input);
+            world.inject(Layout::new(SERVERS, 1).client_pid(ClientId(0)), 0, input);
             world.run_to_quiescence(1_000);
             assert_eq!(stats(&world), want, "{label}");
         }
@@ -804,7 +947,7 @@ mod tests {
         let client = |seq, ranks: &[u16]| {
             let dst = DestSet::from_iter(ranks.iter().copied().map(GroupId));
             let msg = Message::new(MsgId::new(ClientId(0), seq), dst, Payload::empty()).unwrap();
-            let reply_to = client_pid(SERVERS, ClientId(0));
+            let reply_to = Layout::new(SERVERS, 1).client_pid(ClientId(0));
             NetMsg::Client { msg, reply_to }
         };
         let past = SERVERS as u16;
@@ -838,7 +981,7 @@ mod tests {
             let mut want = stats(&world);
             want[0].2 += inputs.len() as u64;
             for input in inputs {
-                world.inject(client_pid(SERVERS, ClientId(0)), 0, input);
+                world.inject(Layout::new(SERVERS, 1).client_pid(ClientId(0)), 0, input);
             }
             world.run_to_quiescence(1_000);
             assert_eq!(stats(&world), want, "{label}");
@@ -858,7 +1001,7 @@ mod tests {
         let notif = Packet::Notif { mref, hist };
 
         let mut world = quiesced_world();
-        let client = client_pid(SERVERS, ClientId(0));
+        let client = Layout::new(SERVERS, 1).client_pid(ClientId(0));
         let state = |w: &World<NetMsg, Node>| match w.actor(client) {
             Node::Client(c) => (c.completed, c.samples.len(), c.refused_inputs),
             _ => panic!("pid {client} is not a client"),
@@ -881,5 +1024,164 @@ mod tests {
             NetMsg::Skeen(flexcast_baselines::SkeenPacket::Ts { id, ts: 1 }),
             NetMsg::Hier(flexcast_baselines::HierPacket(msg)),
         ]);
+    }
+
+    /// An actor that takes the next message as if `from` had sent it, and
+    /// drops every other.
+    struct Spoof<A> {
+        inner: A,
+        from: Option<ProcessId>,
+    }
+
+    impl<A: Actor<NetMsg>> Actor<NetMsg> for Spoof<A> {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
+            self.inner.on_start(ctx);
+        }
+
+        fn on_message(&mut self, _: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
+            if let Some(from) = self.from.take() {
+                self.inner.on_message(from, msg, ctx);
+            }
+        }
+
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg>) {
+            self.inner.on_timer(token, ctx);
+        }
+    }
+
+    /// A reply-taking actor's refusals, issued multicasts and completions.
+    type Readback<A> = fn(&A) -> (u64, &[(MsgId, DestSet)], u64);
+
+    /// Runs `actor` of `layout`, alone in a world where each of its sends
+    /// is dropped (the ones to its own pid by [`Spoof`]), through the rows
+    /// of the reply table: whether it refused each row's input. Between
+    /// rows, replies from every destination complete its first two
+    /// multicasts.
+    fn reply_verdicts<A: Actor<NetMsg>>(
+        actor: A,
+        layout: Layout,
+        read: Readback<A>,
+    ) -> Vec<(&'static str, bool)> {
+        let matrix = LatencyMatrix::zero(layout.n_groups);
+        let link = LinkModel::new(matrix, vec![GroupId(0)], 0.0);
+        let spoof = Spoof {
+            inner: actor,
+            from: None,
+        };
+        let mut world = World::new(vec![spoof], link, 1);
+        let issued = |world: &mut World<NetMsg, Spoof<A>>, n: usize| {
+            while read(&world.actor(0).inner).1.len() < n {
+                assert!(world.step(), "multicast {n} is issued");
+            }
+            read(&world.actor(0).inner).1[n - 1]
+        };
+        let answer = |world: &mut World<NetMsg, Spoof<A>>, from, msg| {
+            world.run_until(world.now());
+            let before = read(&world.actor(0).inner).0;
+            world.actor_mut(0).from = Some(from);
+            world.inject(0, 0, msg);
+            world.run_until(world.now());
+            read(&world.actor(0).inner).0 > before
+        };
+        let reply = |id| NetMsg::Reply { id };
+        let pid = |g| layout.replica_pid(g, 0);
+        let (id0, dst0) = issued(&mut world, 1);
+        let first = dst0.lowest().expect("destinations");
+        let outsider = (0..).map(GroupId).find(|&g| !dst0.contains(g));
+        let outsider = outsider.expect("a group that is no destination");
+        let rf = layout.rf as usize;
+        let mut rows = vec![
+            (
+                "a non-Reply kind",
+                answer(&mut world, pid(first), NetMsg::SnapReq { have: 0 }),
+            ),
+            (
+                "a non-destination group",
+                answer(&mut world, pid(outsider), reply(id0)),
+            ),
+            (
+                "a pid outside the world",
+                answer(&mut world, 65_536 * rf + rf, reply(id0)),
+            ),
+            ("a destination", answer(&mut world, pid(first), reply(id0))),
+        ];
+        let last = layout.replica_pid(first, layout.rf - 1);
+        rows.push(("a duplicate", answer(&mut world, last, reply(id0))));
+        for g in dst0.iter().skip(1) {
+            answer(&mut world, pid(g), reply(id0));
+        }
+        let (id1, dst1) = issued(&mut world, 2);
+        rows.push(("an older id", answer(&mut world, pid(first), reply(id0))));
+        // Past the bare client's stop: the second multicast is the last.
+        world.run_until(world.now() + SimTime::from_ms(2.0));
+        for g in dst1.iter() {
+            answer(&mut world, pid(g), reply(id1));
+        }
+        let stale = answer(
+            &mut world,
+            pid(dst1.lowest().expect("destinations")),
+            reply(id1),
+        );
+        rows.push(("a stale id", stale));
+        let (_, issued, completed) = read(&world.actor(0).inner);
+        assert_eq!((issued.len(), completed), (2, 2));
+        rows
+    }
+
+    /// The bare client, the replicated client and the acknowledged flusher
+    /// give every row of the reply table the same verdict: one reply rule.
+    /// A pid past the world's, `65 536·rf + rf`, names group 1 under a
+    /// truncating cast; it names no group.
+    #[test]
+    fn every_reply_taking_actor_gives_each_reply_the_same_verdict() {
+        use crate::replicated::{ReplClientActor, ReplFlushActor, ReplNode};
+        let want = vec![
+            ("a non-Reply kind", true),
+            ("a non-destination group", true),
+            ("a pid outside the world", true),
+            ("a destination", false),
+            ("a duplicate", false),
+            ("an older id", false),
+            ("a stale id", false),
+        ];
+        let wl = WorkloadConfig {
+            locality: 0.9,
+            mode: WorkloadMode::GlobalOnly,
+            max_warehouses: 3,
+        };
+        let generator = Generator::new(wl, &regions::aws12(), 1);
+        let entry = EntryPolicy::Flex(CDagOrder::identity(SERVERS));
+        let stop = SimTime::from_ms(1.0);
+        let client = ClientActor::new(ClientId(0), GroupId(1), SERVERS, generator, entry, stop);
+        let bare = reply_verdicts(Node::Client(client), Layout::new(SERVERS, 1), |n| match n {
+            Node::Client(c) => (c.refused_inputs, &c.issued, c.completed),
+            _ => unreachable!("a client"),
+        });
+        assert_eq!(bare, want, "ClientActor");
+
+        // Client 0's first multicast goes to groups 1 and 3 of 4.
+        let (order, retry, stop) = (
+            CDagOrder::identity(4),
+            SimTime::from_ms(400.0),
+            SimTime::from_secs(30),
+        );
+        let client = ReplClientActor::new(ClientId(0), 3, order.clone(), 2, 3, 32, retry, stop, 8);
+        let period = SimTime::from_ms(100.0);
+        let flusher = ReplFlushActor::new(ClientId(2), 3, order, 2, period, stop);
+        let read: Readback<ReplNode> = |n| match n {
+            ReplNode::Client(c) => (c.refused_inputs, &c.issued, c.completed),
+            ReplNode::Flusher(f) => (f.refused_inputs, &f.issued, f.completed),
+            ReplNode::Replica(_) => unreachable!("a client or the flusher"),
+        };
+        for (name, actor) in [
+            ("ReplClientActor", ReplNode::Client(client)),
+            ("ReplFlushActor", ReplNode::Flusher(flusher)),
+        ] {
+            assert_eq!(
+                reply_verdicts(actor, Layout::new(4, 3), read),
+                want,
+                "{name}"
+            );
+        }
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::actors::{ClientActor, EntryPolicy, FlushActor, LatencySample, Node, ServerActor};
 use crate::checker::{self, CheckReport, DeliveryEvent};
+use crate::layout::Layout;
 use crate::netmsg::NetMsg;
 use flexcast_gtpcc::{Generator, WorkloadConfig, WorkloadMode};
 use flexcast_overlay::{regions, CDagOrder, LatencyMatrix, Tree};
@@ -113,19 +114,11 @@ impl ExperimentConfig {
     /// is what produces Figure 6's bend.
     pub fn throughput(protocol: ProtocolKind, n_clients: usize) -> Self {
         ExperimentConfig {
-            protocol,
-            locality: 0.99,
             mode: WorkloadMode::Full,
             n_clients,
             duration: SimTime::from_secs(10),
-            seed: 1,
-            jitter_ms: 2.0,
-            flush_period: Some(SimTime::from_ms(250.0)),
             server_service_ms: 0.3,
-            server_processing_ms: 20.0,
-            advert_stride: None,
-            telemetry: Telemetry::disabled(),
-            shards: 0,
+            ..Self::latency(protocol, 0.99)
         }
     }
 }
@@ -228,62 +221,45 @@ pub fn run_world_on(cfg: &ExperimentConfig, matrix: &LatencyMatrix) -> World<Net
         ProtocolKind::Distributed => EntryPolicy::SkeenAll,
     };
 
-    // Build actors: servers 0..n, clients n.., optional flusher last.
-    let mut actors: Vec<Node> = Vec::new();
-    let mut sites: Vec<GroupId> = Vec::new();
-    for node in 0..n_servers as u16 {
-        let node = GroupId(node);
-        let server = match &cfg.protocol {
+    let server = |node, _| {
+        Node::Server(match &cfg.protocol {
             ProtocolKind::FlexCast(order) => {
                 ServerActor::flexcast(node, n_servers, order.clone(), cfg.advert_stride)
             }
             ProtocolKind::Hierarchical(tree) => ServerActor::hier(node, n_servers, tree.clone()),
             ProtocolKind::Distributed => ServerActor::skeen(node, n_servers),
-        };
-        actors.push(Node::Server(server));
-        sites.push(node);
-    }
-
+        })
+    };
     let wl = WorkloadConfig {
         locality: cfg.locality,
         mode: cfg.mode,
         max_warehouses: 3,
     };
-    for c in 0..cfg.n_clients {
+    let clients = (0..cfg.n_clients).map(|c| {
         let home = GroupId((c % n_servers) as u16);
         let generator = Generator::new(wl.clone(), matrix, cfg.seed.wrapping_add(c as u64));
-        actors.push(Node::Client(ClientActor::new(
-            ClientId(c as u32),
-            home,
-            n_servers,
-            generator,
-            entry.clone(),
-            cfg.duration,
-        )));
-        sites.push(home);
-    }
-
-    let use_flusher =
-        matches!(cfg.protocol, ProtocolKind::FlexCast(_)) && cfg.flush_period.is_some();
-    if use_flusher {
-        let flush_id = ClientId(cfg.n_clients as u32);
-        actors.push(Node::Flusher(FlushActor::new(
-            flush_id,
-            n_servers,
-            entry.clone(),
-            cfg.flush_period.expect("checked above"),
-            cfg.duration,
-        )));
-        // Co-locate the flusher with node 0 (an arbitrary region).
-        sites.push(GroupId(0));
-    }
-
-    let mut link = LinkModel::new(matrix.clone(), sites, cfg.jitter_ms);
-    for pid in 0..n_servers {
-        link.set_service_ms(pid, cfg.server_service_ms);
-        link.set_processing_ms(pid, cfg.server_processing_ms);
-    }
-    let mut world: World<NetMsg, Node> = World::new(actors, link, cfg.seed);
+        let id = ClientId(c as u32);
+        let client = ClientActor::new(id, home, n_servers, generator, entry.clone(), cfg.duration);
+        (Node::Client(client), home)
+    });
+    // The flusher (FlexCast only) is co-located with node 0, an arbitrary
+    // region.
+    let flusher = (cfg.flush_period)
+        .filter(|_| matches!(cfg.protocol, ProtocolKind::FlexCast(_)))
+        .map(|period| {
+            let flush_id = ClientId(cfg.n_clients as u32);
+            let flusher = FlushActor::new(flush_id, n_servers, entry.clone(), period, cfg.duration);
+            (Node::Flusher(flusher), GroupId(0))
+        });
+    let service = |link: &mut LinkModel| {
+        for pid in 0..n_servers {
+            link.set_service_ms(pid, cfg.server_service_ms);
+            link.set_processing_ms(pid, cfg.server_processing_ms);
+        }
+    };
+    let layout = Layout::new(n_servers, 1);
+    let others = clients.chain(flusher);
+    let mut world = layout.world(matrix, server, others, cfg.jitter_ms, service, cfg.seed);
     world.set_telemetry(cfg.telemetry.clone());
     world.set_shards(cfg.shards);
     // A closed loop of N clients issues a bounded number of events per

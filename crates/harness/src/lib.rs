@@ -11,6 +11,9 @@
 //!   engines) and closed-loop gTPC-C clients that measure per-destination
 //!   response latency exactly as the paper does (§5.3: "upon delivering a
 //!   message, each message destination replies to the message's sender").
+//! * [`layout`] — the one pid layout of both stacks: which pid is which
+//!   group's replica, which a client, and the lookup every intake check
+//!   maps a sender through.
 //! * [`checker`] — validates Validity, Agreement, Integrity, Prefix order,
 //!   and Acyclic order on the delivery trace of a run (§2.2), plus the
 //!   payload-overhead metric used to quantify (non-)genuineness (§5.8).
@@ -28,6 +31,7 @@
 pub mod actors;
 pub mod checker;
 pub mod experiment;
+pub mod layout;
 pub mod netmsg;
 mod node;
 pub mod replicated;

@@ -95,8 +95,9 @@ impl NodeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actors::{client_pid, Node};
+    use crate::actors::Node;
     use crate::experiment::{run_world_on, ExperimentConfig, ProtocolKind};
+    use crate::layout::Layout;
     use crate::netmsg::NetMsg;
     use crate::replicated::{apply_cmd, ReplCmd, ReplEngine};
     use flexcast_core::{HistoryDelta, MsgRef};
@@ -161,7 +162,7 @@ mod tests {
         for (name, input, want) in rows {
             let (msg, cmd, from) = match input {
                 Input::Client(m) => {
-                    let reply_to = client_pid(12, ClientId(0));
+                    let reply_to = Layout::new(12, 1).client_pid(ClientId(0));
                     let msg = NetMsg::Client {
                         msg: m.clone(),
                         reply_to,

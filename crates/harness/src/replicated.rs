@@ -76,19 +76,28 @@
 //! the replicated engine state — a leader elected after a failover
 //! inherits it and keeps suppressing exactly where its predecessor
 //! stopped, instead of conservatively re-sending full deltas.
+//!
+//! # The sibling rule
+//!
+//! A replica takes Paxos, BLE and snapshot traffic only from its own
+//! group's replicas, pids `[node·rf, node·rf + rf)` ([`Layout::replica_at`]),
+//! and installs a snapshot only of its own group's engine. So no other
+//! group and no client can depose a leader or replace a replica's state:
+//! to the rest of the overlay the group is one process (§4.4).
 
+pub use crate::actors::Repl;
+use crate::actors::{ClientActor, FlushActor};
 use crate::checker::{self, CheckReport, DeliveryEvent};
+use crate::layout::Layout;
 use crate::netmsg::NetMsg;
 pub use crate::node::entry_node;
 use crate::node::NodeEngine;
 use flexcast_core::{FlexCastGroup, Output, Packet};
 use flexcast_overlay::{CDagOrder, LatencyMatrix};
-use flexcast_sim::{Actor, Ctx, LinkModel, Observation, ProcessId, SimTime, Summary, World};
+use flexcast_sim::{Actor, Ctx, Observation, ProcessId, SimTime, Summary, World};
 use flexcast_smr::{BallotLeaderElection, BleOutput, GroupEffect, PaxosMsg, ReplicatedGroup};
 use flexcast_telemetry::{MetricsSnapshot, Telemetry};
 use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -448,25 +457,23 @@ fn apply_input(e: &mut ReplEngine, cmd: ReplCmd, out: &mut Vec<ReplEffect>) {
     e.absorb(outputs, out);
 }
 
-/// Simulator pid of replica `r` of the group at `node` (replicas are laid
-/// out group-major: pids `[node·rf, node·rf + rf)`).
+/// Simulator pid of replica `r` of the group at `node`:
+/// [`Layout::replica_pid`].
 pub fn replica_pid(node: GroupId, r: u32, rf: u32) -> ProcessId {
-    node.index() * rf as usize + r as usize
+    Layout::new(1 << 16, rf).replica_pid(node, r)
 }
 
-/// Simulator pid of a client (clients sit after all replicas).
-pub fn client_pid(n_groups: usize, rf: u32, c: ClientId) -> ProcessId {
-    n_groups * rf as usize + c.0 as usize
-}
-
-/// The group a replica pid belongs to.
+/// The group of replica pid `pid`: [`Layout::replica_at`] in the widest
+/// layout a [`GroupId`] addresses.
+///
+/// # Panics
+///
+/// If `pid` is past that layout's replicas, at or above `65 536·rf`.
 pub fn group_of(pid: ProcessId, rf: u32) -> GroupId {
-    GroupId((pid / rf as usize) as u16)
-}
-
-/// The replica index of a replica pid within its group.
-pub fn replica_of(pid: ProcessId, rf: u32) -> u32 {
-    (pid % rf as usize) as u32
+    Layout::new(1 << 16, rf)
+        .replica_at(pid)
+        .expect("a replica pid")
+        .0
 }
 
 /// One replica of a replicated FlexCast group, as a simulator actor.
@@ -480,7 +487,7 @@ pub fn replica_of(pid: ProcessId, rf: u32) -> u32 {
 pub struct ReplicatedActor {
     node: GroupId,
     replica: u32,
-    rf: u32,
+    layout: Layout,
     rg: ReplicatedGroup<ReplEngine, ReplCmd, ReplEffect>,
     /// The (static, per-run) C-DAG order — kept so a received snapshot can
     /// be restored without shipping the order over the wire.
@@ -494,9 +501,10 @@ pub struct ReplicatedActor {
     /// Unapplied inbox inputs held at each takeover: the only inputs an
     /// old leader may have proposed already.
     reproposals: u64,
-    /// Inputs refused at intake: a client destination or a group
-    /// message's sender outside the overlay, or a message kind replicas
-    /// do not handle.
+    /// Inputs refused at intake: a client destination outside the
+    /// overlay, a group message from a pid that is no replica, Paxos, BLE
+    /// or snapshot traffic from outside this group, or a message kind
+    /// replicas do not handle.
     refused_inputs: u64,
     was_leader: bool,
     tick: SimTime,
@@ -545,7 +553,7 @@ impl ReplicatedActor {
         ReplicatedActor {
             node,
             replica,
-            rf: cfg.rf,
+            layout: Layout::new(cfg.order.len(), cfg.rf),
             rg,
             order: cfg.order.clone(),
             inbox: HashMap::new(),
@@ -618,7 +626,7 @@ impl ReplicatedActor {
         ctx: &mut Ctx<'_, NetMsg>,
     ) {
         let pkt = Arc::unwrap_or_clone(pkt);
-        let pids = replicas.map(|r| replica_pid(to, r, self.rf)).collect();
+        let pids = replicas.map(|r| self.layout.replica_pid(to, r)).collect();
         ctx.send_many(pids, NetMsg::GroupMsg { seq, pkt });
     }
 
@@ -651,8 +659,10 @@ impl ReplicatedActor {
     }
 
     /// Ships this replica's full state to sibling `to` (snapshot catch-up
-    /// serving side). Any replica can serve; the receiver discards stale
-    /// or duplicate transfers, so serving is always safe.
+    /// serving side). Any sibling can serve, and only a sibling: the
+    /// receiver takes a snapshot from its own group's replicas alone, of
+    /// its own group's engine alone, and discards stale or duplicate
+    /// transfers, so serving is always safe.
     fn send_snapshot(&self, to: u32, ctx: &mut Ctx<'_, NetMsg>) {
         let through = self.rg.applied_slots();
         // Cannot fire: a `ReplSnapshot` is bytes and plain data, all of
@@ -666,7 +676,7 @@ impl ReplicatedActor {
             ctx.now().as_nanos(),
         );
         ctx.send(
-            replica_pid(self.node, to, self.rf),
+            self.layout.replica_pid(self.node, to),
             NetMsg::Snapshot { through, state },
         );
     }
@@ -679,7 +689,7 @@ impl ReplicatedActor {
         for o in outs {
             match o {
                 BleOutput::Send { to, msg } => {
-                    ctx.send(replica_pid(self.node, to, self.rf), NetMsg::Ble(msg));
+                    ctx.send(self.layout.replica_pid(self.node, to), NetMsg::Ble(msg));
                 }
                 BleOutput::Leader(ballot) => {
                     let rounds = self.ble.hb_round().saturating_sub(self.last_leader_round);
@@ -702,7 +712,7 @@ impl ReplicatedActor {
         for e in fx {
             match e {
                 GroupEffect::Replication { to, msg } => {
-                    ctx.send(replica_pid(self.node, to, self.rf), NetMsg::Repl(msg));
+                    ctx.send(self.layout.replica_pid(self.node, to), NetMsg::Repl(msg));
                 }
                 GroupEffect::SnapshotNeeded { to, .. } => {
                     // A sibling's LearnReq dipped below our compaction
@@ -734,13 +744,11 @@ impl ReplicatedActor {
                         self.node.0 as u32,
                         ctx.now().as_nanos(),
                     );
-                    ctx.send(
-                        client_pid(self.order.len(), self.rf, m.id.sender),
-                        NetMsg::Reply { id: m.id },
-                    );
+                    let client = self.layout.client_pid(m.id.sender);
+                    ctx.send(client, NetMsg::Reply { id: m.id });
                 }
                 GroupEffect::Engine(ReplEffect::Send { to, seq, pkt }) => {
-                    self.send_group((to, seq, pkt), 0..self.rf, ctx);
+                    self.send_group((to, seq, pkt), 0..self.layout.rf, ctx);
                 }
             }
         }
@@ -912,7 +920,7 @@ impl ReplicatedActor {
             if self.ticks.is_multiple_of(self.retransmit_every) {
                 const WINDOW: usize = 64;
                 let round = self.ticks / self.retransmit_every;
-                let target = (round % u64::from(self.rf)) as u32;
+                let target = (round % u64::from(self.layout.rf)) as u32;
                 let outbox = self.rg.engine().outbox();
                 let len = outbox.len();
                 if len > 0 {
@@ -950,6 +958,42 @@ impl ReplicatedActor {
             ctx.set_timer(self.tick, 0);
         }
     }
+
+    /// Installs sibling state `state` through slot `through`, unless it is
+    /// stale or a duplicate. Bytes that do not decode, an engine that does
+    /// not restore or is not this group's, and a state that took another
+    /// number of slots than `through` claims are refused: the replica
+    /// keeps its state, and its gap keeps it asking.
+    fn install(&mut self, through: u64, state: &[u8], ctx: &mut Ctx<'_, NetMsg>) {
+        if through <= self.rg.applied_slots() {
+            return;
+        }
+        let rank = self.order.rank_of(self.node);
+        let restored = flexcast_wire::from_bytes::<ReplSnapshot>(state)
+            .and_then(|snap| ReplEngine::from_snapshot(snap, self.order.clone()));
+        let ours = |e: &ReplEngine| e.links.slots == through && e.engine().id() == rank;
+        let Some(engine) = restored.ok().filter(ours) else {
+            ctx.telemetry().counter_add("smr.snapshot_refused", 1);
+            return;
+        };
+        if !self.rg.install_snapshot(engine, through) {
+            return;
+        }
+        self.snapshot_installs += 1;
+        ctx.telemetry()
+            .record("smr.catch_up_bytes", state.len() as u64);
+        if let Some(t0) = self.catch_up_started.take() {
+            ctx.telemetry().async_end(
+                "smr",
+                "catch_up",
+                flexcast_telemetry::SpanId::from_parts(self.node.0 as u32, self.replica),
+                self.node.0 as u32,
+                ctx.now().as_nanos(),
+            );
+            ctx.telemetry()
+                .record("smr.catch_up_ns", ctx.now().since(t0).as_nanos());
+        }
+    }
 }
 
 impl Actor<NetMsg> for ReplicatedActor {
@@ -985,11 +1029,11 @@ impl Actor<NetMsg> for ReplicatedActor {
     }
 
     fn on_message(&mut self, from: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
-        match msg {
-            NetMsg::GroupMsg { .. } if from >= self.order.len() * self.rf as usize => {
-                self.refused_inputs += 1;
-            }
-            NetMsg::Client { msg: m, .. } => {
+        let peer = self.layout.replica_at(from);
+        // Replication traffic is taken from this group's replicas alone.
+        let sibling = peer.filter(|&(g, _)| g == self.node).map(|(_, r)| r);
+        match (msg, peer, sibling) {
+            (NetMsg::Client { msg: m, .. }, _, _) => {
                 // An input naming a node outside the overlay is refused
                 // here, before it is proposed: committed, every replica
                 // would skip it.
@@ -1003,10 +1047,8 @@ impl Actor<NetMsg> for ReplicatedActor {
                 // group precisely so each can recover its own lost ack.
                 if self.rg.engine().engine().has_delivered(m.id) {
                     if self.rg.is_leader() {
-                        ctx.send(
-                            client_pid(self.order.len(), self.rf, m.id.sender),
-                            NetMsg::Reply { id: m.id },
-                        );
+                        let client = self.layout.client_pid(m.id.sender);
+                        ctx.send(client, NetMsg::Reply { id: m.id });
                     }
                     return;
                 }
@@ -1016,59 +1058,22 @@ impl Actor<NetMsg> for ReplicatedActor {
                     self.intake(ReplCmd::Client(m), ctx);
                 }
             }
-            NetMsg::GroupMsg { seq, pkt } => {
-                let peer = group_of(from, self.rf);
+            (NetMsg::GroupMsg { seq, pkt }, Some((peer, _)), _) => {
                 let pkt = Arc::new(pkt);
                 self.intake(ReplCmd::Peer { peer, seq, pkt }, ctx);
             }
-            NetMsg::Repl(pm) => self.replicate(replica_of(from, self.rf), pm, ctx),
-            NetMsg::Ble(bm) => {
+            (NetMsg::Repl(pm), _, Some(r)) => self.replicate(r, pm, ctx),
+            (NetMsg::Ble(bm), _, Some(r)) => {
                 let mut ble_out = Vec::new();
-                self.ble
-                    .on_message(replica_of(from, self.rf), bm, &mut ble_out);
+                self.ble.on_message(r, bm, &mut ble_out);
                 self.pump_ble(ble_out, ctx);
             }
-            NetMsg::Snapshot { through, state } => {
-                if through <= self.rg.applied_slots() {
-                    return; // stale or duplicate transfer
-                }
-                // Bytes that do not decode, an engine that does not
-                // restore, and a state that took another number of slots
-                // than `through` claims are refused: the replica keeps its
-                // state, and its gap keeps it asking.
-                let restored = flexcast_wire::from_bytes::<ReplSnapshot>(&state)
-                    .and_then(|snap| ReplEngine::from_snapshot(snap, self.order.clone()));
-                let Some(engine) = restored.ok().filter(|e| e.links.slots == through) else {
-                    ctx.telemetry().counter_add("smr.snapshot_refused", 1);
-                    return;
-                };
-                if self.rg.install_snapshot(engine, through) {
-                    self.snapshot_installs += 1;
-                    ctx.telemetry()
-                        .record("smr.catch_up_bytes", state.len() as u64);
-                    if let Some(t0) = self.catch_up_started.take() {
-                        ctx.telemetry().async_end(
-                            "smr",
-                            "catch_up",
-                            flexcast_telemetry::SpanId::from_parts(
-                                self.node.0 as u32,
-                                self.replica,
-                            ),
-                            self.node.0 as u32,
-                            ctx.now().as_nanos(),
-                        );
-                        ctx.telemetry()
-                            .record("smr.catch_up_ns", ctx.now().since(t0).as_nanos());
-                    }
-                }
-            }
-            // Replies are for clients, bare protocol packets for
-            // unreplicated worlds; snapshots are asked for by `LearnReq`.
-            NetMsg::Reply { .. }
-            | NetMsg::Flex(_)
-            | NetMsg::Skeen(_)
-            | NetMsg::Hier(_)
-            | NetMsg::SnapReq { .. } => self.refused_inputs += 1,
+            (NetMsg::Snapshot { through, state }, _, Some(_)) => self.install(through, &state, ctx),
+            // A group message from a pid that is no replica, replication
+            // traffic from outside this group, replies (for clients), bare
+            // protocol packets (for unreplicated worlds) and `SnapReq`
+            // (snapshots are asked for by `LearnReq`).
+            _ => self.refused_inputs += 1,
         }
     }
 
@@ -1077,337 +1082,17 @@ impl Actor<NetMsg> for ReplicatedActor {
     }
 }
 
-/// Sends a client-path message to every replica of each group in
-/// `targets`, cloning only for links that will deliver
-/// ([`Ctx::send_many`]). Shared by clients and the GC flusher so the
-/// envelope and pid layout are encoded once.
-fn send_msg_to_groups(
-    n_groups: usize,
-    rf: u32,
-    reply_client: ClientId,
-    m: &Message,
-    targets: &[GroupId],
-    ctx: &mut Ctx<'_, NetMsg>,
-) {
-    let pids: Vec<ProcessId> = targets
-        .iter()
-        .flat_map(|&g| (0..rf).map(move |r| replica_pid(g, r, rf)))
-        .collect();
-    ctx.send_many(
-        pids,
-        NetMsg::Client {
-            msg: m.clone(),
-            reply_to: client_pid(n_groups, rf, reply_client),
-        },
-    );
-}
+/// The replicated stack's client ([`Repl`]`<`[`ClientActor`]`>`): uniform
+/// multicasts to every replica of the entry group, each re-sent every
+/// `retry` to every replica of the destination groups that have not
+/// answered, the client-side half of the end-to-end reliability story.
+pub type ReplClientActor = Repl<ClientActor>;
 
-struct OutstandingTxn {
-    /// The multicast, kept for retries.
-    msg: Message,
-    acked: DestSet,
-    sent_at: SimTime,
-    first_ack_ms: Option<f64>,
-}
-
-/// A closed-loop client for replicated worlds: issues one multicast at a
-/// time to every replica of the message's lca group, collects one ack per
-/// destination group (duplicates from leader changes are ignored), and
-/// retries unacked messages on a timer — the client-side half of the
-/// end-to-end reliability story.
-pub struct ReplClientActor {
-    id: ClientId,
-    rf: u32,
-    order: CDagOrder,
-    rng: StdRng,
-    n_msgs: u32,
-    max_dst: usize,
-    payload_bytes: usize,
-    retry: SimTime,
-    stop_at: SimTime,
-    seq: u32,
-    outstanding: Option<OutstandingTxn>,
-    /// Every multicast issued, with its destination set (node space).
-    pub issued: Vec<(MsgId, DestSet)>,
-    /// Completion latency (all destinations acked) per finished multicast.
-    pub completion_ms: Vec<f64>,
-    /// Latency of the first destination ack per finished multicast.
-    pub first_ack_ms: Vec<f64>,
-    /// Fully acknowledged multicasts.
-    pub completed: u64,
-    /// Inputs refused: anything but a `Reply`, and a reply to the
-    /// outstanding multicast from a process that is no replica of one
-    /// of its destination groups.
-    pub refused_inputs: u64,
-}
-
-impl ReplClientActor {
-    /// Creates a client that issues `n_msgs` multicasts with 2..=`max_dst`
-    /// destinations each.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        id: ClientId,
-        rf: u32,
-        order: CDagOrder,
-        n_msgs: u32,
-        max_dst: usize,
-        payload_bytes: usize,
-        retry: SimTime,
-        stop_at: SimTime,
-        seed: u64,
-    ) -> Self {
-        ReplClientActor {
-            id,
-            rf,
-            order,
-            rng: StdRng::seed_from_u64(seed),
-            n_msgs,
-            max_dst,
-            payload_bytes,
-            retry,
-            stop_at,
-            seq: 0,
-            outstanding: None,
-            issued: Vec::new(),
-            completion_ms: Vec::new(),
-            first_ack_ms: Vec::new(),
-            completed: 0,
-            refused_inputs: 0,
-        }
-    }
-
-    fn next_dst(&mut self) -> DestSet {
-        let n = self.order.len();
-        let k = self.rng.random_range(2..=self.max_dst.min(n).max(2));
-        let mut dst = DestSet::new();
-        while dst.len() < k {
-            dst.insert(GroupId(self.rng.random_range(0..n as u16)));
-        }
-        dst
-    }
-
-    /// Sends `m` to every replica of each group in `targets`
-    /// ([`send_msg_to_groups`]).
-    fn send_to_groups(&self, m: &Message, targets: &[GroupId], ctx: &mut Ctx<'_, NetMsg>) {
-        send_msg_to_groups(self.order.len(), self.rf, self.id, m, targets, ctx);
-    }
-
-    fn issue(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        let dst = self.next_dst();
-        let id = MsgId::new(self.id, self.seq);
-        self.seq += 1;
-        // Cannot fire: `next_dst` inserts until the set has at least two
-        // members.
-        let m = Message::new(id, dst, vec![7u8; self.payload_bytes].into())
-            .expect("generated destinations are non-empty");
-        self.issued.push((id, dst));
-        ctx.telemetry().async_begin(
-            "client",
-            "txn",
-            crate::actors::txn_span_id(id),
-            ctx.me() as u32,
-            ctx.now().as_nanos(),
-        );
-        // First attempt: the entry group only. Retries fan out wider.
-        self.send_to_groups(&m, entry_node(&self.order, dst).as_slice(), ctx);
-        self.outstanding = Some(OutstandingTxn {
-            msg: m,
-            acked: DestSet::new(),
-            sent_at: ctx.now(),
-            first_ack_ms: None,
-        });
-        // The retry timer carries the transaction's sequence number, so
-        // at most one retry chain is live: stale chains from completed
-        // transactions see a different token and die out.
-        ctx.set_timer(self.retry, id.seq as u64);
-    }
-}
-
-impl Actor<NetMsg> for ReplClientActor {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        if self.n_msgs > 0 {
-            self.issue(ctx);
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
-        let NetMsg::Reply { id } = msg else {
-            self.refused_inputs += 1;
-            return;
-        };
-        let Some(out) = &mut self.outstanding else {
-            return; // late duplicate for a finished multicast
-        };
-        if out.msg.id != id {
-            return; // ack for an older multicast
-        }
-        let group = group_of(from, self.rf);
-        if !out.msg.dst.contains(group) {
-            self.refused_inputs += 1;
-            return;
-        }
-        if out.acked.contains(group) {
-            return; // duplicate ack after a leader change
-        }
-        out.acked.insert(group);
-        let elapsed = ctx.now().since(out.sent_at).as_ms();
-        let first_ack = *out.first_ack_ms.get_or_insert(elapsed);
-        if out.acked == out.msg.dst {
-            self.completion_ms.push(elapsed);
-            self.first_ack_ms.push(first_ack);
-            self.completed += 1;
-            self.outstanding = None;
-            ctx.telemetry().async_end(
-                "client",
-                "txn",
-                crate::actors::txn_span_id(id),
-                ctx.me() as u32,
-                ctx.now().as_nanos(),
-            );
-            if self.seq < self.n_msgs && ctx.now() < self.stop_at {
-                self.issue(ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg>) {
-        // Retry: re-send the outstanding multicast; the group-side dedup
-        // makes this safe, and it is what restores lost client traffic.
-        let Some(out) = &self.outstanding else { return };
-        if out.msg.id.seq as u64 != token || ctx.now() >= self.stop_at {
-            return; // stale chain from a completed transaction, or done
-        }
-        // Fan out to every unacked destination group (not just the entry):
-        // a destination that delivered but whose Reply was lost re-acks.
-        let targets: Vec<GroupId> = out.msg.dst.difference(out.acked).iter().collect();
-        self.send_to_groups(&out.msg, &targets, ctx);
-        ctx.set_timer(self.retry, token);
-    }
-}
-
-/// A periodic garbage-collection flusher for replicated worlds (§4.3
-/// under replication — the ROADMAP's "GC under replication" axis): every
-/// `period` it multicasts one FlexCast flush message to all groups
-/// through the normal replicated entry path, waits for every group's ack
-/// (retrying unacked destinations like [`ReplClientActor`] does), then
-/// issues the next — up to `n_flushes`. Each delivered flush makes every
-/// engine prune its history up to the flush fence and rotate tombstones,
-/// so chaos runs exercise GC against crashes and failovers.
-pub struct ReplFlushActor {
-    id: ClientId,
-    rf: u32,
-    order: CDagOrder,
-    n_flushes: u32,
-    period: SimTime,
-    stop_at: SimTime,
-    seq: u32,
-    outstanding: Option<(MsgId, DestSet)>,
-    /// Every flush issued, with its (all-groups) destination set.
-    pub issued: Vec<(MsgId, DestSet)>,
-    /// Flushes acked by every group.
-    pub completed: u64,
-    /// Inputs refused: anything but a `Reply`, and a reply to the
-    /// outstanding flush from a process that is no replica of a group.
-    pub refused_inputs: u64,
-}
-
-impl ReplFlushActor {
-    /// Creates a flusher issuing `n_flushes` flushes, one per `period`.
-    pub fn new(
-        id: ClientId,
-        rf: u32,
-        order: CDagOrder,
-        n_flushes: u32,
-        period: SimTime,
-        stop_at: SimTime,
-    ) -> Self {
-        ReplFlushActor {
-            id,
-            rf,
-            order,
-            n_flushes,
-            period,
-            stop_at,
-            seq: 0,
-            outstanding: None,
-            issued: Vec::new(),
-            completed: 0,
-            refused_inputs: 0,
-        }
-    }
-
-    fn flush_msg(&self, id: MsgId) -> Message {
-        FlexCastGroup::flush_message(id, self.order.len() as u16)
-    }
-
-    /// Sends the flush to every replica of each group in `targets`
-    /// ([`send_msg_to_groups`]).
-    fn send_to_groups(&self, m: &Message, targets: &[GroupId], ctx: &mut Ctx<'_, NetMsg>) {
-        send_msg_to_groups(self.order.len(), self.rf, self.id, m, targets, ctx);
-    }
-
-    /// The flush entry point: a flush targets every group, so its lca
-    /// is the node holding rank 0. `None` in an overlay with no groups.
-    fn entry(&self) -> Option<GroupId> {
-        entry_node(&self.order, DestSet::all(self.order.len()))
-    }
-}
-
-impl Actor<NetMsg> for ReplFlushActor {
-    fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        if self.n_flushes > 0 && ctx.now() + self.period < self.stop_at {
-            ctx.set_timer(self.period, 0);
-        }
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: NetMsg, _ctx: &mut Ctx<'_, NetMsg>) {
-        let NetMsg::Reply { id } = msg else {
-            self.refused_inputs += 1;
-            return;
-        };
-        let Some((out_id, acked)) = &mut self.outstanding else {
-            return; // late duplicate for a completed flush
-        };
-        if *out_id != id {
-            return; // ack for an older flush
-        }
-        let group = group_of(from, self.rf);
-        let all = DestSet::all(self.order.len());
-        if !all.contains(group) {
-            self.refused_inputs += 1;
-            return;
-        }
-        acked.insert(group);
-        if *acked == all {
-            self.completed += 1;
-            self.outstanding = None;
-        }
-    }
-
-    fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_, NetMsg>) {
-        match &self.outstanding {
-            Some((id, acked)) => {
-                // Retry to every unacked group; replicated dedup absorbs
-                // duplicates and leaders re-ack delivered flushes.
-                let m = self.flush_msg(*id);
-                let targets: Vec<GroupId> = m.dst.difference(*acked).iter().collect();
-                self.send_to_groups(&m, &targets, ctx);
-            }
-            None if self.seq < self.n_flushes => {
-                let id = MsgId::new(self.id, self.seq);
-                self.seq += 1;
-                let m = self.flush_msg(id);
-                self.issued.push((id, m.dst));
-                self.outstanding = Some((id, DestSet::new()));
-                self.send_to_groups(&m, self.entry().as_slice(), ctx);
-            }
-            None => return, // all flushes issued and completed
-        }
-        if ctx.now() + self.period < self.stop_at {
-            ctx.set_timer(self.period, 0);
-        }
-    }
-}
+/// The replicated stack's flusher ([`Repl`]`<`[`FlushActor`]`>`), the
+/// acknowledged one (§4.3 under replication): each delivered flush makes
+/// every engine prune its history up to the flush fence and rotate
+/// tombstones, so chaos runs exercise GC against crashes and failovers.
+pub type ReplFlushActor = Repl<FlushActor>;
 
 /// An actor in a replicated world: a group replica, a client, or the GC
 /// flusher.
@@ -1421,29 +1106,27 @@ pub enum ReplNode {
     Flusher(ReplFlushActor),
 }
 
+impl ReplNode {
+    fn actor(&mut self) -> &mut dyn Actor<NetMsg> {
+        match self {
+            ReplNode::Replica(r) => r,
+            ReplNode::Client(c) => &mut c.0,
+            ReplNode::Flusher(f) => &mut f.0,
+        }
+    }
+}
+
 impl Actor<NetMsg> for ReplNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
-        match self {
-            ReplNode::Replica(r) => r.on_start(ctx),
-            ReplNode::Client(c) => c.on_start(ctx),
-            ReplNode::Flusher(f) => f.on_start(ctx),
-        }
+        self.actor().on_start(ctx);
     }
 
     fn on_message(&mut self, from: ProcessId, msg: NetMsg, ctx: &mut Ctx<'_, NetMsg>) {
-        match self {
-            ReplNode::Replica(r) => r.on_message(from, msg, ctx),
-            ReplNode::Client(c) => c.on_message(from, msg, ctx),
-            ReplNode::Flusher(f) => f.on_message(from, msg, ctx),
-        }
+        self.actor().on_message(from, msg, ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, NetMsg>) {
-        match self {
-            ReplNode::Replica(r) => r.on_timer(token, ctx),
-            ReplNode::Client(c) => c.on_timer(token, ctx),
-            ReplNode::Flusher(f) => f.on_timer(token, ctx),
-        }
+        self.actor().on_timer(token, ctx);
     }
 }
 
@@ -1573,31 +1256,18 @@ pub struct ReplicatedResult {
 /// fault-free run — then hand it to [`collect`].
 pub fn build_world(cfg: &ReplicatedConfig, matrix: &LatencyMatrix) -> World<NetMsg, ReplNode> {
     assert_eq!(
-        matrix.len(),
-        cfg.n_groups as usize,
-        "one latency-matrix site per group"
-    );
-    assert_eq!(
         cfg.order.len(),
         cfg.n_groups as usize,
         "order covers all groups"
     );
-    assert!(cfg.rf >= 1, "need at least one replica per group");
     assert!(
         cfg.max_dst >= 2,
         "multicasts need at least two destinations"
     );
 
-    let mut actors: Vec<ReplNode> = Vec::new();
-    let mut sites: Vec<GroupId> = Vec::new();
-    for g in 0..cfg.n_groups {
-        for r in 0..cfg.rf {
-            actors.push(ReplNode::Replica(ReplicatedActor::new(GroupId(g), r, cfg)));
-            sites.push(GroupId(g));
-        }
-    }
-    for c in 0..cfg.n_clients {
-        actors.push(ReplNode::Client(ReplClientActor::new(
+    let layout = Layout::new(cfg.order.len(), cfg.rf);
+    let clients = (0..cfg.n_clients).map(|c| {
+        let client = ReplClientActor::new(
             ClientId(c as u32),
             cfg.rf,
             cfg.order.clone(),
@@ -1607,12 +1277,15 @@ pub fn build_world(cfg: &ReplicatedConfig, matrix: &LatencyMatrix) -> World<NetM
             cfg.retry,
             cfg.stop_at,
             cfg.seed.wrapping_add(1).wrapping_add(c as u64),
-        )));
-        sites.push(GroupId((c % cfg.n_groups as usize) as u16));
-    }
-    if let Some(period) = cfg.flush_period {
-        // The flusher is client n_clients in the pid layout, co-located
-        // with the flush entry group (the rank-0 node).
+        );
+        (
+            ReplNode::Client(client),
+            GroupId((c % cfg.n_groups as usize) as u16),
+        )
+    });
+    // The flusher is client n_clients in the pid layout, co-located with
+    // the flush entry group (the rank-0 node).
+    let flusher = cfg.flush_period.map(|period| {
         let flusher = ReplFlushActor::new(
             ClientId(cfg.n_clients as u32),
             cfg.rf,
@@ -1621,12 +1294,11 @@ pub fn build_world(cfg: &ReplicatedConfig, matrix: &LatencyMatrix) -> World<NetM
             period,
             cfg.stop_at,
         );
-        sites.push(flusher.entry().unwrap_or(GroupId(0)));
-        actors.push(ReplNode::Flusher(flusher));
-    }
-
-    let link = LinkModel::new(matrix.clone(), sites, cfg.jitter_ms);
-    let mut world = World::new(actors, link, cfg.seed);
+        (ReplNode::Flusher(flusher), cfg.order.node_at(GroupId(0)))
+    });
+    let replica = |g, r| ReplNode::Replica(ReplicatedActor::new(g, r, cfg));
+    let others = clients.chain(flusher);
+    let mut world = layout.world(matrix, replica, others, cfg.jitter_ms, |_| {}, cfg.seed);
     world.set_telemetry(cfg.telemetry.clone());
     world.set_shards(cfg.shards);
     world
@@ -1653,12 +1325,8 @@ pub fn collect(cfg: &ReplicatedConfig, world: &World<NetMsg, ReplNode>) -> Repli
                 registry.extend(c.issued.iter().copied());
                 issued += c.issued.len();
                 completed += c.completed;
-                for &ms in &c.completion_ms {
-                    latency.record(ms);
-                }
-                for &ms in &c.first_ack_ms {
-                    first_ack.record(ms);
-                }
+                c.completion_ms.iter().for_each(|&ms| latency.record(ms));
+                c.first_ack_ms.iter().for_each(|&ms| first_ack.record(ms));
             }
             // Flushes join the registry (the checker must accept their
             // deliveries and require them at every group) but stay out of
@@ -1669,24 +1337,13 @@ pub fn collect(cfg: &ReplicatedConfig, world: &World<NetMsg, ReplNode>) -> Repli
 
     // Per-group delivery order: the most advanced replica's log. Lockstep
     // (checked below) guarantees every other log is a prefix of it.
-    let mut trace: Vec<Vec<DeliveryEvent>> = Vec::with_capacity(n_groups);
-    for (g, logs) in replica_logs.iter().enumerate() {
-        let node = GroupId(g as u16);
-        let longest = logs.iter().max_by_key(|l| l.len());
-        trace.push(
-            longest
-                .map(|log| {
-                    log.iter()
-                        .map(|&id| DeliveryEvent {
-                            node,
-                            id,
-                            at: SimTime::ZERO,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
-        );
-    }
+    let trace: Vec<Vec<DeliveryEvent>> = (replica_logs.iter().enumerate())
+        .map(|(g, logs)| {
+            let (node, at) = (GroupId(g as u16), SimTime::ZERO);
+            let longest = logs.iter().max_by_key(|l| l.len()).into_iter().flatten();
+            longest.map(|&id| DeliveryEvent { node, id, at }).collect()
+        })
+        .collect();
 
     let mut check = checker::check(&registry, &trace);
     check.lockstep_violations = checker::check_lockstep(&replica_logs);
@@ -1870,8 +1527,9 @@ mod tests {
     fn pid_layout_roundtrips() {
         assert_eq!(replica_pid(GroupId(2), 1, 3), 7);
         assert_eq!(group_of(7, 3), GroupId(2));
-        assert_eq!(replica_of(7, 3), 1);
-        assert_eq!(client_pid(4, 3, ClientId(2)), 14);
+        assert_eq!(Layout::new(4, 3).replica_at(7), Some((GroupId(2), 1)));
+        assert_eq!(Layout::new(4, 3).client_pid(ClientId(2)), 14);
+        assert_eq!(Layout::new(12, 1).client_pid(ClientId(0)), 12);
     }
 
     fn replica(world: &World<NetMsg, ReplNode>, pid: ProcessId) -> &ReplicatedActor {
@@ -1921,7 +1579,7 @@ mod tests {
         let slots = |w: &World<NetMsg, ReplNode>| (counter(w, "proposals"), counter(w, "inputs"));
         let before = slots(&world);
 
-        let client = client_pid(2, 3, ClientId(0));
+        let client = Layout::new(2, 3).client_pid(ClientId(0));
         let inject = |world: &mut World<NetMsg, ReplNode>, seq: u32| {
             let msg = Message::new(
                 MsgId::new(ClientId(0), seq),
@@ -2138,7 +1796,7 @@ mod tests {
         let before = state(&world);
         for msg in inputs {
             for &pid in &replicas {
-                world.inject(client_pid(3, 3, ClientId(0)), pid, msg.clone());
+                world.inject(Layout::new(3, 3).client_pid(ClientId(0)), pid, msg.clone());
             }
         }
         world.run_to_quiescence(1_000);
@@ -2157,7 +1815,7 @@ mod tests {
     fn a_client_destination_outside_the_overlay_is_refused_at_intake() {
         let dst = DestSet::from_iter([GroupId(0), GroupId(5)]);
         let msg = Message::new(MsgId::new(ClientId(0), 999), dst, vec![1].into()).unwrap();
-        let reply_to = client_pid(3, 3, ClientId(0));
+        let reply_to = Layout::new(3, 3).client_pid(ClientId(0));
         assert_refused(&[NetMsg::Client { msg, reply_to }]);
     }
 
@@ -2199,7 +1857,7 @@ mod tests {
         cfg.n_flushes = 1;
         let mut world = build_world(&cfg, &matrix(3));
         world.run_to_quiescence(20_000_000);
-        let (client, flusher) = (client_pid(3, 3, ClientId(0)), world.len() - 1);
+        let (client, flusher) = (Layout::new(3, 3).client_pid(ClientId(0)), world.len() - 1);
         let leader = replica_pid(GroupId(0), 0, 3);
         let state = |w: &World<NetMsg, ReplNode>| match (w.actor(client), w.actor(flusher)) {
             (ReplNode::Client(c), ReplNode::Flusher(f)) => (
@@ -2230,7 +1888,7 @@ mod tests {
         let cfg = ReplicatedConfig::small(4, 3, 7);
         let mut world = build_world(&cfg, &matrix(4));
         world.run_until(SimTime::ZERO);
-        let client = client_pid(4, 3, ClientId(0));
+        let client = Layout::new(4, 3).client_pid(ClientId(0));
         let clients = |w: &World<NetMsg, ReplNode>| -> Vec<(u64, usize, u64)> {
             (client..client + 2)
                 .map(|pid| match w.actor(pid) {
@@ -2260,7 +1918,7 @@ mod tests {
         let dropped = world.dropped_messages();
         let dst = DestSet::from_iter([GroupId(0), GroupId(1)]);
         let msg = Message::new(MsgId::new(ClientId(999), 0), dst, vec![1].into()).unwrap();
-        let reply_to = client_pid(3, 3, ClientId(0));
+        let reply_to = Layout::new(3, 3).client_pid(ClientId(0));
         for r in 0..3 {
             let to = replica_pid(GroupId(0), r, 3);
             world.inject(
@@ -2455,20 +2113,14 @@ mod tests {
 
     /// [`build_world`]'s replicas, each behind a [`Tap`], and no clients.
     fn tapped_world(cfg: &ReplicatedConfig) -> World<NetMsg, Tap> {
-        let mut actors = Vec::new();
-        let mut sites = Vec::new();
-        for g in (0..cfg.n_groups).map(GroupId) {
-            for r in 0..cfg.rf {
-                actors.push(Tap {
-                    node: ReplNode::Replica(ReplicatedActor::new(g, r, cfg)),
-                    accepts: Vec::new(),
-                    group_msgs: Vec::new(),
-                });
-                sites.push(g);
-            }
-        }
-        let link = LinkModel::new(matrix(cfg.n_groups as usize), sites, cfg.jitter_ms);
-        World::new(actors, link, cfg.seed)
+        let tap = |g, r| Tap {
+            node: ReplNode::Replica(ReplicatedActor::new(g, r, cfg)),
+            accepts: Vec::new(),
+            group_msgs: Vec::new(),
+        };
+        let layout = Layout::new(cfg.n_groups as usize, cfg.rf);
+        let matrix = matrix(cfg.n_groups as usize);
+        layout.world(&matrix, tap, [], cfg.jitter_ms, |_| {}, cfg.seed)
     }
 
     fn tapped(world: &World<NetMsg, Tap>, pid: ProcessId) -> (&Tap, &ReplicatedActor) {
@@ -2494,7 +2146,7 @@ mod tests {
         let msg = Message::new(MsgId::new(ClientId(0), seq), dst, vec![1; len].into())
             .expect("has destinations");
         let entry = entry_node(&cfg.order, dst).expect("in the overlay");
-        let reply_to = client_pid(cfg.n_groups as usize, cfg.rf, ClientId(0));
+        let reply_to = Layout::new(cfg.n_groups as usize, cfg.rf).client_pid(ClientId(0));
         for r in 0..cfg.rf {
             // From the replica itself: the world may host no client.
             let pid = replica_pid(entry, r, cfg.rf);
@@ -2706,5 +2358,103 @@ mod tests {
                 "replica {r}"
             );
         }
+    }
+
+    /// A `Prepare` above every ballot, injected from replica 1 of group 1
+    /// into group 0's leader: a sibling's number, but another group's
+    /// replica. The leader refuses it and keeps leading.
+    #[test]
+    fn a_prepare_from_another_group_does_not_depose_the_leader() {
+        let cfg = ReplicatedConfig::small(3, 3, 7);
+        let mut world = build_world(&cfg, &matrix(3));
+        world.run_to_quiescence(20_000_000);
+        let leader = replica_pid(GroupId(0), 0, 3);
+        assert!(replica(&world, leader).is_leader());
+        let refused = counter_of(&world, [leader], "refused_inputs");
+        let ballot = flexcast_smr::Ballot {
+            round: 1_000,
+            owner: 1,
+        };
+        let prepare = NetMsg::Repl(PaxosMsg::Prepare { ballot });
+        world.inject(replica_pid(GroupId(1), 1, 3), leader, prepare);
+        world.run_to_quiescence(1_000);
+        assert!(replica(&world, leader).is_leader());
+        assert_eq!(counter_of(&world, [leader], "refused_inputs"), refused + 1);
+    }
+
+    /// Replica 1 of group 0 and the encoded state of replica 2, its
+    /// sibling, claiming one slot more than replica 1 has applied, from a
+    /// quiesced world with telemetry on.
+    fn world_with_a_snapshot_of(
+        source: ProcessId,
+    ) -> (World<NetMsg, ReplNode>, ReplicatedConfig, u64, Vec<u8>) {
+        let mut cfg = ReplicatedConfig::small(3, 3, 7);
+        cfg.telemetry = Telemetry::enabled();
+        let mut world = build_world(&cfg, &matrix(3));
+        world.run_to_quiescence(20_000_000);
+        let victim = replica_pid(GroupId(0), 1, 3);
+        let through = replica(&world, victim).replication().applied_slots() + 1;
+        let mut snap = replica(&world, source).state().to_snapshot();
+        snap.links.slots = through;
+        let state = flexcast_wire::to_bytes(&snap).expect("encodes");
+        (world, cfg, through, state)
+    }
+
+    /// What a snapshot could change at `pid`: its slots, installs, engine
+    /// rank and encoded state.
+    fn replica_state(
+        world: &World<NetMsg, ReplNode>,
+        pid: ProcessId,
+    ) -> (u64, u64, GroupId, Vec<u8>) {
+        let r = replica(world, pid);
+        let bytes = flexcast_wire::to_bytes(&r.state().to_snapshot()).expect("encodes");
+        let rank = r.state().engine().id();
+        (
+            r.replication().applied_slots(),
+            r.snapshot_installs,
+            rank,
+            bytes,
+        )
+    }
+
+    /// A sibling's honest state, with `links.slots` set to `through`, sent
+    /// from a client's pid and from a replica of group 1: both are
+    /// refused, counted, and change nothing.
+    #[test]
+    fn a_snapshot_from_outside_the_group_is_refused() {
+        let sibling = replica_pid(GroupId(0), 2, 3);
+        let (mut world, _, through, state) = world_with_a_snapshot_of(sibling);
+        let victim = replica_pid(GroupId(0), 1, 3);
+        let before = replica_state(&world, victim);
+        let refused = counter_of(&world, [victim], "refused_inputs");
+        let client = Layout::new(3, 3).client_pid(ClientId(0));
+        for from in [client, replica_pid(GroupId(1), 0, 3)] {
+            let state = state.clone();
+            world.inject(from, victim, NetMsg::Snapshot { through, state });
+        }
+        world.run_to_quiescence(1_000);
+        assert!(
+            replica_state(&world, victim) == before,
+            "the victim changed"
+        );
+        assert_eq!(counter_of(&world, [victim], "refused_inputs"), refused + 2);
+    }
+
+    /// A sibling sends group 1's engine under a `through` its links vouch
+    /// for: the engine is not this group's, so the snapshot is refused.
+    #[test]
+    fn a_sibling_snapshot_of_another_groups_engine_is_refused() {
+        let (mut world, cfg, through, state) =
+            world_with_a_snapshot_of(replica_pid(GroupId(1), 0, 3));
+        let (victim, sibling) = (replica_pid(GroupId(0), 1, 3), replica_pid(GroupId(0), 2, 3));
+        let before = replica_state(&world, victim);
+        assert_eq!(before.2, GroupId(0));
+        world.inject(sibling, victim, NetMsg::Snapshot { through, state });
+        world.run_to_quiescence(1_000);
+        assert!(
+            replica_state(&world, victim) == before,
+            "the victim changed"
+        );
+        assert_eq!(cfg.telemetry.snapshot().counters["smr.snapshot_refused"], 1);
     }
 }

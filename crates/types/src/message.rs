@@ -64,11 +64,6 @@ impl Payload {
         Payload(Bytes::new())
     }
 
-    /// Creates a payload of `n` zero bytes (sized filler for benchmarks).
-    pub fn zeroes(n: usize) -> Self {
-        Payload(vec![0; n].into())
-    }
-
     /// Payload length in bytes.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -311,7 +306,6 @@ mod tests {
 
     #[test]
     fn payload_helpers() {
-        assert_eq!(Payload::zeroes(16).len(), 16);
         assert!(Payload::empty().is_empty());
         let p: Payload = vec![1, 2, 3].into();
         assert_eq!(p.len(), 3);

@@ -18,7 +18,8 @@
 //! ```
 
 use flexcast::chaos::{run_adversary, run_schedule, scenarios, FaultEvent};
-use flexcast::harness::replicated::{build_world, collect, group_of, replica_of, ReplicatedConfig};
+use flexcast::harness::layout::Layout;
+use flexcast::harness::replicated::{build_world, collect, ReplicatedConfig};
 use flexcast::overlay::LatencyMatrix;
 use flexcast::types::GroupId;
 use std::collections::BTreeSet;
@@ -57,13 +58,11 @@ fn main() {
             _ => None,
         })
         .collect();
+    let layout = Layout::new(cfg.n_groups as usize, cfg.rf);
     for &(t, pid) in &kills {
-        println!(
-            "    @{:>7.1}ms crash pid {pid} (replica {} of group {:?})",
-            t.as_ms(),
-            replica_of(pid, cfg.rf),
-            group_of(pid, cfg.rf)
-        );
+        let (group, replica) = layout.replica_at(pid).expect("the hunter crashes replicas");
+        let ms = t.as_ms();
+        println!("    @{ms:>7.1}ms crash pid {pid} (replica {replica} of group {group:?})");
     }
     let victims: BTreeSet<usize> = kills.iter().map(|&(_, p)| p).collect();
     assert!(
