@@ -13,37 +13,35 @@
 //! ordering is trivially the arrival order; ByzCast's BFT machinery adds
 //! nothing in that configuration (§5.1), so this engine matches what the
 //! paper actually measured.
+//!
+//! The engine owns its intake rules and returns a verdict per input, as
+//! FlexCast's does. It takes a client's copy only when every destination
+//! is a node of the tree and this group is their tree lca, and a packet
+//! only from its tree parent, when every destination is a node of the tree
+//! and one of them lies in this group's subtree; either way, once per
+//! multicast. Anything else is refused and changes nothing.
 
 use flexcast_overlay::Tree;
-use flexcast_types::{GroupId, Message};
+use flexcast_types::{ClientId, DestSet, GroupId, Message, Output};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// The only packet kind: the application message being routed down the
 /// tree. (Ordering state is implicit in FIFO links and visit order.)
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct HierPacket(pub Message);
 
-/// An action produced by the hierarchical engine.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Output {
-    /// Forward the message toward a child subtree.
-    Send {
-        /// The child group to forward to.
-        to: GroupId,
-        /// The forwarded message.
-        pkt: HierPacket,
-    },
-    /// Deliver the message to the application.
-    Deliver(Message),
-}
-
 /// One group (single process) of the hierarchical protocol.
 #[derive(Clone, Debug)]
 pub struct HierGroup {
     g: GroupId,
     tree: Tree,
-    delivered_count: u64,
-    received_payloads: u64,
+    /// Every node of the tree.
+    nodes: DestSet,
+    /// Each client's highest sequence number this group has taken. A
+    /// closed-loop client's multicasts reach each group on their paths in
+    /// sequence order, so one at or below it is one taken already.
+    taken: BTreeMap<ClientId, u32>,
 }
 
 impl HierGroup {
@@ -52,61 +50,68 @@ impl HierGroup {
         assert!(g.index() < tree.len(), "group outside the tree");
         HierGroup {
             g,
+            nodes: DestSet::all(tree.len()),
             tree,
-            delivered_count: 0,
-            received_payloads: 0,
+            taken: BTreeMap::new(),
         }
-    }
-
-    /// This group's id.
-    pub fn id(&self) -> GroupId {
-        self.g
-    }
-
-    /// Number of messages delivered so far.
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered_count
-    }
-
-    /// Number of payload messages received (from clients or the tree);
-    /// `1 - delivered/received` is the paper's overhead metric (§5.8).
-    pub fn received_payloads(&self) -> u64 {
-        self.received_payloads
-    }
-
-    /// The tree this group routes over.
-    pub fn tree(&self) -> &Tree {
-        &self.tree
     }
 
     /// Where a client must send `m`: the tree lowest-common-ancestor of
     /// the destinations. Not necessarily a destination — that is exactly
     /// the protocol's non-genuineness.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a destination is not a node of `tree`.
     pub fn entry_point(tree: &Tree, m: &Message) -> GroupId {
         tree.lca(m.dst)
     }
 
-    /// Handles the message copy arriving at this group (from a client if
-    /// this group is the entry point, or from the parent link otherwise):
-    /// deliver if addressed here, then forward down every child subtree
+    /// Takes a client's copy of `m`. False if it is refused: a destination
+    /// that is no node of the tree, another group as their tree lca, or a
+    /// multicast this group took already.
+    pub fn on_client(&mut self, m: Message, out: &mut Vec<Output<HierPacket>>) -> bool {
+        m.dst.is_subset(self.nodes)
+            && Self::entry_point(&self.tree, &m) == self.g
+            && self.take(m, out)
+    }
+
+    /// Takes a packet from group `from`. False if it is refused: a sender
+    /// other than this group's tree parent, a destination that is no node
+    /// of the tree, none in this group's subtree, or a multicast this
+    /// group took already.
+    pub fn on_packet(
+        &mut self,
+        from: GroupId,
+        HierPacket(m): HierPacket,
+        out: &mut Vec<Output<HierPacket>>,
+    ) -> bool {
+        let below = |d| self.tree.is_ancestor_or_self(self.g, d);
+        self.tree.parent(self.g) == Some(from)
+            && m.dst.is_subset(self.nodes)
+            && m.dst.iter().any(below)
+            && self.take(m, out)
+    }
+
+    /// Orders `m` here unless this group took it already: delivers it if
+    /// addressed here, then forwards it down every child subtree
     /// containing destinations.
-    pub fn on_message(&mut self, m: Message, out: &mut Vec<Output>) {
-        self.received_payloads += 1;
+    fn take(&mut self, m: Message, out: &mut Vec<Output<HierPacket>>) -> bool {
+        let id = m.id;
+        if self.taken.get(&id.sender).is_some_and(|&seq| id.seq <= seq) {
+            return false;
+        }
+        self.taken.insert(id.sender, id.seq);
         if m.dst.contains(self.g) {
-            self.delivered_count += 1;
             out.push(Output::Deliver(m.clone()));
         }
-        for (child, _) in self.tree.route_down(self.g, m.dst) {
+        for (to, _) in self.tree.route_down(self.g, m.dst) {
             out.push(Output::Send {
-                to: child,
+                to,
                 pkt: HierPacket(m.clone()),
             });
         }
-    }
-
-    /// Handles a packet from the parent (same logic as a client copy).
-    pub fn on_packet(&mut self, _from: GroupId, pkt: HierPacket, out: &mut Vec<Output>) {
-        self.on_message(pkt.0, out);
+        true
     }
 }
 
@@ -134,7 +139,7 @@ mod tests {
         .unwrap()
     }
 
-    fn deliveries(out: &[Output]) -> Vec<MsgId> {
+    fn deliveries(out: &[Output<HierPacket>]) -> Vec<MsgId> {
         out.iter()
             .filter_map(|o| match o {
                 Output::Deliver(m) => Some(m.id),
@@ -143,7 +148,7 @@ mod tests {
             .collect()
     }
 
-    fn sends(out: &[Output]) -> Vec<GroupId> {
+    fn sends(out: &[Output<HierPacket>]) -> Vec<GroupId> {
         out.iter()
             .filter_map(|o| match o {
                 Output::Send { to, .. } => Some(*to),
@@ -165,7 +170,7 @@ mod tests {
         let mut g1 = HierGroup::new(GroupId(1), tree());
         let m = msg(0, &[1, 3, 4]);
         let mut out = Vec::new();
-        g1.on_message(m.clone(), &mut out);
+        g1.on_client(m.clone(), &mut out);
         assert_eq!(deliveries(&out), vec![m.id]);
         assert_eq!(sends(&out), vec![GroupId(3), GroupId(4)]);
     }
@@ -176,11 +181,9 @@ mod tests {
         let mut root = HierGroup::new(GroupId(0), tree());
         let m = msg(0, &[3, 5]);
         let mut out = Vec::new();
-        root.on_message(m.clone(), &mut out);
-        assert!(deliveries(&out).is_empty(), "root only relays");
+        root.on_client(m.clone(), &mut out);
+        assert!(deliveries(&out).is_empty(), "pure overhead at the root");
         assert_eq!(sends(&out), vec![GroupId(1), GroupId(2)]);
-        assert_eq!(root.received_payloads(), 1);
-        assert_eq!(root.delivered_count(), 0, "pure overhead at the root");
     }
 
     #[test]
@@ -192,27 +195,30 @@ mod tests {
         let m = msg(0, &[3, 4, 5]);
         let entry = HierGroup::entry_point(&t, &m);
         assert_eq!(entry, GroupId(0));
-        // Drive the cascade by hand.
-        let mut frontier = vec![(entry, HierPacket(m.clone()))];
-        let mut delivered_at = Vec::new();
-        while let Some((g, pkt)) = frontier.pop() {
-            let mut out = Vec::new();
-            engines[g.index()].on_packet(GroupId(0), pkt, &mut out);
-            for o in out {
-                match o {
-                    Output::Deliver(d) => delivered_at.push((g, d.id)),
-                    Output::Send { to, pkt } => frontier.push((to, pkt)),
+        // Drive the cascade by hand: the entry takes the client's copy,
+        // and each group takes the packets its parent forwards.
+        let mut out = Vec::new();
+        assert!(engines[entry.index()].on_client(m.clone(), &mut out));
+        let mut frontier: Vec<_> = out.into_iter().map(|o| (entry, o)).collect();
+        let (mut delivered_at, mut relayed) = (Vec::new(), Vec::new());
+        while let Some((g, o)) = frontier.pop() {
+            match o {
+                Output::Deliver(d) => delivered_at.push((g, d.id)),
+                Output::Send { to, pkt } => {
+                    relayed.push((g.rank(), to.rank()));
+                    let mut out = Vec::new();
+                    assert!(engines[to.index()].on_packet(g, pkt, &mut out));
+                    frontier.extend(out.into_iter().map(|o| (to, o)));
                 }
             }
         }
         let mut groups: Vec<u16> = delivered_at.iter().map(|(g, _)| g.rank()).collect();
         groups.sort_unstable();
         assert_eq!(groups, vec![3, 4, 5]);
-        // Overhead: 0 and 1 and 2 relayed without delivering.
-        assert_eq!(engines[0].received_payloads(), 1);
-        assert_eq!(engines[0].delivered_count(), 0);
-        assert_eq!(engines[1].received_payloads(), 1);
-        assert_eq!(engines[1].delivered_count(), 0);
+        // Overhead: 1 and 2 took the message from the root, and relayed it
+        // without delivering.
+        relayed.sort_unstable();
+        assert_eq!(relayed, vec![(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]);
     }
 
     #[test]
@@ -220,8 +226,37 @@ mod tests {
         let mut g5 = HierGroup::new(GroupId(5), tree());
         let m = msg(0, &[5]);
         let mut out = Vec::new();
-        g5.on_message(m.clone(), &mut out);
+        g5.on_client(m.clone(), &mut out);
         assert_eq!(deliveries(&out), vec![m.id]);
         assert!(sends(&out).is_empty());
+    }
+
+    /// A group takes a client's copy only as the tree lca of destinations
+    /// inside the tree, and a packet only from its parent, naming nodes
+    /// of the tree of which one lies in its subtree. A refused input
+    /// changes nothing: nothing is received, delivered or sent.
+    #[test]
+    fn inputs_the_engine_cannot_order_are_refused() {
+        let mut g1 = HierGroup::new(GroupId(1), tree());
+        let pkt = |ranks: &[u16]| HierPacket(msg(0, ranks));
+        let mut out = Vec::new();
+        let refused = [
+            g1.on_client(msg(0, &[3, 5]), &mut out),
+            g1.on_client(msg(0, &[3, 6]), &mut out),
+            g1.on_packet(GroupId(2), pkt(&[1]), &mut out),
+            g1.on_packet(GroupId(3), pkt(&[1]), &mut out),
+            g1.on_packet(GroupId(0), pkt(&[1, 6]), &mut out),
+            g1.on_packet(GroupId(0), pkt(&[2, 5]), &mut out),
+        ];
+        assert_eq!(refused, [false; 6]);
+        assert!(out.is_empty());
+        assert!(g1.on_packet(GroupId(0), pkt(&[1, 5]), &mut out));
+        assert_eq!(deliveries(&out), vec![msg(0, &[1]).id]);
+        // Once per multicast, whether the copy comes again from the parent
+        // or from a client.
+        out.clear();
+        assert!(!g1.on_packet(GroupId(0), pkt(&[1, 5]), &mut out));
+        assert!(!g1.on_client(msg(0, &[1, 3]), &mut out));
+        assert!(out.is_empty());
     }
 }

@@ -15,9 +15,12 @@
 //!   groups that are not destinations, which is the communication
 //!   overhead quantified in Figures 1 and 9.
 //!
-//! Both engines are sans-io state machines with the same `Output` shape as
-//! `flexcast_core`, so the simulator and harness drive all three protocols
-//! through one interface.
+//! Both engines are sans-io state machines that keep FlexCast's contract:
+//! each input — a client's copy of a multicast, or a packet from a peer
+//! group — appends [`flexcast_types::Output`]s over the engine's own packet
+//! type and returns whether the engine took it. The engines own their
+//! intake rules, so the harness's server drives all three protocols
+//! through one path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,16 +13,23 @@
 //! This implementation uses single-process groups, matching the paper's
 //! evaluation setup (§5.1); fault tolerance would replicate each group
 //! with `flexcast-smr` exactly as for FlexCast.
+//!
+//! The engine owns its intake rules and returns a verdict per input, as
+//! FlexCast's does. It takes a client's copy of a multicast once, and only
+//! when every destination is inside the overlay and this group is one of
+//! them; it takes a stamp only from another group of the overlay, once per
+//! destination of a pending message, and never for a message it has
+//! delivered. Anything else is refused and changes nothing.
 
-use flexcast_types::{GroupId, Message, MsgId};
+use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Output};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Packets exchanged by Skeen's protocol.
+/// Packets exchanged by Skeen's protocol. Clients send their copies of a
+/// multicast as client messages, to every destination, so the only packet
+/// between groups is a stamp.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub enum SkeenPacket {
-    /// The application message, sent by the client to every destination.
-    Msg(Message),
     /// A local timestamp for message `id`, sent between destinations.
     Ts {
         /// The message being stamped.
@@ -30,20 +37,6 @@ pub enum SkeenPacket {
         /// The sender's local logical timestamp for it.
         ts: u64,
     },
-}
-
-/// An action produced by the Skeen engine (mirrors `flexcast_core::Output`).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Output {
-    /// Send a packet to another destination group.
-    Send {
-        /// Receiving group.
-        to: GroupId,
-        /// The packet.
-        pkt: SkeenPacket,
-    },
-    /// Deliver a message to the application.
-    Deliver(Message),
 }
 
 /// Per-message ordering state.
@@ -65,35 +58,45 @@ impl PendingMsg {
     fn lower_bound(&self) -> (u64, MsgId) {
         (self.final_ts.unwrap_or(self.local_ts), self.msg.id)
     }
+
+    /// Commits the message once every destination has stamped it: its
+    /// final timestamp is the largest stamp.
+    fn settle(&mut self) {
+        if self.stamps.len() == self.msg.dst.len() {
+            self.final_ts = self.stamps.values().max().copied();
+        }
+    }
 }
 
 /// One group (single process) running Skeen's protocol.
 #[derive(Clone, Debug)]
 pub struct SkeenGroup {
     g: GroupId,
+    /// Every group of the overlay.
+    groups: DestSet,
     clock: u64,
     pending: BTreeMap<MsgId, PendingMsg>,
     /// Stamps that arrived before the message itself (links from different
     /// groups are not mutually ordered).
     early: BTreeMap<MsgId, BTreeMap<GroupId, u64>>,
-    delivered_count: u64,
+    /// Each client's highest sequence number this group has taken. A
+    /// closed-loop client's copies reach each group in sequence order, so
+    /// a copy at or below it is one this group took already.
+    taken: BTreeMap<ClientId, u32>,
 }
 
 impl SkeenGroup {
-    /// Creates the engine for group `g`.
-    pub fn new(g: GroupId) -> Self {
+    /// Creates the engine for group `g` of an `n`-group overlay.
+    pub fn new(g: GroupId, n: usize) -> Self {
+        assert!(g.index() < n, "group outside the overlay");
         SkeenGroup {
             g,
+            groups: DestSet::all(n),
             clock: 0,
             pending: BTreeMap::new(),
             early: BTreeMap::new(),
-            delivered_count: 0,
+            taken: BTreeMap::new(),
         }
-    }
-
-    /// This group's id.
-    pub fn id(&self) -> GroupId {
-        self.g
     }
 
     /// Current logical clock (diagnostics).
@@ -106,81 +109,96 @@ impl SkeenGroup {
         self.pending.len()
     }
 
-    /// Number of messages delivered so far.
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered_count
+    /// True if this group has taken a client copy of `id`, pending or
+    /// delivered.
+    fn took(&self, id: MsgId) -> bool {
+        self.taken.get(&id.sender).is_some_and(|&seq| id.seq <= seq)
     }
 
-    /// Handles the client's copy of a multicast message. Clients send the
-    /// message to *every* destination (this group must be one of them).
-    pub fn on_client(&mut self, m: Message, out: &mut Vec<Output>) {
-        debug_assert!(m.dst.contains(self.g), "not a destination");
-        debug_assert!(!self.pending.contains_key(&m.id), "duplicate multicast");
-        self.clock += 1;
-        let local_ts = self.clock;
+    /// Takes the client's copy of multicast `m`: clients send one to
+    /// *every* destination. False if it is refused: a destination outside
+    /// the overlay, a message not addressed here, a copy of a multicast
+    /// this group already took, or a clock with no stamp left.
+    pub fn on_client(&mut self, m: Message, out: &mut Vec<Output<SkeenPacket>>) -> bool {
+        if !m.dst.is_subset(self.groups) || !m.dst.contains(self.g) || self.took(m.id) {
+            return false;
+        }
+        let Some(local_ts) = self.clock.checked_add(1) else {
+            return false;
+        };
+        self.clock = local_ts;
+        self.taken.insert(m.id.sender, m.id.seq);
+        for to in m.dst.iter().filter(|&d| d != self.g) {
+            let pkt = SkeenPacket::Ts {
+                id: m.id,
+                ts: local_ts,
+            };
+            out.push(Output::Send { to, pkt });
+        }
+        // Stamps that beat the client's copy here count now, those of
+        // destinations only.
+        let mut stamps = BTreeMap::from([(self.g, local_ts)]);
+        let early = self.early.remove(&m.id).unwrap_or_default();
+        stamps.extend(early.into_iter().filter(|&(g, _)| m.dst.contains(g)));
         let mut entry = PendingMsg {
             local_ts,
-            stamps: BTreeMap::from([(self.g, local_ts)]),
+            stamps,
             final_ts: None,
-            msg: m.clone(),
+            msg: m,
         };
-        for d in m.dst.iter().filter(|&d| d != self.g) {
-            out.push(Output::Send {
-                to: d,
-                pkt: SkeenPacket::Ts {
-                    id: m.id,
-                    ts: local_ts,
-                },
-            });
-        }
-        if entry.stamps.len() == m.dst.len() {
-            // Single-destination message: committed immediately.
-            entry.final_ts = Some(local_ts);
-        }
-        self.pending.insert(m.id, entry);
-        self.drain_early(m.id);
+        entry.settle();
+        self.pending.insert(entry.msg.id, entry);
         self.try_deliver(out);
+        true
     }
 
-    /// Handles a peer packet.
-    pub fn on_packet(&mut self, from: GroupId, pkt: SkeenPacket, out: &mut Vec<Output>) {
-        match pkt {
-            // Some deployments relay the message between groups instead of
-            // relying on the client; stamping logic is identical.
-            SkeenPacket::Msg(m) => self.on_client(m, out),
-            SkeenPacket::Ts { id, ts } => {
-                // Lamport receive rule keeps future local stamps above
-                // everything we have observed.
-                self.clock = self.clock.max(ts);
-                let Some(entry) = self.pending.get_mut(&id) else {
-                    // The stamp beat the client's message copy here: record
-                    // it once the message arrives. Buffer as a bare stamp.
-                    self.early_stamp(id, from, ts);
-                    return;
-                };
-                // Only a destination stamps: another group's stamp could
-                // complete the set early and fix a wrong final timestamp.
-                if !entry.msg.dst.contains(from) {
-                    return;
+    /// Takes a stamp from group `from`. False if it is refused: a sender
+    /// that is this group or outside the overlay, a second stamp from one
+    /// group, a stamp from a group that is no destination of the pending
+    /// message, or one for a message this group has delivered. Only a
+    /// destination stamps: another group's stamp could complete the set
+    /// early and fix a wrong final timestamp.
+    pub fn on_packet(
+        &mut self,
+        from: GroupId,
+        pkt: SkeenPacket,
+        out: &mut Vec<Output<SkeenPacket>>,
+    ) -> bool {
+        let SkeenPacket::Ts { id, ts } = pkt;
+        if from == self.g || !self.groups.contains(from) {
+            return false;
+        }
+        let took = self.took(id);
+        match self.pending.get_mut(&id) {
+            Some(entry) => {
+                if !entry.msg.dst.contains(from) || entry.stamps.contains_key(&from) {
+                    return false;
                 }
                 entry.stamps.insert(from, ts);
-                if entry.stamps.len() == entry.msg.dst.len() {
-                    let f = *entry.stamps.values().max().expect("non-empty stamps");
-                    entry.final_ts = Some(f);
+                entry.settle();
+            }
+            // Taken and no longer pending: delivered.
+            None if took => return false,
+            // The stamp beat the client's copy here: it counts once the
+            // copy arrives.
+            None => {
+                let early = self.early.entry(id).or_default();
+                if early.contains_key(&from) {
+                    return false;
                 }
-                self.try_deliver(out);
+                early.insert(from, ts);
             }
         }
-    }
-
-    /// Buffered stamps for messages whose client copy has not arrived yet.
-    fn early_stamp(&mut self, id: MsgId, from: GroupId, ts: u64) {
-        self.early.entry(id).or_default().insert(from, ts);
+        // Lamport receive rule keeps future local stamps above everything
+        // we have observed.
+        self.clock = self.clock.max(ts);
+        self.try_deliver(out);
+        true
     }
 
     /// Delivers every committed message whose (final, id) key is below the
     /// lower bound of all other pending messages.
-    fn try_deliver(&mut self, out: &mut Vec<Output>) {
+    fn try_deliver(&mut self, out: &mut Vec<Output<SkeenPacket>>) {
         loop {
             // Candidate: the committed pending message with the smallest
             // (final_ts, id) key.
@@ -200,27 +218,9 @@ impl SkeenGroup {
             if blocked {
                 return;
             }
+            // Cannot fire: `id` was read off `pending` just above.
             let entry = self.pending.remove(&id).expect("candidate is pending");
-            self.delivered_count += 1;
             out.push(Output::Deliver(entry.msg));
-        }
-    }
-}
-
-impl SkeenGroup {
-    /// Applies buffered early stamps when the message copy arrives.
-    fn drain_early(&mut self, id: MsgId) {
-        if let Some(stamps) = self.early.remove(&id) {
-            if let Some(entry) = self.pending.get_mut(&id) {
-                let dst = entry.msg.dst;
-                for (g, ts) in stamps.into_iter().filter(|&(g, _)| dst.contains(g)) {
-                    entry.stamps.insert(g, ts);
-                }
-                if entry.stamps.len() == entry.msg.dst.len() {
-                    let f = *entry.stamps.values().max().expect("non-empty");
-                    entry.final_ts = Some(f);
-                }
-            }
         }
     }
 }
@@ -239,7 +239,7 @@ mod tests {
         .unwrap()
     }
 
-    fn deliveries(out: &[Output]) -> Vec<MsgId> {
+    fn deliveries(out: &[Output<SkeenPacket>]) -> Vec<MsgId> {
         out.iter()
             .filter_map(|o| match o {
                 Output::Deliver(m) => Some(m.id),
@@ -250,19 +250,18 @@ mod tests {
 
     #[test]
     fn local_message_delivers_immediately() {
-        let mut g = SkeenGroup::new(GroupId(0));
+        let mut g = SkeenGroup::new(GroupId(0), 6);
         let m = msg(0, &[0]);
         let mut out = Vec::new();
         g.on_client(m.clone(), &mut out);
         assert_eq!(deliveries(&out), vec![m.id]);
         assert_eq!(g.backlog(), 0);
-        assert_eq!(g.delivered_count(), 1);
     }
 
     #[test]
     fn global_message_waits_for_all_stamps() {
-        let mut a = SkeenGroup::new(GroupId(0));
-        let mut b = SkeenGroup::new(GroupId(1));
+        let mut a = SkeenGroup::new(GroupId(0), 6);
+        let mut b = SkeenGroup::new(GroupId(1), 6);
         let m = msg(0, &[0, 1]);
         let mut out_a = Vec::new();
         a.on_client(m.clone(), &mut out_a);
@@ -295,10 +294,15 @@ mod tests {
     #[test]
     fn delivery_follows_final_timestamp_order() {
         // Two messages to {0,1}; interleave so final timestamps differ.
-        let mut a = SkeenGroup::new(GroupId(0));
-        let mut b = SkeenGroup::new(GroupId(1));
+        let mut a = SkeenGroup::new(GroupId(0), 6);
+        let mut b = SkeenGroup::new(GroupId(1), 6);
         let m1 = msg(1, &[0, 1]);
-        let m2 = msg(2, &[0, 1]);
+        // From another client: one client's copies reach each group in
+        // sequence order, and B takes m2 first.
+        let m2 = Message {
+            id: MsgId::new(ClientId(8), 2),
+            ..msg(2, &[0, 1])
+        };
 
         let mut o = Vec::new();
         a.on_client(m1.clone(), &mut o); // A stamps m1 with 1
@@ -307,7 +311,7 @@ mod tests {
         b.on_client(m1.clone(), &mut o); // B stamps m1 with 2
 
         // Exchange all stamps. Finals: m1 = max(1,2)=2, m2 = max(2,1)=2;
-        // tie broken by id → m1 (seq 1) first everywhere.
+        // tie broken by id → m1 (client 7) first everywhere.
         let mut out_a = Vec::new();
         a.on_packet(GroupId(1), SkeenPacket::Ts { id: m1.id, ts: 2 }, &mut out_a);
         a.on_packet(GroupId(1), SkeenPacket::Ts { id: m2.id, ts: 1 }, &mut out_a);
@@ -321,7 +325,7 @@ mod tests {
 
     #[test]
     fn committed_message_blocked_by_uncommitted_lower_stamp() {
-        let mut a = SkeenGroup::new(GroupId(0));
+        let mut a = SkeenGroup::new(GroupId(0), 6);
         let m1 = msg(1, &[0, 1]);
         let m2 = msg(2, &[0, 1]);
         let mut o = Vec::new();
@@ -341,7 +345,7 @@ mod tests {
 
     #[test]
     fn clock_follows_received_stamps() {
-        let mut a = SkeenGroup::new(GroupId(0));
+        let mut a = SkeenGroup::new(GroupId(0), 6);
         let m1 = msg(1, &[0, 1]);
         let mut o = Vec::new();
         a.on_client(m1.clone(), &mut o);
@@ -356,7 +360,7 @@ mod tests {
 
     #[test]
     fn stamp_arriving_before_message_is_buffered() {
-        let mut a = SkeenGroup::new(GroupId(0));
+        let mut a = SkeenGroup::new(GroupId(0), 6);
         let m = msg(1, &[0, 1]);
         let mut o = Vec::new();
         // B's stamp arrives before the client's copy of m.
@@ -375,14 +379,14 @@ mod tests {
     fn a_stamp_from_outside_the_destinations_is_ignored() {
         let m = msg(1, &[0, 1, 2]);
         let ts = |g: u16, ts| (GroupId(g), SkeenPacket::Ts { id: m.id, ts });
-        let mut after = SkeenGroup::new(GroupId(0));
+        let mut after = SkeenGroup::new(GroupId(0), 6);
         let mut out = Vec::new();
         after.on_client(m.clone(), &mut out);
         for (from, pkt) in [ts(1, 2), ts(5, 9)] {
             after.on_packet(from, pkt, &mut out);
         }
         assert!(deliveries(&out).is_empty(), "group 2 has not stamped");
-        let mut before = SkeenGroup::new(GroupId(0));
+        let mut before = SkeenGroup::new(GroupId(0), 6);
         let mut out = Vec::new();
         for (from, pkt) in [ts(1, 2), ts(5, 9)] {
             before.on_packet(from, pkt, &mut out);
@@ -396,5 +400,58 @@ mod tests {
             g.on_packet(from, pkt, &mut out);
             assert_eq!(deliveries(&out), vec![m.id]);
         }
+    }
+
+    /// A group takes each multicast once, only when it is a destination
+    /// inside the overlay, and a stamp only once per destination, from
+    /// another group, for a message it has not delivered. Each refusal
+    /// changes nothing: the clock does not move and nothing is sent.
+    #[test]
+    fn inputs_the_engine_cannot_order_are_refused() {
+        let mut a = SkeenGroup::new(GroupId(0), 6);
+        let m = msg(1, &[0, 1]);
+        let mut out = Vec::new();
+        assert!(a.on_client(m.clone(), &mut out));
+        let ts = |id, ts| SkeenPacket::Ts { id, ts };
+        let mut refused = vec![
+            a.on_client(m.clone(), &mut out),
+            a.on_client(msg(0, &[0, 1]), &mut out),
+            a.on_client(msg(2, &[1, 2]), &mut out),
+            a.on_client(msg(3, &[0, 6]), &mut out),
+            a.on_packet(GroupId(0), ts(m.id, 9), &mut out),
+            a.on_packet(GroupId(6), ts(m.id, 9), &mut out),
+            a.on_packet(GroupId(2), ts(m.id, 9), &mut out),
+        ];
+        assert_eq!((a.clock(), out.len()), (1, 1), "one stamp sent, to B");
+        assert!(a.on_packet(GroupId(1), ts(m.id, 4), &mut out));
+        assert_eq!(deliveries(&out), vec![m.id]);
+        // Delivered: a late stamp for it is refused, and so is a second
+        // early one from one group.
+        refused.push(a.on_packet(GroupId(1), ts(m.id, 5), &mut out));
+        let next = msg(4, &[0, 1]).id;
+        assert!(a.on_packet(GroupId(1), ts(next, 6), &mut out));
+        refused.push(a.on_packet(GroupId(1), ts(next, 7), &mut out));
+        assert_eq!(refused, vec![false; 9]);
+        assert_eq!(a.clock(), 6);
+    }
+
+    /// A stamp at the top of the clock is taken, but leaves no stamp for
+    /// another multicast: the next client copy is refused, not stamped
+    /// with a wrapped or repeated timestamp.
+    #[test]
+    fn a_multicast_past_the_last_stamp_is_refused() {
+        let mut a = SkeenGroup::new(GroupId(0), 6);
+        let mut out = Vec::new();
+        let far = msg(1, &[0, 1]).id;
+        assert!(a.on_packet(
+            GroupId(1),
+            SkeenPacket::Ts {
+                id: far,
+                ts: u64::MAX
+            },
+            &mut out
+        ));
+        assert!(!a.on_client(msg(2, &[0]), &mut out));
+        assert_eq!((a.clock(), a.backlog()), (u64::MAX, 0));
     }
 }

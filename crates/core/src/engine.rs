@@ -37,22 +37,11 @@ use std::mem::size_of;
 /// precedes it.
 pub const FLUSH_PAYLOAD: &[u8] = b"__flexcast_flush__";
 
-/// An action produced by the engine.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Output {
-    /// Send `pkt` to group `to`. Protocol packets (msg/ack/notif) always
-    /// travel down the C-DAG to a descendant; watermark advertisements
-    /// ([`Packet::Advert`]) are the one kind that travels *up*, to an
-    /// ancestor this group receives from.
-    Send {
-        /// Destination group.
-        to: GroupId,
-        /// The packet to transmit.
-        pkt: Packet,
-    },
-    /// Deliver the message to the application (`deliver(m)`).
-    Deliver(Message),
-}
+/// An action produced by the engine. Protocol packets (msg/ack/notif)
+/// always travel down the C-DAG to a descendant; watermark advertisements
+/// ([`Packet::Advert`]) are the one kind that travels *up*, to an ancestor
+/// this group receives from.
+pub type Output = flexcast_types::Output<Packet>;
 
 /// Counters for the protocol-level delta-suppression machinery: how many
 /// watermark advertisements this engine exchanged and how many history

@@ -5,13 +5,13 @@ use crate::checker::DeliveryEvent;
 use crate::layout::Layout;
 use crate::netmsg::NetMsg;
 use crate::node::{entry_node, NodeEngine};
-use flexcast_baselines::{hier, skeen, HierGroup, SkeenGroup};
-use flexcast_core::{FlexCastGroup, Output as FlexOutput};
+use flexcast_baselines::{HierGroup, SkeenGroup};
+use flexcast_core::{FlexCastGroup, Output as FlexOutput, Packet};
 use flexcast_gtpcc::Generator;
 use flexcast_overlay::{CDagOrder, Tree};
 use flexcast_sim::{Actor, Ctx, ProcessId, SimTime};
 use flexcast_telemetry::SpanId;
-use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Payload};
+use flexcast_types::{ClientId, DestSet, GroupId, Message, MsgId, Output, Payload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Deref;
@@ -45,12 +45,10 @@ pub struct ServerStats {
     pub sent_msgs: u64,
     /// Total bytes sent.
     pub sent_bytes: u64,
-    /// Inputs refused at intake: a client message this server does not
-    /// serve (a destination outside the overlay, or one whose entry is
-    /// another server: another group's lca, or for Skeen a message not
-    /// addressed here),
-    /// a packet from a process outside the overlay or one the engine
-    /// refuses, or a message kind this server does not handle.
+    /// Inputs refused at intake: a message kind this server's engine does
+    /// not take, a packet from a process that is no server, or an input
+    /// the engine refuses under its own rules (DESIGN.md §4, "Who may
+    /// send what"), such as a client copy it cannot order.
     pub refused_inputs: u64,
 }
 
@@ -66,7 +64,8 @@ impl ServerStats {
     }
 }
 
-/// Which protocol a server runs, with the per-protocol engine state.
+/// Which protocol a server runs, with the per-protocol engine state. Each
+/// takes an input, appends [`Output`]s and returns its verdict.
 // One value per simulated node; the size spread between engines is
 // irrelevant at that cardinality and boxing would cost an indirection on
 // the hot path.
@@ -109,7 +108,8 @@ impl ServerActor {
 
     /// Creates a Skeen server for `node`.
     pub fn skeen(node: GroupId, n_servers: usize) -> Self {
-        Self::running(node, n_servers, EngineKind::Skeen(SkeenGroup::new(node)))
+        let engine = EngineKind::Skeen(SkeenGroup::new(node, n_servers));
+        Self::running(node, n_servers, engine)
     }
 
     /// Creates a hierarchical server for `node` on `tree`.
@@ -142,21 +142,6 @@ impl ServerActor {
         }
     }
 
-    fn deliver(&mut self, id: MsgId, ctx: &mut Ctx<'_, NetMsg>) {
-        let now = ctx.now();
-        self.stats.delivered += 1;
-        self.deliveries.push(DeliveryEvent {
-            node: self.node,
-            id,
-            at: now,
-        });
-        ctx.telemetry().counter_add("server.delivered", 1);
-        ctx.telemetry()
-            .instant("server", "deliver", self.node.0 as u32, now.as_nanos());
-        let reply = NetMsg::Reply { id };
-        self.send_counted(self.layout.client_pid(id.sender), reply, false, ctx);
-    }
-
     /// Sends `msg` charged to the traffic stats. The size computed here
     /// travels with the message ([`Ctx::send_sized`]), so the receiving
     /// server charges `received_bytes` without sizing it again. `control`
@@ -173,49 +158,49 @@ impl ServerActor {
         }
     }
 
-    fn handle_flex_outputs(&mut self, outs: &mut Vec<FlexOutput>, ctx: &mut Ctx<'_, NetMsg>) {
+    /// Sends or delivers each of an engine's outputs, `wrap`ping each
+    /// packet in its `NetMsg` kind: the one output loop of all three
+    /// engines.
+    fn emit<P>(
+        &mut self,
+        outs: &mut Vec<Output<P>>,
+        wrap: impl Fn(P) -> NetMsg,
+        ctx: &mut Ctx<'_, NetMsg>,
+    ) {
         let now = ctx.now();
         for o in outs.drain(..) {
             match o {
-                FlexOutput::Deliver(m) => self.deliver(m.id, ctx),
-                FlexOutput::Send { to: node, pkt } => {
-                    // Watermark advertisements are tiny background
-                    // messages a real deployment would piggyback on its
-                    // upstream traffic (client replies, transport acks);
-                    // modeling them as serial-service work would let one
-                    // in-flight WAN advert head-of-line block a server.
-                    let advert = matches!(pkt, flexcast_core::Packet::Advert { .. });
-                    let (counter, name) = if advert {
-                        ("flex.adverts_forwarded", "advert")
-                    } else {
-                        ("flex.forward_packets", "forward")
-                    };
+                Output::Deliver(m) => {
+                    let (node, id) = (self.node, m.id);
+                    self.stats.delivered += 1;
+                    self.deliveries.push(DeliveryEvent { node, id, at: now });
                     let tel = ctx.telemetry();
-                    tel.counter_add(counter, 1);
-                    tel.instant("flex", name, self.node.0 as u32, now.as_nanos());
-                    self.send_counted(node.index(), NetMsg::Flex(pkt), advert, ctx);
+                    tel.counter_add("server.delivered", 1);
+                    tel.instant("server", "deliver", node.0 as u32, now.as_nanos());
+                    let reply = NetMsg::Reply { id };
+                    self.send_counted(self.layout.client_pid(id.sender), reply, false, ctx);
                 }
-            }
-        }
-    }
-
-    fn handle_skeen_outputs(&mut self, outs: Vec<skeen::Output>, ctx: &mut Ctx<'_, NetMsg>) {
-        for o in outs {
-            match o {
-                skeen::Output::Deliver(m) => self.deliver(m.id, ctx),
-                skeen::Output::Send { to, pkt } => {
-                    self.send_counted(to.index(), NetMsg::Skeen(pkt), false, ctx);
-                }
-            }
-        }
-    }
-
-    fn handle_hier_outputs(&mut self, outs: Vec<hier::Output>, ctx: &mut Ctx<'_, NetMsg>) {
-        for o in outs {
-            match o {
-                hier::Output::Deliver(m) => self.deliver(m.id, ctx),
-                hier::Output::Send { to, pkt } => {
-                    self.send_counted(to.index(), NetMsg::Hier(pkt), false, ctx);
+                Output::Send { to, pkt } => {
+                    let msg = wrap(pkt);
+                    let mut control = false;
+                    if let NetMsg::Flex(pkt) = &msg {
+                        // Watermark advertisements are tiny background
+                        // messages a real deployment would piggyback on
+                        // its upstream traffic (client replies, transport
+                        // acks); modeling them as serial-service work
+                        // would let one in-flight WAN advert head-of-line
+                        // block a server.
+                        control = matches!(pkt, Packet::Advert { .. });
+                        let (counter, name) = if control {
+                            ("flex.adverts_forwarded", "advert")
+                        } else {
+                            ("flex.forward_packets", "forward")
+                        };
+                        let tel = ctx.telemetry();
+                        tel.counter_add(counter, 1);
+                        tel.instant("flex", name, self.node.0 as u32, now.as_nanos());
+                    }
+                    self.send_counted(to.index(), msg, control, ctx);
                 }
             }
         }
@@ -239,71 +224,67 @@ impl Actor<NetMsg> for ServerActor {
         if msg.is_payload() {
             self.stats.received_payloads += 1;
         }
-        // A baseline client sends its copy to every destination (Skeen) or
-        // to their tree lca (hierarchical): any other copy is one this
-        // server cannot order. (The FlexCast engine refuses such copies
-        // itself.)
-        let (node, servers) = (self.node, DestSet::all(self.layout.n_groups));
-        let sender = self.layout.replica_at(from).map(|(peer, _)| peer);
-        match (msg, &mut self.engine, sender) {
-            (NetMsg::Client { msg: m, .. }, EngineKind::Flex(flex), _) => {
-                let now = ctx.now().as_nanos();
-                ctx.telemetry()
-                    .instant("flex", "multicast", node.0 as u32, now);
+        // The engine takes a client's copy, or a packet of its own kind
+        // from a server ([`Layout::replica_at`]), and gives its verdict.
+        let node = self.node;
+        let peer = self.layout.replica_at(from).map(|(peer, _)| peer);
+        let taken = match (msg, &mut self.engine) {
+            (NetMsg::Client { msg: m, .. }, EngineKind::Flex(flex)) => {
+                let (tel, now) = (ctx.telemetry(), ctx.now().as_nanos());
+                tel.instant("flex", "multicast", node.0 as u32, now);
                 let mut outs = std::mem::take(&mut self.flex_outs);
-                if !flex.on_client(m, &mut outs) {
-                    self.stats.refused_inputs += 1;
-                }
-                self.handle_flex_outputs(&mut outs, ctx);
+                let taken = flex.on_client(m, &mut outs);
+                self.emit(&mut outs, NetMsg::Flex, ctx);
                 self.flex_outs = outs;
+                taken
             }
-            (NetMsg::Client { msg: m, .. }, EngineKind::Skeen(engine), _)
-                if m.dst.is_subset(servers) && m.dst.contains(node) =>
-            {
-                let mut outs = Vec::new();
-                engine.on_client(m, &mut outs);
-                self.handle_skeen_outputs(outs, ctx);
-            }
-            (NetMsg::Client { msg: m, .. }, EngineKind::Hier(engine), _)
-                if m.dst.is_subset(servers)
-                    && HierGroup::entry_point(engine.tree(), &m) == node =>
-            {
-                let mut outs = Vec::new();
-                engine.on_message(m, &mut outs);
-                self.handle_hier_outputs(outs, ctx);
-            }
-            (NetMsg::Flex(pkt), EngineKind::Flex(flex), sender) => {
+            (NetMsg::Flex(pkt), EngineKind::Flex(flex)) => {
                 // Merge-phase span: delta of history entries admitted by
                 // this packet, computed only when tracing is on.
                 let tel_on = ctx.telemetry().is_enabled();
                 let before = tel_on.then(|| flex.engine().merge_stats().entries_in());
                 let mut outs = std::mem::take(&mut self.flex_outs);
-                if !sender.is_some_and(|peer| flex.on_packet(peer, pkt, &mut outs)) {
-                    self.stats.refused_inputs += 1;
-                }
+                let taken = peer.is_some_and(|peer| flex.on_packet(peer, pkt, &mut outs));
                 let merged = before.map(|b| flex.engine().merge_stats().entries_in() - b);
-                self.handle_flex_outputs(&mut outs, ctx);
+                self.emit(&mut outs, NetMsg::Flex, ctx);
                 self.flex_outs = outs;
                 if let Some(n) = merged.filter(|&n| n > 0) {
                     let (tel, now) = (ctx.telemetry(), ctx.now().as_nanos());
                     let args = [("entries", n as f64)];
                     tel.span_with_args("flex", "merge", node.0 as u32, now, 0, &args);
                 }
+                taken
             }
-            (NetMsg::Skeen(pkt), EngineKind::Skeen(engine), Some(peer)) => {
+            (NetMsg::Client { msg: m, .. }, EngineKind::Skeen(skeen)) => {
                 let mut outs = Vec::new();
-                engine.on_packet(peer, pkt, &mut outs);
-                self.handle_skeen_outputs(outs, ctx);
+                let taken = skeen.on_client(m, &mut outs);
+                self.emit(&mut outs, NetMsg::Skeen, ctx);
+                taken
             }
-            (NetMsg::Hier(pkt), EngineKind::Hier(engine), Some(peer)) => {
+            (NetMsg::Skeen(pkt), EngineKind::Skeen(skeen)) => {
                 let mut outs = Vec::new();
-                engine.on_packet(peer, pkt, &mut outs);
-                self.handle_hier_outputs(outs, ctx);
+                let taken = peer.is_some_and(|peer| skeen.on_packet(peer, pkt, &mut outs));
+                self.emit(&mut outs, NetMsg::Skeen, ctx);
+                taken
             }
-            // A client copy this server cannot order, another protocol's
-            // packets, a packet from a pid that is no server, replies (for
-            // clients) and replication traffic (for replicated worlds).
-            _ => self.stats.refused_inputs += 1,
+            (NetMsg::Client { msg: m, .. }, EngineKind::Hier(hier)) => {
+                let mut outs = Vec::new();
+                let taken = hier.on_client(m, &mut outs);
+                self.emit(&mut outs, NetMsg::Hier, ctx);
+                taken
+            }
+            (NetMsg::Hier(pkt), EngineKind::Hier(hier)) => {
+                let mut outs = Vec::new();
+                let taken = peer.is_some_and(|peer| hier.on_packet(peer, pkt, &mut outs));
+                self.emit(&mut outs, NetMsg::Hier, ctx);
+                taken
+            }
+            // Another protocol's packets, replies (for clients) and
+            // replication traffic (for replicated worlds).
+            _ => false,
+        };
+        if !taken {
+            self.stats.refused_inputs += 1;
         }
     }
 }
@@ -896,6 +877,46 @@ mod tests {
         assert_refused(&[NetMsg::Flex(Packet::Notif { mref, hist })]);
     }
 
+    /// A short run of a baseline protocol on the 12-region deployment,
+    /// run to its end.
+    fn baseline_world(protocol: ProtocolKind) -> World<NetMsg, Node> {
+        let mut cfg = ExperimentConfig::latency(protocol, 0.9);
+        cfg.n_clients = 4;
+        cfg.duration = SimTime::from_secs(1);
+        run_world_on(&cfg, &regions::aws12())
+    }
+
+    /// Every server's `(delivered, sent, refused)`.
+    fn server_stats(world: &World<NetMsg, Node>) -> Vec<(u64, u64, u64)> {
+        (0..SERVERS)
+            .map(|pid| match world.actor(pid) {
+                Node::Server(s) => {
+                    let st = &s.stats;
+                    (st.delivered, st.sent_msgs, st.refused_inputs)
+                }
+                _ => panic!("pid {pid} is not a server"),
+            })
+            .collect()
+    }
+
+    /// A multicast with a fresh id, from a client the world does not host:
+    /// the world drops its replies.
+    fn stray(seq: u32, ranks: &[u16]) -> Message {
+        let dst = DestSet::from_iter(ranks.iter().copied().map(GroupId));
+        Message::new(MsgId::new(ClientId(999), seq), dst, Payload::empty()).unwrap()
+    }
+
+    /// Injects `input` into server 0 as `from` sent it, runs the world to
+    /// quiescence, and checks that server 0 refused it and counted the
+    /// refusal, and that no server delivered or sent because of it.
+    fn assert_server_refuses(world: &mut World<NetMsg, Node>, from: ProcessId, input: NetMsg) {
+        let mut want = server_stats(world);
+        want[0].2 += 1;
+        world.inject(from, 0, input);
+        world.run_to_quiescence(1_000);
+        assert_eq!(server_stats(world), want);
+    }
+
     /// Only servers send baseline packets either: a Skeen or hierarchical
     /// packet from any other pid is refused and counted, and no server
     /// delivers or sends because of it.
@@ -912,28 +933,10 @@ mod tests {
                 NetMsg::Hier(flexcast_baselines::HierPacket(msg)),
             ),
         ];
+        let client = Layout::new(SERVERS, 1).client_pid(ClientId(0));
         for (protocol, input) in cases {
-            let label = protocol.label();
-            let mut cfg = ExperimentConfig::latency(protocol, 0.9);
-            cfg.n_clients = 4;
-            cfg.duration = SimTime::from_secs(1);
-            let mut world = run_world_on(&cfg, &regions::aws12());
-            let stats = |w: &World<NetMsg, Node>| -> Vec<(u64, u64, u64)> {
-                (0..SERVERS)
-                    .map(|pid| match w.actor(pid) {
-                        Node::Server(s) => {
-                            let st = &s.stats;
-                            (st.delivered, st.sent_msgs, st.refused_inputs)
-                        }
-                        _ => panic!("pid {pid} is not a server"),
-                    })
-                    .collect()
-            };
-            let mut want = stats(&world);
-            want[0].2 += 1;
-            world.inject(Layout::new(SERVERS, 1).client_pid(ClientId(0)), 0, input);
-            world.run_to_quiescence(1_000);
-            assert_eq!(stats(&world), want, "{label}");
+            let mut world = baseline_world(protocol);
+            assert_server_refuses(&mut world, client, input);
         }
     }
 
@@ -961,31 +964,97 @@ mod tests {
                 [client(999, &[0, past]), client(998, &[1])],
             ),
         ];
+        let from = Layout::new(SERVERS, 1).client_pid(ClientId(0));
         for (protocol, inputs) in cases {
-            let label = protocol.label();
-            let mut cfg = ExperimentConfig::latency(protocol, 0.9);
-            cfg.n_clients = 4;
-            cfg.duration = SimTime::from_secs(1);
-            let mut world = run_world_on(&cfg, &regions::aws12());
-            let stats = |w: &World<NetMsg, Node>| -> Vec<(u64, u64, u64)> {
-                (0..SERVERS)
-                    .map(|pid| match w.actor(pid) {
-                        Node::Server(s) => {
-                            let st = &s.stats;
-                            (st.delivered, st.sent_msgs, st.refused_inputs)
-                        }
-                        _ => panic!("pid {pid} is not a server"),
-                    })
-                    .collect()
-            };
-            let mut want = stats(&world);
-            want[0].2 += inputs.len() as u64;
+            let mut world = baseline_world(protocol);
             for input in inputs {
-                world.inject(Layout::new(SERVERS, 1).client_pid(ClientId(0)), 0, input);
+                assert_server_refuses(&mut world, from, input);
             }
-            world.run_to_quiescence(1_000);
-            assert_eq!(stats(&world), want, "{label}");
         }
+    }
+
+    /// A Skeen group takes each multicast once: a client's copy of one
+    /// server 0 has delivered is refused, where stamping it again would
+    /// leave a pending entry no stamp completes, and every later
+    /// multicast to server 0 would wait behind it. A fresh multicast to
+    /// servers 0 and 1 is then delivered at both.
+    #[test]
+    fn a_second_copy_of_a_delivered_skeen_multicast_is_refused() {
+        let mut world = baseline_world(ProtocolKind::Distributed);
+        let layout = Layout::new(SERVERS, 1);
+        let mut issued = (SERVERS..world.len()).flat_map(|pid| match world.actor(pid) {
+            Node::Client(c) => c.issued.clone(),
+            _ => panic!("pid {pid} is not a client"),
+        });
+        let to_0 = |&(_, dst): &(MsgId, DestSet)| dst.contains(GroupId(0)) && dst.len() > 1;
+        let (id, dst) = issued.find(to_0).expect("a global multicast to 0");
+        let Node::Server(s) = world.actor(0) else {
+            panic!("pid 0 is a server");
+        };
+        assert!(s.deliveries.iter().any(|d| d.id == id), "0 delivered it");
+        let msg = Message::new(id, dst, Payload::empty()).unwrap();
+        let reply_to = layout.client_pid(id.sender);
+        assert_server_refuses(&mut world, reply_to, NetMsg::Client { msg, reply_to });
+
+        let fresh = stray(0, &[0, 1]);
+        let reply_to = layout.client_pid(ClientId(0));
+        for pid in [0, 1] {
+            let msg = fresh.clone();
+            world.inject(reply_to, pid, NetMsg::Client { msg, reply_to });
+        }
+        world.run_to_quiescence(1_000_000);
+        for pid in [0, 1] {
+            let Node::Server(s) = world.actor(pid) else {
+                panic!("pid {pid} is not a server");
+            };
+            let last = s.deliveries.last().map(|d| d.id);
+            assert_eq!(last, Some(fresh.id), "server {pid}");
+        }
+    }
+
+    /// A hierarchical server takes each multicast once: a second client
+    /// copy at the tree lca is refused, where it was delivered twice.
+    #[test]
+    fn a_second_copy_of_a_hier_multicast_is_refused() {
+        let mut world = baseline_world(ProtocolKind::Hierarchical(flexcast_overlay::presets::t1()));
+        let reply_to = Layout::new(SERVERS, 1).client_pid(ClientId(0));
+        let client = || NetMsg::Client {
+            msg: stray(0, &[0]),
+            reply_to,
+        };
+        let mut want = server_stats(&world);
+        want[0].0 += 1;
+        want[0].1 += 1; // the reply
+        world.inject(reply_to, 0, client());
+        world.run_to_quiescence(1_000);
+        assert_eq!(server_stats(&world), want);
+        assert_server_refuses(&mut world, reply_to, client());
+    }
+
+    /// A hierarchical server takes packets from its tree parent only. In
+    /// T1, server 0's parent is server 4: server 1's copy of a multicast
+    /// to {0} is refused, and server 4's is then delivered, once.
+    #[test]
+    fn a_hier_packet_from_a_group_other_than_the_parent_is_refused() {
+        let mut world = baseline_world(ProtocolKind::Hierarchical(flexcast_overlay::presets::t1()));
+        let pkt = || NetMsg::Hier(flexcast_baselines::HierPacket(stray(0, &[0])));
+        assert_server_refuses(&mut world, 1, pkt());
+        let mut want = server_stats(&world);
+        want[0].0 += 1;
+        want[0].1 += 1; // the reply
+        world.inject(4, 0, pkt());
+        world.run_to_quiescence(1_000);
+        assert_eq!(server_stats(&world), want);
+    }
+
+    /// A hierarchical packet naming a node past the tree is refused where
+    /// routing it down would index past the tree's tables.
+    #[test]
+    fn a_hier_packet_naming_a_group_past_the_tree_is_refused() {
+        let mut world = baseline_world(ProtocolKind::Hierarchical(flexcast_overlay::presets::t1()));
+        let past = SERVERS as u16;
+        let pkt = NetMsg::Hier(flexcast_baselines::HierPacket(stray(0, &[0, past])));
+        assert_server_refuses(&mut world, 4, pkt);
     }
 
     /// Replies are for clients, replication traffic for replicated worlds,

@@ -81,16 +81,14 @@ impl NetMsg {
     /// overhead metric counts payload messages only, §5.8).
     pub fn is_payload(&self) -> bool {
         match self {
-            NetMsg::Client { .. } => true,
-            NetMsg::Flex(p) => p.is_payload(),
-            NetMsg::Skeen(p) => matches!(p, SkeenPacket::Msg(_)),
-            NetMsg::Hier(_) => true,
-            NetMsg::Reply { .. } => false,
-            NetMsg::Repl(_) => false,
-            NetMsg::GroupMsg { pkt, .. } => pkt.is_payload(),
-            NetMsg::Ble(_) => false,
-            NetMsg::SnapReq { .. } => false,
-            NetMsg::Snapshot { .. } => false,
+            NetMsg::Client { .. } | NetMsg::Hier(_) => true,
+            NetMsg::Flex(pkt) | NetMsg::GroupMsg { pkt, .. } => pkt.is_payload(),
+            NetMsg::Skeen(_)
+            | NetMsg::Reply { .. }
+            | NetMsg::Repl(_)
+            | NetMsg::Ble(_)
+            | NetMsg::SnapReq { .. }
+            | NetMsg::Snapshot { .. } => false,
         }
     }
 }
@@ -263,20 +261,15 @@ mod tests {
                     ballot,
                 },
             };
-            let (skeen, ble) = if round % 2 == 0 {
-                (
-                    SkeenPacket::Msg(msg.clone()),
-                    BleMsg::HeartbeatRequest { round: next() },
-                )
+            let skeen = SkeenPacket::Ts { id, ts: next() };
+            let ble = if round % 2 == 0 {
+                BleMsg::HeartbeatRequest { round: next() }
             } else {
-                (
-                    SkeenPacket::Ts { id, ts: next() },
-                    BleMsg::HeartbeatReply {
-                        round: next(),
-                        ballot,
-                        candidate: next() % 2 == 0,
-                    },
-                )
+                BleMsg::HeartbeatReply {
+                    round: next(),
+                    ballot,
+                    candidate: next() % 2 == 0,
+                }
             };
             for m in [
                 NetMsg::Client {
@@ -360,7 +353,6 @@ mod tests {
         }
         .is_payload());
         assert!(NetMsg::Hier(HierPacket(msg())).is_payload());
-        assert!(NetMsg::Skeen(SkeenPacket::Msg(msg())).is_payload());
         assert!(!NetMsg::Skeen(SkeenPacket::Ts {
             id: msg().id,
             ts: 4

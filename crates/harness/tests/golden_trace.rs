@@ -119,13 +119,15 @@ fn golden_trace_unperturbed_by_telemetry() {
 /// latency spike, driven by a chaos schedule. Retransmission absorbs the
 /// losses, so the run still completes — along a fault-sampling-dependent
 /// path that pins the RNG draw order of the link-fault machinery.
-#[test]
-fn golden_trace_link_faults() {
+/// Returns `(events, completed, dropped, trace digest)`, after checking
+/// safety.
+fn link_fault_run(telemetry: Telemetry) -> (u64, u64, u64, u64) {
     let n_groups: u16 = 3;
     let rf: u32 = 3;
     let mut cfg = ReplicatedConfig::small(n_groups, rf, 40);
     cfg.n_clients = 2;
     cfg.msgs_per_client = 6;
+    cfg.telemetry = telemetry;
 
     let mut m = LatencyMatrix::zero(n_groups as usize);
     for a in 0..n_groups as usize {
@@ -155,16 +157,35 @@ fn golden_trace_link_faults() {
     run_schedule(&mut world, &schedule, 50_000_000);
     let r = collect(&cfg, &world);
     assert!(r.check.safety_ok(), "safety violated under link faults");
+    (
+        r.events,
+        r.completed,
+        world.dropped_messages(),
+        trace_digest(&r.trace, &r.check),
+    )
+}
+
+#[test]
+fn golden_trace_link_faults() {
     assert_eq!(
-        (
-            r.events,
-            r.completed,
-            world.dropped_messages(),
-            trace_digest(&r.trace, &r.check),
-        ),
+        link_fault_run(Telemetry::disabled()),
         GOLDEN_LINK_FAULTS,
         "link-fault trace diverged from the pre-refactor recording"
     );
+}
+
+/// The replicated stack's telemetry-gated code — the replicas' pending
+/// clocks, and the commit, election and catch-up spans — observes the
+/// link-fault run without perturbing it.
+#[test]
+fn golden_trace_link_faults_unperturbed_by_telemetry() {
+    let telemetry = Telemetry::enabled();
+    assert_eq!(
+        link_fault_run(telemetry.clone()),
+        GOLDEN_LINK_FAULTS,
+        "enabling telemetry perturbed the replicated simulation"
+    );
+    assert!(telemetry.trace_len() > 0, "spans were recorded");
 }
 
 /// `(events, completed, trace digest)` recorded from the seed simulator.

@@ -174,8 +174,10 @@ fn net_msg_vectors() {
             "01 02 0102 0109 00 02 01 04 0102 03 0103 0104 0105 02 00 0103 01 0105",
         ),
         (
+            // A stamp is Skeen's only packet, variant 0: clients send
+            // their copies as `Client` messages.
             NetMsg::Skeen(SkeenPacket::Ts { id: id(2), ts: 300 }),
-            "02 01 0102 ac02",
+            "02 00 0102 ac02",
         ),
         (NetMsg::Hier(HierPacket(message())), "03 0102 0109 02abcd"),
         (NetMsg::Reply { id: id(2) }, "04 0102"),

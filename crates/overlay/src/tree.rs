@@ -155,7 +155,7 @@ impl Tree {
     ///
     /// # Panics
     ///
-    /// Panics on an empty set.
+    /// Panics on an empty set, or if a member is not a node of the tree.
     pub fn lca(&self, dst: DestSet) -> GroupId {
         let mut it = dst.iter();
         let first = it.next().expect("lca of an empty destination set");
@@ -163,6 +163,10 @@ impl Tree {
     }
 
     /// True if `anc` is an ancestor of `g` (or equal to it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is not a node of the tree.
     pub fn is_ancestor_or_self(&self, anc: GroupId, mut g: GroupId) -> bool {
         loop {
             if g == anc {
@@ -179,7 +183,8 @@ impl Tree {
     ///
     /// # Panics
     ///
-    /// Panics if `to` is not a strict descendant of `from`.
+    /// Panics if `to` is not a node of the tree, or not a strict
+    /// descendant of `from`.
     pub fn child_toward(&self, from: GroupId, to: GroupId) -> GroupId {
         assert!(
             from != to && self.is_ancestor_or_self(from, to),
@@ -198,6 +203,10 @@ impl Tree {
     /// Splits destinations by the subtree they fall in below `g`: for each
     /// child subtree of `g` containing destinations, returns the child and
     /// the destinations inside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` or a member of `dst` is not a node of the tree.
     pub fn route_down(&self, g: GroupId, dst: DestSet) -> Vec<(GroupId, DestSet)> {
         let mut out: Vec<(GroupId, DestSet)> = Vec::new();
         for d in dst.iter() {

@@ -10,7 +10,8 @@
 //! * [`MsgId`] / [`Message`] — a multicast message with a globally unique id,
 //! * [`ClientId`] — identifier of a message sender,
 //! * [`Watermarks`] — the per-client / per-creator watermark advertisement
-//!   groups send upstream for protocol-level history-delta suppression.
+//!   groups send upstream for protocol-level history-delta suppression,
+//! * [`Output`] — what a protocol engine asks its host to do.
 //!
 //! All types are plain data: they serialize with `serde` (the wire format
 //! lives in `flexcast-wire`) and carry no interior mutability, so protocol
@@ -55,6 +56,22 @@ impl GroupId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+}
+
+/// An action a sans-io protocol engine asks its host to carry out, over the
+/// engine's own packet type `P`: one host loop serves FlexCast and both
+/// baselines.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Output<P> {
+    /// Send `pkt` to group `to`.
+    Send {
+        /// Receiving group.
+        to: GroupId,
+        /// The packet to transmit.
+        pkt: P,
+    },
+    /// Deliver the message to the application (`deliver(m)`).
+    Deliver(Message),
 }
 
 impl From<u16> for GroupId {

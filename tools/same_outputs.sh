@@ -8,7 +8,10 @@
 # working tree, runs each side in an output directory of its own under
 # target/same_outputs/, and diffs:
 #
-#   * the stdout of `quickstart`, `fig8 --quick` and `ablation_gc --quick`;
+#   * the stdout of `quickstart`, of every figure bin — `fig1`,
+#     `fig5_table2`, `fig6`, `fig7_table3`, `fig8` and `fig9_table4` (the
+#     only runs of the Skeen and hierarchical servers), each `--quick` —
+#     and of `ablation_gc --quick`;
 #   * the rows of `fault_sweep --smoke`, with the wall-clock `eps=` column
 #     stripped, and its `--actions-out` file (the fired-action lines).
 #
@@ -28,19 +31,22 @@ if [ ! -d "$parent" ]; then
     git archive "$rev" | tar -x -C "$parent"
 fi
 out=$root/target/same_outputs
+figs="fig1 fig5_table2 fig6 fig7_table3 fig8 fig9_table4"
 rm -rf "$out"
 
 for side in base tree; do
     dir=$root
     [ $side = base ] && dir=$parent
-    (cd "$dir" && cargo build --release --offline --quiet \
-        --example quickstart --bin fig8 --bin ablation_gc --bin fault_sweep)
+    (cd "$dir" && cargo build --release --offline --quiet --example quickstart \
+        $(printf -- '--bin %s ' $figs) --bin ablation_gc --bin fault_sweep)
     bin=$dir/target/release
     mkdir -p "$out/$side"
     (
         cd "$out/$side"
         "$bin/examples/quickstart" >quickstart.txt
-        "$bin/fig8" --quick >fig8.txt
+        for fig in $figs; do
+            "$bin/$fig" --quick >"$fig.txt"
+        done
         "$bin/ablation_gc" --quick >ablation_gc.txt
         "$bin/fault_sweep" --smoke --actions-out actions.txt |
             sed -E 's/ eps=[0-9.]+//' >fault_sweep.txt
@@ -48,7 +54,7 @@ for side in base tree; do
 done
 
 status=0
-for f in quickstart.txt fig8.txt ablation_gc.txt fault_sweep.txt actions.txt; do
+for f in quickstart.txt $(printf '%s.txt ' $figs) ablation_gc.txt fault_sweep.txt actions.txt; do
     if diff -u "$out/base/$f" "$out/tree/$f"; then
         echo "same: $f"
     else
