@@ -45,8 +45,10 @@
 //! `Accept`/`Accepted`/`Decide` messages are paid once per round, not
 //! once per input, and the inputs a new leader inherits ride one slot
 //! after its takeover `Noop`. A command holds its packet behind an
-//! [`Arc`], so the copies in a replica's Paxos log, outbox, snapshots and
-//! effects are all one allocation.
+//! [`Arc`], so the copies in a replica's inbox, held map and Paxos log are
+//! one allocation. The outbox keeps each packet the engine sends as its
+//! wire bytes ([`Outbox`]), and the effect that emits it carries the
+//! packet itself, which the leader moves onto the wire.
 //!
 //! # Every replica hears each packet; an `Accept` names it
 //!
@@ -224,8 +226,8 @@ pub enum ReplEffect {
         to: GroupId,
         /// Position on the directed group link, starting at 0.
         seq: u64,
-        /// The FlexCast packet, shared with the outbox.
-        pkt: Arc<Packet>,
+        /// The FlexCast packet; the outbox holds its encoding.
+        pkt: Packet,
     },
 }
 
@@ -250,15 +252,131 @@ pub struct ReplLinks {
     pub next_in: BTreeMap<GroupId, u64>,
     /// Out-of-order inbound packets held until their turn.
     pub held: BTreeMap<(GroupId, u64), Arc<Packet>>,
-    /// Every inter-group send ever emitted, in emission order, each with
-    /// its position on its link: 0, 1, 2, … per destination. Replicated
-    /// state: any leader can retransmit the whole channel history.
-    pub outbox: Vec<(GroupId, u64, Arc<Packet>)>,
+    /// Every inter-group send ever emitted ([`Outbox`]).
+    pub outbox: Outbox,
     /// Delivery log in commit order (identical across replicas).
     pub log: Vec<MsgId>,
     /// Slots applied, one per [`apply_cmd`]: the only `through` a
     /// snapshot of this state is adopted under.
     pub slots: u64,
+}
+
+/// Every inter-group send the engine emitted, in emission order, each
+/// with its position on its link: 0, 1, 2, … per destination. Replicated
+/// state: any leader can retransmit the whole channel history.
+///
+/// Each packet is kept as its wire encoding, appended to one byte arena
+/// when the engine emits it; an index holds each entry's destination,
+/// sequence number and end offset. A reader decodes only the entries it
+/// reads. The outbox grows by one entry per inter-group send and is never
+/// truncated.
+///
+/// It serializes as the `Vec<(GroupId, u64, Packet)>` of its entries, so
+/// a snapshot's bytes do not depend on this layout: encoding decodes each
+/// entry, and decoding re-encodes each packet. A packet that does not
+/// decode fails the decode.
+#[derive(Clone, Debug, Default)]
+pub struct Outbox {
+    /// The entries' packets, encoded back to back.
+    arena: Vec<u8>,
+    /// One per entry, in emission order.
+    index: Vec<OutboxEntry>,
+}
+
+/// Where one outbox entry goes, and where its packet's encoding ends in
+/// the arena; it starts where the previous entry's ends (0 for the
+/// first). The offset is a `usize` no larger than the arena's length,
+/// which a `Vec` keeps at most `isize::MAX`, so it cannot overflow.
+#[derive(Clone, Copy, Debug)]
+struct OutboxEntry {
+    to: GroupId,
+    seq: u64,
+    end: usize,
+}
+
+impl Outbox {
+    /// Heap bytes of one entry's index record; [`Outbox::heap_bytes`]
+    /// counts one per entry of capacity on top of the arena.
+    pub const INDEX_ENTRY_BYTES: usize = std::mem::size_of::<OutboxEntry>();
+
+    /// Appends `pkt` as the `seq`-th packet on the link to group `to`.
+    fn push(&mut self, to: GroupId, seq: u64, pkt: &Packet) -> flexcast_types::Result<()> {
+        flexcast_wire::append_to(pkt, &mut self.arena)?;
+        let end = self.arena.len();
+        self.index.push(OutboxEntry { to, seq, end });
+        Ok(())
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True if nothing was ever sent.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Bytes of packet encodings held: the sum of the entries' encoded
+    /// lengths.
+    pub fn arena_len(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Heap bytes held, arena and index at capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.arena.capacity() + self.index.capacity() * Self::INDEX_ENTRY_BYTES
+    }
+
+    /// Each entry's destination and sequence number, in emission order,
+    /// without decoding its packet.
+    pub fn seqs(&self) -> impl Iterator<Item = (GroupId, u64)> + '_ {
+        self.index.iter().map(|e| (e.to, e.seq))
+    }
+
+    /// Every entry, decoded, in emission order.
+    pub fn iter(
+        &self,
+    ) -> impl Iterator<Item = flexcast_types::Result<(GroupId, u64, Packet)>> + '_ {
+        self.window(0..self.len())
+    }
+
+    /// The entries in `range`, clamped to the outbox, decoded.
+    fn window(
+        &self,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = flexcast_types::Result<(GroupId, u64, Packet)>> + '_ {
+        let end = range.end.min(self.index.len());
+        let start = range.start.min(end);
+        let mut from = start.checked_sub(1).map_or(0, |i| self.index[i].end);
+        self.index[start..end].iter().map(move |e| {
+            let bytes = &self.arena[from..e.end];
+            from = e.end;
+            flexcast_wire::from_bytes(bytes).map(|pkt| (e.to, e.seq, pkt))
+        })
+    }
+}
+
+impl Serialize for Outbox {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::{Error, SerializeSeq};
+        let mut seq = serializer.serialize_seq(Some(self.len()))?;
+        for entry in self.iter() {
+            seq.serialize_element(&entry.map_err(S::Error::custom)?)?;
+        }
+        seq.end()
+    }
+}
+
+impl<'de> Deserialize<'de> for Outbox {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        use serde::de::Error;
+        let mut outbox = Outbox::default();
+        for (to, seq, pkt) in Vec::<(GroupId, u64, Packet)>::deserialize(deserializer)? {
+            outbox.push(to, seq, &pkt).map_err(D::Error::custom)?;
+        }
+        Ok(outbox)
+    }
 }
 
 /// The replicated state machine: a FlexCast engine plus its
@@ -301,7 +419,7 @@ impl ReplEngine {
     }
 
     /// The replicated outbox of inter-group sends.
-    pub fn outbox(&self) -> &[(GroupId, u64, Arc<Packet>)] {
+    pub fn outbox(&self) -> &Outbox {
         &self.links.outbox
     }
 
@@ -351,7 +469,7 @@ impl ReplEngine {
         let links = snap.links;
         let refuse = |what: &str| Err(flexcast_types::Error::Decode(what.into()));
         let mut next_out = BTreeMap::new();
-        for &(to, seq, _) in &links.outbox {
+        for (to, seq) in links.outbox.seqs() {
             if !node.in_overlay(to) {
                 return refuse("an outbox entry names a group outside the overlay");
             }
@@ -390,8 +508,12 @@ impl ReplEngine {
                     let next = self.next_out.entry(to).or_insert(0);
                     let seq = *next;
                     *next += 1;
-                    let pkt = Arc::new(pkt);
-                    self.links.outbox.push((to, seq, Arc::clone(&pkt)));
+                    // Cannot fail: the encoder fails only on a sequence
+                    // or map of unknown length, and a packet holds none.
+                    self.links
+                        .outbox
+                        .push(to, seq, &pkt)
+                        .expect("packets always encode");
                     out.push(ReplEffect::Send { to, seq, pkt });
                 }
             }
@@ -579,7 +701,8 @@ impl ReplicatedActor {
 
     /// Publishes this replica's replication and engine counters under the
     /// `g{group}.r{replica}.` prefix (slots applied, elections,
-    /// re-proposals, merge and suppression stats, ...).
+    /// re-proposals, merge and suppression stats, ...), and its outbox's
+    /// entries and heap bytes as gauges.
     pub fn export_metrics(&self, tel: &Telemetry) {
         if !tel.is_enabled() {
             return;
@@ -591,6 +714,12 @@ impl ReplicatedActor {
         tel.counter_set(
             &format!("{prefix}.refused_cmds"),
             self.rg.engine().refused_cmds(),
+        );
+        let outbox = self.rg.engine().outbox();
+        tel.gauge_set(&format!("{prefix}.outbox.entries"), outbox.len() as f64);
+        tel.gauge_set(
+            &format!("{prefix}.outbox.heap_bytes"),
+            outbox.heap_bytes() as f64,
         );
         self.rg.engine().engine().export_metrics(tel, &prefix);
     }
@@ -618,14 +747,13 @@ impl ReplicatedActor {
     }
 
     /// Sends an inter-group packet to `replicas` of the destination group
-    /// (module docs). The packet leaves its `Arc` once.
+    /// (module docs).
     fn send_group(
         &self,
-        (to, seq, pkt): (GroupId, u64, Arc<Packet>),
+        (to, seq, pkt): (GroupId, u64, Packet),
         replicas: Range<u32>,
         ctx: &mut Ctx<'_, NetMsg>,
     ) {
-        let pkt = Arc::unwrap_or_clone(pkt);
         let pids = replicas.map(|r| self.layout.replica_pid(to, r)).collect();
         ctx.send_many(pids, NetMsg::GroupMsg { seq, pkt });
     }
@@ -666,7 +794,9 @@ impl ReplicatedActor {
     fn send_snapshot(&self, to: u32, ctx: &mut Ctx<'_, NetMsg>) {
         let through = self.rg.applied_slots();
         // Cannot fire: a `ReplSnapshot` is bytes and plain data, all of
-        // known length, which is all the wire encoder asks.
+        // known length, which is all the wire encoder asks, and its outbox
+        // decodes each entry from bytes this replica's encoder wrote from a
+        // packet, which the format decodes back.
         let state = flexcast_wire::to_bytes(&self.rg.engine().to_snapshot())
             .expect("snapshots always encode");
         ctx.telemetry().instant(
@@ -921,8 +1051,7 @@ impl ReplicatedActor {
                 const WINDOW: usize = 64;
                 let round = self.ticks / self.retransmit_every;
                 let target = (round % u64::from(self.layout.rf)) as u32;
-                let outbox = self.rg.engine().outbox();
-                let len = outbox.len();
+                let len = self.rg.engine().outbox().len();
                 if len > 0 {
                     let start = if self.retransmit_cursor >= len {
                         0
@@ -930,9 +1059,12 @@ impl ReplicatedActor {
                         self.retransmit_cursor
                     };
                     let end = (start + WINDOW).min(len);
-                    let window = outbox[start..end].to_vec();
                     self.retransmit_cursor = if end >= len { 0 } else { end };
-                    for entry in window {
+                    for entry in self.rg.engine().outbox().window(start..end) {
+                        // Cannot fail: the entry holds what this outbox's own
+                        // encoder wrote from a packet, and the format decodes
+                        // every packet it encodes (`flexcast-wire`'s round trips).
+                        let entry = entry.expect("outbox entries decode");
                         self.send_group(entry, target..target + 1, ctx);
                     }
                 }
@@ -2029,18 +2161,32 @@ mod tests {
         }
     }
 
+    /// Rebuilds `links`' outbox from its decoded entries after `edit`.
+    fn edit_outbox(links: &mut ReplLinks, edit: impl FnOnce(&mut Vec<(GroupId, u64, Packet)>)) {
+        let mut entries: Vec<_> = links
+            .outbox
+            .iter()
+            .collect::<Result<_, _>>()
+            .expect("decodes");
+        edit(&mut entries);
+        links.outbox = Outbox::default();
+        for (to, seq, pkt) in &entries {
+            links.outbox.push(*to, *seq, pkt).expect("encodes");
+        }
+    }
+
     #[test]
     fn from_snapshot_refuses_outbox_seqs_out_of_order() {
         // Node 1's packets as seqs 1, 0; then as seqs 0, 2.
-        let err = links_error(|l| l.outbox.swap(0, 2));
+        let err = links_error(|l| edit_outbox(l, |o| o.swap(0, 2)));
         assert!(err.contains("out of its link's sequence"), "{err}");
-        let err = links_error(|l| l.outbox[2].1 = 2);
+        let err = links_error(|l| edit_outbox(l, |o| o[2].1 = 2));
         assert!(err.contains("out of its link's sequence"), "{err}");
     }
 
     #[test]
     fn from_snapshot_refuses_an_outbox_entry_outside_the_overlay() {
-        let err = links_error(|l| l.outbox[3].0 = GroupId(3));
+        let err = links_error(|l| edit_outbox(l, |o| o[3].0 = GroupId(3)));
         assert!(err.contains("outbox entry names a group outside"), "{err}");
     }
 
@@ -2066,6 +2212,121 @@ mod tests {
         assert!(err.contains("peer is outside the overlay"), "{err}");
     }
 
+    /// [`ReplSnapshot`] as it encoded when its outbox was a
+    /// `Vec<(GroupId, u64, Packet)>`.
+    #[derive(Serialize)]
+    struct PlainSnapshot {
+        engine: Vec<u8>,
+        links: PlainLinks,
+    }
+
+    #[derive(Serialize)]
+    struct PlainLinks {
+        next_in: BTreeMap<GroupId, u64>,
+        held: BTreeMap<(GroupId, u64), Arc<Packet>>,
+        outbox: Vec<(GroupId, u64, Packet)>,
+        log: Vec<MsgId>,
+        slots: u64,
+    }
+
+    fn plain(snap: &ReplSnapshot) -> PlainSnapshot {
+        let l = snap.links.clone();
+        PlainSnapshot {
+            engine: snap.engine.clone(),
+            links: PlainLinks {
+                next_in: l.next_in,
+                held: l.held,
+                outbox: l.outbox.iter().collect::<Result<_, _>>().expect("decodes"),
+                log: l.log,
+                slots: l.slots,
+            },
+        }
+    }
+
+    /// The outbox's layout is invisible on the wire: a snapshot encodes
+    /// as the same links with the outbox as the `Vec` of its entries, and
+    /// decodes back to the same bytes.
+    #[test]
+    fn a_snapshot_encodes_its_outbox_as_the_vec_of_its_entries() {
+        let snap = engine_with_links();
+        let bytes = flexcast_wire::to_bytes(&snap).expect("encodes");
+        assert_eq!(
+            bytes,
+            flexcast_wire::to_bytes(&plain(&snap)).expect("encodes")
+        );
+        let back: ReplSnapshot = flexcast_wire::from_bytes(&bytes).expect("decodes");
+        assert_eq!(back.links.outbox.arena_len(), snap.links.outbox.arena_len());
+        assert_eq!(flexcast_wire::to_bytes(&back).expect("encodes"), bytes);
+    }
+
+    /// A snapshot cut short anywhere inside its outbox, or whose first
+    /// outbox packet names no packet kind, is a decode error, not a
+    /// panic.
+    #[test]
+    fn a_snapshot_whose_outbox_entry_is_cut_short_does_not_decode() {
+        let snap = engine_with_links();
+        let bytes = flexcast_wire::to_bytes(&snap).expect("encodes");
+        let l = &snap.links;
+        let start =
+            flexcast_wire::encoded_len(&(&snap.engine, &l.next_in, &l.held)).expect("sized");
+        let end = start + flexcast_wire::encoded_len(&l.outbox).expect("sized");
+        assert!(end - start > 4 * 3, "four entries");
+        let decode = |b: &[u8]| flexcast_wire::from_bytes::<ReplSnapshot>(b);
+        for cut in start + 1..end {
+            let err = decode(&bytes[..cut]).map(|_| ()).expect_err("a cut entry");
+            assert!(matches!(err, flexcast_types::Error::Decode(_)), "{err:?}");
+        }
+        let (to, seq, _) = l.outbox.iter().next().expect("an entry").expect("decodes");
+        let kind = start + 1 + flexcast_wire::encoded_len(&(to, seq)).expect("sized");
+        let mut bad = bytes.clone();
+        bad[kind] = 0x7f;
+        let err = decode(&bad).map(|_| ()).expect_err("no such packet kind");
+        assert!(matches!(err, flexcast_types::Error::Decode(_)), "{err:?}");
+    }
+
+    /// Group 0's leader is cut off from replica 2 of group 1 while it
+    /// sends, so that replica takes group 0's packets only from the
+    /// outbox window after the heal, decoded from the arena. Every copy
+    /// any replica of group 1 takes equals the packet first sent at its
+    /// `(to, seq)`: replica 0's first copy, which is the fresh send
+    /// (links are FIFO).
+    #[test]
+    fn every_retransmitted_packet_is_the_packet_first_sent_at_its_seq() {
+        let mut cfg = quiet_config();
+        cfg.retransmit_every = 2;
+        let mut world = tapped_world(&cfg);
+        world.run_until(SimTime::from_ms(1_000.0));
+        let (sender, cut) = (replica_pid(GroupId(0), 0, 3), replica_pid(GroupId(1), 2, 3));
+        world.block_link(sender, cut);
+        for seq in 0..6 {
+            inject_multicast(&mut world, &cfg, seq, &[0, 1], 8 + 4 * seq as usize);
+        }
+        world.run_until(SimTime::from_ms(1_500.0));
+        assert!(tapped(&world, cut).0.packets.is_empty());
+        world.unblock_link(sender, cut);
+        world.run_until(SimTime::from_ms(2_500.0));
+        let packets = |r| &tapped(&world, replica_pid(GroupId(1), r, 3)).0.packets;
+        let mut first: BTreeMap<u64, &Packet> = BTreeMap::new();
+        for (seq, pkt) in packets(0) {
+            first.entry(*seq).or_insert(pkt);
+        }
+        assert!(first.len() >= 6, "{} packets sent", first.len());
+        let mut copies = 0;
+        for r in 0..3 {
+            for (seq, pkt) in packets(r) {
+                assert_eq!(Some(&pkt), first.get(seq), "replica {r} seq {seq}");
+                copies += 1;
+            }
+        }
+        let cut_off: std::collections::BTreeSet<u64> =
+            packets(2).iter().map(|(seq, _)| *seq).collect();
+        assert!(
+            cut_off.iter().eq(first.keys()),
+            "the window reached the cut replica"
+        );
+        assert!(copies > 2 * first.len() + cut_off.len(), "{copies} copies");
+    }
+
     /// A batch inside a batch is refused where it starts, so a million
     /// nesting levels fail at the second, without recursing.
     #[test]
@@ -2082,12 +2343,13 @@ mod tests {
     }
 
     /// A replicated world's actor with a tap on what it receives: every
-    /// `Accept` as `(slot, wire size, command)` and the sender pid of
-    /// every `GroupMsg`.
+    /// `Accept` as `(slot, wire size, command)`, the sender pid of every
+    /// `GroupMsg`, and its sequence number and packet.
     struct Tap {
         node: ReplNode,
         accepts: Vec<(u64, usize, ReplCmd)>,
         group_msgs: Vec<ProcessId>,
+        packets: Vec<(u64, Packet)>,
     }
 
     impl Actor<NetMsg> for Tap {
@@ -2100,7 +2362,10 @@ mod tests {
                 NetMsg::Repl(PaxosMsg::Accept { slot, cmd, .. }) => {
                     self.accepts.push((*slot, msg.wire_size(), cmd.clone()));
                 }
-                NetMsg::GroupMsg { .. } => self.group_msgs.push(from),
+                NetMsg::GroupMsg { seq, pkt } => {
+                    self.group_msgs.push(from);
+                    self.packets.push((*seq, pkt.clone()));
+                }
                 _ => {}
             }
             self.node.on_message(from, msg, ctx);
@@ -2117,6 +2382,7 @@ mod tests {
             node: ReplNode::Replica(ReplicatedActor::new(g, r, cfg)),
             accepts: Vec::new(),
             group_msgs: Vec::new(),
+            packets: Vec::new(),
         };
         let layout = Layout::new(cfg.n_groups as usize, cfg.rf);
         let matrix = matrix(cfg.n_groups as usize);
@@ -2187,9 +2453,9 @@ mod tests {
         world.run_until(SimTime::from_ms(1_500.0));
         let sender = replica_pid(GroupId(0), 0, 3);
         let (_, leader) = tapped(&world, sender);
-        let sent: Vec<u64> = (leader.state().outbox().iter())
-            .filter(|(to, _, _)| *to == GroupId(1))
-            .map(|&(_, seq, _)| seq)
+        let sent: Vec<u64> = (leader.state().outbox().seqs())
+            .filter(|(to, _)| *to == GroupId(1))
+            .map(|(_, seq)| seq)
             .collect();
         assert!(sent.len() >= 4, "{sent:?}");
         for &pid in &g1 {

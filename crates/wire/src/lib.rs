@@ -37,7 +37,8 @@
 //! `crates/harness/tests/wire_vectors.rs` pins one value of every message
 //! kind the simulator sizes.
 //!
-//! Entry points: [`to_bytes`], [`from_bytes`], and [`encoded_len`].
+//! Entry points: [`to_bytes`], [`append_to`], [`from_bytes`], and
+//! [`encoded_len`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +48,7 @@ mod ser;
 mod varint;
 
 pub use de::{from_bytes, Deserializer};
-pub use ser::{encoded_len, to_bytes};
+pub use ser::{append_to, encoded_len, to_bytes};
 
 use flexcast_types::Error;
 
@@ -229,6 +230,35 @@ mod tests {
         assert!(r.is_err());
     }
 
+    /// A value whose encoding fails after its first byte is written.
+    struct FailsMidway;
+
+    impl Serialize for FailsMidway {
+        fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+            use serde::ser::SerializeTuple;
+            let mut t = s.serialize_tuple(2)?;
+            t.serialize_element(&7u8)?;
+            t.serialize_element(&UnknownLength)?;
+            t.end()
+        }
+    }
+
+    struct UnknownLength;
+
+    impl Serialize for UnknownLength {
+        fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+            s.serialize_seq(None)?;
+            unreachable!("the wire encoder refuses a sequence of unknown length")
+        }
+    }
+
+    #[test]
+    fn append_to_leaves_the_buffer_as_it_was_on_error() {
+        let mut buf = vec![1, 2, 3];
+        assert!(append_to(&FailsMidway, &mut buf).is_err());
+        assert_eq!(buf, [1, 2, 3]);
+    }
+
     #[test]
     fn invalid_bool_rejected() {
         let r: Result<bool, _> = from_bytes(&[2]);
@@ -282,6 +312,26 @@ mod tests {
             };
             let b = to_bytes(&v).unwrap();
             prop_assert_eq!(from_bytes::<Envelope>(&b).unwrap(), v);
+        }
+
+        #[test]
+        fn prop_append_to_writes_to_bytes_after_the_prefix(
+            prefix in proptest::collection::vec(any::<u8>(), 0..32),
+            a in any::<u32>(), s in ".*", raw in proptest::collection::vec(any::<u8>(), 0..64)
+        ) {
+            let v = Envelope {
+                id: (a, a.wrapping_mul(3)),
+                kinds: vec![Kind::Tuple(a, s), Kind::Unit],
+                opt: None,
+                map: Default::default(),
+                ch: 'y',
+                raw,
+            };
+            let mut buf = prefix.clone();
+            append_to(&v, &mut buf).unwrap();
+            prop_assert_eq!(buf.len() - prefix.len(), encoded_len(&v).unwrap());
+            prop_assert_eq!(&buf[..prefix.len()], &prefix[..]);
+            prop_assert_eq!(&buf[prefix.len()..], &to_bytes(&v).unwrap()[..]);
         }
 
         #[test]

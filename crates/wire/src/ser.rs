@@ -2,7 +2,8 @@
 //!
 //! The encoding rules are written once, in [`Serializer`]'s serde walk,
 //! over a [`Sink`] that either stores the bytes or only counts them — so
-//! [`to_bytes`] and [`encoded_len`] cannot disagree about the format.
+//! [`to_bytes`], [`append_to`] and [`encoded_len`] cannot disagree about
+//! the format.
 
 use crate::varint::{size_u128, write_u128, zigzag};
 use crate::WireError;
@@ -18,6 +19,22 @@ pub fn to_bytes<T: Serialize>(value: &T) -> Result<Vec<u8>, flexcast_types::Erro
     value.serialize(&mut ser).map_err(|e| e.0)?;
     debug_assert_eq!(ser.out.len(), cap, "size pass and write pass agree");
     Ok(ser.out)
+}
+
+/// Appends the encoding of `value` to the end of `out`, in one pass and
+/// with no size pass first: `out` grows as a `Vec` does. The bytes
+/// appended are [`to_bytes`]`(value)`. On error `out` is left as it was.
+pub fn append_to<T: Serialize>(value: &T, out: &mut Vec<u8>) -> Result<(), flexcast_types::Error> {
+    let start = out.len();
+    let mut ser = Serializer {
+        out: std::mem::take(out),
+    };
+    let written = value.serialize(&mut ser);
+    *out = ser.out;
+    written.map_err(|e| {
+        out.truncate(start);
+        e.0
+    })
 }
 
 /// Returns the exact number of bytes [`to_bytes`] would produce, without

@@ -310,6 +310,75 @@ fn run_schedule_matches_run_adversary() {
 }
 
 // ---------------------------------------------------------------------------
+// The benchmark's crash world, shrunk
+// ---------------------------------------------------------------------------
+
+/// Replays a schedule and logs every leadership claim.
+struct Elections {
+    schedule: ScheduleAdversary,
+    elected: Vec<(GroupId, u32, SimTime)>,
+}
+
+impl Adversary for Elections {
+    fn on_start(&mut self, ctx: &mut FaultCtx) {
+        self.schedule.on_start(ctx);
+    }
+
+    fn on_observation(&mut self, obs: &Observation, _ctx: &mut FaultCtx) {
+        if let Observation::LeaderElected {
+            group, replica, at, ..
+        } = *obs
+        {
+            self.elected.push((group, replica, at));
+        }
+    }
+}
+
+/// `repl12_crash`'s world with 16 clients and a 6 s run: twelve AWS
+/// regions in nearest-neighbour order from group 0, rf = 3, a GC flush
+/// every 250 ms, and replica 0 of the rank-0 group — its first leader —
+/// crashed at 2 s and recovered 3 s later. Asserts safety and lockstep,
+/// and that another replica of that group took over while it was down.
+fn crash12(seed: u64) -> Fingerprint {
+    let matrix = flexcast_overlay::regions::aws12();
+    let mut cfg = ReplicatedConfig::small(12, 3, seed);
+    cfg.order = CDagOrder::nearest_neighbor_chain(&matrix, GroupId(0));
+    cfg.n_clients = 16;
+    cfg.msgs_per_client = u32::MAX;
+    cfg.stop_at = SimTime::from_secs(6);
+    cfg.flush_period = Some(SimTime::from_ms(250.0));
+    cfg.n_flushes = u32::MAX;
+    let victim = cfg.order.node_at(GroupId(0));
+    let (crash_ms, down_ms) = (2_000.0, 3_000.0);
+    let schedule = scenarios::crash_recover(replica_pid(victim, 0, 3), crash_ms, down_ms);
+    let mut world = build_world(&cfg, &matrix);
+    let mut adversary = Elections {
+        schedule: ScheduleAdversary::new(schedule),
+        elected: Vec::new(),
+    };
+    let run = run_adversary(&mut world, &mut adversary, MAX_EVENTS);
+    assert_eq!(run.actions.len(), 2, "seed {seed}: crash and recover fired");
+    let r = collect(&cfg, &world);
+    assert!(r.check.safety_ok(), "seed {seed}: {:?}", r.check);
+    assert!(r.completed > 0, "seed {seed}: nothing completed");
+    let down = SimTime::from_ms(crash_ms)..SimTime::from_ms(crash_ms + down_ms);
+    assert!(
+        (adversary.elected.iter())
+            .any(|&(g, replica, at)| g == victim && replica != 0 && down.contains(&at)),
+        "seed {seed}: no replica of group {victim:?} took over"
+    );
+    fingerprint(r)
+}
+
+/// Seeds 3 and 5 of the crash world each replay byte for byte.
+#[test]
+fn crash_world_replays_byte_for_byte() {
+    for seed in [3, 5] {
+        assert_eq!(crash12(seed), crash12(seed), "seed {seed}");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Carried message sizes (a send is sized once, by its sender)
 // ---------------------------------------------------------------------------
 

@@ -381,7 +381,7 @@ fn split_fx(fx: Vec<ReplEffect>) -> (Vec<MsgId>, Vec<GroupSend>) {
     for e in fx {
         match e {
             ReplEffect::Deliver(m) => dels.push(m.id),
-            ReplEffect::Send { to, seq, pkt } => sends.push((to, seq, pkt)),
+            ReplEffect::Send { to, seq, pkt } => sends.push((to, seq, Arc::new(pkt))),
         }
     }
     (dels, sends)

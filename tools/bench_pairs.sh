@@ -21,6 +21,9 @@
 # whatever the spread), and — for the columns that are a pure function of
 # the seed on the simulated workloads — IDENTICAL, or DIFFERS with the
 # direction count (`lower 10/10`) and one `parent -> change` line per seed.
+# A run that exits nonzero prints its `# PROBLEM` lines as it ends, and
+# the summary lists every failed run per workload with its side, pair,
+# seed and exit code.
 set -euo pipefail
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
@@ -58,10 +61,16 @@ for dir in "$parent" "$root"; do
 done
 
 run() { # side dir workload pair
-    local dest=$out/$3/$1-$4
+    local dest=$out/$3/$1-$4 status=0
     mkdir -p "$dest"
     (cd "$2" && "${command[@]}" --workload "$3" --seed $((seed + $4 - 1)) \
-        --seconds "$seconds" --trace 0 --out "$dest") >"$dest/stdout" || echo "# $1 $3 pair $4: exit $?" >&2
+        --seconds "$seconds" --trace 0 --out "$dest") >"$dest/stdout" || status=$?
+    if [ "$status" -ne 0 ]; then
+        # Why it failed: flexbench prints one `# PROBLEM` line per reason.
+        echo "$status" >"$dest/exit"
+        echo "# $1 $3 pair $4 (seed $((seed + $4 - 1))): exit $status" >&2
+        grep '^# PROBLEM' "$dest/stdout" >&2 || echo "#   no # PROBLEM line in $dest/stdout" >&2
+    fi
 }
 
 for w in $workloads; do
@@ -106,6 +115,16 @@ for w in workloads:
     failed = sum(r["failed"] for pc in done for r in pc)
     bad = sum(not r["correct"] for pc in done for r in pc)
     print(f"{w}: {len(done)}/{pairs} pairs complete, failed ops {failed}, incorrect runs {bad}")
+    for i in range(1, pairs + 1):
+        for side in ("parent", "change"):
+            try:
+                code = open(f"{out}/{w}/{side}-{i}/exit").read().strip()
+            except OSError:
+                continue
+            print(f"  failed run: {side} pair {i} seed {seed + i - 1} exit {code}")
+            for line in open(f"{out}/{w}/{side}-{i}/stdout", errors="replace"):
+                if line.startswith("# PROBLEM"):
+                    print(f"    {line.rstrip()}")
     if len(done) < 2:
         continue
     for m in bench["end_to_end"]:
